@@ -17,12 +17,14 @@ Both comparisons return structured results with the analytic value, the
 expected value of the estimator, the measurement and the gaps, so tests and
 benchmarks can assert tolerances and tables can print them.
 
-A third cross-check closes the loop between the two *protocol* paths:
-:func:`synchronous_event_agreement` drives the same operation script through
-the blocking synchronous client and through the event-driven state-machine
-client at zero latency, and verifies they agree **operation for operation**
-(success, value, timestamp, quorum and the real probe count) — the
-synchronous layer really is the zero-latency special case of the event core.
+A third cross-check closes the loop between the *drivers* of the one
+protocol core: :func:`synchronous_event_agreement` drives the same operation
+script through the blocking synchronous client and through the event-driven
+client at zero latency (and through any further driver the caller plugs in —
+the tests add the asyncio service client over an in-process wire loopback),
+and verifies they agree **operation for operation** (success, value,
+timestamp, quorum and the real probe count) — how broadcasts travel and how
+silence is detected must not be observable in the outcome.
 
 Since the facade landed, the *engine*-level cross-check is a result-vs-result
 comparison: :func:`engine_agreement` runs one
@@ -35,8 +37,9 @@ analytic reference values above come from the facade's measure dispatcher
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -44,7 +47,13 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import ComputationError, InvalidParameterError
-from repro.simulation.client import AsyncQuorumClient, QuorumClient, RetryPolicy
+from repro.simulation.client import (
+    AsyncQuorumClient,
+    OperationResult,
+    ProtocolCore,
+    QuorumClient,
+    RetryPolicy,
+)
 from repro.simulation.engine import resolve_strategy, run_scenario
 from repro.simulation.events import EventNetwork, EventScheduler
 from repro.simulation.faults import FaultInjector, FaultScenario
@@ -131,16 +140,17 @@ class EmpiricalAvailabilityComparison:
 
 @dataclass(frozen=True)
 class ProtocolAgreement:
-    """Operation-for-operation comparison of the two protocol paths.
+    """Operation-for-operation comparison of the protocol drivers.
 
     Attributes
     ----------
     operations:
-        Length of the operation script both layers executed.
+        Length of the operation script every driver executed.
     mismatches:
-        ``(index, field, synchronous_value, event_value)`` tuples for every
-        per-operation divergence, plus a final ``("accounting", ...)`` entry
-        when the per-server successful-access tallies differ.
+        ``(driver, index, field, synchronous_value, driver_value)`` tuples
+        for every per-operation divergence of a driver from the synchronous
+        one, plus an ``(driver, -1, "accounting", ...)`` entry when the
+        per-server successful-access tallies differ.
     """
 
     operations: int
@@ -148,8 +158,51 @@ class ProtocolAgreement:
 
     @property
     def ok(self) -> bool:
-        """Whether the event-driven layer reproduced the synchronous one exactly."""
+        """Whether every driver reproduced the synchronous one exactly."""
         return not self.mismatches
+
+
+#: ``driver(servers, scenario, script, **client_kwargs)`` builds a client over
+#: ``servers`` (``client_kwargs``: ``client_id``, ``system``, ``b``,
+#: ``policy``, ``rng``, ``strategy``), runs the ``("read" | "write", value)``
+#: script and returns ``(results, client)``.
+ProtocolDriver = Callable[..., tuple[list[OperationResult], ProtocolCore]]
+
+
+def _drive_synchronous(
+    servers: dict,
+    scenario: FaultScenario,
+    script: list,
+    *,
+    policy: RetryPolicy,
+    **client_kwargs: Any,
+) -> tuple[list[OperationResult], ProtocolCore]:
+    client = QuorumClient(
+        network=SynchronousNetwork(servers, scenario),
+        max_attempts=policy.max_attempts,
+        **client_kwargs,
+    )
+    return [
+        client.write(value) if kind == "write" else client.read()
+        for kind, value in script
+    ], client
+
+
+def _drive_events(
+    servers: dict, scenario: FaultScenario, script: list, **client_kwargs: Any
+) -> tuple[list[OperationResult], ProtocolCore]:
+    scheduler = EventScheduler()
+    client = AsyncQuorumClient(
+        network=EventNetwork(servers, scenario, scheduler=scheduler), **client_kwargs
+    )
+    results: list[OperationResult] = []
+    for kind, value in script:
+        if kind == "write":
+            client.write(value, results.append)
+        else:
+            client.read(results.append)
+        scheduler.run()
+    return results, client
 
 
 def synchronous_event_agreement(
@@ -164,19 +217,21 @@ def synchronous_event_agreement(
     strategy: Strategy | str | None = None,
     seed: int = 0,
     allow_overload: bool = False,
+    extra_drivers: Mapping[str, ProtocolDriver] | None = None,
 ) -> ProtocolAgreement:
-    """Drive one operation script through both protocol layers and compare.
+    """Drive one operation script through every protocol driver and compare.
 
-    The synchronous layer (blocking :class:`QuorumClient` over
-    :class:`SynchronousNetwork`) and the event-driven layer
-    (state-machine :class:`AsyncQuorumClient` over a **zero-latency**
-    :class:`EventNetwork`) are given identical replicas, identical client
-    rng streams and the same read/write script; both flavours share their
-    quorum-selection code, and a zero-latency model draws no network
-    randomness, so every operation must agree on ``(success, value,
-    timestamp, quorum, attempts)`` — silence detection by immediate ``None``
-    and silence detection by timeout are observationally identical.
-    (``latency`` is excluded: timeouts advance the event clock.)
+    The synchronous driver (blocking :class:`QuorumClient` over
+    :class:`SynchronousNetwork`), the event-driven driver
+    (:class:`AsyncQuorumClient` over a **zero-latency**
+    :class:`EventNetwork`) and any ``extra_drivers`` (name ->
+    :data:`ProtocolDriver`) are given identical replicas, identical client
+    rng streams and the same read/write script; all run the one protocol
+    core, and a zero-latency model draws no network randomness, so every
+    operation must agree on ``(success, value, timestamp, quorum,
+    attempts)`` — silence detection by immediate ``None``, by timeout or by
+    transport failure are observationally identical.  (``latency`` is
+    excluded: timeouts advance the event clock.)
 
     Returns a :class:`ProtocolAgreement`; ``ok`` is the acceptance gate of
     the event-core PR and is asserted by ``tests/test_simulation_events.py``.
@@ -190,82 +245,48 @@ def synchronous_event_agreement(
         else ("read", None)
         for index in range(num_operations)
     ]
-
-    def make_servers():
-        return build_replicas(
-            system,
-            scenario.byzantine,
-            byzantine_behaviour=byzantine_behaviour,
-            rng=np.random.default_rng(seed + 1),
-        )
-
     if not allow_overload and scenario.num_byzantine > b:
         raise ComputationError(
             f"scenario has {scenario.num_byzantine} Byzantine servers but b={b}; "
             "pass allow_overload=True to compare beyond the bound"
         )
 
-    # --- synchronous layer.
-    sync_client = QuorumClient(
-        0,
-        system,
-        SynchronousNetwork(make_servers(), scenario),
-        b=b,
-        max_attempts=max_attempts,
-        rng=np.random.default_rng(seed + 2),
-        strategy=resolved,
-    )
-    sync_results = [
-        sync_client.write(value) if kind == "write" else sync_client.read()
-        for kind, value in script
-    ]
-
-    # --- event-driven layer at zero latency.
-    scheduler = EventScheduler()
-    network = EventNetwork(
-        make_servers(), scenario, scheduler=scheduler,
-        rng=np.random.default_rng(seed + 3),
-    )
-    event_client = AsyncQuorumClient(
-        0,
-        system,
-        network,
-        b=b,
-        policy=RetryPolicy(max_attempts=max_attempts, request_timeout=1.0),
-        rng=np.random.default_rng(seed + 2),
-        strategy=resolved,
-    )
-    event_results = []
-    for kind, value in script:
-        if kind == "write":
-            event_client.write(value, event_results.append)
-        else:
-            event_client.read(event_results.append)
-        scheduler.run()
-
-    mismatches = []
-    for index, (sync_result, event_result) in enumerate(
-        zip(sync_results, event_results)
-    ):
-        for field_name in ("success", "value", "timestamp", "quorum", "attempts"):
-            sync_value = getattr(sync_result, field_name)
-            event_value = getattr(event_result, field_name)
-            if sync_value != event_value:
-                mismatches.append((index, field_name, sync_value, event_value))
-    if dict(sync_client.successful_access_counts) != dict(
-        event_client.successful_access_counts
-    ):
-        mismatches.append(
-            (
-                -1,
-                "accounting",
-                dict(sync_client.successful_access_counts),
-                dict(event_client.successful_access_counts),
-            )
+    def drive(driver: ProtocolDriver) -> tuple[list[OperationResult], ProtocolCore]:
+        servers = build_replicas(
+            system,
+            scenario.byzantine,
+            byzantine_behaviour=byzantine_behaviour,
+            rng=np.random.default_rng(seed + 1),
         )
-    return ProtocolAgreement(
-        operations=num_operations, mismatches=tuple(mismatches)
-    )
+        return driver(
+            servers,
+            scenario,
+            script,
+            client_id=0,
+            system=system,
+            b=b,
+            policy=RetryPolicy(max_attempts=max_attempts, request_timeout=1.0),
+            rng=np.random.default_rng(seed + 2),
+            strategy=resolved,
+        )
+
+    sync_results, sync_client = drive(_drive_synchronous)
+    mismatches = []
+    for name, driver in {"event": _drive_events, **(extra_drivers or {})}.items():
+        results, client = drive(driver)
+        if len(results) != len(sync_results):
+            mismatches.append((name, -1, "operations", len(sync_results), len(results)))
+        for index, (sync_result, result) in enumerate(zip(sync_results, results)):
+            for field_name in ("success", "value", "timestamp", "quorum", "attempts"):
+                sync_value = getattr(sync_result, field_name)
+                value = getattr(result, field_name)
+                if sync_value != value:
+                    mismatches.append((name, index, field_name, sync_value, value))
+        sync_tally = dict(sync_client.successful_access_counts)
+        tally = dict(client.successful_access_counts)
+        if sync_tally != tally:
+            mismatches.append((name, -1, "accounting", sync_tally, tally))
+    return ProtocolAgreement(operations=num_operations, mismatches=tuple(mismatches))
 
 
 @dataclass(frozen=True)

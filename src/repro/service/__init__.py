@@ -4,8 +4,8 @@ The live-deployment layer over the protocol core: asyncio TCP replicas
 (:mod:`repro.service.replica`) speaking a length-prefixed JSON frame
 protocol (:mod:`repro.service.wire`) whose READ_TS / READ / WRITE phases
 mirror the simulator's message schema, an async client library
-(:mod:`repro.service.client`) that reuses the simulator's quorum selection
-and retry machinery and records checker-compatible histories, and a
+(:mod:`repro.service.client`) that drives the same protocol core as the
+simulator's clients and records checker-compatible histories, and a
 supervisor + load generator (:mod:`repro.service.harness`) behind
 ``python -m repro serve`` / ``python -m repro loadgen``.
 

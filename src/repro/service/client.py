@@ -1,26 +1,25 @@
 """Async client library for the networked masking-quorum register.
 
-:class:`ServiceQuorumClient` is the live-socket sibling of the simulator's
-:class:`~repro.simulation.client.AsyncQuorumClient`: it inherits the same
-:class:`~repro.simulation.client._QuorumSelectionBase` (quorum sampling,
-strategy steering, suspicion bookkeeping, per-server access accounting and
-the unique-timestamp rule), runs the identical two-phase write / vouched
-read protocol, and records every completed operation into a
-:class:`~repro.simulation.history.HistoryRecorder` — so a live run yields a
-history the PR-3 checker and the conformance suite consume unchanged.
+:class:`ServiceQuorumClient` is the asyncio driver of the one protocol core,
+:class:`~repro.simulation.client.ProtocolCore`: quorum choice, suspicion, the
+two-phase write, the ``b + 1``-vouched read, retries, accounting and the
+:class:`~repro.simulation.history.HistoryRecorder` record all run in the very
+code the simulator's clients run — so a live run yields a history the PR-3
+checker and the conformance suite consume unchanged.
 
-The transport differences are confined to this module: replicas are
-``(host, port)`` endpoints keyed by universe element, each probe broadcasts
-frames over per-server TCP connections (opened lazily, reused across
-operations) and silence is a real ``asyncio`` timeout taken from the same
-:class:`~repro.simulation.client.RetryPolicy` the simulator uses.
+What lives here is transport only: replicas are ``(host, port)`` endpoints
+keyed by universe element, each broadcast the core asks for becomes one frame
+exchange per member over per-server TCP connections (opened lazily, reused
+across operations), silence is any transport failure within the
+``request_timeout`` (real seconds) of the same
+:class:`~repro.simulation.client.RetryPolicy` the simulator uses, and the
+clock is ``time.monotonic``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from collections import Counter
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -30,19 +29,23 @@ from repro.core.strategy import Strategy
 from repro.exceptions import ServiceError, WireProtocolError
 from repro.service import wire
 from repro.simulation.client import (
+    Operation,
     OperationResult,
+    ProtocolCore,
     RetryPolicy,
-    _QuorumSelectionBase,
+    advance,
 )
 from repro.simulation.history import HistoryRecorder
-from repro.simulation.messages import (
-    ReadRequest,
-    TimestampRequest,
-    ValueTimestampPair,
-    WriteRequest,
-)
 
 __all__ = ["ServiceQuorumClient", "call_endpoint"]
+
+
+async def _close_writer(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except OSError:  # the peer reset or vanished first: closed either way
+        pass
 
 
 async def call_endpoint(
@@ -70,19 +73,20 @@ async def call_endpoint(
             f"replica at {host}:{port} did not answer a "
             f"{payload.get('type')} frame within {timeout}s"
         ) from None
+    except OSError as exc:
+        # E.g. a replica killed between accept and reply resets the connection.
+        raise ServiceError(
+            f"connection to replica at {host}:{port} failed mid-exchange: {exc}"
+        ) from None
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+        await _close_writer(writer)
     if reply is None:
         raise WireProtocolError(f"replica at {host}:{port} closed without replying")
     return reply
 
 
-class ServiceQuorumClient(_QuorumSelectionBase):
-    """An asyncio client of live replica processes.
+class ServiceQuorumClient(ProtocolCore):
+    """The asyncio driver: a client of live replica processes.
 
     Parameters
     ----------
@@ -113,7 +117,16 @@ class ServiceQuorumClient(_QuorumSelectionBase):
         strategy: Strategy | None = None,
         history: HistoryRecorder | None = None,
     ):
-        super().__init__(client_id, system, b=b, rng=rng, strategy=strategy)
+        super().__init__(
+            client_id,
+            system,
+            b=b,
+            policy=policy,
+            rng=rng,
+            strategy=strategy,
+            history=history,
+            clock=time.monotonic,
+        )
         missing = [
             element for element in system.universe if element not in endpoints
         ]
@@ -123,10 +136,6 @@ class ServiceQuorumClient(_QuorumSelectionBase):
                 f"e.g. {missing[0]!r}"
             )
         self.endpoints = dict(endpoints)
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.history = history
-        #: Probes that ran into their request timeout (diagnostic).
-        self.timeouts = 0
         self._connections: dict[Hashable, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
 
     # ------------------------------------------------------------------
@@ -166,12 +175,7 @@ class ServiceQuorumClient(_QuorumSelectionBase):
     async def _drop_connection(self, server_id: Hashable) -> None:
         connection = self._connections.pop(server_id, None)
         if connection is not None:
-            _reader, writer = connection
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+            await _close_writer(connection[1])
 
     async def close(self) -> None:
         """Close every pooled connection."""
@@ -179,170 +183,30 @@ class ServiceQuorumClient(_QuorumSelectionBase):
             await self._drop_connection(server_id)
 
     # ------------------------------------------------------------------
-    # Quorum probing.
-    # ------------------------------------------------------------------
-    async def _collect_from_quorum(
-        self, quorum: frozenset, request: object
-    ) -> dict | None:
-        """Broadcast to a quorum; full reply set or ``None`` (some silence).
-
-        Mirrors the synchronous client: silent members join ``suspected``,
-        answering members are exonerated.
-        """
-        members = sorted(quorum)
-        replies = await asyncio.gather(
-            *(self._exchange(server_id, request) for server_id in members)
-        )
-        collected: dict = {}
-        silent = set()
-        for server_id, reply in zip(members, replies):
-            if reply is None:
-                silent.add(server_id)
-            else:
-                self.suspected.discard(server_id)
-                collected[server_id] = reply
-        if silent:
-            self.timeouts += 1
-            self.suspected |= silent
-            return None
-        return collected
-
-    async def _probe(self, request_factory) -> tuple[frozenset | None, dict | None, int]:
-        """Try up to ``max_attempts`` quorums; return the first responsive one."""
-        for attempt in range(1, self.policy.max_attempts + 1):
-            quorum = self._choose_quorum()
-            self.attempted_access_counts.update(quorum)
-            replies = await self._collect_from_quorum(quorum, request_factory())
-            if replies is not None:
-                return quorum, replies, attempt
-        return None, None, self.policy.max_attempts
-
-    # ------------------------------------------------------------------
     # Protocol operations.
     # ------------------------------------------------------------------
+    async def _drive(self, operation: Operation) -> OperationResult:
+        """Perform each broadcast the core asks for, all members at once."""
+        try:
+            step = advance(operation)
+            while not isinstance(step, OperationResult):
+                quorum, request = step
+                members = sorted(quorum)
+                replies = await asyncio.gather(
+                    *(self._exchange(server_id, request) for server_id in members)
+                )
+                step = advance(
+                    operation,
+                    {sid: reply for sid, reply in zip(members, replies) if reply is not None},
+                )
+            return step
+        finally:
+            operation.close()  # a cancelled operation must not leave the client busy
+
     async def write(self, value: object) -> OperationResult:
         """Write ``value``: query a quorum for timestamps, then install."""
-        value = wire.canonical_value(value)
-        invoked_at = time.monotonic()
-        self.operations_started += 1
-        quorum, replies, attempts = await self._probe(
-            lambda: TimestampRequest(client_id=self.client_id)
-        )
-        if quorum is None:
-            return self._finish(
-                "write",
-                invoked_at,
-                OperationResult(success=False, attempts=attempts),
-            )
-
-        new_timestamp = self._fresh_timestamp(replies)
-        pair = ValueTimestampPair(value=value, timestamp=new_timestamp)
-        request = WriteRequest(client_id=self.client_id, pair=pair)
-
-        write_replies = await self._collect_from_quorum(quorum, request)
-        if write_replies is None:
-            # The quorum answered the timestamp query but lost a member before
-            # the install; retry through fresh quorums, accumulating attempts.
-            quorum, write_replies, retry_attempts = await self._probe(lambda: request)
-            attempts += retry_attempts
-            if quorum is None:
-                return self._finish(
-                    "write",
-                    invoked_at,
-                    OperationResult(success=False, attempts=attempts),
-                    attempted_pair=pair,
-                )
-
-        return self._finish(
-            "write",
-            invoked_at,
-            OperationResult(
-                success=True,
-                value=value,
-                timestamp=new_timestamp,
-                quorum=quorum,
-                attempts=attempts,
-            ),
-            attempted_pair=pair,
-        )
+        return await self._drive(self.write_operation(wire.canonical_value(value)))
 
     async def read(self) -> OperationResult:
         """Read the register, masking up to ``b`` Byzantine replies."""
-        invoked_at = time.monotonic()
-        self.operations_started += 1
-        total_attempts = 0
-        while True:
-            quorum, replies, attempts = await self._probe(
-                lambda: ReadRequest(client_id=self.client_id)
-            )
-            total_attempts += attempts
-            if quorum is None:
-                return self._finish(
-                    "read",
-                    invoked_at,
-                    OperationResult(success=False, attempts=total_attempts),
-                )
-            votes: Counter = Counter(reply.pair for reply in replies.values())
-            vouched = [pair for pair, count in votes.items() if count >= self.b + 1]
-            if vouched:
-                best = max(vouched, key=lambda pair: pair.timestamp)
-                if best.timestamp > self.last_timestamp:
-                    self.last_timestamp = best.timestamp
-                return self._finish(
-                    "read",
-                    invoked_at,
-                    OperationResult(
-                        success=True,
-                        value=best.value,
-                        timestamp=best.timestamp,
-                        quorum=quorum,
-                        attempts=total_attempts,
-                    ),
-                )
-            # No pair vouched by b + 1 replicas (an interleaved write split
-            # the votes); the retry policy decides whether to try again.
-            if (
-                self.policy.retry_unvouched_reads
-                and total_attempts < self.policy.max_attempts
-            ):
-                continue
-            return self._finish(
-                "read",
-                invoked_at,
-                OperationResult(
-                    success=False, quorum=quorum, attempts=total_attempts
-                ),
-            )
-
-    # ------------------------------------------------------------------
-    # Completion bookkeeping.
-    # ------------------------------------------------------------------
-    def _finish(
-        self,
-        kind: str,
-        invoked_at: float,
-        result: OperationResult,
-        *,
-        attempted_pair: ValueTimestampPair | None = None,
-    ) -> OperationResult:
-        responded_at = time.monotonic()
-        result = OperationResult(
-            success=result.success,
-            value=result.value,
-            timestamp=result.timestamp,
-            quorum=result.quorum,
-            attempts=result.attempts,
-            latency=responded_at - invoked_at,
-        )
-        if result.success:
-            self._record_success(result.quorum)
-        if self.history is not None:
-            self.history.record(
-                client_id=self.client_id,
-                kind=kind,
-                invoked_at=invoked_at,
-                responded_at=responded_at,
-                result=result,
-                attempted_pair=attempted_pair,
-            )
-        return result
+        return await self._drive(self.read_operation())

@@ -45,7 +45,7 @@ from repro.core.strategy import Strategy
 from repro.exceptions import ServiceError
 from repro.service import wire
 from repro.service.client import ServiceQuorumClient, call_endpoint
-from repro.simulation.client import RetryPolicy
+from repro.simulation.client import RetryPolicy, access_frequencies, vouched_pair
 from repro.simulation.engine import resolve_strategy
 from repro.simulation.history import (
     HistoryCheck,
@@ -404,7 +404,7 @@ async def discover_initial_pair(
     replicas and frames without register fields are skipped — discovery
     degrades exactly like a read would.
     """
-    votes: dict = {}
+    pairs = []
     for descriptor in replica_endpoints:
         host, port = descriptor["host"], descriptor["port"]
         try:
@@ -417,12 +417,8 @@ async def discover_initial_pair(
             timestamp = wire.decode_timestamp(payload["ts"])
         except ServiceError:
             continue
-        pair = ValueTimestampPair(
-            value=freeze_value(payload.get("value")), timestamp=timestamp
-        )
-        votes[pair] = votes.get(pair, 0) + 1
-    vouched = [pair for pair, count in votes.items() if count >= b + 1]
-    return max(vouched, key=lambda pair: pair.timestamp, default=None)
+        pairs.append(ValueTimestampPair(freeze_value(payload.get("value")), timestamp))
+    return vouched_pair(pairs, b)
 
 
 # ----------------------------------------------------------------------
@@ -656,23 +652,7 @@ async def run_load(
             await client.close()
     duration = time.monotonic() - started
 
-    total_ran = len(plan)
-    successful = [record for record in history.records if record.success]
-    total_success = max(1, len(successful))
-    per_server_load = {
-        server_id: sum(
-            client.successful_access_counts[server_id] for client in pool
-        )
-        / total_success
-        for server_id in system.universe
-    }
-    per_server_attempted = {
-        server_id: sum(
-            client.attempted_access_counts[server_id] for client in pool
-        )
-        / max(1, total_ran)
-        for server_id in system.universe
-    }
+    per_server_load, per_server_attempted = access_frequencies(pool, system.universe)
 
     replica_status: list = []
     replica_metrics: list = []
@@ -696,7 +676,7 @@ async def run_load(
         system=system,
         b=b,
         seed=seed,
-        operations=total_ran,
+        operations=len(plan),
         clients=clients,
         duration=duration,
         strategy=resolved_strategy,

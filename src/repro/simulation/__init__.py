@@ -10,8 +10,9 @@ Three layers are provided:
 * the **event-driven concurrent core** (:mod:`repro.simulation.events`,
   :class:`AsyncQuorumClient`, :mod:`repro.simulation.history`) — a
   discrete-event scheduler with per-link latency, loss/duplication and
-  crash/recover timelines; clients are resumable state machines, so many of
-  them interleave within one run and the produced concurrent histories are
+  crash/recover timelines; clients resume the one protocol core of
+  :mod:`repro.simulation.client` as replies arrive, so many of them
+  interleave within one run and the produced concurrent histories are
   checked with a linearizability-style register checker
   (:func:`check_register_history`), behind :func:`run_event_workload`;
 * the **message-level synchronous** simulator (:class:`ReplicatedRegister`,

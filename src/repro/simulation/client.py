@@ -1,4 +1,4 @@
-"""The masking-quorum client protocol of [MR98a].
+"""The masking-quorum client protocol of [MR98a]: one core, three drivers.
 
 A client performs each operation at a single quorum of replicas:
 
@@ -16,40 +16,45 @@ complete write's quorum, of which at least ``b + 1`` are honest and report
 the written pair, while any value fabricated by the at most ``b`` Byzantine
 replicas is reported at most ``b`` times and filtered out.
 
-Two client flavours share the quorum-selection logic (and therefore consume
-identical randomness for identical histories):
+**One core.**  :class:`ProtocolCore` is that protocol written once, with no
+transport in it: ``read_operation()`` / ``write_operation(value)`` return
+generators that *yield* broadcasts — ``(quorum, request)`` pairs — and are
+*resumed* with ``{server_id: reply}`` for the members that answered.  A
+member missing from that dict was silent: silence suspects it (the next
+quorum steers around it), an answer exonerates it.  Every protocol decision
+lives there — quorum choice, the probe budget, the fresh-timestamp rule, the
+write-phase retry, the ``b + 1`` vouch rule (:func:`vouched_pair`),
+``retry_unvouched_reads`` — as do the accounting, the history record and the
+:class:`OperationResult` the generator returns.  ``attempts`` is the *real*
+number of quorum probes (write-phase retries included), and
+``successful_access_counts`` / ``attempted_access_counts`` mirror the
+vectorised engine's ``per_server_load`` / ``per_server_attempted`` split, so
+every path measures the same Definition 3.8 quantity
+(:func:`access_frequencies` normalises them over a pool of clients).
 
-* :class:`QuorumClient` — the blocking client over the synchronous network:
-  each ``read()``/``write()`` call runs the whole operation.  Crashed
-  replicas answer ``None`` immediately, so silence detection is free.
-* :class:`AsyncQuorumClient` — a **resumable operation state machine** over
-  the event-driven network: ``read()``/``write()`` start the operation and
-  return; replies resume it through callbacks, silence is detected by a
-  per-request timeout, and retries follow a :class:`RetryPolicy`.  Many such
-  clients interleave within one scheduler run, which is what makes
-  concurrent write/write and read/write histories (and their checking — see
-  :mod:`repro.simulation.history`) possible.
+**Three drivers** only move broadcasts (:func:`advance` steps the generator)
+and supply a clock.  They consume the client rng identically for identical
+answers, which :func:`repro.analysis.empirical.synchronous_event_agreement`
+checks operation for operation:
 
-Accounting (shared by both flavours, aligned with the vectorised engine):
-
-* ``attempts`` in an :class:`OperationResult` is the *real* number of quorum
-  probes the operation made — the timestamp/read phase's probes plus, for
-  writes that lost a quorum member between the two phases, the write-phase
-  retry probes.  (Earlier versions hardcoded ``attempts=1`` on success and
-  ``2 * max_attempts`` on write-retry failure.)
-* ``successful_access_counts`` / ``attempted_access_counts`` tally per-server
-  quorum accesses of successful operations and of every probe respectively,
-  mirroring the engine's ``per_server_load`` / ``per_server_attempted``
-  split, so the message-level and vectorised paths measure the same
-  Definition 3.8 quantity.
+* :class:`QuorumClient` — blocking, over the synchronous network; a crashed
+  replica's ``None`` is its silence and the clock stands still at ``0.0``.
+* :class:`AsyncQuorumClient` — over the event-driven network: replies resume
+  the operation through callbacks, silence is one scheduler timeout per
+  broadcast, the clock is ``scheduler.now``.  Many such clients interleave
+  within one scheduler run, which is what makes concurrent histories (and
+  their checking — see :mod:`repro.simulation.history`) possible.
+* :class:`repro.service.client.ServiceQuorumClient` — over asyncio TCP
+  connections to live replicas; silence is any transport failure within
+  ``request_timeout`` real seconds, the clock is ``time.monotonic``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Collection, Generator, Hashable, Iterable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -57,7 +62,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.events import EventNetwork, EventScheduler
+from repro.simulation.events import EventNetwork
 from repro.simulation.messages import (
     ReadRequest,
     Timestamp,
@@ -70,7 +75,22 @@ from repro.simulation.network import SynchronousNetwork
 if TYPE_CHECKING:  # circular at runtime: history records client results
     from repro.simulation.history import HistoryRecorder
 
-__all__ = ["AsyncQuorumClient", "OperationResult", "QuorumClient", "RetryPolicy"]
+__all__ = [
+    "AsyncQuorumClient",
+    "Operation",
+    "OperationResult",
+    "ProtocolCore",
+    "QuorumClient",
+    "RetryPolicy",
+    "access_frequencies",
+    "advance",
+    "vouched_pair",
+]
+
+#: What an operation generator yields: send ``request`` to every member.
+Broadcast = tuple[frozenset, object]
+#: What it is resumed with: the replies of the members that answered.
+Replies = dict[Hashable, Any]
 
 
 @dataclass(frozen=True)
@@ -95,9 +115,9 @@ class OperationResult:
         timestamp/read phase's probes, plus write-phase retry probes when
         the first write broadcast lost a quorum member.
     latency:
-        Simulated time from invocation to completion (event-driven clients
-        only; ``0.0`` under the synchronous layer, where operations are
-        instantaneous).
+        Time from invocation to completion on the driver's clock: simulated
+        time for event-driven clients, real seconds for the service client,
+        ``0.0`` under the synchronous layer (operations are instantaneous).
     """
 
     success: bool
@@ -110,7 +130,7 @@ class OperationResult:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How an event-driven client waits and retries.
+    """How a client waits and retries (one policy for every driver).
 
     Attributes
     ----------
@@ -132,7 +152,7 @@ class RetryPolicy:
     request_timeout: float = 1.0
     retry_unvouched_reads: bool = False
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise SimulationError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.request_timeout <= 0:
@@ -141,12 +161,72 @@ class RetryPolicy:
             )
 
 
-class _QuorumSelectionBase:
-    """Quorum sampling, suspicion steering and access accounting.
+#: A protocol operation in flight (see :class:`ProtocolCore`).
+Operation = Generator[Broadcast, Replies, OperationResult]
+#: An operation's protocol steps: the pair it tried to install, its outcome.
+_Body = Generator[Broadcast, Replies, tuple[ValueTimestampPair | None, OperationResult]]
 
-    Shared by the synchronous and event-driven clients so that both flavours
-    draw from the client rng in exactly the same order for the same history —
-    the zero-latency agreement test depends on this.
+
+def vouched_pair(
+    pairs: Iterable[ValueTimestampPair], b: int
+) -> ValueTimestampPair | None:
+    """The highest-timestamp pair reported at least ``b + 1`` times, if any.
+
+    The masking rule of the read protocol: at most ``b`` reporters are
+    Byzantine, so a pair reported ``b + 1`` times has an honest voucher,
+    while a forged pair is reported at most ``b`` times and is discarded.
+    ``None`` when no pair reaches the threshold.
+    """
+    votes = Counter(pairs)
+    vouched = [pair for pair, count in votes.items() if count >= b + 1]
+    return max(vouched, key=lambda pair: pair.timestamp, default=None)
+
+
+def advance(
+    operation: Operation, answered: Replies | None = None
+) -> Broadcast | OperationResult:
+    """Take one step of a protocol operation.
+
+    Starts the generator (``answered=None``) or resumes it with the replies
+    to its last broadcast; returns the next broadcast it asks for, or the
+    :class:`OperationResult` once it has finished.
+    """
+    try:
+        return next(operation) if answered is None else operation.send(answered)
+    except StopIteration as finished:
+        result: OperationResult = finished.value
+        return result
+
+
+class ProtocolCore:
+    """The transport-free client protocol (see the module docstring).
+
+    Parameters
+    ----------
+    client_id:
+        Unique integer identity, embedded in timestamps for uniqueness.
+    system:
+        The quorum system governing which replica sets constitute a quorum.
+    b:
+        The number of Byzantine failures the deployment is meant to mask;
+        reads require each accepted pair to be vouched by ``b + 1`` replicas.
+    policy:
+        Probe budget and unvouched-read behaviour (``request_timeout`` is the
+        driver's business: the core never waits).
+    rng:
+        Randomness source for quorum sampling.
+    strategy:
+        Optional access strategy (Definition 3.8) to sample quorums from —
+        e.g. the load-optimal strategy of :func:`~repro.core.load.exact_load`,
+        so clients access the system at its actual ``L(Q)`` instead of the
+        construction's default sampling.  When omitted, quorums come from
+        ``system.sample_quorum``.
+    history:
+        Optional :class:`~repro.simulation.history.HistoryRecorder`; every
+        completed operation is recorded with its invocation/response times
+        for the concurrent-history consistency checker.
+    clock:
+        The driver's notion of "now", read at invocation and at response.
     """
 
     def __init__(
@@ -155,16 +235,22 @@ class _QuorumSelectionBase:
         system: QuorumSystem,
         *,
         b: int,
-        rng: np.random.Generator | None,
-        strategy: Strategy | None,
-    ):
+        policy: RetryPolicy | None = None,
+        rng: np.random.Generator | None = None,
+        strategy: Strategy | None = None,
+        history: "HistoryRecorder | None" = None,
+        clock: Callable[[], float],
+    ) -> None:
         if b < 0:
             raise SimulationError(f"masking parameter must be >= 0, got {b}")
         self.client_id = client_id
         self.system = system
         self.b = b
+        self.policy = policy if policy is not None else RetryPolicy()
         self.rng = ensure_rng(rng)
         self.strategy = strategy
+        self.history = history
+        self.clock = clock
         #: The largest timestamp this client has observed or produced.
         self.last_timestamp = Timestamp.zero()
         #: Servers observed to be unresponsive; used as a simple failure
@@ -179,36 +265,111 @@ class _QuorumSelectionBase:
         #: Operations completed successfully / started, for normalisation.
         self.successful_operations = 0
         self.operations_started = 0
+        #: Broadcasts that some quorum member left unanswered (diagnostic).
+        self.timeouts = 0
+        self._busy = False
 
+    # ------------------------------------------------------------------
+    # Quorum selection.
+    # ------------------------------------------------------------------
     def _choose_quorum(self) -> frozenset:
         """Sample a quorum, preferring one that avoids all suspected servers."""
         if self.strategy is not None:
-            return self._choose_from_strategy()
+            return self._choose_from_strategy(self.strategy)
         if not self.suspected:
             return self.system.sample_quorum(self.rng)
         return self.system.sample_quorum_avoiding(self.rng, frozenset(self.suspected))
 
-    def _choose_from_strategy(self, *, attempts: int = 50) -> frozenset:
+    def _choose_from_strategy(self, strategy: Strategy, *, attempts: int = 50) -> frozenset:
         """Sample the access strategy, steering away from suspected servers.
 
         Mirrors ``QuorumSystem.sample_quorum_avoiding``: resample the strategy
         until a quorum avoids every suspected server, falling back to the last
         sample when avoidance keeps failing.
         """
-        quorum = self.strategy.sample(self.rng)
-        if not self.suspected:
-            return quorum
+        quorum = strategy.sample(self.rng)
         for _ in range(attempts):
             if not quorum & self.suspected:
-                return quorum
-            quorum = self.strategy.sample(self.rng)
+                break
+            quorum = strategy.sample(self.rng)
         return quorum
 
-    def _record_success(self, quorum: frozenset) -> None:
-        self.successful_operations += 1
-        self.successful_access_counts.update(quorum)
+    # ------------------------------------------------------------------
+    # Probing.
+    # ------------------------------------------------------------------
+    def _collect(
+        self, quorum: frozenset, request: object
+    ) -> Generator[Broadcast, Replies, Replies | None]:
+        """Broadcast to a fixed quorum once; full reply set or ``None``.
 
-    def _fresh_timestamp(self, replies: dict) -> Timestamp:
+        An answer exonerates — suspicion from lost messages or a crash window
+        that has since ended must not permanently remove a correct server
+        from quorum selection — and silence suspects.
+        """
+        replies = yield quorum, request
+        self.suspected.difference_update(replies)
+        silent = quorum - replies.keys()
+        if silent:
+            self.timeouts += 1
+            self.suspected |= silent
+            return None
+        return replies
+
+    def _probe(
+        self, request: object
+    ) -> Generator[Broadcast, Replies, tuple[frozenset | None, Replies, int]]:
+        """Try up to ``max_attempts`` quorums; stop at the first responsive one.
+
+        Returns ``(quorum, replies, attempts)`` with the real probe count, or
+        ``(None, {}, max_attempts)`` when the budget is exhausted.
+        """
+        for attempt in range(1, self.policy.max_attempts + 1):
+            quorum = self._choose_quorum()
+            self.attempted_access_counts.update(quorum)
+            replies = yield from self._collect(quorum, request)
+            if replies is not None:
+                return quorum, replies, attempt
+        return None, {}, self.policy.max_attempts
+
+    # ------------------------------------------------------------------
+    # Operation lifecycle.
+    # ------------------------------------------------------------------
+    def _operation(self, kind: str, body: _Body) -> Operation:
+        """Run one operation body as this client's single sequential step.
+
+        ``body`` returns the pair it tried to install (writes only) and its
+        outcome; this wrapper times it on the driver's clock, does the
+        accounting and records the history entry.
+        """
+        if self._busy:
+            raise SimulationError(
+                f"client {self.client_id} already has an operation in flight; "
+                "a register client is a single sequential process"
+            )
+        self._busy = True
+        self.operations_started += 1
+        invoked_at = self.clock()
+        try:
+            attempted_pair, outcome = yield from body
+        finally:  # also when a driver abandons the operation (cancellation)
+            self._busy = False
+        responded_at = self.clock()
+        result = replace(outcome, latency=responded_at - invoked_at)
+        if result.success:
+            self.successful_operations += 1
+            self.successful_access_counts.update(result.quorum)
+        if self.history is not None:
+            self.history.record(
+                client_id=self.client_id,
+                kind=kind,
+                invoked_at=invoked_at,
+                responded_at=responded_at,
+                result=result,
+                attempted_pair=attempted_pair,
+            )
+        return result
+
+    def _fresh_timestamp(self, replies: Replies) -> Timestamp:
         """Pick a timestamp strictly larger than every answer and all past picks.
 
         Advancing ``last_timestamp`` *here* — before the install completes —
@@ -224,32 +385,101 @@ class _QuorumSelectionBase:
         self.last_timestamp = fresh
         return fresh
 
+    # ------------------------------------------------------------------
+    # Protocol operations.
+    # ------------------------------------------------------------------
+    def write_operation(self, value: object) -> Operation:
+        """Write ``value`` to the register (query timestamps, then install)."""
+        return self._operation("write", self._write(value))
 
-class QuorumClient(_QuorumSelectionBase):
-    """A blocking client of the replicated register (synchronous network).
+    def read_operation(self) -> Operation:
+        """Read the register, masking up to ``b`` Byzantine replies."""
+        return self._operation("read", self._read())
+
+    def _write(self, value: object) -> _Body:
+        quorum, replies, attempts = yield from self._probe(
+            TimestampRequest(client_id=self.client_id)
+        )
+        if quorum is None:
+            return None, OperationResult(success=False, attempts=attempts)
+        pair = ValueTimestampPair(value=value, timestamp=self._fresh_timestamp(replies))
+        install = WriteRequest(client_id=self.client_id, pair=pair)
+        if (yield from self._collect(quorum, install)) is None:
+            # The quorum answered the timestamp query but lost a member
+            # before the write; retry the whole install through fresh
+            # quorums, accumulating the real probe count.
+            quorum, _acks, retry_attempts = yield from self._probe(install)
+            attempts += retry_attempts
+            if quorum is None:
+                return pair, OperationResult(success=False, attempts=attempts)
+        return pair, OperationResult(
+            success=True, value=value, timestamp=pair.timestamp, quorum=quorum, attempts=attempts
+        )
+
+    def _read(self) -> _Body:
+        request = ReadRequest(client_id=self.client_id)
+        attempts = 0
+        while True:
+            quorum, replies, probes = yield from self._probe(request)
+            attempts += probes
+            if quorum is None:
+                return None, OperationResult(success=False, attempts=attempts)
+            best = vouched_pair((reply.pair for reply in replies.values()), self.b)
+            if best is not None:
+                if best.timestamp > self.last_timestamp:
+                    self.last_timestamp = best.timestamp
+                return None, OperationResult(
+                    success=True,
+                    value=best.value,
+                    timestamp=best.timestamp,
+                    quorum=quorum,
+                    attempts=attempts,
+                )
+            # No pair vouched by b + 1 replicas: possible only under
+            # concurrency (an interleaved write split the votes) or
+            # mis-configuration.  Never return an unvouched value; the retry
+            # policy decides between a fresh quorum and an unsuccessful read.
+            if not (
+                self.policy.retry_unvouched_reads
+                and attempts < self.policy.max_attempts
+            ):
+                return None, OperationResult(success=False, quorum=quorum, attempts=attempts)
+
+
+def access_frequencies(
+    clients: Collection[ProtocolCore], universe: Collection[Hashable]
+) -> tuple[dict[Hashable, float], dict[Hashable, float]]:
+    """Per-server ``(successful, attempted)`` access frequencies of a client pool.
+
+    The first dict is the empirical load of Definition 3.8: each server's
+    share of the *successful* operations whose quorum contained it — a
+    genuine access frequency, never above 1.  The second counts every probe,
+    failed ones included, per started operation (the mirror of the engine's
+    ``per_server_attempted``; it can exceed 1 under heavy faults because one
+    operation may probe many quorums).
+    """
+    successful: Counter = sum((c.successful_access_counts for c in clients), Counter())
+    attempted: Counter = sum((c.attempted_access_counts for c in clients), Counter())
+    succeeded = max(1, sum(client.successful_operations for client in clients))
+    started = max(1, sum(client.operations_started for client in clients))
+    return (
+        {server_id: successful[server_id] / succeeded for server_id in universe},
+        {server_id: attempted[server_id] / started for server_id in universe},
+    )
+
+
+class QuorumClient(ProtocolCore):
+    """The blocking driver: each call runs one operation to completion.
 
     Parameters
     ----------
-    client_id:
-        Unique integer identity, embedded in timestamps for uniqueness.
-    system:
-        The quorum system governing which replica sets constitute a quorum.
+    client_id / system / b / rng / strategy:
+        As for :class:`ProtocolCore`.
     network:
-        The message layer connecting to the replicas.
-    b:
-        The number of Byzantine failures the deployment is meant to mask;
-        reads require each accepted pair to be vouched by ``b + 1`` replicas.
+        The synchronous message layer connecting to the replicas.
     max_attempts:
         How many quorums to try before declaring an operation failed
         (unavailability).
-    rng:
-        Randomness source for quorum sampling.
-    strategy:
-        Optional access strategy (Definition 3.8) to sample quorums from —
-        e.g. the load-optimal strategy of :func:`~repro.core.load.exact_load`,
-        so clients access the system at its actual ``L(Q)`` instead of the
-        construction's default sampling.  When omitted, quorums come from
-        ``system.sample_quorum`` as before.
     """
 
     def __init__(
@@ -262,135 +492,39 @@ class QuorumClient(_QuorumSelectionBase):
         max_attempts: int = 10,
         rng: np.random.Generator | None = None,
         strategy: Strategy | None = None,
-    ):
-        super().__init__(client_id, system, b=b, rng=rng, strategy=strategy)
-        if max_attempts < 1:
-            raise SimulationError(f"max_attempts must be >= 1, got {max_attempts}")
+    ) -> None:
+        super().__init__(
+            client_id,
+            system,
+            b=b,
+            policy=RetryPolicy(max_attempts=max_attempts),
+            rng=rng,
+            strategy=strategy,
+            clock=lambda: 0.0,
+        )
         self.network = network
-        self.max_attempts = max_attempts
 
-    # ------------------------------------------------------------------
-    # Quorum probing.
-    # ------------------------------------------------------------------
-    def _collect_from_quorum(self, quorum: frozenset, request: object) -> dict | None:
-        """Send ``request`` to every member of ``quorum``.
+    def _run(self, operation: Operation) -> OperationResult:
+        step = advance(operation)
+        while not isinstance(step, OperationResult):
+            replies = self.network.broadcast(*step)
+            step = advance(
+                operation,
+                {sid: reply for sid, reply in replies.items() if reply is not None},
+            )
+        return step
 
-        Returns the replies keyed by server id, or ``None`` when some member
-        did not answer (the quorum is unavailable and another must be tried).
-        Unresponsive members are recorded in :attr:`suspected`.
-        """
-        replies = self.network.broadcast(quorum, request)
-        silent = {server_id for server_id, reply in replies.items() if reply is None}
-        if silent:
-            self.suspected |= silent
-            return None
-        return replies
-
-    def _probe(self, request_factory) -> tuple[frozenset | None, dict | None, int]:
-        """Try up to ``max_attempts`` quorums; return the first responsive one.
-
-        Returns ``(quorum, replies, attempts)`` with the real probe count, or
-        ``(None, None, max_attempts)`` when the budget is exhausted.
-        """
-        for attempt in range(1, self.max_attempts + 1):
-            quorum = self._choose_quorum()
-            self.attempted_access_counts.update(quorum)
-            replies = self._collect_from_quorum(quorum, request_factory())
-            if replies is not None:
-                return quorum, replies, attempt
-        return None, None, self.max_attempts
-
-    # ------------------------------------------------------------------
-    # Protocol operations.
-    # ------------------------------------------------------------------
     def write(self, value: object) -> OperationResult:
         """Write ``value`` to the register (query timestamps, then install)."""
-        self.operations_started += 1
-        quorum, replies, attempts = self._probe(
-            lambda: TimestampRequest(client_id=self.client_id)
-        )
-        if quorum is None:
-            return OperationResult(success=False, attempts=attempts)
-
-        new_timestamp = self._fresh_timestamp(replies)
-        pair = ValueTimestampPair(value=value, timestamp=new_timestamp)
-
-        write_replies = self._collect_from_quorum(
-            quorum, WriteRequest(client_id=self.client_id, pair=pair)
-        )
-        if write_replies is None:
-            # The quorum answered the timestamp query but lost a member before
-            # the write; retry the whole install through fresh quorums,
-            # accumulating the real probe count.
-            quorum, write_replies, retry_attempts = self._probe(
-                lambda: WriteRequest(client_id=self.client_id, pair=pair)
-            )
-            attempts += retry_attempts
-            if quorum is None:
-                return OperationResult(success=False, attempts=attempts)
-
-        self._record_success(quorum)
-        return OperationResult(
-            success=True,
-            value=value,
-            timestamp=new_timestamp,
-            quorum=quorum,
-            attempts=attempts,
-        )
+        return self._run(self.write_operation(value))
 
     def read(self) -> OperationResult:
         """Read the register, masking up to ``b`` Byzantine replies."""
-        self.operations_started += 1
-        quorum, replies, attempts = self._probe(
-            lambda: ReadRequest(client_id=self.client_id)
-        )
-        if quorum is None:
-            return OperationResult(success=False, attempts=attempts)
-
-        # Count how many replicas vouch for each (value, timestamp) pair and
-        # keep the pairs vouched for by at least b + 1 replicas.
-        votes: Counter = Counter(reply.pair for reply in replies.values())
-        vouched = [pair for pair, count in votes.items() if count >= self.b + 1]
-        if not vouched:
-            # Possible only under concurrency or mis-configuration; report an
-            # unsuccessful read rather than returning an unvouched value.
-            return OperationResult(success=False, quorum=quorum, attempts=attempts)
-
-        best = max(vouched, key=lambda pair: pair.timestamp)
-        if best.timestamp > self.last_timestamp:
-            self.last_timestamp = best.timestamp
-        self._record_success(quorum)
-        return OperationResult(
-            success=True,
-            value=best.value,
-            timestamp=best.timestamp,
-            quorum=quorum,
-            attempts=attempts,
-        )
+        return self._run(self.read_operation())
 
 
-# ----------------------------------------------------------------------
-# The event-driven client.
-# ----------------------------------------------------------------------
-class _ProbeState:
-    """One in-flight quorum probe of an async operation.
-
-    Collects replies keyed by server id (duplicate deliveries collapse) until
-    the quorum is complete or the timeout fires; ``done`` guards against
-    late replies resuming an abandoned probe.
-    """
-
-    __slots__ = ("quorum", "replies", "done", "timeout_event")
-
-    def __init__(self, quorum: frozenset):
-        self.quorum = quorum
-        self.replies: dict = {}
-        self.done = False
-        self.timeout_event = None
-
-
-class AsyncQuorumClient(_QuorumSelectionBase):
-    """A resumable state-machine client over the event-driven network.
+class AsyncQuorumClient(ProtocolCore):
+    """The event-driven driver: operations resume as scheduler events fire.
 
     ``read``/``write`` start the operation and return immediately; the
     operation advances as replies arrive through the scheduler and completes
@@ -400,16 +534,12 @@ class AsyncQuorumClient(_QuorumSelectionBase):
 
     Parameters
     ----------
-    client_id / system / b / rng / strategy:
-        As for :class:`QuorumClient`.
+    client_id / system / b / rng / strategy / history:
+        As for :class:`ProtocolCore`.
     network:
         The :class:`~repro.simulation.events.EventNetwork` to speak over.
     policy:
         Timeout and retry behaviour (:class:`RetryPolicy`).
-    history:
-        Optional :class:`~repro.simulation.history.HistoryRecorder`; every
-        completed operation is recorded with its invocation/response times
-        for the concurrent-history consistency checker.
     """
 
     def __init__(
@@ -423,282 +553,59 @@ class AsyncQuorumClient(_QuorumSelectionBase):
         rng: np.random.Generator | None = None,
         strategy: Strategy | None = None,
         history: "HistoryRecorder | None" = None,
-    ):
-        super().__init__(client_id, system, b=b, rng=rng, strategy=strategy)
+    ) -> None:
+        super().__init__(
+            client_id,
+            system,
+            b=b,
+            policy=policy,
+            rng=rng,
+            strategy=strategy,
+            history=history,
+            clock=lambda: network.scheduler.now,
+        )
         self.network = network
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.history = history
-        #: Probes that ran into their request timeout (diagnostic).
-        self.timeouts = 0
-        self._busy = False
 
-    @property
-    def scheduler(self) -> EventScheduler:
-        return self.network.scheduler
-
-    # ------------------------------------------------------------------
-    # Probing as a resumable state machine.
-    # ------------------------------------------------------------------
-    def _start_probe(
+    def _pump(
         self,
-        request_factory: Callable[[], object],
-        on_success: Callable[[frozenset, dict, int], None],
-        on_exhausted: Callable[[int], None],
-        *,
-        attempt: int = 0,
-    ) -> None:
-        """Probe quorums until one answers in full or the budget runs out.
-
-        ``on_success(quorum, replies, attempts)`` resumes the operation;
-        ``on_exhausted(attempts)`` reports unavailability.  Each probe arms a
-        timeout; silent members observed at the timeout join ``suspected``
-        before the next quorum is drawn, mirroring the synchronous client.
-        """
-        if attempt >= self.policy.max_attempts:
-            on_exhausted(self.policy.max_attempts)
-            return
-        quorum = self._choose_quorum()
-        self.attempted_access_counts.update(quorum)
-        probe = _ProbeState(quorum)
-        request = request_factory()
-
-        def on_reply(server_id, reply) -> None:
-            if probe.done or server_id in probe.replies:
-                return
-            # An answer exonerates: suspicion from lost messages or a crash
-            # window that has since ended must not permanently remove a
-            # correct server from quorum selection.
-            self.suspected.discard(server_id)
-            probe.replies[server_id] = reply
-            if len(probe.replies) == len(probe.quorum):
-                probe.done = True
-                if probe.timeout_event is not None:
-                    probe.timeout_event.cancel()
-                on_success(probe.quorum, probe.replies, attempt + 1)
-
-        def on_timeout() -> None:
-            if probe.done:
-                return
-            probe.done = True
-            self.timeouts += 1
-            self.suspected |= probe.quorum - probe.replies.keys()
-            self._start_probe(
-                request_factory, on_success, on_exhausted, attempt=attempt + 1
-            )
-
-        self.network.broadcast(quorum, request, on_reply)
-        probe.timeout_event = self.scheduler.schedule(
-            self.policy.request_timeout, on_timeout
-        )
-
-    def _collect_once(
-        self,
-        quorum: frozenset,
-        request: object,
-        on_all: Callable[[dict], None],
-        on_partial: Callable[[], None],
-    ) -> None:
-        """Broadcast to a fixed quorum once; succeed only on a full reply set."""
-        probe = _ProbeState(quorum)
-
-        def on_reply(server_id, reply) -> None:
-            if probe.done or server_id in probe.replies:
-                return
-            self.suspected.discard(server_id)
-            probe.replies[server_id] = reply
-            if len(probe.replies) == len(probe.quorum):
-                probe.done = True
-                if probe.timeout_event is not None:
-                    probe.timeout_event.cancel()
-                on_all(probe.replies)
-
-        def on_timeout() -> None:
-            if probe.done:
-                return
-            probe.done = True
-            self.timeouts += 1
-            self.suspected |= probe.quorum - probe.replies.keys()
-            on_partial()
-
-        self.network.broadcast(quorum, request, on_reply)
-        probe.timeout_event = self.scheduler.schedule(
-            self.policy.request_timeout, on_timeout
-        )
-
-    # ------------------------------------------------------------------
-    # Operation lifecycle helpers.
-    # ------------------------------------------------------------------
-    def _begin(self) -> float:
-        if self._busy:
-            raise SimulationError(
-                f"client {self.client_id} already has an operation in flight; "
-                "a register client is a single sequential process"
-            )
-        self._busy = True
-        self.operations_started += 1
-        return self.scheduler.now
-
-    def _complete(
-        self,
-        kind: str,
-        invoked_at: float,
-        result: OperationResult,
+        operation: Operation,
         on_complete: Callable[[OperationResult], None] | None,
-        *,
-        attempted_pair: ValueTimestampPair | None = None,
+        answered: Replies | None = None,
     ) -> None:
-        self._busy = False
-        if result.success:
-            self._record_success(result.quorum)
-        if self.history is not None:
-            self.history.record(
-                client_id=self.client_id,
-                kind=kind,
-                invoked_at=invoked_at,
-                responded_at=self.scheduler.now,
-                result=result,
-                attempted_pair=attempted_pair,
-            )
-        if on_complete is not None:
-            on_complete(result)
+        """Step the operation; perform the broadcast it asks for, if any."""
+        step = advance(operation, answered)
+        if isinstance(step, OperationResult):
+            if on_complete is not None:
+                on_complete(step)
+            return
+        quorum, request = step
+        replies: Replies = {}
 
-    # ------------------------------------------------------------------
-    # Protocol operations (resumable).
-    # ------------------------------------------------------------------
+        def close() -> None:
+            # Cancelling the timeout doubles as the broadcast's closed flag:
+            # replies that straggle in afterwards must not resume the
+            # operation a second time.
+            timeout.cancel()
+            self._pump(operation, on_complete, replies)
+
+        def on_reply(server_id: Hashable, reply: object) -> None:
+            if timeout.cancelled or server_id in replies:  # late, or a duplicate
+                return
+            replies[server_id] = reply
+            if len(replies) == len(quorum):
+                close()
+
+        self.network.broadcast(quorum, request, on_reply)
+        timeout = self.network.scheduler.schedule(self.policy.request_timeout, close)
+
     def write(
         self, value: object, on_complete: Callable[[OperationResult], None] | None = None
     ) -> None:
         """Start writing ``value``; completion arrives through ``on_complete``."""
-        invoked_at = self._begin()
-
-        def ts_phase_done(quorum: frozenset, replies: dict, attempts: int) -> None:
-            new_timestamp = self._fresh_timestamp(replies)
-            pair = ValueTimestampPair(value=value, timestamp=new_timestamp)
-            request = WriteRequest(client_id=self.client_id, pair=pair)
-
-            def installed(write_quorum: frozenset, attempts_total: int) -> None:
-                self._complete(
-                    "write",
-                    invoked_at,
-                    OperationResult(
-                        success=True,
-                        value=value,
-                        timestamp=new_timestamp,
-                        quorum=write_quorum,
-                        attempts=attempts_total,
-                        latency=self.scheduler.now - invoked_at,
-                    ),
-                    on_complete,
-                    attempted_pair=pair,
-                )
-
-            def retry_install() -> None:
-                # The quorum answered the timestamp query but lost a member
-                # before the write; retry the install through fresh quorums.
-                self._start_probe(
-                    lambda: request,
-                    lambda write_quorum, _replies, retry_attempts: installed(
-                        write_quorum, attempts + retry_attempts
-                    ),
-                    lambda retry_attempts: self._complete(
-                        "write",
-                        invoked_at,
-                        OperationResult(
-                            success=False,
-                            attempts=attempts + retry_attempts,
-                            latency=self.scheduler.now - invoked_at,
-                        ),
-                        on_complete,
-                        attempted_pair=pair,
-                    ),
-                )
-
-            self._collect_once(
-                quorum, request, lambda _replies: installed(quorum, attempts), retry_install
-            )
-
-        self._start_probe(
-            lambda: TimestampRequest(client_id=self.client_id),
-            ts_phase_done,
-            lambda attempts: self._complete(
-                "write",
-                invoked_at,
-                OperationResult(
-                    success=False,
-                    attempts=attempts,
-                    latency=self.scheduler.now - invoked_at,
-                ),
-                on_complete,
-            ),
-        )
+        self._pump(self.write_operation(value), on_complete)
 
     def read(
         self, on_complete: Callable[[OperationResult], None] | None = None
     ) -> None:
         """Start a read; completion arrives through ``on_complete``."""
-        invoked_at = self._begin()
-        state = {"attempts": 0}
-
-        def read_phase_done(quorum: frozenset, replies: dict, attempts: int) -> None:
-            state["attempts"] += attempts
-            votes: Counter = Counter(reply.pair for reply in replies.values())
-            vouched = [pair for pair, count in votes.items() if count >= self.b + 1]
-            if not vouched:
-                # Under concurrency an interleaved write can split the vouch
-                # counts below b + 1; the retry policy decides whether to try
-                # again at a fresh quorum or report the unsuccessful read.
-                if (
-                    self.policy.retry_unvouched_reads
-                    and state["attempts"] < self.policy.max_attempts
-                ):
-                    self._start_probe(
-                        lambda: ReadRequest(client_id=self.client_id),
-                        read_phase_done,
-                        exhausted,
-                    )
-                    return
-                self._complete(
-                    "read",
-                    invoked_at,
-                    OperationResult(
-                        success=False,
-                        quorum=quorum,
-                        attempts=state["attempts"],
-                        latency=self.scheduler.now - invoked_at,
-                    ),
-                    on_complete,
-                )
-                return
-            best = max(vouched, key=lambda pair: pair.timestamp)
-            if best.timestamp > self.last_timestamp:
-                self.last_timestamp = best.timestamp
-            self._complete(
-                "read",
-                invoked_at,
-                OperationResult(
-                    success=True,
-                    value=best.value,
-                    timestamp=best.timestamp,
-                    quorum=quorum,
-                    attempts=state["attempts"],
-                    latency=self.scheduler.now - invoked_at,
-                ),
-                on_complete,
-            )
-
-        def exhausted(attempts: int) -> None:
-            state["attempts"] += attempts
-            self._complete(
-                "read",
-                invoked_at,
-                OperationResult(
-                    success=False,
-                    attempts=state["attempts"],
-                    latency=self.scheduler.now - invoked_at,
-                ),
-                on_complete,
-            )
-
-        self._start_probe(
-            lambda: ReadRequest(client_id=self.client_id), read_phase_done, exhausted
-        )
+        self._pump(self.read_operation(), on_complete)

@@ -490,20 +490,28 @@ class EventNetwork:
         for server_id in server_ids:
             self.send(server_id, request, on_reply)
 
-    def empirical_message_rates(self, total_operations: int) -> dict[Hashable, float]:
-        """Attempted deliveries per server, per client operation.
+    def empirical_message_rates(
+        self, total_operations: int, *, which: str = "attempted"
+    ) -> dict[Hashable, float]:
+        """Per-server messages per client operation (a cost diagnostic).
 
-        This is a *message* rate (retries, both write phases and probes to
-        crashed servers included) — a cost diagnostic, **not** the empirical
-        load of Definition 3.8.  The load (successful-operation access
-        frequency) is accounted at the client layer; see
-        ``QuorumClient.successful_access_counts``.
+        ``which="attempted"`` counts every send (retries, both write phases
+        and probes to crashed servers included), ``which="delivered"`` only
+        requests a responsive server handled.  Either is a *message* rate,
+        **not** the empirical load of Definition 3.8: the load
+        (successful-operation access frequency, never above 1) is accounted
+        at the client layer; see
+        :func:`~repro.simulation.client.access_frequencies`.
         """
         if total_operations <= 0:
             raise SimulationError(
                 f"total_operations must be positive, got {total_operations}"
             )
+        if which not in ("attempted", "delivered"):
+            raise SimulationError(
+                f"which must be 'attempted' or 'delivered', got {which!r}"
+            )
+        counts = self.attempted_counts if which == "attempted" else self.delivered_counts
         return {
-            server_id: count / total_operations
-            for server_id, count in self.attempted_counts.items()
+            server_id: count / total_operations for server_id, count in counts.items()
         }

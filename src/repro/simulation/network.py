@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
 
-from repro.exceptions import SimulationError
 from repro.simulation.events import EventNetwork, EventScheduler
 from repro.simulation.faults import FaultScenario
 from repro.simulation.server import ReplicaServer
@@ -78,12 +77,6 @@ class SynchronousNetwork:
         """Requests actually handled by each (responsive) server."""
         return self._events.delivered_counts
 
-    #: Backwards-compatible alias: the pre-split ``delivery_counts`` counted
-    #: every send, which is the *attempted* tally under the new names.
-    @property
-    def delivery_counts(self) -> dict[Hashable, int]:
-        return self._events.attempted_counts
-
     def send(self, server_id: Hashable, request: object) -> object | None:
         """Deliver ``request`` to one replica and return its response.
 
@@ -102,28 +95,10 @@ class SynchronousNetwork:
     def empirical_message_rates(
         self, total_operations: int, *, which: str = "attempted"
     ) -> dict[Hashable, float]:
-        """Per-server messages per client operation (a cost diagnostic).
+        """Per-server ``"attempted"`` or ``"delivered"`` messages per operation.
 
-        ``which="attempted"`` counts every send (failed probes to crashed
-        servers and both write phases included) — the quantity the pre-fix
-        ``empirical_loads`` conflated with the load, which can exceed 1 under
-        heavy faults.  ``which="delivered"`` counts only requests a
-        responsive server handled.  For the empirical *load* of
-        Definition 3.8 (successful-operation access frequencies, never above
-        1) use ``ReplicatedRegister.empirical_loads``.
+        A cost diagnostic (see :meth:`EventNetwork.empirical_message_rates`);
+        for the empirical *load* of Definition 3.8 use
+        ``ReplicatedRegister.empirical_loads``.
         """
-        if total_operations <= 0:
-            raise SimulationError(
-                f"total_operations must be positive, got {total_operations}"
-            )
-        if which == "attempted":
-            counts = self._events.attempted_counts
-        elif which == "delivered":
-            counts = self._events.delivered_counts
-        else:
-            raise SimulationError(
-                f"which must be 'attempted' or 'delivered', got {which!r}"
-            )
-        return {
-            server_id: count / total_operations for server_id, count in counts.items()
-        }
+        return self._events.empirical_message_rates(total_operations, which=which)

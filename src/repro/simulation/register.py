@@ -17,7 +17,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.client import QuorumClient
+from repro.simulation.client import QuorumClient, access_frequencies
 from repro.simulation.faults import FaultScenario
 from repro.simulation.network import SynchronousNetwork
 from repro.simulation.server import ByzantineReplicaServer, ReplicaServer
@@ -141,39 +141,19 @@ class ReplicatedRegister:
 
         The empirical counterpart of the induced load ``l_w(u)`` of
         Definition 3.8, under the same accounting as the vectorised engine's
-        ``per_server_load``: the numerator counts each server once per
-        successful operation whose quorum contained it, and the denominator
-        is the number of successful operations — so values are genuine
-        access frequencies and never exceed 1.  Probes of failed operations
-        are visible separately through ``attempted_loads``.
+        ``per_server_load`` (see
+        :func:`~repro.simulation.client.access_frequencies`); probes of
+        failed operations are visible separately through ``attempted_loads``.
         """
-        successful = max(
-            1, sum(client.successful_operations for client in self._clients)
-        )
-        return {
-            server_id: sum(
-                client.successful_access_counts[server_id] for client in self._clients
-            )
-            / successful
-            for server_id in self.system.universe
-        }
+        return access_frequencies(self._clients, self.system.universe)[0]
 
     def attempted_loads(self) -> dict[Hashable, float]:
         """Per-server probe frequency counting every attempt, failures included.
 
         Normalised by all started operations — the diagnostic mirror of the
-        engine's ``per_server_attempted`` (this is the quantity the pre-fix
-        accounting conflated with the load; it can legitimately exceed 1
-        under heavy faults because one operation may probe many quorums).
+        engine's ``per_server_attempted``; it can legitimately exceed 1.
         """
-        total = max(1, sum(client.operations_started for client in self._clients))
-        return {
-            server_id: sum(
-                client.attempted_access_counts[server_id] for client in self._clients
-            )
-            / total
-            for server_id in self.system.universe
-        }
+        return access_frequencies(self._clients, self.system.universe)[1]
 
     def max_empirical_load(self) -> float:
         """Return the busiest server's empirical access frequency."""

@@ -1,13 +1,16 @@
 """Workload runner: end-to-end experiments over the replicated register.
 
-This module is the stable entry point for workload experiments; since the
-vectorised scenario engine landed, :func:`run_workload` is a thin
-compatibility wrapper over :func:`repro.simulation.engine.run_scenario`.  The
-engine executes batches of operations as array computations over the bitmask
-incidence machinery (see :mod:`repro.simulation.engine` for the execution
-semantics and ``docs/simulation.md`` for the measurement model); the
-message-level protocol objects (:class:`~repro.simulation.client.QuorumClient`,
-:class:`~repro.simulation.register.ReplicatedRegister`) remain available for
+This module is the stable entry point for workload experiments.
+:func:`run_workload` is a thin wrapper over
+:func:`repro.simulation.engine.run_scenario`: the engine executes batches of
+operations as array computations over the bitmask incidence machinery (see
+:mod:`repro.simulation.engine` for the execution semantics and
+``docs/simulation.md`` for the measurement model).  :func:`run_event_workload`
+drives the message-level protocol instead — the one protocol core of
+:mod:`repro.simulation.client` behind its event-driven driver — over the
+stack :class:`EventStack` wires up (and the trace runner shares); the
+blocking :class:`~repro.simulation.client.QuorumClient` and
+:class:`~repro.simulation.register.ReplicatedRegister` remain available for
 protocol-step tests and examples.
 
 Accounting note (the Definition 3.8 fix): ``empirical_load`` and
@@ -31,7 +34,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.client import AsyncQuorumClient, RetryPolicy
+from repro.simulation.client import AsyncQuorumClient, RetryPolicy, access_frequencies
 from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
 from repro.simulation.events import (
     EventNetwork,
@@ -168,6 +171,137 @@ def _resolve_timing(scenario, latency, link_faults, byzantine_behaviour):
     )
 
 
+class EventStack:
+    """The event-driven protocol stack of one run: build it, drive it, fold it.
+
+    Construction wires scheduler, replicas, network, recorder and clients,
+    drawing from ``rng`` in a fixed order — replicas, the network's
+    generator, then one generator per client — so a run is a deterministic
+    function of the seed.  ``request_timeout=None`` derives a generous
+    multiple of the latency scale (or 1.0 when the latency model is zero).
+    Once the caller has scheduled its operations and run the scheduler,
+    :meth:`result` assembles the :class:`EventWorkloadResult` (or a subclass).
+    """
+
+    def __init__(
+        self,
+        system: QuorumSystem,
+        timeline: FaultTimeline,
+        *,
+        b: int,
+        num_clients: int,
+        byzantine_behaviour: str,
+        latency: LatencyModel,
+        link_faults: LinkFaults,
+        max_attempts: int,
+        request_timeout: float | None,
+        retry_unvouched_reads: bool = False,
+        strategy: Strategy | None,
+        initial_value: object = None,
+        rng: np.random.Generator,
+        allow_overload: bool,
+    ) -> None:
+        if num_clients < 1:
+            raise SimulationError(f"num_clients must be >= 1, got {num_clients}")
+        if not allow_overload and timeline.max_byzantine > b:
+            raise SimulationError(
+                f"scenario has {timeline.max_byzantine} Byzantine servers but the "
+                f"deployment only masks b={b}; pass allow_overload=True to force it"
+            )
+        timeline.validate_against(system.universe)
+        if request_timeout is None:
+            scale = latency.base + latency.jitter + 2.0 * latency.tail_mean
+            slowest = max(
+                [1.0]
+                + [factor for state in timeline.scenarios for _, factor in state.slow]
+            )
+            request_timeout = 1.0 if is_zero(scale) else 8.0 * scale * slowest
+        self.system = system
+        self.scheduler = EventScheduler()
+        servers = build_replicas(
+            system,
+            timeline.byzantine,
+            byzantine_behaviour=byzantine_behaviour,
+            initial_value=initial_value,
+            rng=rng,
+        )
+        self.network = EventNetwork(
+            servers,
+            timeline,
+            scheduler=self.scheduler,
+            latency=latency,
+            faults=link_faults,
+            rng=np.random.default_rng(rng.integers(2**63)),
+        )
+        self.recorder = HistoryRecorder(
+            initial_pair=ValueTimestampPair(value=initial_value, timestamp=Timestamp.zero())
+        )
+        policy = RetryPolicy(
+            max_attempts=max_attempts,
+            request_timeout=request_timeout,
+            retry_unvouched_reads=retry_unvouched_reads,
+        )
+        self.clients = [
+            AsyncQuorumClient(
+                client_id,
+                system,
+                self.network,
+                b=b,
+                policy=policy,
+                rng=np.random.default_rng(rng.integers(2**63)),
+                strategy=strategy,
+                history=self.recorder,
+            )
+            for client_id in range(num_clients)
+        ]
+
+    def result(
+        self,
+        result_type: type[EventWorkloadResult],
+        latencies: list[float],
+        *,
+        started_at: float,
+        keep_history: bool,
+        **extra: float,
+    ) -> EventWorkloadResult:
+        """Check the recorded history and fold the run into ``result_type``.
+
+        ``latencies`` and ``started_at`` are the caller's: a closed-loop run
+        reports protocol latencies since the first invocation, a trace
+        replay sojourn times since the first arrival.
+        """
+        records = self.recorder.records
+        check = self.recorder.check()
+        operations = len(records)
+        successful = [record for record in records if record.success]
+        per_server_load, per_server_attempted = access_frequencies(
+            self.clients, self.system.universe
+        )
+        sample = np.array(latencies)
+        return result_type(
+            operations=operations,
+            successful_reads=sum(1 for r in successful if r.kind == "read"),
+            successful_writes=sum(1 for r in successful if r.kind == "write"),
+            failed_operations=operations - len(successful),
+            consistency_violations=check.fabricated_reads,
+            stale_reads=check.stale_reads,
+            empirical_load=max(per_server_load.values()),
+            per_server_load=per_server_load,
+            per_server_messages=self.network.empirical_message_rates(max(1, operations)),
+            per_server_attempted=per_server_attempted,
+            duration=max(r.responded_at for r in records) - started_at if records else 0.0,
+            events_processed=self.scheduler.events_processed,
+            timeouts=sum(client.timeouts for client in self.clients),
+            latency_mean=float(sample.mean()) if sample.size else 0.0,
+            latency_p50=float(np.percentile(sample, 50)) if sample.size else 0.0,
+            latency_p90=float(np.percentile(sample, 90)) if sample.size else 0.0,
+            latency_p99=float(np.percentile(sample, 99)) if sample.size else 0.0,
+            check=check,
+            history=tuple(records) if keep_history else (),
+            **extra,
+        )
+
+
 def run_event_workload(
     system: QuorumSystem,
     *,
@@ -215,8 +349,6 @@ def run_event_workload(
     Returns an :class:`EventWorkloadResult`; the base-class fields follow the
     engine's accounting so event runs drop into the same comparison tooling.
     """
-    if num_clients < 1:
-        raise SimulationError(f"num_clients must be >= 1, got {num_clients}")
     if operations_per_client < 1:
         raise SimulationError(
             f"operations_per_client must be >= 1, got {operations_per_client}"
@@ -237,61 +369,23 @@ def run_event_workload(
             f"unknown Byzantine behaviour {byzantine_behaviour!r}; "
             f"choose one of {sorted(BYZANTINE_BEHAVIOURS)}"
         )
-    if not allow_overload and timeline.max_byzantine > b:
-        raise SimulationError(
-            f"scenario has {timeline.max_byzantine} Byzantine servers but the "
-            f"deployment only masks b={b}; pass allow_overload=True to force it"
-        )
-    timeline.validate_against(system.universe)
-    if request_timeout is None:
-        scale = latency.base + latency.jitter + 2.0 * latency.tail_mean
-        slowest = max(
-            [1.0]
-            + [factor for state in timeline.scenarios for _, factor in state.slow]
-        )
-        request_timeout = 1.0 if is_zero(scale) else 8.0 * scale * slowest
-
-    resolved_strategy = (
-        resolve_strategy(system, strategy) if strategy is not None else None
-    )
-    scheduler = EventScheduler()
-    servers = build_replicas(
+    stack = EventStack(
         system,
-        timeline.byzantine,
-        byzantine_behaviour=byzantine_behaviour,
-        initial_value=initial_value,
-        rng=rng,
-    )
-    network = EventNetwork(
-        servers,
         timeline,
-        scheduler=scheduler,
+        b=b,
+        num_clients=num_clients,
+        byzantine_behaviour=byzantine_behaviour,
         latency=latency,
-        faults=link_faults,
-        rng=np.random.default_rng(rng.integers(2**63)),
-    )
-    recorder = HistoryRecorder(
-        initial_pair=ValueTimestampPair(value=initial_value, timestamp=Timestamp.zero())
-    )
-    policy = RetryPolicy(
+        link_faults=link_faults,
         max_attempts=max_attempts,
         request_timeout=request_timeout,
         retry_unvouched_reads=retry_unvouched_reads,
+        strategy=resolve_strategy(system, strategy) if strategy is not None else None,
+        initial_value=initial_value,
+        rng=rng,
+        allow_overload=allow_overload,
     )
-
-    clients = [
-        AsyncQuorumClient(
-            client_id,
-            system,
-            network,
-            b=b,
-            policy=policy,
-            rng=np.random.default_rng(rng.integers(2**63)),
-            strategy=resolved_strategy,
-            history=recorder,
-        )
-        for client_id in range(num_clients)
-    ]
+    scheduler = stack.scheduler
     pacing_rng = np.random.default_rng(rng.integers(2**63))
 
     # Each client is a little generator process: finish an operation,
@@ -312,59 +406,17 @@ def run_event_workload(
         else:
             client.read(next_operation)
 
-    for client in clients:
+    for client in stack.clients:
         offset = pacing_rng.exponential(think_time) if think_time > 0.0 else 0.0
         scheduler.schedule(offset, lambda c=client: start_client(c, operations_per_client))
     scheduler.run()
 
-    records = recorder.records
-    check = recorder.check()
-    num_operations = len(records)
-    successful = [record for record in records if record.success]
-    latencies = np.array(
-        [record.responded_at - record.invoked_at for record in successful]
-    )
-    universe = system.universe
-    total_success = max(1, len(successful))
-    per_server_load = {
-        server_id: sum(client.successful_access_counts[server_id] for client in clients)
-        / total_success
-        for server_id in universe
-    }
-    per_server_attempted = {
-        server_id: sum(client.attempted_access_counts[server_id] for client in clients)
-        / max(1, num_operations)
-        for server_id in universe
-    }
-    per_server_messages = {
-        server_id: network.attempted_counts[server_id] / max(1, num_operations)
-        for server_id in universe
-    }
-    return EventWorkloadResult(
-        operations=num_operations,
-        successful_reads=sum(1 for r in successful if r.kind == "read"),
-        successful_writes=sum(1 for r in successful if r.kind == "write"),
-        failed_operations=num_operations - len(successful),
-        consistency_violations=check.fabricated_reads,
-        stale_reads=check.stale_reads,
-        empirical_load=max(per_server_load.values()),
-        per_server_load=per_server_load,
-        per_server_messages=per_server_messages,
-        per_server_attempted=per_server_attempted,
-        duration=(
-            max(r.responded_at for r in records)
-            - min(r.invoked_at for r in records)
-            if records
-            else 0.0
-        ),
-        events_processed=scheduler.events_processed,
-        timeouts=sum(client.timeouts for client in clients),
-        latency_mean=float(latencies.mean()) if latencies.size else 0.0,
-        latency_p50=float(np.percentile(latencies, 50)) if latencies.size else 0.0,
-        latency_p90=float(np.percentile(latencies, 90)) if latencies.size else 0.0,
-        latency_p99=float(np.percentile(latencies, 99)) if latencies.size else 0.0,
-        check=check,
-        history=tuple(records) if keep_history else (),
+    records = stack.recorder.records
+    return stack.result(
+        EventWorkloadResult,
+        [r.responded_at - r.invoked_at for r in records if r.success],
+        started_at=min((r.invoked_at for r in records), default=0.0),
+        keep_history=keep_history,
     )
 
 
@@ -392,7 +444,6 @@ def run_workload(
     *,
     b: int,
     num_operations: int = 200,
-    num_clients: int = 4,
     scenario: FaultScenario | WorkloadScenario | None = None,
     byzantine_behaviour: str = "fabricate-timestamp",
     rng: np.random.Generator | None = None,
@@ -411,11 +462,8 @@ def run_workload(
     b:
         Masking parameter used by the read protocol.
     num_operations:
-        Total operations across all clients.
-    num_clients:
-        Accepted and ignored for API compatibility (the legacy runner's
-        ``max(1, num_clients)`` tolerance included); the engine's accounting
-        is client-count independent.
+        Total operations (the engine's accounting is client-count
+        independent, so there is no client knob).
     scenario:
         Fault scenario — static or phased (fault-free by default).
     byzantine_behaviour:
@@ -439,7 +487,6 @@ def run_workload(
         reference path with identical semantics and, for a given rng state,
         bit-for-bit identical results.
     """
-    del num_clients  # legacy parameter; the engine's accounting is client-agnostic
     byzantine_model: str | None = None
     if not isinstance(scenario, WorkloadScenario):
         byzantine_model = _byzantine_model_for(byzantine_behaviour)

@@ -42,19 +42,10 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.client import AsyncQuorumClient, RetryPolicy
 from repro.simulation.engine import resolve_strategy
-from repro.simulation.events import (
-    EventNetwork,
-    EventScheduler,
-    FaultTimeline,
-    LatencyModel,
-    LinkFaults,
-)
+from repro.simulation.events import FaultTimeline, LatencyModel, LinkFaults
 from repro.simulation.faults import FaultScenario
-from repro.simulation.history import HistoryRecorder
-from repro.simulation.messages import Timestamp, ValueTimestampPair
-from repro.simulation.runner import EventWorkloadResult, build_replicas
+from repro.simulation.runner import EventStack, EventWorkloadResult
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
 
 __all__ = [
@@ -261,8 +252,6 @@ def run_trace_workload(
     matches :func:`~repro.simulation.runner.run_event_workload`, so trace
     runs drop into the same report/comparison tooling.
     """
-    if num_clients < 1:
-        raise SimulationError(f"num_clients must be >= 1, got {num_clients}")
     if not 0.0 <= write_fraction <= 1.0:
         raise SimulationError(
             f"write_fraction must lie in [0, 1], got {write_fraction}"
@@ -271,19 +260,7 @@ def run_trace_workload(
         raise SimulationError(
             f"trace must be a TraceScenario, got {type(trace).__name__}"
         )
-    if not allow_overload and trace.max_byzantine > b:
-        raise SimulationError(
-            f"trace has {trace.max_byzantine} Byzantine servers but the "
-            f"deployment only masks b={b}; pass allow_overload=True to force it"
-        )
     rng = ensure_rng(rng)
-    universe = system.universe
-    unknown = (trace.fault_state.byzantine | trace.fault_state.crashed) - universe.as_frozenset()
-    if unknown:
-        raise SimulationError(
-            f"trace mentions servers outside the universe: {sorted(unknown, key=repr)[:4]}"
-        )
-
     arrivals = trace.arrival_schedule(
         num_operations, rng, write_fraction=write_fraction
     )
@@ -291,47 +268,23 @@ def run_trace_workload(
         system, skew=trace.skew, base=resolve_strategy(system, strategy)
     )
 
-    latency = trace.latency
-    if request_timeout is None:
-        scale = latency.base + latency.jitter + 2.0 * latency.tail_mean
-        slowest = max([1.0] + [factor for _, factor in trace.fault_state.slow])
-        request_timeout = 1.0 if is_zero(scale) else 8.0 * scale * slowest
-
-    timeline = FaultTimeline.static(trace.fault_state)
-    scheduler = EventScheduler()
-    servers = build_replicas(
+    stack = EventStack(
         system,
-        timeline.byzantine,
+        FaultTimeline.static(trace.fault_state),
+        b=b,
+        num_clients=num_clients,
         byzantine_behaviour=trace.byzantine_behaviour,
+        latency=trace.latency,
+        link_faults=trace.link_faults,
+        max_attempts=max_attempts,
+        request_timeout=request_timeout,
+        strategy=resolved,
         rng=rng,
+        allow_overload=allow_overload,
     )
-    network = EventNetwork(
-        servers,
-        timeline,
-        scheduler=scheduler,
-        latency=latency,
-        faults=trace.link_faults,
-        rng=np.random.default_rng(rng.integers(2**63)),
-    )
-    recorder = HistoryRecorder(
-        initial_pair=ValueTimestampPair(value=None, timestamp=Timestamp.zero())
-    )
-    policy = RetryPolicy(max_attempts=max_attempts, request_timeout=request_timeout)
-    clients = [
-        AsyncQuorumClient(
-            client_id,
-            system,
-            network,
-            b=b,
-            policy=policy,
-            rng=np.random.default_rng(rng.integers(2**63)),
-            strategy=resolved,
-            history=recorder,
-        )
-        for client_id in range(num_clients)
-    ]
+    scheduler = stack.scheduler
 
-    idle: deque = deque(clients)
+    idle: deque = deque(stack.clients)
     pending: deque = deque()
     sojourns: list[float] = []
     queue_delays: list[float] = []
@@ -365,50 +318,13 @@ def run_trace_workload(
         )
     scheduler.run()
 
-    records = recorder.records
-    check = recorder.check()
-    total_operations = len(records)
-    successful = [record for record in records if record.success]
-    total_success = max(1, len(successful))
-    per_server_load = {
-        server_id: sum(client.successful_access_counts[server_id] for client in clients)
-        / total_success
-        for server_id in universe
-    }
-    per_server_attempted = {
-        server_id: sum(client.attempted_access_counts[server_id] for client in clients)
-        / max(1, total_operations)
-        for server_id in universe
-    }
-    per_server_messages = {
-        server_id: network.attempted_counts[server_id] / max(1, total_operations)
-        for server_id in universe
-    }
-    sojourn_array = np.array(sojourns) if sojourns else np.array([])
-    queue_array = np.array(queue_delays) if queue_delays else np.array([])
+    queue_array = np.array(queue_delays)
     span = arrivals[-1][0] - arrivals[0][0] if len(arrivals) > 1 else 0.0
-    return TraceWorkloadResult(
-        operations=total_operations,
-        successful_reads=sum(1 for r in successful if r.kind == "read"),
-        successful_writes=sum(1 for r in successful if r.kind == "write"),
-        failed_operations=total_operations - len(successful),
-        consistency_violations=check.fabricated_reads,
-        stale_reads=check.stale_reads,
-        empirical_load=max(per_server_load.values()),
-        per_server_load=per_server_load,
-        per_server_messages=per_server_messages,
-        per_server_attempted=per_server_attempted,
-        duration=(
-            max(r.responded_at for r in records) - arrivals[0][0] if records else 0.0
-        ),
-        events_processed=scheduler.events_processed,
-        timeouts=sum(client.timeouts for client in clients),
-        latency_mean=float(sojourn_array.mean()) if sojourn_array.size else 0.0,
-        latency_p50=float(np.percentile(sojourn_array, 50)) if sojourn_array.size else 0.0,
-        latency_p90=float(np.percentile(sojourn_array, 90)) if sojourn_array.size else 0.0,
-        latency_p99=float(np.percentile(sojourn_array, 99)) if sojourn_array.size else 0.0,
-        check=check,
-        history=tuple(records) if keep_history else (),
+    return stack.result(
+        TraceWorkloadResult,
+        sojourns,
+        started_at=arrivals[0][0],
+        keep_history=keep_history,
         queue_delay_mean=float(queue_array.mean()) if queue_array.size else 0.0,
         queue_delay_p99=float(np.percentile(queue_array, 99)) if queue_array.size else 0.0,
         arrival_rate=len(arrivals) / span if span > 0.0 else 0.0,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.service import (
     ClusterSpec,
     ServiceCluster,
     ServiceQuorumClient,
+    call_endpoint,
+    discover_initial_pair,
     run_load,
 )
 from repro.exceptions import ServiceError
@@ -328,5 +331,39 @@ def test_single_client_sequential_semantics(cluster_factory):
                 assert read.value == ("v", i)
         finally:
             await client.close()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Control frames against a replica that dies mid-exchange.
+# ----------------------------------------------------------------------
+def test_call_endpoint_maps_a_connection_reset_to_service_error():
+    """A replica killed between accept and reply must not leak ``OSError``.
+
+    ``discover_initial_pair`` and ``run_load``'s STATUS/METRICS collection
+    skip replicas on ``ServiceError``; a bare ``ConnectionResetError`` used
+    to abort them instead.
+    """
+
+    async def accept_then_reset(reader, writer):
+        await reader.readexactly(4)
+        # SO_LINGER with a zero timeout turns close() into a RST.
+        writer.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        writer.transport.abort()
+
+    async def scenario():
+        server = await asyncio.start_server(accept_then_reset, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            with pytest.raises(ServiceError, match="mid-exchange"):
+                await call_endpoint("127.0.0.1", port, {"type": "STATUS"}, timeout=2.0)
+            descriptor = {"index": 0, "host": "127.0.0.1", "port": port}
+            assert await discover_initial_pair([descriptor], b=0, timeout=2.0) is None
+        finally:
+            server.close()
+            await server.wait_closed()
 
     asyncio.run(scenario())

@@ -403,8 +403,3 @@ class TestRunnerCompatibility:
             run_workload(grid_system, b=1, num_operations=10, write_fraction=1.5)
         with pytest.raises(SimulationError):
             run_scenario(grid_system, b=1, num_operations=10, mode="telepathic")
-
-    def test_num_clients_remains_tolerated(self, grid_system):
-        # The legacy runner accepted any num_clients via max(1, num_clients).
-        result = run_workload(grid_system, b=1, num_operations=10, num_clients=0)
-        assert result.operations == 10

@@ -2,8 +2,9 @@
 
 Covers the discrete-event machinery itself (ordering, cancellation, latency
 and link-fault knobs, crash/recover timelines), the zero-latency agreement
-between the synchronous and event-driven protocol layers, the real-attempts
-accounting, the aligned load accounting across protocol paths, and the
+between the synchronous, event-driven and (over an in-process wire loopback)
+asyncio service drivers of the protocol core, the real-attempts accounting,
+the aligned load accounting across protocol paths, and the
 concurrent-history properties: interleaved writers produce strictly
 increasing unique timestamps, reads concurrent with writes return old-or-new
 (never a fabrication) at ``b`` colluders, and the checker catches the
@@ -12,11 +13,15 @@ increasing unique timestamps, reads concurrent with writes return old-or-new
 
 from __future__ import annotations
 
+import asyncio
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro import SimulationError, ThresholdQuorumSystem
 from repro.analysis.empirical import synchronous_event_agreement
+from repro.service import ServiceQuorumClient, wire
 from repro.simulation import (
     AsyncQuorumClient,
     EventNetwork,
@@ -41,7 +46,7 @@ from repro.simulation import (
     run_scenario,
     slow_server_scenario,
 )
-from repro.simulation.messages import ReadRequest
+from repro.simulation.messages import ReadRequest, TimestampRequest, WriteRequest
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
 
 
@@ -266,24 +271,136 @@ class TestEventNetwork:
 # ----------------------------------------------------------------------
 # Zero-latency agreement: the synchronous layer is the special case.
 # ----------------------------------------------------------------------
+class LoopbackServiceClient(ServiceQuorumClient):
+    """The asyncio driver with the sockets cut out.
+
+    Each exchange still crosses the whole wire codec in both directions —
+    request -> frame -> bytes -> frame -> request -> replica state machine ->
+    reply -> frame -> bytes -> frame -> reply — exactly what a live replica
+    process does; crashed servers are silent.
+    """
+
+    _HANDLERS = {
+        TimestampRequest: "handle_timestamp",
+        ReadRequest: "handle_read",
+        WriteRequest: "handle_write",
+    }
+
+    def __init__(self, servers, scenario, **kwargs):
+        super().__init__(
+            endpoints={server_id: ("loopback", 0) for server_id in servers}, **kwargs
+        )
+        self.servers = servers
+        self.scenario = scenario
+        self.indices = {server_id: index for index, server_id in enumerate(servers)}
+        self.frames_exchanged = 0
+
+    async def _exchange(self, server_id, request):
+        if not self.scenario.is_responsive(server_id):
+            return None
+        frame, rest = wire.decode_frame(wire.encode_frame(wire.request_to_frame(request)))
+        assert not rest
+        decoded = wire.frame_to_request(frame)
+        reply = getattr(self.servers[server_id], self._HANDLERS[type(decoded)])(decoded)
+        frame, rest = wire.decode_frame(
+            wire.encode_frame(wire.reply_to_frame(reply, server_index=self.indices[server_id]))
+        )
+        assert not rest
+        self.frames_exchanged += 2
+        return wire.frame_to_reply(frame, server_id=server_id)
+
+
+def drive_service_loopback(
+    servers, scenario, script, client_type=LoopbackServiceClient, **client_kwargs
+):
+    client = client_type(servers, scenario, **client_kwargs)
+
+    async def run():
+        return [
+            await (client.write(value) if kind == "write" else client.read())
+            for kind, value in script
+        ]
+
+    results = asyncio.run(run())
+    assert client.frames_exchanged > 0
+    return results, client
+
+
+def three_way_agreement(system, **kwargs):
+    """Synchronous vs event vs service driver; needs no socket, never skips."""
+    return synchronous_event_agreement(
+        system, extra_drivers={"service": drive_service_loopback}, **kwargs
+    )
+
+
+def test_cancelled_service_operation_frees_the_client(small_system):
+    """A cancelled ``await client.read()`` must not leave the client busy."""
+    servers = {server_id: ReplicaServer(server_id) for server_id in small_system.universe}
+
+    class Hanging(LoopbackServiceClient):
+        hang = True
+
+        async def _exchange(self, server_id, request):
+            if self.hang:
+                await asyncio.Event().wait()
+            return await super()._exchange(server_id, request)
+
+    client = Hanging(servers, FaultScenario.fault_free(), client_id=0, system=small_system, b=2)
+
+    async def scenario():
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(client.read(), timeout=0.05)
+        client.hang = False
+        return await client.read()
+
+    assert asyncio.run(scenario()).success
+
+
 class TestZeroLatencyAgreement:
     def test_fault_free(self, small_system):
-        report = synchronous_event_agreement(small_system, b=2, num_operations=80, seed=11)
+        report = three_way_agreement(small_system, b=2, num_operations=80, seed=11)
         assert report.ok, report.mismatches
 
     def test_with_crashes_and_retries(self, small_system):
         scenario = FaultScenario(crashed=frozenset({0, 1}))
-        report = synchronous_event_agreement(
+        report = three_way_agreement(
             small_system, b=2, scenario=scenario, num_operations=60, seed=3
         )
         assert report.ok, report.mismatches
+
+    def test_under_the_optimal_strategy(self, small_system):
+        scenario = FaultScenario(crashed=frozenset({4}))
+        report = three_way_agreement(
+            small_system, b=2, scenario=scenario, strategy="optimal",
+            num_operations=60, seed=5,
+        )
+        assert report.ok, report.mismatches
+
+    def test_a_diverging_driver_is_reported(self, small_system):
+        # The comparison has teeth: a driver that never hears server 0 (so
+        # every probe containing it looks partly silent) cannot agree.
+        class Lossy(LoopbackServiceClient):
+            async def _exchange(self, server_id, request):
+                if server_id == 0:
+                    return None
+                return await super()._exchange(server_id, request)
+
+        report = synchronous_event_agreement(
+            small_system,
+            b=2,
+            num_operations=30,
+            seed=11,
+            extra_drivers={"lossy": partial(drive_service_loopback, client_type=Lossy)},
+        )
+        assert not report.ok
+        assert {mismatch[0] for mismatch in report.mismatches} == {"lossy"}
 
     @pytest.mark.parametrize("behaviour", sorted(BYZANTINE_BEHAVIOURS))
     def test_under_every_byzantine_behaviour(self, small_system, rng, behaviour):
         scenario = FaultInjector(small_system.universe, rng).exact(
             num_byzantine=2, num_crashed=1
         )
-        report = synchronous_event_agreement(
+        report = three_way_agreement(
             small_system,
             b=2,
             scenario=scenario,
@@ -295,7 +412,7 @@ class TestZeroLatencyAgreement:
 
     def test_unavailable_operations_agree_too(self, small_system):
         scenario = FaultScenario(crashed=frozenset({0, 1, 2}))  # a transversal
-        report = synchronous_event_agreement(
+        report = three_way_agreement(
             small_system, b=2, scenario=scenario, num_operations=20, seed=9
         )
         assert report.ok, report.mismatches

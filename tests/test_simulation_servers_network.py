@@ -126,8 +126,8 @@ class TestNetwork:
     def test_crashed_server_is_silent(self):
         network, servers = self.make_network(crashed={1})
         assert network.send(1, ReadRequest(client_id=0)) is None
-        # The request is still counted as delivered (the client sent it).
-        assert network.delivery_counts[1] == 1
+        # The request is still counted as attempted (the client sent it).
+        assert network.attempted_counts[1] == 1
         # And the replica never processed it.
         assert servers[1].access_count == 0
 
@@ -156,8 +156,6 @@ class TestNetwork:
         network.send(1, ReadRequest(client_id=0))
         assert network.attempted_counts == {0: 1, 1: 2, 2: 0}
         assert network.delivered_counts == {0: 1, 1: 0, 2: 0}
-        # Backwards-compatible alias: delivery_counts is the attempted tally.
-        assert network.delivery_counts == network.attempted_counts
 
     def test_empirical_message_rates(self):
         network, _ = self.make_network(crashed={1})
