@@ -112,9 +112,9 @@ def _end_to_end_payload() -> dict:
     report.require()
     return {
         "num_epochs": result.num_epochs,
-        "operations": result.operations,
-        "availability": result.availability,
-        "consistency_violations": result.consistency_violations,
+        "operations": result.whole.operations,
+        "availability": result.whole.availability,
+        "consistency_violations": result.whole.consistency_violations,
         "epochs": [outcome.to_dict() for outcome in result.outcomes],
         "checks": report.to_dict()["checks"],
     }

@@ -1,0 +1,279 @@
+#!/usr/bin/env python3
+"""Bit-identity digest of the run pipeline: one sha256 over a fixed matrix.
+
+``PYTHONPATH=<tree>/src python scripts/run_digest.py`` prints the sha256 of
+every simulator report, result and conformance check the matrix below
+produces; two source trees whose digests agree produce bit-identical
+numbers (floats are hashed by ``float.hex``).  Run it under the parent
+commit's and the changed tree's ``PYTHONPATH`` to verify that a refactor of
+the run pipeline changed no result.  ``--dump`` prints the hashed lines
+instead, for diffing two trees.
+
+The matrix uses only names that exist on both sides of the refactor that
+introduced it (PR 13), and treats any rejected facade call as ``rejected``
+whatever the exception class:
+
+* ``api.run(...).to_dict()`` for every catalogue scenario x both engines x
+  2 seeds on ``mgrid(side=5, b=1)``, plus the benchmark's two ``sim_*``
+  specs on ``mgrid(49, 3)``;
+* the full ``AdversarialResult`` of both adaptive policies (one run with
+  uneven round sizes, one with a single round);
+* ``run_reconfig_workload`` in both modes and ``run_reconfig_event_workload``
+  (epoch dicts, per-epoch per-server tallies, check counters, windows);
+* a diurnal ``run_trace_workload``;
+* every check of ``adversarial_``, ``reconfig_``, ``percolation_``,
+  ``service_`` and ``recovery_conformance`` — the last two on the offline
+  replay of the pinned live history under ``tests/fixtures/``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from repro import MGrid, api
+from repro.analysis import (
+    adversarial_conformance,
+    percolation_conformance,
+    reconfig_conformance,
+    recovery_conformance,
+    service_conformance,
+)
+from repro.api.registry import SystemSpec, build
+from repro.api.scenarios import available_scenarios
+from repro.core import Membership, plan_events
+from repro.exceptions import ReproError
+from repro.simulation import (
+    GreedyLoadAdversary,
+    MembershipTimeline,
+    StaleReadAdversary,
+    TraceScenario,
+    resolve_strategy,
+    run_adversarial_workload,
+    run_reconfig_event_workload,
+    run_reconfig_workload,
+    run_trace_workload,
+)
+from repro.simulation.history import check_register_history, load_history_jsonl
+
+FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+SEEDS = (3, 11)
+
+
+def canon(value):
+    """JSON-able canonical form; floats by ``hex`` so equality is bitwise."""
+    if isinstance(value, (bool, str, int)) or value is None:
+        return value
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, dict):
+        return {repr(key): canon(item) for key, item in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(repr(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return [canon(item) for item in value]
+    return repr(value)
+
+
+RESULT_FIELDS = (
+    "operations", "successful_reads", "successful_writes", "failed_operations",
+    "consistency_violations", "stale_reads", "empirical_load", "availability",
+    "per_server_load", "per_server_messages", "per_server_attempted",
+)
+CLOCK_FIELDS = (
+    "duration", "events_processed", "timeouts",
+    "latency_mean", "latency_p50", "latency_p90", "latency_p99",
+)
+CHECK_FIELDS = (
+    "operations", "concurrent_pairs", "fabricated_reads", "stale_reads",
+    "write_order_violations", "duplicate_write_timestamps",
+    "cross_epoch_reads", "foreign_quorum_members", "ok",
+)
+
+
+def fields(obj, names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def checks(report) -> list:
+    return [
+        (c.metric, c.observed, c.bound, c.direction, c.slack) for c in report.checks
+    ]
+
+
+def facade_rows():
+    specs = [
+        (api.WorkloadSpec("mgrid", params={"side": 5, "b": 1}, scenario=name,
+                          operations=120, seed=seed), engine)
+        for name in available_scenarios()
+        for engine in ("vectorized", "event")
+        for seed in SEEDS
+    ]
+    specs += [
+        (api.WorkloadSpec("mgrid", params={"n": 49, "b": 3}, scenario=scenario,
+                          clients=8, operations=operations, seed=seed), engine)
+        for scenario, engine, operations in (
+            ("slow-servers", "event", 400), ("byzantine", "vectorized", 20_000)
+        )
+        for seed in SEEDS
+    ]
+    for spec, engine in specs:
+        key = f"api.run/{spec.params}/{spec.scenario}/{engine}/{spec.seed}"
+        try:
+            yield key, api.run(spec, engine=engine).to_dict()
+        except ReproError:
+            yield key, "rejected"
+
+
+def adversarial_rows(system):
+    for policy in (GreedyLoadAdversary(), StaleReadAdversary()):
+        for operations, rounds in ((203, 8), (49, 1)):
+            result = run_adversarial_workload(
+                system, b=1, policy=policy, num_operations=operations,
+                rounds=rounds, rng=np.random.default_rng(SEEDS[0]),
+            )
+            yield f"adversarial/{type(policy).__name__}/{operations}/{rounds}", {
+                **fields(result, RESULT_FIELDS),
+                "rounds": [
+                    (r.index, r.fault.crashed, r.fault.byzantine,
+                     fields(r.result, RESULT_FIELDS))
+                    for r in result.rounds
+                ],
+                "strategy": result.strategy.probabilities.tolist(),
+            }
+        result, report = adversarial_conformance(
+            system, b=1, policy=policy, num_operations=300, seed=SEEDS[1]
+        )
+        yield f"adversarial_conformance/{type(policy).__name__}", {
+            **fields(result, RESULT_FIELDS), "checks": checks(report),
+        }
+
+
+def _churn(system) -> MembershipTimeline:
+    ring = system.n - 16
+    events = plan_events(system.universe, [("sever", ring), ("join", ring)])
+    return MembershipTimeline(membership=Membership(system.universe, events))
+
+
+def _epochs(result) -> list:
+    return [
+        (o.to_dict(), o.strategy.probabilities.tolist(), fields(o.result, RESULT_FIELDS))
+        for o in result.outcomes
+    ]
+
+
+def reconfig_rows(system):
+    timeline = _churn(system)
+    for mode in ("vectorised", "sequential"):
+        for policy in ("reweight", "resolve", "uniform"):
+            result = run_reconfig_workload(
+                system, timeline=timeline, num_operations=150, policy=policy,
+                rng=np.random.default_rng(SEEDS[1]), mode=mode,
+            )
+            report = reconfig_conformance(result, system, timeline.membership)
+            yield f"reconfig/{mode}/{policy}", {
+                "epochs": _epochs(result), "checks": checks(report),
+            }
+    result = run_reconfig_event_workload(
+        system, timeline=timeline, num_clients=4, operations_per_client=18,
+        rng=np.random.default_rng(SEEDS[1]),
+    )
+    yield "reconfig/event", {
+        "epochs": _epochs(result),
+        "clock": [fields(o.result, CLOCK_FIELDS) for o in result.outcomes],
+        "check": fields(result.check, CHECK_FIELDS),
+        "windows": [(w.index, w.start, w.end, w.members, w.b) for w in result.windows],
+        "history": len(result.history),
+    }
+
+
+def trace_rows(system):
+    for seed in SEEDS:
+        result = run_trace_workload(
+            system, b=1, trace=TraceScenario(name="diurnal", skew=1.0),
+            num_operations=160, num_clients=4, rng=np.random.default_rng(seed),
+        )
+        yield f"trace/diurnal/{seed}", {
+            **fields(result, RESULT_FIELDS + CLOCK_FIELDS),
+            **fields(result, ("queue_delay_mean", "queue_delay_p99", "arrival_rate")),
+            "check": fields(result.check, CHECK_FIELDS),
+        }
+
+
+@dataclass
+class Replay:
+    """ServiceRunResult-shaped view of the pinned live history (duck-typed)."""
+
+    system: object
+    b: int
+    strategy: object
+    records: list
+    check: object
+    per_server_load: dict
+
+
+def replay_rows():
+    meta = json.loads((FIXTURES / "service_mgrid_meta.json").read_text())
+    records = load_history_jsonl(FIXTURES / "service_mgrid_history.jsonl")
+    system = build(SystemSpec(construction="mgrid", params=dict(meta["spec"]["params"])))
+    successful = [record for record in records if record.success]
+    replay = Replay(
+        system=system,
+        b=meta["b"],
+        strategy=resolve_strategy(system, meta["strategy"]),
+        records=records,
+        check=check_register_history(records),
+        per_server_load={
+            server: sum(1 for r in successful if r.quorum and server in r.quorum)
+            / max(1, len(successful))
+            for server in system.universe
+        },
+    )
+    yield "service_conformance/replay", checks(service_conformance(replay))
+    crashed = [system.universe.element_at(0)]
+    yield "service_conformance/replay+crash", checks(
+        service_conformance(replay, crash_sets=[crashed])
+    )
+    yield "recovery_conformance/replay", checks(
+        recovery_conformance(
+            replay, server_id=crashed[0], recovered_timestamp=(10**6, 0),
+            post_result=replay,
+        )
+    )
+
+
+def rows():
+    system = MGrid(5, 1)
+    yield from facade_rows()
+    yield from adversarial_rows(system)
+    yield from reconfig_rows(system)
+    yield from trace_rows(system)
+    for p in (0.1, 0.3):
+        result, report = percolation_conformance(system, p=p, phases=60, seed=SEEDS[0])
+        yield f"percolation_conformance/{p}", {
+            **fields(result, RESULT_FIELDS), "checks": checks(report),
+        }
+    yield from replay_rows()
+
+
+def main(argv: list[str]) -> int:
+    lines = [
+        f"{key}\t{json.dumps(canon(value), sort_keys=True)}" for key, value in rows()
+    ]
+    if "--dump" in argv:
+        print("\n".join(lines))
+    else:
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        print(f"{digest}  {len(lines)} rows")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

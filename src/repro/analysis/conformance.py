@@ -266,6 +266,91 @@ def _binomial_slack(rate: float, trials: int, z: float) -> float:
 
 
 # ----------------------------------------------------------------------
+# Bound builders: each of the paper's bounds is spelled once, here, and the
+# run-level checks below compose them under their own metric names/tags.
+# ----------------------------------------------------------------------
+def _envelope_bound(
+    strategy: Strategy, universe: Universe, crash_sets: Sequence[Iterable]
+) -> float:
+    """Load envelope: the restricted induced load maximised over the crash
+    sets a run actually realised."""
+    per_set = restricted_induced_loads(strategy, universe, crash_sets)
+    finite = per_set[~np.isnan(per_set)]
+    return float(finite.max()) if finite.size else 0.0
+
+
+def _worst_case_bound(
+    system: QuorumSystem, strategy: Strategy | None, b: int
+) -> float | None:
+    """Load worst case: :func:`worst_case_induced_load`, or ``None`` when
+    there is no strategy or the enumeration exceeds its budget."""
+    if strategy is None:
+        return None
+    try:
+        return worst_case_induced_load(system, strategy, b=b)
+    except ComputationError:
+        return None
+
+
+def _lp_bound(system: QuorumSystem) -> float | None:
+    """``L(Q)`` of the Definition 3.8 LP, or ``None`` when it is intractable."""
+    try:
+        return float(exact_load(system).load)
+    except ComputationError:
+        return None
+
+
+def _load_checks(
+    observed: float, successful: int, z: float, bounds: Iterable[tuple]
+) -> list[ConformanceCheck]:
+    """Hold an observed load to ``(metric, direction, bound, detail)`` rows.
+
+    Every load bound is an expectation over ``successful`` operations, so
+    each gets that sample's binomial slack; rows whose bound is ``None``
+    (not computable for the system) are skipped.
+    """
+    return [
+        ConformanceCheck(
+            metric=metric,
+            observed=observed,
+            bound=bound,
+            direction=direction,
+            slack=_binomial_slack(bound, successful, z),
+            detail=detail,
+        )
+        for metric, direction, bound, detail in bounds
+        if bound is not None
+    ]
+
+
+_LP_DETAIL = "L(Q) of the Definition 3.8 LP — no strategy induces less"
+
+
+def _zero_checks(*rows: tuple) -> list[ConformanceCheck]:
+    """Exact zero bounds (no slack) from ``(metric, observed, detail)`` rows."""
+    return [
+        ConformanceCheck(
+            metric=metric, observed=float(observed), bound=0.0, direction="<=", detail=detail
+        )
+        for metric, observed, detail in rows
+    ]
+
+
+def _masking_checks(
+    fabricated: int,
+    stale: int,
+    successful_reads: int,
+    details: tuple[str, str],
+    metrics: tuple[str, str] = ("fabricated-reads", "stale-read-rate"),
+) -> list[ConformanceCheck]:
+    """The Lemma 3.6 zero bounds: no fabricated reads, zero stale-read rate."""
+    return _zero_checks(
+        (metrics[0], fabricated, details[0]),
+        (metrics[1], stale / max(1, successful_reads), details[1]),
+    )
+
+
+# ----------------------------------------------------------------------
 # Run-level conformance checks.
 # ----------------------------------------------------------------------
 def load_conformance(
@@ -274,7 +359,6 @@ def load_conformance(
     *,
     b: int | None = None,
     z: float = DEFAULT_Z,
-    worst_case_limit: int = ENUMERATION_LIMIT,
 ) -> ConformanceReport:
     """Check an adversarial run's empirical load against the load bounds.
 
@@ -293,64 +377,31 @@ def load_conformance(
             "the adversarial result carries no strategy; rerun through "
             "run_adversarial_workload"
         )
-    universe = system.universe
-    successful = result.successful_reads + result.successful_writes
-    observed = result.empirical_load
-
     crash_sets = [round_.fault.crashed for round_ in result.rounds]
-    per_round = restricted_induced_loads(result.strategy, universe, crash_sets)
-    finite = per_round[~np.isnan(per_round)]
-    envelope = float(finite.max()) if finite.size else 0.0
-    checks = [
-        ConformanceCheck(
-            metric="load-envelope",
-            observed=observed,
-            bound=envelope,
-            direction="<=",
-            slack=_binomial_slack(envelope, successful, z),
-            detail=(
-                "restricted induced load maximised over the adversary's "
-                f"{len(result.rounds)} realised crash sets"
-            ),
-        )
-    ]
-
     budget = b if b is not None else max(
         (round_.fault.num_crashed for round_ in result.rounds), default=0
     )
-    try:
-        worst = worst_case_induced_load(
-            system, result.strategy, b=budget, limit=worst_case_limit
-        )
-    except ComputationError:
-        worst = None
-    if worst is not None:
-        checks.append(
-            ConformanceCheck(
-                metric="load-worst-case",
-                observed=observed,
-                bound=worst,
-                direction="<=",
-                slack=_binomial_slack(worst, successful, z),
-                detail=f"restricted induced load over every crash set of size <= {budget}",
-            )
-        )
-
-    try:
-        lp_load = float(exact_load(system).load)
-    except ComputationError:
-        lp_load = None
-    if lp_load is not None:
-        checks.append(
-            ConformanceCheck(
-                metric="load-lp-lower-bound",
-                observed=observed,
-                bound=lp_load,
-                direction=">=",
-                slack=_binomial_slack(lp_load, successful, z),
-                detail="L(Q) of the Definition 3.8 LP — no strategy induces less",
-            )
-        )
+    checks = _load_checks(
+        result.empirical_load,
+        result.successful_reads + result.successful_writes,
+        z,
+        [
+            (
+                "load-envelope",
+                "<=",
+                _envelope_bound(result.strategy, system.universe, crash_sets),
+                "restricted induced load maximised over the adversary's "
+                f"{len(result.rounds)} realised crash sets",
+            ),
+            (
+                "load-worst-case",
+                "<=",
+                _worst_case_bound(system, result.strategy, budget),
+                f"restricted induced load over every crash set of size <= {budget}",
+            ),
+            ("load-lp-lower-bound", ">=", _lp_bound(system), _LP_DETAIL),
+        ],
+    )
     return ConformanceReport(checks=tuple(checks))
 
 
@@ -364,32 +415,21 @@ def masking_conformance(result: WorkloadResult, *, b: int) -> ConformanceReport:
     the guarantee does not apply and the check is vacuous by construction —
     overloaded negative runs should expect failures here).
     """
-    successful_reads = max(1, result.successful_reads)
-    rounds = getattr(result, "rounds", ())
-    max_byzantine = max(
-        (round_.fault.num_byzantine for round_ in rounds), default=0
+    checks = _masking_checks(
+        result.consistency_violations,
+        result.stale_reads,
+        result.successful_reads,
+        (
+            f"Lemma 3.6: no fabrication with <= b={b} liars",
+            "Lemma 3.6: reads see the latest completed write",
+        ),
     )
-    checks = [
-        ConformanceCheck(
-            metric="fabricated-reads",
-            observed=float(result.consistency_violations),
-            bound=0.0,
-            direction="<=",
-            detail=f"Lemma 3.6: no fabrication with <= b={b} liars",
-        ),
-        ConformanceCheck(
-            metric="stale-read-rate",
-            observed=result.stale_reads / successful_reads,
-            bound=0.0,
-            direction="<=",
-            detail="Lemma 3.6: reads see the latest completed write",
-        ),
-    ]
+    rounds = getattr(result, "rounds", ())
     if rounds:
         checks.append(
             ConformanceCheck(
                 metric="byzantine-budget",
-                observed=float(max_byzantine),
+                observed=float(max(round_.fault.num_byzantine for round_ in rounds)),
                 bound=float(b),
                 direction="<=",
                 detail="the adversary stayed within the masking parameter",
@@ -403,7 +443,6 @@ def service_conformance(
     *,
     crash_sets: Sequence[Iterable] | None = None,
     z: float = DEFAULT_Z,
-    worst_case_limit: int = ENUMERATION_LIMIT,
 ) -> ConformanceReport:
     """Check a *live-traffic* run against the paper's bounds.
 
@@ -437,99 +476,48 @@ def service_conformance(
     system: QuorumSystem = result.system
     history = result.check
     successful = [record for record in result.records if record.success]
-    successful_reads = max(
-        1, sum(1 for record in successful if record.kind == "read")
-    )
-    observed = (
-        max(result.per_server_load.values()) if result.per_server_load else 0.0
-    )
-
-    checks = [
-        ConformanceCheck(
-            metric="fabricated-reads",
-            observed=float(history.fabricated_reads),
-            bound=0.0,
-            direction="<=",
-            detail=f"Lemma 3.6 over live traffic: no fabrication with <= b={result.b} liars",
+    checks = _masking_checks(
+        history.fabricated_reads,
+        history.stale_reads,
+        sum(1 for record in successful if record.kind == "read"),
+        (
+            f"Lemma 3.6 over live traffic: no fabrication with <= b={result.b} liars",
+            "Lemma 3.6 over live traffic: reads see the latest completed write",
         ),
-        ConformanceCheck(
-            metric="stale-read-rate",
-            observed=history.stale_reads / successful_reads,
-            bound=0.0,
-            direction="<=",
-            detail="Lemma 3.6 over live traffic: reads see the latest completed write",
-        ),
-        ConformanceCheck(
-            metric="history-safety",
-            observed=float(
-                history.write_order_violations + history.duplicate_write_timestamps
-            ),
-            bound=0.0,
-            direction="<=",
-            detail="real-time write order and unique write timestamps",
-        ),
-    ]
-
-    realised: list[tuple] = [()]
-    for crash_set in crash_sets or ():
-        realised.append(tuple(crash_set))
-    per_set = restricted_induced_loads(result.strategy, system.universe, realised)
-    finite = per_set[~np.isnan(per_set)]
-    envelope = float(finite.max()) if finite.size else 0.0
-    checks.append(
-        ConformanceCheck(
-            metric="load-envelope",
-            observed=observed,
-            bound=envelope,
-            direction="<=",
-            slack=_binomial_slack(envelope, len(successful), z),
-            detail=(
-                "restricted induced load of the client strategy over the "
-                f"{len(realised)} realised crash sets"
-            ),
+    ) + _zero_checks(
+        (
+            "history-safety",
+            history.write_order_violations + history.duplicate_write_timestamps,
+            "real-time write order and unique write timestamps",
         )
     )
 
+    realised: list[tuple] = [()] + [tuple(crash_set) for crash_set in crash_sets or ()]
     # The crash-budget worst case only bounds runs whose outages stayed
     # within the masking budget (its quantifier ranges over sets of size
-    # <= b); larger realised crash sets are covered by the envelope above.
-    if all(len(crash_set) <= result.b for crash_set in realised):
-        try:
-            worst = worst_case_induced_load(
-                system, result.strategy, b=result.b, limit=worst_case_limit
-            )
-        except ComputationError:
-            worst = None
-        if worst is not None:
-            checks.append(
-                ConformanceCheck(
-                    metric="load-worst-case",
-                    observed=observed,
-                    bound=worst,
-                    direction="<=",
-                    slack=_binomial_slack(worst, len(successful), z),
-                    detail=(
-                        "restricted induced load over every crash set of size "
-                        f"<= {result.b}"
-                    ),
-                )
-            )
-
-    try:
-        lp_load = float(exact_load(system).load)
-    except ComputationError:
-        lp_load = None
-    if lp_load is not None:
-        checks.append(
-            ConformanceCheck(
-                metric="load-lp-lower-bound",
-                observed=observed,
-                bound=lp_load,
-                direction=">=",
-                slack=_binomial_slack(lp_load, len(successful), z),
-                detail="L(Q) of the Definition 3.8 LP — no strategy induces less",
-            )
-        )
+    # <= b); larger realised crash sets are covered by the envelope.
+    within_budget = all(len(crash_set) <= result.b for crash_set in realised)
+    checks += _load_checks(
+        max(result.per_server_load.values(), default=0.0),
+        len(successful),
+        z,
+        [
+            (
+                "load-envelope",
+                "<=",
+                _envelope_bound(result.strategy, system.universe, realised),
+                "restricted induced load of the client strategy over the "
+                f"{len(realised)} realised crash sets",
+            ),
+            (
+                "load-worst-case",
+                "<=",
+                _worst_case_bound(system, result.strategy, result.b) if within_budget else None,
+                f"restricted induced load over every crash set of size <= {result.b}",
+            ),
+            ("load-lp-lower-bound", ">=", _lp_bound(system), _LP_DETAIL),
+        ],
+    )
     return ConformanceReport(checks=tuple(checks))
 
 
@@ -612,31 +600,16 @@ def recovery_conformance(
                     "recovery_conformance post_result must be ServiceRunResult-"
                     f"shaped; {type(post_result).__name__} has no {attribute!r}"
                 )
-        post_history = post_result.check
-        post_reads = max(
-            1,
+        checks += _masking_checks(
+            post_result.check.fabricated_reads,
+            post_result.check.stale_reads,
             sum(1 for record in post_result.records if record.success and record.kind == "read"),
-        )
-        checks.append(
-            ConformanceCheck(
-                metric="post-restart-fabricated",
-                observed=float(post_history.fabricated_reads),
-                bound=0.0,
-                direction="<=",
-                detail="Lemma 3.6 across the restart: no fabricated reads",
-            )
-        )
-        checks.append(
-            ConformanceCheck(
-                metric="post-restart-stale-rate",
-                observed=post_history.stale_reads / post_reads,
-                bound=0.0,
-                direction="<=",
-                detail=(
-                    "Lemma 3.6 across the restart: staleness bound holds with "
-                    "no client-side initial_pair chaining"
-                ),
-            )
+            (
+                "Lemma 3.6 across the restart: no fabricated reads",
+                "Lemma 3.6 across the restart: staleness bound holds with "
+                "no client-side initial_pair chaining",
+            ),
+            metrics=("post-restart-fabricated", "post-restart-stale-rate"),
         )
     return ConformanceReport(checks=tuple(checks))
 
@@ -658,24 +631,16 @@ def availability_conformance(
     :func:`~repro.core.analytic.analytic_failure_probability`.
     """
     fp = float(analytic_failure_probability(system, p).value)
-    slack = _binomial_slack(fp, trials, z)
-    checks = (
+    checks = tuple(
         ConformanceCheck(
-            metric="failure-rate-upper",
+            metric=f"failure-rate-{side}",
             observed=observed_failure_rate,
             bound=fp,
-            direction="<=",
-            slack=slack,
+            direction=direction,
+            slack=_binomial_slack(fp, trials, z),
             detail=f"closed-form Fp({p}) = {fp:.6g} over {trials} trials",
-        ),
-        ConformanceCheck(
-            metric="failure-rate-lower",
-            observed=observed_failure_rate,
-            bound=fp,
-            direction=">=",
-            slack=slack,
-            detail=f"closed-form Fp({p}) = {fp:.6g} over {trials} trials",
-        ),
+        )
+        for side, direction in (("upper", "<="), ("lower", ">="))
     )
     return ConformanceReport(checks=checks)
 
@@ -724,7 +689,6 @@ def reconfig_conformance(
     membership: Membership,
     *,
     z: float = DEFAULT_Z,
-    worst_case_limit: int = ENUMERATION_LIMIT,
 ) -> ConformanceReport:
     """Check every epoch of a reconfiguration run against its own closed forms.
 
@@ -755,69 +719,33 @@ def reconfig_conformance(
         rebound = membership.rebind(system, outcome.index)
         run = outcome.result
         tag = f"[e{outcome.index}]"
-        successful = run.operations - run.failed_operations
-        observed = run.empirical_load
-
-        if outcome.policy != "reweight":
-            try:
-                lp_load = float(exact_load(rebound).load)
-            except ComputationError:
-                lp_load = None
-            if lp_load is not None:
-                checks.append(
-                    ConformanceCheck(
-                        metric=f"load-lp-lower-bound{tag}",
-                        observed=observed,
-                        bound=lp_load,
-                        direction=">=",
-                        slack=_binomial_slack(lp_load, successful, z),
-                        detail=(
-                            f"L(Q) of epoch {outcome.index}'s rebound system "
-                            f"{outcome.system_name} (n={outcome.n})"
-                        ),
-                    )
-                )
-
-        if outcome.strategy is not None:
-            try:
-                worst = worst_case_induced_load(
-                    rebound, outcome.strategy, b=outcome.b, limit=worst_case_limit
-                )
-            except ComputationError:
-                worst = None
-            if worst is not None:
-                checks.append(
-                    ConformanceCheck(
-                        metric=f"load-envelope{tag}",
-                        observed=observed,
-                        bound=worst,
-                        direction="<=",
-                        slack=_binomial_slack(worst, successful, z),
-                        detail=(
-                            "restricted induced load of the epoch's strategy over "
-                            f"every crash set of size <= b={outcome.b}"
-                        ),
-                    )
-                )
-
-        successful_reads = max(1, run.successful_reads)
-        checks.append(
-            ConformanceCheck(
-                metric=f"fabricated-reads{tag}",
-                observed=float(run.consistency_violations),
-                bound=0.0,
-                direction="<=",
-                detail=f"Lemma 3.6 with the epoch's own b={outcome.b}",
-            )
-        )
-        checks.append(
-            ConformanceCheck(
-                metric=f"stale-read-rate{tag}",
-                observed=run.stale_reads / successful_reads,
-                bound=0.0,
-                direction="<=",
-                detail=f"Lemma 3.6 with the epoch's own b={outcome.b}",
-            )
+        masking_detail = f"Lemma 3.6 with the epoch's own b={outcome.b}"
+        checks += _load_checks(
+            run.empirical_load,
+            run.operations - run.failed_operations,
+            z,
+            [
+                (
+                    f"load-lp-lower-bound{tag}",
+                    ">=",
+                    _lp_bound(rebound) if outcome.policy != "reweight" else None,
+                    f"L(Q) of epoch {outcome.index}'s rebound system "
+                    f"{outcome.system_name} (n={outcome.n})",
+                ),
+                (
+                    f"load-envelope{tag}",
+                    "<=",
+                    _worst_case_bound(rebound, outcome.strategy, outcome.b),
+                    "restricted induced load of the epoch's strategy over "
+                    f"every crash set of size <= b={outcome.b}",
+                ),
+            ],
+        ) + _masking_checks(
+            run.consistency_violations,
+            run.stale_reads,
+            run.successful_reads,
+            (masking_detail, masking_detail),
+            metrics=(f"fabricated-reads{tag}", f"stale-read-rate{tag}"),
         )
     return ConformanceReport(checks=tuple(checks))
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -38,12 +39,15 @@ from repro.core.quorum_system import ImplicitQuorumSystem, QuorumSystem
 from repro.core.strategy import Strategy
 from repro.exceptions import ComputationError, InvalidParameterError
 from repro.simulation.adversary import AdaptiveScenario, run_adversarial_workload
+from repro.simulation.engine import WorkloadResult
 from repro.simulation.faults import FaultScenario
+from repro.simulation.history import HistoryCheck
 from repro.simulation.reconfig import (
+    ReconfigResult,
     run_reconfig_event_workload,
     run_reconfig_workload,
 )
-from repro.simulation.runner import run_event_workload, run_workload
+from repro.simulation.runner import LATENCY_FIELDS, run_event_workload, run_workload
 from repro.simulation.scenarios import TimingScenario, WorkloadScenario
 from repro.simulation.traces import TraceScenario, run_trace_workload
 
@@ -95,7 +99,8 @@ class WorkloadSpec:
     max_attempts:
         Probe budget per operation.
     allow_overload:
-        Permit more Byzantine servers than ``b`` (negative tests).
+        Permit more Byzantine servers than ``b`` (negative tests; moot on
+        reconfiguration runs, whose epochs are fault-free).
     num_samples:
         Sample size when the facade must switch to sampled-quorum mode.
     membership:
@@ -167,7 +172,11 @@ class WorkloadReport:
         Fraction of operations that completed.
     consistent / consistency_violations / stale_reads:
         The consistency verdict (violations must be 0 whenever the
-        Byzantine count is within ``b``).
+        Byzantine count is within ``b``).  On every run that recorded a
+        history (event engine, live service) they are the checker's:
+        ``consistent`` is :attr:`~repro.simulation.history.HistoryCheck.ok`
+        and every counter except stale reads is a violation; on the
+        vectorised engine they are the vouching rule's own counters.
     empirical_load / busiest_server:
         The busiest server's measured access frequency over successful
         operations (Definition 3.8's empirical counterpart) and which
@@ -353,18 +362,17 @@ def _pick_engine(engine: str, scenario: object) -> str:
     return engine
 
 
-def _event_scenario(
-    scenario: object,
-) -> tuple[TimingScenario | FaultScenario, str | None]:
+def _event_scenario(scenario: object) -> TimingScenario | FaultScenario:
     """Translate an untimed scenario for the event engine.
 
-    Single-phase :class:`WorkloadScenario` unwraps to its fault state (plus
-    the matching replica behaviour); multi-phase schedules are fractions of
-    an *operation batch*, which a clock-driven engine cannot honour, so they
-    are rejected rather than silently misinterpreted.
+    A single-phase :class:`WorkloadScenario` unwraps to its fault state.
+    Multi-phase schedules are fractions of an *operation batch*, which a
+    clock-driven engine cannot honour, and the two-camp ``"equivocate"``
+    vouch model has no replica behaviour behind it; both are rejected
+    rather than silently misinterpreted.
     """
     if isinstance(scenario, (TimingScenario, FaultScenario)):
-        return scenario, None
+        return scenario
     if isinstance(scenario, WorkloadScenario):
         if scenario.num_phases != 1:
             raise InvalidParameterError(
@@ -372,129 +380,97 @@ def _event_scenario(
                 "operation-fraction phases; the event engine needs a timed "
                 "scenario (TimingScenario) for mid-run transitions"
             )
-        behaviour = (
-            "equivocate"
-            if scenario.byzantine_model == "equivocate"
-            else "fabricate-timestamp"
-        )
-        return scenario.phases[0], behaviour
+        if scenario.byzantine_model == "equivocate":
+            raise InvalidParameterError(
+                f"scenario {scenario.name!r} splits its liars into two "
+                "conflicting camps, a vouch model only the vectorised engine "
+                "implements; use engine='auto' or 'vectorized'"
+            )
+        return scenario.phases[0]
     raise InvalidParameterError(f"cannot run {type(scenario).__name__} on the event engine")
 
 
 def _run_reconfig(
     spec: WorkloadSpec,
     system: QuorumSystem,
-    b: int,
     scenario: ReconfigScenario,
     chosen: str,
     rng: np.random.Generator,
-    *,
-    sampled: bool,
-    registry_spec: dict | None,
-) -> WorkloadReport:
+) -> ReconfigResult:
     """Route a reconfiguration scenario to the matching epoch driver.
 
     The per-epoch masking parameter is the spec's ``b`` clamped to each
     epoch's own bound (each epoch's bound directly when the spec left ``b``
     unset); ``report.b`` records the fixed-membership resolution and the
-    ``epochs`` list carries the per-epoch values.  ``empirical_load`` is the
-    worst per-epoch load, and the event engine's latency fields are
-    operation-weighted means of the per-epoch statistics (the stitched
-    timeline has no single latency distribution).
+    ``epochs`` list carries the per-epoch values.
     """
     timeline = scenario.membership.build(system.universe)
-    policy = scenario.membership.policy
+    shared = {
+        "timeline": timeline,
+        "b": spec.b,
+        "policy": scenario.membership.policy,
+        "strategy": spec.strategy,
+        "rng": rng,
+        "write_fraction": spec.write_fraction,
+        "max_attempts": spec.max_attempts,
+    }
     if chosen == "vectorized":
-        result = run_reconfig_workload(
-            system,
-            timeline=timeline,
-            b=spec.b,
-            num_operations=spec.operations,
-            policy=policy,
-            strategy=spec.strategy,
-            rng=rng,
-            write_fraction=spec.write_fraction,
-            max_attempts=spec.max_attempts,
-            allow_overload=spec.allow_overload,
-        )
-        consistent = result.is_consistent
-        violations = result.consistency_violations
-        stale = result.stale_reads
-        extras: dict = {}
-    else:
-        per_client = max(
+        return run_reconfig_workload(system, num_operations=spec.operations, **shared)
+    return run_reconfig_event_workload(
+        system,
+        num_clients=spec.clients,
+        operations_per_client=max(
             timeline.num_epochs, math.ceil(spec.operations / spec.clients)
-        )
-        result = run_reconfig_event_workload(
-            system,
-            timeline=timeline,
-            b=spec.b,
-            num_clients=spec.clients,
-            operations_per_client=per_client,
-            policy=policy,
-            strategy=spec.strategy,
-            rng=rng,
-            write_fraction=spec.write_fraction,
-            max_attempts=spec.max_attempts,
-        )
-        check = result.check
-        consistent = check.ok
-        violations = (
-            check.fabricated_reads
-            + check.write_order_violations
-            + check.duplicate_write_timestamps
-            + check.cross_epoch_reads
-            + check.foreign_quorum_members
-        )
-        stale = check.stale_reads
-        total = sum(o.result.operations for o in result.outcomes)
-
-        def weighted(attr: str) -> float:
-            return float(
-                sum(
-                    getattr(o.result, attr) * o.result.operations
-                    for o in result.outcomes
-                )
-                / total
-            )
-
-        extras = {
-            "latency_mean": weighted("latency_mean"),
-            "latency_p50": weighted("latency_p50"),
-            "latency_p90": weighted("latency_p90"),
-            "latency_p99": weighted("latency_p99"),
-            "duration": float(sum(o.result.duration for o in result.outcomes)),
-            "timeouts": int(sum(o.result.timeouts for o in result.outcomes)),
-            "events_processed": int(
-                sum(o.result.events_processed for o in result.outcomes)
-            ),
-        }
-
-    operations = sum(o.result.operations for o in result.outcomes)
-    failed = sum(o.result.failed_operations for o in result.outcomes)
-    return WorkloadReport(
-        engine=chosen,
-        system=system.name,
-        n=system.n,
-        b=b,
-        scenario=scenario.name,
-        strategy=_strategy_label(spec.strategy),
-        seed=spec.seed,
-        sampled=sampled,
-        operations=operations,
-        successful_reads=sum(o.result.successful_reads for o in result.outcomes),
-        successful_writes=sum(o.result.successful_writes for o in result.outcomes),
-        failed_operations=failed,
-        availability=(operations - failed) / operations if operations else 0.0,
-        consistent=bool(consistent),
-        consistency_violations=int(violations),
-        stale_reads=int(stale),
-        empirical_load=max(o.result.empirical_load for o in result.outcomes),
-        busiest_server="",
-        spec=registry_spec,
-        epochs=[o.to_dict() for o in result.outcomes],
-        **extras,
+        ),
+        **shared,
     )
+
+
+#: Event-engine clock measurements; ``None`` on results that have no clock.
+CLOCK_FIELDS = (*LATENCY_FIELDS, "duration", "timeouts", "events_processed")
+
+
+def assemble_report(
+    result: WorkloadResult, check: HistoryCheck | None, **fields: Any
+) -> WorkloadReport:
+    """Normalise one engine result into a :class:`WorkloadReport`.
+
+    Every report — the facade's, on either engine, with or without
+    reconfiguration, and the live service's — is built here, so each derived
+    field has one definition:
+
+    * ``consistent`` / ``consistency_violations`` / ``stale_reads`` come from
+      ``check`` whenever a history was recorded (``consistent == check.ok``;
+      every counter except stale reads is a violation) and from the engine's
+      own counters otherwise;
+    * the clock fields are the result's (``None`` where it has no clock);
+    * ``busiest_server`` is the server attaining ``empirical_load``.
+
+    ``fields`` carries the run's coordinates (``engine``, ``system``, ``n``,
+    ``b``, ``scenario``, ``strategy``, ``seed``, ``sampled``, ``spec``) and
+    overrides any derived field the caller defines differently.
+    """
+    consistent, violations = result.is_consistent, result.consistency_violations
+    stale = result.stale_reads
+    if check is not None:
+        consistent, violations, stale = check.ok, check.safety_violations, check.stale_reads
+    busiest = ""
+    if result.per_server_load and result.empirical_load > 0.0:
+        busiest = repr(max(result.per_server_load, key=result.per_server_load.get))
+    derived = {
+        "operations": int(result.operations),
+        "successful_reads": int(result.successful_reads),
+        "successful_writes": int(result.successful_writes),
+        "failed_operations": int(result.failed_operations),
+        "availability": float(result.availability),
+        "consistent": bool(consistent),
+        "consistency_violations": int(violations),
+        "stale_reads": int(stale),
+        "empirical_load": float(result.empirical_load),
+        "busiest_server": busiest,
+        **{name: getattr(result, name, None) for name in CLOCK_FIELDS},
+    }
+    return WorkloadReport(**{**derived, **fields})
 
 
 def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
@@ -514,6 +490,11 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
     records it), which is what lets
     ``python -m repro run --construction mgrid --n 4096 --scenario crash``
     complete without materialising the ``> 10^6``-quorum family.
+
+    On a reconfiguration run ``empirical_load`` is the worst per-epoch load
+    (no single server attains it across rebound systems, so
+    ``busiest_server`` is empty) and the event engine's latency fields are
+    operation-weighted means of the per-epoch statistics.
     """
     if not isinstance(spec, WorkloadSpec):
         raise InvalidParameterError(
@@ -526,10 +507,26 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
     chosen = _pick_engine(engine, scenario)
     rng = np.random.default_rng(spec.seed)
 
+    coordinates = {
+        "engine": chosen,
+        "system": system.name,
+        "n": system.n,
+        "b": b,
+        "strategy": _strategy_label(spec.strategy),
+        "seed": spec.seed,
+        "sampled": sampled,
+        "spec": registry_spec,
+    }
     if isinstance(scenario, ReconfigScenario):
-        return _run_reconfig(
-            spec, system, b, scenario, chosen, rng,
-            sampled=sampled, registry_spec=registry_spec,
+        reconfig = _run_reconfig(spec, system, scenario, chosen, rng)
+        return assemble_report(
+            reconfig.whole,
+            reconfig.check,
+            scenario=scenario.name,
+            empirical_load=max(o.result.empirical_load for o in reconfig.outcomes),
+            busiest_server="",
+            epochs=[outcome.to_dict() for outcome in reconfig.outcomes],
+            **coordinates,
         )
     if isinstance(scenario, AdaptiveScenario):
         result = run_adversarial_workload(
@@ -545,7 +542,6 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
             allow_overload=spec.allow_overload,
             byzantine_model=scenario.byzantine_model,
         )
-        extras: dict = {}
     elif isinstance(scenario, TraceScenario):
         result = run_trace_workload(
             system,
@@ -559,15 +555,6 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
             max_attempts=spec.max_attempts,
             allow_overload=spec.allow_overload,
         )
-        extras = {
-            "latency_mean": float(result.latency_mean),
-            "latency_p50": float(result.latency_p50),
-            "latency_p90": float(result.latency_p90),
-            "latency_p99": float(result.latency_p99),
-            "duration": float(result.duration),
-            "timeouts": int(result.timeouts),
-            "events_processed": int(result.events_processed),
-        }
     elif chosen == "vectorized":
         if isinstance(scenario, FaultScenario):
             scenario = WorkloadScenario.from_fault_scenario(scenario)
@@ -582,55 +569,22 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
             max_attempts=spec.max_attempts,
             allow_overload=spec.allow_overload,
         )
-        extras: dict = {}
     else:
-        event_scenario, behaviour = _event_scenario(scenario)
-        per_client = max(1, math.ceil(spec.operations / spec.clients))
         result = run_event_workload(
             system,
             b=b,
             num_clients=spec.clients,
-            operations_per_client=per_client,
-            scenario=event_scenario,
-            byzantine_behaviour=behaviour,
+            operations_per_client=max(1, math.ceil(spec.operations / spec.clients)),
+            scenario=_event_scenario(scenario),
             write_fraction=spec.write_fraction,
             max_attempts=spec.max_attempts,
             strategy=spec.strategy,
             rng=rng,
             allow_overload=spec.allow_overload,
         )
-        extras = {
-            "latency_mean": float(result.latency_mean),
-            "latency_p50": float(result.latency_p50),
-            "latency_p90": float(result.latency_p90),
-            "latency_p99": float(result.latency_p99),
-            "duration": float(result.duration),
-            "timeouts": int(result.timeouts),
-            "events_processed": int(result.events_processed),
-        }
-
-    busiest = ""
-    if result.per_server_load and result.empirical_load > 0.0:
-        busiest = repr(max(result.per_server_load, key=result.per_server_load.get))
-    return WorkloadReport(
-        engine=chosen,
-        system=system.name,
-        n=system.n,
-        b=b,
+    return assemble_report(
+        result,
+        getattr(result, "check", None),
         scenario=_scenario_label(spec.scenario),
-        strategy=_strategy_label(spec.strategy),
-        seed=spec.seed,
-        sampled=sampled,
-        operations=int(result.operations),
-        successful_reads=int(result.successful_reads),
-        successful_writes=int(result.successful_writes),
-        failed_operations=int(result.failed_operations),
-        availability=float(result.availability),
-        consistent=bool(result.is_consistent),
-        consistency_violations=int(result.consistency_violations),
-        stale_reads=int(result.stale_reads),
-        empirical_load=float(result.empirical_load),
-        busiest_server=busiest,
-        spec=registry_spec,
-        **extras,
+        **coordinates,
     )

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Hashable
 
 from repro.api.registry import SystemSpec, build, spec_of
-from repro.api.workloads import WorkloadReport
+from repro.api.workloads import assemble_report
 from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
@@ -46,7 +46,7 @@ from repro.exceptions import ServiceError
 from repro.service import wire
 from repro.service.client import ServiceQuorumClient, call_endpoint
 from repro.simulation.client import RetryPolicy, access_frequencies, vouched_pair
-from repro.simulation.engine import resolve_strategy
+from repro.simulation.engine import WorkloadResult, resolve_strategy
 from repro.simulation.history import (
     HistoryCheck,
     HistoryRecorder,
@@ -54,6 +54,7 @@ from repro.simulation.history import (
     freeze_value,
 )
 from repro.simulation.messages import ValueTimestampPair
+from repro.simulation.runner import latency_summary
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
 from repro.simulation.traces import TraceScenario
 from repro.storage import FsyncPolicy
@@ -472,24 +473,23 @@ class ServiceRunResult:
         verdict and the client-side timeout count.
         """
         successful = self.successful
-        latencies = sorted(r.responded_at - r.invoked_at for r in successful)
-
-        def percentile(fraction: float) -> float | None:
-            if not latencies:
-                return None
-            rank = min(len(latencies) - 1, max(0, int(fraction * len(latencies))))
-            return latencies[rank]
-
         try:
             registry_spec = spec_of(self.system).to_dict()
         except Exception:  # pragma: no cover - non-registry systems
             registry_spec = None
-        busiest = ""
-        if self.per_server_load and max(self.per_server_load.values()) > 0.0:
-            busiest = repr(
-                max(self.per_server_load, key=self.per_server_load.get)
-            )
-        report = WorkloadReport(
+        accounting = WorkloadResult(
+            operations=self.operations,
+            successful_reads=sum(1 for r in successful if r.kind == "read"),
+            successful_writes=sum(1 for r in successful if r.kind == "write"),
+            failed_operations=self.operations - len(successful),
+            consistency_violations=self.check.fabricated_reads,
+            stale_reads=self.check.stale_reads,
+            empirical_load=max(self.per_server_load.values(), default=0.0),
+            per_server_load=self.per_server_load,
+        )
+        report = assemble_report(
+            accounting,
+            self.check,
             engine="service",
             system=self.system.name,
             n=self.system.n,
@@ -498,33 +498,10 @@ class ServiceRunResult:
             strategy=strategy_label,
             seed=self.seed,
             sampled=False,
-            operations=self.operations,
-            successful_reads=sum(1 for r in successful if r.kind == "read"),
-            successful_writes=sum(1 for r in successful if r.kind == "write"),
-            failed_operations=self.operations - len(successful),
-            availability=(
-                len(successful) / self.operations if self.operations else 0.0
-            ),
-            consistent=self.check.ok,
-            consistency_violations=(
-                self.check.fabricated_reads
-                + self.check.write_order_violations
-                + self.check.duplicate_write_timestamps
-            ),
-            stale_reads=self.check.stale_reads,
-            empirical_load=(
-                max(self.per_server_load.values()) if self.per_server_load else 0.0
-            ),
-            busiest_server=busiest,
             spec=registry_spec,
-            latency_mean=(
-                sum(latencies) / len(latencies) if latencies else None
-            ),
-            latency_p50=percentile(0.50),
-            latency_p90=percentile(0.90),
-            latency_p99=percentile(0.99),
             duration=self.duration,
             timeouts=self.timeouts,
+            **latency_summary([r.responded_at - r.invoked_at for r in successful], None),
         ).to_dict()
         report["service"] = {
             "clients": self.clients,

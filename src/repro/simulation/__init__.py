@@ -62,7 +62,6 @@ from repro.simulation.reconfig import (
     REOPTIMISE_POLICIES,
     EpochOutcome,
     MembershipTimeline,
-    ReconfigEventResult,
     ReconfigResult,
     reoptimise_strategy,
     run_reconfig_event_workload,
@@ -72,6 +71,7 @@ from repro.simulation.register import ReplicatedRegister
 from repro.simulation.runner import (
     EventWorkloadResult,
     build_replicas,
+    latency_summary,
     run_event_workload,
     run_workload,
 )
@@ -130,7 +130,6 @@ __all__ = [
     "OperationRecord",
     "OperationResult",
     "QuorumClient",
-    "ReconfigEventResult",
     "ReconfigResult",
     "ReplicaServer",
     "ReplicatedRegister",
@@ -155,6 +154,7 @@ __all__ = [
     "fault_free_scenario",
     "flaky_links_scenario",
     "hot_quorum_strategy",
+    "latency_summary",
     "lattice_embedding",
     "partition_scenario",
     "percolation_scenario",

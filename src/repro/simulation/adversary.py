@@ -32,6 +32,7 @@ other scenario.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
 
@@ -187,20 +188,6 @@ class AdversarialResult(WorkloadResult):
         )
 
 
-def _counts_from(result: WorkloadResult, universe: Universe) -> dict[Hashable, int]:
-    """Recover integer per-server successful-access counts from a result.
-
-    The engine normalises counts by the successful-operation total; the
-    division is exact in floating point for any realistic count, so rounding
-    recovers the integers.
-    """
-    successful = max(1, result.successful_reads + result.successful_writes)
-    return {
-        server: int(round(result.per_server_load[server] * successful))
-        for server in universe
-    }
-
-
 def _round_sizes(num_operations: int, rounds: int) -> list[int]:
     """Split ``num_operations`` into ``rounds`` near-equal positive chunks."""
     boundaries = [(index * num_operations) // rounds for index in range(rounds + 1)]
@@ -249,18 +236,8 @@ def run_adversarial_workload(
     universe = system.universe
     resolved = resolve_strategy(system, strategy)
 
-    counts: dict[Hashable, int] = {server: 0 for server in universe}
+    counts: Counter = Counter()
     round_records: list[AdversarialRound] = []
-    totals = {
-        "successful_reads": 0,
-        "successful_writes": 0,
-        "failed_operations": 0,
-        "consistency_violations": 0,
-        "stale_reads": 0,
-    }
-    attempted = {server: 0.0 for server in universe}
-    messages = {server: 0.0 for server in universe}
-
     for index, chunk in enumerate(_round_sizes(num_operations, rounds)):
         fault = policy.choose(universe, b, counts)
         scenario = WorkloadScenario.from_fault_scenario(
@@ -280,34 +257,9 @@ def run_adversarial_workload(
             allow_overload=allow_overload,
         )
         round_records.append(AdversarialRound(index=index, fault=fault, result=result))
-        round_counts = _counts_from(result, universe)
-        for server in universe:
-            counts[server] += round_counts[server]
-            attempted[server] += result.per_server_attempted[server] * chunk
-            messages[server] += result.per_server_messages[server] * chunk
-        totals["successful_reads"] += result.successful_reads
-        totals["successful_writes"] += result.successful_writes
-        totals["failed_operations"] += result.failed_operations
-        totals["consistency_violations"] += result.consistency_violations
-        totals["stale_reads"] += result.stale_reads
-
-    successful = max(1, totals["successful_reads"] + totals["successful_writes"])
-    per_server_load = {server: counts[server] / successful for server in universe}
-    return AdversarialResult(
-        operations=num_operations,
-        successful_reads=totals["successful_reads"],
-        successful_writes=totals["successful_writes"],
-        failed_operations=totals["failed_operations"],
-        consistency_violations=totals["consistency_violations"],
-        stale_reads=totals["stale_reads"],
-        empirical_load=max(per_server_load.values()),
-        per_server_load=per_server_load,
-        per_server_messages={
-            server: messages[server] / num_operations for server in universe
-        },
-        per_server_attempted={
-            server: attempted[server] / num_operations for server in universe
-        },
+        counts.update(result.tallies())
+    return AdversarialResult.fold(
+        [round_.result for round_ in round_records],
         rounds=tuple(round_records),
         strategy=resolved,
     )

@@ -53,7 +53,10 @@ measured quantities relate to Definition 3.8 / Definition 3.10.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -129,6 +132,56 @@ class WorkloadResult:
     def is_consistent(self) -> bool:
         """Whether no read ever returned a fabricated or unwritten value."""
         return self.consistency_violations == 0
+
+    def tallies(self, name: str = "per_server_load") -> dict:
+        """The integer per-server tallies behind one of the frequency fields.
+
+        Every per-server frequency is a tally over a denominator —
+        successful operations for ``per_server_load``, all operations for
+        ``per_server_attempted`` / ``per_server_messages`` — and the
+        division is exact enough that rounding restores the integer.
+        """
+        weight = self.operations
+        if name == "per_server_load":
+            weight = max(1, self.successful_reads + self.successful_writes)
+        return {
+            server: round(frequency * weight)
+            for server, frequency in getattr(self, name).items()
+        }
+
+    @classmethod
+    def fold(cls, parts: Sequence[WorkloadResult], **extra: Any) -> WorkloadResult:
+        """Combine consecutive segments of one run (rounds, epochs) into a whole.
+
+        Counters add; per-server :meth:`tallies` add and are renormalised by
+        the whole's denominator, so the result is what one run over all the
+        segments would have reported and a one-part fold is the identity.
+        A server absent from a segment (a membership epoch it was severed
+        in) counts zero there.  ``extra`` fills the fields a subclass adds.
+        """
+        operations = sum(part.operations for part in parts)
+        successful = sum(part.successful_reads + part.successful_writes for part in parts)
+
+        def frequencies(name: str, total: int) -> dict:
+            summed: Counter = Counter()
+            for part in parts:
+                summed.update(part.tallies(name))
+            return {server: tally / total for server, tally in summed.items()}
+
+        per_server_load = frequencies("per_server_load", max(1, successful))
+        return cls(
+            operations=operations,
+            successful_reads=sum(part.successful_reads for part in parts),
+            successful_writes=sum(part.successful_writes for part in parts),
+            failed_operations=sum(part.failed_operations for part in parts),
+            consistency_violations=sum(part.consistency_violations for part in parts),
+            stale_reads=sum(part.stale_reads for part in parts),
+            empirical_load=max(per_server_load.values(), default=0.0),
+            per_server_load=per_server_load,
+            per_server_messages=frequencies("per_server_messages", operations),
+            per_server_attempted=frequencies("per_server_attempted", operations),
+            **extra,
+        )
 
 
 def resolve_strategy(system: QuorumSystem, strategy: Strategy | str | None) -> Strategy:

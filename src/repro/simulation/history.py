@@ -217,16 +217,21 @@ class HistoryCheck:
     violations: tuple = ()
 
     @property
+    def safety_violations(self) -> int:
+        """Every counted violation except stale reads, which reports keep
+        apart (staleness is a freshness failure, the rest are safety ones)."""
+        return (
+            self.fabricated_reads
+            + self.write_order_violations
+            + self.duplicate_write_timestamps
+            + self.cross_epoch_reads
+            + self.foreign_quorum_members
+        )
+
+    @property
     def ok(self) -> bool:
         """Whether the history satisfies the masked-register semantics."""
-        return (
-            self.fabricated_reads == 0
-            and self.stale_reads == 0
-            and self.write_order_violations == 0
-            and self.duplicate_write_timestamps == 0
-            and self.cross_epoch_reads == 0
-            and self.foreign_quorum_members == 0
-        )
+        return self.safety_violations == 0 and self.stale_reads == 0
 
 
 def _count_concurrent_pairs(records: Sequence[OperationRecord]) -> int:

@@ -51,14 +51,12 @@ from repro.simulation.history import (
     HistoryCheck,
     check_register_history,
 )
-from repro.simulation.runner import run_event_workload
-from repro.simulation.scenarios import WorkloadScenario
+from repro.simulation.runner import EventWorkloadResult, run_event_workload
 
 __all__ = [
     "REOPTIMISE_POLICIES",
     "EpochOutcome",
     "MembershipTimeline",
-    "ReconfigEventResult",
     "ReconfigResult",
     "reoptimise_strategy",
     "run_reconfig_event_workload",
@@ -172,66 +170,22 @@ class EpochOutcome:
 
 @dataclass(frozen=True)
 class ReconfigResult:
-    """Aggregate outcome of a reconfiguration workload (vectorised engine)."""
+    """Outcome of a reconfiguration workload, on either engine.
 
-    outcomes: tuple[EpochOutcome, ...]
-
-    @property
-    def num_epochs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def operations(self) -> int:
-        return sum(outcome.result.operations for outcome in self.outcomes)
-
-    @property
-    def failed_operations(self) -> int:
-        return sum(outcome.result.failed_operations for outcome in self.outcomes)
-
-    @property
-    def consistency_violations(self) -> int:
-        return sum(
-            outcome.result.consistency_violations for outcome in self.outcomes
-        )
-
-    @property
-    def stale_reads(self) -> int:
-        return sum(outcome.result.stale_reads for outcome in self.outcomes)
-
-    @property
-    def availability(self) -> float:
-        total = self.operations
-        if total == 0:
-            return 0.0
-        return (total - self.failed_operations) / total
-
-    @property
-    def is_consistent(self) -> bool:
-        return self.consistency_violations == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "num_epochs": self.num_epochs,
-            "operations": self.operations,
-            "availability": self.availability,
-            "consistency_violations": self.consistency_violations,
-            "stale_reads": self.stale_reads,
-            "epochs": [outcome.to_dict() for outcome in self.outcomes],
-        }
-
-
-@dataclass(frozen=True)
-class ReconfigEventResult:
-    """Aggregate outcome of a reconfiguration workload (event engine).
-
-    ``check`` is the verdict of the epoch-extended register checker over the
-    stitched history; ``windows`` are the epoch windows it was checked
-    against, and ``history`` the combined (time-shifted) records.
+    ``whole`` is the :meth:`~repro.simulation.engine.WorkloadResult.fold` of
+    the epochs' results (an
+    :class:`~repro.simulation.runner.EventWorkloadResult`, clock included, on
+    the event engine).  The event engine also records the stitched,
+    time-shifted ``history``, the epoch ``windows`` it was checked against
+    and the epoch-extended register checker's verdict ``check``; on the
+    vectorised engine those three are empty and the verdict is the engine's
+    own violation count.
     """
 
     outcomes: tuple[EpochOutcome, ...]
-    windows: tuple[EpochWindow, ...]
-    check: HistoryCheck
+    whole: WorkloadResult
+    windows: tuple[EpochWindow, ...] = ()
+    check: HistoryCheck | None = None
     history: tuple = ()
 
     @property
@@ -239,22 +193,16 @@ class ReconfigEventResult:
         return len(self.outcomes)
 
     @property
-    def operations(self) -> int:
-        return sum(outcome.result.operations for outcome in self.outcomes)
-
-    @property
     def is_consistent(self) -> bool:
-        return self.check.ok
+        return self.check.ok if self.check is not None else self.whole.is_consistent
 
     def to_dict(self) -> dict:
         return {
             "num_epochs": self.num_epochs,
-            "operations": self.operations,
-            "check_ok": self.check.ok,
-            "fabricated_reads": self.check.fabricated_reads,
-            "stale_reads": self.check.stale_reads,
-            "cross_epoch_reads": self.check.cross_epoch_reads,
-            "foreign_quorum_members": self.check.foreign_quorum_members,
+            "operations": self.whole.operations,
+            "availability": self.whole.availability,
+            "consistency_violations": self.whole.consistency_violations,
+            "stale_reads": self.whole.stale_reads,
             "epochs": [outcome.to_dict() for outcome in self.outcomes],
         }
 
@@ -306,13 +254,53 @@ def _epoch_b(b: int | None, rebound: QuorumSystem) -> int:
     return min(b, bound)
 
 
-def _check_initial(system: QuorumSystem, timeline: MembershipTimeline) -> None:
-    if timeline.membership.initial != system.universe:
+def _run_epochs(
+    system: QuorumSystem,
+    timeline: MembershipTimeline,
+    b: int | None,
+    strategy: Strategy | str | None,
+    policy: str,
+    run_epoch: Callable[[Epoch, QuorumSystem, int, Strategy], WorkloadResult],
+) -> tuple[EpochOutcome, ...]:
+    """The per-epoch plan both engines follow.
+
+    Each epoch rebinds the system to its membership, takes the initial
+    strategy (epoch 0) or re-optimises the previous epoch's under
+    ``policy``, clamps ``b`` to what the rebound system can mask, and hands
+    ``(epoch, rebound system, epoch b, strategy)`` to ``run_epoch`` — the
+    only engine-specific step.
+    """
+    membership = timeline.membership
+    if membership.initial != system.universe:
         raise SimulationError(
             "the timeline's initial universe must match the deployed system's "
-            f"universe (epoch 0 has n={timeline.membership.initial.size}, "
+            f"universe (epoch 0 has n={membership.initial.size}, "
             f"system has n={system.universe.size})"
         )
+    outcomes: list[EpochOutcome] = []
+    current: Strategy | None = None
+    for epoch in membership:
+        rebound = membership.rebind(system, epoch.index)
+        if epoch.index == 0:
+            current, applied = resolve_strategy(rebound, strategy), "initial"
+        else:
+            current, applied = reoptimise_strategy(
+                system, membership, epoch.index, previous=current, policy=policy
+            )
+        epoch_b = _epoch_b(b, rebound)
+        outcomes.append(
+            EpochOutcome(
+                index=epoch.index,
+                n=epoch.n,
+                b=epoch_b,
+                system_name=rebound.name,
+                policy=applied,
+                support_size=len(current),
+                result=run_epoch(epoch, rebound, epoch_b, current),
+                strategy=current,
+            )
+        )
+    return tuple(outcomes)
 
 
 def run_reconfig_workload(
@@ -321,14 +309,11 @@ def run_reconfig_workload(
     timeline: MembershipTimeline,
     b: int | None = None,
     num_operations: int = 300,
-    scenario_factory: Callable[[Epoch, QuorumSystem], WorkloadScenario | None]
-    | None = None,
     policy: str = "reweight",
     strategy: Strategy | str | None = None,
     rng: np.random.Generator | int | None = None,
     write_fraction: float = 0.5,
     max_attempts: int = 10,
-    allow_overload: bool = False,
     mode: str = "vectorised",
 ) -> ReconfigResult:
     """Drive the vectorised engine through a membership timeline.
@@ -344,10 +329,7 @@ def run_reconfig_workload(
         Masking parameter; clamped per epoch to the rebound system's own
         bound (``None`` uses each epoch's bound directly).
     num_operations:
-        Total operations across all epochs.
-    scenario_factory:
-        Optional callable ``(epoch, rebound_system) -> scenario`` injecting
-        per-epoch faults (``None`` runs every epoch fault-free).
+        Total operations across all epochs (every epoch runs fault-free).
     policy:
         Strategy re-optimisation policy on epoch change (see
         :func:`reoptimise_strategy`).
@@ -359,52 +341,29 @@ def run_reconfig_workload(
         :func:`~repro.simulation.engine.run_scenario`; both modes consume
         the same continuing rng stream and agree bit for bit.
     """
-    _check_initial(system, timeline)
     rng = ensure_rng(rng)
     operations = timeline.operations_per_epoch(num_operations)
-    membership = timeline.membership
 
-    outcomes: list[EpochOutcome] = []
-    current: Strategy | None = None
-    for epoch in membership:
-        rebound = membership.rebind(system, epoch.index)
-        if epoch.index == 0:
-            current = resolve_strategy(rebound, strategy)
-            applied = "initial"
-        else:
-            current, applied = reoptimise_strategy(
-                system, membership, epoch.index, previous=current, policy=policy
-            )
-        epoch_b = _epoch_b(b, rebound)
-        scenario = (
-            scenario_factory(epoch, rebound) if scenario_factory is not None else None
-        )
-        result = run_scenario(
+    def run_epoch(
+        epoch: Epoch, rebound: QuorumSystem, epoch_b: int, current: Strategy
+    ) -> WorkloadResult:
+        return run_scenario(
             rebound,
             b=epoch_b,
             num_operations=operations[epoch.index],
-            scenario=scenario,
             strategy=current,
             rng=rng,
             write_fraction=write_fraction,
             max_attempts=max_attempts,
-            allow_overload=allow_overload,
             mode=mode,
             epoch=epoch.index,
         )
-        outcomes.append(
-            EpochOutcome(
-                index=epoch.index,
-                n=epoch.n,
-                b=epoch_b,
-                system_name=rebound.name,
-                policy=applied,
-                support_size=len(current),
-                result=result,
-                strategy=current,
-            )
-        )
-    return ReconfigResult(outcomes=tuple(outcomes))
+
+    outcomes = _run_epochs(system, timeline, b, strategy, policy, run_epoch)
+    return ReconfigResult(
+        outcomes=outcomes,
+        whole=WorkloadResult.fold([outcome.result for outcome in outcomes]),
+    )
 
 
 def run_reconfig_event_workload(
@@ -420,7 +379,7 @@ def run_reconfig_event_workload(
     write_fraction: float = 0.5,
     max_attempts: int = 10,
     keep_history: bool = True,
-) -> ReconfigEventResult:
+) -> ReconfigResult:
     """Drive the event-driven protocol stack through a membership timeline.
 
     Each epoch runs its slice of every client's operation budget
@@ -429,26 +388,14 @@ def run_reconfig_event_workload(
     time axis, and the combined history is checked with the epoch-extended
     register checker — zero violations expected at ≤ b faults per epoch.
     """
-    _check_initial(system, timeline)
     rng = ensure_rng(rng)
     per_client = timeline.operations_per_epoch(operations_per_client)
-    membership = timeline.membership
-
-    outcomes: list[EpochOutcome] = []
     windows: list[EpochWindow] = []
     combined: list = []
-    offset = 0.0
-    current: Strategy | None = None
-    for epoch in membership:
-        rebound = membership.rebind(system, epoch.index)
-        if epoch.index == 0:
-            current = resolve_strategy(rebound, strategy)
-            applied = "initial"
-        else:
-            current, applied = reoptimise_strategy(
-                system, membership, epoch.index, previous=current, policy=policy
-            )
-        epoch_b = _epoch_b(b, rebound)
+
+    def run_epoch(
+        epoch: Epoch, rebound: QuorumSystem, epoch_b: int, current: Strategy
+    ) -> WorkloadResult:
         result = run_event_workload(
             rebound,
             b=epoch_b,
@@ -460,42 +407,32 @@ def run_reconfig_event_workload(
             max_attempts=max_attempts,
             keep_history=True,
         )
-        for record in result.history:
-            combined.append(
-                replace(
-                    record,
-                    invoked_at=record.invoked_at + offset,
-                    responded_at=record.responded_at + offset,
-                )
+        offset = windows[-1].end if windows else 0.0
+        combined.extend(
+            replace(
+                record,
+                invoked_at=record.invoked_at + offset,
+                responded_at=record.responded_at + offset,
             )
-        span = offset + result.duration + 1.0
+            for record in result.history
+        )
         windows.append(
             EpochWindow(
                 index=epoch.index,
                 start=offset,
-                end=span,
+                end=offset + result.duration + 1.0,
                 members=epoch.member_set(),
                 b=epoch_b,
             )
         )
-        offset = span
-        outcomes.append(
-            EpochOutcome(
-                index=epoch.index,
-                n=epoch.n,
-                b=epoch_b,
-                system_name=rebound.name,
-                policy=applied,
-                support_size=len(current),
-                result=result,
-                strategy=current,
-            )
-        )
+        return result
+
+    outcomes = _run_epochs(system, timeline, b, strategy, policy, run_epoch)
     windows[-1] = replace(windows[-1], end=float("inf"))
-    check = check_register_history(combined, epochs=windows)
-    return ReconfigEventResult(
-        outcomes=tuple(outcomes),
+    return ReconfigResult(
+        outcomes=outcomes,
+        whole=EventWorkloadResult.fold([outcome.result for outcome in outcomes]),
         windows=tuple(windows),
-        check=check,
+        check=check_register_history(combined, epochs=windows),
         history=tuple(combined) if keep_history else (),
     )

@@ -24,8 +24,9 @@ load, which could exceed 1 under heavy faults).
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -61,6 +62,7 @@ __all__ = [
     "EventWorkloadResult",
     "WorkloadResult",
     "build_replicas",
+    "latency_summary",
     "run_event_workload",
     "run_workload",
 ]
@@ -95,6 +97,10 @@ def build_replicas(
         else:
             servers[server_id] = ReplicaServer(server_id, initial_value=initial_value)
     return servers
+
+
+#: The latency statistics every clocked result and report carries.
+LATENCY_FIELDS = ("latency_mean", "latency_p50", "latency_p90", "latency_p99")
 
 
 @dataclass
@@ -135,6 +141,41 @@ class EventWorkloadResult(WorkloadResult):
     latency_p99: float = 0.0
     check: HistoryCheck | None = None
     history: tuple = field(default_factory=tuple)
+
+    @classmethod
+    def fold(cls, parts: Sequence[WorkloadResult], **extra: Any) -> WorkloadResult:
+        """Fold the clock too: durations, events and timeouts add, and the
+        latency statistics become operation-weighted means of the segments'
+        (a stitched timeline has no single latency distribution)."""
+        operations = sum(part.operations for part in parts)
+        means = {
+            name: float(
+                sum(getattr(part, name) * part.operations for part in parts) / operations
+            )
+            for name in LATENCY_FIELDS
+        }
+        return super().fold(
+            parts,
+            duration=float(sum(part.duration for part in parts)),
+            events_processed=sum(part.events_processed for part in parts),
+            timeouts=sum(part.timeouts for part in parts),
+            **means,
+            **extra,
+        )
+
+
+def latency_summary(samples: Sequence[float], empty: float | None) -> dict:
+    """Mean and p50/p90/p99 of latency samples, keyed by :data:`LATENCY_FIELDS`.
+
+    The one estimator behind every report's latency fields: ``np.percentile``
+    (linear interpolation).  With no samples every statistic is ``empty`` —
+    ``0.0`` on simulator results, ``None`` on live-service reports.
+    """
+    sample = np.array(samples)
+    if not sample.size:
+        return dict.fromkeys(LATENCY_FIELDS, empty)
+    statistics = [sample.mean(), *np.percentile(sample, [50, 90, 99])]
+    return dict(zip(LATENCY_FIELDS, map(float, statistics)))
 
 
 def _resolve_timing(scenario, latency, link_faults, byzantine_behaviour):
@@ -277,7 +318,6 @@ class EventStack:
         per_server_load, per_server_attempted = access_frequencies(
             self.clients, self.system.universe
         )
-        sample = np.array(latencies)
         return result_type(
             operations=operations,
             successful_reads=sum(1 for r in successful if r.kind == "read"),
@@ -292,10 +332,7 @@ class EventStack:
             duration=max(r.responded_at for r in records) - started_at if records else 0.0,
             events_processed=self.scheduler.events_processed,
             timeouts=sum(client.timeouts for client in self.clients),
-            latency_mean=float(sample.mean()) if sample.size else 0.0,
-            latency_p50=float(np.percentile(sample, 50)) if sample.size else 0.0,
-            latency_p90=float(np.percentile(sample, 90)) if sample.size else 0.0,
-            latency_p99=float(np.percentile(sample, 99)) if sample.size else 0.0,
+            **latency_summary(latencies, 0.0),
             check=check,
             history=tuple(records) if keep_history else (),
             **extra,

@@ -45,7 +45,7 @@ from repro.exceptions import SimulationError
 from repro.simulation.engine import resolve_strategy
 from repro.simulation.events import FaultTimeline, LatencyModel, LinkFaults
 from repro.simulation.faults import FaultScenario
-from repro.simulation.runner import EventStack, EventWorkloadResult
+from repro.simulation.runner import EventStack, EventWorkloadResult, latency_summary
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
 
 __all__ = [
@@ -318,14 +318,14 @@ def run_trace_workload(
         )
     scheduler.run()
 
-    queue_array = np.array(queue_delays)
+    queueing = latency_summary(queue_delays, 0.0)
     span = arrivals[-1][0] - arrivals[0][0] if len(arrivals) > 1 else 0.0
     return stack.result(
         TraceWorkloadResult,
         sojourns,
         started_at=arrivals[0][0],
         keep_history=keep_history,
-        queue_delay_mean=float(queue_array.mean()) if queue_array.size else 0.0,
-        queue_delay_p99=float(np.percentile(queue_array, 99)) if queue_array.size else 0.0,
+        queue_delay_mean=queueing["latency_mean"],
+        queue_delay_p99=queueing["latency_p99"],
         arrival_rate=len(arrivals) / span if span > 0.0 else 0.0,
     )

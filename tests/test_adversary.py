@@ -31,9 +31,11 @@ from repro.analysis import (
 from repro.exceptions import SimulationError
 from repro.simulation import (
     AdaptiveScenario,
+    AdversarialResult,
     FaultInjector,
     GreedyLoadAdversary,
     StaleReadAdversary,
+    WorkloadResult,
     WorkloadScenario,
     resolve_strategy,
     run_adversarial_workload,
@@ -111,6 +113,68 @@ class TestRoundLoop:
         assert result.empirical_load == pytest.approx(
             max(result.per_server_load.values())
         )
+
+    @pytest.mark.parametrize("policy", [GreedyLoadAdversary(), StaleReadAdversary()])
+    def test_aggregate_is_the_fold_of_the_rounds(self, system, policy):
+        """Folding the rounds reproduces every aggregate field exactly, and
+        the per-server frequencies are integer tallies over the right
+        denominator (203 operations over 8 rounds: uneven chunks)."""
+        result = run_adversarial_workload(
+            system, b=1, policy=policy, num_operations=203, rounds=8,
+            rng=np.random.default_rng(7),
+        )
+        parts = [round_.result for round_ in result.rounds]
+        assert result == AdversarialResult.fold(
+            parts, rounds=result.rounds, strategy=result.strategy
+        )
+        succeeded = result.successful_reads + result.successful_writes
+        for name, denominator in (
+            ("per_server_load", succeeded),
+            ("per_server_attempted", 203),
+            ("per_server_messages", 203),
+        ):
+            tallies = result.tallies(name)
+            for server in system.universe:
+                assert isinstance(tallies[server], int)
+                assert tallies[server] == sum(part.tallies(name)[server] for part in parts)
+                assert getattr(result, name)[server] == tallies[server] / denominator
+
+    def test_one_part_fold_is_the_identity(self, system):
+        crashed = FaultInjector(system.universe, np.random.default_rng(2)).exact(0, 3)
+        part = run_scenario(
+            system, b=1, num_operations=49, scenario=crashed,
+            rng=np.random.default_rng(5),
+        )
+        assert part.per_server_attempted != part.per_server_load
+        assert WorkloadResult.fold([part]) == part
+
+    def test_fold_weights_by_the_right_denominator(self):
+        """Load frequencies weigh by successful operations, attempted and
+        message rates by all operations; absent servers count zero."""
+        first = WorkloadResult(
+            operations=10, successful_reads=2, successful_writes=2,
+            failed_operations=6, consistency_violations=1, stale_reads=0,
+            empirical_load=1.0,
+            per_server_load={"x": 4 / 4},
+            per_server_messages={"x": 30 / 10},
+            per_server_attempted={"x": 20 / 10},
+        )
+        second = WorkloadResult(
+            operations=30, successful_reads=20, successful_writes=10,
+            failed_operations=0, consistency_violations=0, stale_reads=2,
+            empirical_load=0.5,
+            per_server_load={"x": 15 / 30, "y": 1 / 30},
+            per_server_messages={"x": 45 / 30, "y": 3 / 30},
+            per_server_attempted={"x": 15 / 30, "y": 1 / 30},
+        )
+        whole = WorkloadResult.fold([first, second])
+        assert (whole.operations, whole.failed_operations) == (40, 6)
+        assert (whole.successful_reads, whole.successful_writes) == (22, 12)
+        assert (whole.consistency_violations, whole.stale_reads) == (1, 2)
+        assert whole.per_server_load == {"x": 19 / 34, "y": 1 / 34}
+        assert whole.per_server_attempted == {"x": 35 / 40, "y": 1 / 40}
+        assert whole.per_server_messages == {"x": 75 / 40, "y": 3 / 40}
+        assert whole.empirical_load == 19 / 34
 
     def test_trajectory_reacts_to_observed_load(self, system):
         result = run_adversarial_workload(

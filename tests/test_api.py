@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,12 +42,14 @@ from repro.api import (
     run,
     spec_of,
 )
+from repro.api.workloads import assemble_report
 from repro.core.quorum_system import ExplicitQuorumSystem, ImplicitQuorumSystem
 from repro.exceptions import (
     ComputationError,
     ConstructionError,
     InvalidParameterError,
 )
+from repro.simulation import run_event_workload
 
 #: One canonical small instance per registered construction.
 SMALL_INSTANCES = {
@@ -401,6 +404,45 @@ class TestUnifiedWorkloads:
         report = run(WorkloadSpec(system=system, b=1, operations=60, seed=3))
         assert report.b == 1
         assert report.spec is not None
+
+    def test_equivocate_is_rejected_on_the_event_engine(self):
+        """The two-camp vouch model has no replica behaviour behind it."""
+        spec = WorkloadSpec(
+            system="mgrid", params={"side": 5, "b": 1}, scenario="equivocate",
+            operations=40,
+        )
+        with pytest.raises(InvalidParameterError, match="vectorised engine"):
+            run(spec, engine="event")
+        assert run(spec).engine == "vectorized"
+
+    @pytest.mark.parametrize(
+        "counter",
+        ["write_order_violations", "duplicate_write_timestamps", "cross_epoch_reads"],
+    )
+    def test_report_verdict_is_the_history_checks(self, counter):
+        """One meaning of consistent/consistency_violations on every report
+        built from a HistoryCheck: ``check.ok`` and every non-stale counter."""
+        system = build("mgrid", side=4, b=1)
+        result = run_event_workload(
+            system, b=1, num_clients=2, operations_per_client=10,
+            rng=np.random.default_rng(3),
+        )
+        coordinates = dict(
+            engine="event", system=system.name, n=system.n, b=1,
+            scenario="fault-free", strategy="default", seed=3, sampled=False,
+        )
+        clean = assemble_report(result, result.check, **coordinates)
+        assert clean.consistent and clean.consistency_violations == 0
+        flagged = replace(result.check, **{counter: 1})
+        report = assemble_report(result, flagged, **coordinates)
+        assert report.consistent is False
+        assert report.consistency_violations == 1 and report.stale_reads == 0
+        stale = assemble_report(result, replace(result.check, stale_reads=2), **coordinates)
+        assert stale.consistent is False
+        assert (stale.consistency_violations, stale.stale_reads) == (0, 2)
+        # Without a recorded history the engine's own counters decide.
+        plain = assemble_report(result, None, **coordinates)
+        assert plain.consistent and plain.to_dict() == clean.to_dict()
 
     def test_scenario_catalogue_is_documented(self):
         catalogue = available_scenarios()

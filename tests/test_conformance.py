@@ -14,6 +14,8 @@ stand on:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,18 +24,30 @@ from repro.analysis import (
     ConformanceCheck,
     ConformanceReport,
     availability_conformance,
+    load_conformance,
     masking_conformance,
     percolation_conformance,
+    reconfig_conformance,
+    recovery_conformance,
     restricted_induced_loads,
+    service_conformance,
     worst_case_induced_load,
 )
+from repro.core import Membership
 from repro.core.load import exact_load
 from repro.exceptions import (
     ComputationError,
     ConformanceError,
     InvalidParameterError,
 )
-from repro.simulation import run_scenario
+from repro.simulation import (
+    EpochOutcome,
+    GreedyLoadAdversary,
+    HistoryCheck,
+    ReconfigResult,
+    run_adversarial_workload,
+    run_scenario,
+)
 from repro.simulation.engine import resolve_strategy
 
 
@@ -182,3 +196,97 @@ class TestAvailabilityAndMasking:
     def test_percolation_conformance_validates_inputs(self, system):
         with pytest.raises(InvalidParameterError):
             percolation_conformance(system, p=0.15, operations_per_phase=0)
+
+
+# ----------------------------------------------------------------------
+# One definition per bound: the same run reaches each builder through every
+# public function that composes it and must get the same check back.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def one_run_many_views():
+    """One fault-free adversarial run, also dressed as a one-epoch
+    reconfiguration result and as a ServiceRunResult-shaped object."""
+    system = MGrid(5, 1)
+    run = run_adversarial_workload(
+        system, b=1, policy=GreedyLoadAdversary(corruptions=0),
+        num_operations=240, rounds=4, rng=np.random.default_rng(17),
+    )
+    epoch = EpochOutcome(
+        index=0, n=system.n, b=1, system_name=system.name, policy="initial",
+        support_size=len(run.strategy), result=run, strategy=run.strategy,
+    )
+    live = SimpleNamespace(
+        system=system,
+        b=1,
+        strategy=run.strategy,
+        per_server_load=run.per_server_load,
+        check=HistoryCheck(
+            operations=run.operations, concurrent_pairs=0,
+            fabricated_reads=run.consistency_violations, stale_reads=run.stale_reads,
+        ),
+        records=[SimpleNamespace(success=True, kind="read", timestamp=None, quorum=None)]
+        * run.successful_reads
+        + [SimpleNamespace(success=True, kind="write", timestamp=None, quorum=None)]
+        * run.successful_writes,
+    )
+    reports = {
+        "load": load_conformance(run, system, b=1),
+        "masking": masking_conformance(run, b=1),
+        "service": service_conformance(live),
+        "reconfig": reconfig_conformance(
+            ReconfigResult(outcomes=(epoch,), whole=run), system,
+            Membership(system.universe, []),
+        ),
+        "recovery": recovery_conformance(
+            live, server_id=0, recovered_timestamp=(1, 0), post_result=live
+        ),
+    }
+    return {
+        name: {
+            check.metric: (check.observed, check.bound, check.direction, check.slack)
+            for check in report.checks
+        }
+        for name, report in reports.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "reached_through",
+    [
+        # builder: {public function: the metric name it files the bound under}
+        {"load": "load-envelope", "service": "load-envelope"},
+        {
+            "load": "load-worst-case",
+            "service": "load-worst-case",
+            "reconfig": "load-envelope[e0]",
+        },
+        {
+            "load": "load-lp-lower-bound",
+            "service": "load-lp-lower-bound",
+            "reconfig": "load-lp-lower-bound[e0]",
+        },
+        {
+            "masking": "fabricated-reads",
+            "service": "fabricated-reads",
+            "reconfig": "fabricated-reads[e0]",
+            "recovery": "post-restart-fabricated",
+        },
+        {
+            "masking": "stale-read-rate",
+            "service": "stale-read-rate",
+            "reconfig": "stale-read-rate[e0]",
+            "recovery": "post-restart-stale-rate",
+        },
+    ],
+    ids=["envelope", "worst-case", "lp-lower-bound", "fabricated", "stale"],
+)
+def test_each_bound_is_the_same_check_through_every_entry_point(
+    one_run_many_views, reached_through
+):
+    found = {
+        one_run_many_views[function][metric]
+        for function, metric in reached_through.items()
+    }
+    assert len(found) == 1, found
+    observed, bound, direction, slack = found.pop()
+    assert direction in ("<=", ">=") and slack >= 0.0 and bound >= 0.0

@@ -94,8 +94,8 @@ class TestVectorisedDriver:
         )
         assert result.num_epochs == 3
         assert result.is_consistent
-        assert result.consistency_violations == 0
-        assert result.operations == 120
+        assert result.whole.consistency_violations == 0
+        assert result.whole.operations == 120
         # The middle epoch really rebound to the smaller construction.
         assert result.outcomes[1].n == 16
         assert "@e1" in result.outcomes[1].system_name
@@ -189,6 +189,39 @@ class TestEventDriver:
         assert len(result.windows) == 3
         assert result.windows[-1].end == float("inf")
         assert result.history, "keep_history must populate the records"
+
+    def test_event_runs_pass_per_epoch_conformance(self):
+        """One ReconfigResult for both engines: the per-epoch bounds accept
+        an event-engine run (rejected by type before)."""
+        system, timeline = _churn_timeline()
+        result = self._run()
+        report = reconfig_conformance(result, system, timeline.membership)
+        report.require()
+        metrics = {check.metric for check in report.checks}
+        for index in range(3):
+            assert {f"load-envelope[e{index}]", f"fabricated-reads[e{index}]"} <= metrics
+
+    def test_whole_is_the_fold_of_the_epochs(self):
+        result = self._run()
+        parts = [outcome.result for outcome in result.outcomes]
+        assert result.whole == type(parts[0]).fold(parts)
+        assert result.whole.operations == 4 * 18
+        assert result.whole.duration == sum(part.duration for part in parts)
+        assert result.whole.events_processed == sum(p.events_processed for p in parts)
+        low, high = (f(part.latency_p50 for part in parts) for f in (min, max))
+        assert low <= result.whole.latency_p50 <= high
+        # Severed servers served nothing in the middle epoch but stay in the
+        # whole run's per-server accounting.
+        assert set(result.whole.per_server_load) == set(result.windows[0].members)
+
+    def test_vectorised_result_has_no_history_side(self):
+        system, timeline = _churn_timeline()
+        result = run_reconfig_workload(
+            system, timeline=timeline, num_operations=90, rng=np.random.default_rng(SEED)
+        )
+        assert (result.windows, result.check, result.history) == ((), None, ())
+        assert result.whole == type(result.whole).fold([o.result for o in result.outcomes])
+        assert not hasattr(result.whole, "latency_p50")
 
     def test_windows_carry_member_sets_and_epoch_b(self):
         result = self._run()

@@ -23,6 +23,8 @@ import pytest
 from repro.analysis import service_conformance
 from repro.api.registry import SystemSpec, build
 from repro.exceptions import SimulationError
+from repro.service import ServiceRunResult
+from repro.simulation import latency_summary
 from repro.simulation.engine import resolve_strategy
 from repro.simulation.history import (
     HistoryCheck,
@@ -194,3 +196,58 @@ def test_golden_fixture_passes_live_conformance(golden):
     assert report.ok, failed
     metrics = {check.metric for check in report.checks}
     assert {"fabricated-reads", "stale-read-rate", "history-safety", "load-envelope"} <= metrics
+
+
+# ----------------------------------------------------------------------
+# One latency estimator: a service report and an event result agree.
+# ----------------------------------------------------------------------
+def test_service_report_and_event_result_share_the_latency_estimator():
+    """The same samples give the same mean/p50/p90/p99 on both paths.
+
+    ``EventStack.result`` and ``ServiceRunResult.report`` both go through
+    ``latency_summary`` (``np.percentile``, linear interpolation); eleven
+    samples put p90 and p99 between two order statistics, where the old
+    nearest-rank service estimator disagreed.
+    """
+    samples = [0.5 + 0.37 * index**1.5 for index in range(11)]
+    system = build(SystemSpec(construction="threshold", params={"n": 5, "b": 1}))
+    records = [
+        OperationRecord(
+            client_id=0,
+            kind="write",
+            invoked_at=float(index),
+            responded_at=float(index) + sample,
+            success=True,
+            timestamp=Timestamp(counter=index + 1, client_id=0),
+            quorum=frozenset(system.universe.elements[:4]),
+            attempted_pair=ValueTimestampPair(
+                value=index, timestamp=Timestamp(counter=index + 1, client_id=0)
+            ),
+        )
+        for index, sample in enumerate(samples)
+    ]
+    result = ServiceRunResult(
+        system=system,
+        b=1,
+        seed=0,
+        operations=len(records),
+        clients=1,
+        duration=1.0,
+        strategy=resolve_strategy(system, None),
+        records=records,
+        check=check_register_history(records),
+        per_server_load={},
+        per_server_attempted={},
+        timeouts=0,
+    )
+    report = result.report()
+    event = latency_summary([r.responded_at - r.invoked_at for r in records], 0.0)
+    latencies = np.array([r.responded_at - r.invoked_at for r in records])
+    for name, quantile in (("latency_p50", 50), ("latency_p90", 90), ("latency_p99", 99)):
+        assert report[name] == event[name] == float(np.percentile(latencies, quantile))
+    assert report["latency_mean"] == event["latency_mean"]
+    assert report["latency_p99"] < latencies.max()  # interpolated, not nearest-rank
+    # The empty conventions stay per engine: 0.0 on results, None on service reports.
+    assert set(latency_summary([], 0.0).values()) == {0.0}
+    empty = ServiceRunResult(**{**vars(result), "records": [], "operations": 0})
+    assert empty.report()["latency_p50"] is None
