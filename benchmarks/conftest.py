@@ -8,7 +8,9 @@ fixed random seed so that the reported numbers are reproducible run to run.
 
 from __future__ import annotations
 
+import json
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,35 @@ def run_metadata(generator: str) -> dict:
         "numpy": np.__version__,
         "platform": platform.platform(),
     }
+
+
+def _without_noise(value: object) -> object:
+    """``value`` minus what differs between two runs of the same code: the
+    ``metadata`` header and every ``*_seconds`` / ``*_per_second`` timing."""
+    if isinstance(value, dict):
+        return {
+            key: _without_noise(item)
+            for key, item in value.items()
+            if key != "metadata" and not key.endswith(("_seconds", "_per_second"))
+        }
+    if isinstance(value, list):
+        return [_without_noise(item) for item in value]
+    return value
+
+
+def write_artifact(path: Path, payload: dict) -> None:
+    """Record ``payload`` at ``path`` — unless only timing noise changed.
+
+    A test run must not leave the tree dirty: when the file on disk differs
+    from ``payload`` in nothing but its environment stamp and timings, it is
+    left untouched (readers get the recorded run of the same results).
+    """
+    try:
+        recorded = json.loads(path.read_text())
+    except (OSError, ValueError):
+        recorded = None
+    if recorded is None or _without_noise(recorded) != _without_noise(payload):
+        path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def format_table(headers: list[str], rows: list[list[object]]) -> str:

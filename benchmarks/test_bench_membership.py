@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import ARTIFACT_SCHEMA_VERSION, format_table, run_metadata
+from conftest import ARTIFACT_SCHEMA_VERSION, format_table, run_metadata, write_artifact
 
 from repro import MGrid
 from repro.analysis import reconfig_conformance
@@ -136,7 +136,7 @@ def test_membership_reoptimisation_artifact():
         ],
         "reconfig_churn": _end_to_end_payload(),
     }
-    ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    write_artifact(ARTIFACT, payload)
 
     rows = []
     for transition in payload["transitions"]:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import ARTIFACT_SCHEMA_VERSION, format_table, run_metadata
+from conftest import ARTIFACT_SCHEMA_VERSION, format_table, run_metadata, write_artifact
 
 from repro import MGrid
 from repro.analysis import adversarial_conformance, percolation_conformance
@@ -121,7 +121,7 @@ def test_scenario_suite_conformance_artifact():
         "percolation": _percolation_payload(),
         "diurnal_trace": _trace_payload(),
     }
-    ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    write_artifact(ARTIFACT, payload)
 
     adversarial = payload["adversarial"]["greedy-load"]
     rows = [

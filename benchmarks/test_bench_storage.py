@@ -25,7 +25,7 @@ import json
 import time
 from pathlib import Path
 
-from conftest import ARTIFACT_SCHEMA_VERSION, format_table, run_metadata
+from conftest import ARTIFACT_SCHEMA_VERSION, format_table, run_metadata, write_artifact
 
 from repro.simulation.messages import Timestamp, ValueTimestampPair
 from repro.storage import DurableStore, WriteAheadLog, scan_wal
@@ -109,7 +109,7 @@ def test_storage_artifact(tmp_path):
         "fsync_throughput": [_time_policy(tmp_path, policy) for policy in FSYNC_POLICIES],
         "recovery": [_time_recovery(tmp_path, length) for length in RECOVERY_LENGTHS],
     }
-    ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    write_artifact(ARTIFACT, payload)
 
     rows = [
         [

@@ -24,10 +24,10 @@ from repro import (
     boost_masking,
     boosting_block,
     exact_load,
-    failure_probability,
     majority,
     verify_masking,
 )
+from repro.api import measure
 
 
 def demonstrate(regular, b: int, p: float = 0.1) -> None:
@@ -55,7 +55,7 @@ def demonstrate(regular, b: int, p: float = 0.1) -> None:
           f"(block load {block.load():.3f}, product "
           f"{regular_load * block.load():.3f})")
 
-    regular_fp = failure_probability(regular, p).value
+    regular_fp = measure(regular, "fp", p=p).value
     boosted_fp = boosted.crash_probability(p)
     print(f"  Fp({p}) : {regular_fp:.4f} -> {boosted_fp:.4f} "
           f"(composition of the two crash functions)")

@@ -67,7 +67,7 @@ def main() -> None:
     strategy = implicit.sampled_optimal_strategy()
     induced = strategy.induced_system_load(implicit.universe)
     print(f"  sampled-LP strategy over {len(strategy)} quorums, induced load {induced:.4f}"
-          f"  (closed-form L = {implicit.load():.4f})")
+          f"  (closed-form L = {analytic_load(implicit).load:.4f})")
     crash_rng = np.random.default_rng(1)
     crashed = frozenset(
         (int(row), int(column)) for row, column in crash_rng.integers(side, size=(4, 2))

@@ -23,7 +23,12 @@ whatever the exception class:
 * a diurnal ``run_trace_workload``;
 * every check of ``adversarial_``, ``reconfig_``, ``percolation_``,
   ``service_`` and ``recovery_conformance`` — the last two on the offline
-  replay of the pinned live history under ``tests/fixtures/``.
+  replay of the pinned live history under ``tests/fixtures/``;
+* the measure ladder (PR 14): ``api.measure(...).to_dict()`` for every
+  registry construction at a small size plus the benchmark's
+  ``measure_sweep`` systems x 8 measures x ``auto|exact|analytic|sampled``
+  x ``p in {0.1, 0.3}`` under one fixed ``Budget``, and the primitive paths
+  (``analytic_*`` / ``exact_*``) called directly.
 """
 
 from __future__ import annotations
@@ -46,7 +51,14 @@ from repro.analysis import (
 )
 from repro.api.registry import SystemSpec, build
 from repro.api.scenarios import available_scenarios
-from repro.core import Membership, plan_events
+from repro.core import (
+    Membership,
+    analytic_failure_probability,
+    analytic_load,
+    exact_failure_probability,
+    exact_load,
+    plan_events,
+)
 from repro.exceptions import ReproError
 from repro.simulation import (
     GreedyLoadAdversary,
@@ -249,6 +261,64 @@ def replay_rows():
     )
 
 
+MEASURE_SPECS: tuple[tuple[str, dict], ...] = (
+    # Every registry construction at a small size ...
+    ("boostfpp", {"q": 2, "b": 1}),
+    ("crumbling-wall", {"rows": (2, 3, 4)}),
+    ("fpp", {"q": 2}),
+    ("grid", {"side": 3}),
+    ("majority", {"n": 5}),
+    ("masking-grid", {"side": 4, "b": 1}),
+    ("mgrid", {"side": 4, "b": 1}),
+    ("mpath", {"side": 4, "b": 1}),
+    ("rt", {"k": 4, "l": 3, "depth": 1}),
+    ("threshold", {"n": 9, "b": 2}),
+    ("tree", {"depth": 2}),
+    ("wheel", {"n": 6}),
+    # ... and the systems of the benchmark's measure_sweep workload.
+    ("mgrid", {"n": 49, "b": 3}),
+    ("grid", {"n": 49}),
+    ("threshold", {"n": 13, "b": 3}),
+    ("mpath", {"n": 49, "b": 1}),
+    ("fpp", {"q": 3}),
+    ("boostfpp", {"q": 3, "b": 1}),
+    ("rt", {"k": 4, "l": 3, "depth": 2}),
+    ("majority", {"n": 11}),
+)
+MEASURE_PS = (0.1, 0.3)
+
+
+def _or_rejected(view, call, *args, **kwargs):
+    """``view(call(...))``, or ``"rejected"`` when the library refuses the call."""
+    try:
+        return view(call(*args, **kwargs))
+    except ReproError:
+        return "rejected"
+
+
+def measure_rows():
+    budget = api.Budget(trials=400, seed=SEEDS[1])
+    for construction, params in MEASURE_SPECS:
+        system = api.build(construction, **params)
+        where = f"{construction}/{params}"
+        for name in sorted(api.available_measures()):
+            for p in MEASURE_PS if name in ("fp", "availability") else (None,):
+                for method in ("auto", "exact", "analytic", "sampled"):
+                    yield f"measure/{where}/{name}/{method}/{p}", _or_rejected(
+                        lambda result: result.to_dict(),
+                        api.measure, system, name, method=method, p=p, budget=budget,
+                    )
+        for load in (analytic_load, exact_load):
+            yield f"{load.__name__}/{where}", _or_rejected(
+                lambda result: (result.load, result.method), load, system
+            )
+        for fp in (analytic_failure_probability, exact_failure_probability):
+            for p in MEASURE_PS:
+                yield f"{fp.__name__}/{where}/{p}", _or_rejected(
+                    lambda result: (result.value, result.method), fp, system, p
+                )
+
+
 def rows():
     system = MGrid(5, 1)
     yield from facade_rows()
@@ -261,6 +331,7 @@ def rows():
             **fields(result, RESULT_FIELDS), "checks": checks(report),
         }
     yield from replay_rows()
+    yield from measure_rows()
 
 
 def main(argv: list[str]) -> int:

@@ -52,12 +52,10 @@ from repro.core import (
     Universe,
     analytic_failure_probability,
     analytic_load,
-    best_known_load,
     compose,
     crash_probability_lower_bound,
     exact_failure_probability,
     exact_load,
-    failure_probability,
     fair_load,
     load_lower_bound,
     load_of_strategy,
@@ -145,14 +143,12 @@ __all__ = [
     "WheelQuorumSystem",
     "analytic_failure_probability",
     "analytic_load",
-    "best_known_load",
     "boost_masking",
     "boosting_block",
     "compose",
     "crash_probability_lower_bound",
     "exact_failure_probability",
     "exact_load",
-    "failure_probability",
     "fair_load",
     "load_lower_bound",
     "load_of_strategy",

@@ -65,17 +65,19 @@ def profile_system(
     *,
     b: int | None = None,
     rng: np.random.Generator | None = None,
-    mpath_trials: int = 200,
 ) -> SystemProfile:
     """Return the :class:`SystemProfile` of an already-built construction.
 
-    The load comes from the facade's measure dispatcher
+    Load and crash probability come from the facade's measure dispatcher
     (:func:`repro.api.measures.measure` with ``method="auto"``): the
-    construction's closed form when it has one, the exact LP otherwise —
-    which is what lets systems without a closed-form load (tree, wheel)
-    appear in selection tables with a real value instead of ``NaN``.  The
-    crash probability keeps the per-construction bound choices of the
-    paper's Section 8 (the specific kinds reported in Table 2).
+    construction's closed form when it has one, the exact engine otherwise
+    — which is what lets systems without a closed-form load (tree, wheel)
+    appear in selection tables with a real value instead of ``NaN`` — and
+    ``crash_probability_kind`` is read off the result's provenance.  Three
+    constructions keep the bound the paper's Section 8 reports for them
+    instead (M-Grid's lower bound, M-Path's and boostFPP's upper bounds);
+    ``rng`` only drives M-Path's percolation sampler where its bound does
+    not apply (``p >= 1/3``).
     """
     from repro.api.measures import measure  # local: analysis sits above the facade
 
@@ -94,23 +96,21 @@ def profile_system(
         try:
             crash_value = system.crash_probability_upper_bound(p)
             crash_kind = "upper-bound"
-        except Exception:
-            crash_value = system.crash_probability(p, trials=mpath_trials, rng=rng)
+        except ComputationError:
+            crash_value = system.crash_probability(p, trials=200, rng=rng)
             crash_kind = "monte-carlo"
     elif isinstance(system, BoostedFPP):
         crash_value = system.crash_probability_chernoff_bound(p)
         crash_kind = "upper-bound"
-    elif isinstance(system, (RecursiveThreshold,)):
-        crash_value = system.crash_probability(p)
-        crash_kind = "exact"
-    elif callable(getattr(system, "crash_probability", None)):
-        crash_value = system.crash_probability(p)
-        crash_kind = "exact"
     else:
-        from repro.core.availability import monte_carlo_failure_probability
-
-        crash_value = monte_carlo_failure_probability(system, p, rng=rng).value
-        crash_kind = "monte-carlo"
+        fp = measure(system, "fp", p=p)
+        crash_value = fp.value
+        if fp.method_used == "monte-carlo":
+            crash_kind = "monte-carlo"
+        elif "kind" in fp.details:  # "upper-bound" / "upper-bound (exact for ...)"
+            crash_kind = fp.details["kind"].split()[0]
+        else:
+            crash_kind = "exact"
 
     return SystemProfile(
         name=system.name,

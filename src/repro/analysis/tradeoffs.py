@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.bounds import resilience_upper_bound_from_load
-from repro.core.load import best_known_load
 from repro.core.quorum_system import QuorumSystem
 
 __all__ = ["TradeoffPoint", "tradeoff_point", "verify_tradeoff"]
@@ -52,10 +51,9 @@ class TradeoffPoint:
 def tradeoff_point(system: QuorumSystem) -> TradeoffPoint:
     """Return the trade-off data point for ``system``.
 
-    The load comes from :func:`~repro.core.load.best_known_load` (closed
-    form when the construction has one, else the fair formula, else the
-    LP), the resilience from ``MT(Q) - 1``, and the bound is Section 8's
-    ``f <= n L(Q)``.
+    The load comes from :func:`repro.api.measures.measure` (closed form
+    when the construction has one, else the LP), the resilience from
+    ``MT(Q) - 1``, and the bound is Section 8's ``f <= n L(Q)``.
 
     Examples
     --------
@@ -70,7 +68,9 @@ def tradeoff_point(system: QuorumSystem) -> TradeoffPoint:
     >>> point.slack > 0
     True
     """
-    load = best_known_load(system).load
+    from repro.api.measures import measure  # local: analysis sits above the facade
+
+    load = measure(system, "load").value
     resilience = system.min_transversal_size() - 1
     bound = resilience_upper_bound_from_load(system.n, load)
     return TradeoffPoint(

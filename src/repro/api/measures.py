@@ -1,12 +1,13 @@
 """Measure dispatcher: one ``measure()`` over the three computation paths.
 
-PRs 1–4 left the repo with three ways to compute each of the paper's
-measures — the exact enumeration/LP engine (:mod:`repro.core.load`,
-:mod:`repro.core.availability`), the closed forms
-(:mod:`repro.core.analytic`) and the sampled/Monte-Carlo estimators — each
-guarded by its own scattered :class:`~repro.exceptions.ComputationError`
-branches.  This module turns that guard-rail logic into one explicit,
-testable policy:
+There are three ways to compute each of the paper's measures — the closed
+forms (:mod:`repro.core.analytic`), the exact enumeration/LP engine
+(:mod:`repro.core.load`, :mod:`repro.core.availability`) and the
+sampled/Monte-Carlo estimators.  Those modules compute; this one is the
+only place in the repo that *chooses* between them and labels the result.
+Wrapper views (implicit, rebound) are peeled first
+(:func:`repro.core.quorum_system.unwrap`): measures are label- and
+sample-independent.
 
 ``method="auto"`` resolution order (per measure):
 
@@ -44,7 +45,7 @@ from repro.api.registry import SystemSpec, build, spec_of
 from repro.core import analytic as analytic_mod
 from repro.core import availability as availability_mod
 from repro.core import load as load_mod
-from repro.core.quorum_system import ImplicitQuorumSystem, QuorumSystem
+from repro.core.quorum_system import ImplicitQuorumSystem, QuorumSystem, unwrap
 from repro.exceptions import ComputationError, InvalidParameterError
 
 __all__ = ["Budget", "MeasureResult", "available_measures", "measure"]
@@ -188,14 +189,8 @@ def _resolve_system(
     )
 
 
-def _base_of(system: QuorumSystem) -> QuorumSystem:
-    """Resolve an implicit view to its base construction (measures are its)."""
-    return system.base if isinstance(system, ImplicitQuorumSystem) else system
-
-
-def _enumerable_within(system: QuorumSystem, budget: Budget) -> bool:
-    """Whether the (base) family fits the exact engines' quorum budget."""
-    base = _base_of(system)
+def _enumerable_within(base: QuorumSystem, budget: Budget) -> bool:
+    """Whether the (unwrapped) family fits the exact engines' quorum budget."""
     if not base.enumerates_all_quorums:
         return False
     try:
@@ -213,7 +208,7 @@ _Outcome = tuple[float, str, float, dict[str, object]]
 # or raises ComputationError when the path cannot run.
 # ----------------------------------------------------------------------
 def _load_exact(system: QuorumSystem, budget: Budget) -> _Outcome:
-    base = _base_of(system)
+    base = unwrap(system)
     if not _enumerable_within(base, budget):
         raise ComputationError(
             f"{base.name}: the load LP needs an enumerable family within "
@@ -224,7 +219,7 @@ def _load_exact(system: QuorumSystem, budget: Budget) -> _Outcome:
 
 
 def _load_analytic(system: QuorumSystem, budget: Budget) -> _Outcome:
-    result = analytic_mod.analytic_load(_base_of(system))
+    result = analytic_mod.analytic_load(system)
     return float(result.load), result.method, 0.0, {}
 
 
@@ -246,86 +241,75 @@ def _load_sampled(system: QuorumSystem, budget: Budget) -> _Outcome:
 
 
 def _fp_exact(system: QuorumSystem, p: float, budget: Budget) -> _Outcome:
-    base = _base_of(system)
-    if base.n > budget.max_universe:
-        raise ComputationError(
-            f"{base.name}: exact Fp enumerates 2^n crash configurations and "
-            f"n={base.n} exceeds the budget's max_universe={budget.max_universe}"
-        )
+    # Refuses (ComputationError) beyond 2^max_universe crash configurations.
     result = availability_mod.exact_failure_probability(
-        base, p, max_universe=budget.max_universe
+        unwrap(system), p, max_universe=budget.max_universe
     )
     return float(result.value), "enumeration", 0.0, {}
 
 
+#: Closed forms that are only a bound, by :class:`AvailabilityResult` method.
+_BOUND_KINDS = {
+    "analytic-straight-lines": "upper-bound (exact for the straight-line family)",
+    "analytic-bound": "upper-bound",
+}
+
+
 def _fp_analytic(system: QuorumSystem, p: float, budget: Budget) -> _Outcome:
-    result = analytic_mod.analytic_failure_probability(_base_of(system), p)
-    error_bound = 0.0 if result.method == "analytic" else float("inf")
-    details: dict[str, object] = {}
-    if result.method == "analytic-straight-lines":
-        details["kind"] = "upper-bound (exact for the straight-line family)"
-    elif result.method == "analytic-bound":
-        details["kind"] = "upper-bound"
-    elif result.method in ("enumeration", "inclusion-exclusion"):
-        error_bound = 0.0
-    return float(result.value), result.method, error_bound, details
+    result = analytic_mod.analytic_failure_probability(system, p)
+    kind = _BOUND_KINDS.get(result.method)
+    if kind is None:  # "analytic" / "enumeration" / "inclusion-exclusion": exact
+        return float(result.value), result.method, 0.0, {}
+    return float(result.value), result.method, float("inf"), {"kind": kind}
 
 
 def _fp_sampled(system: QuorumSystem, p: float, budget: Budget) -> _Outcome:
-    base = _base_of(system)
+    base = unwrap(system)
     rng = np.random.default_rng(budget.seed)
     estimator = getattr(base, "crash_probability", None)
-    if callable(estimator):
-        # The construction's own Monte-Carlo sampler scales to any n (it
-        # samples crash patterns, not quorums).  A closed-form
-        # crash_probability(p) without a trials knob is not a sampler.
-        try:
-            takes_trials = "trials" in inspect.signature(estimator).parameters
-        except (TypeError, ValueError):
-            takes_trials = False
-        if takes_trials:
-            value = float(estimator(p, trials=budget.trials, rng=rng))
-            half_width = 1.96 * float(
-                np.sqrt(max(value * (1.0 - value), 0.0) / budget.trials)
-            )
-            return (
-                value,
-                "monte-carlo",
-                half_width,
-                {
-                    "trials": budget.trials,
-                    "std_error": half_width / 1.96,
-                },
-            )
-    if not _enumerable_within(base, budget):
+    # The construction's own Monte-Carlo sampler scales to any n (it samples
+    # crash patterns, not quorums).  A closed-form crash_probability(p)
+    # without a trials knob is not a sampler; nor is a missing method
+    # (signature(None) raises TypeError).
+    try:
+        takes_trials = "trials" in inspect.signature(estimator).parameters
+    except (TypeError, ValueError):
+        takes_trials = False
+    if takes_trials:
+        value = float(estimator(p, trials=budget.trials, rng=rng))
+        half_width = 1.96 * float(
+            np.sqrt(max(value * (1.0 - value), 0.0) / budget.trials)
+        )
+        std_error = half_width / 1.96
+    elif _enumerable_within(base, budget):
+        result = availability_mod.monte_carlo_failure_probability(
+            base, p, trials=budget.trials, rng=rng
+        )
+        value, std_error = float(result.value), result.std_error
+        half_width = float(1.96 * std_error)
+    else:
         raise ComputationError(
             f"{base.name} has no crash-pattern sampler and its family is not "
             "enumerable; no sampled Fp path applies"
         )
-    result = availability_mod.monte_carlo_failure_probability(
-        base, p, trials=budget.trials, rng=rng
-    )
-    half_width = 1.96 * result.std_error
-    return (
-        float(result.value),
-        "monte-carlo",
-        float(half_width),
-        {"trials": result.trials, "std_error": result.std_error},
-    )
+    details = {"trials": budget.trials, "std_error": std_error}
+    return value, "monte-carlo", half_width, details
+
+
+#: The combinatorial invariants and the QuorumSystem method answering each.
+_COMBINATORIAL = {
+    "masking": "masking_bound",
+    "resilience": "resilience",
+    "min-quorum": "min_quorum_size",
+    "intersection": "min_intersection_size",
+    "transversal": "min_transversal_size",
+}
 
 
 def _combinatorial(system: QuorumSystem, measure_name: str, budget: Budget) -> _Outcome:
     """c / IS / MT / f / b — closed form when the construction has one,
     else enumeration within the budget."""
-    base = _base_of(system)
-    getter = {
-        "masking": "masking_bound",
-        "resilience": "resilience",
-        "min-quorum": "min_quorum_size",
-        "intersection": "min_intersection_size",
-        "transversal": "min_transversal_size",
-    }[measure_name]
-    value = getattr(base, getter)()
+    value = getattr(unwrap(system), _COMBINATORIAL[measure_name])()
     return float(value), "combinatorial", 0.0, {}
 
 
@@ -381,16 +365,13 @@ def measure(
             raise InvalidParameterError(
                 f"measure {measure_name!r} needs the crash probability p"
             )
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(
-                f"crash probability must lie in [0, 1], got {p}"
-            )
+        availability_mod.validate_probability(p)
     elif p is not None:
         raise InvalidParameterError(
             f"measure {measure_name!r} does not take a crash probability"
         )
 
-    if measure_name in ("masking", "resilience", "min-quorum", "intersection", "transversal"):
+    if measure_name in _COMBINATORIAL:
         if method == "sampled":
             raise ComputationError(
                 f"measure {measure_name!r} has no sampled estimator; "

@@ -275,8 +275,7 @@ def _resolve_b(spec: WorkloadSpec, system: QuorumSystem) -> int:
         if spec.b < 0:
             raise InvalidParameterError(f"b must be >= 0, got {spec.b}")
         return spec.b
-    base = system.base if isinstance(system, ImplicitQuorumSystem) else system
-    return base.masking_bound()
+    return system.masking_bound()  # wrapper views delegate to their base
 
 
 def _maybe_sampled(spec: WorkloadSpec, system: QuorumSystem) -> tuple[QuorumSystem, bool]:

@@ -31,9 +31,10 @@ import math
 
 from repro.constructions.fpp import FiniteProjectivePlane
 from repro.constructions.threshold import ThresholdQuorumSystem, boosting_block
+from repro.core.availability import validate_probability
 from repro.core.composition import ComposedQuorumSystem
 from repro.core.quorum_system import QuorumSystem
-from repro.exceptions import ConstructionError, InvalidParameterError
+from repro.exceptions import ConstructionError
 
 __all__ = ["BoostedFPP", "boost_masking"]
 
@@ -104,8 +105,7 @@ class BoostedFPP(ComposedQuorumSystem):
         ``Fp``, tight for small ``r``, and the quantity the paper's Section 8
         comparison uses.
         """
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+        validate_probability(p)
         inner_failure = self.threshold_block.crash_probability(p)
         return 1.0 - (1.0 - inner_failure) ** (self.q + 1)
 
@@ -114,8 +114,7 @@ class BoostedFPP(ComposedQuorumSystem):
 
         Only meaningful for ``p < 1/4`` (the bound is clipped at 1 otherwise).
         """
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+        validate_probability(p)
         if p >= 0.25:
             return 1.0
         bound = (self.q + 1) * math.exp(-self.b * (1.0 - 4.0 * p) ** 2 / 2.0)

@@ -14,9 +14,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.core.availability import validate_probability
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
-from repro.exceptions import InvalidParameterError
 from repro.gf.projective_plane import ProjectivePlane, projective_plane
 
 __all__ = ["FiniteProjectivePlane"]
@@ -94,6 +94,5 @@ class FiniteProjectivePlane(QuorumSystem):
         plane grows [RST92], which is why boostFPP's availability is only
         good for ``p < 1/4``.
         """
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+        validate_probability(p)
         return min(1.0, (self.q + 1) * p)

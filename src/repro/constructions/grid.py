@@ -23,10 +23,10 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.core import bitset
+from repro.core.analytic import rowcol_survival_estimate
 from repro.core.quorum_system import QuorumSystem
-from repro.core.rng import ensure_rng
 from repro.core.universe import Universe
-from repro.exceptions import ConstructionError, InvalidParameterError
+from repro.exceptions import ConstructionError
 
 __all__ = ["RegularGrid", "MaskingGrid", "grid_side_for", "render_grid_quorum"]
 
@@ -130,6 +130,10 @@ class RegularGrid(QuorumSystem):
         """Return ``(2*side - 1) / n`` (the system is fair)."""
         return (2 * self.side - 1) / self.n
 
+    #: Fully-alive ``(rows, columns)`` an untouched quorum needs: the grid
+    #: survives iff some row and some column are completely alive.
+    alive_lines = (1, 1)
+
     def crash_probability(
         self,
         p: float,
@@ -137,16 +141,12 @@ class RegularGrid(QuorumSystem):
         trials: int = 20_000,
         rng: np.random.Generator | None = None,
     ) -> float:
-        """Estimate ``Fp`` by Monte-Carlo: the grid survives iff some row and some
-        column are completely alive (that row plus that column is an untouched quorum)."""
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
-        rng = ensure_rng(rng)
-        crashed = rng.random((trials, self.side, self.side)) < p
-        alive_rows = (~crashed).all(axis=2).any(axis=1)
-        alive_columns = (~crashed).all(axis=1).any(axis=1)
-        survived = alive_rows & alive_columns
-        return float(1.0 - survived.mean())
+        """Estimate ``Fp`` by Monte-Carlo over grid crash patterns (the exact
+        value is :func:`repro.core.analytic.analytic_failure_probability`)."""
+        survive = rowcol_survival_estimate(
+            self.side, p, *self.alive_lines, trials=trials, rng=rng
+        )
+        return 1.0 - survive
 
 
 class MaskingGrid(QuorumSystem):
@@ -175,6 +175,9 @@ class MaskingGrid(QuorumSystem):
             )
         self.side = side
         self.b = b
+        #: Fully-alive ``(rows, columns)`` an untouched quorum needs: ``2b + 1``
+        #: rows and some column.
+        self.alive_lines = (2 * b + 1, 1)
         self._universe = Universe(
             (row, column) for row in range(side) for column in range(side)
         )
@@ -252,20 +255,16 @@ class MaskingGrid(QuorumSystem):
         trials: int = 20_000,
         rng: np.random.Generator | None = None,
     ) -> float:
-        """Estimate ``Fp`` by Monte-Carlo over grid crash patterns.
+        """Estimate ``Fp`` by Monte-Carlo over grid crash patterns (the exact
+        value is :func:`repro.core.analytic.analytic_failure_probability`).
 
-        A sample survives when some column is completely alive *and* at least
-        ``2b + 1`` rows are completely alive; like M-Grid's, this probability
-        tends to one as the grid grows (Table 2).
+        Like M-Grid's, this probability tends to one as the grid grows
+        (Table 2).
         """
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
-        rng = ensure_rng(rng)
-        crashed = rng.random((trials, self.side, self.side)) < p
-        alive_rows = (~crashed).all(axis=2).sum(axis=1)
-        alive_column_exists = (~crashed).all(axis=1).any(axis=1)
-        survived = (alive_rows >= 2 * self.b + 1) & alive_column_exists
-        return float(1.0 - survived.mean())
+        survive = rowcol_survival_estimate(
+            self.side, p, *self.alive_lines, trials=trials, rng=rng
+        )
+        return 1.0 - survive
 
 
 def render_grid_quorum(side: int, quorum: frozenset, *, filled: str = "#", empty: str = ".") -> str:

@@ -18,10 +18,11 @@ import numpy as np
 
 from repro.constructions.grid import _column_mask, _row_mask
 from repro.core import bitset
+from repro.core.analytic import rowcol_survival_estimate
+from repro.core.availability import validate_probability
 from repro.core.quorum_system import QuorumSystem
-from repro.core.rng import ensure_rng
 from repro.core.universe import Universe
-from repro.exceptions import ConstructionError, InvalidParameterError
+from repro.exceptions import ConstructionError
 
 __all__ = ["MGrid"]
 
@@ -62,6 +63,9 @@ class MGrid(QuorumSystem):
         self.b = b
         #: Number of rows (and of columns) per quorum, ``ceil(sqrt(b+1))``.
         self.k = k
+        #: Fully-alive ``(rows, columns)`` an untouched quorum needs: ``k`` of
+        #: each (any such rows and columns form one).
+        self.alive_lines = (k, k)
         self._universe = Universe(
             (row, column) for row in range(side) for column in range(side)
         )
@@ -157,8 +161,7 @@ class MGrid(QuorumSystem):
         the probability of that event lower-bounds ``Fp``; it tends to one as
         the grid grows, which is M-Grid's weakness.
         """
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+        validate_probability(p)
         return (1.0 - (1.0 - p) ** self.side) ** self.side
 
     def crash_probability(
@@ -168,17 +171,9 @@ class MGrid(QuorumSystem):
         trials: int = 20_000,
         rng: np.random.Generator | None = None,
     ) -> float:
-        """Estimate ``Fp`` by direct Monte-Carlo over grid crash patterns.
-
-        A sample survives when at least ``k`` rows and at least ``k`` columns
-        are completely alive (then any such rows/columns form an untouched
-        quorum); otherwise every quorum is hit.
-        """
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
-        rng = ensure_rng(rng)
-        crashed = rng.random((trials, self.side, self.side)) < p
-        alive_rows = (~crashed).all(axis=2).sum(axis=1)
-        alive_columns = (~crashed).all(axis=1).sum(axis=1)
-        survived = (alive_rows >= self.k) & (alive_columns >= self.k)
-        return float(1.0 - survived.mean())
+        """Estimate ``Fp`` by Monte-Carlo over grid crash patterns (the exact
+        value is :func:`repro.core.analytic.analytic_failure_probability`)."""
+        survive = rowcol_survival_estimate(
+            self.side, p, *self.alive_lines, trials=trials, rng=rng
+        )
+        return 1.0 - survive

@@ -29,6 +29,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.core import bitset
+from repro.core.availability import validate_probability
 from repro.core.quorum_system import ExplicitQuorumSystem, QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.universe import Universe
@@ -214,22 +215,25 @@ class MPath(QuorumSystem):
     # ------------------------------------------------------------------
     # Availability (Proposition 7.3) via percolation.
     # ------------------------------------------------------------------
-    def survives(self, crashed: set) -> bool:
-        """Return ``True`` when some quorum avoids the ``crashed`` vertices.
+    def _has_open_quorum(self, open_vertices: set) -> bool:
+        """Whether some quorum lies inside ``open_vertices``.
 
         A quorum exists among the alive vertices exactly when there are at
         least ``k`` vertex-disjoint open LR crossings *and* at least ``k``
         vertex-disjoint open TB crossings (the LR and TB families may share
         vertices with each other, just not within a family).
         """
-        open_vertices = {
-            vertex for vertex in self.grid.vertices() if vertex not in crashed
-        }
         lr = count_disjoint_crossings(self.grid, open_vertices, direction="lr")
         if lr < self.k:
             return False
         tb = count_disjoint_crossings(self.grid, open_vertices, direction="tb")
         return tb >= self.k
+
+    def survives(self, crashed: set) -> bool:
+        """Return ``True`` when some quorum avoids the ``crashed`` vertices."""
+        return self._has_open_quorum(
+            {vertex for vertex in self.grid.vertices() if vertex not in crashed}
+        )
 
     def crash_probability(
         self,
@@ -243,21 +247,14 @@ class MPath(QuorumSystem):
         Each trial crashes every vertex independently with probability ``p``
         and checks quorum survival with two max-flow computations.
         """
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+        validate_probability(p)
         if trials <= 0:
             raise InvalidParameterError(f"trials must be positive, got {trials}")
         rng = ensure_rng(rng)
-        failures = 0
-        for _ in range(trials):
-            open_vertices = sample_open_vertices(self.grid, p, rng)
-            lr = count_disjoint_crossings(self.grid, open_vertices, direction="lr")
-            if lr < self.k:
-                failures += 1
-                continue
-            tb = count_disjoint_crossings(self.grid, open_vertices, direction="tb")
-            if tb < self.k:
-                failures += 1
+        failures = sum(
+            not self._has_open_quorum(sample_open_vertices(self.grid, p, rng))
+            for _ in range(trials)
+        )
         return failures / trials
 
     def crash_probability_upper_bound(self, p: float, p_prime: float | None = None) -> float:

@@ -27,9 +27,10 @@ import numpy as np
 from scipy import stats
 
 from repro.core import bitset
+from repro.core.availability import validate_probability
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
-from repro.exceptions import ConstructionError, InvalidParameterError
+from repro.exceptions import ConstructionError
 from repro.percolation.critical import fixed_point_of_reliability
 
 __all__ = ["RecursiveThreshold"]
@@ -177,8 +178,7 @@ class RecursiveThreshold(QuorumSystem):
         ``g(p) = P(Binomial(k, p) >= k - l + 1)``; for RT(4, 3) this is the
         polynomial ``6p^2 - 8p^3 + 3p^4`` quoted in the paper.
         """
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+        validate_probability(p)
         return float(stats.binom.sf(self.k - self.l, self.k, p))
 
     def crash_probability(self, p: float) -> float:

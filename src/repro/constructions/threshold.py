@@ -24,9 +24,10 @@ import numpy as np
 from scipy import stats
 
 from repro.core import bitset
+from repro.core.availability import validate_probability
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
-from repro.exceptions import ConstructionError, InvalidParameterError
+from repro.exceptions import ConstructionError
 
 __all__ = ["ThresholdQuorumSystem", "masking_threshold", "majority", "boosting_block"]
 
@@ -142,8 +143,7 @@ class ThresholdQuorumSystem(QuorumSystem):
 
     def crash_probability(self, p: float) -> float:
         """Return the exact ``Fp``: the binomial tail ``P(#crashed >= n - k + 1)``."""
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+        validate_probability(p)
         threshold_crashes = self._n - self.k + 1
         return float(stats.binom.sf(threshold_crashes - 1, self._n, p))
 

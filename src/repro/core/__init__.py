@@ -14,7 +14,6 @@ from repro.core.analytic import (
 from repro.core.availability import (
     AvailabilityResult,
     exact_failure_probability,
-    failure_probability,
     inclusion_exclusion_failure_probability,
     is_condorcet_sequence,
     monte_carlo_failure_probability,
@@ -30,7 +29,7 @@ from repro.core.bounds import (
     resilience_upper_bound_from_load,
 )
 from repro.core.composition import ComposedQuorumSystem, compose, self_compose
-from repro.core.load import LoadResult, best_known_load, exact_load, fair_load, load_of_strategy
+from repro.core.load import LoadResult, exact_load, fair_load, load_of_strategy
 from repro.core.masking import MaskingReport, masking_report, verify_masking
 from repro.core.membership import (
     Epoch,
@@ -45,6 +44,7 @@ from repro.core.quorum_system import (
     ExplicitQuorumSystem,
     ImplicitQuorumSystem,
     QuorumSystem,
+    unwrap,
 )
 from repro.core.strategy import Strategy
 from repro.core.transversal import (
@@ -72,14 +72,12 @@ __all__ = [
     "Universe",
     "analytic_failure_probability",
     "analytic_load",
-    "best_known_load",
     "compose",
     "crash_probability_lower_bound",
     "crumbling_wall_failure_probability",
     "crash_probability_lower_bound_for_system",
     "exact_failure_probability",
     "exact_load",
-    "failure_probability",
     "fair_load",
     "greedy_transversal",
     "inclusion_exclusion_failure_probability",
@@ -103,5 +101,6 @@ __all__ = [
     "rowcol_survival_probability",
     "self_compose",
     "severed_between",
+    "unwrap",
     "verify_masking",
 ]

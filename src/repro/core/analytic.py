@@ -6,8 +6,11 @@ The enumeration-based engines (:func:`repro.core.load.exact_load`,
 the paper's formulas but not its *asymptotics* — the load ``Ω(1/sqrt(n))``
 lower bound (Corollary 4.2) and the load/availability trade-off across
 Threshold, Grid, M-Grid and M-Path (Sections 4–8) are statements about
-``n -> infinity``.  This module computes the same two quantities in closed
-form, dispatching on construction structure, so no quorum family is ever
+``n -> infinity``.  This module is the repo's only *closed-form* layer: the
+one place that knows which construction has which form and whether it is
+exact, a bound, or exact for a sub-family.  It dispatches on construction
+structure (wrapper views are peeled first,
+:func:`repro.core.quorum_system.unwrap`), so no quorum family is ever
 materialised:
 
 ===================  =====================================================
@@ -37,8 +40,10 @@ generic              exact enumeration / inclusion–exclusion fallbacks when
                      feasible, else a clear :class:`ComputationError`
 ===================  =====================================================
 
-Every closed form is cross-validated against the LP/enumeration engine to
-``1e-9`` on the small-``n`` test matrix (``tests/test_analytic.py``); the
+Whether to *use* a closed form, the enumeration engine or a sampler is not
+decided here but by :func:`repro.api.measures.measure`.  Every closed form
+is cross-validated against the LP/enumeration engine to ``1e-9`` on the
+small-``n`` test matrix (``tests/test_analytic.py``); the
 large-``n`` sweeps live in :mod:`repro.analysis.asymptotics` and
 ``benchmarks/test_bench_large_n.py``.  ``docs/analysis.md`` maps each
 theorem to its implementing function.
@@ -56,10 +61,12 @@ from repro.core.availability import (
     AvailabilityResult,
     exact_failure_probability,
     inclusion_exclusion_failure_probability,
+    validate_probability,
 )
 from repro.core.load import LoadResult
-from repro.core.quorum_system import QuorumSystem
-from repro.exceptions import ComputationError, InvalidParameterError
+from repro.core.quorum_system import QuorumSystem, unwrap
+from repro.core.rng import ensure_rng
+from repro.exceptions import ComputationError
 
 if TYPE_CHECKING:
     from repro.core.composition import ComposedQuorumSystem
@@ -68,13 +75,14 @@ __all__ = [
     "analytic_load",
     "analytic_failure_probability",
     "crumbling_wall_failure_probability",
+    "rowcol_survival_estimate",
     "rowcol_survival_probability",
 ]
 
-
-def _unwrap(system: QuorumSystem) -> QuorumSystem:
-    """Resolve an :class:`ImplicitQuorumSystem` view to its base construction."""
-    return getattr(system, "base", system) if getattr(system, "is_implicit", False) else system
+#: Size limits of the generic exact fallbacks for structureless systems:
+#: ``2^n`` crash configurations / ``2^m`` quorum subsets.
+MAX_UNIVERSE = 22
+MAX_QUORUMS = 22
 
 
 # ----------------------------------------------------------------------
@@ -92,17 +100,16 @@ def analytic_load(system: QuorumSystem) -> LoadResult:
        enumerate to *check* fairness, so it only triggers for explicit
        systems), reported with method ``"fair"``.
 
-    Unlike :func:`repro.core.load.best_known_load` this never falls back to
-    the LP, so it is safe at any universe size; an
-    :class:`~repro.core.quorum_system.ImplicitQuorumSystem` is resolved to
-    its base construction first.
+    This never falls back to the LP, so it is safe at any universe size;
+    wrapper views (implicit, rebound) are resolved to their base
+    construction first.
 
     Raises
     ------
     ComputationError
         When the system has neither a closed form nor checkable fairness.
     """
-    base = _unwrap(system)
+    base = unwrap(system)
     load_fn = getattr(base, "load", None)
     if callable(load_fn):
         return LoadResult(load=float(load_fn()), strategy=None, method="analytic")
@@ -143,15 +150,13 @@ def rowcol_survival_probability(
     terms), costing ``O(side^3)`` flops via one matrix product per row.
 
     This single routine gives the exact crash probability of the whole grid
-    family: RegularGrid (``min_rows = min_cols = 1``), the [MR98a]
-    MaskingGrid (``2b+1`` rows, one column), M-Grid (``k`` rows, ``k``
-    columns; Section 5.1) and M-Path's straight-line family (``k`` and
-    ``k`` over the triangular lattice, Section 7).
+    family — each grid class states its ``(min_rows, min_cols)`` once, as
+    ``alive_lines`` — and of M-Path's straight-line family (``k`` and ``k``
+    over the triangular lattice, Section 7).
     """
     if side < 1:
         raise ComputationError(f"grid side must be >= 1, got {side}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+    validate_probability(p)
     if min_rows > side or min_cols > side:
         return 0.0
     alive = 1.0 - p
@@ -176,6 +181,28 @@ def rowcol_survival_probability(
     return float(min(1.0, max(0.0, dp[min_rows:, min_cols:].sum())))
 
 
+def rowcol_survival_estimate(
+    side: int,
+    p: float,
+    min_rows: int,
+    min_cols: int,
+    *,
+    trials: int,
+    rng: np.random.Generator | None,
+) -> float:
+    """Monte-Carlo estimate of what :func:`rowcol_survival_probability` computes.
+
+    The crash-pattern sampler of the grid family: one draw of ``trials``
+    independent ``side x side`` crash patterns, counting those with at least
+    ``min_rows`` fully-alive rows and ``min_cols`` fully-alive columns.
+    """
+    validate_probability(p)
+    crashed = ensure_rng(rng).random((trials, side, side)) < p
+    alive_rows = (~crashed).all(axis=2).sum(axis=1)
+    alive_columns = (~crashed).all(axis=1).sum(axis=1)
+    return float(((alive_rows >= min_rows) & (alive_columns >= min_cols)).mean())
+
+
 def crumbling_wall_failure_probability(row_widths: Sequence[int], p: float) -> float:
     """Exact ``Fp`` of a crumbling wall by per-row products.
 
@@ -194,8 +221,7 @@ def crumbling_wall_failure_probability(row_widths: Sequence[int], p: float) -> f
     any lower fully-alive row with a non-dead suffix would be counted at its
     own index instead.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+    validate_probability(p)
     widths = [int(width) for width in row_widths]
     if not widths or any(width <= 0 for width in widths):
         raise ComputationError(f"row widths must be positive, got {row_widths}")
@@ -210,9 +236,7 @@ def crumbling_wall_failure_probability(row_widths: Sequence[int], p: float) -> f
     return float(min(1.0, max(0.0, 1.0 - survive)))
 
 
-def analytic_failure_probability(
-    system: QuorumSystem, p: float, *, max_universe: int = 22, max_quorums: int = 22
-) -> AvailabilityResult:
+def analytic_failure_probability(system: QuorumSystem, p: float) -> AvailabilityResult:
     """Return ``Fp(Q)`` in closed form, dispatching on construction structure.
 
     The result's ``method`` field records what the value is:
@@ -230,18 +254,17 @@ def analytic_failure_probability(
     * ``"enumeration"`` / ``"inclusion-exclusion"`` — generic exact
       fallbacks for small systems without special structure.
 
-    An :class:`~repro.core.quorum_system.ImplicitQuorumSystem` is resolved
-    to its base construction, so availability at ``n = 10^4`` costs the same
-    as at ``n = 16``.  Cross-validated to ``1e-9`` against the enumeration
-    engine in ``tests/test_analytic.py``.
+    Wrapper views (implicit, rebound) are resolved to their base
+    construction, so availability at ``n = 10^4`` costs the same as at
+    ``n = 16``.  Cross-validated to ``1e-9`` against the enumeration engine
+    in ``tests/test_analytic.py``.
 
     Raises
     ------
     ComputationError
         When no closed form applies and the exact fallbacks are infeasible.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+    validate_probability(p)
     # Local imports: repro.constructions imports repro.core, so dispatching
     # on the concrete construction classes must not run at module-import
     # time.
@@ -253,19 +276,11 @@ def analytic_failure_probability(
     from repro.constructions.threshold import ThresholdQuorumSystem
     from repro.core.composition import ComposedQuorumSystem
 
-    system = _unwrap(system)
-    if isinstance(system, ThresholdQuorumSystem):
+    system = unwrap(system)
+    if isinstance(system, (ThresholdQuorumSystem, RecursiveThreshold)):
         return AvailabilityResult(value=system.crash_probability(p), method="analytic")
-    if isinstance(system, RecursiveThreshold):
-        return AvailabilityResult(value=system.crash_probability(p), method="analytic")
-    if isinstance(system, RegularGrid):
-        survive = rowcol_survival_probability(system.side, p, 1, 1)
-        return AvailabilityResult(value=1.0 - survive, method="analytic")
-    if isinstance(system, MaskingGrid):
-        survive = rowcol_survival_probability(system.side, p, 2 * system.b + 1, 1)
-        return AvailabilityResult(value=1.0 - survive, method="analytic")
-    if isinstance(system, MGrid):
-        survive = rowcol_survival_probability(system.side, p, system.k, system.k)
+    if isinstance(system, (RegularGrid, MaskingGrid, MGrid)):
+        survive = rowcol_survival_probability(system.side, p, *system.alive_lines)
         return AvailabilityResult(value=1.0 - survive, method="analytic")
     if isinstance(system, MPath):
         survive = rowcol_survival_probability(system.side, p, system.k, system.k)
@@ -274,21 +289,19 @@ def analytic_failure_probability(
         value = crumbling_wall_failure_probability(system.row_widths, p)
         return AvailabilityResult(value=value, method="analytic")
     if isinstance(system, ComposedQuorumSystem):
-        return _composed_failure_probability(
-            system, p, max_universe=max_universe, max_quorums=max_quorums
-        )
+        return _composed_failure_probability(system, p)
 
     # Generic exact fallbacks for structureless systems.
-    if system.n <= max_universe:
-        result = exact_failure_probability(system, p, max_universe=max_universe)
+    if system.n <= MAX_UNIVERSE:
+        result = exact_failure_probability(system, p, max_universe=MAX_UNIVERSE)
         return AvailabilityResult(value=result.value, method="enumeration")
     try:
         quorum_count = system.num_quorums()
     except ComputationError:
         quorum_count = None
-    if quorum_count is not None and quorum_count <= max_quorums:
+    if quorum_count is not None and quorum_count <= MAX_QUORUMS:
         result = inclusion_exclusion_failure_probability(
-            system, p, max_quorums=max_quorums
+            system, p, max_quorums=MAX_QUORUMS
         )
         return AvailabilityResult(value=result.value, method="inclusion-exclusion")
     raise ComputationError(
@@ -299,7 +312,7 @@ def analytic_failure_probability(
 
 
 def _composed_failure_probability(
-    system: "ComposedQuorumSystem", p: float, *, max_universe: int, max_quorums: int
+    system: "ComposedQuorumSystem", p: float
 ) -> AvailabilityResult:
     """Exact modular decomposition ``Fp(S∘R) = Fp_S(Fp_R(p))`` (Theorem 4.7 setting).
 
@@ -311,20 +324,15 @@ def _composed_failure_probability(
     For boostFPP with an outer plane too big to enumerate, fall back to the
     construction's deterministic Proposition 6.3 estimate.
     """
-    inner = analytic_failure_probability(
-        system.inner, p, max_universe=max_universe, max_quorums=max_quorums
-    )
+    inner = analytic_failure_probability(system.inner, p)
     try:
-        outer = analytic_failure_probability(
-            system.outer, inner.value, max_universe=max_universe, max_quorums=max_quorums
-        )
+        outer = analytic_failure_probability(system.outer, inner.value)
     except ComputationError:
         from repro.constructions.boost_fpp import BoostedFPP
 
         if isinstance(system, BoostedFPP):
-            # Proposition 6.3's line-death estimate is deterministic; the
-            # generic ComposedQuorumSystem.crash_probability may fall back
-            # to Monte-Carlo, so only boostFPP gets this escape hatch.
+            # Proposition 6.3's line-death estimate: a deterministic upper
+            # bound that needs no enumeration of the outer plane.
             return AvailabilityResult(
                 value=float(system.crash_probability(p)), method="analytic-bound"
             )

@@ -6,9 +6,7 @@ every quorum is hit.  ``Fp(Q)`` is the probability of that event.  A family of
 systems is *Condorcet* when ``Fp -> 0`` as ``n -> infinity`` for every
 ``p < 1/2``.
 
-Three general-purpose estimators are provided (constructions additionally
-expose their own closed forms or specialised simulators, e.g. percolation for
-M-Path):
+This module holds the *primitive* paths — it computes, it never chooses:
 
 * :func:`exact_failure_probability` — sums over all ``2^n`` crash
   configurations.  Exponential, but exact; intended for ``n`` up to ~20.
@@ -18,8 +16,10 @@ M-Path):
 * :func:`monte_carlo_failure_probability` — vectorised Monte-Carlo estimate
   with a normal-approximation confidence interval.
 
-:func:`failure_probability` dispatches between them (and a construction's own
-``crash_probability`` method) based on system size.
+The closed forms live in :mod:`repro.core.analytic`; the one policy that
+orders closed form, enumeration and sampling (and labels the result) is
+:func:`repro.api.measures.measure`.  :func:`validate_probability` is the
+library's single ``p in [0, 1]`` check.
 
 The exact enumeration and the Monte-Carlo sampler both run on the bitmask
 engine (:mod:`repro.core.bitset`): the former asks it for the superset-closure
@@ -44,8 +44,8 @@ __all__ = [
     "exact_failure_probability",
     "inclusion_exclusion_failure_probability",
     "monte_carlo_failure_probability",
-    "failure_probability",
     "is_condorcet_sequence",
+    "validate_probability",
 ]
 
 
@@ -78,7 +78,8 @@ class AvailabilityResult:
         return low, high
 
 
-def _validate_probability(p: float) -> float:
+def validate_probability(p: float) -> float:
+    """Return ``p`` as a float, rejecting anything outside ``[0, 1]``."""
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
     return float(p)
@@ -115,7 +116,7 @@ def exact_failure_probability(
     inner test is a subset check on integers.
     """
     _reject_implicit(system, "exact enumeration")
-    p = _validate_probability(p)
+    p = validate_probability(p)
     n = system.n
     if n > max_universe:
         raise ComputationError(
@@ -156,7 +157,7 @@ def inclusion_exclusion_failure_probability(
     has few quorums over a large universe (e.g. a finite projective plane).
     """
     _reject_implicit(system, "inclusion-exclusion")
-    p = _validate_probability(p)
+    p = validate_probability(p)
     quorum_masks = system.quorum_masks()
     if len(quorum_masks) > max_quorums:
         raise ComputationError(
@@ -190,7 +191,7 @@ def monte_carlo_failure_probability(
     through the quorum/element incidence matrix.
     """
     _reject_implicit(system, "Monte-Carlo estimation")
-    p = _validate_probability(p)
+    p = validate_probability(p)
     if trials <= 0:
         raise InvalidParameterError(f"trials must be positive, got {trials}")
     rng = ensure_rng(rng)
@@ -211,52 +212,6 @@ def monte_carlo_failure_probability(
     return AvailabilityResult(
         value=estimate, method="monte-carlo", std_error=std_error, trials=trials
     )
-
-
-def failure_probability(
-    system: QuorumSystem,
-    p: float,
-    *,
-    method: str = "auto",
-    trials: int = 20_000,
-    rng: np.random.Generator | None = None,
-) -> AvailabilityResult:
-    """Return ``Fp(Q)`` using the most appropriate available method.
-
-    ``method`` may be ``"auto"``, ``"exact"``, ``"inclusion-exclusion"``,
-    ``"monte-carlo"`` or ``"analytic"``.  With ``"auto"``:
-
-    1. use the construction's own ``crash_probability`` method when present;
-    2. otherwise use exact enumeration when the universe is small;
-    3. otherwise use inclusion–exclusion when the quorum list is small;
-    4. otherwise fall back to Monte-Carlo.
-    """
-    if method == "analytic" or method == "auto":
-        analytic = getattr(system, "crash_probability", None)
-        if callable(analytic):
-            return AvailabilityResult(value=float(analytic(p)), method="analytic")
-        if method == "analytic":
-            raise ComputationError(
-                f"{system.name} does not provide an analytic crash probability"
-            )
-    if method == "exact":
-        return exact_failure_probability(system, p)
-    if method == "inclusion-exclusion":
-        return inclusion_exclusion_failure_probability(system, p)
-    if method == "monte-carlo":
-        return monte_carlo_failure_probability(system, p, trials=trials, rng=rng)
-    if method != "auto":
-        raise ComputationError(f"unknown availability method {method!r}")
-
-    if system.n <= 18:
-        return exact_failure_probability(system, p)
-    try:
-        quorum_count = system.num_quorums()
-    except ComputationError:
-        quorum_count = None
-    if quorum_count is not None and quorum_count <= 18:
-        return inclusion_exclusion_failure_probability(system, p)
-    return monte_carlo_failure_probability(system, p, trials=trials, rng=rng)
 
 
 def is_condorcet_sequence(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core.availability import validate_probability
 from repro.core.floats import is_zero
 from repro.core.quorum_system import QuorumSystem
 from repro.exceptions import ComputationError, InvalidParameterError
@@ -100,8 +101,7 @@ def crash_probability_lower_bound(
     * ``p^(b+1)``         — needs ``b`` and ``balanced=True``, meaning the
       system satisfies ``MT <= (IS+1)/2`` (Proposition 4.5).
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"crash probability must lie in [0, 1], got {p}")
+    validate_probability(p)
     candidates: list[float] = []
     if min_transversal is not None:
         if min_transversal <= 0:

@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Hashable, Iterator
-from typing import Any
 
 import numpy as np
 
-from repro.core import availability as availability_mod
-from repro.core import load as load_mod
+from repro.core import analytic
+from repro.core.load import exact_load
 from repro.core.quorum_system import ExplicitQuorumSystem, QuorumSystem
 from repro.core.universe import Universe
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import ComputationError, InvalidParameterError
 
 __all__ = ["ComposedQuorumSystem", "compose", "self_compose"]
 
@@ -181,15 +180,21 @@ class ComposedQuorumSystem(QuorumSystem):
     # Theorem 4.7: load and availability.
     # ------------------------------------------------------------------
     def load(self) -> float:
-        """Return ``L(S) · L(R)`` using the best known load of each component."""
-        outer_load = load_mod.best_known_load(self._outer).load
-        inner_load = load_mod.best_known_load(self._inner).load
-        return outer_load * inner_load
+        """Return ``L(S) · L(R)``: each factor's closed form, the LP for a
+        factor that has none."""
 
-    def crash_probability(self, p: float, **kwargs: Any) -> float:
-        """Return ``Fp(S∘R) = s(r(p))`` (modular decomposition of reliability)."""
-        inner_value = availability_mod.failure_probability(self._inner, p, **kwargs).value
-        return availability_mod.failure_probability(self._outer, inner_value, **kwargs).value
+        def factor_load(factor: QuorumSystem) -> float:
+            try:
+                return analytic.analytic_load(factor).load
+            except ComputationError:
+                return exact_load(factor).load
+
+        return factor_load(self._outer) * factor_load(self._inner)
+
+    def crash_probability(self, p: float) -> float:
+        """Return ``Fp(S∘R) = s(r(p))`` (modular decomposition of reliability);
+        raises :class:`ComputationError` when a factor has no closed form."""
+        return analytic.analytic_failure_probability(self, p).value
 
     def sample_quorum(self, rng: np.random.Generator) -> frozenset:
         """Sample a quorum with the product strategy of Theorem 4.7's proof."""

@@ -4,15 +4,17 @@ The *load* ``L(Q)`` is the access probability of the busiest server under the
 best possible access strategy.  It is a best-case, failure-free measure of
 how well the system spreads work.
 
-This module offers three ways to obtain the load:
+This module holds the *primitive* paths — it computes, it never chooses:
 
 * :func:`exact_load` — solve the defining linear program exactly with
   :func:`scipy.optimize.linprog`.  Feasible whenever the quorum list can be
   enumerated (a few tens of thousands of quorums).
 * :func:`fair_load` — Proposition 3.9: a fair quorum system has
-  ``L(Q) = c(Q) / n``.  This is a closed form, valid only for fair systems.
-* :func:`best_known_load` — use the construction's own closed form when one
-  exists, fall back to the fair formula, and finally to the LP.
+  ``L(Q) = c(Q) / n``, achieved by the uniform strategy it returns.
+
+The closed forms live in :func:`repro.core.analytic.analytic_load`; the one
+policy that orders closed form, LP and sampled estimate (and labels the
+result) is :func:`repro.api.measures.measure`.
 
 The linear program is the standard one: variables are the strategy weights
 ``w_Q`` plus the load bound ``L``; minimise ``L`` subject to
@@ -34,7 +36,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.strategy import Strategy
 from repro.exceptions import ComputationError
 
-__all__ = ["LoadResult", "exact_load", "fair_load", "best_known_load", "load_of_strategy"]
+__all__ = ["LoadResult", "exact_load", "fair_load", "load_of_strategy"]
 
 
 @dataclass(frozen=True)
@@ -173,23 +175,3 @@ def exact_load(system: QuorumSystem, *, quorum_limit: int | None = 50_000) -> Lo
     load_result = LoadResult(load=load_value, strategy=strategy, method="lp")
     system._exact_load_cache = load_result
     return load_result
-
-
-def best_known_load(system: QuorumSystem) -> LoadResult:
-    """Return the best available load value for ``system``.
-
-    Preference order:
-
-    1. A construction-provided closed form (a ``load()`` method on the
-       system object), reported with method ``"analytic"``.
-    2. The fair-system formula of Proposition 3.9.
-    3. The exact linear program.
-    """
-    analytic = getattr(system, "load", None)
-    if callable(analytic):
-        return LoadResult(load=float(analytic()), strategy=None, method="analytic")
-    try:
-        return fair_load(system)
-    except ComputationError:
-        pass
-    return exact_load(system)

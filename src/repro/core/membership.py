@@ -17,7 +17,7 @@ member set a first-class object:
 * :class:`ReboundQuorumSystem` is the relabelling wrapper that makes the
   rebuild cheap: quorum *bitmasks* are label-independent (bit ``i`` is
   position ``i`` of the universe order), so the wrapper delegates every
-  mask-level view and closed-form measure to the freshly built construction
+  mask-level view and combinatorial parameter to the freshly built construction
   and only translates frozensets.  The PR-1 incidence caches
   (``quorum_masks``/``bitset_engine``) live per rebound instance, so they
   are invalidated per *epoch*, not per call.
@@ -43,9 +43,10 @@ from repro.core.quorum_system import (
     ExplicitQuorumSystem,
     ImplicitQuorumSystem,
     QuorumSystem,
+    QuorumSystemView,
 )
 from repro.core.universe import Universe
-from repro.exceptions import ComputationError, InvalidQuorumSystemError
+from repro.exceptions import InvalidQuorumSystemError
 
 if TYPE_CHECKING:  # circular at runtime: these import core modules
     from repro.core.strategy import Strategy
@@ -290,15 +291,16 @@ class Membership:
         return f"Membership(epochs={self.num_epochs}, sizes=[{sizes}])"
 
 
-class ReboundQuorumSystem(QuorumSystem):
+class ReboundQuorumSystem(QuorumSystemView):
     """A construction recomputed for an epoch, relabelled onto its members.
 
     Quorum bitmasks are label-independent — bit ``i`` means "position ``i``
     of the universe order" — so rebinding a construction of the right size
     onto the live member set is a pure relabelling: every mask-level view
     (:meth:`iter_quorum_masks`, :meth:`sample_quorum_mask`) and every
-    closed-form measure delegates to the rebuilt construction unchanged,
-    and only the frozenset views translate through the epoch's universe.
+    combinatorial parameter delegates to the rebuilt construction unchanged
+    (:class:`~repro.core.quorum_system.QuorumSystemView`), and only the
+    frozenset views translate through the epoch's universe.
 
     Parameters
     ----------
@@ -335,45 +337,10 @@ class ReboundQuorumSystem(QuorumSystem):
         for mask in self.base.iter_quorum_masks():
             yield bitset_mod.mask_to_frozenset(mask, universe)
 
-    # --- sampling delegates at the mask level (labels never materialise).
-    def sample_quorum_mask(self, rng: np.random.Generator) -> int:
-        return self.base.sample_quorum_mask(rng)
-
     def sample_quorum(self, rng: np.random.Generator) -> frozenset:
         return bitset_mod.mask_to_frozenset(
             self.base.sample_quorum_mask(rng), self._universe
         )
-
-    # --- measures are label-independent; use the base's closed forms.
-    def num_quorums(self) -> int:
-        return self.base.num_quorums()
-
-    def min_quorum_size(self) -> int:
-        return self.base.min_quorum_size()
-
-    def max_quorum_size(self) -> int:
-        return self.base.max_quorum_size()
-
-    def min_intersection_size(self) -> int:
-        return self.base.min_intersection_size()
-
-    def min_transversal_size(self) -> int:
-        return self.base.min_transversal_size()
-
-    def masking_bound(self) -> int:
-        return self.base.masking_bound()
-
-    def fairness(self) -> tuple[int, int] | None:
-        return self.base.fairness()
-
-    def load(self) -> float:
-        """The base construction's closed-form load, when it has one."""
-        analytic = getattr(self.base, "load", None)
-        if not callable(analytic):
-            raise ComputationError(
-                f"{self.base.name} has no closed-form load"
-            )
-        return float(analytic())
 
     def __repr__(self) -> str:
         return (

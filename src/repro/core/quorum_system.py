@@ -54,7 +54,13 @@ from repro.exceptions import ComputationError, InvalidQuorumSystemError
 if TYPE_CHECKING:  # circular at runtime: strategy imports this module
     from repro.core.strategy import Strategy
 
-__all__ = ["QuorumSystem", "ExplicitQuorumSystem", "ImplicitQuorumSystem"]
+__all__ = [
+    "QuorumSystem",
+    "ExplicitQuorumSystem",
+    "QuorumSystemView",
+    "ImplicitQuorumSystem",
+    "unwrap",
+]
 
 #: Default cap on the number of quorums the generic (enumeration based)
 #: measure implementations are willing to materialise.
@@ -473,7 +479,51 @@ class ExplicitQuorumSystem(QuorumSystem):
         )
 
 
-class ImplicitQuorumSystem(QuorumSystem):
+class QuorumSystemView(QuorumSystem):
+    """A wrapper presenting a ``base`` construction differently — fewer quorums
+    listed (:class:`ImplicitQuorumSystem`) or other server labels
+    (:class:`~repro.core.membership.ReboundQuorumSystem`) — without changing
+    what the system *is*: every label-independent combinatorial parameter is
+    the base's own (closed form or guard error included), and ``L(Q)`` /
+    ``Fp`` are computed on :func:`unwrap`'s result.
+    """
+
+    base: QuorumSystem
+
+    def sample_quorum_mask(self, rng: np.random.Generator) -> int:
+        return self.base.sample_quorum_mask(rng)
+
+    def num_quorums(self) -> int:
+        return self.base.num_quorums()
+
+    def min_quorum_size(self) -> int:
+        return self.base.min_quorum_size()
+
+    def max_quorum_size(self) -> int:
+        return self.base.max_quorum_size()
+
+    def min_intersection_size(self) -> int:
+        return self.base.min_intersection_size()
+
+    def min_transversal_size(self) -> int:
+        return self.base.min_transversal_size()
+
+    def fairness(self) -> tuple[int, int] | None:
+        return self.base.fairness()
+
+    def masking_bound(self) -> int:
+        return self.base.masking_bound()
+
+
+def unwrap(system: QuorumSystem) -> QuorumSystem:
+    """Peel every :class:`QuorumSystemView` off ``system``, down to the
+    construction the measures are computed on."""
+    while isinstance(system, QuorumSystemView):
+        system = system.base
+    return system
+
+
+class ImplicitQuorumSystem(QuorumSystemView):
     """A lazy, never-enumerated view of a quorum-system construction.
 
     The paper's large-``n`` statements (load ``Omega(1/sqrt(n))``, the
@@ -482,10 +532,11 @@ class ImplicitQuorumSystem(QuorumSystem):
     has ``C(100, 2)^2 ≈ 2.4 * 10^7`` quorums and M-Path vastly more.  This
     wrapper decouples *what the system is* from *which subsets it contains*:
 
-    * every combinatorial measure (``c``, ``IS``, ``MT``, fairness, masking
-      bound, ``load``, ``crash_probability``) is **delegated to the base
-      construction's closed forms**, so the true values are reported at any
-      ``n`` (see :mod:`repro.core.analytic` for the uniform dispatch);
+    * every combinatorial parameter (``c``, ``IS``, ``MT``, fairness, masking
+      bound) is **delegated to the base construction's closed forms**
+      (:class:`QuorumSystemView`), so the true values are reported at any
+      ``n``; ``L(Q)`` and ``Fp`` are computed on the base by
+      :mod:`repro.core.analytic` and :func:`repro.api.measures.measure`;
     * the quorum list is replaced by a **frozen i.i.d. sample** of
       ``num_samples`` quorums drawn through
       :meth:`QuorumSystem.sample_quorum_mask` (the base construction's
@@ -520,7 +571,7 @@ class ImplicitQuorumSystem(QuorumSystem):
     >>> big = ImplicitQuorumSystem(MGrid(50, 3), num_samples=128, seed=7)
     >>> big.n                                   # true universe, 2500 servers
     2500
-    >>> big.load() == MGrid(50, 3).load()       # closed form, not the sample
+    >>> big.min_quorum_size() == MGrid(50, 3).min_quorum_size()   # closed form
     True
     >>> len(big.quorum_masks()) <= 128          # sampled support (deduplicated)
     True
@@ -641,74 +692,19 @@ class ImplicitQuorumSystem(QuorumSystem):
     ) -> frozenset:
         return self.base.sample_quorum_avoiding(rng, excluded, attempts=attempts)
 
-    def sample_quorum_mask(self, rng: np.random.Generator) -> int:
-        return self.base.sample_quorum_mask(rng)
-
     # ------------------------------------------------------------------
-    # Measures: delegated to the base construction's closed forms.  A base
-    # without a closed form keeps its own behaviour, including enumeration
-    # guards — nothing here silently computes over the sample.
+    # Label-dependent parameters: the universe is the base's own, so these
+    # delegate too.  A base without a closed form keeps its own behaviour,
+    # including enumeration guards — nothing here computes over the sample.
     # ------------------------------------------------------------------
-    def num_quorums(self) -> int:
-        return self.base.num_quorums()
-
-    def min_quorum_size(self) -> int:
-        return self.base.min_quorum_size()
-
-    def max_quorum_size(self) -> int:
-        return self.base.max_quorum_size()
-
-    def min_intersection_size(self) -> int:
-        return self.base.min_intersection_size()
-
-    def min_transversal_size(self) -> int:
-        return self.base.min_transversal_size()
-
     def minimal_transversal(self) -> frozenset:
         return self.base.minimal_transversal()
-
-    def fairness(self) -> tuple[int, int] | None:
-        return self.base.fairness()
-
-    def masking_bound(self) -> int:
-        return self.base.masking_bound()
 
     def degree(self, element: Hashable) -> int:
         return self.base.degree(element)
 
     def degrees(self) -> dict[Hashable, int]:
         return self.base.degrees()
-
-    def load(self) -> float:
-        """The base construction's closed-form load (raises if it has none)."""
-        analytic = getattr(self.base, "load", None)
-        if not callable(analytic):
-            raise ComputationError(
-                f"{self.base.name} has no closed-form load; "
-                "use repro.core.analytic.analytic_load or an explicit system"
-            )
-        return float(analytic())
-
-    def crash_probability(self, p: float, **kwargs: object) -> float:
-        """The closed-form ``Fp`` of the base construction, at any ``n``.
-
-        Routed through
-        :func:`repro.core.analytic.analytic_failure_probability` so the
-        value is the deterministic closed form (e.g. the exact row/column
-        dynamic program for grids) rather than the base's Monte-Carlo
-        estimator.  Passing estimator keyword arguments (``trials``,
-        ``rng``, ...) opts back into the base construction's own method.
-        """
-        if kwargs:
-            estimator = getattr(self.base, "crash_probability", None)
-            if not callable(estimator):
-                raise ComputationError(
-                    f"{self.base.name} has no crash_probability estimator"
-                )
-            return float(estimator(p, **kwargs))
-        from repro.core import analytic as analytic_mod  # local: analytic imports core
-
-        return float(analytic_mod.analytic_failure_probability(self.base, p).value)
 
     def validate(self) -> None:
         """Spot-check Definition 3.1 on the sampled support only.

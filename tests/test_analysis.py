@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ConstructionError, MGrid, MPath, RecursiveThreshold, masking_threshold
+from repro import (
+    ConstructionError,
+    MaskingGrid,
+    MGrid,
+    MPath,
+    RecursiveThreshold,
+    RegularGrid,
+    analytic_failure_probability,
+    compose,
+    masking_threshold,
+)
 from repro.analysis import (
     TABLE2_SYSTEMS,
     availability_trend,
@@ -36,6 +46,32 @@ class TestProfileSystem:
     def test_profile_respects_explicit_b(self, rng):
         profile = profile_system(masking_threshold(17, 4), 0.1, b=4, rng=rng)
         assert profile.b == 4
+
+    @pytest.mark.parametrize("system", [MaskingGrid(7, 1), RegularGrid(5)], ids=["masking-grid", "grid"])
+    def test_grid_profile_is_the_exact_value_not_a_sample(self, system):
+        # Regression: the grids' crash_probability(p) is an OS-seeded sampler
+        # and used to be reported as "exact" (0.2618 then 0.2664 for the
+        # masking grid, whose row/column DP value is 0.26530627...).
+        first, second = profile_system(system, 0.1), profile_system(system, 0.1)
+        assert first == second
+        assert first.crash_probability_kind == "exact"
+        exact = analytic_failure_probability(system, 0.1).value
+        assert first.crash_probability == pytest.approx(exact, abs=1e-12)
+
+    def test_mpath_beyond_its_bound_is_a_labelled_seeded_estimate(self):
+        import numpy as np
+
+        profiles = [
+            profile_system(MPath(4, 1), 0.4, rng=np.random.default_rng(5)) for _ in range(2)
+        ]
+        assert profiles[0] == profiles[1]
+        assert profiles[0].crash_probability_kind == "monte-carlo"
+
+    def test_bounded_composition_is_labelled_a_bound(self):
+        # MPath's closed form is exact only for its straight-line family, so
+        # a composition over it is an upper bound, and says so.
+        profile = profile_system(compose(masking_threshold(5, 1), MPath(4, 1)), 0.1)
+        assert profile.crash_probability_kind == "upper-bound"
 
 
 class TestSection8:

@@ -21,6 +21,7 @@ The acceptance gates of the facade PR:
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -28,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import analytic_load, exact_failure_probability, exact_load
+from repro import analytic_load, compose, exact_failure_probability, exact_load, majority
 from repro.api import (
     Budget,
     SystemSpec,
@@ -43,6 +44,7 @@ from repro.api import (
     spec_of,
 )
 from repro.api.workloads import assemble_report
+from repro.core import ReboundQuorumSystem, Universe
 from repro.core.quorum_system import ExplicitQuorumSystem, ImplicitQuorumSystem
 from repro.exceptions import (
     ComputationError,
@@ -302,6 +304,75 @@ class TestMeasureDispatch:
         assert set(available_measures()) >= {
             "load", "fp", "availability", "masking", "resilience",
         }
+
+
+def _ladder_systems():
+    for name, params in sorted(SMALL_INSTANCES.items()):
+        yield pytest.param(lambda name=name, params=params: build(name, **params), id=name)
+    yield pytest.param(lambda: compose(majority(3), build("grid", side=3)), id="composed")
+    yield pytest.param(
+        lambda: ImplicitQuorumSystem(build("mgrid", side=64, b=1), num_samples=32, seed=1),
+        id="implicit-mgrid-4096",
+    )
+    yield pytest.param(
+        lambda: ReboundQuorumSystem(
+            build("masking-grid", side=4, b=1),
+            Universe(f"s{i}" for i in range(16)),
+            epoch_index=1,
+        ),
+        id="rebound",
+    )
+
+
+class TestSingleLadder:
+    """``measure`` is the only auto-policy: analytic -> exact -> sampled, one
+    vocabulary for what the value is."""
+
+    BUDGET = Budget(trials=300, num_samples=32, seed=5)
+    ORDER = ("analytic", "exact", "sampled")
+
+    def _forced(self, system, name, p):
+        results = {}
+        for method in self.ORDER:
+            try:
+                results[method] = measure(system, name, method=method, p=p, budget=self.BUDGET)
+            except ComputationError:
+                pass
+        return results
+
+    @pytest.mark.parametrize("name,p", [("load", None), ("fp", 0.2), ("masking", None)])
+    @pytest.mark.parametrize("make", _ladder_systems())
+    def test_auto_is_the_first_path_that_runs(self, make, name, p):
+        system = make()
+        forced = self._forced(system, name, p)
+        if not forced:
+            with pytest.raises(ComputationError):
+                measure(system, name, p=p, budget=self.BUDGET)
+            return
+        first = forced[next(method for method in self.ORDER if method in forced)]
+        auto = measure(system, name, p=p, budget=self.BUDGET)
+        assert (auto.value, auto.method_used, auto.error_bound, auto.details) == (
+            first.value, first.method_used, first.error_bound, first.details
+        )
+
+        # Forced exact and closed form agree wherever both run; a closed
+        # form that is only a bound says which side it is on.
+        if "exact" in forced and "analytic" in forced:
+            exact, analytic = forced["exact"], forced["analytic"]
+            if analytic.error_bound == 0.0:
+                assert analytic.value == pytest.approx(exact.value, abs=1e-9)
+            else:
+                assert analytic.value >= exact.value - 1e-9
+
+        for result in forced.values():
+            kind = result.details.get("kind")
+            if result.error_bound == 0.0 and result.method_used != "monte-carlo":
+                assert kind is None  # exact
+            elif math.isinf(result.error_bound):
+                assert kind.startswith(("upper-bound", "lower-bound"))
+            else:  # estimate: a finite half-width, zero only at a degenerate 0/1
+                assert result.method_used == "monte-carlo" and kind is None
+                assert result.error_bound > 0.0 or result.value in (0.0, 1.0)
 
 
 class TestUnifiedWorkloads:

@@ -8,9 +8,9 @@ from repro import (
     ComputationError,
     ExplicitQuorumSystem,
     exact_failure_probability,
-    failure_probability,
     monte_carlo_failure_probability,
 )
+from repro.api import build, measure
 from repro.core.availability import (
     inclusion_exclusion_failure_probability,
     is_condorcet_sequence,
@@ -80,28 +80,32 @@ class TestMonteCarlo:
 
 
 class TestDispatch:
+    """The Fp ladder lives in ``api.measure``."""
+
     def test_auto_uses_analytic_when_available(self, majority_5):
-        result = failure_probability(majority_5, 0.2)
-        assert result.method == "analytic"
+        result = measure(majority_5, "fp", p=0.2)
+        assert result.method_used == "analytic"
         assert result.value == pytest.approx(majority_5.crash_probability(0.2))
 
     def test_auto_uses_exact_for_small_explicit_systems(self, simple_system):
-        assert failure_probability(simple_system, 0.2).method == "exact"
+        result = measure(simple_system, "fp", p=0.2)
+        assert result.method_used == "enumeration"
+        assert result.error_bound == 0.0
+        assert result.value == exact_failure_probability(simple_system, 0.2).value
 
-    def test_explicit_method_selection(self, simple_system, rng):
-        assert failure_probability(simple_system, 0.2, method="exact").method == "exact"
-        assert (
-            failure_probability(simple_system, 0.2, method="monte-carlo", rng=rng).method
-            == "monte-carlo"
-        )
+    def test_explicit_method_selection(self, simple_system):
+        assert measure(simple_system, "fp", p=0.2, method="exact").method_used == "enumeration"
+        assert measure(simple_system, "fp", p=0.2, method="sampled").method_used == "monte-carlo"
 
-    def test_analytic_method_requires_closed_form(self, simple_system):
+    def test_analytic_method_requires_closed_form(self):
+        # Tree(depth=4): 31 servers, no closed form, too big for the generic
+        # exact fallbacks — the forced closed-form path must refuse.
         with pytest.raises(ComputationError):
-            failure_probability(simple_system, 0.2, method="analytic")
+            measure(build("tree", depth=4), "fp", p=0.2, method="analytic")
 
     def test_unknown_method_rejected(self, simple_system):
         with pytest.raises(ComputationError):
-            failure_probability(simple_system, 0.2, method="magic")
+            measure(simple_system, "fp", p=0.2, method="magic")
 
 
 class TestMonotonicityAndCondorcet:

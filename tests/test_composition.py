@@ -5,14 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    RegularGrid,
     ThresholdQuorumSystem,
-    best_known_load,
     compose,
+    exact_failure_probability,
     exact_load,
-    failure_probability,
     majority,
     self_compose,
 )
+from repro.api import measure
 
 
 @pytest.fixture
@@ -84,8 +85,29 @@ class TestTheorem47LoadAndAvailability:
         expected = maj3.crash_probability(inner_fp)
         assert composed.crash_probability(p) == pytest.approx(expected)
         # Cross-check against exhaustive enumeration over the 12 servers.
-        exhaustive = failure_probability(composed.to_explicit(), p, method="exact").value
+        exhaustive = exact_failure_probability(composed.to_explicit(), p).value
         assert exhaustive == pytest.approx(expected, abs=1e-9)
+
+    def test_crash_probability_is_the_exact_decomposition_not_an_estimate(self):
+        # Regression: the factors' crash_probability methods are Monte-Carlo
+        # samplers on grids, and the composition used to compose two such
+        # estimates (0.0014 for a true 0.0015738, different on every call).
+        small = compose(RegularGrid(2), RegularGrid(2))  # 16 servers: enumerable
+        exhaustive = exact_failure_probability(small.to_explicit(), 0.1).value
+        assert small.crash_probability(0.1) == pytest.approx(exhaustive, abs=1e-9)
+        # 81 servers: hold it to Theorem 4.7 with both factors enumerated.
+        grid = RegularGrid(3)
+        composed = compose(grid, grid)
+        value = composed.crash_probability(0.1)
+        assert value == composed.crash_probability(0.1)
+        inner = exact_failure_probability(grid, 0.1).value
+        assert value == pytest.approx(exact_failure_probability(grid, inner).value, abs=1e-9)
+        assert value == pytest.approx(0.0015738, abs=1e-7)
+
+    def test_load_uses_lp_for_a_factor_without_closed_form(self, simple_system, maj3):
+        composed = compose(simple_system, maj3)
+        expected = exact_load(simple_system).load * maj3.load()
+        assert composed.load() == pytest.approx(expected, abs=1e-9)
 
     def test_sampled_quorums_are_quorums(self, maj3, thresh_4_3, rng):
         composed = compose(maj3, thresh_4_3)
@@ -123,8 +145,8 @@ class TestSelfComposition:
 
 
 class TestBestKnownLoadIntegration:
-    def test_best_known_load_uses_composition_formula(self, maj3, thresh_4_3):
+    def test_measure_uses_composition_formula(self, maj3, thresh_4_3):
         composed = compose(maj3, thresh_4_3)
-        result = best_known_load(composed)
-        assert result.method == "analytic"
-        assert result.load == pytest.approx(composed.load())
+        result = measure(composed, "load")
+        assert result.method_used == "analytic"
+        assert result.value == pytest.approx(composed.load())

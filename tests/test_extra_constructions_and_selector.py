@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import (
     ConstructionError,
+    MaskingGrid,
+    analytic_failure_probability,
     TreeQuorumSystem,
     WheelQuorumSystem,
     boost_masking,
+    exact_failure_probability,
     exact_load,
-    failure_probability,
 )
 from repro.analysis import recommend_construction
 from repro.analysis.selector import candidate_constructions
@@ -84,7 +88,7 @@ class TestWheelQuorumSystem:
     def test_crash_probability(self):
         wheel = WheelQuorumSystem(5)
         # The system dies iff (hub dead or all rim dead) and some rim server dead.
-        value = failure_probability(wheel, 0.2, method="exact").value
+        value = exact_failure_probability(wheel, 0.2).value
         assert 0.0 < value < 0.5
 
     def test_sampling(self, rng):
@@ -126,6 +130,29 @@ class TestSelector:
         recommendation = recommend_construction(256, 0.125, required_b=3, rng=rng)
         crash_values = [profile.crash_probability for profile in recommendation.feasible]
         assert crash_values == sorted(crash_values)
+
+    def test_ranking_is_deterministic_without_an_rng(self):
+        # Regression: the grid candidates' Fp used to be an unseeded sample
+        # (labelled "exact"), so the ranking could change between calls.
+        first = recommend_construction(64, 0.05, required_b=1)
+        second = recommend_construction(64, 0.05, required_b=1)
+        assert any(profile.name.startswith("MR98-Grid") for profile in first.feasible)
+        assert first == second
+
+    def test_cli_table_prints_identical_bytes(self, capsys):
+        from repro.api.cli import main
+
+        argv = ["table", "--n", "64", "--p", "0.05", "--include-baselines", "--seed", "0", "--json"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        grid_row = next(
+            row for row in json.loads(outputs[0]) if row["system"].startswith("MR98-Grid")
+        )
+        assert grid_row["fp_kind"] == "exact"
+        assert grid_row["fp"] == analytic_failure_probability(MaskingGrid(8, 0), 0.05).value
 
     def test_candidate_generation_skips_infeasible_shapes(self):
         candidates = candidate_constructions(64, required_b=10)

@@ -23,9 +23,12 @@ from repro import (
     RegularGrid,
     Strategy,
     Universe,
+    analytic_failure_probability,
+    analytic_load,
     exact_load,
     masking_threshold,
 )
+from repro.api import Budget, measure
 from repro.core import bitset
 from repro.exceptions import ComputationError, StrategyError
 from repro.simulation import FaultScenario, run_event_workload, run_workload
@@ -83,7 +86,7 @@ class TestImplicitQuorumSystem:
         assert implicit.masking_bound() == base.masking_bound()
         assert implicit.fairness() == base.fairness()
         assert implicit.num_quorums() == base.num_quorums()
-        assert implicit.load() == base.load()
+        assert analytic_load(implicit).load == measure(implicit, "load").value == base.load()
         assert implicit.is_implicit and not base.is_implicit
 
     def test_sampled_family_is_frozen_and_seed_deterministic(self):
@@ -161,7 +164,7 @@ class TestImplicitQuorumSystem:
         explicit = ExplicitQuorumSystem(range(4), [{0, 1, 2}, {0, 3}])
         implicit = ImplicitQuorumSystem(explicit, num_samples=8, seed=0)
         with pytest.raises(ComputationError, match="no closed-form load"):
-            implicit.load()
+            analytic_load(implicit)
 
     def test_crash_probability_routes_through_analytic_dispatch(self):
         from repro import exact_failure_probability
@@ -171,19 +174,19 @@ class TestImplicitQuorumSystem:
         # report that true value, never the sampled sub-family's.
         explicit = ExplicitQuorumSystem(range(4), [{0, 1, 2}, {0, 3}])
         implicit = ImplicitQuorumSystem(explicit, num_samples=2, seed=0)
-        assert implicit.crash_probability(0.3) == pytest.approx(
+        assert analytic_failure_probability(implicit, 0.3).value == pytest.approx(
             exact_failure_probability(explicit, 0.3).value, abs=1e-12
         )
         # Grid bases get the exact row/column DP, not the base's Monte-Carlo.
         grid = MGrid(10, 1)
         wrapped = ImplicitQuorumSystem(grid, num_samples=8, seed=0)
-        first = wrapped.crash_probability(0.1)
-        assert first == wrapped.crash_probability(0.1)  # deterministic
-        # Estimator kwargs opt back into the base's Monte-Carlo path.
-        monte = wrapped.crash_probability(
-            0.1, trials=2000, rng=np.random.default_rng(0)
-        )
-        assert abs(monte - first) < 0.05
+        first = measure(wrapped, "fp", p=0.1)
+        assert first.method_used == "analytic"
+        assert first.value == analytic_failure_probability(wrapped, 0.1).value  # deterministic
+        # The forced sampled path is the base's own crash-pattern sampler.
+        monte = measure(wrapped, "fp", p=0.1, method="sampled", budget=Budget(trials=2000))
+        assert monte.method_used == "monte-carlo"
+        assert abs(monte.value - first.value) < 0.05
 
     def test_fp_estimators_refuse_the_sampled_subfamily(self):
         from repro import (

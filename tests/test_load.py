@@ -9,11 +9,11 @@ from repro import (
     ComputationError,
     ExplicitQuorumSystem,
     Strategy,
-    best_known_load,
     exact_load,
     fair_load,
     load_of_strategy,
 )
+from repro.api import measure
 
 
 class TestExactLoadLP:
@@ -74,14 +74,16 @@ class TestFairLoad:
 
 
 class TestBestKnownLoad:
+    """The load ladder lives in ``api.measure``."""
+
     def test_prefers_analytic_closed_form(self, mgrid_7_3):
-        result = best_known_load(mgrid_7_3)
-        assert result.method == "analytic"
-        assert result.load == pytest.approx(mgrid_7_3.load())
+        result = measure(mgrid_7_3, "load")
+        assert result.method_used == "analytic"
+        assert result.value == pytest.approx(mgrid_7_3.load())
 
     def test_falls_back_to_fair_formula(self, simple_system, majority_5):
-        assert best_known_load(majority_5.to_explicit()).method == "fair"
-        assert best_known_load(simple_system).method == "lp"
+        assert measure(majority_5.to_explicit(), "load").method_used == "fair"
+        assert measure(simple_system, "load").method_used == "lp"
 
     def test_analytic_load_agrees_with_lp_for_mgrid(self, mgrid_7_3):
         lp_value = exact_load(mgrid_7_3).load

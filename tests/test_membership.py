@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ExplicitQuorumSystem, MGrid, majority
+from repro import ExplicitQuorumSystem, ImplicitQuorumSystem, MGrid, majority
+from repro.api import build, measure
 from repro.core import (
     Membership,
     MembershipEvent,
@@ -31,6 +32,7 @@ from repro.core import (
     plan_events,
     rebind_system,
     severed_between,
+    unwrap,
 )
 from repro.core.universe import Universe
 from repro.exceptions import InvalidQuorumSystemError
@@ -143,6 +145,27 @@ class TestRebind:
         member_set = membership.epoch(1).member_set()
         for quorum in rebound.iter_quorums():
             assert quorum <= member_set
+
+    @pytest.mark.parametrize("name,p", [("fp", 0.1), ("load", None), ("masking", None)])
+    def test_measures_are_label_independent(self, name, p):
+        # Regression: `measure` peeled implicit views but not rebound ones, so
+        # a relabelled mgrid(6, 1) answered Fp by Monte-Carlo (0.13285 +- 0.0047)
+        # where the identical unrelabelled system took the closed form.
+        base = build("mgrid", side=6, b=1)
+        rebound = ReboundQuorumSystem(
+            base, Universe(f"s{i}" for i in range(36)), epoch_index=1
+        )
+        relabelled, plain = measure(rebound, name, p=p), measure(base, name, p=p)
+        assert relabelled.value == plain.value
+        assert relabelled.method_used == plain.method_used
+        assert relabelled.error_bound == 0.0
+        assert relabelled.system == rebound.name
+
+    def test_unwrap_peels_nested_views(self):
+        base = MGrid(4, 1)
+        rebound = ReboundQuorumSystem(base, Universe(range(100, 116)), epoch_index=3)
+        assert unwrap(base) is base
+        assert unwrap(ImplicitQuorumSystem(rebound, num_samples=4, seed=0)) is base
 
     def test_rebind_is_cached_per_epoch(self):
         system, membership = _grid_membership()
