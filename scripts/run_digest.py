@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +44,17 @@ import numpy as np
 from repro import MGrid, api
 from repro.analysis import (
     adversarial_conformance,
+    availability_trend,
+    candidate_constructions,
     percolation_conformance,
     reconfig_conformance,
     recovery_conformance,
+    section8_comparison,
+    section45_comparison,
     service_conformance,
+    table2,
 )
-from repro.api.registry import SystemSpec, build
+from repro.api.registry import SystemSpec, build, spec_of
 from repro.api.scenarios import available_scenarios
 from repro.core import (
     Membership,
@@ -58,6 +63,7 @@ from repro.core import (
     exact_failure_probability,
     exact_load,
     plan_events,
+    unwrap,
 )
 from repro.exceptions import ReproError
 from repro.simulation import (
@@ -319,6 +325,62 @@ def measure_rows():
                 )
 
 
+#: ``availability_trend`` cases of ``benchmarks/test_bench_table2.py``.
+TREND_CASES = (
+    ("M-Grid", (25, 81, 169), 0.2),
+    ("Grid", (25, 81, 169), 0.2),
+    ("Threshold", (25, 81, 169), 0.2),
+    ("RT(4,3)", (16, 64, 256), 0.15),
+    ("boostFPP", (25, 81, 169), 0.15),
+    ("M-Path", (25, 81, 169), 0.3),
+)
+#: Two universe sizes each registry construction (the first twelve
+#: ``MEASURE_SPECS``, in order) is rebound to, one after the other.
+REBIND_SIZES = (
+    (63, 7), (12, 5), (13, 8), (16, 10), (8, 3), (25, 9),
+    (25, 14), (25, 9), (16, 8), (13, 8), (15, 9), (9, 2),
+)
+
+
+def _rebind_rows(construction, params, sizes):
+    system = build(construction, **params)
+    steps, current = [], system.n
+    for size in sizes:
+        steps.append(("join" if size > current else "sever", abs(size - current)))
+        current = size
+    membership = Membership(system.universe, plan_events(system.universe, steps))
+    for epoch, size in enumerate(sizes, start=1):
+        yield f"rebind/{construction}/{params}/{size}", _or_rejected(
+            lambda rebound: (spec_of(unwrap(rebound)).to_dict(), rebound.n),
+            membership.rebind, system, epoch,
+        )
+
+
+def analysis_rows():
+    for n in (64, 256):
+        for p in (0.125, 0.4):
+            rows = table2(n, p, rng=np.random.default_rng(SEEDS[0]))
+            yield f"table2/{n}/{p}", [asdict(row) for row in rows]
+    for name, sizes, p in TREND_CASES:
+        yield f"availability_trend/{name}/{p}", availability_trend(
+            name, list(sizes), p, rng=np.random.default_rng(SEEDS[0])
+        )
+    for n in (256, 1024):
+        profiles = section8_comparison(
+            n=n, p=0.125, rng=np.random.default_rng(SEEDS[0]), include_baselines=True
+        )
+        yield f"section8_comparison/{n}", [asdict(profile) for profile in profiles]
+    for name, family in section45_comparison().items():
+        yield f"section45_comparison/{name}", asdict(family)
+    for n, b in ((31, 0), (64, 3), (64, 10), (1024, 7)):
+        yield f"candidate_constructions/{n}/{b}", [
+            (system.name, spec_of(system).to_dict())
+            for system in candidate_constructions(n, b)
+        ]
+    for (construction, params), sizes in zip(MEASURE_SPECS, REBIND_SIZES):
+        yield from _rebind_rows(construction, params, sizes)
+
+
 def rows():
     system = MGrid(5, 1)
     yield from facade_rows()
@@ -332,6 +394,7 @@ def rows():
         }
     yield from replay_rows()
     yield from measure_rows()
+    yield from analysis_rows()
 
 
 def main(argv: list[str]) -> int:

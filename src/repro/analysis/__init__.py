@@ -36,7 +36,13 @@ from repro.analysis.empirical import (
     empirical_load_comparison,
 )
 from repro.analysis.selector import Recommendation, candidate_constructions, recommend_construction
-from repro.analysis.tables import TABLE2_SYSTEMS, Table2Row, availability_trend, table2
+from repro.analysis.tables import (
+    PAPER_FAMILIES,
+    TABLE2_SYSTEMS,
+    Table2Row,
+    availability_trend,
+    table2,
+)
 from repro.analysis.tradeoffs import TradeoffPoint, tradeoff_point, verify_tradeoff
 
 __all__ = [
@@ -48,6 +54,7 @@ __all__ = [
     "EmpiricalLoadComparison",
     "ExponentialDecayFit",
     "FamilyAsymptotics",
+    "PAPER_FAMILIES",
     "PowerLawFit",
     "Recommendation",
     "TABLE2_SYSTEMS",

@@ -13,8 +13,9 @@ loads against ``c * n^alpha`` and the availability against
 
 Entry points
 ------------
-* :func:`family_system` — instantiate one of the paper's families at (or
-  near) a target universe size.
+* :func:`family_system` — instantiate one of the paper's families
+  (:data:`repro.analysis.tables.PAPER_FAMILIES`) at (or near) a target
+  universe size.
 * :func:`sweep` — per-size analytic load / ``Fp`` points for one family.
 * :func:`fit_power_law` / :func:`fit_exponential_decay` — log-space least
   squares with an ``r^2`` quality figure.
@@ -28,17 +29,12 @@ worked example.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constructions.grid import MaskingGrid, RegularGrid
-from repro.constructions.mgrid import MGrid
-from repro.constructions.mpath import MPath
-from repro.constructions.recursive_threshold import RecursiveThreshold
-from repro.constructions.threshold import masking_threshold
+from repro.analysis.tables import PAPER_FAMILIES
 from repro.core.analytic import analytic_failure_probability, analytic_load
 from repro.core.bounds import load_lower_bound
 from repro.core.floats import is_zero
@@ -59,35 +55,27 @@ __all__ = [
 ]
 
 #: The families the Section 4–5 comparison sweeps, in the paper's order.
-ASYMPTOTIC_FAMILIES = ("Threshold", "Grid", "M-Grid", "RT(4,3)", "M-Path")
+ASYMPTOTIC_FAMILIES = tuple(
+    name for name, family in PAPER_FAMILIES.items() if family.swept
+)
 
 
 def family_system(name: str, n: int, b: int) -> QuorumSystem:
     """Instantiate family ``name`` at (or near) universe size ``n``.
 
-    Grid-shaped families use ``side = isqrt(n)`` (pass perfect squares for
-    exact sizes); RT uses the closest recursion depth.  The returned system
-    is a plain construction — wrap it in
+    The shape at ``n`` is the family's natural one
+    (:meth:`repro.analysis.tables.PaperFamily.at`; pass a size the family
+    contains for an exact ``n``).  The returned system is a plain
+    construction — wrap it in
     :class:`~repro.core.quorum_system.ImplicitQuorumSystem` to feed the
     workload engines at large ``n``.
     """
-    side = math.isqrt(n)
-    if name == "Threshold":
-        return masking_threshold(n, b)
-    if name == "Grid":
-        return MaskingGrid(side, b)
-    if name == "M-Grid":
-        return MGrid(side, b)
-    if name == "M-Path":
-        return MPath(side, b)
-    if name == "RT(4,3)":
-        depth = max(1, round(math.log(n, 4)))
-        return RecursiveThreshold(4, 3, depth)
-    if name == "RegularGrid":
-        return RegularGrid(side)
-    raise ComputationError(
-        f"unknown asymptotic family {name!r}; choose one of {ASYMPTOTIC_FAMILIES}"
-    )
+    family = PAPER_FAMILIES.get(name)
+    if family is None:
+        raise ComputationError(
+            f"unknown paper family {name!r}; choose one of {tuple(PAPER_FAMILIES)}"
+        )
+    return family.at(n, b)
 
 
 @dataclass(frozen=True)

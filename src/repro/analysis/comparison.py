@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.tables import PAPER_FAMILIES, quoted_crash_probability
+from repro.api.measures import measure
+from repro.api.registry import shape_at
 from repro.constructions.boost_fpp import BoostedFPP
-from repro.constructions.grid import MaskingGrid
 from repro.constructions.mgrid import MGrid
 from repro.constructions.mpath import MPath
-from repro.constructions.recursive_threshold import RecursiveThreshold
-from repro.constructions.threshold import masking_threshold
 from repro.core.quorum_system import QuorumSystem
 from repro.exceptions import ComputationError, ConstructionError
 
@@ -35,8 +35,8 @@ class SystemProfile:
     name:
         Construction name.
     n:
-        Number of servers actually used (constructions round to their natural
-        shapes: perfect squares, ``k^h``, ``(4b+1)(q^2+q+1)``...).
+        Number of servers actually used (each family's natural size nearest
+        the request; the family table in ``docs/analysis.md``).
     b:
         Byzantine failures masked.
     f:
@@ -79,8 +79,6 @@ def profile_system(
     ``rng`` only drives M-Path's percolation sampler where its bound does
     not apply (``p >= 1/3``).
     """
-    from repro.api.measures import measure  # local: analysis sits above the facade
-
     if b is None:
         b = system.masking_bound()
     resilience = system.min_transversal_size() - 1
@@ -93,12 +91,7 @@ def profile_system(
         crash_value = system.crash_probability_lower_bound(p)
         crash_kind = "lower-bound"
     elif isinstance(system, MPath):
-        try:
-            crash_value = system.crash_probability_upper_bound(p)
-            crash_kind = "upper-bound"
-        except ComputationError:
-            crash_value = system.crash_probability(p, trials=200, rng=rng)
-            crash_kind = "monte-carlo"
+        crash_value, crash_kind = quoted_crash_probability(system, p, rng)
     elif isinstance(system, BoostedFPP):
         crash_value = system.crash_probability_chernoff_bound(p)
         crash_kind = "upper-bound"
@@ -169,41 +162,37 @@ def section8_comparison(
     :func:`repro.analysis.selector.candidate_constructions` when
     ``required_b == 0``.
     """
-    side = int(round(n ** 0.5))
+
+    def at(name: str, b: int | None = None) -> QuorumSystem:
+        return PAPER_FAMILIES[name].at(n, b)
+
+    side = shape_at("mgrid", {}, n)["side"]
     if side * side != n:
         raise ConstructionError(f"the Section 8 comparison needs a perfect-square n; got {n}")
 
-    profiles: list[SystemProfile] = []
-
     # M-Grid with the largest b giving load about 1/4: k rows/columns with
-    # 2k/side ~ 1/4, i.e. k = side/8 and b = k^2 - 1.
-    mgrid_k = max(1, side // 8)
-    mgrid_b = mgrid_k * mgrid_k - 1
-    profiles.append(profile_system(MGrid(side, mgrid_b), p, b=mgrid_b, rng=rng))
-
-    # boostFPP with q = 3: load ~ 3/(4q) = 1/4; choose b so that n is close
-    # to the requested size: (4b+1) * 13 ~ n.
-    q = 3
-    points = q * q + q + 1
-    boost_b = max(1, (n // points - 1) // 4)
-    profiles.append(profile_system(BoostedFPP(q, boost_b), p, b=boost_b, rng=rng))
-
-    # M-Path with 4 LR + 4 TB paths (k = side/8 again), i.e. b = (k^2 - 1)/2.
-    mpath_k = max(1, side // 8)
-    mpath_b = (mpath_k * mpath_k - 1) // 2
-    profiles.append(profile_system(MPath(side, mpath_b), p, b=mpath_b, rng=rng))
-
-    # RT(4, 3) of the depth matching n = 4^h.
-    depth = max(1, int(round(np.log(n) / np.log(4))))
-    rt = RecursiveThreshold(4, 3, depth)
-    profiles.append(profile_system(rt, p, b=rt.masking_bound(), rng=rng))
+    # 2k/side ~ 1/4, i.e. k = side/8 and b = k^2 - 1; M-Path with 4 LR + 4 TB
+    # paths (k = side/8 again), i.e. b = (k^2 - 1)/2.
+    k = max(1, side // 8)
+    mgrid_b = k * k - 1
+    mpath_b = mgrid_b // 2
+    # boostFPP with q = 3 has load ~ 3/(4q) = 1/4 at every b; RT(4, 3) has
+    # the depth matching n = 4^h.
+    boost, rt = at("boostFPP"), at("RT(4,3)")
+    rt_b = rt.masking_bound()
+    profiles = [
+        profile_system(at("M-Grid", mgrid_b), p, b=mgrid_b, rng=rng),
+        profile_system(boost, p, b=boost.b, rng=rng),
+        profile_system(at("M-Path", mpath_b), p, b=mpath_b, rng=rng),
+        profile_system(rt, p, b=rt_b, rng=rng),
+    ]
 
     if include_baselines:
         # Threshold with b chosen for load ~ 1/4 is impossible (its load is
-        # always >= 1/2); profile it at the same masking level as RT instead.
-        threshold = masking_threshold(n, rt.masking_bound())
-        profiles.append(profile_system(threshold, p, b=rt.masking_bound(), rng=rng))
-        grid_b = min(mgrid_b, (side - 1) // 3)
-        profiles.append(profile_system(MaskingGrid(side, grid_b), p, b=grid_b, rng=rng))
+        # always >= 1/2); profile it at the same masking level as RT instead,
+        # and Grid at M-Grid's b or the largest it can mask, if smaller.
+        profiles.append(profile_system(at("Threshold", rt_b), p, b=rt_b, rng=rng))
+        grid_b = min(mgrid_b, at("Grid").b)
+        profiles.append(profile_system(at("Grid", grid_b), p, b=grid_b, rng=rng))
 
     return profiles

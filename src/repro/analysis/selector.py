@@ -13,22 +13,15 @@ requirements are met).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.comparison import SystemProfile, profile_system
-from repro.constructions.boost_fpp import BoostedFPP
-from repro.constructions.grid import MaskingGrid
-from repro.constructions.mgrid import MGrid
-from repro.constructions.mpath import MPath
-from repro.constructions.recursive_threshold import RecursiveThreshold
-from repro.constructions.threshold import masking_threshold
-from repro.constructions.tree import TreeQuorumSystem
-from repro.constructions.wheel import WheelQuorumSystem
+from repro.analysis.tables import PAPER_FAMILIES
+from repro.api.registry import build, shape_at
 from repro.core.rng import ensure_rng
-from repro.exceptions import ConstructionError
+from repro.exceptions import ConstructionError, FieldError
 from repro.gf.prime_field import factor_prime_power
 
 __all__ = ["Recommendation", "candidate_constructions", "recommend_construction"]
@@ -60,7 +53,7 @@ def _largest_prime_power_at_most(value: int) -> int:
         try:
             factor_prime_power(candidate)
             return candidate
-        except Exception:
+        except FieldError:
             continue
     raise ConstructionError(f"no prime power at most {value}")
 
@@ -80,48 +73,36 @@ def candidate_constructions(n: int, required_b: int) -> list:
     (``repro.api.build("tree", ...)``) and as boosting inputs.
     """
     candidates = []
-    side = math.isqrt(n)
 
-    if 4 * required_b < n:
-        candidates.append(masking_threshold(n, required_b))
+    def offer(make, *args, **params) -> None:
+        try:
+            candidates.append(make(*args, **params))
+        except ConstructionError:
+            pass
+
+    offer(PAPER_FAMILIES["Threshold"].at, n, required_b)
 
     if required_b == 0:
-        if n >= 3:
-            candidates.append(WheelQuorumSystem(n))
+        offer(build, "wheel", **shape_at("wheel", {}, n))
         # Depth capped at 3 (255 quorums): the depth-4 family has 2^16 - 1
         # quorums, which pushes the profile's exact MT/Fp computations from
         # milliseconds to minutes for no extra insight in a selection table.
-        tree_depth = max(
-            (d for d in range(1, 4) if 2 ** (d + 1) - 1 <= n), default=None
-        )
-        if tree_depth is not None:
-            candidates.append(TreeQuorumSystem(tree_depth))
+        tree_depth = min(3, shape_at("tree", {}, n)["depth"])
+        if tree_depth >= 1:
+            candidates.append(build("tree", depth=tree_depth))
 
-    for builder in (
-        lambda: MaskingGrid(side, required_b),
-        lambda: MGrid(side, required_b),
-        lambda: MPath(side, required_b),
-    ):
-        try:
-            candidates.append(builder())
-        except ConstructionError:
-            pass
+    for name in ("Grid", "M-Grid", "M-Path"):
+        offer(PAPER_FAMILIES[name].at, n, required_b)
 
-    depth = max(1, round(math.log(max(n, 4), 4)))
-    rt = RecursiveThreshold(4, 3, depth)
+    rt = PAPER_FAMILIES["RT(4,3)"].at(n)
     if rt.masking_bound() >= required_b:
         candidates.append(rt)
 
-    # boostFPP: pick the plane order so that (4b+1)(q^2+q+1) lands near n.
-    points_budget = max(3, n // (4 * required_b + 1))
-    # q^2 + q + 1 <= points_budget  =>  q <= (sqrt(4*budget - 3) - 1)/2.
-    q_limit = int((math.sqrt(4 * points_budget - 3) - 1) // 2)
+    # boostFPP: pick the plane order so that (4b+1)(q^2+q+1) lands near n —
+    # the largest prime power whose plane fits n // (4b+1) points.
+    q_limit = shape_at("fpp", {}, max(3, n // (4 * required_b + 1)))["q"]
     if q_limit >= 2:
-        try:
-            q = _largest_prime_power_at_most(q_limit)
-            candidates.append(BoostedFPP(q, required_b))
-        except ConstructionError:
-            pass
+        offer(build, "boostfpp", q=_largest_prime_power_at_most(q_limit), b=required_b)
 
     return candidates
 
@@ -139,9 +120,9 @@ def recommend_construction(
     Parameters
     ----------
     n:
-        Approximate number of servers available (grid constructions use the
-        largest perfect square at most ``n``; boostFPP and RT use their own
-        natural shapes near ``n``).
+        Approximate number of servers available; every family uses the
+        member of its natural shape nearest ``n`` (the family table in
+        ``docs/analysis.md``).
     p:
         Independent per-server crash probability.
     required_b:

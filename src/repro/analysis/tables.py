@@ -1,42 +1,164 @@
-"""Regeneration of Table 2: properties of all six constructions.
+"""The paper's family table, and Table 2 regenerated from it.
 
-Table 2 of the paper summarises, for the two [MR98a] baselines and the four
-new constructions, the largest maskable ``b``, the resilience ``f``, the load
-``L`` and the asymptotic behaviour of ``Fp``.  The paper states these as
-asymptotic formulas; this module evaluates the same quantities numerically
-for concrete universe sizes, so that the benchmark can check both the
-absolute values at a given ``n`` and the trends across ``n`` (who wins, where
-the crossovers are).
+:data:`PAPER_FAMILIES` is the one statement of the paper's six families —
+paper name, registry construction, the parameters the paper's tables hold
+fixed, Table 2's two optimality marks and which ``Fp`` the tables quote —
+and :meth:`PaperFamily.at` the one way an analysis module instantiates a
+family at (or near) a universe size; ``docs/analysis.md`` prints the table.
+Table 2 states the largest maskable ``b``, the resilience ``f``, the load
+``L`` and the behaviour of ``Fp`` as asymptotic formulas; :func:`table2`
+evaluates the same quantities numerically at a concrete size and
+:func:`availability_trend` across sizes, so that the benchmark can check
+both the absolute values and the trends (who wins, where the crossovers
+are).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
+from repro.api.measures import measure
+from repro.api.registry import build, get_entry, shape_at, spec_of
 from repro.constructions.boost_fpp import BoostedFPP
-from repro.constructions.grid import MaskingGrid
-from repro.constructions.mgrid import MGrid
-from repro.constructions.mpath import MPath
-from repro.constructions.recursive_threshold import RecursiveThreshold
-from repro.constructions.threshold import masking_threshold
 from repro.core.bounds import load_lower_bound
-from repro.core.rng import ensure_rng
-from repro.exceptions import ConstructionError
+from repro.core.quorum_system import QuorumSystem
+from repro.exceptions import ComputationError, ConstructionError
 
-__all__ = ["Table2Row", "table2", "TABLE2_SYSTEMS", "availability_trend"]
+__all__ = [
+    "PAPER_FAMILIES",
+    "PaperFamily",
+    "TABLE2_SYSTEMS",
+    "Table2Row",
+    "availability_trend",
+    "quoted_crash_probability",
+    "table2",
+]
+
+
+@dataclass(frozen=True)
+class PaperFamily:
+    """One row of the paper's family table.
+
+    Attributes
+    ----------
+    name:
+        The paper's name for the family (Table 2, Sections 4–8).
+    construction:
+        Its registry name; :func:`repro.api.registry.shape_at` owns the
+        family's shape at a universe size.
+    fixed:
+        The parameters the paper's tables hold fixed.
+    trend:
+        What :func:`availability_trend` holds fixed while ``n`` grows: the
+        smallest interesting ``b``, or the smallest plane for boostFPP
+        (whose ``b`` grows with ``n``).
+    load_optimal / availability_optimal:
+        Table 2's two marks: load optimal for ``b``-masking systems, ``Fp``
+        optimal for the resilience.
+    quotes_bound:
+        Whether the paper's tables quote an ``Fp`` bound for the family
+        (:func:`quoted_crash_probability`) instead of the value
+        :func:`repro.api.measures.measure` computes.
+    swept:
+        Whether Sections 4–5 sweep it across ``n`` at a fixed ``b``
+        (:data:`repro.analysis.asymptotics.ASYMPTOTIC_FAMILIES`).
+    """
+
+    name: str
+    construction: str
+    fixed: dict = field(default_factory=dict)
+    trend: dict = field(default_factory=dict)
+    load_optimal: bool = False
+    availability_optimal: bool = False
+    quotes_bound: bool = False
+    swept: bool = True
+
+    def at(self, n: int, b: int | None = None, **fixed: int) -> QuorumSystem:
+        """Build the family's member nearest universe size ``n`` masking ``b``.
+
+        ``b=None`` asks for the largest ``b`` the constructor accepts at
+        that shape (Table 2's ``b <`` column), found by scanning ``b``
+        upward through the constructor's own validation.  ``b`` is ignored
+        by the families that have no free ``b``: RT's follows from its
+        depth, boostFPP's *is* its size parameter.
+        """
+        params = shape_at(self.construction, {**self.fixed, **fixed}, n)
+        takes_b = any(spec.name == "b" for spec in get_entry(self.construction).params)
+        if "b" in params or not takes_b:
+            return build(self.construction, **params)
+        if b is not None:
+            return build(self.construction, **params, b=b)
+        system = build(self.construction, **params, b=0)
+        for larger in count(1):
+            try:
+                system = build(self.construction, **params, b=larger)
+            except ConstructionError:
+                return system
+
+
+#: The paper's six families, in the order of Table 2.
+PAPER_FAMILIES: dict[str, PaperFamily] = {
+    family.name: family
+    for family in (
+        PaperFamily("Threshold", "threshold", trend={"b": 1}, availability_optimal=True),
+        PaperFamily("Grid", "masking-grid", trend={"b": 1}),
+        PaperFamily("M-Grid", "mgrid", trend={"b": 1}, load_optimal=True),
+        PaperFamily("RT(4,3)", "rt", fixed={"k": 4, "l": 3}, availability_optimal=True),
+        PaperFamily(
+            "boostFPP", "boostfpp", fixed={"q": 3}, trend={"q": 2},
+            load_optimal=True, quotes_bound=True, swept=False,
+        ),
+        PaperFamily(
+            "M-Path", "mpath", trend={"b": 1},
+            load_optimal=True, availability_optimal=True, quotes_bound=True,
+        ),
+    )
+}
 
 #: The six systems of Table 2, in the paper's order.
-TABLE2_SYSTEMS = (
-    "Threshold",
-    "Grid",
-    "M-Grid",
-    "RT(4,3)",
-    "boostFPP",
-    "M-Path",
-)
+TABLE2_SYSTEMS = tuple(PAPER_FAMILIES)
+
+
+def quoted_crash_probability(
+    system: QuorumSystem,
+    p: float,
+    rng: np.random.Generator | None,
+    *,
+    bound: bool = True,
+) -> tuple[float, str]:
+    """Return ``(Fp, kind)`` as the paper quotes it for boostFPP and M-Path.
+
+    boostFPP's tables carry the equation (6) estimate rather than the exact
+    modular value.  M-Path's carry the Proposition 7.3 counting bound; it
+    only exists for ``p < 1/3``, beyond which the seeded percolation sampler
+    stands in (``kind == "monte-carlo"``).  ``bound=False`` samples at every
+    ``p``: the counting bound is vacuous on small lattices, so a trend
+    across sizes cannot use it.
+    """
+    if isinstance(system, BoostedFPP):
+        return system.crash_probability(p), "upper-bound"
+    if bound:
+        try:
+            return system.crash_probability_upper_bound(p), "upper-bound"
+        except ComputationError:
+            pass
+    return system.crash_probability(p, trials=200, rng=rng), "monte-carlo"
+
+
+def _crash_probability(
+    family: PaperFamily,
+    system: QuorumSystem,
+    p: float,
+    rng: np.random.Generator | None,
+    *,
+    bound: bool = True,
+) -> float:
+    if family.quotes_bound:
+        return quoted_crash_probability(system, p, rng, bound=bound)[0]
+    return measure(system, "fp", p=p).value
 
 
 @dataclass(frozen=True)
@@ -81,52 +203,20 @@ class Table2Row:
     availability_optimal: bool
 
 
-def _max_b_threshold(n: int) -> int:
-    return (n - 1) // 4
-
-
-def _max_b_grid(side: int) -> int:
-    return (side - 1) // 3
-
-
-def _max_b_mgrid(side: int) -> int:
-    # b <= (side - 1)/2, subject to 2*ceil(sqrt(b+1)) <= side.
-    best = 0
-    for b in range((side - 1) // 2 + 1):
-        k = math.isqrt(b + 1)
-        if k * k < b + 1:
-            k += 1
-        if 2 * k <= side:
-            best = b
-    return best
-
-
-def _max_b_mpath(side: int) -> int:
-    # Largest b with ceil(sqrt(2b+1)) <= side and resilience >= b.
-    best = 0
-    for b in range(side * side):
-        k = math.isqrt(2 * b + 1)
-        if k * k < 2 * b + 1:
-            k += 1
-        if k > side or side - k < b:
-            break
-        best = b
-    return best
-
-
 def table2(
     n: int = 1024,
     p: float = 0.125,
     *,
-    boost_q: int = 3,
     rng: np.random.Generator | None = None,
 ) -> list[Table2Row]:
     """Return the reproduced Table 2 at universe size ``n`` and crash probability ``p``.
 
-    Each construction is instantiated at (or near) ``n`` with the *largest*
-    masking parameter it supports, matching the ``b <`` column of the paper's
-    table; systems with natural shapes use the closest feasible size
-    (boostFPP uses ``(4b+1)(q^2+q+1)``, RT uses ``4^h``).
+    Each family of :data:`PAPER_FAMILIES` is instantiated at (or near) ``n``
+    with the *largest* masking parameter it supports, matching the ``b <``
+    column of the paper's table.  Load and ``Fp`` come from
+    :func:`repro.api.measures.measure` — closed forms, so the table does not
+    depend on ``rng`` — except for the two rows where the paper quotes a
+    bound (:func:`quoted_crash_probability`).
 
     Parameters
     ----------
@@ -136,12 +226,9 @@ def table2(
         allow).
     p:
         Individual crash probability for the ``Fp`` column.
-    boost_q:
-        Projective-plane order used by the boostFPP row.
     rng:
-        Randomness source for the Monte-Carlo ``Fp`` estimates (Grid,
-        M-Grid, and M-Path when ``p >= 1/3``); pass a seeded generator for
-        reproducible tables.  The closed-form rows ignore it.
+        Randomness source for M-Path's percolation sampler, which only runs
+        when ``p >= 1/3``; pass a seeded generator for reproducible tables.
 
     Returns
     -------
@@ -153,10 +240,7 @@ def table2(
 
     Examples
     --------
-    The structural columns are closed-form and exactly reproducible:
-
-    >>> import numpy as np
-    >>> rows = table2(64, 0.125, rng=np.random.default_rng(0))
+    >>> rows = table2(64, 0.125)
     >>> [row.system for row in rows]
     ['Threshold', 'Grid', 'M-Grid', 'RT(4,3)', 'boostFPP', 'M-Path']
     >>> [row.max_b for row in rows]
@@ -168,120 +252,28 @@ def table2(
     >>> [row.system for row in rows if row.load_optimal]
     ['M-Grid', 'boostFPP', 'M-Path']
     """
-    side = math.isqrt(n)
-    if side * side != n:
-        raise ConstructionError(f"Table 2 reproduction expects a perfect-square n; got {n}")
-    rng = ensure_rng(rng)
     rows: list[Table2Row] = []
-
-    # Threshold [MR98a].
-    b = _max_b_threshold(n)
-    threshold = masking_threshold(n, b)
-    rows.append(
-        Table2Row(
-            system="Threshold",
-            n=n,
-            max_b=b,
-            resilience=threshold.min_transversal_size() - 1,
-            load=threshold.load(),
-            load_lower_bound=load_lower_bound(n, b),
-            crash_probability=threshold.crash_probability(p),
-            load_optimal=False,
-            availability_optimal=True,
+    for family in PAPER_FAMILIES.values():
+        system = family.at(n)
+        params = spec_of(system).params
+        if "side" in params and system.n != n:
+            raise ConstructionError(
+                f"Table 2 reproduction expects a perfect-square n; got {n}"
+            )
+        b = params["b"] if "b" in params else system.masking_bound()
+        rows.append(
+            Table2Row(
+                system=family.name,
+                n=system.n,
+                max_b=b,
+                resilience=system.min_transversal_size() - 1,
+                load=measure(system, "load").value,
+                load_lower_bound=load_lower_bound(system.n, b),
+                crash_probability=_crash_probability(family, system, p, rng),
+                load_optimal=family.load_optimal,
+                availability_optimal=family.availability_optimal,
+            )
         )
-    )
-
-    # Grid [MR98a].
-    b = _max_b_grid(side)
-    grid = MaskingGrid(side, b)
-    rows.append(
-        Table2Row(
-            system="Grid",
-            n=grid.n,
-            max_b=b,
-            resilience=grid.min_transversal_size() - 1,
-            load=grid.load(),
-            load_lower_bound=load_lower_bound(grid.n, b),
-            crash_probability=grid.crash_probability(p, rng=rng),
-            load_optimal=False,
-            availability_optimal=False,
-        )
-    )
-
-    # M-Grid.
-    b = _max_b_mgrid(side)
-    mgrid = MGrid(side, b)
-    rows.append(
-        Table2Row(
-            system="M-Grid",
-            n=mgrid.n,
-            max_b=b,
-            resilience=mgrid.min_transversal_size() - 1,
-            load=mgrid.load(),
-            load_lower_bound=load_lower_bound(mgrid.n, b),
-            crash_probability=mgrid.crash_probability(p, rng=rng),
-            load_optimal=True,
-            availability_optimal=False,
-        )
-    )
-
-    # RT(4, 3) at depth log4(n).
-    depth = max(1, round(math.log(n, 4)))
-    rt = RecursiveThreshold(4, 3, depth)
-    b = rt.masking_bound()
-    rows.append(
-        Table2Row(
-            system="RT(4,3)",
-            n=rt.n,
-            max_b=b,
-            resilience=rt.min_transversal_size() - 1,
-            load=rt.load(),
-            load_lower_bound=load_lower_bound(rt.n, b),
-            crash_probability=rt.crash_probability(p),
-            load_optimal=False,
-            availability_optimal=True,
-        )
-    )
-
-    # boostFPP at the requested q, sized close to n.
-    points = boost_q * boost_q + boost_q + 1
-    b = max(1, (n // points - 1) // 4)
-    boost = BoostedFPP(boost_q, b)
-    rows.append(
-        Table2Row(
-            system="boostFPP",
-            n=boost.n,
-            max_b=b,
-            resilience=boost.min_transversal_size() - 1,
-            load=boost.load(),
-            load_lower_bound=load_lower_bound(boost.n, b),
-            crash_probability=boost.crash_probability(p),
-            load_optimal=True,
-            availability_optimal=False,
-        )
-    )
-
-    # M-Path.
-    b = _max_b_mpath(side)
-    mpath = MPath(side, b)
-    if p < 1.0 / 3.0:
-        mpath_fp = mpath.crash_probability_upper_bound(p)
-    else:
-        mpath_fp = mpath.crash_probability(p, trials=100, rng=rng)
-    rows.append(
-        Table2Row(
-            system="M-Path",
-            n=mpath.n,
-            max_b=b,
-            resilience=mpath.min_transversal_size() - 1,
-            load=mpath.load(),
-            load_lower_bound=load_lower_bound(mpath.n, b),
-            crash_probability=mpath_fp,
-            load_optimal=True,
-            availability_optimal=True,
-        )
-    )
-
     return rows
 
 
@@ -291,14 +283,15 @@ def availability_trend(
     p: float,
     *,
     rng: np.random.Generator | None = None,
-    b_policy: str = "fixed-small",
 ) -> list[float]:
     """Return ``Fp`` across universe sizes for one Table 2 system.
 
     Used to check the asymptotic column of Table 2: the Grid and M-Grid
     trends increase towards 1, the others decrease towards 0 for ``p`` below
-    their thresholds.  (For closed-form sweeps across decades of ``n`` —
-    with power-law and exponential fits instead of raw trends — see
+    their thresholds.  Each family is held at its
+    :attr:`PaperFamily.trend` setting so the trend isolates the effect of
+    ``n``.  (For closed-form sweeps across decades of ``n`` — with
+    power-law and exponential fits instead of raw trends — see
     :mod:`repro.analysis.asymptotics`.)
 
     Parameters
@@ -306,17 +299,13 @@ def availability_trend(
     system_name:
         One of :data:`TABLE2_SYSTEMS`.
     sizes:
-        Universe sizes (perfect squares where the construction needs them;
-        RT uses the nearest power of 4, boostFPP its own natural sizes).
+        Universe sizes; each family uses the member of its natural shape
+        nearest each size.
     p:
         Individual crash probability.
     rng:
-        Randomness source for the Monte-Carlo systems (Grid, M-Grid,
-        M-Path); closed-form systems ignore it.
-    b_policy:
-        ``"fixed-small"`` keeps ``b`` at the smallest interesting value
-        (1 for most systems) so the trend isolates the effect of ``n``;
-        ``"max"`` uses the largest maskable ``b`` at each size.
+        Randomness source for M-Path, the one sampled trend; the others are
+        closed forms and ignore it.
 
     Returns
     -------
@@ -336,29 +325,10 @@ def availability_trend(
     >>> [f"{value:.8f}" for value in availability_trend("RT(4,3)", [16, 64], 0.1)]
     ['0.01528974', '0.00137423']
     """
-    rng = ensure_rng(rng)
-    values: list[float] = []
-    for n in sizes:
-        side = math.isqrt(n)
-        if system_name == "Threshold":
-            b = 1 if b_policy == "fixed-small" else _max_b_threshold(n)
-            values.append(masking_threshold(n, b).crash_probability(p))
-        elif system_name == "Grid":
-            b = 1 if b_policy == "fixed-small" else _max_b_grid(side)
-            values.append(MaskingGrid(side, b).crash_probability(p, rng=rng))
-        elif system_name == "M-Grid":
-            b = 1 if b_policy == "fixed-small" else _max_b_mgrid(side)
-            values.append(MGrid(side, b).crash_probability(p, rng=rng))
-        elif system_name == "RT(4,3)":
-            depth = max(1, round(math.log(n, 4)))
-            values.append(RecursiveThreshold(4, 3, depth).crash_probability(p))
-        elif system_name == "boostFPP":
-            points = 7  # q = 2
-            b = max(1, (n // points - 1) // 4)
-            values.append(BoostedFPP(2, b).crash_probability(p))
-        elif system_name == "M-Path":
-            b = 1 if b_policy == "fixed-small" else _max_b_mpath(side)
-            values.append(MPath(side, b).crash_probability(p, trials=150, rng=rng))
-        else:
-            raise ConstructionError(f"unknown Table 2 system {system_name!r}")
-    return values
+    family = PAPER_FAMILIES.get(system_name)
+    if family is None:
+        raise ConstructionError(f"unknown Table 2 system {system_name!r}")
+    return [
+        _crash_probability(family, family.at(n, **family.trend), p, rng, bound=False)
+        for n in sizes
+    ]

@@ -48,6 +48,7 @@ from repro.api.registry import (
     build,
     get_entry,
     register,
+    shape_at,
     spec_of,
 )
 from repro.api.scenarios import available_scenarios, build_scenario, is_timed
@@ -73,5 +74,6 @@ __all__ = [
     "measure",
     "register",
     "run",
+    "shape_at",
     "spec_of",
 ]

@@ -529,7 +529,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         params = {
             key: value
             for key, value in shared.items()
-            if key in known or (key == "n" and entry.accepts_n_alias)
+            if key in known or (key == "n" and "side" in known)
         }
         system = build(name, **params)  # one build shared by every measure
         row: dict[str, object] = {"construction": name}

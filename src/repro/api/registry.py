@@ -18,10 +18,13 @@ dispatcher (:mod:`repro.api.measures`), the workload runner
 (:mod:`repro.api.workloads`) and the ``python -m repro`` CLI all accept, so
 an experiment is reproducible from a dict.
 
-Grid-shaped constructions additionally accept ``n`` as a convenience alias
-for ``side`` (``build("grid", n=25)`` is ``build("grid", side=5)``); the
-universe size must then be a perfect square.  Threshold-family entries take
-``n`` directly.
+Every entry also states its family's *natural shape* — which member of the
+family sits nearest a universe size ``n`` — and :func:`shape_at` is the one
+place that answers it: the paper tables, the selector and epoch rebinding all
+size their systems through it (``docs/analysis.md`` has the table).  The
+``n`` alias of the ``side``-shaped constructions is the same rule
+(``build("grid", n=25)`` is ``build("grid", side=5)``), restricted to
+universe sizes the family contains exactly, i.e. perfect squares.
 
 Parameter validation is uniform: a wrong name, a missing required parameter
 or an out-of-range value raises
@@ -63,6 +66,7 @@ __all__ = [
     "build",
     "get_entry",
     "register",
+    "shape_at",
     "spec_of",
 ]
 
@@ -182,8 +186,10 @@ class ConstructionEntry:
     extract:
         Given a built instance, return its canonical parameter dict
         (the inverse of ``factory`` — what makes specs round-trippable).
-    accepts_n_alias:
-        Whether ``n`` may be passed instead of ``side`` (grid shapes).
+    shape:
+        The family's natural shape, ``(params, n) -> params``: the member
+        nearest universe size ``n``, every non-size parameter of ``params``
+        kept (see :func:`shape_at`).
     instance_of:
         The concrete class produced, used by :func:`spec_of` dispatch.
     """
@@ -194,13 +200,14 @@ class ConstructionEntry:
     summary: str
     masking: bool
     extract: Callable[[QuorumSystem], dict]
-    accepts_n_alias: bool = False
+    shape: Callable[[dict, int], dict]
     instance_of: type | None = None
 
     def normalise(self, raw: dict) -> dict:
         """Resolve aliases, apply defaults, coerce types, reject strays."""
         supplied = {key: value for key, value in raw.items() if value is not None}
-        if self.accepts_n_alias and "n" in supplied:
+        known = {spec.name for spec in self.params}
+        if "n" in supplied and "side" in known:
             if "side" in supplied:
                 raise InvalidParameterError(
                     f"{self.name}: pass either 'side' or its alias 'n', not both"
@@ -212,14 +219,13 @@ class ConstructionEntry:
                 raise InvalidParameterError(
                     f"{self.name}: 'n' must be an integer, got {n!r}"
                 ) from exc
-            side = math.isqrt(n)
+            supplied = self.shape(supplied, n)
+            side = supplied["side"]
             if side * side != n:
                 raise InvalidParameterError(
                     f"{self.name} is built over a side x side grid; "
                     f"n={n} is not a perfect square (nearest: {side * side})"
                 )
-            supplied["side"] = side
-        known = {spec.name for spec in self.params}
         stray = sorted(set(supplied) - known)
         if stray:
             raise InvalidParameterError(
@@ -298,6 +304,42 @@ def build(spec: SystemSpec | str, /, **params: object) -> QuorumSystem:
     return entry.factory(**canonical)
 
 
+def shape_at(name: str, params: dict, n: int) -> dict:
+    """Return the parameters of family ``name``'s member nearest universe size ``n``.
+
+    ``params`` carries the family's non-size parameters (``b`` of a grid,
+    ``k``/``l`` of ``rt``, ``q`` of ``boostfpp``; all of them are kept) and
+    the entry's shape rule supplies the size parameter:
+
+    ====================================  =================================
+    construction                          shape at ``n``
+    ====================================  =================================
+    ``threshold`` ``majority`` ``wheel``  ``n`` itself
+    ``grid`` ``masking-grid`` ``mgrid``   ``side = floor(sqrt(n))``
+    ``mpath``
+    ``rt``                                ``depth = round(log_k n)``, >= 1
+    ``tree``                              largest ``depth`` with
+                                          ``2^(depth+1) - 1 <= n``
+    ``fpp``                               largest ``q`` with
+                                          ``q^2 + q + 1 <= n``
+    ``boostfpp``                          largest ``b >= 1`` with
+                                          ``(4b+1)(q^2+q+1) <= n``
+    ``crumbling-wall``                    the row profile, tail rows trimmed
+                                          or the last row widened to ``n``
+    ====================================  =================================
+
+    The result is not validated here: ``build`` it and the constructor
+    decides whether that member exists; a caller that needs exactly ``n``
+    servers compares the built system's ``n`` with its request.
+
+    >>> shape_at("mgrid", {"b": 3}, 50)
+    {'b': 3, 'side': 7}
+    >>> shape_at("boostfpp", {"q": 3}, 1024)
+    {'q': 3, 'b': 19}
+    """
+    return get_entry(name).shape(dict(params), int(n))
+
+
 def spec_of(system: QuorumSystem) -> SystemSpec:
     """Return the canonical :class:`SystemSpec` of a built system.
 
@@ -321,6 +363,44 @@ def spec_of(system: QuorumSystem) -> SystemSpec:
         f"{type(system).__name__} is not a registered construction; "
         "explicit/composed systems have no canonical spec"
     )
+
+
+# ----------------------------------------------------------------------
+# Natural shapes (:func:`shape_at`): the size parameter as a function of n.
+# ----------------------------------------------------------------------
+def _universe_shape(params: dict, n: int) -> dict:
+    return {**params, "n": n}
+
+
+def _square_shape(params: dict, n: int) -> dict:
+    return {**params, "side": math.isqrt(n)}
+
+
+def _rt_shape(params: dict, n: int) -> dict:
+    return {**params, "depth": max(1, round(math.log(n, params["k"])))}
+
+
+def _tree_shape(params: dict, n: int) -> dict:
+    return {**params, "depth": (n + 1).bit_length() - 2}
+
+
+def _plane_shape(params: dict, n: int) -> dict:
+    return {**params, "q": (math.isqrt(4 * n - 3) - 1) // 2}
+
+
+def _boost_shape(params: dict, n: int) -> dict:
+    points = params["q"] ** 2 + params["q"] + 1
+    return {**params, "b": max(1, (n // points - 1) // 4)}
+
+
+def _wall_shape(params: dict, n: int) -> dict:
+    rows = [int(width) for width in params["rows"]]
+    excess = sum(rows) - n
+    while rows and excess >= rows[-1]:
+        excess -= rows.pop()
+    if rows:
+        rows[-1] -= excess  # negative excess widens the last row
+    return {**params, "rows": tuple(rows)}
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +454,7 @@ register(
         summary="[MR98a] Threshold: ceil((n+2b+1)/2)-of-n; optimal resilience, load ~ 1/2",
         masking=True,
         extract=_threshold_params,
+        shape=_universe_shape,
         instance_of=ThresholdQuorumSystem,
     )
 )
@@ -393,6 +474,7 @@ register(
         summary="simple majority (threshold with b=0)",
         masking=False,
         extract=lambda system: {"n": system.n},
+        shape=_universe_shape,
         instance_of=None,  # spec_of reports it as "threshold" with b=0
     )
 )
@@ -406,7 +488,7 @@ register(
         summary="[MR98a] regular grid baseline: one row + one column; b = 0",
         masking=False,
         extract=lambda system: {"side": system.side},
-        accepts_n_alias=True,
+        shape=_square_shape,
         instance_of=RegularGrid,
     )
 )
@@ -422,7 +504,7 @@ register(
         summary="[MR98a] masking grid: 2b+1 rows + one column",
         masking=True,
         extract=lambda system: {"side": system.side, "b": system.b},
-        accepts_n_alias=True,
+        shape=_square_shape,
         instance_of=MaskingGrid,
     )
 )
@@ -438,7 +520,7 @@ register(
         summary="M-Grid (Section 5.1): sqrt(b+1) rows + columns; optimal load",
         masking=True,
         extract=lambda system: {"side": system.side, "b": system.b},
-        accepts_n_alias=True,
+        shape=_square_shape,
         instance_of=MGrid,
     )
 )
@@ -454,7 +536,7 @@ register(
         summary="M-Path (Section 7): disjoint lattice crossings; optimal load and Fp",
         masking=True,
         extract=lambda system: {"side": system.side, "b": system.b},
-        accepts_n_alias=True,
+        shape=_square_shape,
         instance_of=MPath,
     )
 )
@@ -471,6 +553,7 @@ register(
         summary="RT(k,l) recursive threshold (Section 5.2): near-optimal availability",
         masking=True,
         extract=lambda system: {"k": system.k, "l": system.l, "depth": system.depth},
+        shape=_rt_shape,
         instance_of=RecursiveThreshold,
     )
 )
@@ -486,6 +569,7 @@ register(
         summary="boostFPP (Section 6): FPP(q) boosted by (3b+1)-of-(4b+1) blocks",
         masking=True,
         extract=lambda system: {"q": system.q, "b": system.b},
+        shape=_boost_shape,
         instance_of=BoostedFPP,
     )
 )
@@ -498,6 +582,7 @@ register(
         summary="finite projective plane PG(2,q): optimal-load regular system; b = 0",
         masking=False,
         extract=lambda system: {"q": system.q},
+        shape=_plane_shape,
         instance_of=FiniteProjectivePlane,
     )
 )
@@ -512,6 +597,7 @@ register(
         summary="crumbling wall: one full row + one element of each lower row; b = 0",
         masking=False,
         extract=lambda system: {"rows": tuple(system.row_widths)},
+        shape=_wall_shape,
         instance_of=CrumblingWall,
     )
 )
@@ -524,6 +610,7 @@ register(
         summary="[AE91] tree quorums: root-path to half-the-leaves; regular, b = 0",
         masking=False,
         extract=lambda system: {"depth": system.depth},
+        shape=_tree_shape,
         instance_of=TreeQuorumSystem,
     )
 )
@@ -536,6 +623,7 @@ register(
         summary="wheel: hub+spoke pairs plus the full rim; regular, b = 0",
         masking=False,
         extract=lambda system: {"n": system.n},
+        shape=_universe_shape,
         instance_of=WheelQuorumSystem,
     )
 )

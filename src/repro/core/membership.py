@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from math import isqrt
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -46,7 +45,11 @@ from repro.core.quorum_system import (
     QuorumSystemView,
 )
 from repro.core.universe import Universe
-from repro.exceptions import InvalidQuorumSystemError
+from repro.exceptions import (
+    ConstructionError,
+    InvalidParameterError,
+    InvalidQuorumSystemError,
+)
 
 if TYPE_CHECKING:  # circular at runtime: these import core modules
     from repro.core.strategy import Strategy
@@ -349,107 +352,30 @@ class ReboundQuorumSystem(QuorumSystemView):
         )
 
 
-# ----------------------------------------------------------------------
-# Parameter recomputation: construction parameters as functions of n.
-# ----------------------------------------------------------------------
-def _resized_params(construction: str, params: dict, n_new: int) -> dict:
-    """Recompute a registry parameter dict for a universe of size ``n_new``.
-
-    Pure functions of the target size, per family: threshold shapes take
-    ``n`` directly; grid shapes need a perfect square; recursive thresholds
-    a power ``k^depth``; trees ``2^(depth+1) - 1``; projective planes
-    ``q^2 + q + 1``; crumbling walls keep their row profile and grow/shrink
-    the tail rows.  Sizes outside the family raise
-    :class:`~repro.exceptions.InvalidQuorumSystemError`.
-    """
-    resized = dict(params)
-    if "side" in params:
-        side = isqrt(n_new)
-        if side * side != n_new:
-            raise InvalidQuorumSystemError(
-                f"{construction} needs a square universe; epoch has n={n_new}"
-            )
-        resized["side"] = side
-        return resized
-    if "rows" in params:
-        rows = [int(width) for width in params["rows"]]
-        total = sum(rows)
-        while total > n_new and rows:
-            trim = min(rows[-1], total - n_new)
-            rows[-1] -= trim
-            total -= trim
-            if rows[-1] == 0:
-                rows.pop()
-        if not rows or total > n_new:
-            raise InvalidQuorumSystemError(
-                f"{construction} cannot shrink its wall to n={n_new}"
-            )
-        if total < n_new:
-            rows[-1] += n_new - total
-        resized["rows"] = tuple(rows)
-        return resized
-    if "q" in params:
-        q = isqrt(n_new)
-        while q * q + q + 1 > n_new:
-            q -= 1
-        if q < 2 or q * q + q + 1 != n_new:
-            raise InvalidQuorumSystemError(
-                f"{construction} needs n = q^2 + q + 1; no such q for n={n_new}"
-            )
-        resized["q"] = q
-        return resized
-    if "depth" in params and "k" in params:  # recursive threshold: n = k^depth
-        k = int(params["k"])
-        depth, size = 0, 1
-        while size < n_new:
-            size *= k
-            depth += 1
-        if size != n_new or depth < 1:
-            raise InvalidQuorumSystemError(
-                f"{construction} needs n = {k}^depth; no such depth for n={n_new}"
-            )
-        resized["depth"] = depth
-        return resized
-    if "depth" in params:  # tree: n = 2^(depth + 1) - 1
-        depth, size = 0, 1
-        while size < n_new + 1:
-            size *= 2
-            depth += 1
-        if size != n_new + 1 or depth < 1:
-            raise InvalidQuorumSystemError(
-                f"{construction} needs n = 2^(depth+1) - 1; no such depth for n={n_new}"
-            )
-        resized["depth"] = depth - 1
-        return resized
-    if "n" in params:
-        if "k" in params and int(params["k"]) > n_new:
-            raise InvalidQuorumSystemError(
-                f"{construction} threshold k={params['k']} exceeds epoch size n={n_new}"
-            )
-        resized["n"] = n_new
-        return resized
-    raise InvalidQuorumSystemError(
-        f"{construction} has no size parameter to recompute for n={n_new}"
-    )
-
-
 def _registry_rebind(system: QuorumSystem, epoch: Epoch) -> QuorumSystem | None:
     """Rebuild a registered construction at the epoch's size, or ``None``.
 
-    The registry is the component that knows each construction's parameters;
-    it is imported lazily because the facade imports core at module load
-    (this function only runs long after both packages exist).
+    The registry is the component that knows each construction's parameters
+    and its family's shape at a given size
+    (:func:`repro.api.registry.shape_at`); it is imported lazily because the
+    facade imports core at module load (this function only runs long after
+    both packages exist).  A family with no member of exactly the epoch's
+    size is rejected: either its constructor refuses the nearest shape, or
+    the size guard of :class:`ReboundQuorumSystem` refuses the relabelling.
     """
     from repro.api import registry as registry_mod  # local: api imports core
 
     try:
         spec = registry_mod.spec_of(system)
-    except Exception:  # noqa: BLE001 -- unregistered systems fall through  # repro-lint: disable=R3 -- spec_of's InvalidParameterError is the expected miss; re-raising would make every explicit system an error
+    except InvalidParameterError:  # not a registered construction
         return None
-    if epoch.n == system.universe.size and epoch.universe == system.universe:
-        return system
-    params = _resized_params(spec.construction, spec.params, epoch.n)
-    rebuilt = registry_mod.build(registry_mod.SystemSpec(spec.construction, params))
+    params = registry_mod.shape_at(spec.construction, spec.params, epoch.n)
+    try:
+        rebuilt = registry_mod.build(spec.construction, **params)
+    except ConstructionError as exc:
+        raise InvalidQuorumSystemError(
+            f"{spec.construction} has no configuration of n={epoch.n} servers: {exc}"
+        ) from exc
     if rebuilt.universe == epoch.universe:
         return rebuilt
     return ReboundQuorumSystem(rebuilt, epoch.universe, epoch_index=epoch.index)
@@ -474,8 +400,8 @@ def rebind_system(
     3. a ``resize`` callback, when given, builds the same family at the
        epoch's size over any universe; the result is relabelled onto the
        members;
-    4. a registry construction is rebuilt with parameters recomputed for
-       the epoch's ``n`` (:func:`_resized_params`) and relabelled;
+    4. a registry construction is rebuilt at its family's shape for the
+       epoch's ``n`` (:func:`repro.api.registry.shape_at`) and relabelled;
     5. anything else (explicit/composed systems) keeps its quorum family
        restricted to the quorums its surviving members can still form —
        joins extend the universe with idle spares, severs drop every quorum

@@ -42,7 +42,7 @@ from repro.api.workloads import assemble_report
 from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
-from repro.exceptions import ServiceError
+from repro.exceptions import InvalidParameterError, ServiceError
 from repro.service import wire
 from repro.service.client import ServiceQuorumClient, call_endpoint
 from repro.simulation.client import RetryPolicy, access_frequencies, vouched_pair
@@ -475,7 +475,7 @@ class ServiceRunResult:
         successful = self.successful
         try:
             registry_spec = spec_of(self.system).to_dict()
-        except Exception:  # pragma: no cover - non-registry systems
+        except InvalidParameterError:  # pragma: no cover - non-registry systems
             registry_spec = None
         accounting = WorkloadResult(
             operations=self.operations,

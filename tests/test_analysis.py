@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import math
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -16,14 +20,18 @@ from repro import (
     masking_threshold,
 )
 from repro.analysis import (
+    PAPER_FAMILIES,
     TABLE2_SYSTEMS,
     availability_trend,
+    candidate_constructions,
+    family_system,
     profile_system,
     section8_comparison,
     table2,
     tradeoff_point,
     verify_tradeoff,
 )
+from repro.api import shape_at, spec_of
 
 
 class TestProfileSystem:
@@ -163,6 +171,93 @@ class TestAvailabilityTrends:
     def test_unknown_system_rejected(self, rng):
         with pytest.raises(ConstructionError):
             availability_trend("Paxos", [16], 0.1, rng=rng)
+
+
+def _shape(system) -> dict:
+    """The size parameters of a built system's canonical spec."""
+    params = spec_of(system).params
+    return {key: params[key] for key in ("n", "side", "depth", "q") if key in params}
+
+
+@functools.lru_cache(maxsize=None)
+def _consumers(n: int) -> dict:
+    """Every analysis consumer of the family table at one size, built once."""
+    return {
+        "table2": {row.system: row for row in table2(n, 0.125)},
+        "section8": dict(
+            zip(
+                ("M-Grid", "boostFPP", "M-Path", "RT(4,3)", "Threshold", "Grid"),
+                section8_comparison(n=n, p=0.125, include_baselines=True),
+            )
+        ),
+        "candidates": {
+            spec_of(system).construction: system
+            for system in candidate_constructions(n, 1)
+        },
+    }
+
+
+class TestOneFamilyTable:
+    """Table 2, Sections 4-5, Section 8 and the selector size a family one way."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("name", TABLE2_SYSTEMS)
+    def test_every_consumer_builds_the_same_shape(self, name, n):
+        family = PAPER_FAMILIES[name]
+        expected = {
+            key: value
+            for key, value in shape_at(family.construction, family.fixed, n).items()
+            if key in ("n", "side", "depth", "q")
+        }
+        consumers = _consumers(n)
+
+        row = consumers["table2"][name]
+        behind_row = family_system(name, n, row.max_b)
+        assert _shape(behind_row) == expected
+        assert behind_row.n == row.n
+
+        assert _shape(family_system(name, n, 1)) == expected
+
+        profile = consumers["section8"][name]
+        behind_profile = family_system(name, n, profile.b)
+        assert _shape(behind_profile) == expected
+        assert (behind_profile.name, behind_profile.n) == (profile.name, profile.n)
+
+        if name != "boostFPP":  # the selector picks boostFPP's plane order itself
+            assert _shape(consumers["candidates"][family.construction]) == expected
+
+    @pytest.mark.parametrize("side", range(2, 41))
+    def test_largest_b_scan_equals_the_closed_forms(self, side):
+        # The oracles are the four closed forms table2 used to carry.
+        def ceil_sqrt(value: int) -> int:
+            root = math.isqrt(value)
+            return root if root * root == value else root + 1
+
+        n = side * side
+        mgrid = max(
+            b for b in range((side - 1) // 2 + 1) if 2 * ceil_sqrt(b + 1) <= side
+        )
+        mpath = 0
+        while ceil_sqrt(2 * mpath + 3) <= side - mpath - 1:
+            mpath += 1
+        oracle = {
+            "Threshold": (n - 1) // 4,
+            "Grid": (side - 1) // 3,
+            "M-Grid": mgrid,
+            "M-Path": mpath,
+        }
+        for name, largest in oracle.items():
+            assert spec_of(PAPER_FAMILIES[name].at(n)).params["b"] == largest, name
+
+    @pytest.mark.parametrize("p", [0.125, 0.4])
+    def test_table2_and_profile_system_quote_the_same_mpath_number(self, p):
+        rows = {row.system: row for row in table2(64, p, rng=np.random.default_rng(9))}
+        mpath = PAPER_FAMILIES["M-Path"].at(64)
+        profile = profile_system(mpath, p, rng=np.random.default_rng(9))
+        assert rows["M-Path"].crash_probability == profile.crash_probability
+        assert profile.crash_probability_kind == (
+            "upper-bound" if p < 1 / 3 else "monte-carlo"
+        )
 
 
 class TestTradeoff:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ExplicitQuorumSystem, ImplicitQuorumSystem, MGrid, majority
-from repro.api import build, measure
+from repro.api import available_constructions, build, measure, spec_of
 from repro.core import (
     Membership,
     MembershipEvent,
@@ -207,6 +207,63 @@ class TestRebind:
         membership = Membership(range(3), [("sever", [2])])
         with pytest.raises(InvalidQuorumSystemError):
             rebind_system(system, membership.epoch(1))
+
+
+#: (construction, parameters, the family's next natural size, a size the
+#: family does not contain — ``None`` where it contains every size).
+FAMILY_SIZES = [
+    ("threshold", {"n": 9, "b": 2}, 13, 8),
+    ("majority", {"n": 5}, 8, None),
+    ("wheel", {"n": 6}, 9, 2),
+    ("grid", {"side": 3}, 16, 10),
+    ("masking-grid", {"side": 4, "b": 1}, 25, 20),
+    ("mgrid", {"side": 4, "b": 1}, 25, 14),
+    ("mpath", {"side": 4, "b": 1}, 25, 20),
+    ("rt", {"k": 4, "l": 3, "depth": 2}, 64, 32),
+    ("tree", {"depth": 2}, 15, 9),
+    ("fpp", {"q": 2}, 13, 8),
+    ("boostfpp", {"q": 2, "b": 1}, 63, 7),
+    ("crumbling-wall", {"rows": (3, 4, 5)}, 14, None),
+]
+
+
+def _resized(system, size: int):
+    """``system`` rebound to ``size`` servers by one join or sever event."""
+    kind = "join" if size > system.n else "sever"
+    events = plan_events(system.universe, [(kind, abs(size - system.n))])
+    return Membership(system.universe, events).rebind(system, 1)
+
+
+class TestRebindEveryFamily:
+    """Each registry construction rebinds along its own family's sizes."""
+
+    def test_the_matrix_covers_the_registry(self):
+        assert sorted(row[0] for row in FAMILY_SIZES) == list(available_constructions())
+
+    @pytest.mark.parametrize(
+        "construction,params,larger", [row[:3] for row in FAMILY_SIZES]
+    )
+    def test_grows_to_the_next_natural_size_and_back(self, construction, params, larger):
+        # Regression: any spec with a `q` was sized as a projective plane, so
+        # boostfpp(q=2, b=1) (n = 35) could not grow to boostfpp(q=2, b=2)
+        # (n = 63) and "shrank" to 7 servers by keeping its 35-server shape.
+        system = build(construction, **params)
+        grown = _resized(system, larger)
+        assert grown.n == larger
+        grown_spec = spec_of(unwrap(grown))
+        assert grown_spec.construction == spec_of(system).construction
+
+        shrunk = _resized(build(grown_spec), system.n)
+        assert shrunk.n == system.n
+        assert spec_of(unwrap(shrunk)) == spec_of(system)
+
+    @pytest.mark.parametrize(
+        "construction,params,off_family",
+        [(row[0], row[1], row[3]) for row in FAMILY_SIZES if row[3] is not None],
+    )
+    def test_rejects_a_size_outside_the_family(self, construction, params, off_family):
+        with pytest.raises(InvalidQuorumSystemError):
+            _resized(build(construction, **params), off_family)
 
 
 class TestStrategyEpochs:
