@@ -110,9 +110,7 @@ class RegularGrid(QuorumSystem):
         return _row_mask(self.side, row) | _column_mask(self.side, column)
 
     def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        row = int(rng.integers(self.side))
-        column = int(rng.integers(self.side))
-        return _row(self.side, row) | _column(self.side, column)
+        return bitset.mask_to_frozenset(self.sample_quorum_mask(rng), self._universe)
 
     def min_quorum_size(self) -> int:
         return 2 * self.side - 1
@@ -213,12 +211,7 @@ class MaskingGrid(QuorumSystem):
         return mask
 
     def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        column = int(rng.integers(self.side))
-        rows = rng.choice(self.side, size=2 * self.b + 1, replace=False)
-        quorum = set(_column(self.side, column))
-        for row in rows:
-            quorum |= _row(self.side, int(row))
-        return frozenset(quorum)
+        return bitset.mask_to_frozenset(self.sample_quorum_mask(rng), self._universe)
 
     def min_quorum_size(self) -> int:
         rows_part = (2 * self.b + 1) * self.side

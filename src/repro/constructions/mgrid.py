@@ -122,9 +122,7 @@ class MGrid(QuorumSystem):
         return mask
 
     def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        rows = tuple(int(r) for r in rng.choice(self.side, size=self.k, replace=False))
-        columns = tuple(int(c) for c in rng.choice(self.side, size=self.k, replace=False))
-        return self._quorum_from(rows, columns)
+        return bitset.mask_to_frozenset(self.sample_quorum_mask(rng), self._universe)
 
     # ------------------------------------------------------------------
     # Analytic measures (Propositions 5.1 and 5.2).
