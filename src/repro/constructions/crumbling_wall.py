@@ -19,7 +19,6 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.core import bitset
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
 from repro.exceptions import ConstructionError
@@ -45,12 +44,8 @@ class CrumblingWall(QuorumSystem):
         if any(width <= 0 for width in widths):
             raise ConstructionError(f"row widths must be positive, got {widths}")
         self.row_widths = widths
-        self._rows = [
-            tuple((row, position) for position in range(width))
-            for row, width in enumerate(widths)
-        ]
         self._universe = Universe(
-            element for row in self._rows for element in row
+            (row, position) for row, width in enumerate(widths) for position in range(width)
         )
         self.name = f"CrumblingWall({list(widths)})"
 
@@ -81,10 +76,6 @@ class CrumblingWall(QuorumSystem):
                 for lower_offset, position in zip(lower_offsets, representatives):
                     mask |= 1 << (lower_offset + position)
                 yield mask
-
-    def iter_quorums(self) -> Iterator[frozenset]:
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
 
     def num_quorums(self) -> int:
         total = 0
@@ -117,13 +108,6 @@ class CrumblingWall(QuorumSystem):
             position = int(rng.integers(self.row_widths[lower]))
             mask |= 1 << (offsets[lower] + position)
         return mask
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        row_index = int(rng.integers(self.num_rows))
-        quorum = set(self._rows[row_index])
-        for lower_row in self._rows[row_index + 1:]:
-            quorum.add(lower_row[int(rng.integers(len(lower_row)))])
-        return frozenset(quorum)
 
     def min_quorum_size(self) -> int:
         return min(

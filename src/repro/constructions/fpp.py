@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-import numpy as np
-
 from repro.core.availability import validate_probability
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
@@ -47,9 +45,6 @@ class FiniteProjectivePlane(QuorumSystem):
     def universe(self) -> Universe:
         return self._universe
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        return iter(self._plane.lines)
-
     def iter_quorum_masks(self) -> Iterator[int]:
         # Points are the integers 0..q^2+q in universe order, so a line's
         # bitmask is the sum of its point bits.
@@ -61,9 +56,6 @@ class FiniteProjectivePlane(QuorumSystem):
 
     def num_quorums(self) -> int:
         return len(self._plane.lines)
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        return self._plane.lines[int(rng.integers(len(self._plane.lines)))]
 
     # ------------------------------------------------------------------
     # Analytic measures (Section 6, first paragraphs).

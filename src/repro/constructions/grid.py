@@ -22,7 +22,6 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.core import bitset
 from repro.core.analytic import rowcol_survival_estimate
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
@@ -44,14 +43,6 @@ def grid_side_for(n: int) -> int:
             f"grid constructions need a perfect-square universe; {n} is not one"
         )
     return side
-
-
-def _row(side: int, row_index: int) -> frozenset:
-    return frozenset((row_index, column) for column in range(side))
-
-
-def _column(side: int, column_index: int) -> frozenset:
-    return frozenset((row, column_index) for row in range(side))
 
 
 def _row_mask(side: int, row_index: int) -> int:
@@ -96,10 +87,6 @@ class RegularGrid(QuorumSystem):
             for column in range(self.side):
                 yield row_mask | column_masks[column]
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
-
     def num_quorums(self) -> int:
         return self.side * self.side
 
@@ -108,9 +95,6 @@ class RegularGrid(QuorumSystem):
         row = int(rng.integers(self.side))
         column = int(rng.integers(self.side))
         return _row_mask(self.side, row) | _column_mask(self.side, column)
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        return bitset.mask_to_frozenset(self.sample_quorum_mask(rng), self._universe)
 
     def min_quorum_size(self) -> int:
         return 2 * self.side - 1
@@ -194,10 +178,6 @@ class MaskingGrid(QuorumSystem):
                     mask |= _row_mask(self.side, row)
                 yield mask
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
-
     def num_quorums(self) -> int:
         return self.side * math.comb(self.side, 2 * self.b + 1)
 
@@ -209,9 +189,6 @@ class MaskingGrid(QuorumSystem):
         for row in rows:
             mask |= _row_mask(self.side, int(row))
         return mask
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        return bitset.mask_to_frozenset(self.sample_quorum_mask(rng), self._universe)
 
     def min_quorum_size(self) -> int:
         rows_part = (2 * self.b + 1) * self.side

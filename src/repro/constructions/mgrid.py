@@ -17,7 +17,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.constructions.grid import _column_mask, _row_mask
-from repro.core import bitset
 from repro.core.analytic import rowcol_survival_estimate
 from repro.core.availability import validate_probability
 from repro.core.quorum_system import QuorumSystem
@@ -78,14 +77,6 @@ class MGrid(QuorumSystem):
     def universe(self) -> Universe:
         return self._universe
 
-    def _quorum_from(self, rows: tuple[int, ...], columns: tuple[int, ...]) -> frozenset:
-        cells = set()
-        for row in rows:
-            cells.update((row, column) for column in range(self.side))
-        for column in columns:
-            cells.update((row, column) for row in range(self.side))
-        return frozenset(cells)
-
     def iter_quorum_masks(self) -> Iterator[int]:
         column_masks = [_column_mask(self.side, column) for column in range(self.side)]
         for rows in itertools.combinations(range(self.side), self.k):
@@ -97,10 +88,6 @@ class MGrid(QuorumSystem):
                 for column in columns:
                     mask |= column_masks[column]
                 yield mask
-
-    def iter_quorums(self) -> Iterator[frozenset]:
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
 
     def num_quorums(self) -> int:
         return math.comb(self.side, self.k) ** 2
@@ -121,8 +108,9 @@ class MGrid(QuorumSystem):
             mask |= _column_mask(self.side, int(column))
         return mask
 
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        return bitset.mask_to_frozenset(self.sample_quorum_mask(rng), self._universe)
+    # The inherited view, named in this class body only because the frozen
+    # bench/trace.py resolves MGrid.__dict__["sample_quorum"] for its span.
+    sample_quorum = QuorumSystem.sample_quorum
 
     # ------------------------------------------------------------------
     # Analytic measures (Propositions 5.1 and 5.2).

@@ -106,19 +106,14 @@ class MPath(QuorumSystem):
             self._line_mask_cache = cached
         return cached
 
-    def _straight_quorum(self, rows: tuple[int, ...], columns: tuple[int, ...]) -> frozenset:
-        return bitset.mask_to_frozenset(self._straight_mask(rows, columns), self._universe)
-
-    def _straight_mask(self, rows: tuple[int, ...], columns: tuple[int, ...]) -> int:
-        row_masks, column_masks = self._line_masks()
-        mask = 0
-        for j in rows:
-            mask |= row_masks[j]
-        for i in columns:
-            mask |= column_masks[i]
-        return mask
-
     def iter_quorum_masks(self) -> Iterator[int]:
+        """Yield the *straight-line* quorums (k rows plus k columns).
+
+        This is a strict sub-family of the full M-Path quorum set (any
+        collection of disjoint lattice paths would do), but it is the family
+        the load-optimal strategy of Proposition 7.2 draws from, and it is
+        the family the simulator uses.
+        """
         row_masks, column_masks = self._line_masks()
         indices = range(1, self.side + 1)
         for rows in itertools.combinations(indices, self.k):
@@ -130,17 +125,6 @@ class MPath(QuorumSystem):
                 for i in columns:
                     mask |= column_masks[i]
                 yield mask
-
-    def iter_quorums(self) -> Iterator[frozenset]:
-        """Yield the *straight-line* quorums (k rows plus k columns).
-
-        This is a strict sub-family of the full M-Path quorum set (any
-        collection of disjoint lattice paths would do), but it is the family
-        the load-optimal strategy of Proposition 7.2 draws from, and it is
-        the family the simulator uses.
-        """
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
 
     def straight_line_subsystem(self, *, limit: int = 200_000) -> ExplicitQuorumSystem:
         """Return the straight-line quorums as an explicit quorum system."""
@@ -156,20 +140,20 @@ class MPath(QuorumSystem):
         )
 
     def sample_quorum_mask(self, rng: np.random.Generator) -> int:
-        """Draw a straight-line quorum (Proposition 7.2's strategy) as a bitmask."""
-        rows = tuple(int(r) + 1 for r in rng.choice(self.side, size=self.k, replace=False))
-        columns = tuple(int(c) + 1 for c in rng.choice(self.side, size=self.k, replace=False))
-        return self._straight_mask(rows, columns)
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
         """Sample a straight-line quorum: k uniform rows and k uniform columns.
 
         This is exactly the strategy used in the proof of Proposition 7.2 and
         it realises the optimal load ``2k/side``.
         """
-        rows = tuple(int(r) + 1 for r in rng.choice(self.side, size=self.k, replace=False))
-        columns = tuple(int(c) + 1 for c in rng.choice(self.side, size=self.k, replace=False))
-        return self._straight_quorum(rows, columns)
+        row_masks, column_masks = self._line_masks()
+        rows = rng.choice(self.side, size=self.k, replace=False)
+        columns = rng.choice(self.side, size=self.k, replace=False)
+        mask = 0
+        for row in rows:
+            mask |= row_masks[int(row) + 1]
+        for column in columns:
+            mask |= column_masks[int(column) + 1]
+        return mask
 
     # ------------------------------------------------------------------
     # Analytic measures (Propositions 7.1 and 7.2).
@@ -202,15 +186,6 @@ class MPath(QuorumSystem):
         """
         fraction = self.k / self.side
         return 2.0 * fraction - fraction * fraction
-
-    def masking_bound(self) -> int:
-        return max(
-            0,
-            min(
-                self.min_transversal_size() - 1,
-                (self.min_intersection_size() - 1) // 2,
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Availability (Proposition 7.3) via percolation.

@@ -26,7 +26,6 @@ from collections.abc import Iterator
 import numpy as np
 from scipy import stats
 
-from repro.core import bitset
 from repro.core.availability import validate_probability
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
@@ -95,10 +94,6 @@ class RecursiveThreshold(QuorumSystem):
     def iter_quorum_masks(self) -> Iterator[int]:
         return self._subtree_masks(0, self.depth)
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
-
     def num_quorums(self) -> int:
         count = 1
         for _ in range(self.depth):
@@ -106,12 +101,7 @@ class RecursiveThreshold(QuorumSystem):
         return count
 
     def sample_quorum_mask(self, rng: np.random.Generator) -> int:
-        """Sample a quorum as a bitmask: ``l`` uniform children at every level.
-
-        Consumes the same draw sequence as :meth:`sample_quorum`, so the two
-        views are stream-compatible; the recursion ORs subtree masks instead
-        of unioning element sets.
-        """
+        """Sample a quorum by choosing ``l`` children uniformly at every level."""
 
         def sample_subtree_mask(root: int, level: int) -> int:
             if level == 0:
@@ -124,21 +114,6 @@ class RecursiveThreshold(QuorumSystem):
             return mask
 
         return sample_subtree_mask(0, self.depth)
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        """Sample a quorum by choosing ``l`` children uniformly at every level."""
-
-        def sample_subtree(root: int, level: int) -> set[int]:
-            if level == 0:
-                return {root}
-            child_span = self.k ** (level - 1)
-            chosen = rng.choice(self.k, size=self.l, replace=False)
-            members: set[int] = set()
-            for child in chosen:
-                members |= sample_subtree(root + int(child) * child_span, level - 1)
-            return members
-
-        return frozenset(sample_subtree(0, self.depth))
 
     # ------------------------------------------------------------------
     # Analytic measures (Propositions 5.3 and 5.5).

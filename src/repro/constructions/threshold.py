@@ -23,7 +23,6 @@ from collections.abc import Iterator
 import numpy as np
 from scipy import stats
 
-from repro.core import bitset
 from repro.core.availability import validate_probability
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
@@ -81,10 +80,6 @@ class ThresholdQuorumSystem(QuorumSystem):
                 mask |= 1 << index
             yield mask
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
-
     def num_quorums(self) -> int:
         return math.comb(self._n, self.k)
 
@@ -95,10 +90,6 @@ class ThresholdQuorumSystem(QuorumSystem):
         for member in members:
             mask |= 1 << int(member)
         return mask
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        members = rng.choice(self._n, size=self.k, replace=False)
-        return frozenset(int(member) for member in members)
 
     def sample_quorum_avoiding(
         self,
@@ -131,11 +122,6 @@ class ThresholdQuorumSystem(QuorumSystem):
 
     def fairness(self) -> tuple[int, int]:
         return self.k, math.comb(self._n - 1, self.k - 1)
-
-    def masking_bound(self) -> int:
-        by_resilience = self.min_transversal_size() - 1
-        by_intersection = (self.min_intersection_size() - 1) // 2
-        return max(0, min(by_resilience, by_intersection))
 
     def load(self) -> float:
         """Return ``L = k / n`` (Proposition 3.9; the system is fair)."""

@@ -61,41 +61,37 @@ class TreeQuorumSystem(QuorumSystem):
             level += 1
         return level
 
-    def _subtree_quorums(self, root: int) -> list[frozenset]:
-        """Return the quorums of the subtree rooted at ``root``."""
+    def _subtree_masks(self, root: int) -> list[int]:
+        """Return the quorums of the subtree rooted at ``root`` (node ``i`` is bit ``i``)."""
         if self._node_depth(root) == self.depth:
-            return [frozenset({root})]
-        left = self._subtree_quorums(2 * root + 1)
-        right = self._subtree_quorums(2 * root + 2)
-        quorums: list[frozenset] = []
+            return [1 << root]
+        left = self._subtree_masks(2 * root + 1)
+        right = self._subtree_masks(2 * root + 2)
         # Root plus a quorum of either child.
-        for child_quorums in (left, right):
-            quorums.extend(frozenset({root}) | quorum for quorum in child_quorums)
+        masks = [1 << root | mask for mask in left + right]
         # Both children's quorums, bypassing the root.
-        quorums.extend(l | r for l in left for r in right)
-        return quorums
+        masks.extend(l | r for l in left for r in right)
+        return masks
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        seen: set[frozenset] = set()
-        for quorum in self._subtree_quorums(0):
-            if quorum not in seen:
-                seen.add(quorum)
-                yield quorum
+    def iter_quorum_masks(self) -> Iterator[int]:
+        # The three branches of the recursion are disjoint (the root, and
+        # which child subtree is empty, tell them apart): no duplicates.
+        return iter(self._subtree_masks(0))
 
     def min_quorum_size(self) -> int:
         """The cheapest quorum is a single root-to-leaf path: ``depth + 1`` nodes."""
         return self.depth + 1
 
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
+    def sample_quorum_mask(self, rng: np.random.Generator) -> int:
         """Sample by walking the recursion, preferring the cheap (path) branches."""
 
-        def sample_subtree(root: int) -> frozenset:
+        def sample_subtree(root: int) -> int:
             if self._node_depth(root) == self.depth:
-                return frozenset({root})
+                return 1 << root
             choice = rng.random()
             if choice < 0.8:
                 child = 2 * root + 1 if rng.random() < 0.5 else 2 * root + 2
-                return frozenset({root}) | sample_subtree(child)
+                return 1 << root | sample_subtree(child)
             return sample_subtree(2 * root + 1) | sample_subtree(2 * root + 2)
 
         return sample_subtree(0)

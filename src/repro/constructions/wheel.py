@@ -49,15 +49,14 @@ class WheelQuorumSystem(QuorumSystem):
     def universe(self) -> Universe:
         return self._universe
 
-    @property
-    def rim(self) -> frozenset:
+    def _rim_mask(self) -> int:
         """The rim servers (everything but the hub)."""
-        return frozenset(range(1, self._n))
+        return (1 << self._n) - 2
 
-    def iter_quorums(self) -> Iterator[frozenset]:
+    def iter_quorum_masks(self) -> Iterator[int]:
         for rim_server in range(1, self._n):
-            yield frozenset({HUB, rim_server})
-        yield self.rim
+            yield 1 << HUB | 1 << rim_server
+        yield self._rim_mask()
 
     def num_quorums(self) -> int:
         return self._n
@@ -74,9 +73,9 @@ class WheelQuorumSystem(QuorumSystem):
         # cheapest transversals are {hub, any rim server}.
         return 2
 
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
+    def sample_quorum_mask(self, rng: np.random.Generator) -> int:
         """Sample with the load-balancing strategy: mostly spokes, rarely the rim."""
         if rng.random() < 1.0 / self._n:
-            return self.rim
+            return self._rim_mask()
         rim_server = 1 + int(rng.integers(self._n - 1))
-        return frozenset({HUB, rim_server})
+        return 1 << HUB | 1 << rim_server

@@ -132,13 +132,6 @@ class BitsetEngine:
         self._incidence_int: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
 
-    @classmethod
-    def from_quorums(
-        cls, universe: Universe, quorums: Iterable[Iterable[Hashable]]
-    ) -> "BitsetEngine":
-        """Build an engine from frozenset-style quorums (compatibility path)."""
-        return cls(universe, masks_of(quorums, universe))
-
     # ------------------------------------------------------------------
     # Structure.
     # ------------------------------------------------------------------
@@ -158,10 +151,6 @@ class BitsetEngine:
     @property
     def num_quorums(self) -> int:
         return len(self._masks)
-
-    def frozensets(self) -> tuple[frozenset, ...]:
-        """The quorums as frozensets (the compatibility view)."""
-        return tuple(mask_to_frozenset(mask, self._universe) for mask in self._masks)
 
     # ------------------------------------------------------------------
     # Cached array views.

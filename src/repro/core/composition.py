@@ -30,11 +30,11 @@ See ``docs/notation.md`` for the notation glossary.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Hashable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
-from repro.core import analytic
+from repro.core import analytic, bitset
 from repro.core.load import exact_load
 from repro.core.quorum_system import ExplicitQuorumSystem, QuorumSystem
 from repro.core.universe import Universe
@@ -75,41 +75,8 @@ class ComposedQuorumSystem(QuorumSystem):
     def universe(self) -> Universe:
         return self._universe
 
-    @staticmethod
-    def _tag(copy_index: Hashable, inner_quorum: frozenset) -> frozenset:
-        return frozenset((copy_index, element) for element in inner_quorum)
-
-    def _tagged_inner_quorums(self, copy_index: Hashable) -> tuple[frozenset, ...]:
-        """The inner system's quorums relabelled into copy ``copy_index`` (cached).
-
-        ``iter_quorums`` revisits every copy once per surrounding product
-        combination; tagging each copy's quorums once instead of per
-        combination removes the dominant cost of eager composition.
-        """
-        cache = getattr(self, "_tagged_cache", None)
-        if cache is None:
-            cache = {}
-            self._tagged_cache = cache
-        tagged = cache.get(copy_index)
-        if tagged is None:
-            tagged = tuple(
-                self._tag(copy_index, inner_quorum) for inner_quorum in self._inner.quorums()
-            )
-            cache[copy_index] = tagged
-        return tagged
-
-    def iter_quorums(self) -> Iterator[frozenset]:
-        for outer_quorum in self._outer.quorums():
-            members = sorted(outer_quorum, key=repr)
-            tagged_lists = [self._tagged_inner_quorums(copy_index) for copy_index in members]
-            for choice in itertools.product(*tagged_lists):
-                combined: set = set()
-                for tagged_quorum in choice:
-                    combined |= tagged_quorum
-                yield frozenset(combined)
-
     def iter_quorum_masks(self) -> Iterator[int]:
-        """Yield composed quorums as bitmasks without building any frozensets.
+        """Yield the composed quorums.
 
         Copy ``i`` (the ``i``-th outer element in universe order) occupies the
         contiguous bit range ``[i * n_R, (i + 1) * n_R)`` of the composed
@@ -120,20 +87,18 @@ class ComposedQuorumSystem(QuorumSystem):
         inner_size = self._inner.n
         inner_masks = self._inner.quorum_masks()
         outer_universe = self._outer.universe
-        shifted_cache: dict[Hashable, tuple[int, ...]] = {}
-
-        def shifted_masks(copy_index: Hashable) -> tuple[int, ...]:
-            shifted = shifted_cache.get(copy_index)
-            if shifted is None:
-                offset = outer_universe.index_of(copy_index) * inner_size
-                shifted = tuple(mask << offset for mask in inner_masks)
-                shifted_cache[copy_index] = shifted
-            return shifted
-
-        for outer_quorum in self._outer.quorums():
-            members = sorted(outer_quorum, key=repr)
-            shifted_lists = [shifted_masks(copy_index) for copy_index in members]
-            for choice in itertools.product(*shifted_lists):
+        shifted_masks = [
+            tuple(mask << (copy * inner_size) for mask in inner_masks)
+            for copy in range(outer_universe.size)
+        ]
+        for outer_mask in self._outer.quorum_masks():
+            # Copies vary slowest-first in label-repr order: the enumeration
+            # order is observable (LP strategies index into it).
+            copies = sorted(
+                bitset.iter_bit_indices(outer_mask),
+                key=lambda copy: repr(outer_universe.element_at(copy)),
+            )
+            for choice in itertools.product(*(shifted_masks[copy] for copy in copies)):
                 combined_mask = 0
                 for shifted in choice:
                     combined_mask |= shifted
@@ -143,7 +108,7 @@ class ComposedQuorumSystem(QuorumSystem):
         """Return the number of quorums without enumerating them."""
         inner_count = self._inner.num_quorums()
         return sum(
-            inner_count ** len(outer_quorum) for outer_quorum in self._outer.quorums()
+            inner_count ** outer_mask.bit_count() for outer_mask in self._outer.quorum_masks()
         )
 
     # ------------------------------------------------------------------
@@ -196,14 +161,15 @@ class ComposedQuorumSystem(QuorumSystem):
         raises :class:`ComputationError` when a factor has no closed form."""
         return analytic.analytic_failure_probability(self, p).value
 
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        """Sample a quorum with the product strategy of Theorem 4.7's proof."""
-        outer_quorum = self._outer.sample_quorum(rng)
-        combined: set = set()
-        for copy_index in outer_quorum:
-            inner_quorum = self._inner.sample_quorum(rng)
-            combined |= self._tag(copy_index, inner_quorum)
-        return frozenset(combined)
+    def sample_quorum_mask(self, rng: np.random.Generator) -> int:
+        """Sample a quorum with the product strategy of Theorem 4.7's proof:
+        an outer quorum, then an inner quorum for each of its copies in
+        universe order."""
+        inner_size = self._inner.n
+        combined_mask = 0
+        for copy in bitset.iter_bit_indices(self._outer.sample_quorum_mask(rng)):
+            combined_mask |= self._inner.sample_quorum_mask(rng) << (copy * inner_size)
+        return combined_mask
 
     # ------------------------------------------------------------------
     # Conversion.

@@ -18,7 +18,7 @@ member set a first-class object:
   rebuild cheap: quorum *bitmasks* are label-independent (bit ``i`` is
   position ``i`` of the universe order), so the wrapper delegates every
   mask-level view and combinatorial parameter to the freshly built construction
-  and only translates frozensets.  The PR-1 incidence caches
+  and only the base class's frozenset views translate.  The PR-1 incidence caches
   (``quorum_masks``/``bitset_engine``) live per rebound instance, so they
   are invalidated per *epoch*, not per call.
 
@@ -35,9 +35,6 @@ from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from repro.core import bitset as bitset_mod
 from repro.core.quorum_system import (
     ExplicitQuorumSystem,
     ImplicitQuorumSystem,
@@ -302,8 +299,8 @@ class ReboundQuorumSystem(QuorumSystemView):
     onto the live member set is a pure relabelling: every mask-level view
     (:meth:`iter_quorum_masks`, :meth:`sample_quorum_mask`) and every
     combinatorial parameter delegates to the rebuilt construction unchanged
-    (:class:`~repro.core.quorum_system.QuorumSystemView`), and only the
-    frozenset views translate through the epoch's universe.
+    (:class:`~repro.core.quorum_system.QuorumSystemView`), and the base
+    class's frozenset views translate through the epoch's universe.
 
     Parameters
     ----------
@@ -334,16 +331,6 @@ class ReboundQuorumSystem(QuorumSystemView):
 
     def iter_quorum_masks(self) -> Iterator[int]:
         return self.base.iter_quorum_masks()
-
-    def iter_quorums(self) -> Iterator[frozenset]:
-        universe = self._universe
-        for mask in self.base.iter_quorum_masks():
-            yield bitset_mod.mask_to_frozenset(mask, universe)
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        return bitset_mod.mask_to_frozenset(
-            self.base.sample_quorum_mask(rng), self._universe
-        )
 
     def __repr__(self) -> str:
         return (

@@ -2,8 +2,11 @@
 
 Two layers are provided:
 
-* :class:`QuorumSystem` — an abstract base class.  Subclasses must expose a
-  universe and a way to iterate quorums; the base class derives every
+* :class:`QuorumSystem` — an abstract base class.  A construction provides a
+  universe, :meth:`~QuorumSystem.iter_quorum_masks` and, when its access
+  strategy can be drawn without enumeration,
+  :meth:`~QuorumSystem.sample_quorum_mask`; the base class derives the
+  labelled frozenset views (``quorums``, ``sample_quorum``, ...) and every
   combinatorial measure the paper uses (``c``, ``IS``, ``MT``, degrees,
   fairness, resilience, masking ability) by enumeration, with caching.
   Constructions in :mod:`repro.constructions` override the measures they know
@@ -30,11 +33,11 @@ Terminology follows Table 1 of the paper:
 ``b``        number of Byzantine failures maskable by the system
 ===========  ===========================================================
 
-Underneath the frozenset API every system carries a cached bitmask engine
-(:meth:`QuorumSystem.bitset_engine`, see :mod:`repro.core.bitset`): quorums
-are ``int`` bitmasks over the universe's index order and the enumeration-based
-measures run vectorised on the bit-packed quorum list.  ``docs/notation.md``
-maps the paper's notation to the implementing functions.
+Quorums are ``int`` bitmasks over the universe's index order (see
+:mod:`repro.core.bitset`); the enumeration-based measures run vectorised on
+the cached :meth:`QuorumSystem.bitset_engine`.  ``docs/notation.md`` states
+the construction contract and maps the paper's notation to the implementing
+functions.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ DEFAULT_ENUMERATION_LIMIT = 200_000
 class QuorumSystem(ABC):
     """Abstract base class for quorum systems (Definition 3.1).
 
-    Subclasses must implement :meth:`universe` and :meth:`iter_quorums`.
+    Subclasses must implement :meth:`universe` and :meth:`iter_quorum_masks`.
     Everything else has a generic, enumeration-based default implementation
     that constructions override with the paper's closed forms whenever these
     are available.
@@ -79,10 +82,10 @@ class QuorumSystem(ABC):
     #: Human readable name used in tables and reports.
     name: str = "quorum-system"
 
-    #: Whether :meth:`iter_quorums` enumerates *all* quorums of the system.
-    #: Some very large constructions (e.g. M-Path) only enumerate a canonical
-    #: sub-family; they set this to ``False`` so that the generic measure
-    #: implementations refuse to silently compute wrong exact values.
+    #: Whether :meth:`iter_quorum_masks` enumerates *all* quorums of the
+    #: system.  Some very large constructions (e.g. M-Path) only enumerate a
+    #: canonical sub-family; they set this to ``False`` so that the generic
+    #: measure implementations refuse to silently compute wrong exact values.
     enumerates_all_quorums: bool = True
 
     #: Whether this object is an :class:`ImplicitQuorumSystem` view whose
@@ -102,27 +105,21 @@ class QuorumSystem(ABC):
         """The universe of servers the system is built over."""
 
     @abstractmethod
-    def iter_quorums(self) -> Iterator[frozenset]:
-        """Yield the quorums of the system as frozensets of universe elements."""
+    def iter_quorum_masks(self) -> Iterator[int]:
+        """Yield the quorums as ``int`` bitmasks over the universe's index order."""
 
     # ------------------------------------------------------------------
     # Bitmask engine (the representation the hot paths run on).
     # ------------------------------------------------------------------
-    def iter_quorum_masks(self) -> Iterator[int]:
-        """Yield the quorums as ``int`` bitmasks over the universe's index order.
-
-        The default converts :meth:`iter_quorums`; constructions override it
-        to emit masks directly (precomputed row/column/subtree masks), which
-        is both their fast path and the source the frozenset view is derived
-        from.  Whichever method a subclass overrides, both views enumerate
-        the same quorums in the same order.
-        """
-        universe = self.universe
-        for quorum in self.iter_quorums():
-            yield bitset_mod.mask_of(quorum, universe)
-
     def quorum_masks(self, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> tuple[int, ...]:
-        """Return the quorum bitmasks as a tuple (cached; mirrors :meth:`quorums`)."""
+        """Return the quorum bitmasks as a tuple, enumerating at most ``limit`` of them.
+
+        Raises
+        ------
+        ComputationError
+            If the system declares that it cannot enumerate all its quorums,
+            or if the enumeration exceeds ``limit``.
+        """
         if not self.enumerates_all_quorums:
             raise ComputationError(
                 f"{self.name} cannot enumerate its full quorum list; "
@@ -164,47 +161,45 @@ class QuorumSystem(ABC):
         """The number of servers ``n = |U|``."""
         return self.universe.size
 
-    def quorums(self, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> tuple[frozenset, ...]:
-        """Return the quorums as a tuple, enumerating at most ``limit`` of them.
+    def iter_quorums(self) -> Iterator[frozenset]:
+        """Yield the quorums as frozensets of universe elements, in mask order."""
+        universe = self.universe
+        for mask in self.iter_quorum_masks():
+            yield bitset_mod.mask_to_frozenset(mask, universe)
 
-        Raises
-        ------
-        ComputationError
-            If the system declares that it cannot enumerate all its quorums,
-            or if the enumeration exceeds ``limit``.
-        """
-        if not self.enumerates_all_quorums:
-            raise ComputationError(
-                f"{self.name} cannot enumerate its full quorum list; "
-                "use its analytic measures or sample_quorum instead"
-            )
+    def quorums(self, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> tuple[frozenset, ...]:
+        """Return :meth:`quorum_masks` as a tuple of frozensets (cached, same order)."""
         cached = getattr(self, "_quorum_cache", None)
-        if cached is not None:
-            return cached
-        collected: list[frozenset] = []
-        for quorum in self.iter_quorums():
-            collected.append(quorum)
-            if limit is not None and len(collected) > limit:
-                raise ComputationError(
-                    f"{self.name} has more than {limit} quorums; "
-                    "raise the limit explicitly if enumeration is really wanted"
-                )
-        quorum_tuple = tuple(collected)
-        self._quorum_cache = quorum_tuple
-        return quorum_tuple
+        if cached is None:
+            universe = self.universe
+            cached = tuple(
+                bitset_mod.mask_to_frozenset(mask, universe)
+                for mask in self.quorum_masks(limit=limit)
+            )
+            self._quorum_cache = cached
+        return cached
 
     def num_quorums(self) -> int:
         """Return the number of quorums (by enumeration unless overridden)."""
-        return len(self.quorums())
+        return len(self.quorum_masks())
 
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        """Return a quorum sampled under the system's preferred access strategy.
+    def sample_quorum_mask(self, rng: np.random.Generator) -> int:
+        """Draw one quorum, as a bitmask, under the system's preferred access strategy.
 
         The default strategy is uniform over the enumerated quorum list;
-        constructions override this with their load-optimal strategy.
+        constructions override this with their load-optimal strategy, drawn
+        from precomputed structure masks (rows/columns, subtree choices, ...)
+        without building the family.  Every other sampler is a view of this
+        one, and it is the only access path that scales to universes where
+        the family itself is astronomically large
+        (:class:`ImplicitQuorumSystem`).
         """
-        quorum_list = self.quorums()
-        return quorum_list[int(rng.integers(len(quorum_list)))]
+        masks = self.quorum_masks()
+        return masks[int(rng.integers(len(masks)))]
+
+    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
+        """Return :meth:`sample_quorum_mask`'s draw as a frozenset of servers."""
+        return bitset_mod.mask_to_frozenset(self.sample_quorum_mask(rng), self.universe)
 
     def sample_quorum_avoiding(
         self,
@@ -223,32 +218,17 @@ class QuorumSystem(ABC):
         with structure (e.g. thresholds) override it with a direct choice.
         Falls back to an arbitrary quorum when avoidance fails.
         """
-        excluded = frozenset(excluded)
-        quorum = self.sample_quorum(rng)
-        if not excluded:
-            return quorum
-        for _ in range(attempts):
-            if not quorum & excluded:
-                return quorum
-            quorum = self.sample_quorum(rng)
-        return quorum
-
-    def sample_quorum_mask(self, rng: np.random.Generator) -> int:
-        """Draw one quorum as an ``int`` bitmask, without building the family.
-
-        This is the *implicit sampling protocol*: a construction that can
-        draw from its access strategy directly (rows/columns, subtree
-        choices, ...) overrides this to assemble the bitmask from
-        precomputed structure masks, consuming the same random draws as
-        :meth:`sample_quorum` so the two views stay stream-compatible.  It
-        is the primitive :class:`ImplicitQuorumSystem` builds its sampled
-        support from, and the only access path that scales to universes
-        where the family itself is astronomically large.
-
-        The generic implementation converts :meth:`sample_quorum`, which may
-        enumerate; constructions override one of the two.
-        """
-        return bitset_mod.mask_of(self.sample_quorum(rng), self.universe)
+        universe = self.universe
+        excluded_mask = bitset_mod.mask_of(
+            (server for server in excluded if server in universe), universe
+        )
+        mask = self.sample_quorum_mask(rng)
+        if excluded_mask:
+            for _ in range(attempts):
+                if not mask & excluded_mask:
+                    break
+                mask = self.sample_quorum_mask(rng)
+        return bitset_mod.mask_to_frozenset(mask, universe)
 
     # ------------------------------------------------------------------
     # Combinatorial measures (Table 1).
@@ -358,21 +338,13 @@ class QuorumSystem(ABC):
         InvalidQuorumSystemError
             On the first violated requirement.
         """
-        quorum_list = self.quorums()
-        if not quorum_list:
+        masks = self.quorum_masks()
+        if not masks:
             raise InvalidQuorumSystemError("a quorum system must contain at least one quorum")
-        universe_set = self.universe.as_frozenset()
-        for quorum in quorum_list:
-            if not quorum:
-                raise InvalidQuorumSystemError("quorums must be non-empty")
-            if not quorum <= universe_set:
-                stray = sorted(quorum - universe_set, key=repr)[:3]
-                raise InvalidQuorumSystemError(
-                    f"quorum contains elements outside the universe: {stray}"
-                )
+        if 0 in masks:
+            raise InvalidQuorumSystemError("quorums must be non-empty")
         # Pairwise intersection is the expensive half of Definition 3.1; the
-        # engine checks it by vectorised popcount instead of O(m^2) frozenset
-        # intersections.
+        # engine checks it by vectorised popcount.
         if not self.bitset_engine().all_pairs_intersect():
             raise InvalidQuorumSystemError(
                 "two quorums do not intersect; this is not a quorum system"
@@ -408,8 +380,10 @@ class ExplicitQuorumSystem(QuorumSystem):
         The universe of servers, either a :class:`~repro.core.universe.Universe`
         or any iterable of hashable elements.
     quorums:
-        The quorums.  They are normalised to ``frozenset`` and deduplicated
-        while preserving first-seen order.
+        The quorums, as collections of universe elements.  This is where
+        caller-supplied labels enter: they are converted once to bitmasks
+        over ``universe`` (an element outside it is rejected) and
+        deduplicated while preserving first-seen order.
     name:
         Optional human-readable name.
     validate:
@@ -427,10 +401,17 @@ class ExplicitQuorumSystem(QuorumSystem):
         if not isinstance(universe, Universe):
             universe = Universe(universe)
         self._universe = universe
-        seen: dict[frozenset, None] = {}
+        members = universe.as_frozenset()
+        seen: dict[int, None] = {}
         for quorum in quorums:
-            seen.setdefault(frozenset(quorum), None)
-        self._quorums = tuple(seen)
+            quorum = frozenset(quorum)
+            if not quorum <= members:
+                stray = sorted(quorum - members, key=repr)[:3]
+                raise InvalidQuorumSystemError(
+                    f"quorum contains elements outside the universe: {stray}"
+                )
+            seen.setdefault(bitset_mod.mask_of(quorum, universe), None)
+        self._masks = tuple(seen)
         self.name = name
         if validate:
             self.validate()
@@ -439,22 +420,22 @@ class ExplicitQuorumSystem(QuorumSystem):
     def universe(self) -> Universe:
         return self._universe
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        return iter(self._quorums)
+    def iter_quorum_masks(self) -> Iterator[int]:
+        return iter(self._masks)
 
     def num_quorums(self) -> int:
-        return len(self._quorums)
+        return len(self._masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExplicitQuorumSystem):
             return NotImplemented
         return (
             self._universe.as_frozenset() == other._universe.as_frozenset()
-            and frozenset(self._quorums) == frozenset(other._quorums)
+            and frozenset(self.quorums(limit=None)) == frozenset(other.quorums(limit=None))
         )
 
     def __hash__(self) -> int:
-        return hash((self._universe.as_frozenset(), frozenset(self._quorums)))
+        return hash((self._universe.as_frozenset(), frozenset(self.quorums(limit=None))))
 
     def restricted_to_alive(self, crashed: Iterable[Hashable]) -> "ExplicitQuorumSystem | None":
         """Return the sub-system of quorums untouched by ``crashed`` servers.
@@ -468,8 +449,8 @@ class ExplicitQuorumSystem(QuorumSystem):
             (element for element in down if element in self._universe), self._universe
         )
         alive = [
-            quorum
-            for quorum, mask in zip(self._quorums, self.quorum_masks(limit=None))
+            bitset_mod.mask_to_frozenset(mask, self._universe)
+            for mask in self._masks
             if not mask & down_mask
         ]
         if not alive:
@@ -553,11 +534,10 @@ class ImplicitQuorumSystem(QuorumSystemView):
     Parameters
     ----------
     base:
-        The underlying construction.  It must provide
-        ``sample_quorum_mask`` (all constructions in
-        :mod:`repro.constructions` emit masks natively) and should provide
-        closed-form measures; measures the base cannot answer without
-        enumeration keep the base's behaviour (including its guard errors).
+        The underlying construction.  Its ``sample_quorum_mask`` should
+        draw without enumeration and it should provide closed-form measures;
+        measures the base cannot answer without enumeration keep the base's
+        behaviour (including its guard errors).
     num_samples:
         Size of the frozen sample that stands in for the quorum list.
     seed:
@@ -613,25 +593,12 @@ class ImplicitQuorumSystem(QuorumSystemView):
         """Yield the *sampled* support masks (deduplicated, first-seen order)."""
         return iter(self._ensure_sample())
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        universe = self.universe
-        for mask in self.iter_quorum_masks():
-            yield bitset_mod.mask_to_frozenset(mask, universe)
-
     def quorum_masks(self, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> tuple[int, ...]:
         """Return the sampled support masks (NOT the full family; see class docs)."""
         cached = getattr(self, "_quorum_mask_cache", None)
         if cached is None:
             cached = tuple(self._ensure_sample())
             self._quorum_mask_cache = cached
-        return cached
-
-    def quorums(self, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> tuple[frozenset, ...]:
-        """Return the sampled support (NOT the full family; see class docs)."""
-        cached = getattr(self, "_quorum_cache", None)
-        if cached is None:
-            cached = tuple(self.iter_quorums())
-            self._quorum_cache = cached
         return cached
 
     def support_strategy(self) -> "Strategy":
@@ -680,9 +647,6 @@ class ImplicitQuorumSystem(QuorumSystemView):
     # ------------------------------------------------------------------
     # Sampling: fresh draws always come from the base construction.
     # ------------------------------------------------------------------
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        return self.base.sample_quorum(rng)
-
     def sample_quorum_avoiding(
         self,
         rng: np.random.Generator,

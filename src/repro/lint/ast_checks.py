@@ -41,7 +41,7 @@ HOT_MODULES: tuple[str, ...] = (
 )
 
 #: Frozenset-family traversal calls R2 flags inside the hot modules.
-_FROZENSET_TRAVERSALS = frozenset({"quorums", "iter_quorums", "frozensets"})
+_FROZENSET_TRAVERSALS = frozenset({"quorums", "iter_quorums"})
 
 #: Builtin exception names R3 refuses to see raised inside the library.
 _BANNED_RAISES = frozenset({"ValueError", "TypeError", "RuntimeError", "Exception"})

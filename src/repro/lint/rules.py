@@ -106,8 +106,8 @@ RULES: dict[str, Rule] = {
             id="R2",
             name="mask-native",
             summary=(
-                "no frozenset-family traversal (.quorums()/.iter_quorums()/"
-                ".frozensets()) inside the mask-native hot modules; use "
+                "no frozenset-family traversal (.quorums()/.iter_quorums()) "
+                "inside the mask-native hot modules; use "
                 "iter_quorum_masks()/support_masks()/BitsetEngine views"
             ),
             rationale=(

@@ -205,20 +205,17 @@ def encode_timestamp(timestamp: Timestamp) -> list:
     :func:`repro.service.harness.discover_initial_pair`) speak the same
     encoding as the protocol frames.
     """
-    return [int(timestamp.counter), int(timestamp.client_id)]
+    return timestamp.to_pair()
 
 
 def decode_timestamp(raw: object) -> Timestamp:
     """Decode a ``[counter, client_id]`` pair; strict about shape."""
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(part, int) and not isinstance(part, bool) for part in raw)
-    ):
+    timestamp = Timestamp.from_pair(raw)
+    if timestamp is None:
         raise WireProtocolError(
             f"a timestamp must be a [counter, client_id] integer pair, got {raw!r}"
         )
-    return Timestamp(counter=raw[0], client_id=raw[1])
+    return timestamp
 
 
 def _require_int(payload: dict, key: str) -> int:

@@ -571,15 +571,18 @@ def _write_floor(writes: Sequence[OperationRecord], initial_timestamp: Timestamp
 # History serialisation (service logs, golden fixtures).
 # ----------------------------------------------------------------------
 def _timestamp_to_json(timestamp: Timestamp | None) -> list | None:
-    return None if timestamp is None else [timestamp.counter, timestamp.client_id]
+    return None if timestamp is None else timestamp.to_pair()
 
 
 def _timestamp_from_json(raw: object) -> Timestamp | None:
     if raw is None:
         return None
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise SimulationError(f"a serialised timestamp must be [counter, client_id], got {raw!r}")
-    return Timestamp(counter=int(raw[0]), client_id=int(raw[1]))
+    timestamp = Timestamp.from_pair(raw)
+    if timestamp is None:
+        raise SimulationError(
+            f"a serialised timestamp must be a [counter, client_id] integer pair, got {raw!r}"
+        )
+    return timestamp
 
 
 def record_to_dict(record: OperationRecord) -> dict:

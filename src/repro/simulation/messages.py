@@ -56,6 +56,23 @@ class Timestamp:
         """The initial timestamp carried by unwritten replicas."""
         return Timestamp(0, -1)
 
+    def to_pair(self) -> list[int]:
+        """The serialised ``[counter, client_id]`` form (wire frames, WAL
+        records, snapshots, history logs)."""
+        return [int(self.counter), int(self.client_id)]
+
+    @staticmethod
+    def from_pair(raw: object) -> "Timestamp | None":
+        """Decode :meth:`to_pair`'s form from outside input; ``None`` unless
+        ``raw`` is exactly a pair of integers (``bool`` and ``float`` are not)."""
+        if (
+            not isinstance(raw, (list, tuple))
+            or len(raw) != 2
+            or not all(isinstance(part, int) and not isinstance(part, bool) for part in raw)
+        ):
+            return None
+        return Timestamp(counter=raw[0], client_id=raw[1])
+
 
 @dataclass(frozen=True)
 class ValueTimestampPair:

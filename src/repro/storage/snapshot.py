@@ -62,7 +62,7 @@ def write_snapshot(path: str | Path, snapshot: Snapshot) -> None:
         body = json.dumps(
             {
                 "seq": int(snapshot.seq),
-                "ts": [int(snapshot.timestamp.counter), int(snapshot.timestamp.client_id)],
+                "ts": snapshot.timestamp.to_pair(),
                 "value": snapshot.value,
             },
             separators=(",", ":"),
@@ -117,17 +117,7 @@ def read_snapshot(path: str | Path) -> Snapshot | None:
     if not isinstance(payload, dict):
         raise StorageError(f"snapshot {target} is corrupt: body is not an object")
     seq = payload.get("seq")
-    raw_ts = payload.get("ts")
-    if (
-        not isinstance(seq, int)
-        or isinstance(seq, bool)
-        or not isinstance(raw_ts, list)
-        or len(raw_ts) != 2
-        or not all(isinstance(part, int) and not isinstance(part, bool) for part in raw_ts)
-    ):
+    timestamp = Timestamp.from_pair(payload.get("ts"))
+    if not isinstance(seq, int) or isinstance(seq, bool) or timestamp is None:
         raise StorageError(f"snapshot {target} is corrupt: malformed seq/ts fields")
-    return Snapshot(
-        seq=seq,
-        timestamp=Timestamp(counter=raw_ts[0], client_id=raw_ts[1]),
-        value=freeze_value(payload.get("value")),
-    )
+    return Snapshot(seq=seq, timestamp=timestamp, value=freeze_value(payload.get("value")))

@@ -149,29 +149,13 @@ class WalScan:
     reason: str = ""
 
 
-def _encode_timestamp(timestamp: Timestamp) -> list[int]:
-    return [int(timestamp.counter), int(timestamp.client_id)]
-
-
-def _decode_timestamp(raw: object) -> Timestamp:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(part, int) and not isinstance(part, bool) for part in raw)
-    ):
-        raise StorageError(
-            f"a stored timestamp must be a [counter, client_id] integer pair, got {raw!r}"
-        )
-    return Timestamp(counter=raw[0], client_id=raw[1])
-
-
 def encode_record(record: WalRecord) -> bytes:
     """Encode one record: header (length, CRC-32) + JSON body."""
     try:
         body = json.dumps(
             {
                 "seq": int(record.seq),
-                "ts": _encode_timestamp(record.timestamp),
+                "ts": record.timestamp.to_pair(),
                 "value": record.value,
             },
             separators=(",", ":"),
@@ -198,9 +182,8 @@ def _decode_body(body: bytes) -> WalRecord | None:
     seq = payload.get("seq")
     if not isinstance(seq, int) or isinstance(seq, bool):
         return None
-    try:
-        timestamp = _decode_timestamp(payload.get("ts"))
-    except StorageError:
+    timestamp = Timestamp.from_pair(payload.get("ts"))
+    if timestamp is None:
         return None
     return WalRecord(seq=seq, timestamp=timestamp, value=freeze_value(payload.get("value")))
 

@@ -1,7 +1,7 @@
 """The implicit construction layer: sample_quorum_mask + ImplicitQuorumSystem.
 
-Covers the sampling protocol's stream-compatibility with the frozenset
-samplers, the implicit system's delegation contract (true measures, sampled
+Covers the labelled sampler being a view of the mask sampler (same draws,
+same quorum, same iteration order), the implicit system's delegation contract (true measures, sampled
 family), the strategy plumbing (Strategy.from_masks, support_strategy,
 sampled_optimal_strategy), the exact-LP budget guard, and both workload
 engines accepting implicit deployments.
@@ -9,12 +9,16 @@ engines accepting implicit deployments.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import (
+    BoostedFPP,
     CrumblingWall,
     ExplicitQuorumSystem,
+    FiniteProjectivePlane,
     ImplicitQuorumSystem,
     MGrid,
     MPath,
@@ -22,14 +26,18 @@ from repro import (
     RecursiveThreshold,
     RegularGrid,
     Strategy,
+    TreeQuorumSystem,
     Universe,
+    WheelQuorumSystem,
     analytic_failure_probability,
     analytic_load,
+    compose,
     exact_load,
+    majority,
     masking_threshold,
 )
-from repro.api import Budget, measure
-from repro.core import bitset
+from repro.api import Budget, available_constructions, build, measure
+from repro.core import ReboundQuorumSystem, bitset
 from repro.exceptions import ComputationError, StrategyError
 from repro.simulation import FaultScenario, run_event_workload, run_workload
 from repro.simulation.engine import resolve_strategy, run_scenario
@@ -45,19 +53,48 @@ SAMPLED_CONSTRUCTIONS = [
 ]
 
 
+#: One small instance of every registry construction, plus a composition
+#: and a relabelled epoch view.
+_REGISTRY_INSTANCES = {
+    "threshold": {"n": 13, "b": 3},
+    "majority": {"n": 9},
+    "grid": {"side": 5},
+    "masking-grid": {"side": 7, "b": 1},
+    "mgrid": {"side": 7, "b": 3},
+    "mpath": {"side": 4, "b": 1},
+    "rt": {"depth": 2},
+    "boostfpp": {"q": 3, "b": 1},
+    "fpp": {"q": 3},
+    "crumbling-wall": {"rows": [3, 2, 2]},
+    "tree": {"depth": 2},
+    "wheel": {"n": 8},
+}
+EVERY_CONSTRUCTION = [build(name, **params) for name, params in _REGISTRY_INSTANCES.items()] + [
+    MGrid(5, 1),
+    compose(RegularGrid(2), majority(3)),
+    ReboundQuorumSystem(MGrid(4, 1), Universe(range(100, 116)), epoch_index=2),
+]
+
+
 class TestSampleQuorumMaskProtocol:
+    def test_every_registry_construction_is_covered(self):
+        assert set(_REGISTRY_INSTANCES) == set(available_constructions())
+
     @pytest.mark.parametrize(
-        "system", SAMPLED_CONSTRUCTIONS, ids=lambda system: system.name
+        "system", EVERY_CONSTRUCTION, ids=lambda system: system.name
     )
     def test_stream_compatible_with_frozenset_sampler(self, system):
-        # Same seed, same draws: the mask sampler and the frozenset sampler
-        # must produce the same quorum sequence.
+        # Same seed, same draws: the labelled sampler is the mask sampler's
+        # draw converted — same quorum, same iteration order (the event
+        # engine assigns latency draws in that order), same stream position.
         mask_rng = np.random.default_rng(11)
         set_rng = np.random.default_rng(11)
         for _ in range(8):
             mask = system.sample_quorum_mask(mask_rng)
             quorum = system.sample_quorum(set_rng)
             assert mask == bitset.mask_of(quorum, system.universe)
+            assert list(quorum) == list(bitset.mask_to_frozenset(mask, system.universe))
+        assert mask_rng.bit_generator.state == set_rng.bit_generator.state
 
     @pytest.mark.parametrize(
         "system", SAMPLED_CONSTRUCTIONS, ids=lambda system: system.name
@@ -73,6 +110,95 @@ class TestSampleQuorumMaskProtocol:
         rng = np.random.default_rng(0)
         masks = {explicit.sample_quorum_mask(rng) for _ in range(20)}
         assert masks <= set(explicit.iter_quorum_masks())
+
+
+def _sorted(quorum):
+    return tuple(sorted(quorum))
+
+
+#: system -> (first five ``sample_quorum`` values under ``default_rng(7)``,
+#: the ``quorums()`` order — or its sha256 when the family is long), as
+#: recorded at PR 15.
+_RECORDED = [
+    (
+        TreeQuorumSystem(2),
+        [(0, 2, 5), (0, 2, 6), (0, 1, 3), (0, 1, 4), (1, 4, 5, 6)],
+        [(0, 1, 3), (0, 1, 4), (0, 3, 4), (0, 2, 5), (0, 2, 6), (0, 5, 6), (1, 2, 3, 5),
+         (1, 2, 3, 6), (1, 3, 5, 6), (1, 2, 4, 5), (1, 2, 4, 6), (1, 4, 5, 6), (2, 3, 4, 5),
+         (2, 3, 4, 6), (3, 4, 5, 6)],
+    ),
+    (
+        WheelQuorumSystem(5),
+        [(0, 3), (0, 4), (0, 1), (0, 2), (1, 2, 3, 4)],
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2, 3, 4)],
+    ),
+    (
+        FiniteProjectivePlane(2),
+        [(0, 2, 4), (0, 1, 6), (0, 1, 6), (0, 2, 4), (0, 1, 6)],
+        [(4, 5, 6), (1, 3, 4), (2, 3, 6), (1, 2, 5), (0, 1, 6), (0, 3, 5), (0, 2, 4)],
+    ),
+    (
+        CrumblingWall([3, 2, 2]),
+        [((2, 0), (2, 1)), ((1, 0), (1, 1), (2, 1)), ((2, 0), (2, 1)),
+         ((1, 0), (1, 1), (2, 1)), ((2, 0), (2, 1))],
+        [((0, 0), (0, 1), (0, 2), (1, 0), (2, 0)), ((0, 0), (0, 1), (0, 2), (1, 0), (2, 1)),
+         ((0, 0), (0, 1), (0, 2), (1, 1), (2, 0)), ((0, 0), (0, 1), (0, 2), (1, 1), (2, 1)),
+         ((1, 0), (1, 1), (2, 0)), ((1, 0), (1, 1), (2, 1)), ((2, 0), (2, 1))],
+    ),
+    (
+        BoostedFPP(2, 1),
+        [((0, 1), (0, 2), (0, 3), (0, 4), (2, 0), (2, 1), (2, 2), (2, 4), (4, 0), (4, 1),
+          (4, 3), (4, 4)),
+         ((2, 0), (2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (6, 1), (6, 2),
+          (6, 3), (6, 4)),
+         ((0, 0), (0, 1), (0, 2), (0, 3), (2, 1), (2, 2), (2, 3), (2, 4), (4, 0), (4, 1),
+          (4, 3), (4, 4)),
+         ((4, 0), (4, 2), (4, 3), (4, 4), (5, 0), (5, 2), (5, 3), (5, 4), (6, 0), (6, 2),
+          (6, 3), (6, 4)),
+         ((0, 0), (0, 1), (0, 2), (0, 4), (1, 1), (1, 2), (1, 3), (1, 4), (6, 0), (6, 1),
+          (6, 3), (6, 4))],
+        "39a91cdf1e8f1739fefd1006dd4fd2a6a248e22521116ffce94de2467f799c01",
+    ),
+    (
+        compose(majority(3), RegularGrid(2)),
+        [((1, (0, 1)), (1, (1, 0)), (1, (1, 1)), (2, (0, 1)), (2, (1, 0)), (2, (1, 1))),
+         ((0, (0, 0)), (0, (0, 1)), (0, (1, 1)), (2, (0, 0)), (2, (1, 0)), (2, (1, 1))),
+         ((0, (0, 0)), (0, (1, 0)), (0, (1, 1)), (2, (0, 0)), (2, (0, 1)), (2, (1, 1))),
+         ((0, (0, 0)), (0, (1, 0)), (0, (1, 1)), (1, (0, 0)), (1, (1, 0)), (1, (1, 1))),
+         ((0, (0, 1)), (0, (1, 0)), (0, (1, 1)), (1, (0, 1)), (1, (1, 0)), (1, (1, 1)))],
+        "e14ae1501a5071c200628ac47d7b785e3a789e29334cbd9913bf7563da517c76",
+    ),
+]
+
+
+class TestRestatedSamplersAndEnumerators:
+    @pytest.mark.parametrize(
+        "system, samples, family", _RECORDED, ids=lambda value: getattr(value, "name", "")
+    )
+    def test_recorded_draws_and_enumeration_order(self, system, samples, family):
+        rng = np.random.default_rng(7)
+        assert [_sorted(system.sample_quorum(rng)) for _ in range(5)] == samples
+        enumerated = [_sorted(quorum) for quorum in system.quorums()]
+        if isinstance(family, str):
+            enumerated = hashlib.sha256(repr(enumerated).encode()).hexdigest()
+        assert enumerated == family
+
+    def test_tuple_labelled_outer_follows_the_product_strategy(self):
+        # Copies are visited in universe-index order (not frozenset-iteration
+        # order), so only the distribution is pinned: each of the 4 grid
+        # copies is used w.p. 3/4 and each majority member of a used copy
+        # w.p. 2/3.
+        system = compose(RegularGrid(2), majority(3))
+        family = set(system.quorums())
+        rng = np.random.default_rng(7)
+        draws = [system.sample_quorum(rng) for _ in range(4000)]
+        assert family.issuperset(draws)
+        for copy in system.outer.universe:
+            used = sum(any(server[0] == copy for server in quorum) for quorum in draws)
+            assert used / len(draws) == pytest.approx(0.75, abs=0.03)
+        for server in system.universe:
+            hits = sum(server in quorum for quorum in draws)
+            assert hits / len(draws) == pytest.approx(0.5, abs=0.03)
 
 
 class TestImplicitQuorumSystem:

@@ -112,6 +112,8 @@ def test_tuple_values_survive_as_frozen_equivalents(tmp_path):
         '{"kind":"read"}',  # missing fields
         '{"client_id":"x","kind":"read","invoked_at":0,"responded_at":1,"success":true}',
         '{"client_id":0,"kind":"read","invoked_at":0,"responded_at":1,"success":true,"timestamp":[1]}',
+        '{"client_id":0,"kind":"read","invoked_at":0,"responded_at":1,"success":true,"timestamp":[1.9,"2"]}',
+        '{"client_id":0,"kind":"read","invoked_at":0,"responded_at":1,"success":true,"timestamp":[true,false]}',
     ],
 )
 def test_malformed_history_lines_rejected(tmp_path, line):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Strategy, StrategyError, Universe
+from repro.core.bitset import mask_to_frozenset
 
 
 class TestConstruction:
@@ -189,4 +190,7 @@ class TestVectorisedSampling:
         engine = strategy.support_engine(universe)
         assert engine is strategy.support_engine(universe)
         assert engine.num_quorums == len(strategy)
-        assert engine.frozensets() == strategy.support
+        assert (
+            tuple(mask_to_frozenset(mask, universe) for mask in engine.masks)
+            == strategy.support
+        )
