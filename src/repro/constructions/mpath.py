@@ -128,15 +128,13 @@ class MPath(QuorumSystem):
 
     def straight_line_subsystem(self, *, limit: int = 200_000) -> ExplicitQuorumSystem:
         """Return the straight-line quorums as an explicit quorum system."""
-        quorums = []
-        for index, quorum in enumerate(self.iter_quorums()):
-            if index >= limit:
-                raise ComputationError(
-                    f"more than {limit} straight-line quorums; raise the limit explicitly"
-                )
-            quorums.append(quorum)
-        return ExplicitQuorumSystem(
-            self._universe, quorums, name=f"{self.name} (straight lines)", validate=False
+        masks = tuple(itertools.islice(self.iter_quorum_masks(), limit + 1))
+        if len(masks) > limit:
+            raise ComputationError(
+                f"more than {limit} straight-line quorums; raise the limit explicitly"
+            )
+        return ExplicitQuorumSystem.from_masks(
+            self._universe, masks, name=f"{self.name} (straight lines)"
         )
 
     def sample_quorum_mask(self, rng: np.random.Generator) -> int:

@@ -176,8 +176,8 @@ class ComposedQuorumSystem(QuorumSystem):
     # ------------------------------------------------------------------
     def to_explicit(self, *, limit: int = 200_000) -> ExplicitQuorumSystem:
         """Materialise the composition (only sensible for small components)."""
-        return ExplicitQuorumSystem(
-            self._universe, self.quorums(limit=limit), name=self.name, validate=False
+        return ExplicitQuorumSystem.from_masks(
+            self._universe, self.quorum_masks(limit=limit), name=self.name
         )
 
 

@@ -78,8 +78,7 @@ def fair_load(system: QuorumSystem) -> LoadResult:
             f"{system.name} is not a fair quorum system; Proposition 3.9 does not apply"
         )
     quorum_size, _ = fairness
-    quorum_list = system.quorums()
-    strategy = Strategy.uniform(quorum_list)
+    strategy = Strategy.uniform_over_system(system)
     return LoadResult(load=quorum_size / system.n, strategy=strategy, method="fair")
 
 
@@ -104,9 +103,10 @@ def exact_load(system: QuorumSystem, *, quorum_limit: int | None = 50_000) -> Lo
     -----
     Quorum systems are immutable and the LP is deterministic, so the result
     is memoised on the system object (like the quorum list itself): repeated
-    load queries against the same system pay for one solve.  As with
-    ``QuorumSystem.quorums``, a cached result is returned without re-checking
-    ``quorum_limit``.
+    load queries against the same system pay for one solve.  That memoised
+    ``LoadResult`` is finished work and is returned as is; short of it, the
+    enumeration budget ``quorum_limit`` is enforced on every call, whoever
+    enumerated the system first.
     """
     cached = getattr(system, "_exact_load_cache", None)
     if cached is not None:
@@ -133,11 +133,9 @@ def exact_load(system: QuorumSystem, *, quorum_limit: int | None = 50_000) -> Lo
                 "system.support_strategy() for the sampled strategy"
             )
         return exact_load(base, quorum_limit=quorum_limit)
-    # Prime the quorum and mask caches under the caller's limit so both the
-    # strategy construction and the engine build honour it, then reuse the
-    # engine's incidence matrix (built once per system); repeated load
-    # computations only pay for the LP itself.
-    system.quorums(limit=quorum_limit)
+    # Enumerate under the caller's limit so both the engine build and the
+    # strategy construction honour it, then reuse the engine's incidence
+    # matrix (built once per system).
     system.quorum_masks(limit=quorum_limit)
     incidence = system.bitset_engine().incidence_matrix().astype(float)  # shape (m, n)
     num_quorums, num_elements = incidence.shape

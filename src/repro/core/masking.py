@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.bitset import mask_to_frozenset
 from repro.core.quorum_system import QuorumSystem
 from repro.exceptions import MaskingViolationError
 
@@ -68,21 +69,19 @@ def check_consistency(system: QuorumSystem, b: int) -> tuple[frozenset, frozense
 
     This is the consistency requirement (1) of Definition 3.5, checked
     exhaustively over all quorum pairs by vectorised popcount on the
-    bit-packed quorum list; the witness pair (in enumeration order) is mapped
-    back to frozensets.
+    bit-packed quorum list; only the witness pair (in enumeration order) is
+    mapped back to frozensets.
     """
     required = 2 * b + 1
     engine = system.bitset_engine()
     if engine.num_quorums == 1:
-        only = system.quorums()[0]
-        if len(only) < required:
-            return only, only
-        return None
-    pair = engine.first_pair_intersecting_below(required)
+        pair = (0, 0) if engine.min_quorum_size() < required else None
+    else:
+        pair = engine.first_pair_intersecting_below(required)
     if pair is None:
         return None
-    quorum_list = system.quorums()
-    return quorum_list[pair[0]], quorum_list[pair[1]]
+    first, second = (mask_to_frozenset(engine.masks[index], system.universe) for index in pair)
+    return first, second
 
 
 def check_resilience(system: QuorumSystem, b: int) -> frozenset | None:

@@ -35,6 +35,7 @@ from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.core import bitset
 from repro.core.quorum_system import (
     ExplicitQuorumSystem,
     ImplicitQuorumSystem,
@@ -421,11 +422,14 @@ def rebind_system(
 
 def _restrict_explicit(system: QuorumSystem, epoch: Epoch) -> ExplicitQuorumSystem:
     """Fallback rebind for unregistered systems: keep the surviving quorums."""
-    member_set = epoch.member_set()
+    old = system.universe
+    members = bitset.mask_of(epoch.member_set() & old.as_frozenset(), old)
+    # Only the survivors are converted: their labels re-enter through the
+    # constructor, which re-encodes them over the epoch's universe.
     survivors = [
-        quorum
-        for quorum in system.quorums()  # repro-lint: disable=R2 -- rebind cold path, runs once per (system, epoch)
-        if quorum <= member_set
+        bitset.mask_to_frozenset(mask, old)
+        for mask in system.quorum_masks()
+        if mask & members == mask
     ]
     if not survivors:
         raise InvalidQuorumSystemError(

@@ -42,6 +42,7 @@ functions.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from collections.abc import Hashable, Iterable, Iterator
 from typing import TYPE_CHECKING
@@ -126,19 +127,19 @@ class QuorumSystem(ABC):
                 "use its analytic measures or sample_quorum instead"
             )
         cached = getattr(self, "_quorum_mask_cache", None)
-        if cached is not None:
-            return cached
-        collected: list[int] = []
-        for mask in self.iter_quorum_masks():
-            collected.append(mask)
-            if limit is not None and len(collected) > limit:
-                raise ComputationError(
-                    f"{self.name} has more than {limit} quorums; "
-                    "raise the limit explicitly if enumeration is really wanted"
-                )
-        mask_tuple = tuple(collected)
-        self._quorum_mask_cache = mask_tuple
-        return mask_tuple
+        if cached is None:
+            # One past the budget is enough to know it is exceeded.
+            stop = None if limit is None else limit + 1
+            cached = tuple(itertools.islice(self.iter_quorum_masks(), stop))
+        # Checked on the cached path too: the budget is the caller's, not
+        # that of whoever enumerated first.
+        if limit is not None and len(cached) > limit:
+            raise ComputationError(
+                f"{self.name} has more than {limit} quorums; "
+                "raise the limit explicitly if enumeration is really wanted"
+            )
+        self._quorum_mask_cache = cached
+        return cached
 
     def bitset_engine(self) -> BitsetEngine:
         """Return the system's :class:`~repro.core.bitset.BitsetEngine` (built once).
@@ -169,13 +170,11 @@ class QuorumSystem(ABC):
 
     def quorums(self, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> tuple[frozenset, ...]:
         """Return :meth:`quorum_masks` as a tuple of frozensets (cached, same order)."""
+        masks = self.quorum_masks(limit=limit)
         cached = getattr(self, "_quorum_cache", None)
         if cached is None:
             universe = self.universe
-            cached = tuple(
-                bitset_mod.mask_to_frozenset(mask, universe)
-                for mask in self.quorum_masks(limit=limit)
-            )
+            cached = tuple(bitset_mod.mask_to_frozenset(mask, universe) for mask in masks)
             self._quorum_cache = cached
         return cached
 
@@ -235,11 +234,11 @@ class QuorumSystem(ABC):
     # ------------------------------------------------------------------
     def min_quorum_size(self) -> int:
         """Return ``c(Q)``, the size of the smallest quorum."""
-        return min(len(quorum) for quorum in self.quorums())
+        return self.bitset_engine().min_quorum_size()
 
     def max_quorum_size(self) -> int:
         """Return the size of the largest quorum."""
-        return max(len(quorum) for quorum in self.quorums())
+        return self.bitset_engine().max_quorum_size()
 
     def min_intersection_size(self) -> int:
         """Return ``IS(Q)``, the smallest pairwise quorum intersection.
@@ -251,11 +250,13 @@ class QuorumSystem(ABC):
 
     def min_transversal_size(self) -> int:
         """Return ``MT(Q)``, the size of the smallest transversal."""
-        return transversal_mod.minimal_transversal_size(self.quorums())
+        return transversal_mod.minimal_transversal_mask(self.quorum_masks()).bit_count()
 
     def minimal_transversal(self) -> frozenset:
         """Return one smallest transversal of the system."""
-        return transversal_mod.minimal_transversal(self.quorums())
+        return bitset_mod.mask_to_frozenset(
+            transversal_mod.minimal_transversal_mask(self.quorum_masks()), self.universe
+        )
 
     def resilience(self) -> int:
         """Return ``f = MT(Q) - 1`` (remark after Definition 3.4)."""
@@ -351,8 +352,12 @@ class QuorumSystem(ABC):
             )
 
     def to_explicit(self) -> "ExplicitQuorumSystem":
-        """Materialise the system as an :class:`ExplicitQuorumSystem`."""
-        return ExplicitQuorumSystem(self.universe, self.quorums(), name=self.name)
+        """Materialise the system as a validated :class:`ExplicitQuorumSystem`."""
+        explicit = ExplicitQuorumSystem.from_masks(
+            self.universe, self.quorum_masks(), name=self.name
+        )
+        explicit.validate()
+        return explicit
 
     def element_index_matrix(self) -> np.ndarray:
         """Return the quorum/element incidence matrix as a boolean array.
@@ -416,6 +421,26 @@ class ExplicitQuorumSystem(QuorumSystem):
         if validate:
             self.validate()
 
+    @classmethod
+    def from_masks(
+        cls, universe: Universe, masks: Iterable[int], *, name: str = "explicit"
+    ) -> "ExplicitQuorumSystem":
+        """Build the system from ``int`` bitmasks over ``universe``, unvalidated.
+
+        The mask-native constructor derived systems use (a sub-family, a
+        sample or a copy of a family that already exists as masks): the masks
+        are deduplicated in first-seen order and checked to lie inside the
+        universe (:class:`~repro.exceptions.ComputationError` otherwise);
+        Definition 3.1 is not checked (call :meth:`validate` for that).
+        """
+        system = cls.__new__(cls)
+        system._universe = universe
+        system._masks = tuple(dict.fromkeys(masks))
+        # The engine's constructor is the check that no mask has a stray bit.
+        system._bitset_engine_cache = BitsetEngine(universe, system._masks)
+        system.name = name
+        return system
+
     @property
     def universe(self) -> Universe:
         return self._universe
@@ -444,20 +469,13 @@ class ExplicitQuorumSystem(QuorumSystem):
         configuration disables the system (the event ``crash(Q)`` of
         Definition 3.10).
         """
-        down = frozenset(crashed)
         down_mask = bitset_mod.mask_of(
-            (element for element in down if element in self._universe), self._universe
+            (element for element in crashed if element in self._universe), self._universe
         )
-        alive = [
-            bitset_mod.mask_to_frozenset(mask, self._universe)
-            for mask in self._masks
-            if not mask & down_mask
-        ]
+        alive = [mask for mask in self._masks if not mask & down_mask]
         if not alive:
             return None
-        return ExplicitQuorumSystem(
-            self._universe, alive, name=f"{self.name}|alive", validate=False
-        )
+        return ExplicitQuorumSystem.from_masks(self._universe, alive, name=f"{self.name}|alive")
 
 
 class QuorumSystemView(QuorumSystem):
@@ -634,11 +652,8 @@ class ImplicitQuorumSystem(QuorumSystemView):
         if cached is None:
             from repro.core import load as load_mod  # local: load imports this module
 
-            sampled = ExplicitQuorumSystem(
-                self.universe,
-                self.quorums(),
-                name=f"{self.name}|sample",
-                validate=False,
+            sampled = ExplicitQuorumSystem.from_masks(
+                self.universe, self.quorum_masks(), name=f"{self.name}|sample"
             )
             cached = load_mod.exact_load(sampled, quorum_limit=None).strategy
             self._sampled_optimal_cache = cached

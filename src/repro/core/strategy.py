@@ -83,13 +83,11 @@ class Strategy:
         cumulative.setflags(write=False)
         self._cumulative = cumulative
         #: Caches of the mask-native views of the support (bitmask tuples and
-        #: :class:`~repro.core.bitset.BitsetEngine`), keyed by
-        #: ``(universe, epoch)`` rather than by universe identity alone: a
-        #: reconfiguration can reuse a universe object while changing what the
-        #: bit positions mean, so the epoch id must participate in the key for
-        #: rebinding to never serve a stale inverse-CDF/mask cache.
-        self._mask_cache: dict[tuple[Universe, int | None], tuple[int, ...]] = {}
-        self._engine_cache: dict[tuple[Universe, int | None], bitset_mod.BitsetEngine] = {}
+        #: :class:`~repro.core.bitset.BitsetEngine`), keyed by universe: the
+        #: masks are a pure function of the support and the universe's
+        #: element order, which is what ``Universe`` equality compares.
+        self._mask_cache: dict[Universe, tuple[int, ...]] = {}
+        self._engine_cache: dict[Universe, bitset_mod.BitsetEngine] = {}
 
     # ------------------------------------------------------------------
     # Constructors.
@@ -106,13 +104,13 @@ class Strategy:
     @classmethod
     def uniform_over_system(cls, system: QuorumSystem) -> "Strategy":
         """Return the uniform strategy over all quorums of ``system``."""
-        return cls.uniform(system.quorums())  # repro-lint: disable=R2 -- constructor cold path; the frozenset family is the documented input surface here
+        return cls.from_masks(system.universe, system.quorum_masks())
 
     @classmethod
     def from_vector(
         cls, system: QuorumSystem, vector: np.ndarray, *, normalise: bool = True
     ) -> "Strategy":
-        """Build a strategy from a weight vector aligned with ``system.quorums()``.
+        """Build a strategy from a weight vector aligned with ``system.quorum_masks()``.
 
         When ``normalise`` is set the vector is rescaled by its *full* total
         before non-positive entries are dropped, and the surviving weights are
@@ -121,11 +119,11 @@ class Strategy:
         (previously the negatives were silently dropped and their mass
         redistributed over the remaining quorums).
         """
-        quorum_list = system.quorums()  # repro-lint: disable=R2 -- constructor cold path; the weight vector is aligned with the frozenset enumeration by contract
+        masks = system.quorum_masks()
         vector = np.asarray(vector, dtype=float)
-        if vector.ndim != 1 or len(vector) != len(quorum_list):
+        if vector.ndim != 1 or len(vector) != len(masks):
             raise StrategyError(
-                f"weight vector has length {len(vector)}, expected {len(quorum_list)}"
+                f"weight vector has length {len(vector)}, expected {len(masks)}"
             )
         if normalise:
             total = float(vector.sum())
@@ -134,12 +132,13 @@ class Strategy:
                     f"weight vector sums to {total}; cannot normalise a non-positive total"
                 )
             vector = vector / total
-        weights = {
-            quorum: float(weight)
-            for quorum, weight in zip(quorum_list, vector)
-            if weight > 0.0
-        }
-        return cls(weights, normalise=False)
+        positive = np.flatnonzero(vector > 0.0)
+        return cls.from_masks(
+            system.universe,
+            [masks[position] for position in positive],
+            vector[positive],
+            normalise=False,
+        )
 
     @classmethod
     def from_masks(
@@ -152,8 +151,9 @@ class Strategy:
     ) -> "Strategy":
         """Build a strategy directly from ``int`` bitmasks over ``universe``.
 
-        This is the mask-native constructor the implicit layer uses
-        (:meth:`repro.core.quorum_system.ImplicitQuorumSystem.support_strategy`):
+        This is the mask-native constructor every system-derived strategy
+        goes through (:meth:`uniform_over_system`, :meth:`from_vector`,
+        :meth:`repro.core.quorum_system.ImplicitQuorumSystem.support_strategy`):
         duplicated masks are merged by summing their weights, and the
         per-universe mask cache is primed so the sampling hot paths
         (:meth:`support_masks`, :meth:`support_engine`) never convert a
@@ -164,7 +164,8 @@ class Strategy:
         universe:
             The universe the mask bit positions refer to.
         masks:
-            Quorum bitmasks; duplicates are allowed and merged.
+            Quorum bitmasks, each a non-empty subset of ``universe``;
+            duplicates are allowed and merged.
         weights:
             Optional per-mask weights aligned with ``masks`` (uniform when
             omitted).
@@ -183,6 +184,11 @@ class Strategy:
                 )
         merged: dict[int, float] = {}
         for mask, weight in zip(mask_list, weight_list):
+            if mask <= 0 or mask.bit_length() > universe.size:
+                raise StrategyError(
+                    f"mask {mask:#b} is not a non-empty subset of the "
+                    f"{universe.size}-element universe"
+                )
             merged[mask] = merged.get(mask, 0.0) + weight
         quorum_weights = {
             bitset_mod.mask_to_frozenset(mask, universe): weight
@@ -191,7 +197,7 @@ class Strategy:
         strategy = cls(quorum_weights, normalise=normalise)
         # Prime the mask cache; the support keeps the merged dict's
         # first-seen order minus the non-positive weights __init__ dropped.
-        strategy._mask_cache[universe, None] = tuple(
+        strategy._mask_cache[universe] = tuple(
             mask for mask, weight in merged.items() if weight > 0.0
         )
         return strategy
@@ -220,9 +226,11 @@ class Strategy:
         StrategyError
             If some supported set is not among the system's quorums.
         """
-        quorum_set = set(system.quorums())  # repro-lint: disable=R2 -- one-off validation cold path, never on the sampling route
-        for quorum in self._weights:
-            if quorum not in quorum_set:
+        universe = system.universe
+        members = universe.as_frozenset()
+        quorum_masks = set(system.quorum_masks())
+        for quorum in self._support_tuple:
+            if not quorum <= members or bitset_mod.mask_of(quorum, universe) not in quorum_masks:
                 raise StrategyError(
                     f"strategy assigns probability to {set(quorum)}, "
                     f"which is not a quorum of {system.name}"
@@ -302,37 +310,24 @@ class Strategy:
         ).astype(np.int64)
         return np.minimum(indices, len(self._support_tuple) - 1)
 
-    def support_masks(
-        self, universe: Universe, *, epoch: int | None = None
-    ) -> tuple[int, ...]:
-        """The support quorums as ``int`` bitmasks over ``universe`` (cached).
-
-        ``epoch`` distinguishes cache entries across reconfigurations: callers
-        running inside a membership epoch pass its absolute index so a later
-        epoch that happens to reuse an equal universe never reads a mask tuple
-        computed under a different binding.
-        """
-        cached = self._mask_cache.get((universe, epoch))
+    def support_masks(self, universe: Universe) -> tuple[int, ...]:
+        """The support quorums as ``int`` bitmasks over ``universe`` (cached)."""
+        cached = self._mask_cache.get(universe)
         if cached is None:
             cached = bitset_mod.masks_of(self._support_tuple, universe)
-            self._mask_cache[universe, epoch] = cached
+            self._mask_cache[universe] = cached
         return cached
 
-    def support_engine(
-        self, universe: Universe, *, epoch: int | None = None
-    ) -> bitset_mod.BitsetEngine:
+    def support_engine(self, universe: Universe) -> bitset_mod.BitsetEngine:
         """A :class:`~repro.core.bitset.BitsetEngine` over the support (cached).
 
         Rows are support quorums in :attr:`support` order, so indices from
         :meth:`sample_many` index directly into its packed and incidence views.
-        Like :meth:`support_masks`, the cache key is ``(universe, epoch)``.
         """
-        cached = self._engine_cache.get((universe, epoch))
+        cached = self._engine_cache.get(universe)
         if cached is None:
-            cached = bitset_mod.BitsetEngine(
-                universe, self.support_masks(universe, epoch=epoch)
-            )
-            self._engine_cache[universe, epoch] = cached
+            cached = bitset_mod.BitsetEngine(universe, self.support_masks(universe))
+            self._engine_cache[universe] = cached
         return cached
 
     # ------------------------------------------------------------------

@@ -2,6 +2,5 @@
 
 from repro.graphs.disjoint_paths import max_vertex_disjoint_paths
 from repro.graphs.maxflow import FlowNetwork
-from repro.graphs.union_find import UnionFind
 
-__all__ = ["FlowNetwork", "UnionFind", "max_vertex_disjoint_paths"]
+__all__ = ["FlowNetwork", "max_vertex_disjoint_paths"]

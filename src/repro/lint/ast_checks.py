@@ -35,8 +35,15 @@ __all__ = [
 #: Modules whose call graphs must stay mask-native (rule R2), as path
 #: suffixes relative to the linted root.
 HOT_MODULES: tuple[str, ...] = (
+    "core/availability.py",
     "core/bitset.py",
+    "core/composition.py",
+    "core/load.py",
+    "core/masking.py",
+    "core/membership.py",
     "core/strategy.py",
+    "core/transversal.py",
+    "constructions/mpath.py",
     "simulation/engine.py",
 )
 

@@ -107,13 +107,16 @@ RULES: dict[str, Rule] = {
             name="mask-native",
             summary=(
                 "no frozenset-family traversal (.quorums()/.iter_quorums()) "
-                "inside the mask-native hot modules; use "
-                "iter_quorum_masks()/support_masks()/BitsetEngine views"
+                "inside the mask-native modules (core/ measures, strategies and "
+                "derived systems, M-Path, the workload engine); use "
+                "quorum_masks()/support_masks()/BitsetEngine views"
             ),
             rationale=(
-                "PR 1-2 moved the measure and workload hot paths onto int "
-                "bitmasks (core/bitset.py); a frozenset iteration reintroduced "
-                "there silently reverts the ~100x speedups the benchmarks pin."
+                "A construction states its quorum family once, as int bitmasks, "
+                "and every measure is a function of that family; asking for the "
+                "labelled family inside the library converts each mask to a "
+                "frozenset and straight back. Labels are built only for "
+                "returned witnesses and for caller input."
             ),
             scope="hot-paths",
         ),

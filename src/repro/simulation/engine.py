@@ -295,11 +295,10 @@ def _build_phase_tables(
     system: QuorumSystem,
     strategy: Strategy,
     scenario: WorkloadScenario,
-    epoch: int | None = None,
 ) -> _PhaseTables:
     universe = system.universe
     n = universe.size
-    engine = strategy.support_engine(universe, epoch=epoch)
+    engine = strategy.support_engine(universe)
     num_support = engine.num_quorums
     full_mask = (1 << n) - 1
 
@@ -381,7 +380,6 @@ def run_scenario(
     allow_overload: bool = False,
     byzantine_model: str | None = None,
     mode: str = "vectorised",
-    epoch: int | None = None,
 ) -> WorkloadResult:
     """Run a batched read/write workload under a fault scenario.
 
@@ -420,11 +418,6 @@ def run_scenario(
         ``"vectorised"`` (array execution) or ``"sequential"`` (the
         per-operation reference path; same semantics, same schedule,
         identical result).
-    epoch:
-        Absolute membership epoch index this run executes in, forwarded to
-        the strategy's mask/engine caches so a reconfiguration never reads a
-        view cached under a different binding (``None`` outside reconfig
-        workloads).
     """
     if num_operations <= 0:
         raise SimulationError(f"num_operations must be positive, got {num_operations}")
@@ -446,7 +439,7 @@ def run_scenario(
             f"deployment only masks b={b}; pass allow_overload=True to force it"
         )
     strategy = resolve_strategy(system, strategy)
-    tables = _build_phase_tables(system, strategy, scenario, epoch)
+    tables = _build_phase_tables(system, strategy, scenario)
     phase_of_op = scenario.phase_of_operations(num_operations)
     schedule = _sample_schedule(strategy, rng, num_operations, max_attempts)
 
@@ -460,7 +453,6 @@ def run_scenario(
             schedule,
             b,
             write_fraction,
-            epoch,
         )
     return _run_vectorised(
         system,
@@ -471,7 +463,6 @@ def run_scenario(
         schedule,
         b,
         write_fraction,
-        epoch,
     )
 
 
@@ -525,10 +516,9 @@ def _run_vectorised(
     schedule: _Schedule,
     b: int,
     write_fraction: float,
-    epoch: int | None = None,
 ) -> WorkloadResult:
     universe = system.universe
-    engine = strategy.support_engine(universe, epoch=epoch)
+    engine = strategy.support_engine(universe)
     incidence = engine.incidence_matrix().astype(np.int64)
     packed = engine.packed()
     num_support = engine.num_quorums
@@ -647,7 +637,6 @@ def _run_sequential(
     schedule: _Schedule,
     b: int,
     write_fraction: float,
-    epoch: int | None = None,
 ) -> WorkloadResult:
     """Per-operation reference path: same semantics, Python-loop execution.
 
@@ -657,7 +646,7 @@ def _run_sequential(
     """
     universe = system.universe
     n = universe.size
-    support_masks = strategy.support_masks(universe, epoch=epoch)
+    support_masks = strategy.support_masks(universe)
     num_support = len(support_masks)
     num_operations = len(phase_of_op)
     max_attempts = schedule.attempt_indices.shape[1]

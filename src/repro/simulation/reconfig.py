@@ -356,7 +356,6 @@ def run_reconfig_workload(
             write_fraction=write_fraction,
             max_attempts=max_attempts,
             mode=mode,
-            epoch=epoch.index,
         )
 
     outcomes = _run_epochs(system, timeline, b, strategy, policy, run_epoch)

@@ -34,7 +34,11 @@ from repro import (
     masking_threshold,
 )
 from repro.core import bitset
-from repro.core.transversal import is_transversal, minimal_transversal
+from repro.core.transversal import (
+    is_transversal,
+    minimal_transversal,
+    minimal_transversal_mask,
+)
 
 
 def _small_systems():
@@ -232,6 +236,9 @@ class TestLoadAndAvailability:
         if len(quorums) <= 100:
             bnb = minimal_transversal(quorums, engine="branch-and-bound")
             assert len(milp) == len(bnb)
+        mask = minimal_transversal_mask(system.quorum_masks())
+        assert mask.bit_count() == len(milp)
+        assert is_transversal(bitset.mask_to_frozenset(mask, system.universe), quorums)
 
 
 # ----------------------------------------------------------------------------

@@ -1,59 +1,11 @@
-"""Unit tests for the graph substrate: union-find, max-flow, disjoint paths."""
+"""Unit tests for the graph substrate: max-flow, disjoint paths."""
 
 from __future__ import annotations
 
 import networkx as nx
 import pytest
 
-from repro.graphs import FlowNetwork, UnionFind, max_vertex_disjoint_paths
-
-
-class TestUnionFind:
-    def test_initially_disconnected(self):
-        dsu = UnionFind()
-        assert not dsu.connected("a", "b")
-
-    def test_union_connects(self):
-        dsu = UnionFind()
-        assert dsu.union("a", "b")
-        assert dsu.connected("a", "b")
-        assert not dsu.union("a", "b")
-
-    def test_transitivity(self):
-        dsu = UnionFind()
-        dsu.union(1, 2)
-        dsu.union(2, 3)
-        dsu.union(4, 5)
-        assert dsu.connected(1, 3)
-        assert not dsu.connected(1, 5)
-
-    def test_component_counting(self):
-        dsu = UnionFind()
-        for element in range(6):
-            dsu.add(element)
-        assert dsu.num_components == 6
-        dsu.union(0, 1)
-        dsu.union(2, 3)
-        assert dsu.num_components == 4
-        assert dsu.component_size(0) == 2
-
-    def test_contains_and_len(self):
-        dsu = UnionFind()
-        dsu.union("x", "y")
-        assert "x" in dsu and "z" not in dsu
-        assert len(dsu) == 2
-
-    def test_matches_networkx_components_on_random_graph(self, rng):
-        graph = nx.gnp_random_graph(25, 0.12, seed=7)
-        dsu = UnionFind()
-        for node in graph.nodes:
-            dsu.add(node)
-        for left, right in graph.edges:
-            dsu.union(left, right)
-        for left in graph.nodes:
-            for right in graph.nodes:
-                expected = nx.has_path(graph, left, right)
-                assert dsu.connected(left, right) == expected
+from repro.graphs import FlowNetwork, max_vertex_disjoint_paths
 
 
 class TestMaxFlow:

@@ -34,6 +34,7 @@ from repro import (
     compose,
     exact_load,
     majority,
+    masking_report,
     masking_threshold,
 )
 from repro.api import Budget, available_constructions, build, measure
@@ -110,6 +111,47 @@ class TestSampleQuorumMaskProtocol:
         rng = np.random.default_rng(0)
         masks = {explicit.sample_quorum_mask(rng) for _ in range(20)}
         assert masks <= set(explicit.iter_quorum_masks())
+
+
+ENUMERABLE_CONSTRUCTIONS = [
+    system for system in EVERY_CONSTRUCTION if system.enumerates_all_quorums
+]
+
+
+@pytest.mark.parametrize(
+    "system", ENUMERABLE_CONSTRUCTIONS, ids=lambda system: system.name
+)
+class TestMaskNativeCore:
+    def test_no_labelled_family_is_materialised(self, system):
+        # Measures, strategies and derived systems read quorum_masks(); the
+        # labelled view exists only once a caller asks for quorums().
+        vars(system).pop("_quorum_cache", None)
+        explicit = system.to_explicit()
+        exact_load(system)
+        resolve_strategy(system, None).support_engine(system.universe)
+        explicit.min_transversal_size()
+        explicit.min_quorum_size()
+        masking_report(explicit, 0)
+        assert not hasattr(system, "_quorum_cache")
+        assert not hasattr(explicit, "_quorum_cache")
+
+    def test_strategy_support_is_aligned_with_quorum_masks(self, system):
+        # The order the vectorised engine's index draws rely on.
+        universe = system.universe
+        masks = system.quorum_masks()
+        uniform = Strategy.uniform_over_system(system)
+        assert uniform.support_masks(universe) == masks
+        optimal = exact_load(system).strategy
+        assert optimal.support_masks(universe) == tuple(
+            mask
+            for mask in masks
+            if optimal.probability(bitset.mask_to_frozenset(mask, universe)) > 0.0
+        )
+        for strategy in (uniform, optimal):
+            assert strategy.support == tuple(
+                bitset.mask_to_frozenset(mask, universe)
+                for mask in strategy.support_masks(universe)
+            )
 
 
 def _sorted(quorum):
@@ -413,6 +455,10 @@ class TestStrategyFromMasks:
             Strategy.from_masks(universe, (0b0111, 0b1110), (1.0,))
         with pytest.raises(StrategyError):
             Strategy.from_masks(universe, (0b0111,), (-1.0,))
+        with pytest.raises(StrategyError, match="0b10011"):
+            Strategy.from_masks(universe, (0b10011, 0b0011))
+        with pytest.raises(StrategyError, match="0b0 "):
+            Strategy.from_masks(universe, (0, 0b0011))
 
     def test_sampling_consistent_with_engine_rows(self):
         universe = Universe.of_size(6)

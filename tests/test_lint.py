@@ -93,6 +93,7 @@ class TestR2MaskNative:
         source = "def f(s):\n    return list(s.quorums())\n"
         assert lint_source(source, "repro/analysis/tables.py") == []
         assert rules_fired(lint_source(source, "repro/simulation/engine.py")) == {"R2"}
+        assert rules_fired(lint_source(source, "repro/core/load.py")) == {"R2"}
 
 
 # ----------------------------------------------------------------------

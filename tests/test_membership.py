@@ -288,17 +288,3 @@ class TestStrategyEpochs:
     def test_restricted_to_empty_support_returns_none(self):
         strategy = Strategy({frozenset({0, 1}): 1.0})
         assert strategy.restricted_to({2, 3}) is None
-
-    def test_caches_are_keyed_by_epoch(self):
-        universe = Universe(range(4))
-        strategy = Strategy(
-            {frozenset({0, 1}): 0.5, frozenset({2, 3}): 0.5}
-        )
-        default = strategy.support_masks(universe)
-        tagged = strategy.support_masks(universe, epoch=1)
-        assert default == tagged  # same universe, same masks...
-        engine_a = strategy.support_engine(universe)
-        engine_b = strategy.support_engine(universe, epoch=1)
-        engine_c = strategy.support_engine(universe, epoch=1)
-        assert engine_b is engine_c  # ...but per-epoch cache slots
-        assert engine_a is not engine_b

@@ -24,7 +24,12 @@ from repro import (
     load_lower_bound,
     masking_report,
 )
-from repro.core.transversal import is_transversal, minimal_transversal
+from repro.core.bitset import mask_to_frozenset
+from repro.core.transversal import (
+    is_transversal,
+    minimal_transversal,
+    minimal_transversal_mask,
+)
 from repro.gf import GaloisField
 from repro.simulation import Timestamp
 
@@ -117,6 +122,9 @@ class TestExplicitSystemInvariants:
         assert len(minimal_transversal(quorums, engine="milp")) == len(
             minimal_transversal(quorums, engine="branch-and-bound")
         )
+        mask = minimal_transversal_mask(system.quorum_masks())
+        assert mask.bit_count() == len(minimal_transversal(quorums))
+        assert is_transversal(mask_to_frozenset(mask, system.universe), quorums)
 
     @given(explicit_quorum_systems())
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -8,8 +8,10 @@ from repro import (
     ComputationError,
     ExplicitQuorumSystem,
     InvalidQuorumSystemError,
+    MGrid,
     MPath,
     Universe,
+    exact_load,
 )
 
 
@@ -118,6 +120,17 @@ class TestEnumerationGuards:
 
     def test_quorums_are_cached(self, simple_system):
         assert simple_system.quorums() is simple_system.quorums()
+
+    def test_enumeration_budget_does_not_depend_on_call_history(self):
+        system = MGrid(7, 3)  # 441 quorums
+        with pytest.raises(ComputationError, match="more than 100 quorums"):
+            exact_load(system, quorum_limit=100)
+        assert len(system.quorums()) == 441  # fills both caches
+        with pytest.raises(ComputationError, match="more than 100 quorums"):
+            exact_load(system, quorum_limit=100)
+        with pytest.raises(ComputationError, match="more than 100 quorums"):
+            system.quorums(limit=100)
+        assert exact_load(system).load == pytest.approx(24 / 49)
 
 
 class TestSamplingAndConversion:

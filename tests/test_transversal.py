@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro import ComputationError
+from repro.core.bitset import mask_to_frozenset
 from repro.core.transversal import (
     greedy_transversal,
     is_transversal,
     minimal_transversal,
+    minimal_transversal_mask,
     minimal_transversal_size,
 )
 
@@ -75,6 +77,10 @@ class TestExact:
             == minimal_transversal_size(quorums, engine="branch-and-bound")
             == 3
         )
+        for engine in ("milp", "branch-and-bound"):
+            mask = minimal_transversal_mask(fpp_order2.quorum_masks(), engine=engine)
+            assert mask.bit_count() == 3
+            assert is_transversal(mask_to_frozenset(mask, fpp_order2.universe), quorums)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ComputationError):
