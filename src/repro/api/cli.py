@@ -310,10 +310,7 @@ def _service_spec(args: argparse.Namespace) -> SystemSpec:
             raise InvalidParameterError(
                 '--spec must be {"construction": <name>, "params": {...}}'
             )
-        return SystemSpec(
-            construction=str(payload["construction"]),
-            params=dict(payload.get("params", {})),
-        )
+        return SystemSpec.from_dict(payload)
     if getattr(args, "construction", None) is None:
         raise InvalidParameterError("either --spec or --construction is required")
     # Canonicalise through the registry so the spec round-trips JSON-stably.

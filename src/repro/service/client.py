@@ -36,6 +36,7 @@ from repro.simulation.client import (
     advance,
 )
 from repro.simulation.history import HistoryRecorder
+from repro.simulation.messages import REPLY_TYPE
 
 __all__ = ["ServiceQuorumClient", "call_endpoint"]
 
@@ -145,8 +146,9 @@ class ServiceQuorumClient(ProtocolCore):
         """Send one request frame to one replica; ``None`` models silence.
 
         Any transport failure (refused connection, reset, timeout, protocol
-        violation) is silence from the protocol's point of view — exactly
-        how the simulator's network returns ``None`` for crashed servers.
+        violation — a reply of the wrong type for the request included) is
+        silence from the protocol's point of view — exactly how the
+        simulator's network returns ``None`` for crashed servers.
         The connection is dropped on failure so the next probe reconnects.
         """
         host, port = self.endpoints[server_id]
@@ -167,7 +169,13 @@ class ServiceQuorumClient(ProtocolCore):
             )
             if payload is None:
                 raise ConnectionResetError("replica closed the connection")
-            return wire.frame_to_reply(payload, server_id=server_id)
+            reply = wire.frame_to_reply(payload, server_id=server_id)
+            if not isinstance(reply, REPLY_TYPE[type(request)]):
+                # A lie about the reply's type indicts this replica only.
+                raise WireProtocolError(
+                    f"{type(reply).__name__} does not answer a {type(request).__name__}"
+                )
+            return reply
         except (OSError, asyncio.TimeoutError, WireProtocolError):
             await self._drop_connection(server_id)
             return None

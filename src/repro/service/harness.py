@@ -47,12 +47,7 @@ from repro.service import wire
 from repro.service.client import ServiceQuorumClient, call_endpoint
 from repro.simulation.client import RetryPolicy, access_frequencies, vouched_pair
 from repro.simulation.engine import WorkloadResult, resolve_strategy
-from repro.simulation.history import (
-    HistoryCheck,
-    HistoryRecorder,
-    OperationRecord,
-    freeze_value,
-)
+from repro.simulation.history import HistoryCheck, HistoryRecorder, OperationRecord
 from repro.simulation.messages import ValueTimestampPair
 from repro.simulation.runner import latency_summary
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
@@ -375,10 +370,7 @@ def load_cluster_file(path: str | Path) -> tuple[SystemSpec, int, list[dict]]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ServiceError(f"cannot read cluster file {path}: {exc}") from None
     try:
-        spec = SystemSpec(
-            construction=payload["spec"]["construction"],
-            params=dict(payload["spec"]["params"]),
-        )
+        spec = SystemSpec.from_dict(payload["spec"])
         return spec, int(payload["b"]), list(payload["replicas"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"malformed cluster file {path}: {exc}") from None
@@ -410,15 +402,9 @@ async def discover_initial_pair(
         host, port = descriptor["host"], descriptor["port"]
         try:
             payload = await call_endpoint(host, port, {"type": "STATUS"}, timeout=timeout)
+            pairs.append(wire.decode_pair(payload))
         except ServiceError:
-            continue
-        if "ts" not in payload:
-            continue
-        try:
-            timestamp = wire.decode_timestamp(payload["ts"])
-        except ServiceError:
-            continue
-        pairs.append(ValueTimestampPair(freeze_value(payload.get("value")), timestamp))
+            continue  # unreachable, or no well-formed register fields
     return vouched_pair(pairs, b)
 
 
@@ -517,14 +503,7 @@ class ServiceRunResult:
             },
             "replica_status": self.replica_status,
             "replica_metrics": self.replica_metrics,
-            "initial_pair": (
-                None
-                if self.initial_pair is None
-                else {
-                    "value": self.initial_pair.value,
-                    "ts": wire.encode_timestamp(self.initial_pair.timestamp),
-                }
-            ),
+            "initial_pair": None if self.initial_pair is None else self.initial_pair.to_json(),
         }
         return report
 

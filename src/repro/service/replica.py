@@ -37,7 +37,7 @@ from repro.api.registry import SystemSpec, build
 from repro.core.rng import ensure_rng
 from repro.exceptions import ServiceError, StorageError, WireProtocolError
 from repro.service import wire
-from repro.simulation.messages import Timestamp
+from repro.simulation.messages import Timestamp, WriteAck, WriteRequest
 from repro.simulation.server import (
     BYZANTINE_BEHAVIOURS,
     ByzantineReplicaServer,
@@ -204,7 +204,6 @@ class ReplicaService:
         return self._store.status() if self._store is not None else {"durable": False}
 
     def status_payload(self) -> dict:
-        pair = self.replica.current_pair
         return {
             "type": "STATUS_REPLY",
             "index": self.config.index,
@@ -217,8 +216,7 @@ class ReplicaService:
             "uptime_seconds": time.monotonic() - self._started_at,
             # The current register pair, protocol encodings: the substrate
             # of b+1-vouched state discovery (harness.discover_initial_pair).
-            "value": pair.value,
-            "ts": wire.encode_timestamp(pair.timestamp),
+            **self.replica.current_pair.to_json(),
             "storage": self._storage_payload(),
             "ok": True,
         }
@@ -298,16 +296,12 @@ class ReplicaService:
         request = wire.frame_to_request(payload)
         await self._running.wait()
         started = time.monotonic()
-        if kind == "READ_TS":
-            reply = self.replica.handle_timestamp(request)  # type: ignore[arg-type]
-        elif kind == "READ":
-            reply = self.replica.handle_read(request)  # type: ignore[arg-type]
-        else:
-            reply = self.replica.handle_write(request)  # type: ignore[arg-type]
-            # Durability contract: the accepted pair hits the journal
-            # *before* the ack frame goes out.
-            if self._store is not None and getattr(reply, "accepted", False):
-                self._store.journal(request.pair)  # type: ignore[attr-defined]
+        reply = self.replica.handle(request)
+        # Durability contract: the accepted pair hits the journal *before*
+        # the ack frame goes out.
+        accepted = isinstance(reply, WriteAck) and reply.accepted
+        if accepted and self._store is not None and isinstance(request, WriteRequest):
+            self._store.journal(request.pair)
         self._op_counts[kind] += 1
         self._latencies.append(time.monotonic() - started)
         return wire.reply_to_frame(reply, server_index=self.config.index)

@@ -19,25 +19,29 @@ frame type                simulator message                       direction
 ``ERROR``                 — (protocol error report)                reply
 ========================  =====================================  ==========
 
-Timestamps travel as ``[counter, client_id]`` pairs
-(:func:`encode_timestamp` / :func:`decode_timestamp`) and replicas are
-addressed by their *index* in the universe order (universe elements may be
-tuples, which JSON cannot key); values may be any JSON value and are
-canonicalised with :func:`canonical_value` on both the write and the read
-path so recorded histories compare pairs by value, not by Python identity.
+A register pair travels as the ``value`` + ``ts`` fields of
+:meth:`ValueTimestampPair.to_json
+<repro.simulation.messages.ValueTimestampPair.to_json>` (``ts`` is the
+``[counter, client_id]`` pair) and every frame that carries one is decoded
+by :func:`decode_pair`; replicas are addressed by their *index* in the
+universe order (universe elements may be tuples, which JSON cannot key).
+Values may be any JSON value: a writer canonicalises the Python value it is
+handed with :func:`canonical_value`, and everything decoded from a frame is
+already JSON-born and is only frozen, so recorded histories compare pairs by
+value, not by Python identity.
 
 ``STATUS_REPLY`` additionally carries the replica's current register pair
-(``value`` + ``ts``, same encodings as the protocol frames — the substrate
-of server-side state discovery after a full-cluster restart) and, like
+(the same two fields — the substrate of server-side state discovery after a
+full-cluster restart) and, like
 ``METRICS_REPLY``, a ``storage`` section reporting durable-state health
 (WAL length, snapshot age, fsync policy — see :mod:`repro.storage`;
 ``{"durable": false}`` when the replica runs without a data directory).
 
-The codec is deliberately strict: oversized, truncated, non-JSON and
-unknown-type frames all raise :class:`~repro.exceptions.WireProtocolError`
-(never a hang, never an unhandled crash) — the replica answers with an
-``ERROR`` frame and closes the connection.  ``tests/test_service_wire.py``
-fuzzes exactly this contract.
+The codec is deliberately strict: oversized, truncated, non-JSON,
+unknown-type and too-deeply-nested frames all raise
+:class:`~repro.exceptions.WireProtocolError` (never a hang, never an
+unhandled crash) — the replica answers with an ``ERROR`` frame and closes
+the connection.  ``tests/test_service_wire.py`` fuzzes exactly this contract.
 """
 
 from __future__ import annotations
@@ -47,25 +51,23 @@ import json
 import struct
 
 from repro.exceptions import WireProtocolError
-from repro.simulation.history import freeze_value
 from repro.simulation.messages import (
     ReadReply,
     ReadRequest,
-    Timestamp,
     TimestampReply,
     TimestampRequest,
     ValueTimestampPair,
     WriteAck,
     WriteRequest,
+    freeze_value,
 )
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "canonical_value",
     "decode_frame",
-    "decode_timestamp",
+    "decode_pair",
     "encode_frame",
-    "encode_timestamp",
     "frame_to_reply",
     "frame_to_request",
     "read_frame",
@@ -80,27 +82,24 @@ MAX_FRAME_BYTES = 1 << 20
 
 _LENGTH = struct.Struct("!I")
 
-#: Frame types that carry a protocol request a replica must answer.
-REQUEST_TYPES = frozenset({"READ_TS", "READ", "WRITE", "STATUS", "METRICS", "STALL", "RESUME"})
-
-#: Frame types a client may receive back.
-REPLY_TYPES = frozenset(
-    {"READ_TS_REPLY", "READ_REPLY", "WRITE_ACK", "STATUS_REPLY", "METRICS_REPLY", "OK", "ERROR"}
-)
-
 
 def canonical_value(value: object) -> object:
     """Round-trip a value through JSON and freeze it into hashable form.
 
-    Writers and readers both canonicalise, so a written ``("a", 1)`` tuple
-    and the ``["a", 1]`` list JSON hands back compare equal in the history
-    checker's legitimate-pair set.  Non-JSON-serialisable values are a
+    This is where a Python value enters the protocol (the client's write
+    path): a written ``("a", 1)`` tuple becomes what freezing the ``["a",
+    1]`` list JSON hands back gives, so both compare equal in the history
+    checker's legitimate-pair set.  Values that JSON cannot serialise, or
+    that are nested too deeply to, are a
     :class:`~repro.exceptions.WireProtocolError` at the sender.
     """
     try:
         return freeze_value(json.loads(json.dumps(value)))
-    except (TypeError, ValueError) as exc:
-        raise WireProtocolError(f"value {value!r} is not JSON-serialisable: {exc}") from None
+    except (TypeError, ValueError, RecursionError) as exc:
+        # No repr of the value: a too-deep one cannot be formatted either.
+        raise WireProtocolError(
+            f"{type(value).__name__} value is not JSON-serialisable: {exc}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +113,7 @@ def encode_frame(payload: dict) -> bytes:
         )
     try:
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise WireProtocolError(f"frame payload is not JSON-serialisable: {exc}") from None
     if len(body) > MAX_FRAME_BYTES:
         raise WireProtocolError(
@@ -149,7 +148,7 @@ def decode_frame(data: bytes) -> tuple[dict, bytes]:
     body = data[_LENGTH.size : end]
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise WireProtocolError(f"frame body is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("type"), str):
         raise WireProtocolError(
@@ -196,26 +195,27 @@ async def write_frame(writer: asyncio.StreamWriter, payload: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Timestamp / pair encoding.
+# Pair decoding.
 # ----------------------------------------------------------------------
-def encode_timestamp(timestamp: Timestamp) -> list:
-    """Encode a timestamp as the wire's ``[counter, client_id]`` pair.
+def decode_pair(payload: dict) -> ValueTimestampPair:
+    """Decode the register pair a frame carries (its ``value`` + ``ts``).
 
-    Public because introspection consumers (``STATUS`` register fields,
-    :func:`repro.service.harness.discover_initial_pair`) speak the same
-    encoding as the protocol frames.
+    Strict about the timestamp's shape; a value nested too deeply to freeze
+    is a protocol violation too.  Public because introspection consumers
+    (:func:`repro.service.harness.discover_initial_pair` reading ``STATUS``
+    replies) decode the same fields as the protocol frames.
     """
-    return timestamp.to_pair()
-
-
-def decode_timestamp(raw: object) -> Timestamp:
-    """Decode a ``[counter, client_id]`` pair; strict about shape."""
-    timestamp = Timestamp.from_pair(raw)
-    if timestamp is None:
+    try:
+        pair = ValueTimestampPair.from_json(payload)
+    except RecursionError:
+        pair = None
+    if pair is None:
+        # No repr of the fields: a too-deep one cannot be formatted either.
         raise WireProtocolError(
-            f"a timestamp must be a [counter, client_id] integer pair, got {raw!r}"
+            f"{payload.get('type', '?')} frame needs a 'ts' [counter, client_id] "
+            "integer pair and a value of bounded depth"
         )
-    return timestamp
+    return pair
 
 
 def _require_int(payload: dict, key: str) -> int:
@@ -237,12 +237,7 @@ def request_to_frame(request: object) -> dict:
     if isinstance(request, ReadRequest):
         return {"type": "READ", "client": request.client_id}
     if isinstance(request, WriteRequest):
-        return {
-            "type": "WRITE",
-            "client": request.client_id,
-            "value": request.pair.value,
-            "ts": encode_timestamp(request.pair.timestamp),
-        }
+        return {"type": "WRITE", "client": request.client_id, **request.pair.to_json()}
     raise WireProtocolError(f"cannot frame request of type {type(request).__name__}")
 
 
@@ -259,13 +254,7 @@ def frame_to_request(payload: dict) -> object:
     if kind == "READ":
         return ReadRequest(client_id=_require_int(payload, "client"))
     if kind == "WRITE":
-        if "ts" not in payload:
-            raise WireProtocolError("WRITE frame needs a 'ts' field")
-        pair = ValueTimestampPair(
-            value=canonical_value(payload.get("value")),
-            timestamp=decode_timestamp(payload["ts"]),
-        )
-        return WriteRequest(client_id=_require_int(payload, "client"), pair=pair)
+        return WriteRequest(client_id=_require_int(payload, "client"), pair=decode_pair(payload))
     raise WireProtocolError(f"unknown or non-protocol request frame type {kind!r}")
 
 
@@ -279,18 +268,9 @@ def reply_to_frame(reply: object, *, server_index: int) -> dict:
     which may be a tuple); clients map indices back onto universe elements.
     """
     if isinstance(reply, TimestampReply):
-        return {
-            "type": "READ_TS_REPLY",
-            "server": server_index,
-            "ts": encode_timestamp(reply.timestamp),
-        }
+        return {"type": "READ_TS_REPLY", "server": server_index, "ts": reply.timestamp.to_pair()}
     if isinstance(reply, ReadReply):
-        return {
-            "type": "READ_REPLY",
-            "server": server_index,
-            "value": reply.pair.value,
-            "ts": encode_timestamp(reply.pair.timestamp),
-        }
+        return {"type": "READ_REPLY", "server": server_index, **reply.pair.to_json()}
     if isinstance(reply, WriteAck):
         return {"type": "WRITE_ACK", "server": server_index, "accepted": bool(reply.accepted)}
     raise WireProtocolError(f"cannot frame reply of type {type(reply).__name__}")
@@ -305,17 +285,9 @@ def frame_to_reply(payload: dict, *, server_id: object) -> object:
     """
     kind = payload.get("type")
     if kind == "READ_TS_REPLY":
-        if "ts" not in payload:
-            raise WireProtocolError("READ_TS_REPLY frame needs a 'ts' field")
-        return TimestampReply(server_id=server_id, timestamp=decode_timestamp(payload["ts"]))
+        return TimestampReply(server_id=server_id, timestamp=decode_pair(payload).timestamp)
     if kind == "READ_REPLY":
-        if "ts" not in payload:
-            raise WireProtocolError("READ_REPLY frame needs a 'ts' field")
-        pair = ValueTimestampPair(
-            value=canonical_value(payload.get("value")),
-            timestamp=decode_timestamp(payload["ts"]),
-        )
-        return ReadReply(server_id=server_id, pair=pair)
+        return ReadReply(server_id=server_id, pair=decode_pair(payload))
     if kind == "WRITE_ACK":
         accepted = payload.get("accepted")
         if not isinstance(accepted, bool):

@@ -23,10 +23,13 @@ discrete-event simulation:
 The old synchronous layer survives as the **zero-latency special case**:
 :class:`~repro.simulation.network.SynchronousNetwork` wraps an
 :class:`EventNetwork` with ``LatencyModel.zero()`` and pumps the scheduler to
-quiescence inside each ``send`` — one code path for delivery, dispatch and
-accounting across both layers (and the agreement test in
+quiescence inside each ``send`` — one code path for delivery and accounting
+across both layers (and the agreement test in
 ``tests/test_simulation_events.py`` holds the two to operation-for-operation
-equality).
+equality).  Which handler answers a request is not the network's business: a
+delivered request goes to :meth:`ReplicaServer.handle
+<repro.simulation.server.ReplicaServer.handle>`, the same entry point the TCP
+service calls.
 
 Accounting (aligned with the vectorised engine's Definition 3.8 fix): the
 network keeps **attempted** deliveries (every send, crashed/lost included)
@@ -343,13 +346,6 @@ class FaultTimeline:
 # ----------------------------------------------------------------------
 # The asynchronous message layer.
 # ----------------------------------------------------------------------
-_HANDLERS = {
-    "TimestampRequest": "handle_timestamp",
-    "ReadRequest": "handle_read",
-    "WriteRequest": "handle_write",
-}
-
-
 class EventNetwork:
     """Connects replicas through the event scheduler.
 
@@ -417,12 +413,6 @@ class EventNetwork:
     def now(self) -> float:
         return self.scheduler.now
 
-    def _dispatch(self, server: ReplicaServer, request: object) -> object:
-        handler_name = _HANDLERS.get(type(request).__name__)
-        if handler_name is None:
-            raise SimulationError(f"unsupported request type {type(request).__name__}")
-        return getattr(server, handler_name)(request)
-
     def send(
         self,
         server_id: Hashable,
@@ -462,7 +452,7 @@ class EventNetwork:
         if not self.timeline.is_responsive(server_id, arrival):
             return  # dead on arrival: the client's timeout is the only signal
         self.delivered_counts[server_id] += 1
-        reply = self._dispatch(server, request)
+        reply = server.handle(request)
         slow = self.timeline.slow_factor(server_id, arrival)
         # A slow server stretches its service time by (factor - 1) mean link
         # latencies; with a zero-latency model there is no timescale to

@@ -62,7 +62,7 @@ from pathlib import Path
 
 from repro.exceptions import SimulationError
 from repro.simulation.client import OperationResult
-from repro.simulation.messages import Timestamp, ValueTimestampPair
+from repro.simulation.messages import Timestamp, ValueTimestampPair, freeze_value
 
 __all__ = [
     "EpochWindow",
@@ -76,21 +76,6 @@ __all__ = [
     "record_from_dict",
     "record_to_dict",
 ]
-
-
-def freeze_value(value: object) -> object:
-    """Recursively turn JSON containers into hashable equivalents.
-
-    Lists become tuples and dicts become sorted ``(key, value)`` tuples, so a
-    value that travelled through JSON (the service wire, a history file)
-    compares and hashes equal to the tuple-shaped value a writer produced.
-    The checker relies on this: legitimate pairs live in a set.
-    """
-    if isinstance(value, list):
-        return tuple(freeze_value(item) for item in value)
-    if isinstance(value, dict):
-        return tuple(sorted((key, freeze_value(item)) for key, item in value.items()))
-    return value
 
 
 @dataclass(frozen=True)
@@ -621,23 +606,23 @@ def record_from_dict(payload: dict) -> OperationRecord:
     kind = payload.get("kind")
     if kind not in ("read", "write"):
         raise SimulationError(f"serialised record kind must be 'read' or 'write', got {kind!r}")
-    raw_quorum = payload.get("quorum")
-    quorum = (
-        None
-        if raw_quorum is None
-        else frozenset(freeze_value(member) for member in raw_quorum)
-    )
-    raw_attempted = payload.get("attempted_pair")
-    if raw_attempted is None:
-        attempted = None
-    else:
-        attempted_timestamp = _timestamp_from_json(raw_attempted.get("timestamp"))
-        if attempted_timestamp is None:
-            raise SimulationError("a serialised attempted_pair needs a timestamp")
-        attempted = ValueTimestampPair(
-            value=freeze_value(raw_attempted.get("value")), timestamp=attempted_timestamp
-        )
     try:
+        raw_quorum = payload.get("quorum")
+        quorum = (
+            None
+            if raw_quorum is None
+            else frozenset(freeze_value(member) for member in raw_quorum)
+        )
+        raw_attempted = payload.get("attempted_pair")
+        if raw_attempted is None:
+            attempted = None
+        else:
+            attempted_timestamp = _timestamp_from_json(raw_attempted.get("timestamp"))
+            if attempted_timestamp is None:
+                raise SimulationError("a serialised attempted_pair needs a timestamp")
+            attempted = ValueTimestampPair(
+                value=freeze_value(raw_attempted.get("value")), timestamp=attempted_timestamp
+            )
         return OperationRecord(
             client_id=int(payload["client_id"]),
             kind=kind,
@@ -650,7 +635,8 @@ def record_from_dict(payload: dict) -> OperationRecord:
             attempts=int(payload.get("attempts", 0)),
             attempted_pair=attempted,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # RecursionError: a value nested too deeply to freeze (or to repr).
         raise SimulationError(f"malformed serialised record: {exc!r}") from None
 
 
@@ -679,7 +665,7 @@ def load_history_jsonl(path: str | Path) -> list[OperationRecord]:
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SimulationError(
                     f"{path}:{line_number}: not valid JSON: {exc}"
                 ) from None

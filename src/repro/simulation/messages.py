@@ -9,6 +9,13 @@ Write requests carry the new value and timestamp and are acknowledged.
 All messages are immutable dataclasses; timestamps are
 :class:`Timestamp` objects ordered lexicographically by ``(counter,
 client_id)`` so that two writers never produce the same timestamp.
+
+The ``(value, timestamp)`` pair is also everything the live stack sends or
+stores, and Lemma 3.6's ``b + 1`` vouch compares pairs by equality, so its
+serialised form is stated here once (:meth:`ValueTimestampPair.to_json` /
+:meth:`~ValueTimestampPair.from_json`): wire frames, ``STATUS`` replies, WAL
+records and snapshots all decode a pair through the same code.
+:data:`REPLY_TYPE` pairs each request with the reply that answers it.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from functools import total_ordering
 from typing import Hashable
 
 __all__ = [
+    "REPLY_TYPE",
     "Timestamp",
     "ValueTimestampPair",
     "TimestampRequest",
@@ -26,7 +34,24 @@ __all__ = [
     "ReadReply",
     "WriteRequest",
     "WriteAck",
+    "freeze_value",
 ]
+
+
+def freeze_value(value: object) -> object:
+    """Recursively turn JSON containers into hashable equivalents.
+
+    Lists become tuples and dicts become sorted ``(key, value)`` tuples, so a
+    value that travelled through JSON (the service wire, a log record, a
+    history file) compares and hashes equal to the tuple-shaped value a
+    writer produced.  The checker relies on this: legitimate pairs live in a
+    set.
+    """
+    if isinstance(value, list):
+        return tuple(freeze_value(item) for item in value)
+    if isinstance(value, dict):
+        return tuple(sorted((key, freeze_value(item)) for key, item in value.items()))
+    return value
 
 
 @total_ordering
@@ -81,6 +106,24 @@ class ValueTimestampPair:
     value: object
     timestamp: Timestamp
 
+    def to_json(self) -> dict:
+        """The serialised ``{"value": ..., "ts": [counter, client_id]}`` form
+        (wire frames, ``STATUS`` replies, WAL records, snapshots)."""
+        return {"value": self.value, "ts": self.timestamp.to_pair()}
+
+    @staticmethod
+    def from_json(payload: object) -> "ValueTimestampPair | None":
+        """Decode :meth:`to_json`'s form from outside input; ``None`` unless
+        ``payload`` is an object whose ``"ts"`` passes
+        :meth:`Timestamp.from_pair`.  The value (``None`` when absent) is
+        already JSON-born, so it is frozen, not re-serialised."""
+        if not isinstance(payload, dict):
+            return None
+        timestamp = Timestamp.from_pair(payload.get("ts"))
+        if timestamp is None:
+            return None
+        return ValueTimestampPair(freeze_value(payload.get("value")), timestamp)
+
 
 @dataclass(frozen=True)
 class TimestampRequest:
@@ -126,3 +169,13 @@ class WriteAck:
 
     server_id: Hashable
     accepted: bool
+
+
+#: The reply type that answers each request type — what
+#: :meth:`repro.simulation.server.ReplicaServer.handle` returns, and what a
+#: client may accept back from a replica it does not trust.
+REPLY_TYPE: dict[type, type] = {
+    TimestampRequest: TimestampReply,
+    ReadRequest: ReadReply,
+    WriteRequest: WriteAck,
+}

@@ -70,6 +70,22 @@ class ReplicaServer:
     # ------------------------------------------------------------------
     # Request handlers.
     # ------------------------------------------------------------------
+    def handle(self, request: object) -> TimestampReply | ReadReply | WriteAck:
+        """Answer one request: the entry point every host calls.
+
+        The event network, the TCP service and the test loopback all reach
+        the state machine through here; the reply's type is the one
+        :data:`~repro.simulation.messages.REPLY_TYPE` pairs with the
+        request's.  The per-type handlers below are what subclasses override.
+        """
+        if isinstance(request, ReadRequest):
+            return self.handle_read(request)
+        if isinstance(request, TimestampRequest):
+            return self.handle_timestamp(request)
+        if isinstance(request, WriteRequest):
+            return self.handle_write(request)
+        raise SimulationError(f"unsupported request type {type(request).__name__}")
+
     def handle_timestamp(self, request: TimestampRequest) -> TimestampReply:
         """Return the timestamp of the currently stored value."""
         self.access_count += 1

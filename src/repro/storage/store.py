@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.exceptions import StorageError
 from repro.simulation.messages import Timestamp, ValueTimestampPair
-from repro.storage.snapshot import Snapshot, read_snapshot, write_snapshot
+from repro.storage.snapshot import read_snapshot, write_snapshot
 from repro.storage.wal import FsyncPolicy, WalRecord, WriteAheadLog
 
 __all__ = ["DurableStore", "RecoveryResult"]
@@ -95,7 +95,7 @@ class DurableStore:
             ) from None
 
         snapshot_path = self.data_dir / SNAPSHOT_NAME
-        snapshot: Snapshot | None = None
+        snapshot: WalRecord | None = None
         snapshot_corrupt = False
         try:
             snapshot = read_snapshot(snapshot_path)
@@ -104,7 +104,13 @@ class DurableStore:
             # log alone and let RecoveryResult report the loss.
             snapshot_corrupt = True
 
-        self._wal = WriteAheadLog(self.data_dir / WAL_NAME, fsync=fsync)
+        # A compacted log is empty: the snapshot hands over the sequence
+        # number it covers so numbering continues across the restart.
+        self._wal = WriteAheadLog(
+            self.data_dir / WAL_NAME,
+            fsync=fsync,
+            after_seq=snapshot.seq if snapshot is not None else 0,
+        )
 
         pair = ValueTimestampPair(value=initial_value, timestamp=Timestamp.zero())
         if snapshot is not None:
@@ -112,7 +118,7 @@ class DurableStore:
         applied = 0
         for record in self._wal.scan.records:
             if record.timestamp > pair.timestamp:
-                pair = ValueTimestampPair(value=record.value, timestamp=record.timestamp)
+                pair = record.pair
                 applied += 1
         self.pair = pair
         self.recovery = RecoveryResult(
@@ -150,9 +156,9 @@ class DurableStore:
         self._maybe_compact()
         return record
 
-    def compact(self) -> Snapshot:
+    def compact(self) -> WalRecord:
         """Snapshot the current state atomically, then truncate the log."""
-        snapshot = Snapshot(
+        snapshot = WalRecord(
             seq=self._wal.last_seq,
             timestamp=self.pair.timestamp,
             value=self.pair.value,

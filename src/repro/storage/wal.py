@@ -10,7 +10,14 @@ never misparsed as a log.
 
     file   := MAGIC record*
     record := length:u32 crc:u32 body          (both big-endian)
-    body   := JSON {"seq": int, "ts": [counter, client_id], "value": ...}
+    body   := JSON {"seq": int, "value": ..., "ts": [counter, client_id]}
+
+The record frame is stated here once — :func:`encode_record` /
+:func:`decode_record` — and a snapshot (:mod:`repro.storage.snapshot`) is
+one such record behind its own magic; the ``value`` + ``ts`` fields are
+:meth:`ValueTimestampPair.to_json
+<repro.simulation.messages.ValueTimestampPair.to_json>`'s, decoded by key, so
+bodies written in the older ``seq, ts, value`` order read back unchanged.
 
 The log is append-only.  Crash damage therefore always lives at the *tail*:
 a torn header, a truncated body, or a bit-flip under the last buffered
@@ -48,8 +55,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from repro.exceptions import StorageError
-from repro.simulation.history import freeze_value
-from repro.simulation.messages import Timestamp
+from repro.simulation.messages import Timestamp, ValueTimestampPair
 
 __all__ = [
     "FSYNC_MODES",
@@ -59,6 +65,8 @@ __all__ = [
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
+    "decode_record",
+    "encode_record",
     "scan_wal",
 ]
 
@@ -125,11 +133,19 @@ class FsyncPolicy:
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One journalled write: a monotone sequence number plus the pair."""
+    """One journalled write: a monotone sequence number plus the pair.
+
+    A snapshot is the same record: the compacted pair plus the highest
+    sequence number it covers.
+    """
 
     seq: int
     timestamp: Timestamp
     value: object
+
+    @property
+    def pair(self) -> ValueTimestampPair:
+        return ValueTimestampPair(value=self.value, timestamp=self.timestamp)
 
 
 @dataclass(frozen=True)
@@ -153,12 +169,7 @@ def encode_record(record: WalRecord) -> bytes:
     """Encode one record: header (length, CRC-32) + JSON body."""
     try:
         body = json.dumps(
-            {
-                "seq": int(record.seq),
-                "ts": record.timestamp.to_pair(),
-                "value": record.value,
-            },
-            separators=(",", ":"),
+            {"seq": int(record.seq), **record.pair.to_json()}, separators=(",", ":")
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise StorageError(
@@ -171,21 +182,36 @@ def encode_record(record: WalRecord) -> bytes:
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
-def _decode_body(body: bytes) -> WalRecord | None:
-    """Decode one CRC-verified body; ``None`` when the shape is wrong."""
+def decode_record(data: bytes, offset: int) -> tuple[WalRecord, int] | str:
+    """Decode the record framed at ``data[offset:]``.
+
+    Returns ``(record, end)`` — ``end`` is the offset just past the frame —
+    or, when any check fails (length sanity, CRC, JSON shape), the name of
+    the first failure in :class:`WalScan`'s ``reason`` vocabulary.
+    """
+    if len(data) - offset < _HEADER.size:
+        return "torn-header"
+    length, crc = _HEADER.unpack_from(data, offset)
+    if length == 0 or length > MAX_RECORD_BYTES:
+        return "bad-length"
+    start = offset + _HEADER.size
+    end = start + length
+    if end > len(data):
+        return "torn-body"
+    body = data[start:end]
+    if zlib.crc32(body) != crc:
+        return "crc-mismatch"
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
+        pair = ValueTimestampPair.from_json(payload)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        return "corrupt-body"
+    if pair is None:
+        return "corrupt-body"
     seq = payload.get("seq")
     if not isinstance(seq, int) or isinstance(seq, bool):
-        return None
-    timestamp = Timestamp.from_pair(payload.get("ts"))
-    if timestamp is None:
-        return None
-    return WalRecord(seq=seq, timestamp=timestamp, value=freeze_value(payload.get("value")))
+        return "corrupt-body"
+    return WalRecord(seq=seq, timestamp=pair.timestamp, value=pair.value), end
 
 
 def scan_wal(path: str | Path) -> WalScan:
@@ -213,28 +239,12 @@ def scan_wal(path: str | Path) -> WalScan:
     offset = len(MAGIC)
     reason = ""
     while offset < len(data):
-        if len(data) - offset < _HEADER.size:
-            reason = "torn-header"
+        decoded = decode_record(data, offset)
+        if isinstance(decoded, str):
+            reason = decoded
             break
-        length, crc = _HEADER.unpack_from(data, offset)
-        if length == 0 or length > MAX_RECORD_BYTES:
-            reason = "bad-length"
-            break
-        body_start = offset + _HEADER.size
-        body_end = body_start + length
-        if body_end > len(data):
-            reason = "torn-body"
-            break
-        body = data[body_start:body_end]
-        if zlib.crc32(body) != crc:
-            reason = "crc-mismatch"
-            break
-        record = _decode_body(body)
-        if record is None:
-            reason = "corrupt-body"
-            break
+        record, offset = decoded
         records.append(record)
-        offset = body_end
     return WalScan(
         records=tuple(records),
         valid_bytes=offset,
@@ -250,15 +260,19 @@ class WriteAheadLog:
     :func:`scan_wal`) and positions the handle for appends; the scan result
     — including what recovery had to drop — stays available as
     :attr:`scan`.  Sequence numbers continue from the highest surviving
-    record, so a log reset by compaction keeps a monotone sequence across
-    its whole lifetime.
+    record or from ``after_seq``, whichever is larger: a log emptied by
+    compaction holds no record to continue from, so the store that opens it
+    hands over the sequence number its snapshot covers and the sequence
+    stays monotone across compactions *and* restarts.
     """
 
-    def __init__(self, path: str | Path, *, fsync: FsyncPolicy | str = "always"):
+    def __init__(
+        self, path: str | Path, *, fsync: FsyncPolicy | str = "always", after_seq: int = 0
+    ):
         self.path = Path(path)
         self.fsync = FsyncPolicy.parse(fsync)
         self.scan = scan_wal(self.path)
-        self._next_seq = max((r.seq for r in self.scan.records), default=0) + 1
+        self._next_seq = max([after_seq, *(r.seq for r in self.scan.records)]) + 1
         self._record_count = len(self.scan.records)
         self._sync_count = 0
         self._unsynced = 0

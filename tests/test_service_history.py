@@ -114,6 +114,15 @@ def test_tuple_values_survive_as_frozen_equivalents(tmp_path):
         '{"client_id":0,"kind":"read","invoked_at":0,"responded_at":1,"success":true,"timestamp":[1]}',
         '{"client_id":0,"kind":"read","invoked_at":0,"responded_at":1,"success":true,"timestamp":[1.9,"2"]}',
         '{"client_id":0,"kind":"read","invoked_at":0,"responded_at":1,"success":true,"timestamp":[true,false]}',
+        # Values nested too deeply to freeze (900) or even to parse (200 000).
+        *(
+            pytest.param(
+                '{"client_id":0,"kind":"read","invoked_at":0,"responded_at":1,"success":true,'
+                '"timestamp":[1,0],"value":' + "[" * depth + "]" * depth + "}",
+                id=f"nested-{depth}",
+            )
+            for depth in (900, 200_000)
+        ),
     ],
 )
 def test_malformed_history_lines_rejected(tmp_path, line):

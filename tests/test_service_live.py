@@ -17,17 +17,21 @@ import asyncio
 import socket
 import struct
 
+import numpy as np
 import pytest
 
 from repro.analysis import recovery_conformance, service_conformance
 from repro.api.registry import SystemSpec
 from repro.service import (
     ClusterSpec,
+    ReplicaConfig,
+    ReplicaService,
     ServiceCluster,
     ServiceQuorumClient,
     call_endpoint,
     discover_initial_pair,
     run_load,
+    wire,
 )
 from repro.exceptions import ServiceError
 from repro.simulation.client import RetryPolicy
@@ -331,6 +335,55 @@ def test_single_client_sequential_semantics(cluster_factory):
                 assert read.value == ("v", i)
         finally:
             await client.close()
+
+    asyncio.run(scenario())
+
+
+def test_reply_of_the_wrong_type_indicts_one_replica_not_the_client():
+    """A liar within ``b`` answers every ``READ`` with a well-formed
+    ``WRITE_ACK``.  That is a protocol violation like any other: silence, the
+    connection dropped, the replica suspected and steered around — it used to
+    raise ``AttributeError`` out of ``client.read()``."""
+    liar_index = 2
+
+    async def lie(reader, writer):
+        while await wire.read_frame(reader) is not None:
+            await wire.write_frame(
+                writer, {"type": "WRITE_ACK", "server": liar_index, "accepted": True}
+            )
+        writer.close()
+
+    async def scenario():
+        system = THRESHOLD_5.build()
+        honest = [
+            ReplicaService(ReplicaConfig(THRESHOLD_5, index))
+            for index in range(5)
+            if index != liar_index
+        ]
+        for service in honest:
+            await service.start()
+        liar = await asyncio.start_server(lie, "127.0.0.1", 0)
+        endpoints = {service.server_id: service.address for service in honest}
+        liar_id = system.universe.element_at(liar_index)
+        endpoints[liar_id] = liar.sockets[0].getsockname()[:2]
+        client = ServiceQuorumClient(
+            0,
+            system,
+            endpoints,
+            b=1,
+            policy=RetryPolicy(request_timeout=2.0),
+            rng=np.random.default_rng(7),
+        )
+        try:
+            for _ in range(8):
+                assert (await client.read()).success
+            assert client.suspected == {liar_id}
+        finally:
+            await client.close()
+            liar.close()
+            await liar.wait_closed()
+            for service in honest:
+                await service.stop()
 
     asyncio.run(scenario())
 

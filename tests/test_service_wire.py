@@ -59,6 +59,22 @@ def _random_json(rng: np.random.Generator, depth: int = 0) -> object:
     }
 
 
+def _deep_frame(head: str, depth: int) -> bytes:
+    """A whole frame whose last field is an array nested ``depth`` deep.
+
+    200 000 levels are 0.4 MiB — inside ``MAX_FRAME_BYTES`` — and overflow
+    ``json.loads``; 900 levels decode and overflow the value freeze instead.
+    """
+    body = (head + "[" * depth + "]" * depth + "}").encode("utf-8")
+    return struct.pack("!I", len(body)) + body
+
+
+def _decoded(payload):
+    """A parametrised case is a payload dict, or a whole frame to decode first
+    (decoding may already refuse it: same error, same contract)."""
+    return wire.decode_frame(payload)[0] if isinstance(payload, bytes) else payload
+
+
 # ----------------------------------------------------------------------
 # Round-trip properties.
 # ----------------------------------------------------------------------
@@ -158,6 +174,13 @@ def test_unserialisable_payload_rejected_at_sender():
         wire.encode_frame({"type": "WRITE", "value": {1, 2, 3}})
     with pytest.raises(WireProtocolError, match="JSON-serialisable"):
         wire.canonical_value(object())
+    too_deep: list = []
+    for _ in range(5_000):
+        too_deep = [too_deep]
+    with pytest.raises(WireProtocolError, match="JSON-serialisable"):
+        wire.canonical_value(too_deep)
+    with pytest.raises(WireProtocolError, match="JSON-serialisable"):
+        wire.encode_frame({"type": "WRITE", "value": too_deep})
 
 
 def test_non_dict_payload_rejected_at_sender():
@@ -205,6 +228,30 @@ def test_reply_translation_round_trips():
         assert back.server_id == server_id
 
 
+def test_frame_bytes_are_pinned():
+    """Every byte on the socket, as the previous release wrote it (key order
+    ``type, client|server, value, ts``): old and new processes interoperate."""
+    pair = ValueTimestampPair(value=("client-3", 17), timestamp=Timestamp(12, 3))
+    assert wire.encode_frame(wire.request_to_frame(WriteRequest(client_id=3, pair=pair))) == (
+        b'\x00\x00\x00?{"type":"WRITE","client":3,"value":["client-3",17],"ts":[12,3]}'
+    )
+    framed = {
+        type(reply): wire.encode_frame(wire.reply_to_frame(reply, server_index=4))
+        for reply in (
+            TimestampReply(server_id=(0, 1), timestamp=pair.timestamp),
+            ReadReply(server_id=(0, 1), pair=pair),
+            WriteAck(server_id=(0, 1), accepted=True),
+        )
+    }
+    assert framed == {
+        TimestampReply: b'\x00\x00\x00/{"type":"READ_TS_REPLY","server":4,"ts":[12,3]}',
+        ReadReply: (
+            b'\x00\x00\x00D{"type":"READ_REPLY","server":4,"value":["client-3",17],"ts":[12,3]}'
+        ),
+        WriteAck: b'\x00\x00\x00/{"type":"WRITE_ACK","server":4,"accepted":true}',
+    }
+
+
 def test_error_frame_raises_at_client():
     with pytest.raises(WireProtocolError, match="boom"):
         wire.frame_to_reply({"type": "ERROR", "message": "boom"}, server_id=0)
@@ -222,11 +269,18 @@ def test_error_frame_raises_at_client():
         {"type": "WRITE", "client": 1, "value": 2, "ts": "1.2"},
         {"type": "STATUS"},  # service frame, not a protocol request
         {"type": "NOPE"},
+        pytest.param(
+            _deep_frame('{"type":"WRITE","client":1,"ts":[1,0],"value":', 900), id="nested-900"
+        ),
+        pytest.param(
+            _deep_frame('{"type":"WRITE","client":1,"ts":[1,0],"value":', 200_000),
+            id="nested-200000",
+        ),
     ],
 )
 def test_malformed_requests_rejected(payload):
     with pytest.raises(WireProtocolError):
-        wire.frame_to_request(payload)
+        wire.frame_to_request(_decoded(payload))
 
 
 @pytest.mark.parametrize(
@@ -238,11 +292,18 @@ def test_malformed_requests_rejected(payload):
         {"type": "WRITE_ACK", "server": 0, "accepted": "yes"},
         {"type": "WRITE_ACK", "server": 0},
         {"type": "SURPRISE"},
+        pytest.param(
+            _deep_frame('{"type":"READ_REPLY","server":0,"ts":[1,0],"value":', 900), id="nested-900"
+        ),
+        pytest.param(
+            _deep_frame('{"type":"READ_REPLY","server":0,"ts":[1,0],"value":', 200_000),
+            id="nested-200000",
+        ),
     ],
 )
 def test_malformed_replies_rejected(payload):
     with pytest.raises(WireProtocolError):
-        wire.frame_to_reply(payload, server_id=0)
+        wire.frame_to_reply(_decoded(payload), server_id=0)
 
 
 def test_canonical_value_freezes_containers():

@@ -46,7 +46,7 @@ from repro.simulation import (
     run_scenario,
     slow_server_scenario,
 )
-from repro.simulation.messages import ReadRequest, TimestampRequest, WriteRequest
+from repro.simulation.messages import ReadRequest
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
 
 
@@ -280,12 +280,6 @@ class LoopbackServiceClient(ServiceQuorumClient):
     process does; crashed servers are silent.
     """
 
-    _HANDLERS = {
-        TimestampRequest: "handle_timestamp",
-        ReadRequest: "handle_read",
-        WriteRequest: "handle_write",
-    }
-
     def __init__(self, servers, scenario, **kwargs):
         super().__init__(
             endpoints={server_id: ("loopback", 0) for server_id in servers}, **kwargs
@@ -301,7 +295,7 @@ class LoopbackServiceClient(ServiceQuorumClient):
         frame, rest = wire.decode_frame(wire.encode_frame(wire.request_to_frame(request)))
         assert not rest
         decoded = wire.frame_to_request(frame)
-        reply = getattr(self.servers[server_id], self._HANDLERS[type(decoded)])(decoded)
+        reply = self.servers[server_id].handle(decoded)
         frame, rest = wire.decode_frame(
             wire.encode_frame(wire.reply_to_frame(reply, server_index=self.indices[server_id]))
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import SimulationError
@@ -14,7 +15,7 @@ from repro.simulation import (
     Timestamp,
     ValueTimestampPair,
 )
-from repro.simulation.messages import ReadRequest, TimestampRequest, WriteRequest
+from repro.simulation.messages import REPLY_TYPE, ReadRequest, TimestampRequest, WriteRequest
 
 
 def write_request(value, counter, client_id=0):
@@ -205,3 +206,28 @@ class TestAccessCountParity:
         self.drive(byzantine)
         assert correct.access_count == len(self.TRAFFIC)
         assert byzantine.access_count == correct.access_count
+
+    @pytest.mark.parametrize("behaviour", [None, *sorted(BYZANTINE_BEHAVIOURS)])
+    def test_handle_is_the_matching_handler(self, behaviour):
+        """``handle`` — the hosts' one entry point — answers exactly what the
+        per-type handler answers, honest replica or liar, and counts once."""
+
+        def replica():
+            if behaviour is None:
+                return ReplicaServer("s0")
+            return ByzantineReplicaServer("s0", behaviour=behaviour, rng=np.random.default_rng(5))
+
+        entry, direct = replica(), replica()
+        handlers = {
+            TimestampRequest: direct.handle_timestamp,
+            ReadRequest: direct.handle_read,
+            WriteRequest: direct.handle_write,
+        }
+        for served, request in enumerate(self.TRAFFIC, start=1):
+            reply = entry.handle(request)
+            assert reply == handlers[type(request)](request)
+            assert isinstance(reply, REPLY_TYPE[type(request)])
+            assert entry.access_count == served
+        with pytest.raises(SimulationError, match="unsupported request type"):
+            entry.handle({"type": "READ"})
+        assert entry.access_count == len(self.TRAFFIC)

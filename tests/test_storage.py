@@ -28,7 +28,7 @@ from repro.simulation.messages import Timestamp, ValueTimestampPair
 from repro.storage import (
     DurableStore,
     FsyncPolicy,
-    Snapshot,
+    WalRecord,
     WriteAheadLog,
     read_snapshot,
     scan_wal,
@@ -237,6 +237,19 @@ class TestWalCorruption:
         assert scan.reason == "corrupt-body"
         assert len(scan.records) == 1
 
+    @pytest.mark.parametrize("depth", [900, 200_000])
+    def test_valid_crc_value_nested_too_deeply_is_corrupt_body(self, tmp_path, depth):
+        # Too deep to freeze (900) or to parse (200 000, still under the size
+        # cap): dropped like any other malformed body, never a RecursionError.
+        path = tmp_path / "wal.log"
+        self._write_records(path, 1)
+        body = ('{"seq":2,"ts":[2,0],"value":' + "[" * depth + "]" * depth + "}").encode()
+        with open(path, "ab") as handle:
+            handle.write(_HEADER.pack(len(body), zlib.crc32(body)) + body)
+        scan = scan_wal(path)
+        assert scan.reason == "corrupt-body"
+        assert len(scan.records) == 1
+
     def test_opening_truncates_the_corrupt_suffix(self, tmp_path):
         path = tmp_path / "wal.log"
         data = self._write_records(path, 3)
@@ -270,7 +283,7 @@ class TestWalCorruption:
 class TestSnapshot:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "snapshot.bin"
-        write_snapshot(path, Snapshot(seq=7, timestamp=Timestamp(3, 2), value=["a", 1]))
+        write_snapshot(path, WalRecord(seq=7, timestamp=Timestamp(3, 2), value=["a", 1]))
         loaded = read_snapshot(path)
         assert loaded is not None
         assert (loaded.seq, loaded.timestamp) == (7, Timestamp(3, 2))
@@ -285,6 +298,9 @@ class TestSnapshot:
             b"WRONGMAG" + b"\x00" * 10,
             SNAPSHOT_MAGIC,  # torn header
             SNAPSHOT_MAGIC + _HEADER.pack(100, 0) + b"short",  # length mismatch
+            SNAPSHOT_MAGIC  # a valid snapshot, then trailing bytes
+            + encode_record(_WalRecord(seq=1, timestamp=Timestamp(1, 0), value="x"))
+            + b"\x00",
         ],
     )
     def test_corrupt_snapshots_raise_storage_error(self, tmp_path, blob):
@@ -295,7 +311,7 @@ class TestSnapshot:
 
     def test_crc_flip_raises_storage_error(self, tmp_path):
         path = tmp_path / "snapshot.bin"
-        write_snapshot(path, Snapshot(seq=1, timestamp=Timestamp(1, 0), value="x"))
+        write_snapshot(path, WalRecord(seq=1, timestamp=Timestamp(1, 0), value="x"))
         data = bytearray(path.read_bytes())
         data[-1] ^= 0x01
         path.write_bytes(bytes(data))
@@ -305,13 +321,38 @@ class TestSnapshot:
     def test_unserialisable_value_raises_storage_error(self, tmp_path):
         with pytest.raises(StorageError):
             write_snapshot(
-                tmp_path / "s.bin", Snapshot(seq=1, timestamp=Timestamp(1, 0), value=object())
+                tmp_path / "s.bin", WalRecord(seq=1, timestamp=Timestamp(1, 0), value=object())
             )
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         path = tmp_path / "snapshot.bin"
-        write_snapshot(path, Snapshot(seq=1, timestamp=Timestamp(1, 0), value=None))
+        write_snapshot(path, WalRecord(seq=1, timestamp=Timestamp(1, 0), value=None))
         assert [p.name for p in tmp_path.iterdir()] == ["snapshot.bin"]
+
+
+# ----------------------------------------------------------------------------
+# On-disk format pins: files written by the previous release still decode.
+# ----------------------------------------------------------------------------
+def _old_frame(seq: int, ts: list, value: object) -> bytes:
+    """One record framed by hand, body keys in the previous release's order."""
+    body = json.dumps({"seq": seq, "ts": ts, "value": value}, separators=(",", ":")).encode()
+    return _HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+def test_files_in_the_previous_key_order_read_back(tmp_path):
+    log = tmp_path / "wal.log"
+    log.write_bytes(MAGIC + _old_frame(1, [1, 0], "a") + _old_frame(2, [2, 1], ["b", 2]))
+    scan = scan_wal(log)
+    assert (scan.reason, scan.dropped_bytes) == ("", 0)
+    assert scan.records == (
+        WalRecord(seq=1, timestamp=Timestamp(1, 0), value="a"),
+        WalRecord(seq=2, timestamp=Timestamp(2, 1), value=("b", 2)),
+    )
+    snapshot = tmp_path / "snapshot.bin"
+    snapshot.write_bytes(SNAPSHOT_MAGIC + _old_frame(7, [3, 2], {"k": [1]}))
+    assert read_snapshot(snapshot) == WalRecord(
+        seq=7, timestamp=Timestamp(3, 2), value=(("k", (1,)),)
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -380,6 +421,15 @@ class TestDurableStore:
         with DurableStore(data_dir, snapshot_every=4) as store:
             assert store.pair == last
             assert store.recovery.snapshot_used
+        # Restart on a freshly compacted (empty) log: the snapshot hands its
+        # seq over, so numbering continues instead of starting again at 1.
+        data_dir = tmp_path / "just-compacted"
+        with DurableStore(data_dir, snapshot_every=4) as store:
+            _journal_n(store, 4)
+            assert store.status()["wal_records"] == 0
+        with DurableStore(data_dir, snapshot_every=4) as store:
+            assert store.status()["wal_last_seq"] == 4
+            assert store.journal(_pair(5)).seq == 5
 
     def test_corrupt_snapshot_falls_back_to_the_log(self, tmp_path):
         data_dir = tmp_path / "d"
@@ -406,7 +456,7 @@ class TestDurableStore:
         with DurableStore(data_dir) as store:
             _journal_n(store, 3)
         write_snapshot(
-            data_dir / SNAPSHOT_NAME, Snapshot(seq=40, timestamp=Timestamp(9, 1), value="snap")
+            data_dir / SNAPSHOT_NAME, WalRecord(seq=40, timestamp=Timestamp(9, 1), value="snap")
         )
         with DurableStore(data_dir) as store:
             assert store.pair == ValueTimestampPair(value="snap", timestamp=Timestamp(9, 1))
@@ -465,6 +515,27 @@ class TestRoundTripProperty:
                 store.journal(expected)
         with DurableStore(data_dir, fsync=fsync, snapshot_every=snapshot_every) as store:
             assert store.pair == expected
+
+    @given(value=json_values, counter=st.integers(0, 2**40), client_id=st.integers(-1, 2**20))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_json_form_round_trips(self, value, counter, client_id):
+        """The one serialised pair form (wire, STATUS, WAL, snapshot)."""
+        pair = ValueTimestampPair(freeze_value(value), Timestamp(counter, client_id))
+        assert ValueTimestampPair.from_json(json.loads(json.dumps(pair.to_json()))) == pair
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"value": 2},  # missing ts
+            {"value": 2, "ts": [1]},
+            {"value": 2, "ts": [1, True]},
+            {"value": 2, "ts": "1.2"},
+            {"value": 2, "ts": [0, 0, 0]},
+            [2, [1, 0]],  # not an object
+        ],
+    )
+    def test_pair_json_form_is_strict_about_the_timestamp(self, payload):
+        assert ValueTimestampPair.from_json(payload) is None
 
     @given(garbage=st.binary(min_size=0, max_size=64))
     @settings(max_examples=40, deadline=None)
