@@ -3,8 +3,9 @@
 Reproduces Proposition 7.2 (optimal load) and Proposition 7.3 (crash
 probability decaying for every p < 1/2), backed by the percolation substrate:
 the estimated critical point of the triangulated lattice sits near 1/2, and
-the Monte-Carlo Fp (disjoint open crossings counted by max-flow) shrinks with
-the grid while M-Grid's — same load, same masking family — climbs to one.
+the Monte-Carlo Fp (a search for k disjoint open crossings per direction)
+shrinks with the grid while M-Grid's — same load, same masking family —
+climbs to one.
 The last benchmark is the strategy ablation called out in DESIGN.md.
 """
 

@@ -16,8 +16,8 @@ far too large to enumerate, so this class exposes
 * analytic combinatorial parameters,
 * the straight-line sub-family of quorums (rows and columns only), which is
   what the load-optimal strategy of Proposition 7.2 uses, and
-* Monte-Carlo availability via the percolation substrate (disjoint open
-  crossings counted by max-flow).
+* Monte-Carlo availability via the percolation substrate (a search for ``k``
+  disjoint open crossings per direction, linear in ``n`` for fixed ``k``).
 """
 
 from __future__ import annotations
@@ -194,12 +194,13 @@ class MPath(QuorumSystem):
         A quorum exists among the alive vertices exactly when there are at
         least ``k`` vertex-disjoint open LR crossings *and* at least ``k``
         vertex-disjoint open TB crossings (the LR and TB families may share
-        vertices with each other, just not within a family).
+        vertices with each other, just not within a family).  Each search
+        stops at its ``k``-th crossing.
         """
-        lr = count_disjoint_crossings(self.grid, open_vertices, direction="lr")
+        lr = count_disjoint_crossings(self.grid, open_vertices, direction="lr", limit=self.k)
         if lr < self.k:
             return False
-        tb = count_disjoint_crossings(self.grid, open_vertices, direction="tb")
+        tb = count_disjoint_crossings(self.grid, open_vertices, direction="tb", limit=self.k)
         return tb >= self.k
 
     def survives(self, crashed: set) -> bool:
@@ -218,7 +219,8 @@ class MPath(QuorumSystem):
         """Estimate ``Fp`` by Monte-Carlo percolation sampling.
 
         Each trial crashes every vertex independently with probability ``p``
-        and checks quorum survival with two max-flow computations.
+        and checks quorum survival with one bounded disjoint-crossing search
+        per direction (the second only when the first finds ``k``).
         """
         validate_probability(p)
         if trials <= 0:

@@ -48,6 +48,11 @@ __all__ = [
     "validate_probability",
 ]
 
+#: Most entries one Monte-Carlo batch may hold in its ``(batch, num_quorums)``
+#: hit-count block or its ``(batch, n)`` draw: 16 MB of float32 / 32 MB of
+#: float64, however many quorums the system has.
+_BATCH_ELEMENTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class AvailabilityResult:
@@ -182,13 +187,14 @@ def monte_carlo_failure_probability(
     *,
     trials: int = 20_000,
     rng: np.random.Generator | None = None,
-    batch_size: int = 2_000,
 ) -> AvailabilityResult:
     """Estimate ``Fp(Q)`` by sampling crash configurations.
 
     Each trial crashes every server independently with probability ``p`` and
     checks whether any quorum is left untouched.  The check is vectorised
-    through the quorum/element incidence matrix.
+    through the quorum/element incidence matrix, in batches sized to
+    ``_BATCH_ELEMENTS``; the draw fills row-major, so the estimate does not
+    depend on how the trials are split.
     """
     _reject_implicit(system, "Monte-Carlo estimation")
     p = validate_probability(p)
@@ -197,6 +203,7 @@ def monte_carlo_failure_probability(
     rng = ensure_rng(rng)
     engine = system.bitset_engine()
 
+    batch_size = max(1, _BATCH_ELEMENTS // max(engine.num_quorums, system.n))
     failures = 0
     remaining = trials
     while remaining > 0:

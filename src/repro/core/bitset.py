@@ -116,7 +116,7 @@ class BitsetEngine:
         system's ``quorums()`` tuple by position.
     """
 
-    __slots__ = ("_universe", "_masks", "_packed", "_incidence", "_incidence_int", "_sizes")
+    __slots__ = ("_universe", "_masks", "_packed", "_incidence", "_membership", "_sizes")
 
     def __init__(self, universe: Universe, masks: Sequence[int]):
         limit = 1 << universe.size
@@ -129,7 +129,7 @@ class BitsetEngine:
         self._masks = tuple(masks)
         self._packed: np.ndarray | None = None
         self._incidence: np.ndarray | None = None
-        self._incidence_int: np.ndarray | None = None
+        self._membership: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -259,13 +259,20 @@ class BitsetEngine:
             view[:, 1, :] |= view[:, 0, :]
         return table
 
-    def _incidence_int_matrix(self) -> np.ndarray:
-        """The ``(n, m)`` int64 transpose of the incidence matrix (built once)."""
-        if self._incidence_int is None:
-            incidence_int = self.incidence_matrix().T.astype(np.int64)
-            incidence_int.setflags(write=False)
-            self._incidence_int = incidence_int
-        return self._incidence_int
+    def _membership_matrix(self) -> np.ndarray:
+        """The contiguous ``(n, m)`` float32 transpose of the incidence matrix (built once).
+
+        float32 so that the survival checks' matmul goes to BLAS (numpy has no
+        BLAS path for integers).  The entries are 0/1 and every dot product is
+        at most ``n < 2**24``, so each hit count is an exactly representable
+        integer — and only ``== 0`` is read, which a sum of non-negative terms
+        satisfies exactly when every term does.
+        """
+        if self._membership is None:
+            membership = np.ascontiguousarray(self.incidence_matrix().T, dtype=np.float32)
+            membership.setflags(write=False)
+            self._membership = membership
+        return self._membership
 
     def quorums_alive(self, crashed: np.ndarray) -> np.ndarray:
         """Per-quorum survival over a batch of crash configurations.
@@ -284,7 +291,7 @@ class BitsetEngine:
             configuration ``t``.  This is the per-phase quorum-responsiveness
             matrix the workload scenario engine runs on.
         """
-        hit_counts = np.atleast_2d(crashed).astype(np.int64) @ self._incidence_int_matrix()
+        hit_counts = np.atleast_2d(crashed).astype(np.float32) @ self._membership_matrix()
         return hit_counts == 0
 
     def alive_quorum_exists(self, crashed: np.ndarray) -> np.ndarray:
@@ -302,7 +309,7 @@ class BitsetEngine:
             Boolean vector of length ``batch``: some quorum has no crashed
             member.
         """
-        hit_counts = crashed.astype(np.int64) @ self._incidence_int_matrix()
+        hit_counts = crashed.astype(np.float32) @ self._membership_matrix()
         return (hit_counts == 0).any(axis=1)
 
     def intersection_counts(

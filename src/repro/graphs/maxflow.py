@@ -2,9 +2,10 @@
 
 The M-Path construction (Section 7) requires counting vertex-disjoint open
 paths across a lattice; by Menger's theorem that count is a maximum flow in a
-vertex-split unit-capacity network.  Dinic's algorithm solves unit-capacity
-problems in ``O(E sqrt(V))`` which is ample for the grid sizes the paper's
-evaluation considers.
+vertex-split unit-capacity network, which Dinic's algorithm solves in
+``O(E sqrt(V))``.  The percolation sampler does not build that network
+(:mod:`repro.graphs.disjoint_paths` searches it implicitly); this generic
+solver is the reference its tests compare against.
 """
 
 from __future__ import annotations
@@ -79,28 +80,36 @@ class FlowNetwork:
         return levels if levels[sink] >= 0 else None
 
     def _dfs_augment(
-        self,
-        node: int,
-        sink: int,
-        pushed: int,
-        levels: list[int],
-        iterators: list[int],
+        self, source: int, sink: int, levels: list[int], iterators: list[int]
     ) -> int:
-        if node == sink:
-            return pushed
-        while iterators[node] < len(self._adjacency[node]):
-            edge_id = self._adjacency[node][iterators[node]]
+        """Push flow along one level-graph path and return the amount (0: none left).
+
+        The path is an explicit stack of edge ids, so its length is not bounded
+        by the interpreter's recursion limit.
+        """
+        path: list[int] = []
+        node = source
+        while node != sink:
+            edges = self._adjacency[node]
+            if iterators[node] == len(edges):
+                if not path:
+                    return 0
+                # Dead end: step back and retire the edge that led here.
+                node = self._to[path.pop() ^ 1]
+                iterators[node] += 1
+                continue
+            edge_id = edges[iterators[node]]
             target = self._to[edge_id]
             if self._capacity[edge_id] > 0 and levels[target] == levels[node] + 1:
-                flow = self._dfs_augment(
-                    target, sink, min(pushed, self._capacity[edge_id]), levels, iterators
-                )
-                if flow > 0:
-                    self._capacity[edge_id] -= flow
-                    self._capacity[edge_id ^ 1] += flow
-                    return flow
-            iterators[node] += 1
-        return 0
+                path.append(edge_id)
+                node = target
+            else:
+                iterators[node] += 1
+        pushed = min(self._capacity[edge_id] for edge_id in path)
+        for edge_id in path:
+            self._capacity[edge_id] -= pushed
+            self._capacity[edge_id ^ 1] += pushed
+        return pushed
 
     def max_flow(self, source: Hashable, sink: Hashable) -> int:
         """Return the maximum flow from ``source`` to ``sink``.
@@ -116,14 +125,13 @@ class FlowNetwork:
             raise InvalidParameterError("source and sink must differ")
 
         total = 0
-        infinite = sum(self._capacity) + 1
         while True:
             levels = self._bfs_levels(source_index, sink_index)
             if levels is None:
                 return total
             iterators = [0] * self.num_nodes
             while True:
-                pushed = self._dfs_augment(source_index, sink_index, infinite, levels, iterators)
+                pushed = self._dfs_augment(source_index, sink_index, levels, iterators)
                 if pushed == 0:
                     break
                 total += pushed

@@ -14,7 +14,7 @@ which is what gives M-Path its optimal availability for every ``p < 1/2``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from functools import cached_property
 
 from repro.exceptions import ConstructionError
 
@@ -47,32 +47,36 @@ class TriangularGrid:
         if side < 2:
             raise ConstructionError(f"grid side must be at least 2, got {side}")
         self.side = side
+        span = range(1, side + 1)
+        self._vertices: tuple[Vertex, ...] = tuple((i, j) for i in span for j in span)
 
     @property
     def num_vertices(self) -> int:
         """The number of vertices, ``side ** 2``."""
         return self.side * self.side
 
-    def vertices(self) -> Iterator[Vertex]:
-        """Yield every vertex in column-major order."""
-        for i in range(1, self.side + 1):
-            for j in range(1, self.side + 1):
-                yield (i, j)
+    def vertices(self) -> tuple[Vertex, ...]:
+        """Return every vertex in column-major order (``i`` outer, ``j`` inner)."""
+        return self._vertices
 
     def contains(self, vertex: Vertex) -> bool:
         """Return ``True`` when ``vertex`` lies on the grid."""
         i, j = vertex
         return 1 <= i <= self.side and 1 <= j <= self.side
 
-    def neighbours(self, vertex: Vertex) -> list[Vertex]:
-        """Return the lattice neighbours of ``vertex`` (degree up to 6)."""
-        i, j = vertex
-        result = []
-        for di, dj in _NEIGHBOUR_OFFSETS:
-            candidate = (i + di, j + dj)
-            if self.contains(candidate):
-                result.append(candidate)
-        return result
+    @cached_property
+    def _adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
+        """Every vertex's neighbours, built on the first :meth:`neighbours` call."""
+        return {
+            (i, j): tuple(
+                filter(self.contains, ((i + di, j + dj) for di, dj in _NEIGHBOUR_OFFSETS))
+            )
+            for i, j in self._vertices
+        }
+
+    def neighbours(self, vertex: Vertex) -> tuple[Vertex, ...]:
+        """Return the lattice neighbours of the grid vertex ``vertex`` (degree up to 6)."""
+        return self._adjacency[vertex]
 
     # ------------------------------------------------------------------
     # Boundary sets used by the crossing events LR and TB.

@@ -9,16 +9,16 @@ otherwise.  The events the M-Path analysis cares about are
   (the interior ``I_{k-1}(LR)`` of Definition B.2), and the analogous top-
   bottom events.
 
-Crossing existence is decided with a breadth-first search; disjoint-crossing
-counts use the max-flow formulation of Menger's theorem from
-:mod:`repro.graphs.disjoint_paths`.
+Both are one question to :mod:`repro.graphs.disjoint_paths` — are there at
+least ``limit`` vertex-disjoint open crossings? — answered by an augmenting-path
+search that stops at ``limit``; crossing existence is ``limit=1``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Collection
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -45,13 +45,9 @@ def sample_open_vertices(
     """
     if not 0.0 <= p_closed <= 1.0:
         raise InvalidParameterError(f"closure probability must lie in [0, 1], got {p_closed}")
+    # Row-major over the draw is the grid's own vertex order: (i, j) reads draws[i-1, j-1].
     draws = rng.random((grid.side, grid.side))
-    open_vertices: set[Vertex] = set()
-    for i in range(1, grid.side + 1):
-        for j in range(1, grid.side + 1):
-            if draws[i - 1, j - 1] >= p_closed:
-                open_vertices.add((i, j))
-    return open_vertices
+    return set(compress(grid.vertices(), (draws >= p_closed).ravel().tolist()))
 
 
 def has_open_crossing(
@@ -63,31 +59,8 @@ def has_open_crossing(
     """Return ``True`` when an open crossing exists in the given direction.
 
     ``direction`` is ``"lr"`` (left to right) or ``"tb"`` (top to bottom).
-    Uses a breadth-first search restricted to open vertices.
     """
-    open_set = set(open_vertices)
-    if direction == "lr":
-        sources = [vertex for vertex in grid.left_side() if vertex in open_set]
-        targets = {vertex for vertex in grid.right_side() if vertex in open_set}
-    elif direction == "tb":
-        sources = [vertex for vertex in grid.bottom_side() if vertex in open_set]
-        targets = {vertex for vertex in grid.top_side() if vertex in open_set}
-    else:
-        raise ComputationError(f"unknown crossing direction {direction!r}")
-    if not sources or not targets:
-        return False
-
-    visited = set(sources)
-    queue = deque(sources)
-    while queue:
-        vertex = queue.popleft()
-        if vertex in targets:
-            return True
-        for neighbour in grid.neighbours(vertex):
-            if neighbour in open_set and neighbour not in visited:
-                visited.add(neighbour)
-                queue.append(neighbour)
-    return False
+    return count_disjoint_crossings(grid, open_vertices, direction=direction, limit=1) == 1
 
 
 def count_disjoint_crossings(
@@ -95,12 +68,14 @@ def count_disjoint_crossings(
     open_vertices: Collection[Vertex],
     *,
     direction: str = "lr",
+    limit: int | None = None,
 ) -> int:
-    """Return the maximum number of vertex-disjoint open crossings.
+    """Return the maximum number of vertex-disjoint open crossings, capped at ``limit``.
 
     This is the quantity that decides whether an M-Path quorum survives: a
-    quorum needs ``sqrt(2b+1)`` disjoint LR crossings and as many TB
-    crossings.
+    quorum needs ``k = sqrt(2b+1)`` disjoint LR crossings and as many TB
+    crossings, so M-Path asks with ``limit=k`` and the search stops at the
+    ``k``-th crossing instead of counting them all.
     """
     if direction == "lr":
         sources, sinks = grid.left_side(), grid.right_side()
@@ -109,7 +84,7 @@ def count_disjoint_crossings(
     else:
         raise ComputationError(f"unknown crossing direction {direction!r}")
     return max_vertex_disjoint_paths(
-        set(open_vertices), grid.neighbours, sources, sinks
+        open_vertices, grid.neighbours, sources, sinks, limit=limit
     )
 
 
@@ -143,8 +118,7 @@ def estimate_crossing_probability(
 ) -> CrossingEstimate:
     """Estimate ``P(at least min_disjoint open crossings exist)``.
 
-    For ``min_disjoint == 1`` a BFS decides each sample; otherwise a max-flow
-    computation counts disjoint crossings.
+    Each sample is one disjoint-crossing search bounded at ``min_disjoint``.
     """
     if trials <= 0:
         raise InvalidParameterError(f"trials must be positive, got {trials}")
@@ -152,13 +126,11 @@ def estimate_crossing_probability(
     successes = 0
     for _ in range(trials):
         open_vertices = sample_open_vertices(grid, p_closed, rng)
-        if min_disjoint <= 1:
-            if has_open_crossing(grid, open_vertices, direction=direction):
-                successes += 1
-        else:
-            count = count_disjoint_crossings(grid, open_vertices, direction=direction)
-            if count >= min_disjoint:
-                successes += 1
+        count = count_disjoint_crossings(
+            grid, open_vertices, direction=direction, limit=min_disjoint
+        )
+        if count >= min_disjoint:
+            successes += 1
     probability = successes / trials
     std_error = float(np.sqrt(max(probability * (1 - probability), 1e-12) / trials))
     return CrossingEstimate(probability=probability, std_error=std_error, trials=trials)

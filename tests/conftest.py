@@ -112,6 +112,20 @@ def boost_fpp_small() -> BoostedFPP:
 
 
 @pytest.fixture
+def snake_40() -> set:
+    """Open vertices of a 40 x 40 lattice whose only LR crossing visits all 820 of them.
+
+    Odd columns are fully open, even columns open at alternating ends, so the
+    crossing is longer than the interpreter's recursion limit; 20 disjoint TB
+    crossings (the odd columns) exist.
+    """
+    side = 40
+    open_vertices = {(i, j) for i in range(1, side + 1, 2) for j in range(1, side + 1)}
+    open_vertices |= {(i, side if (i // 2) % 2 else 1) for i in range(2, side + 1, 2)}
+    return open_vertices
+
+
+@pytest.fixture
 def mpath_5_2() -> MPath:
     """M-Path over a 5x5 triangulated grid masking b = 2."""
     return MPath(5, 2)

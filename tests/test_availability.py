@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -11,6 +12,7 @@ from repro import (
     monte_carlo_failure_probability,
 )
 from repro.api import build, measure
+from repro.core import availability
 from repro.core.availability import (
     inclusion_exclusion_failure_probability,
     is_condorcet_sequence,
@@ -77,6 +79,20 @@ class TestMonteCarlo:
     def test_invalid_trials_rejected(self, majority_5, rng):
         with pytest.raises(ComputationError):
             monte_carlo_failure_probability(majority_5, 0.1, trials=0, rng=rng)
+
+    def test_estimate_does_not_depend_on_the_batch_split(self, fpp_order2, monkeypatch):
+        # The draw fills row-major, so 143 batches of 7 trials (with a ragged
+        # last one), 1-trial batches and one batch of 1000 read the same stream.
+        estimates = []
+        for elements in (7 * fpp_order2.n, 1, 1 << 22):
+            monkeypatch.setattr(availability, "_BATCH_ELEMENTS", elements)
+            estimates.append(
+                monte_carlo_failure_probability(
+                    fpp_order2, 0.3, trials=1000, rng=np.random.default_rng(11)
+                )
+            )
+        assert estimates[0] == estimates[1] == estimates[2]
+        assert 0.0 < estimates[0].value < 1.0
 
 
 class TestDispatch:

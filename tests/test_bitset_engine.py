@@ -28,6 +28,7 @@ from repro import (
     MPath,
     MaskingGrid,
     RecursiveThreshold,
+    RegularGrid,
     exact_failure_probability,
     exact_load,
     masking_report,
@@ -239,6 +240,28 @@ class TestLoadAndAvailability:
         mask = minimal_transversal_mask(system.quorum_masks())
         assert mask.bit_count() == len(milp)
         assert is_transversal(bitset.mask_to_frozenset(mask, system.universe), quorums)
+
+
+class TestSurvivalChecks:
+    @pytest.mark.parametrize(
+        "system", [BoostedFPP(3, 1), RegularGrid(17)], ids=["boostfpp-n65-m8125", "grid-n289"]
+    )
+    def test_quorums_alive_is_the_mask_subset_test(self, system):
+        # The float32 matmul must answer exactly what the integer masks do,
+        # below and above the 256 a uint8 hit count would wrap at.
+        engine = system.bitset_engine()
+        rng = np.random.default_rng(5)
+        crashed = rng.random((24, system.n)) < rng.random((24, 1)) * 0.2
+        crashed[0], crashed[1] = False, True
+        alive = engine.quorums_alive(crashed)
+        assert alive.shape == (24, engine.num_quorums)
+        for row, flags in zip(crashed, alive):
+            crashed_mask = sum(1 << int(index) for index in np.flatnonzero(row))
+            assert flags.tolist() == [not mask & crashed_mask for mask in engine.masks]
+        assert alive[0].all() and not alive[1].any()
+        assert 0 < alive[2:].sum() < alive[2:].size
+        assert engine.alive_quorum_exists(crashed).tolist() == alive.any(axis=1).tolist()
+        assert engine.quorums_alive(crashed[3]).tolist() == alive[3:4].tolist()
 
 
 # ----------------------------------------------------------------------------

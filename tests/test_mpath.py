@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import ComputationError, ConstructionError, MPath, load_lower_bound
@@ -96,7 +97,35 @@ class TestSurvival:
         assert system.survives(crashed)
 
 
+    def test_one_long_crossing_is_not_a_quorum(self, snake_40):
+        # LR = 1 < k = 2 although TB = 20.
+        system = MPath(40, 1)
+        assert not system.survives(set(system.universe.elements) - snake_40)
+
+
 class TestAvailability:
+    #: What the max-flow sampler printed before the search was bounded at k:
+    #: (side, b, trials) -> {p: (estimate at seed 0, estimate at seed 7)}.
+    PINNED = {
+        (7, 1, 200): {0.1: (0.0, 0.0), 0.3: (0.395, 0.39), 0.45: (0.925, 0.905)},
+        (7, 3, 200): {0.1: (0.035, 0.04), 0.3: (0.795, 0.82), 0.45: (1.0, 0.98)},
+        (12, 2, 120): {
+            0.1: (0.0, 0.0),
+            0.3: (0.425, 0.43333333333333335),
+            0.45: (0.9583333333333334, 0.9833333333333333),
+        },
+    }
+
+    @pytest.mark.parametrize("side, b, trials", PINNED)
+    def test_estimates_are_the_max_flow_samplers(self, side, b, trials):
+        system = MPath(side, b)
+        for p, pinned in self.PINNED[side, b, trials].items():
+            estimates = tuple(
+                system.crash_probability(p, trials=trials, rng=np.random.default_rng(seed))
+                for seed in (0, 7)
+            )
+            assert estimates == pinned
+
     def test_crash_probability_extremes(self, mpath_5_2, rng):
         assert mpath_5_2.crash_probability(0.0, trials=5, rng=rng) == 0.0
         assert mpath_5_2.crash_probability(1.0, trials=5, rng=rng) == 1.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import ComputationError, ConstructionError
@@ -102,6 +103,14 @@ class TestCrossings:
         open_vertices = {(1, 2), (2, 1), (3, 1)}
         assert has_open_crossing(grid, open_vertices, direction="lr")
 
+    def test_one_long_crossing_does_not_exhaust_the_stack(self, snake_40):
+        grid = TriangularGrid(40)
+        assert len(snake_40) == 820
+        assert count_disjoint_crossings(grid, snake_40, direction="lr") == 1
+        assert count_disjoint_crossings(grid, snake_40, direction="tb") == 20
+        assert count_disjoint_crossings(grid, snake_40, direction="tb", limit=3) == 3
+        assert has_open_crossing(grid, snake_40, direction="lr")
+
     def test_unknown_direction_rejected(self):
         grid = TriangularGrid(3)
         with pytest.raises(ComputationError):
@@ -115,6 +124,13 @@ class TestSamplingAndEstimation:
         grid = TriangularGrid(4)
         assert sample_open_vertices(grid, 0.0, rng) == set(grid.vertices())
         assert sample_open_vertices(grid, 1.0, rng) == set()
+
+    @pytest.mark.parametrize("side, p_closed", [(2, 0.5), (7, 0.1), (12, 0.45)])
+    def test_sample_reads_the_draw_vertex_by_vertex(self, side, p_closed):
+        grid = TriangularGrid(side)
+        draws = np.random.default_rng(99).random((side, side))
+        expected = {(i, j) for i, j in grid.vertices() if draws[i - 1, j - 1] >= p_closed}
+        assert sample_open_vertices(grid, p_closed, np.random.default_rng(99)) == expected
 
     def test_sample_rejects_invalid_probability(self, rng):
         with pytest.raises(ComputationError):
