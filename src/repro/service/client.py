@@ -10,10 +10,22 @@ checker and the conformance suite consume unchanged.
 What lives here is transport only: replicas are ``(host, port)`` endpoints
 keyed by universe element, each broadcast the core asks for becomes one frame
 exchange per member over per-server TCP connections (opened lazily, reused
-across operations), silence is any transport failure within the
-``request_timeout`` (real seconds) of the same
-:class:`~repro.simulation.client.RetryPolicy` the simulator uses, and the
-clock is ``time.monotonic``.
+across operations), and the clock is ``time.monotonic``.
+
+A broadcast has **one deadline**: one task per member, one
+``asyncio.wait(..., timeout=request_timeout)`` over all of them
+(``request_timeout``, real seconds, from the same
+:class:`~repro.simulation.client.RetryPolicy` the simulator uses).  Connect,
+send and receive of a member share it; silence is any transport failure, or
+no reply by then.
+
+A pooled connection carries no request ids — a reply answers the request
+before it, by position — so a connection with a request **in flight** is
+poisoned: whatever is read from it next is the answer to a question nobody is
+asking any more.  Hence the rule: however a broadcast ends (deadline, an
+exchange's error, the caller's cancellation), every member whose exchange is
+unfinished has its connection aborted and forgotten, and the next operation
+reconnects.
 """
 
 from __future__ import annotations
@@ -145,28 +157,23 @@ class ServiceQuorumClient(ProtocolCore):
     async def _exchange(self, server_id: Hashable, request: object) -> object | None:
         """Send one request frame to one replica; ``None`` models silence.
 
-        Any transport failure (refused connection, reset, timeout, protocol
-        violation — a reply of the wrong type for the request included) is
-        silence from the protocol's point of view — exactly how the
-        simulator's network returns ``None`` for crashed servers.
-        The connection is dropped on failure so the next probe reconnects.
+        Any transport failure (refused connection, reset, protocol violation
+        — a reply of the wrong type for the request, or more than one reply,
+        included) is silence from the protocol's point of view — exactly how
+        the simulator's network returns ``None`` for crashed servers.  The
+        connection is dropped on failure so the next probe reconnects.
+
+        Nothing here is bounded in time: :meth:`_broadcast` holds the one
+        deadline, and cancels this coroutine when it passes.
         """
-        host, port = self.endpoints[server_id]
         try:
             connection = self._connections.get(server_id)
             if connection is None:
-                connection = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), self.policy.request_timeout
-                )
+                connection = await asyncio.open_connection(*self.endpoints[server_id])
                 self._connections[server_id] = connection
             reader, writer = connection
-            await asyncio.wait_for(
-                wire.write_frame(writer, wire.request_to_frame(request)),
-                self.policy.request_timeout,
-            )
-            payload = await asyncio.wait_for(
-                wire.read_frame(reader), self.policy.request_timeout
-            )
+            await wire.write_frame(writer, wire.request_to_frame(request))
+            payload = await wire.read_frame(reader)
             if payload is None:
                 raise ConnectionResetError("replica closed the connection")
             reply = wire.frame_to_reply(payload, server_id=server_id)
@@ -175,20 +182,56 @@ class ServiceQuorumClient(ProtocolCore):
                 raise WireProtocolError(
                     f"{type(reply).__name__} does not answer a {type(request).__name__}"
                 )
+            if reader._buffer:  # StreamReader has no public "bytes buffered"
+                # Whatever follows the reply would answer the next request.
+                raise WireProtocolError(f"more than one reply to a {type(request).__name__}")
             return reply
-        except (OSError, asyncio.TimeoutError, WireProtocolError):
-            await self._drop_connection(server_id)
+        except (OSError, WireProtocolError):
+            self._abort_connection(server_id)
             return None
 
-    async def _drop_connection(self, server_id: Hashable) -> None:
+    def _abort_connection(self, server_id: Hashable) -> None:
+        """Forget ``server_id``'s pooled connection and close it at once.
+
+        A connection that failed, or that has a request in flight nobody
+        will read the reply to, has nothing worth flushing or waiting for.
+        """
         connection = self._connections.pop(server_id, None)
         if connection is not None:
-            await _close_writer(connection[1])
+            connection[1].transport.abort()
+
+    async def _broadcast(self, members: list, request: object) -> dict:
+        """One exchange per member, all under one ``request_timeout`` deadline.
+
+        Returns ``{member: reply}`` for the members that answered in time.
+        However the broadcast ends — deadline, an error in one exchange, or
+        the caller's cancellation — a member whose exchange is unfinished
+        has its connection aborted, not kept: its request is still in
+        flight, and on a pooled connection the late reply would be read as
+        the answer to the *next* request.
+        """
+        tasks = {
+            server_id: asyncio.create_task(self._exchange(server_id, request))
+            for server_id in members
+        }
+        try:
+            await asyncio.wait(tasks.values(), timeout=self.policy.request_timeout)
+        finally:
+            for server_id, task in tasks.items():
+                if not task.done():
+                    task.cancel()
+                    self._abort_connection(server_id)
+        return {
+            server_id: reply
+            for server_id, task in tasks.items()
+            if task.done() and (reply := task.result()) is not None
+        }
 
     async def close(self) -> None:
         """Close every pooled connection."""
-        for server_id in list(self._connections):
-            await self._drop_connection(server_id)
+        while self._connections:
+            _server_id, (_reader, writer) = self._connections.popitem()
+            await _close_writer(writer)
 
     # ------------------------------------------------------------------
     # Protocol operations.
@@ -199,14 +242,7 @@ class ServiceQuorumClient(ProtocolCore):
             step = advance(operation)
             while not isinstance(step, OperationResult):
                 quorum, request = step
-                members = sorted(quorum)
-                replies = await asyncio.gather(
-                    *(self._exchange(server_id, request) for server_id in members)
-                )
-                step = advance(
-                    operation,
-                    {sid: reply for sid, reply in zip(members, replies) if reply is not None},
-                )
+                step = advance(operation, await self._broadcast(sorted(quorum), request))
             return step
         finally:
             operation.close()  # a cancelled operation must not leave the client busy

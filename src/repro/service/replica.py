@@ -16,6 +16,16 @@ fault-injection control frames (``STALL`` freezes protocol replies until
 :class:`~repro.simulation.faults.FaultScenario` without killing the
 process).
 
+The front end is callbacks, not coroutines: the listener is
+``loop.create_server`` over one :class:`asyncio.Protocol` per connection,
+which feeds received bytes to a :class:`~repro.service.wire.FrameBuffer`,
+answers every complete frame through the synchronous
+``ReplicaService._handle_frame`` and writes the replies of one received
+segment with one ``transport.write`` — no task, future or ``drain()`` per
+frame.  Back-pressure is the transport's: above its high-water mark a
+connection stops reading, and a stalled replica parks a connection at its
+first protocol frame until ``RESUME``.
+
 Each replica is configured from a :class:`~repro.api.registry.SystemSpec`
 plus its *index* in the universe order, mirroring how real quorum
 deployments ship one config to N processes.  ``port=0`` binds an ephemeral
@@ -31,7 +41,7 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable
+from typing import Hashable, cast
 
 from repro.api.registry import SystemSpec, build
 from repro.core.rng import ensure_rng
@@ -49,6 +59,14 @@ __all__ = ["ReplicaConfig", "ReplicaService", "run_replica"]
 
 #: Sliding window of per-request service latencies kept for METRICS.
 _LATENCY_WINDOW = 4096
+
+#: Frames a stalled replica still answers.
+_CONTROL_FRAMES = frozenset({"STATUS", "METRICS", "STALL", "RESUME"})
+
+#: Replies of one received segment go out in one write, unless they outgrow
+#: this many bytes (asyncio's default high-water mark): then they are flushed,
+#: so that a transport over its limit stops the segment's remaining frames.
+_FLUSH_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -139,9 +157,9 @@ class ReplicaService:
         self._op_counts: Counter = Counter()
         self._protocol_errors = 0
         self._latencies: deque = deque(maxlen=_LATENCY_WINDOW)
-        # Set => serving; cleared by a STALL frame, restored by RESUME.
-        self._running = asyncio.Event()
-        self._running.set()
+        # Set by a STALL frame, cleared by RESUME.
+        self._stalled = False
+        self._connections: set[_Connection] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -160,8 +178,8 @@ class ReplicaService:
         if self._server is not None:
             raise ServiceError("replica already started")
         try:
-            self._server = await asyncio.start_server(
-                self._serve_connection, host=self.config.host, port=self.config.port
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: _Connection(self), host=self.config.host, port=self.config.port
             )
         except OSError as exc:
             raise ServiceError(
@@ -184,14 +202,19 @@ class ReplicaService:
     async def serve_forever(self) -> None:
         """Run until cancelled (the subprocess entry point's main loop)."""
         if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+            await self.start()  # the listener accepts from here on
+        try:
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.stop()
 
     async def stop(self) -> None:
+        """Stop listening and drop every connection, whatever its peer is doing."""
         if self._server is not None:
             self._server.close()
+            # From 3.12 on wait_closed() waits for the connections as well.
+            for connection in list(self._connections):
+                connection.abort()
             await self._server.wait_closed()
             self._server = None
         if self._store is not None:
@@ -212,7 +235,7 @@ class ReplicaService:
             else self.server_id,
             "construction": self.config.spec.construction,
             "byzantine": self.config.byzantine_behaviour,
-            "stalled": not self._running.is_set(),
+            "stalled": self._stalled,
             "uptime_seconds": time.monotonic() - self._started_at,
             # The current register pair, protocol encodings: the substrate
             # of b+1-vouched state discovery (harness.discover_initial_pair).
@@ -240,78 +263,142 @@ class ReplicaService:
         }
 
     # ------------------------------------------------------------------
-    # Connection handling.
+    # Frame handling.
     # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    payload = await wire.read_frame(reader)
-                except WireProtocolError as exc:
-                    # Malformed input never crashes or hangs the replica: it
-                    # answers with ERROR and drops the connection.
-                    self._protocol_errors += 1
-                    await self._send_error(writer, str(exc))
-                    return
-                if payload is None:
-                    return  # clean EOF
-                try:
-                    reply = await self._handle_frame(payload)
-                except (WireProtocolError, StorageError) as exc:
-                    # A journalling failure must not ack the write: answer
-                    # ERROR and drop the connection — the client sees
-                    # silence, exactly like a crashed server.
-                    self._protocol_errors += 1
-                    await self._send_error(writer, str(exc))
-                    return
-                await wire.write_frame(writer, reply)
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
-                # The task is ending either way; a cancel racing listener
-                # shutdown must not surface as an unhandled-exception log.
-                pass
-
-    async def _handle_frame(self, payload: dict) -> dict:
-        kind = payload.get("type")
+    def _handle_frame(self, payload: dict) -> bytes:
+        """Answer one request frame with its encoded reply frame."""
+        kind = payload["type"]
         if kind == "STATUS":
-            return self.status_payload()
-        if kind == "METRICS":
-            return self.metrics_payload()
-        if kind == "STALL":
-            self._running.clear()
-            return {"type": "OK", "stalled": True}
-        if kind == "RESUME":
-            self._running.set()
-            return {"type": "OK", "stalled": False}
-        # Protocol phases go through the simulator state machine.  A stalled
-        # replica holds the reply (clients see a timeout, exactly like the
-        # FaultScenario "slow" servers) but keeps answering control frames.
-        request = wire.frame_to_request(payload)
-        await self._running.wait()
-        started = time.monotonic()
-        reply = self.replica.handle(request)
-        # Durability contract: the accepted pair hits the journal *before*
-        # the ack frame goes out.
-        accepted = isinstance(reply, WriteAck) and reply.accepted
-        if accepted and self._store is not None and isinstance(request, WriteRequest):
-            self._store.journal(request.pair)
-        self._op_counts[kind] += 1
-        self._latencies.append(time.monotonic() - started)
-        return wire.reply_to_frame(reply, server_index=self.config.index)
+            reply = self.status_payload()
+        elif kind == "METRICS":
+            reply = self.metrics_payload()
+        elif kind == "STALL":
+            self._stalled = True
+            reply = {"type": "OK", "stalled": True}
+        elif kind == "RESUME":
+            self._stalled = False
+            for connection in list(self._connections):
+                if connection.parked:  # never the connection RESUME came in on
+                    connection.pump()
+            reply = {"type": "OK", "stalled": False}
+        else:
+            # Protocol phases go through the simulator state machine.
+            request = wire.frame_to_request(payload)
+            started = time.monotonic()
+            answer = self.replica.handle(request)
+            # Durability contract: the accepted pair hits the journal *before*
+            # the ack frame is even encoded.
+            accepted = isinstance(answer, WriteAck) and answer.accepted
+            if accepted and self._store is not None and isinstance(request, WriteRequest):
+                self._store.journal(request.pair)
+            self._op_counts[kind] += 1
+            self._latencies.append(time.monotonic() - started)
+            reply = wire.reply_to_frame(answer, server_index=self.config.index)
+        return wire.encode_frame(reply)
 
-    @staticmethod
-    async def _send_error(writer: asyncio.StreamWriter, message: str) -> None:
+
+class _Connection(asyncio.Protocol):
+    """One accepted connection: received bytes to frames to reply bytes.
+
+    Everything runs inside the transport's callbacks, with no task and no
+    future per frame.  Replies leave in request order, so a connection stops
+    consuming its buffered frames — and stops reading from the socket, which
+    hands the back-pressure to the peer's TCP window — in two situations:
+
+    * the transport's write buffer is above its high-water mark (the peer
+      pipelines requests and does not read the replies);
+    * the replica is stalled and the next frame is a protocol request.  That
+      frame is *parked*; everything behind it on this connection waits, while
+      control frames on other connections are still answered, ``RESUME``
+      among them.
+    """
+
+    _transport: asyncio.Transport  # from connection_made on
+
+    def __init__(self, service: ReplicaService):
+        self._service = service
+        self._frames = wire.FrameBuffer()
+        self._parked: dict | None = None
+        self._write_paused = False
+
+    @property
+    def parked(self) -> bool:
+        """Whether a stall is holding a protocol frame of this connection."""
+        return self._parked is not None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = cast(asyncio.Transport, transport)
+        self._service._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._service._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._frames.feed(data)
+        self.pump()
+
+    def eof_received(self) -> None:
+        # Returning None closes the transport once its write buffer is flushed.
         try:
-            await wire.write_frame(writer, {"type": "ERROR", "message": message})
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+            self._frames.eof()
+        except WireProtocolError as exc:
+            self._fail(exc)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self.pump()
+
+    def abort(self) -> None:
+        self._transport.abort()
+
+    def pump(self) -> None:
+        """Answer the buffered frames, as far as stall and back-pressure allow."""
+        service, transport = self._service, self._transport
+        if transport.is_closing():
+            return
+        replies: list[bytes] = []
+        size = 0
+        failure: Exception | None = None
+        try:
+            while not self._write_paused:
+                payload = self._parked or self._frames.next_frame()
+                if payload is None:
+                    break
+                if service._stalled and payload["type"] not in _CONTROL_FRAMES:
+                    self._parked = payload
+                    break
+                self._parked = None
+                reply = service._handle_frame(payload)
+                replies.append(reply)
+                size += len(reply)
+                if size >= _FLUSH_BYTES:
+                    # May call pause_writing, which ends the loop.
+                    transport.write(b"".join(replies))
+                    replies.clear()
+                    size = 0
+        except (WireProtocolError, StorageError) as exc:
+            # Malformed input never crashes or hangs the replica, and a
+            # journalling failure must not ack the write: either way the
+            # answer is ERROR and a dropped connection, which the client
+            # sees as silence, exactly like a crashed server.
+            failure = exc
+        if replies:
+            transport.write(b"".join(replies))
+        if failure is not None:
+            self._fail(failure)
+        elif self._write_paused or self._parked is not None:
+            transport.pause_reading()
+        else:
+            transport.resume_reading()
+
+    def _fail(self, exc: Exception) -> None:
+        self._service._protocol_errors += 1
+        self._transport.write(wire.encode_frame({"type": "ERROR", "message": str(exc)}))
+        self._transport.close()
 
 
 async def run_replica(config: ReplicaConfig) -> None:

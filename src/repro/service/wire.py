@@ -42,6 +42,11 @@ unknown-type and too-deeply-nested frames all raise
 :class:`~repro.exceptions.WireProtocolError` (never a hang, never an
 unhandled crash) — the replica answers with an ``ERROR`` frame and closes
 the connection.  ``tests/test_service_wire.py`` fuzzes exactly this contract.
+
+A stream is read either through :func:`read_frame` (an asyncio
+``StreamReader``: the client exchange, :func:`~repro.service.client.call_endpoint`)
+or through a :class:`FrameBuffer` (bytes as a transport delivers them: the
+replica); both decode with :func:`decode_frame`.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from repro.simulation.messages import (
 )
 
 __all__ = [
+    "FrameBuffer",
     "MAX_FRAME_BYTES",
     "canonical_value",
     "decode_frame",
@@ -155,6 +161,46 @@ def decode_frame(data: bytes) -> tuple[dict, bytes]:
             "frame body must be a JSON object with a string 'type' field"
         )
     return payload, data[end:]
+
+
+class FrameBuffer:
+    """The receive side of a connection without the I/O: bytes in, frames out.
+
+    :meth:`feed` takes the bytes as the transport delivers them, in whatever
+    pieces; :meth:`next_frame` hands back one decoded payload per complete
+    frame, in order.  Every frame goes through :func:`decode_frame`, so the
+    two reject exactly the same input — and a length prefix outside ``(0,
+    MAX_FRAME_BYTES]`` is rejected as soon as its four bytes are in, never
+    after buffering the body it announces.
+    """
+
+    def __init__(self) -> None:
+        self._data = bytearray()
+
+    def feed(self, data: bytes) -> None:
+        self._data += data
+
+    def next_frame(self) -> dict | None:
+        """Decode and consume the next complete frame; ``None`` when there is none yet."""
+        data = self._data
+        if len(data) < _LENGTH.size:
+            return None
+        (length,) = _LENGTH.unpack_from(data)
+        end = _LENGTH.size + length
+        if len(data) < end and 0 < length <= MAX_FRAME_BYTES:
+            return None  # a legal prefix whose body is still arriving
+        frame = bytes(data[:end])
+        del data[:end]
+        return decode_frame(frame)[0]
+
+    def eof(self) -> None:
+        """The peer sent EOF: raise if that cut a frame short.
+
+        Call with every complete frame consumed; what is left is then a
+        partial header or body, which :func:`decode_frame` names.
+        """
+        if self._data:
+            decode_frame(bytes(self._data))
 
 
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:

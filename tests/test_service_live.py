@@ -14,8 +14,10 @@ subprocess spawning.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from repro.service import (
 )
 from repro.exceptions import ServiceError
 from repro.simulation.client import RetryPolicy
-from repro.simulation.history import check_register_history
+from repro.simulation.history import HistoryRecorder, check_register_history
 
 OPS = 160
 CLIENTS = 8
@@ -339,53 +341,71 @@ def test_single_client_sequential_semantics(cluster_factory):
     asyncio.run(scenario())
 
 
+@contextlib.asynccontextmanager
+async def _replicas(indices=range(5)):
+    """In-process replicas of ``THRESHOLD_5`` on loopback ports, stopped on exit."""
+    services = [ReplicaService(ReplicaConfig(THRESHOLD_5, index)) for index in indices]
+    try:
+        for service in services:
+            await service.start()
+        yield services
+    finally:
+        for service in services:
+            await service.stop()
+
+
+def _read_past_a_liar(answer: bytes) -> None:
+    """Eight reads of a cluster whose replica 2 answers every frame with ``answer``."""
+    liar_index = 2
+
+    async def lie(reader, writer):
+        while await wire.read_frame(reader) is not None:
+            writer.write(answer)
+            await writer.drain()
+        writer.close()
+
+    async def scenario():
+        system = THRESHOLD_5.build()
+        async with _replicas([i for i in range(5) if i != liar_index]) as honest:
+            liar = await asyncio.start_server(lie, "127.0.0.1", 0)
+            endpoints = {service.server_id: service.address for service in honest}
+            liar_id = system.universe.element_at(liar_index)
+            endpoints[liar_id] = liar.sockets[0].getsockname()[:2]
+            client = ServiceQuorumClient(
+                0,
+                system,
+                endpoints,
+                b=1,
+                policy=RetryPolicy(request_timeout=2.0),
+                rng=np.random.default_rng(7),
+            )
+            try:
+                for _ in range(8):
+                    assert (await client.read()).success
+                assert client.suspected == {liar_id}
+                assert liar_id not in client._connections  # dropped, not reused
+            finally:
+                await client.close()
+                liar.close()
+                await liar.wait_closed()
+
+    asyncio.run(scenario())
+
+
 def test_reply_of_the_wrong_type_indicts_one_replica_not_the_client():
     """A liar within ``b`` answers every ``READ`` with a well-formed
     ``WRITE_ACK``.  That is a protocol violation like any other: silence, the
     connection dropped, the replica suspected and steered around — it used to
     raise ``AttributeError`` out of ``client.read()``."""
-    liar_index = 2
+    _read_past_a_liar(wire.encode_frame({"type": "WRITE_ACK", "server": 2, "accepted": True}))
 
-    async def lie(reader, writer):
-        while await wire.read_frame(reader) is not None:
-            await wire.write_frame(
-                writer, {"type": "WRITE_ACK", "server": liar_index, "accepted": True}
-            )
-        writer.close()
 
-    async def scenario():
-        system = THRESHOLD_5.build()
-        honest = [
-            ReplicaService(ReplicaConfig(THRESHOLD_5, index))
-            for index in range(5)
-            if index != liar_index
-        ]
-        for service in honest:
-            await service.start()
-        liar = await asyncio.start_server(lie, "127.0.0.1", 0)
-        endpoints = {service.server_id: service.address for service in honest}
-        liar_id = system.universe.element_at(liar_index)
-        endpoints[liar_id] = liar.sockets[0].getsockname()[:2]
-        client = ServiceQuorumClient(
-            0,
-            system,
-            endpoints,
-            b=1,
-            policy=RetryPolicy(request_timeout=2.0),
-            rng=np.random.default_rng(7),
-        )
-        try:
-            for _ in range(8):
-                assert (await client.read()).success
-            assert client.suspected == {liar_id}
-        finally:
-            await client.close()
-            liar.close()
-            await liar.wait_closed()
-            for service in honest:
-                await service.stop()
-
-    asyncio.run(scenario())
+def test_a_second_reply_indicts_the_replica_that_sent_it():
+    """Two ``READ_REPLY`` frames for one ``READ``: the second would sit in the
+    pooled connection's buffer and answer the *next* request.  Same verdict as
+    a reply of the wrong type."""
+    reply = wire.encode_frame({"type": "READ_REPLY", "server": 2, "value": None, "ts": [0, -1]})
+    _read_past_a_liar(reply + reply)
 
 
 # ----------------------------------------------------------------------
@@ -420,3 +440,266 @@ def test_call_endpoint_maps_a_connection_reset_to_service_error():
             await server.wait_closed()
 
     asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# A request in flight poisons a pooled connection.
+# ----------------------------------------------------------------------
+def test_cancelled_read_does_not_poison_the_connection_pool(cluster_factory):
+    """Zero faulty replicas, one impatient caller.  B's read is cancelled
+    after its frames went out to a stalled cluster; the replies arrive once
+    the cluster resumes.  Were B's connections still pooled, its next read
+    would take those replies for its own and return the value A has since
+    overwritten."""
+    cluster = cluster_factory(ClusterSpec(THRESHOLD_5))
+
+    async def scenario():
+        history = HistoryRecorder()
+        a, b = (
+            ServiceQuorumClient(
+                client_id,
+                cluster.system,
+                cluster.endpoints(),
+                b=cluster.b,
+                history=history,
+                rng=np.random.default_rng(client_id),
+            )
+            for client_id in (0, 1)
+        )
+        try:
+            assert (await a.write("v1")).success
+            assert (await b.read()).value == "v1"
+            for index in range(5):
+                await cluster.stall(index)
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(b.read(), timeout=0.05)
+            for index in range(5):
+                await cluster.resume(index)
+            assert (await a.write("v2")).success
+            return await b.read(), history.check()
+        finally:
+            await a.close()
+            await b.close()
+
+    read, check = asyncio.run(scenario())
+    assert read.success and read.value == "v2"
+    assert check.ok and check.stale_reads == 0, check.violations
+
+
+# ----------------------------------------------------------------------
+# What one operation costs the event loop, as counts and a deadline.
+# ----------------------------------------------------------------------
+def test_a_warm_operation_costs_one_task_per_quorum_member():
+    """Replicas and client share the loop, so the count covers both: a warm
+    read is ``|quorum|`` tasks, a warm write ``2 |quorum|`` (two rounds), and
+    a replica answers without creating any."""
+
+    async def scenario():
+        system = THRESHOLD_5.build()
+        async with _replicas() as services:
+            endpoints = {service.server_id: service.address for service in services}
+            client = ServiceQuorumClient(0, system, endpoints, b=1, rng=np.random.default_rng(3))
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def counting(loop, coro, **kwargs):
+                created.append(coro)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            try:
+                while len(client._connections) < 5:  # until no operation has to connect
+                    assert (await client.write("warm")).success
+                loop.set_task_factory(counting)
+                assert (await client.read()).success
+                reads = len(created)
+                assert (await client.write("counted")).success
+                return reads, len(created) - reads, system.min_quorum_size()
+            finally:
+                loop.set_task_factory(None)
+                await client.close()
+
+    reads, writes, quorum = asyncio.run(scenario())
+    assert (reads, writes) == (quorum, 2 * quorum)
+
+
+def test_one_deadline_bounds_a_broadcast_to_a_stalled_cluster():
+    """Connect, send and receive of every member share one ``request_timeout``."""
+
+    async def scenario():
+        system = THRESHOLD_5.build()
+        async with _replicas() as services:
+            endpoints = {service.server_id: service.address for service in services}
+            for service in services:
+                await call_endpoint(*service.address, {"type": "STALL"})
+            client = ServiceQuorumClient(
+                0,
+                system,
+                endpoints,
+                b=1,
+                policy=RetryPolicy(request_timeout=0.2, max_attempts=1),
+            )
+            try:
+                started = time.monotonic()
+                read = await client.read()
+                return read, time.monotonic() - started, dict(client._connections)
+            finally:
+                await client.close()
+
+    read, elapsed, pooled = asyncio.run(scenario())
+    assert not read.success
+    assert 0.2 <= elapsed < 0.3
+    assert pooled == {}  # every member was still owed a reply
+
+
+# ----------------------------------------------------------------------
+# Misbehaving connections against one in-process replica.
+# ----------------------------------------------------------------------
+def _write_frame(counter: int, value: object = None) -> dict:
+    return {"type": "WRITE", "client": 0, "value": value or counter, "ts": [counter, 0]}
+
+
+READ = {"type": "READ", "client": 0}
+
+
+def _against_one_replica(peer):
+    """Run ``peer(service)`` against a started replica; return what it returns."""
+
+    async def scenario():
+        async with _replicas([0]) as (service,):
+            return await asyncio.wait_for(peer(service), timeout=20.0)
+
+    return asyncio.run(scenario())
+
+
+async def _eventually(probe, timeout: float = 10.0):
+    deadline = time.monotonic() + timeout
+    while not (seen := probe()):
+        assert time.monotonic() < deadline, "condition not reached"
+        await asyncio.sleep(0.005)
+    return seen
+
+
+def test_pipelined_frames_are_answered_in_order():
+    frames = [frame for counter in range(1, 26) for frame in (_write_frame(counter), READ)]
+
+    async def peer(service):
+        reader, writer = await asyncio.open_connection(*service.address)
+        writer.write(b"".join(wire.encode_frame(frame) for frame in frames))  # one send
+        replies = [await wire.read_frame(reader) for _ in frames]
+        writer.close()
+        return replies
+
+    replies = _against_one_replica(peer)
+    assert [reply["type"] for reply in replies] == ["WRITE_ACK", "READ_REPLY"] * 25
+    assert [reply["value"] for reply in replies[1::2]] == list(range(1, 26))
+
+
+def test_a_peer_that_never_reads_is_not_buffered_for_without_limit():
+    """300 pipelined ``READ``s of a 100 kB value are 30 MB of replies.  The
+    replica stops reading the connection once its transport is over the
+    high-water mark, holds a reply or two, not three hundred, and answers
+    the rest when the peer finally reads."""
+    value = "x" * 100_000
+    reads = 300
+
+    async def peer(service):
+        with socket.create_connection(service.address) as sock:
+            sock.sendall(wire.encode_frame(_write_frame(1, value)))
+            sock.sendall(wire.encode_frame(READ) * reads)
+            (connection,) = await _eventually(lambda: service._connections)
+            transport = connection._transport
+            await _eventually(lambda: not transport.is_reading())
+            await asyncio.sleep(0.05)  # nothing more may pile up while it is paused
+            held = transport.get_write_buffer_size()
+            answered = service.metrics_payload()["operations"]["READ"]
+            sock.setblocking(False)
+            reader, writer = await asyncio.open_connection(sock=sock.dup())
+            replies = [await wire.read_frame(reader) for _ in range(reads + 1)]
+            writer.close()
+            return held, answered, replies
+
+    held, answered, replies = _against_one_replica(peer)
+    assert held < 3 * len(value)
+    assert answered < reads
+    assert [reply["type"] for reply in replies] == ["WRITE_ACK"] + ["READ_REPLY"] * reads
+    assert all(reply["value"] == value for reply in replies[1:])
+
+
+def test_an_oversized_length_prefix_is_refused_before_any_body_arrives():
+    async def peer(service):
+        reader, writer = await asyncio.open_connection(*service.address)
+        writer.write(struct.pack("!I", wire.MAX_FRAME_BYTES + 1))  # and not a byte more
+        reply = await asyncio.wait_for(wire.read_frame(reader), timeout=2.0)
+        closed = await asyncio.wait_for(wire.read_frame(reader), timeout=2.0)
+        writer.close()
+        return reply, closed, service.metrics_payload()["protocol_errors"]
+
+    reply, closed, errors = _against_one_replica(peer)
+    assert reply["type"] == "ERROR"
+    assert closed is None and errors == 1
+
+
+@pytest.mark.parametrize("cut", [2, 4, 11], ids=["header", "empty-body", "body"])
+def test_eof_inside_a_frame_counts_one_protocol_error(cut):
+    async def peer(service):
+        reader, writer = await asyncio.open_connection(*service.address)
+        writer.write(wire.encode_frame(READ) + wire.encode_frame(READ)[:cut])
+        writer.write_eof()
+        replies = [await wire.read_frame(reader) for _ in range(3)]
+        writer.close()
+        return replies, service.metrics_payload()["protocol_errors"]
+
+    (answered, error, closed), errors = _against_one_replica(peer)
+    assert answered["type"] == "READ_REPLY"  # the complete frame before the cut
+    assert error["type"] == "ERROR"
+    assert closed is None and errors == 1
+
+
+def test_a_stalled_replica_parks_frames_in_order_and_still_answers_control():
+    async def peer(service):
+        reader, writer = await asyncio.open_connection(*service.address)
+        assert (await call_endpoint(*service.address, {"type": "STALL"}))["stalled"]
+        # A control frame *behind* a parked one waits its turn: replies are
+        # matched to requests by order alone.
+        for frame in (_write_frame(1), READ, {"type": "STATUS"}, _write_frame(2), READ):
+            writer.write(wire.encode_frame(frame))
+            await asyncio.sleep(0.01)  # several segments, one of them while parked
+        status = await call_endpoint(*service.address, {"type": "STATUS"})
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(reader.readexactly(1), timeout=0.1)
+        await call_endpoint(*service.address, {"type": "RESUME"})
+        replies = [await wire.read_frame(reader) for _ in range(5)]
+        writer.close()
+        return status, replies
+
+    status, replies = _against_one_replica(peer)
+    assert status["stalled"] is True and status["ts"] == [0, -1]  # nothing applied yet
+    assert [reply["type"] for reply in replies] == [
+        "WRITE_ACK", "READ_REPLY", "STATUS_REPLY", "WRITE_ACK", "READ_REPLY",
+    ]
+    assert [replies[1]["value"], replies[2]["stalled"], replies[4]["value"]] == [1, False, 2]
+
+
+def test_stop_returns_promptly_with_clients_still_connected():
+    async def scenario():
+        service = ReplicaService(ReplicaConfig(THRESHOLD_5, 0))
+        await service.start()
+        idle = await asyncio.open_connection(*service.address)
+        mid_frame = await asyncio.open_connection(*service.address)
+        mid_frame[1].write(wire.encode_frame(READ)[:6])
+        await call_endpoint(*service.address, {"type": "STALL"})
+        parked = await asyncio.open_connection(*service.address)
+        parked[1].write(wire.encode_frame(READ))
+        await _eventually(lambda: len(service._connections) == 3)
+        started = time.monotonic()
+        await asyncio.wait_for(service.stop(), timeout=2.0)
+        elapsed = time.monotonic() - started
+        for reader, writer in (idle, mid_frame, parked):
+            try:
+                assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+            except ConnectionResetError:
+                pass  # an abort may surface as a reset
+            writer.close()
+        return elapsed
+
+    assert asyncio.run(scenario()) < 1.0

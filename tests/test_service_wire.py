@@ -18,6 +18,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ServiceError, WireProtocolError
 from repro.service import wire
@@ -188,6 +190,94 @@ def test_non_dict_payload_rejected_at_sender():
         wire.encode_frame(["READ"])
     with pytest.raises(WireProtocolError, match="'type'"):
         wire.encode_frame({"kind": "READ"})
+
+
+# ----------------------------------------------------------------------
+# The receive buffer: any chunking, the same frames and the same refusals.
+# ----------------------------------------------------------------------
+def _drain(buffer: wire.FrameBuffer, into: list) -> None:
+    while (payload := buffer.next_frame()) is not None:
+        into.append(payload)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    payloads=st.lists(
+        st.fixed_dictionaries(
+            {"type": st.sampled_from(["READ", "WRITE", "STATUS"]), "blob": _JSON_VALUES}
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    data=st.data(),
+)
+def test_frame_buffer_yields_what_repeated_decode_frame_yields(payloads, data):
+    stream = b"".join(wire.encode_frame(payload) for payload in payloads)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=12), label="cuts"))
+    expected, rest = [], stream
+    while rest:
+        payload, rest = wire.decode_frame(rest)
+        expected.append(payload)
+    buffer, seen = wire.FrameBuffer(), []
+    for start, end in zip([0, *cuts], [*cuts, len(stream)]):
+        buffer.feed(stream[start:end])
+        _drain(buffer, seen)
+    buffer.eof()  # the stream ended between frames
+    assert seen == expected
+
+
+def _framed(body: bytes) -> bytes:
+    return struct.pack("!I", len(body)) + body
+
+
+_REFUSED = {
+    # No body follows either prefix: the refusal must not wait for one.
+    "oversized": struct.pack("!I", wire.MAX_FRAME_BYTES + 1),
+    "zero-length": struct.pack("!I", 0),
+    "non-json": _framed(b"not json at all"),
+    "non-object": _framed(b"[1,2,3]"),
+    "no-type": _framed(b'{"no_type":1}'),
+    "bad-utf8": _framed(b"\xff\xfe\x00bad utf8"),
+    "too-deep": _deep_frame('{"type":"WRITE","value":', 200_000),
+}
+
+
+@pytest.mark.parametrize("step", [1, 3, 1 << 20])
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_frame_buffer_refuses_what_decode_frame_refuses(name, step):
+    """...with the same error, after handing over the good frames before it."""
+    with pytest.raises(WireProtocolError) as expected:
+        wire.decode_frame(_REFUSED[name])
+    good = {"type": "READ", "client": 0}
+    stream = wire.encode_frame(good) + _REFUSED[name]
+    buffer, seen = wire.FrameBuffer(), []
+    with pytest.raises(WireProtocolError) as raised:
+        for start in range(0, len(stream), step):
+            buffer.feed(stream[start : start + step])
+            _drain(buffer, seen)
+    assert seen == [good]
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_frame_buffer_reports_eof_inside_a_frame_as_truncation(seed):
+    rng = np.random.default_rng(seed)
+    frame = wire.encode_frame({"type": "WRITE", "blob": _random_json(rng)})
+    for cut in range(1, len(frame)):
+        buffer = wire.FrameBuffer()
+        buffer.feed(frame[:cut])
+        assert buffer.next_frame() is None
+        with pytest.raises(WireProtocolError, match="truncated"):
+            buffer.eof()
+    wire.FrameBuffer().eof()  # EOF between frames is a clean close
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ from repro.simulation import (
     run_scenario,
     slow_server_scenario,
 )
-from repro.simulation.messages import ReadRequest
+from repro.simulation.messages import ReadRequest, WriteRequest
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
 
 
@@ -348,6 +348,81 @@ def test_cancelled_service_operation_frees_the_client(small_system):
         return await client.read()
 
     assert asyncio.run(scenario()).success
+
+
+def test_cancelled_service_operation_abandons_its_connections(small_system, monkeypatch):
+    """A request in flight when its caller gives up poisons a pooled connection:
+    the late reply would be read as the answer to the *next* request.  The
+    socket-free twin of ``test_cancelled_read_does_not_poison_the_connection_pool``
+    (``tests/test_service_live.py``): the real ``_exchange`` over in-memory
+    streams, replicas that stall, a cancelled read, and a newer write by
+    someone else that the next read must see."""
+    servers = {server_id: ReplicaServer(server_id) for server_id in small_system.universe}
+    stalled: list | None = None  # while stalled: the connections' unanswered requests
+
+    class Aborted:
+        aborted = False
+
+        def abort(self):
+            self.aborted = True
+
+    class ReplicaEnd:
+        """What the client holds as a ``StreamWriter``; answers into ``reader``."""
+
+        def __init__(self, server_id, reader):
+            self.server_id, self.reader, self.transport = server_id, reader, Aborted()
+
+        def write(self, data):
+            if stalled is None:
+                self.answer(data)
+            else:
+                stalled.append((self, data))
+
+        def answer(self, data):
+            frame, _ = wire.decode_frame(data)
+            reply = servers[self.server_id].handle(wire.frame_to_request(frame))
+            if not self.transport.aborted:
+                self.reader.feed_data(
+                    wire.encode_frame(wire.reply_to_frame(reply, server_index=self.server_id))
+                )
+
+        async def drain(self):
+            pass
+
+        def close(self):
+            self.transport.abort()
+
+        async def wait_closed(self):
+            pass
+
+    async def connect(host, port):
+        reader = asyncio.StreamReader()
+        return reader, ReplicaEnd(host, reader)
+
+    monkeypatch.setattr(asyncio, "open_connection", connect)
+    client = ServiceQuorumClient(
+        0, small_system, {server_id: (server_id, 0) for server_id in servers}, b=2
+    )
+
+    async def scenario():
+        nonlocal stalled
+        assert (await client.write("v1")).success
+        assert (await client.read()).value == "v1"
+        stalled = []
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(client.read(), timeout=0.05)
+        parked, stalled = stalled, None
+        for end, data in parked:
+            end.answer(data)
+        newer = ValueTimestampPair("v2", Timestamp(2, 1))  # another client's write
+        for server in servers.values():
+            assert server.handle(WriteRequest(client_id=1, pair=newer)).accepted
+        return await client.read(), [end for end, _data in parked]
+
+    read, abandoned = asyncio.run(scenario())
+    assert read.success and read.value == "v2"
+    pooled = [writer for _reader, writer in client._connections.values()]
+    assert abandoned and all(end.transport.aborted and end not in pooled for end in abandoned)
 
 
 class TestZeroLatencyAgreement:
