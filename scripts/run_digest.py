@@ -112,7 +112,7 @@ CLOCK_FIELDS = (
 CHECK_FIELDS = (
     "operations", "concurrent_pairs", "fabricated_reads", "stale_reads",
     "write_order_violations", "duplicate_write_timestamps",
-    "cross_epoch_reads", "foreign_quorum_members", "ok",
+    "foreign_quorum_members", "ok",
 )
 
 
@@ -207,7 +207,7 @@ def reconfig_rows(system):
         "epochs": _epochs(result),
         "clock": [fields(o.result, CLOCK_FIELDS) for o in result.outcomes],
         "check": fields(result.check, CHECK_FIELDS),
-        "windows": [(w.index, w.start, w.end, w.members, w.b) for w in result.windows],
+        "windows": [(w.index, w.start, w.end, w.members) for w in result.windows],
         "history": len(result.history),
     }
 

@@ -380,6 +380,7 @@ def run_scenario(
     allow_overload: bool = False,
     byzantine_model: str | None = None,
     mode: str = "vectorised",
+    register_installed: bool = False,
 ) -> WorkloadResult:
     """Run a batched read/write workload under a fault scenario.
 
@@ -405,7 +406,8 @@ def run_scenario(
     write_fraction:
         Probability that an operation is a write (the first operation, and
         every operation before the first success, is forced to be a write so
-        reads always have something to observe).
+        reads always have something to observe — unless
+        ``register_installed``).
     max_attempts:
         Probe budget charged to operations that find no responsive quorum.
     allow_overload:
@@ -418,6 +420,12 @@ def run_scenario(
         ``"vectorised"`` (array execution) or ``"sequential"`` (the
         per-operation reference path; same semantics, same schedule,
         identical result).
+    register_installed:
+        The run starts with the register already installed at every server
+        — an epoch after a reconfiguration's hand-over, passed by
+        :mod:`repro.simulation.reconfig` only.  No write is forced, and a
+        read before the run's first write is vouched by every correct
+        member of its quorum.
     """
     if num_operations <= 0:
         raise SimulationError(f"num_operations must be positive, got {num_operations}")
@@ -443,18 +451,8 @@ def run_scenario(
     phase_of_op = scenario.phase_of_operations(num_operations)
     schedule = _sample_schedule(strategy, rng, num_operations, max_attempts)
 
-    if mode == "sequential":
-        return _run_sequential(
-            system,
-            strategy,
-            scenario,
-            tables,
-            phase_of_op,
-            schedule,
-            b,
-            write_fraction,
-        )
-    return _run_vectorised(
+    run = _run_sequential if mode == "sequential" else _run_vectorised
+    return run(
         system,
         strategy,
         scenario,
@@ -463,6 +461,7 @@ def run_scenario(
         schedule,
         b,
         write_fraction,
+        register_installed,
     )
 
 
@@ -516,6 +515,7 @@ def _run_vectorised(
     schedule: _Schedule,
     b: int,
     write_fraction: float,
+    register_installed: bool,
 ) -> WorkloadResult:
     universe = system.universe
     engine = strategy.support_engine(universe)
@@ -542,15 +542,14 @@ def _run_vectorised(
             )
 
     # Operation types: an operation is a write when its uniform falls below
-    # the write fraction OR no write has succeeded yet; since success is a
-    # pure function of the phase, "no successful write yet" is exactly "at or
-    # before the first successful operation".
+    # the write fraction OR nothing is installed and no write has succeeded
+    # yet; since success is a pure function of the phase, "no successful
+    # write yet" is exactly "at or before the first successful operation".
     op_index = np.arange(num_operations)
-    if success.any():
-        first_success = int(np.argmax(success))
-    else:
-        first_success = num_operations
-    is_write = (schedule.op_draws < write_fraction) | (op_index <= first_success)
+    is_write = schedule.op_draws < write_fraction
+    if not register_installed:
+        first_success = int(np.argmax(success)) if success.any() else num_operations
+        is_write |= op_index <= first_success
 
     successful_writes = int(np.count_nonzero(success & is_write))
     successful_reads = int(np.count_nonzero(success & ~is_write))
@@ -591,7 +590,11 @@ def _run_vectorised(
         )
         write_of_read = last_write_op[read_rows]
         read_quorums = accessed[read_rows]
-        write_quorums = accessed[write_of_read]
+        # Before the first write every server holds the installed register,
+        # so the read's own quorum stands in for the write quorum.
+        write_quorums = np.where(
+            write_of_read >= 0, accessed[write_of_read], read_quorums
+        )
         read_phases = phase_of_op[read_rows]
 
         forged_vouch = np.zeros(read_rows.size, dtype=np.int64)
@@ -637,6 +640,7 @@ def _run_sequential(
     schedule: _Schedule,
     b: int,
     write_fraction: float,
+    register_installed: bool,
 ) -> WorkloadResult:
     """Per-operation reference path: same semantics, Python-loop execution.
 
@@ -673,8 +677,8 @@ def _run_sequential(
     failed = 0
     violations = 0
     stale = 0
-    written = False
-    last_write_quorum = -1
+    written = register_installed
+    holders = (1 << n) - 1  # every server holds an installed register
     successful_quorum_counts = [0] * num_support
     attempted_quorum_counts = [0] * num_support
     write_quorum_counts = [0] * num_support
@@ -712,7 +716,7 @@ def _run_sequential(
             successful_writes += 1
             write_quorum_counts[accessed] += 1
             written = True
-            last_write_quorum = accessed
+            holders = support_masks[accessed]
             continue
         successful_reads += 1
         read_mask = support_masks[accessed]
@@ -727,9 +731,7 @@ def _run_sequential(
             violations += 1
             continue
         honest_vouch = (
-            read_mask
-            & support_masks[last_write_quorum]
-            & tables.correct_masks[phase_index]
+            read_mask & holders & tables.correct_masks[phase_index]
         ).bit_count()
         if honest_vouch < b + 1:
             stale += 1

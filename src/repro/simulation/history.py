@@ -40,16 +40,16 @@ detects it, and the negative tests assert that it does.
 
 Epoch boundaries
 ----------------
-With ``epochs=`` the checker extends the same rules across membership
-reconfigurations (``docs/membership.md``).  Each :class:`EpochWindow` carries
-the epoch's member set and its own masking parameter ``b``; the register
-reinitialises at each reconfiguration (no state transfer), so write checks
-run *per epoch* with the epoch's own ``b``, while reads get the boundary
-rule: a read overlapping a reconfiguration may return a value legitimate in
-**some** covering epoch, but a value from an already-evicted epoch is a
-``cross_epoch_reads`` violation and a quorum containing servers outside every
-covering epoch's membership is a ``foreign_quorum_members`` violation (a
-severed server acknowledged the operation).
+A client observes one register, not one per epoch: at a reconfiguration the
+``b + 1``-vouched pair of one old-epoch quorum is handed to every member of
+the new epoch (``docs/membership.md``), so the five rules above hold over
+the *whole* history of a run that reconfigures — timestamps are unique,
+per-client monotone and real-time ordered across boundaries, and a
+pre-boundary value surfacing after a later completed write is an ordinary
+stale read.  ``epochs=`` adds the one rule that needs to know the
+membership: an operation acknowledged by a quorum that lies inside no
+:class:`EpochWindow` overlapping its interval is a
+``foreign_quorum_members`` violation (a severed server answered).
 """
 
 from __future__ import annotations
@@ -162,17 +162,14 @@ class HistoryRecorder:
 class EpochWindow:
     """One membership epoch projected onto the simulated time axis.
 
-    ``members`` is the epoch's member set and ``b`` its own masking
-    parameter (a reconfiguration may change how many faults the epoch's
-    quorum system masks).  Windows are half-open ``[start, end)``; the final
-    window may use ``float("inf")`` as its end.
+    ``members`` is the epoch's member set.  Windows are half-open
+    ``[start, end)``; the final window may use ``float("inf")`` as its end.
     """
 
     index: int
     start: float
     end: float
     members: frozenset = field(default_factory=frozenset)
-    b: int = 0
 
     def covers(self, invoked_at: float, responded_at: float) -> bool:
         """Whether the operation's interval overlaps this window."""
@@ -187,8 +184,8 @@ class HistoryCheck:
     classify them: fabricated reads (value no write produced), stale reads
     (older than the last completed write), write-order violations (real-time
     order not reflected in timestamps), duplicate write timestamps, and —
-    under ``epochs=`` — reads returning values from evicted epochs and
-    quorums containing servers severed from every covering epoch.
+    under ``epochs=`` — quorums containing servers severed from every
+    covering epoch.
     """
 
     operations: int
@@ -197,7 +194,6 @@ class HistoryCheck:
     stale_reads: int = 0
     write_order_violations: int = 0
     duplicate_write_timestamps: int = 0
-    cross_epoch_reads: int = 0
     foreign_quorum_members: int = 0
     violations: tuple = ()
 
@@ -209,7 +205,6 @@ class HistoryCheck:
             self.fabricated_reads
             + self.write_order_violations
             + self.duplicate_write_timestamps
-            + self.cross_epoch_reads
             + self.foreign_quorum_members
         )
 
@@ -261,11 +256,10 @@ def check_register_history(
     ``O(n log n)`` in the number of operations: real-time precedence uses a
     prefix-maximum over completion-sorted successful writes.
 
-    With ``epochs`` (sorted :class:`EpochWindow` list) the history spans
-    membership reconfigurations: write checks run per epoch with the epoch's
-    own ``b``, reads apply the covering-epoch boundary rule, and two extra
-    counters (``cross_epoch_reads``, ``foreign_quorum_members``) classify
-    the reconfiguration-specific violations.
+    With ``epochs`` (the :class:`EpochWindow` of every membership epoch the
+    history spans) the same rules run over the whole history and one more
+    counter, ``foreign_quorum_members``, flags each successful operation
+    whose quorum lies inside no epoch overlapping its interval.
     """
     records = list(records)
     initial = (
@@ -273,10 +267,10 @@ def check_register_history(
         if initial_pair is not None
         else ValueTimestampPair(value=None, timestamp=Timestamp.zero())
     )
-    if epochs is not None:
-        return _check_epoch_history(records, initial, max_violations, list(epochs))
+    if epochs is not None and not epochs:
+        raise SimulationError("epochs must contain at least one EpochWindow")
     violations: list[str] = []
-    fabricated = stale = order_violations = duplicates = 0
+    fabricated = stale = order_violations = duplicates = foreign = 0
 
     def note(message: str) -> None:
         if len(violations) < max_violations:
@@ -368,147 +362,22 @@ def check_register_history(
                 f"older than {floor} which was completely written before the read began"
             )
 
-    return HistoryCheck(
-        operations=len(records),
-        concurrent_pairs=_count_concurrent_pairs(records),
-        fabricated_reads=fabricated,
-        stale_reads=stale,
-        write_order_violations=order_violations,
-        duplicate_write_timestamps=duplicates,
-        violations=tuple(violations),
-    )
-
-
-def _check_epoch_history(
-    records: list[OperationRecord],
-    initial: ValueTimestampPair,
-    max_violations: int,
-    windows: list[EpochWindow],
-) -> HistoryCheck:
-    """Check a history spanning membership reconfigurations.
-
-    The register reinitialises at each reconfiguration, so the classic
-    single-epoch checks run independently over each epoch's writes (each
-    epoch restarts from ``initial`` and enforces its own timestamp order),
-    while reads are checked centrally with the boundary rule: the returned
-    pair must be legitimate in the read's primary epoch (then the epoch-local
-    staleness floor applies) or in *some other epoch covering* the read's
-    interval; a pair only ever produced in an earlier, non-covering epoch is
-    a cross-epoch read, and anything else is fabrication.
-    """
-    if not windows:
-        raise SimulationError("epochs must contain at least one EpochWindow")
-    for earlier, later in zip(windows, windows[1:]):
-        if later.start < earlier.start:
-            raise SimulationError("epoch windows must be sorted by start time")
-    starts = [window.start for window in windows]
-
-    def primary_of(record: OperationRecord) -> int:
-        return max(bisect_right(starts, record.invoked_at) - 1, 0)
-
-    def covering(record: OperationRecord) -> list[int]:
-        positions = [
-            position
-            for position, window in enumerate(windows)
-            if window.covers(record.invoked_at, record.responded_at)
-        ]
-        primary = primary_of(record)
-        if primary not in positions:
-            positions.append(primary)
-        return positions
-
-    violations: list[str] = []
-    fabricated = stale = order_violations = duplicates = 0
-    cross_epoch = foreign = 0
-
-    def note(message: str) -> None:
-        if len(violations) < max_violations:
-            violations.append(message)
-
-    writes_by_epoch: dict[int, list[OperationRecord]] = {}
-    for record in records:
-        if record.kind == "write":
-            writes_by_epoch.setdefault(primary_of(record), []).append(record)
-
-    # Classic per-epoch write checks: each epoch restarts from the initial
-    # pair, so unique timestamps / monotonicity / real-time order are all
-    # epoch-local properties.
-    for position, epoch_writes in sorted(writes_by_epoch.items()):
-        sub_check = check_register_history(
-            epoch_writes, initial_pair=initial, max_violations=max_violations
-        )
-        duplicates += sub_check.duplicate_write_timestamps
-        order_violations += sub_check.write_order_violations
-        for message in sub_check.violations:
-            note(f"[epoch {windows[position].index}] {message}")
-
-    # Staleness floors and legitimate pairs, one set per epoch.
-    floor_fns = {
-        position: _write_floor(epoch_writes, initial.timestamp)
-        for position, epoch_writes in writes_by_epoch.items()
-    }
-    legitimate: dict[int, set] = {}
-    for position in range(len(windows)):
-        pairs = {initial}
-        for record in writes_by_epoch.get(position, ()):
-            if record.attempted_pair is not None:
-                pairs.add(record.attempted_pair)
-        legitimate[position] = pairs
-
-    for record in records:
+    # --- membership: a quorum must lie inside some epoch covering the operation.
+    windows = [window for window in epochs or () if window.members]
+    for record in records if windows else ():
         if not record.success or record.quorum is None:
             continue
-        positions = covering(record)
-        with_members = [
-            position for position in positions if windows[position].members
+        covering = [
+            window
+            for window in windows
+            if window.covers(record.invoked_at, record.responded_at)
         ]
-        if with_members and not any(
-            record.quorum <= windows[position].members for position in with_members
-        ):
+        if covering and not any(record.quorum <= window.members for window in covering):
             foreign += 1
-            epoch_ids = [windows[position].index for position in with_members]
             note(
                 f"{record.kind} by client {record.client_id} was acknowledged by "
                 f"a quorum containing servers outside every covering epoch "
-                f"{epoch_ids} — a severed server answered"
-            )
-
-    for record in records:
-        if record.kind != "read" or not record.success:
-            continue
-        pair = ValueTimestampPair(value=record.value, timestamp=record.timestamp)
-        primary = primary_of(record)
-        positions = covering(record)
-        if pair in legitimate[primary]:
-            floor_fn = floor_fns.get(primary)
-            floor = floor_fn(record.invoked_at) if floor_fn else initial.timestamp
-            if record.timestamp < floor:
-                stale += 1
-                note(
-                    f"[epoch {windows[primary].index}] read by client "
-                    f"{record.client_id} returned {record.timestamp}, older than "
-                    f"{floor} which was completely written before the read began"
-                )
-        elif any(
-            pair in legitimate[position] for position in positions if position != primary
-        ):
-            pass  # boundary rule: legitimate in a covering epoch
-        elif any(
-            pair in legitimate[position]
-            for position in range(primary)
-            if position not in positions
-        ):
-            cross_epoch += 1
-            note(
-                f"read by client {record.client_id} returned {pair.value!r} @ "
-                f"{pair.timestamp} from an epoch evicted before the read began"
-            )
-        else:
-            fabricated += 1
-            note(
-                f"[epoch {windows[primary].index}] read by client "
-                f"{record.client_id} returned {pair.value!r} @ {pair.timestamp}, "
-                f"which no write produced in any covering epoch"
+                f"{[window.index for window in covering]} — a severed server answered"
             )
 
     return HistoryCheck(
@@ -518,38 +387,9 @@ def _check_epoch_history(
         stale_reads=stale,
         write_order_violations=order_violations,
         duplicate_write_timestamps=duplicates,
-        cross_epoch_reads=cross_epoch,
         foreign_quorum_members=foreign,
         violations=tuple(violations),
     )
-
-
-def _write_floor(writes: Sequence[OperationRecord], initial_timestamp: Timestamp):
-    """Build the epoch-local staleness floor over completed writes.
-
-    Returns a closure mapping a time to the largest timestamp among
-    successful writes that completed strictly before it (the same
-    prefix-maximum the single-epoch path uses).
-    """
-    completed = sorted(
-        (record for record in writes if record.success),
-        key=lambda item: item.responded_at,
-    )
-    completion_times = [record.responded_at for record in completed]
-    prefix_max: list[Timestamp] = []
-    best = initial_timestamp
-    for record in completed:
-        if record.timestamp > best:
-            best = record.timestamp
-        prefix_max.append(best)
-
-    def latest_completed_before(time: float) -> Timestamp:
-        index = bisect_left(completion_times, time)
-        if index == 0:
-            return initial_timestamp
-        return prefix_max[index - 1]
-
-    return latest_completed_before
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,23 @@ spent in each epoch — the membership analogue of
 responsiveness of a fixed universe.  :func:`run_reconfig_workload` drives the
 vectorised engine through the epochs and :func:`run_reconfig_event_workload`
 drives the event-driven protocol stack, stitching the per-epoch histories
-into one timeline checked with the epoch-extended register checker
-(:func:`~repro.simulation.history.check_register_history` with ``epochs=``).
+into one timeline checked as the history of **one** register
+(:func:`~repro.simulation.history.check_register_history`; ``epochs=`` adds
+the membership rule).
 
 Semantics
 ---------
-* The register **reinitialises at each reconfiguration** (no state transfer):
-  each epoch starts from the initial pair, and the first operation of an
-  epoch is therefore a write (the engines already force this).
+* The register is **handed over at each reconfiguration**: once an epoch
+  has drained, the pair that ``min(b_old, b_new) + 1`` members of one
+  old-epoch quorum vouch for
+  (:func:`~repro.simulation.client.vouched_pair`, the rule a read uses) is
+  installed on every member of the new epoch before it serves anything.
+  The hand-over is not a workload operation and leaves no record in the
+  history; an unvouched hand-over is a :class:`SimulationError`.  The event
+  engine restores the new epoch's replicas to the pair; the vectorised
+  engine, which keeps no per-replica state, is told the register is
+  installed, so an epoch after the first may open with a read and that read
+  is vouched by every correct member of its quorum.
 * The quorum system is **rebound per epoch**
   (:func:`~repro.core.membership.rebind_system` via ``Membership.rebind``):
   construction parameters are recomputed as a pure function of the epoch's
@@ -29,12 +38,13 @@ Semantics
   plain :func:`~repro.simulation.engine.run_scenario` call — the vectorised
   and sequential modes stay bit-for-bit identical.
 
-``docs/membership.md`` documents the epoch model and the checker rules at
-epoch boundaries.
+``docs/membership.md`` documents the epoch model and the checker's
+membership rule.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -45,12 +55,14 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
+from repro.simulation.client import vouched_pair
 from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
 from repro.simulation.history import (
     EpochWindow,
     HistoryCheck,
     check_register_history,
 )
+from repro.simulation.messages import ValueTimestampPair
 from repro.simulation.runner import EventWorkloadResult, run_event_workload
 
 __all__ = [
@@ -93,7 +105,7 @@ class MembershipTimeline:
             raise SimulationError(
                 f"{self.membership.num_epochs} epochs but {len(fractions)} fractions"
             )
-        if any(fraction <= 0.0 for fraction in fractions):
+        if not all(0.0 < fraction < math.inf for fraction in fractions):
             raise SimulationError("epoch fractions must be positive")
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise SimulationError(
@@ -177,9 +189,9 @@ class ReconfigResult:
     :class:`~repro.simulation.runner.EventWorkloadResult`, clock included, on
     the event engine).  The event engine also records the stitched,
     time-shifted ``history``, the epoch ``windows`` it was checked against
-    and the epoch-extended register checker's verdict ``check``; on the
-    vectorised engine those three are empty and the verdict is the engine's
-    own violation count.
+    and the register checker's verdict ``check`` over that one history; on
+    the vectorised engine those three are empty and the verdict is the
+    engine's own violation count.
     """
 
     outcomes: tuple[EpochOutcome, ...]
@@ -260,15 +272,19 @@ def _run_epochs(
     b: int | None,
     strategy: Strategy | str | None,
     policy: str,
-    run_epoch: Callable[[Epoch, QuorumSystem, int, Strategy], WorkloadResult],
+    run_epoch: Callable[
+        [Epoch, QuorumSystem, int, Strategy, EpochOutcome | None], WorkloadResult
+    ],
 ) -> tuple[EpochOutcome, ...]:
     """The per-epoch plan both engines follow.
 
     Each epoch rebinds the system to its membership, takes the initial
     strategy (epoch 0) or re-optimises the previous epoch's under
     ``policy``, clamps ``b`` to what the rebound system can mask, and hands
-    ``(epoch, rebound system, epoch b, strategy)`` to ``run_epoch`` — the
-    only engine-specific step.
+    ``(epoch, rebound system, epoch b, strategy, previous outcome)`` to
+    ``run_epoch`` — the only engine-specific step.  The previous outcome
+    (``None`` in epoch 0) is the drained epoch whose register the new one
+    takes over.
     """
     membership = timeline.membership
     if membership.initial != system.universe:
@@ -296,11 +312,34 @@ def _run_epochs(
                 system_name=rebound.name,
                 policy=applied,
                 support_size=len(current),
-                result=run_epoch(epoch, rebound, epoch_b, current),
+                result=run_epoch(
+                    epoch, rebound, epoch_b, current, outcomes[-1] if outcomes else None
+                ),
                 strategy=current,
             )
         )
     return tuple(outcomes)
+
+
+def _handed_over_pair(
+    previous: EpochOutcome, b: int, rng: np.random.Generator
+) -> ValueTimestampPair:
+    """The register a drained event-engine epoch hands the next one (masking ``b``).
+
+    Reads the replicas of one quorum drawn from the old epoch's strategy and
+    keeps the highest pair ``min(b_old, b) + 1`` of them vouch for.
+    """
+    drained, strategy = previous.result, previous.strategy
+    assert isinstance(drained, EventWorkloadResult) and strategy is not None
+    quorum = strategy.sample(rng)
+    vouch_b = min(previous.b, b)
+    pair = vouched_pair((drained.replica_pairs[server] for server in quorum), vouch_b)
+    if pair is None:
+        raise SimulationError(
+            f"epoch {previous.index} cannot hand its register over: no pair is vouched "
+            f"by {vouch_b + 1} members of the quorum {sorted(quorum, key=repr)}"
+        )
+    return pair
 
 
 def run_reconfig_workload(
@@ -345,7 +384,11 @@ def run_reconfig_workload(
     operations = timeline.operations_per_epoch(num_operations)
 
     def run_epoch(
-        epoch: Epoch, rebound: QuorumSystem, epoch_b: int, current: Strategy
+        epoch: Epoch,
+        rebound: QuorumSystem,
+        epoch_b: int,
+        current: Strategy,
+        previous: EpochOutcome | None,
     ) -> WorkloadResult:
         return run_scenario(
             rebound,
@@ -356,6 +399,7 @@ def run_reconfig_workload(
             write_fraction=write_fraction,
             max_attempts=max_attempts,
             mode=mode,
+            register_installed=previous is not None,
         )
 
     outcomes = _run_epochs(system, timeline, b, strategy, policy, run_epoch)
@@ -383,9 +427,10 @@ def run_reconfig_event_workload(
 
     Each epoch runs its slice of every client's operation budget
     (``operations_per_client`` split by the timeline's fractions) over the
-    epoch's rebound system, the per-epoch histories are stitched onto one
-    time axis, and the combined history is checked with the epoch-extended
-    register checker — zero violations expected at ≤ b faults per epoch.
+    epoch's rebound system, started from the pair the previous epoch hands
+    over; the per-epoch histories are stitched onto one time axis and
+    checked as one register's history — zero violations expected at ≤ b
+    faults per epoch.
     """
     rng = ensure_rng(rng)
     per_client = timeline.operations_per_epoch(operations_per_client)
@@ -393,7 +438,11 @@ def run_reconfig_event_workload(
     combined: list = []
 
     def run_epoch(
-        epoch: Epoch, rebound: QuorumSystem, epoch_b: int, current: Strategy
+        epoch: Epoch,
+        rebound: QuorumSystem,
+        epoch_b: int,
+        current: Strategy,
+        previous: EpochOutcome | None,
     ) -> WorkloadResult:
         result = run_event_workload(
             rebound,
@@ -401,6 +450,9 @@ def run_reconfig_event_workload(
             num_clients=num_clients,
             operations_per_client=per_client[epoch.index],
             strategy=current,
+            initial_pair=(
+                None if previous is None else _handed_over_pair(previous, epoch_b, rng)
+            ),
             rng=rng,
             write_fraction=write_fraction,
             max_attempts=max_attempts,
@@ -421,7 +473,6 @@ def run_reconfig_event_workload(
                 start=offset,
                 end=offset + result.duration + 1.0,
                 members=epoch.member_set(),
-                b=epoch_b,
             )
         )
         return result

@@ -46,7 +46,7 @@ from repro.simulation.events import (
 )
 from repro.simulation.faults import FaultScenario
 from repro.simulation.history import HistoryCheck, HistoryRecorder
-from repro.simulation.messages import Timestamp, ValueTimestampPair
+from repro.simulation.messages import ValueTimestampPair
 from repro.simulation.scenarios import (
     BYZANTINE_MODELS,
     TimingScenario,
@@ -130,6 +130,10 @@ class EventWorkloadResult(WorkloadResult):
         its fabricated/stale counters.
     history:
         The raw operation records (populated when ``keep_history=True``).
+    replica_pairs:
+        The pair each replica held once the run drained — what a ``STATUS``
+        frame reports on the live service, and what a reconfiguration's
+        hand-over reads.
     """
 
     duration: float = 0.0
@@ -141,6 +145,7 @@ class EventWorkloadResult(WorkloadResult):
     latency_p99: float = 0.0
     check: HistoryCheck | None = None
     history: tuple = field(default_factory=tuple)
+    replica_pairs: dict = field(default_factory=dict)
 
     @classmethod
     def fold(cls, parts: Sequence[WorkloadResult], **extra: Any) -> WorkloadResult:
@@ -220,6 +225,8 @@ class EventStack:
     generator, then one generator per client — so a run is a deterministic
     function of the seed.  ``request_timeout=None`` derives a generous
     multiple of the latency scale (or 1.0 when the latency model is zero).
+    ``initial_pair`` is register state the run inherits: every replica is
+    restored to it before serving and the recorder checks against it.
     Once the caller has scheduled its operations and run the scheduler,
     :meth:`result` assembles the :class:`EventWorkloadResult` (or a subclass).
     """
@@ -238,7 +245,7 @@ class EventStack:
         request_timeout: float | None,
         retry_unvouched_reads: bool = False,
         strategy: Strategy | None,
-        initial_value: object = None,
+        initial_pair: ValueTimestampPair | None = None,
         rng: np.random.Generator,
         allow_overload: bool,
     ) -> None:
@@ -263,9 +270,11 @@ class EventStack:
             system,
             timeline.byzantine,
             byzantine_behaviour=byzantine_behaviour,
-            initial_value=initial_value,
             rng=rng,
         )
+        if initial_pair is not None:
+            for server in servers.values():
+                server.restore(initial_pair)
         self.network = EventNetwork(
             servers,
             timeline,
@@ -274,9 +283,7 @@ class EventStack:
             faults=link_faults,
             rng=np.random.default_rng(rng.integers(2**63)),
         )
-        self.recorder = HistoryRecorder(
-            initial_pair=ValueTimestampPair(value=initial_value, timestamp=Timestamp.zero())
-        )
+        self.recorder = HistoryRecorder(initial_pair)
         policy = RetryPolicy(
             max_attempts=max_attempts,
             request_timeout=request_timeout,
@@ -335,6 +342,10 @@ class EventStack:
             **latency_summary(latencies, 0.0),
             check=check,
             history=tuple(records) if keep_history else (),
+            replica_pairs={
+                server_id: self.network.server(server_id).current_pair
+                for server_id in self.system.universe
+            },
             **extra,
         )
 
@@ -355,7 +366,7 @@ def run_event_workload(
     retry_unvouched_reads: bool = False,
     think_time: float = 0.0,
     strategy: Strategy | str | None = None,
-    initial_value: object = None,
+    initial_pair: ValueTimestampPair | None = None,
     rng: np.random.Generator | None = None,
     allow_overload: bool = False,
     keep_history: bool = False,
@@ -381,7 +392,9 @@ def run_event_workload(
     latency model is zero).  ``retry_unvouched_reads`` lets reads whose vote
     was split below ``b + 1`` by an interleaved write retry at a fresh
     quorum instead of aborting — the concurrency-liveness knob of
-    :class:`~repro.simulation.client.RetryPolicy`.
+    :class:`~repro.simulation.client.RetryPolicy`.  ``initial_pair`` is the
+    register state the run inherits (a reconfiguration's hand-over): every
+    replica starts from it, and so does the history check.
 
     Returns an :class:`EventWorkloadResult`; the base-class fields follow the
     engine's accounting so event runs drop into the same comparison tooling.
@@ -418,7 +431,7 @@ def run_event_workload(
         request_timeout=request_timeout,
         retry_unvouched_reads=retry_unvouched_reads,
         strategy=resolve_strategy(system, strategy) if strategy is not None else None,
-        initial_value=initial_value,
+        initial_pair=initial_pair,
         rng=rng,
         allow_overload=allow_overload,
     )

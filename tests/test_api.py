@@ -488,7 +488,7 @@ class TestUnifiedWorkloads:
 
     @pytest.mark.parametrize(
         "counter",
-        ["write_order_violations", "duplicate_write_timestamps", "cross_epoch_reads"],
+        ["write_order_violations", "duplicate_write_timestamps", "foreign_quorum_members"],
     )
     def test_report_verdict_is_the_history_checks(self, counter):
         """One meaning of consistent/consistency_violations on every report

@@ -6,10 +6,12 @@ The acceptance criteria of the dynamic-membership tentpole, pinned as tests:
   conformance — the ``L(Q)`` LP lower bound and the restricted-strategy
   envelope hold against each epoch's own closed forms
   (:func:`repro.analysis.conformance.reconfig_conformance`);
-* the **epoch-extended history checker** reports zero violations at ``<= b``
-  faults per epoch, and injected boundary violations (a stale read from an
-  evicted epoch, a write acknowledged by a severed server) are each flagged
-  by the right counter;
+* the register is **one register across epochs**: the stitched history of
+  a reconfiguring run passes the ordinary checker (no ``epochs=``), the first
+  reads of a new epoch return the last value written before the boundary,
+  and injected boundary violations (a ghost value from an evicted epoch, a
+  cross-boundary duplicate or inverted timestamp, a write acknowledged by a
+  severed server) are each flagged by the right counter;
 * both vectorised **modes agree bit for bit** per seed, and the new
   ``reconfig-*`` catalogue scenarios are seed-deterministic on both engines
   through the facade;
@@ -32,6 +34,7 @@ from repro.exceptions import InvalidParameterError, SimulationError
 from repro.simulation import (
     REOPTIMISE_POLICIES,
     MembershipTimeline,
+    Timestamp,
     check_register_history,
     reoptimise_strategy,
     run_reconfig_event_workload,
@@ -76,6 +79,9 @@ class TestTimeline:
         )
         with pytest.raises(SimulationError):
             MembershipTimeline(membership=membership, fractions=(0.5, 0.2))
+        for fractions in ((float("nan"), 0.5), (float("inf"), 0.5), (1.5, -0.5)):
+            with pytest.raises(SimulationError, match="must be positive"):
+                MembershipTimeline(membership=membership, fractions=fractions)
 
     def test_too_few_operations_rejected(self):
         _, timeline = _churn_timeline()
@@ -144,6 +150,29 @@ class TestVectorisedDriver:
         for left, right in zip(vec.outcomes, seq.outcomes):
             assert left.result == right.result
 
+    def test_later_epochs_open_with_reads_of_the_installed_register(self):
+        """No write is forced after a hand-over: with ``write_fraction=0`` only
+        epoch 0 writes (its forced first operation), every later epoch is all
+        reads, none of them stale, and the two modes still agree bit for bit."""
+        system, timeline = _churn_timeline()
+        results = [
+            run_reconfig_workload(
+                system,
+                timeline=timeline,
+                num_operations=60,
+                write_fraction=0.0,
+                rng=np.random.default_rng(SEED),
+                mode=mode,
+            )
+            for mode in ("vectorised", "sequential")
+        ]
+        for result in results:
+            parts = [outcome.result for outcome in result.outcomes]
+            assert [part.successful_writes for part in parts] == [1, 0, 0]
+            assert [part.successful_reads for part in parts] == [19, 20, 20]
+            assert result.whole.stale_reads == result.whole.consistency_violations == 0
+        assert [o.result for o in results[0].outcomes] == [o.result for o in results[1].outcomes]
+
     def test_reweight_falls_back_to_resolve_when_support_empties(self):
         system, timeline = _churn_timeline()
         result = run_reconfig_workload(
@@ -183,12 +212,51 @@ class TestEventDriver:
         """Acceptance: zero violations at <= b faults per epoch."""
         result = self._run()
         assert result.check.ok
-        assert result.check.cross_epoch_reads == 0
         assert result.check.foreign_quorum_members == 0
         assert result.num_epochs == 3
         assert len(result.windows) == 3
         assert result.windows[-1].end == float("inf")
         assert result.history, "keep_history must populate the records"
+
+    def test_one_register_across_epochs(self):
+        """The hand-over, over 24 seeds: the stitched history passes the
+        *ordinary* checker (no ``epochs=``), and a client's first operation of
+        a new epoch — sent before any new-epoch write can have reached a
+        replica — reads the highest-timestamped write completed before the
+        boundary."""
+        opening_reads = 0
+        for seed in range(24):
+            result = self._run(seed)
+            check = check_register_history(result.history)
+            assert check.ok, (seed, check.violations)
+            for window in result.windows[1:]:
+                handed_over = max(
+                    (
+                        record
+                        for record in result.history
+                        if record.kind == "write"
+                        and record.success
+                        and record.responded_at < window.start
+                    ),
+                    key=lambda record: record.timestamp,
+                ).attempted_pair
+                first_of_client = {}
+                for record in result.history:
+                    if window.covers(record.invoked_at, record.responded_at):
+                        first_of_client.setdefault(record.client_id, record)
+                for record in first_of_client.values():
+                    if record.kind == "read":
+                        assert record.success and record.pair == handed_over, seed
+                        opening_reads += 1
+        assert opening_reads >= 24, "the sweep must exercise the hand-over"
+
+    def test_unvouched_hand_over_is_an_error(self, monkeypatch):
+        """Never a silent fall-back to the zero pair."""
+        from repro.simulation import reconfig
+
+        monkeypatch.setattr(reconfig, "vouched_pair", lambda pairs, b: None)
+        with pytest.raises(SimulationError, match="cannot hand its register over"):
+            self._run()
 
     def test_event_runs_pass_per_epoch_conformance(self):
         """One ReconfigResult for both engines: the per-epoch bounds accept
@@ -224,11 +292,12 @@ class TestEventDriver:
         assert not hasattr(result.whole, "latency_p50")
 
     def test_windows_carry_member_sets_and_epoch_b(self):
+        """Member sets live on the windows, the epoch's ``b`` on the outcomes."""
         result = self._run()
         members = [window.members for window in result.windows]
         assert len(members[1]) == 16
         assert members[0] == members[2]
-        assert all(window.b >= 1 for window in result.windows)
+        assert [outcome.b for outcome in result.outcomes] == [3, 2, 3]
 
 
 class TestEpochBoundaryFuzz:
@@ -248,43 +317,72 @@ class TestEpochBoundaryFuzz:
         return list(result.history), list(result.windows)
 
     @staticmethod
-    def _legitimate_pairs(records, windows, position):
-        window = windows[position]
-        pairs = set()
-        for record in records:
-            if record.kind != "write" or record.attempted_pair is None:
-                continue
-            if window.start <= record.invoked_at and (
-                record.invoked_at < window.end
-            ):
-                pairs.add(record.attempted_pair)
-        return pairs
-
-    @pytest.mark.parametrize("seed", [1, 7, 23])
-    def test_stale_read_from_evicted_epoch_is_flagged(self, seed):
-        records, windows = self._mutable_run(seed)
-        # A pair only epoch 0 produced, no later epoch's writes re-created.
-        only_e0 = (
-            self._legitimate_pairs(records, windows, 0)
-            - self._legitimate_pairs(records, windows, 1)
-            - self._legitimate_pairs(records, windows, 2)
-        )
-        assert only_e0, "epoch 0 must have written something unique"
-        ghost = sorted(only_e0, key=lambda pair: pair.timestamp)[-1]
-        victims = [
+    def _completed_writes(records, window):
+        """Indices of the successful writes inside ``window``, in history order."""
+        return [
             i
             for i, r in enumerate(records)
-            if r.kind == "read"
+            if r.kind == "write"
             and r.success
-            and r.invoked_at >= windows[2].start
+            and window.start <= r.invoked_at
+            and r.responded_at < window.end
         ]
-        assert victims, "epoch 2 must contain a successful read"
-        victim = victims[-1]
+
+    @staticmethod
+    def _rewrite(records, index, timestamp):
+        """Give the write at ``index`` another timestamp (value kept)."""
+        record = records[index]
+        records[index] = replace(
+            record,
+            timestamp=timestamp,
+            attempted_pair=replace(record.attempted_pair, timestamp=timestamp),
+        )
+
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_ghost_value_from_an_evicted_epoch_is_a_stale_read(self, seed):
+        records, windows = self._mutable_run(seed)
+        ghost = records[self._completed_writes(records, windows[0])[-1]].attempted_pair
+        assert self._completed_writes(records, windows[1]), "epoch 1 must overwrite it"
+        victim = [
+            i
+            for i, r in enumerate(records)
+            if r.kind == "read" and r.success and r.invoked_at >= windows[2].start
+        ][-1]
         records[victim] = replace(
             records[victim], value=ghost.value, timestamp=ghost.timestamp
         )
+        for check in (
+            check_register_history(records, epochs=windows),
+            check_register_history(records),
+        ):
+            assert check.stale_reads == 1 and check.fabricated_reads == 0
+            assert not check.ok
+
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_duplicate_timestamp_across_a_boundary_is_flagged(self, seed):
+        records, windows = self._mutable_run(seed)
+        donor = records[self._completed_writes(records, windows[0])[-1]]
+        self._rewrite(
+            records, self._completed_writes(records, windows[1])[0], donor.timestamp
+        )
         check = check_register_history(records, epochs=windows)
-        assert check.cross_epoch_reads >= 1
+        assert check.duplicate_write_timestamps == 1
+        assert not check.ok
+
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_real_time_inversion_across_a_boundary_is_flagged(self, seed):
+        """Epoch 1's first write (its client's first there) gets a fresh
+        timestamp below everything epoch 0 completed: unique, per-client
+        monotone *within* the epoch — wrong only across the boundary."""
+        records, windows = self._mutable_run(seed)
+        self._rewrite(
+            records,
+            self._completed_writes(records, windows[1])[0],
+            Timestamp(counter=0, client_id=77),
+        )
+        check = check_register_history(records, epochs=windows)
+        assert check.write_order_violations >= 1
+        assert check.duplicate_write_timestamps == 0
         assert not check.ok
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
@@ -293,17 +391,7 @@ class TestEpochBoundaryFuzz:
         severed = windows[0].members - windows[1].members
         assert severed, "the churn severs the outer ring"
         intruder = sorted(severed, key=repr)[0]
-        victims = [
-            i
-            for i, r in enumerate(records)
-            if r.kind == "write"
-            and r.success
-            and r.quorum is not None
-            and windows[1].start <= r.invoked_at
-            and r.responded_at < windows[1].end
-        ]
-        assert victims, "epoch 1 must contain a successful write"
-        victim = victims[0]
+        victim = self._completed_writes(records, windows[1])[0]
         records[victim] = replace(
             records[victim], quorum=records[victim].quorum | {intruder}
         )
@@ -313,8 +401,6 @@ class TestEpochBoundaryFuzz:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_fabrication_across_epochs_is_still_fabrication(self, seed):
-        from repro.simulation import Timestamp
-
         records, windows = self._mutable_run(seed)
         victims = [
             i
