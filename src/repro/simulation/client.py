@@ -51,6 +51,7 @@ checks operation for operation:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Callable, Collection, Generator, Hashable, Iterable
 from dataclasses import dataclass, replace
@@ -155,9 +156,9 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise SimulationError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.request_timeout <= 0:
+        if not 0.0 < self.request_timeout < math.inf:
             raise SimulationError(
-                f"request_timeout must be positive, got {self.request_timeout}"
+                f"request_timeout must be positive and finite, got {self.request_timeout}"
             )
 
 

@@ -8,7 +8,9 @@ reordered in flight — could be exercised.  This module replaces that with a
 discrete-event simulation:
 
 * :class:`EventScheduler` — a heap-based event loop with deterministic
-  ``(time, sequence)`` ordering and lazy cancellation;
+  ``(time, sequence)`` ordering and lazy cancellation; ``schedule(delay,
+  callback, *args)`` carries the callback's arguments with the event, as
+  asyncio's ``call_later`` does;
 * :class:`LatencyModel` — per-link message delays (constant + uniform jitter
   + exponential tail), with per-server multipliers for asymmetric links;
 * :class:`LinkFaults` — message loss and duplication probabilities
@@ -31,6 +33,14 @@ delivered request goes to :meth:`ReplicaServer.handle
 <repro.simulation.server.ReplicaServer.handle>`, the same entry point the TCP
 service calls.
 
+The message is the unit of cost.  Each one is a heap entry — a plain
+``(time, sequence, handle)`` tuple, compared in C — whose handle holds a
+bound method and its arguments, not a closure; the timing and fault models
+are frozen, so their zero/clean flags and per-server factor maps are
+computed once, and a delivery resolves the fault state in force once.  None
+of this changes which events fire, in which order, or which random numbers
+are drawn.
+
 Accounting (aligned with the vectorised engine's Definition 3.8 fix): the
 network keeps **attempted** deliveries (every send, crashed/lost included)
 separate from **delivered** requests (actually handled by a responsive
@@ -42,9 +52,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import bisect_right
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,24 +80,38 @@ __all__ = [
 # ----------------------------------------------------------------------
 # The event loop.
 # ----------------------------------------------------------------------
-@dataclass(order=True)
-class ScheduledEvent:
-    """A callback scheduled at a simulated time.
+def _cancelled_callback() -> None:
+    """What a cancelled handle holds instead of its callback (never fired)."""
 
-    Events are totally ordered by ``(time, sequence)``: the sequence number
-    breaks ties in scheduling order, which keeps runs deterministic for a
-    fixed seed.  Cancellation is lazy — the scheduler skips cancelled events
-    when it pops them.
+
+class ScheduledEvent:
+    """Handle of a callback scheduled on an :class:`EventScheduler`.
+
+    The scheduler orders its heap by ``(time, sequence)`` tuples — the
+    sequence number breaks ties in scheduling order, which keeps runs
+    deterministic for a fixed seed, and is unique, so a handle is never
+    compared.  The handle holds only what firing needs, ``callback(*args)``,
+    and the cancellation flag.  Cancellation is lazy: the scheduler skips
+    cancelled events when it pops them.
     """
 
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("callback", "args", "cancelled")
+
+    def __init__(self, callback: Callable[..., object], args: tuple) -> None:
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event so the scheduler skips it."""
+        """Mark the event so the scheduler skips it.
+
+        Like asyncio's ``Handle.cancel``, this also drops the callback and
+        its arguments, so a callback that holds its own handle (a timeout
+        that cancels itself) is not left in a reference cycle.
+        """
         self.cancelled = True
+        self.callback = _cancelled_callback
+        self.args = ()
 
 
 class EventScheduler:
@@ -100,48 +126,71 @@ class EventScheduler:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         #: Number of events fired (cancelled events excluded).
         self.events_processed = 0
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
-        """Schedule ``callback`` to fire ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay} in the past")
-        event = ScheduledEvent(self.now + delay, next(self._sequence), callback)
-        heapq.heappush(self._heap, event)
+    def schedule(
+        self, delay: float, callback: Callable[..., object], *args: object
+    ) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` to fire ``delay`` time units from now.
+
+        As with asyncio's ``call_later``, the arguments travel with the
+        event, so a caller passes a bound method and its arguments instead of
+        building a closure per message.  ``delay`` must be finite and
+        non-negative.
+        """
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(
+                f"cannot schedule an event {delay} from now: "
+                "a delay must be finite and non-negative"
+            )
+        event = ScheduledEvent(callback, args)
+        heapq.heappush(self._heap, (self.now + delay, next(self._sequence), event))
         return event
 
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def run(self, *, until: float | None = None, max_events: int | None = None) -> int:
         """Fire events in time order; return how many fired.
 
         Stops when the heap is empty, when the next event lies beyond
         ``until``, or after ``max_events`` events (a guard against runaway
-        protocol loops).  Events exactly at ``until`` still fire.
+        protocol loops).  Events exactly at ``until`` still fire.  The clock
+        then advances to ``until`` only if no pending event precedes it, so
+        a run cut short by ``max_events`` never moves time past an event it
+        has not fired.
         """
+        if until is not None and not -math.inf < until < math.inf:
+            raise SimulationError(f"cannot run until {until}: the bound must be finite")
+        heap = self._heap
         fired = 0
-        while self._heap:
-            if max_events is not None and fired >= max_events:
-                break
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(self._heap)
-            self.now = max(self.now, event.time)
-            event.callback()
-            fired += 1
-            self.events_processed += 1
+        try:
+            while heap:
+                if max_events is not None and fired >= max_events:
+                    break
+                if until is not None and heap[0][0] > until:
+                    break
+                time, _, event = heapq.heappop(heap)
+                if event.cancelled:
+                    continue
+                # Every pending time is >= now: delays are non-negative and
+                # the clock only moves to a popped time or to an ``until`` no
+                # pending event precedes.
+                self.now = time
+                event.callback(*event.args)
+                fired += 1
+        finally:
+            self.events_processed += fired
         if until is not None:
-            self.now = max(self.now, until)
+            while heap and heap[0][2].cancelled:
+                heapq.heappop(heap)
+            if not heap or heap[0][0] > until:
+                self.now = max(self.now, until)
         return fired
 
 
@@ -181,12 +230,16 @@ class LatencyModel:
     server_factors: tuple = ()
 
     def __post_init__(self):
-        if self.base < 0 or self.jitter < 0 or self.tail_mean < 0:
-            raise SimulationError("latency components must be non-negative")
+        if not all(
+            0.0 <= component < math.inf
+            for component in (self.base, self.jitter, self.tail_mean)
+        ):
+            raise SimulationError("latency components must be finite and non-negative")
         for server_id, factor in self.server_factors:
-            if factor <= 0:
+            if not 0.0 < factor < math.inf:
                 raise SimulationError(
-                    f"latency factor for server {server_id!r} must be positive, got {factor}"
+                    f"latency factor for server {server_id!r} must be positive "
+                    f"and finite, got {factor}"
                 )
 
     @staticmethod
@@ -199,7 +252,9 @@ class LatencyModel:
         """Constant floor plus uniform jitter — the workhorse LAN model."""
         return LatencyModel(base=base, jitter=jitter)
 
-    @property
+    # The model is frozen, so its derived views are computed once (on first
+    # use) and read per message as plain attributes.
+    @cached_property
     def is_zero(self) -> bool:
         """Whether the model is deterministic zero delay (draws no randomness)."""
         return (
@@ -208,11 +263,14 @@ class LatencyModel:
             and floats.is_zero(self.tail_mean)
         )
 
+    @cached_property
+    def _factors(self) -> dict[Hashable, float]:
+        """``server_factors`` as a map; the first entry of a repeated id wins."""
+        return dict(reversed(self.server_factors))
+
     def factor_for(self, server_id: Hashable) -> float:
-        for known_id, factor in self.server_factors:
-            if known_id == server_id:
-                return factor
-        return 1.0
+        """The link multiplier of ``server_id`` (1.0 unless listed)."""
+        return self._factors.get(server_id, 1.0)
 
     def sample(self, rng: np.random.Generator, server_id: Hashable) -> float:
         """Draw one one-way delay for a message to/from ``server_id``."""
@@ -223,7 +281,7 @@ class LatencyModel:
             delay += self.jitter * rng.random()
         if self.tail_mean > 0.0:
             delay += rng.exponential(self.tail_mean)
-        return delay * self.factor_for(server_id)
+        return delay * self._factors.get(server_id, 1.0)
 
 
 @dataclass(frozen=True)
@@ -254,8 +312,9 @@ class LinkFaults:
         """Perfectly reliable links."""
         return LinkFaults()
 
-    @property
+    @cached_property
     def is_clean(self) -> bool:
+        """Whether no message is ever lost or duplicated (computed once)."""
         return floats.is_zero(self.loss) and floats.is_zero(self.duplication)
 
     def copies(self, rng: np.random.Generator) -> int:
@@ -285,6 +344,9 @@ class FaultTimeline:
         if not transitions:
             raise SimulationError("a fault timeline needs at least one state")
         ordered = sorted(transitions, key=lambda pair: pair[0])
+        for time, _ in ordered:
+            if not -math.inf < time < math.inf:
+                raise SimulationError(f"timeline transition times must be finite, got {time}")
         if ordered[0][0] > 0.0:
             raise SimulationError(
                 f"the first timeline state must start at time 0, got {ordered[0][0]}"
@@ -428,18 +490,37 @@ class EventNetwork:
         twice; the caller sees at most one reply per handled copy and must
         de-duplicate by ``server_id`` if it cares.
         """
-        server = self._servers.get(server_id)
-        if server is None:
-            raise SimulationError(f"no replica with id {server_id!r} on this network")
+        self.broadcast((server_id,), request, on_reply)
+
+    def broadcast(
+        self,
+        server_ids: Iterable[Hashable],
+        request: object,
+        on_reply: Callable[[Hashable, object], None],
+    ) -> None:
+        """Send ``request`` to several replicas; replies arrive individually.
+
+        Each member is sent to as by :meth:`send`, in iteration order; the
+        request is validated once for all of them.
+        """
         if request is None:
             raise SimulationError("cannot deliver an empty request")
-        self.attempted_counts[server_id] += 1
-        for _ in range(self.faults.copies(self.rng)):
-            request_delay = self.latency.sample(self.rng, server_id)
-            self.scheduler.schedule(
-                request_delay,
-                lambda: self._deliver(server_id, server, request, on_reply),
-            )
+        rng = self.rng
+        schedule = self.scheduler.schedule
+        for server_id in server_ids:
+            server = self._servers.get(server_id)
+            if server is None:
+                raise SimulationError(f"no replica with id {server_id!r} on this network")
+            self.attempted_counts[server_id] += 1
+            for _ in range(self.faults.copies(rng)):
+                schedule(
+                    self.latency.sample(rng, server_id),
+                    self._deliver,
+                    server_id,
+                    server,
+                    request,
+                    on_reply,
+                )
 
     def _deliver(
         self,
@@ -448,37 +529,28 @@ class EventNetwork:
         request: object,
         on_reply: Callable[[Hashable, object], None],
     ) -> None:
-        arrival = self.scheduler.now
-        if not self.timeline.is_responsive(server_id, arrival):
+        state = self.timeline.active(self.scheduler.now)
+        if not state.is_responsive(server_id):
             return  # dead on arrival: the client's timeout is the only signal
         self.delivered_counts[server_id] += 1
         reply = server.handle(request)
-        slow = self.timeline.slow_factor(server_id, arrival)
         # A slow server stretches its service time by (factor - 1) mean link
         # latencies; with a zero-latency model there is no timescale to
         # stretch, so slowness degenerates to zero delay (the synchronous
         # special case cannot express it).
+        latency = self.latency
         service_delay = 0.0
-        if not self.latency.is_zero and slow > 1.0:
-            mean_latency = (
-                self.latency.base + 0.5 * self.latency.jitter + self.latency.tail_mean
-            )
+        slow = state.slow_factor(server_id)
+        if slow > 1.0 and not latency.is_zero:
+            mean_latency = latency.base + 0.5 * latency.jitter + latency.tail_mean
             service_delay = (slow - 1.0) * mean_latency
         for _ in range(self.faults.copies(self.rng)):
-            reply_delay = self.latency.sample(self.rng, server_id)
             self.scheduler.schedule(
-                service_delay + reply_delay, lambda: on_reply(server_id, reply)
+                service_delay + latency.sample(self.rng, server_id),
+                on_reply,
+                server_id,
+                reply,
             )
-
-    def broadcast(
-        self,
-        server_ids: Iterable[Hashable],
-        request: object,
-        on_reply: Callable[[Hashable, object], None],
-    ) -> None:
-        """Send ``request`` to several replicas; replies arrive individually."""
-        for server_id in server_ids:
-            self.send(server_id, request, on_reply)
 
     def empirical_message_rates(
         self, total_operations: int, *, which: str = "attempted"

@@ -11,8 +11,10 @@ with probability ``p``).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +61,10 @@ class FaultScenario:
                 tuple(sorted(self.slow.items(), key=lambda item: repr(item[0]))),
             )
         for server_id, factor in self.slow:
-            if factor < 1.0:
+            if not 1.0 <= factor < math.inf:
                 raise SimulationError(
-                    f"slow factor for server {server_id!r} must be >= 1, got {factor}"
+                    f"slow factor for server {server_id!r} must be finite and >= 1, "
+                    f"got {factor}"
                 )
             if server_id in self.crashed:
                 raise SimulationError(
@@ -86,12 +89,14 @@ class FaultScenario:
         """Return ``True`` when the server replies to messages (possibly with lies)."""
         return server_id not in self.crashed
 
+    @cached_property
+    def _slow_factors(self) -> dict[Hashable, float]:
+        """``slow`` as a map, computed once; the first entry of a repeated id wins."""
+        return dict(reversed(self.slow))
+
     def slow_factor(self, server_id: Hashable) -> float:
         """Service-time multiplier of a server (1.0 unless marked slow)."""
-        for known_id, factor in self.slow:
-            if known_id == server_id:
-                return factor
-        return 1.0
+        return self._slow_factors.get(server_id, 1.0)
 
     @staticmethod
     def fault_free() -> "FaultScenario":

@@ -24,6 +24,7 @@ load, which could exceed 1 under heavy faults).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -405,8 +406,8 @@ def run_event_workload(
         )
     if not 0.0 <= write_fraction <= 1.0:
         raise SimulationError(f"write_fraction must lie in [0, 1], got {write_fraction}")
-    if think_time < 0.0:
-        raise SimulationError(f"think_time must be non-negative, got {think_time}")
+    if not 0.0 <= think_time < math.inf:
+        raise SimulationError(f"think_time must be finite and non-negative, got {think_time}")
     rng = ensure_rng(rng)
 
     timeline, latency, link_faults, byzantine_behaviour = _resolve_timing(
@@ -449,7 +450,7 @@ def run_event_workload(
             delay = (
                 pacing_rng.exponential(think_time) if think_time > 0.0 else 0.0
             )
-            scheduler.schedule(delay, lambda: start_client(client, remaining - 1))
+            scheduler.schedule(delay, start_client, client, remaining - 1)
 
         if client.rng.random() < write_fraction:
             client.write((client.client_id, remaining), next_operation)
@@ -458,7 +459,7 @@ def run_event_workload(
 
     for client in stack.clients:
         offset = pacing_rng.exponential(think_time) if think_time > 0.0 else 0.0
-        scheduler.schedule(offset, lambda c=client: start_client(c, operations_per_client))
+        scheduler.schedule(offset, start_client, client, operations_per_client)
     scheduler.run()
 
     records = stack.recorder.records

@@ -308,14 +308,12 @@ def run_trace_workload(
             else:
                 client.read(finish)
 
+    def arrive(arrived_at: float, kind: str) -> None:
+        pending.append((arrived_at, kind))
+        try_dispatch()
+
     for arrived_at, kind in arrivals:
-        scheduler.schedule(
-            arrived_at,
-            lambda arrived_at=arrived_at, kind=kind: (
-                pending.append((arrived_at, kind)),
-                try_dispatch(),
-            ),
-        )
+        scheduler.schedule(arrived_at, arrive, arrived_at, kind)
     scheduler.run()
 
     queueing = latency_summary(queue_delays, 0.0)
