@@ -23,6 +23,7 @@ Paper notation for the quantities computed here is catalogued in
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.exceptions import ComputationError
 
 __all__ = [
     "BitsetEngine",
+    "frozensets_of",
     "incidence_from_masks",
     "iter_bit_indices",
     "mask_of",
@@ -43,7 +45,6 @@ __all__ = [
 
 #: Width of the numpy words the packed encoding uses.
 _WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
 
 
 def mask_of(elements: Iterable[Hashable], universe: Universe) -> int:
@@ -80,14 +81,15 @@ def pack_masks(masks: Sequence[int], n: int) -> np.ndarray:
     the quorum size.
     """
     num_words = max(1, -(-n // _WORD_BITS))
-    packed = np.zeros((len(masks), num_words), dtype=np.uint64)
-    for row, mask in enumerate(masks):
-        word_index = 0
-        while mask:
-            packed[row, word_index] = mask & _WORD_MASK
-            mask >>= _WORD_BITS
-            word_index += 1
-    return packed
+    width = num_words * (_WORD_BITS // 8)
+    try:
+        blob = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    except OverflowError:
+        raise ComputationError(
+            f"a bitmask is negative or has bits beyond the {n}-element universe"
+        ) from None
+    packed = np.frombuffer(blob, dtype="<u8").astype(np.uint64)
+    return packed.reshape(len(masks), num_words)
 
 
 def pack_mask(mask: int, n: int) -> np.ndarray:
@@ -101,6 +103,21 @@ def incidence_from_masks(masks: Sequence[int], n: int) -> np.ndarray:
     as_bytes = packed.view(np.uint8)
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
     return bits[:, :n].astype(bool)
+
+
+def frozensets_of(masks: Sequence[int], universe: Universe) -> list[frozenset]:
+    """Return :func:`mask_to_frozenset` of every mask, in one array pass.
+
+    One ``np.nonzero`` over the incidence matrix lists every member of every
+    mask, row by row and in increasing bit order — the order the per-mask walk
+    inserts them in — so the frozensets equal the walk's, iteration order
+    included.
+    """
+    incidence = incidence_from_masks(masks, universe.size)
+    _, columns = np.nonzero(incidence)
+    members = iter(map(universe.elements.__getitem__, columns.tolist()))
+    sizes = np.count_nonzero(incidence, axis=1).tolist()
+    return [frozenset(itertools.islice(members, size)) for size in sizes]
 
 
 class BitsetEngine:

@@ -12,6 +12,7 @@ See ``docs/notation.md`` for the notation glossary (w, l_w(u), L(Q)).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, ItemsView, Iterable, Mapping
 
 import numpy as np
@@ -174,26 +175,30 @@ class Strategy:
             require them to already be a distribution.
         """
         mask_list = list(masks)
+        merged: Mapping[int, float]
         if weights is None:
-            weight_list = [1.0] * len(mask_list)
+            merged = Counter(mask_list)
         else:
             weight_list = [float(weight) for weight in weights]
             if len(weight_list) != len(mask_list):
                 raise StrategyError(
                     f"{len(mask_list)} masks but {len(weight_list)} weights"
                 )
-        merged: dict[int, float] = {}
-        for mask, weight in zip(mask_list, weight_list):
-            if mask <= 0 or mask.bit_length() > universe.size:
+            summed: dict[int, float] = {}
+            for mask, weight in zip(mask_list, weight_list):
+                summed[mask] = summed.get(mask, 0.0) + weight
+            merged = summed
+        if merged:
+            smallest, largest = min(merged), max(merged)
+            bad = smallest if smallest <= 0 else largest
+            if bad <= 0 or bad.bit_length() > universe.size:
                 raise StrategyError(
-                    f"mask {mask:#b} is not a non-empty subset of the "
+                    f"mask {bad:#b} is not a non-empty subset of the "
                     f"{universe.size}-element universe"
                 )
-            merged[mask] = merged.get(mask, 0.0) + weight
-        quorum_weights = {
-            bitset_mod.mask_to_frozenset(mask, universe): weight
-            for mask, weight in merged.items()
-        }
+        quorum_weights = dict(
+            zip(bitset_mod.frozensets_of(list(merged), universe), merged.values())
+        )
         strategy = cls(quorum_weights, normalise=normalise)
         # Prime the mask cache; the support keeps the merged dict's
         # first-seen order minus the non-positive weights __init__ dropped.

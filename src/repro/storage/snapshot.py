@@ -38,7 +38,13 @@ SNAPSHOT_MAGIC = b"RPROSNP1"
 
 
 def write_snapshot(path: str | Path, snapshot: WalRecord) -> None:
-    """Atomically persist one snapshot (tmp file + fsync + rename)."""
+    """Atomically and durably persist one snapshot.
+
+    Tmp file + fsync + rename + fsync of the directory: the rename is only a
+    directory entry until the directory itself is synced, and the caller
+    truncates the log next, so without the last step a power cut could keep
+    the old snapshot beside an empty log.
+    """
     target = Path(path)
     blob = SNAPSHOT_MAGIC + encode_record(snapshot)
     tmp = target.with_suffix(target.suffix + ".tmp")
@@ -48,6 +54,11 @@ def write_snapshot(path: str | Path, snapshot: WalRecord) -> None:
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(target)
+        directory = os.open(target.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except OSError as exc:
         raise StorageError(f"cannot write snapshot {target}: {exc}") from None
 

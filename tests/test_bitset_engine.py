@@ -29,6 +29,7 @@ from repro import (
     MaskingGrid,
     RecursiveThreshold,
     RegularGrid,
+    Strategy,
     exact_failure_probability,
     exact_load,
     masking_report,
@@ -40,6 +41,7 @@ from repro.core.transversal import (
     minimal_transversal,
     minimal_transversal_mask,
 )
+from repro.core.universe import Universe
 
 
 def _small_systems():
@@ -159,6 +161,45 @@ class TestMaskGeneration:
         for mask, quorum in zip(mpath.iter_quorum_masks(), mpath.iter_quorums()):
             assert bitset.mask_to_frozenset(mask, mpath.universe) == quorum
 
+    @given(
+        st.integers(min_value=1, max_value=130).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=12),
+            )
+        ),
+        st.sampled_from(["int", "tuple", "str"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_frozensets_equal_the_per_mask_walk(self, n_and_masks, labels):
+        # Same frozensets, built in the same insertion order, so even their
+        # iteration order matches the reference walk.
+        n, masks = n_and_masks
+        elements = {
+            "int": list(range(n)),
+            "tuple": [(i // 7, i % 7) for i in range(n)],
+            "str": [f"s{i}" for i in range(n)],
+        }[labels]
+        universe = Universe(elements)
+        bulk = bitset.frozensets_of(masks, universe)
+        walk = [bitset.mask_to_frozenset(mask, universe) for mask in masks]
+        assert bulk == walk
+        assert [list(q) for q in bulk] == [list(q) for q in walk]
+        words = -(-n // 64)
+        reference = [[(mask >> (64 * w)) & ((1 << 64) - 1) for w in range(words)] for mask in masks]
+        np.testing.assert_array_equal(
+            bitset.pack_masks(masks, n),
+            np.array(reference, dtype=np.uint64).reshape(len(masks), words),
+        )
+
+    def test_uniform_strategy_support_is_the_walked_quorum_list(self, system):
+        support = Strategy.uniform_over_system(system).support
+        walk = tuple(
+            bitset.mask_to_frozenset(mask, system.universe) for mask in system.quorum_masks()
+        )
+        assert support == walk
+        assert [list(q) for q in support] == [list(q) for q in walk]
+
     def test_incidence_matrix_matches_reference(self, system):
         engine = system.bitset_engine()
         np.testing.assert_array_equal(
@@ -198,9 +239,12 @@ class TestMeasures:
 
 class TestLoadAndAvailability:
     def test_exact_load_matches_reference_incidence(self, system):
-        # The LP must see exactly the matrix the frozenset path would have
-        # assembled; with identical inputs HiGHS is deterministic, so the
-        # optimal load from the engine-built incidence is the same number.
+        # A fair family (equal quorum sizes, equal degrees on the frozenset
+        # incidence) is closed at c/n by the uniform primal-dual pair, so its
+        # value *is* c/n, and HiGHS on the reference matrix agrees to the last
+        # few ulps.  Any other family goes to the LP, which must see exactly
+        # the matrix the frozenset path would have assembled; with identical
+        # inputs HiGHS is deterministic, so the optimum is the same number.
         from scipy import optimize
 
         incidence = reference_incidence(system).astype(float)
@@ -220,7 +264,16 @@ class TestLoadAndAvailability:
             method="highs",
         )
         assert result.success
-        assert exact_load(system).load == float(result.x[-1])
+        sizes = incidence.sum(axis=1).astype(int)
+        degrees = incidence.sum(axis=0).astype(int)
+        fair = int(degrees.max()) * num_elements == int(sizes.min()) * num_quorums
+        assert fair == (not isinstance(system, CrumblingWall))
+        load = exact_load(system).load
+        if fair:
+            assert load == int(sizes.min()) / num_elements
+            assert load == pytest.approx(float(result.x[-1]), abs=1e-12)
+        else:
+            assert load == float(result.x[-1])
 
     @pytest.mark.parametrize("p", [0.2, 0.8])
     def test_exact_failure_probability_matches_reference(self, system, p):

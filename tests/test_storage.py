@@ -15,8 +15,10 @@ Three layers:
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +432,41 @@ class TestDurableStore:
         with DurableStore(data_dir, snapshot_every=4) as store:
             assert store.status()["wal_last_seq"] == 4
             assert store.journal(_pair(5)).seq == 5
+
+    def test_compaction_syncs_the_directory_before_truncating_the_log(
+        self, tmp_path, monkeypatch
+    ):
+        # The snapshot rename is only a directory entry until the directory is
+        # fsynced; truncating the log first could leave, after a power cut,
+        # the old snapshot beside an empty log.
+        data_dir = tmp_path / "d"
+        events: list[tuple] = []
+        directories: dict[int, Path] = {}
+        real_open, real_fsync, real_reset = os.open, os.fsync, WriteAheadLog.reset
+
+        def spy_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            if Path(path).is_dir():
+                directories[fd] = Path(path)
+            return fd
+
+        def spy_fsync(fd):
+            directory = directories.pop(fd, None)
+            if directory is not None:
+                events.append(("fsync-dir", directory, read_snapshot(directory / SNAPSHOT_NAME)))
+            real_fsync(fd)
+
+        def spy_reset(wal):
+            events.append(("reset",))
+            real_reset(wal)
+
+        with DurableStore(data_dir, snapshot_every=0) as store:
+            _journal_n(store, 3)
+            monkeypatch.setattr(os, "open", spy_open)
+            monkeypatch.setattr(os, "fsync", spy_fsync)
+            monkeypatch.setattr(WriteAheadLog, "reset", spy_reset)
+            snapshot = store.compact()
+        assert events == [("fsync-dir", data_dir, snapshot), ("reset",)]
 
     def test_corrupt_snapshot_falls_back_to_the_log(self, tmp_path):
         data_dir = tmp_path / "d"
