@@ -325,7 +325,7 @@ def measure_rows():
                 )
 
 
-#: ``availability_trend`` cases of ``benchmarks/test_bench_table2.py``.
+#: ``availability_trend`` cases of ``tests/test_analysis.py::TestAvailabilityTrends``.
 TREND_CASES = (
     ("M-Grid", (25, 81, 169), 0.2),
     ("Grid", (25, 81, 169), 0.2),

@@ -22,8 +22,8 @@ Entry points
 * :func:`section45_comparison` — the full comparison table: every family's
   load exponent and availability trend side by side.
 
-``benchmarks/test_bench_large_n.py`` drives these sweeps up to ``n = 10^4``
-and asserts the paper's exponents; ``docs/analysis.md`` walks through a
+``tests/test_analysis.py`` drives these sweeps up to ``n = 10^4`` and
+asserts the paper's exponents; ``docs/analysis.md`` walks through a
 worked example.
 """
 

@@ -45,7 +45,7 @@ decided here but by :func:`repro.api.measures.measure`.  Every closed form
 is cross-validated against the LP/enumeration engine to ``1e-9`` on the
 small-``n`` test matrix (``tests/test_analytic.py``); the
 large-``n`` sweeps live in :mod:`repro.analysis.asymptotics` and
-``benchmarks/test_bench_large_n.py``.  ``docs/analysis.md`` maps each
+``tests/test_implicit.py``.  ``docs/analysis.md`` maps each
 theorem to its implementing function.
 """
 

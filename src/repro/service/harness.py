@@ -615,18 +615,16 @@ async def run_load(
     if replica_endpoints:
         for descriptor in replica_endpoints:
             host, port = descriptor["host"], descriptor["port"]
+            # Fetch both before recording either, so the two lists stay
+            # aligned with ``replica_endpoints`` when only one call fails.
             try:
-                replica_status.append(
-                    await call_endpoint(host, port, {"type": "STATUS"})
-                )
-                replica_metrics.append(
-                    await call_endpoint(host, port, {"type": "METRICS"})
-                )
+                status = await call_endpoint(host, port, {"type": "STATUS"})
+                metrics = await call_endpoint(host, port, {"type": "METRICS"})
             except ServiceError:
-                replica_status.append(
-                    {"type": "STATUS_REPLY", "index": descriptor.get("index"), "ok": False}
-                )
-                replica_metrics.append(None)
+                status = {"type": "STATUS_REPLY", "index": descriptor.get("index"), "ok": False}
+                metrics = None
+            replica_status.append(status)
+            replica_metrics.append(metrics)
 
     return ServiceRunResult(
         system=system,

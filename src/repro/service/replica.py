@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -114,9 +115,15 @@ class ReplicaConfig:
 
 
 def _percentile(samples: list[float], fraction: float) -> float:
-    """Nearest-rank percentile over a non-empty sorted sample list."""
-    rank = min(len(samples) - 1, max(0, int(fraction * len(samples))))
-    return samples[rank]
+    """Nearest-rank percentile over a non-empty sorted sample list.
+
+    The smallest sample with at least ``fraction`` of the samples at or
+    below it: rank ``ceil(fraction * N)``, 1-based.  The product is rounded
+    first so that float noise (``0.9 * 70 = 63.00000000000001``) cannot push
+    the rank up by one.
+    """
+    rank = math.ceil(round(fraction * len(samples), 9)) - 1
+    return samples[min(len(samples) - 1, max(0, rank))]
 
 
 class ReplicaService:

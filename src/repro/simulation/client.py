@@ -85,6 +85,7 @@ __all__ = [
     "RetryPolicy",
     "access_frequencies",
     "advance",
+    "vouch_threshold",
     "vouched_pair",
 ]
 
@@ -168,18 +169,29 @@ Operation = Generator[Broadcast, Replies, OperationResult]
 _Body = Generator[Broadcast, Replies, tuple[ValueTimestampPair | None, OperationResult]]
 
 
+def vouch_threshold(b: int) -> int:
+    """Lemma 3.6's vouch count: how many reporters make a pair trustworthy.
+
+    At most ``b`` reporters are Byzantine, so ``b + 1`` identical reports
+    include an honest one, while a forged pair gathers at most ``b``.  The
+    one definition every path that judges a read uses: :func:`vouched_pair`
+    (every client driver and the epoch hand-over) and the vectorised and
+    sequential engines' fabricated/stale counts.
+    """
+    return b + 1
+
+
 def vouched_pair(
     pairs: Iterable[ValueTimestampPair], b: int
 ) -> ValueTimestampPair | None:
-    """The highest-timestamp pair reported at least ``b + 1`` times, if any.
+    """The highest-timestamp pair reported at least :func:`vouch_threshold` times.
 
-    The masking rule of the read protocol: at most ``b`` reporters are
-    Byzantine, so a pair reported ``b + 1`` times has an honest voucher,
-    while a forged pair is reported at most ``b`` times and is discarded.
-    ``None`` when no pair reaches the threshold.
+    The masking rule of the read protocol: a forged pair never reaches the
+    threshold and is discarded.  ``None`` when no pair reaches it.
     """
     votes = Counter(pairs)
-    vouched = [pair for pair, count in votes.items() if count >= b + 1]
+    threshold = vouch_threshold(b)
+    vouched = [pair for pair, count in votes.items() if count >= threshold]
     return max(vouched, key=lambda pair: pair.timestamp, default=None)
 
 

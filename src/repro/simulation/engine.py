@@ -66,6 +66,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
+from repro.simulation.client import vouch_threshold
 from repro.simulation.faults import FaultScenario
 from repro.simulation.scenarios import WorkloadScenario, fault_free_scenario
 
@@ -610,12 +611,13 @@ def _run_vectorised(
             ).sum(axis=2, dtype=np.int64)
             forged_vouch[in_phase] = camp_counts.max(axis=1)
 
-        corrupted = forged_vouch >= b + 1
+        vouch = vouch_threshold(b)
+        corrupted = forged_vouch >= vouch
         honest_vouch = engine.intersection_counts(
             read_quorums, write_quorums, tables.correct_words[read_phases]
         )
         violations = int(np.count_nonzero(corrupted))
-        stale = int(np.count_nonzero(~corrupted & (honest_vouch < b + 1)))
+        stale = int(np.count_nonzero(~corrupted & (honest_vouch < vouch)))
 
     return _assemble_result(
         system,
@@ -672,6 +674,7 @@ def _run_sequential(
             phase_last_alive[phase_index] = last
         return phase_alive_any[phase_index]
 
+    vouch = vouch_threshold(b)
     successful_reads = 0
     successful_writes = 0
     failed = 0
@@ -727,13 +730,13 @@ def _run_sequential(
             ),
             default=0,
         )
-        if forged_vouch >= b + 1:
+        if forged_vouch >= vouch:
             violations += 1
             continue
         honest_vouch = (
             read_mask & holders & tables.correct_masks[phase_index]
         ).bit_count()
-        if honest_vouch < b + 1:
+        if honest_vouch < vouch:
             stale += 1
 
     def counts_to_servers(quorum_counts: list[int]) -> np.ndarray:

@@ -55,7 +55,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.client import vouched_pair
+from repro.simulation.client import vouch_threshold, vouched_pair
 from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
 from repro.simulation.history import (
     EpochWindow,
@@ -337,7 +337,7 @@ def _handed_over_pair(
     if pair is None:
         raise SimulationError(
             f"epoch {previous.index} cannot hand its register over: no pair is vouched "
-            f"by {vouch_b + 1} members of the quorum {sorted(quorum, key=repr)}"
+            f"by {vouch_threshold(vouch_b)} members of the quorum {sorted(quorum, key=repr)}"
         )
     return pair
 

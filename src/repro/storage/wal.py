@@ -40,8 +40,9 @@ Durability is governed by a pluggable :class:`FsyncPolicy`:
   survived, machine crashes may drop the tail — which recovery then
   tolerates).
 
-``benchmarks/test_bench_storage.py`` measures the throughput each policy
-buys and records it in ``BENCH_storage.json``.
+``tests/test_artifacts.py`` records the fsyncs each policy pays in
+``BENCH_storage.json``; ``bench/``'s ``svc_durable_mixed`` workload prices
+``always`` on a live write path.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ a deterministic random generator so that Monte-Carlo assertions are stable.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,34 @@ from repro import (
 def rng() -> np.random.Generator:
     """A deterministic random generator shared by stochastic tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def python_calls():
+    """``python_calls(fn)`` runs ``fn()`` and returns ``(calls, result)``.
+
+    ``calls`` counts Python-level function calls (``sys.setprofile``'s
+    ``"call"`` events; C functions are not counted): an integer cost that
+    does not depend on how busy the machine is.
+    """
+
+    def run(fn):
+        calls = 0
+
+        def count(_frame, event, _arg) -> None:
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            result = fn()
+        finally:
+            sys.setprofile(previous)
+        return calls, result
+
+    return run
 
 
 @pytest.fixture

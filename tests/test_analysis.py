@@ -31,6 +31,7 @@ from repro.analysis import (
     tradeoff_point,
     verify_tradeoff,
 )
+from repro.analysis.asymptotics import fit_exponential_decay, section45_comparison, sweep
 from repro.api import shape_at, spec_of
 
 
@@ -128,10 +129,11 @@ class TestTable2:
         rows = {row.system: row for row in table2(n=256, p=0.125, rng=rng)}
         # Threshold masks the most (b < n/4) and has the largest resilience.
         assert rows["Threshold"].max_b == 63
-        assert rows["Threshold"].resilience >= rows["M-Grid"].resilience
+        assert rows["Threshold"].resilience > 2 * rows["M-Grid"].resilience
         # The grid-shaped systems mask O(sqrt(n)).
         assert rows["M-Grid"].max_b <= 16
         assert rows["M-Path"].max_b <= 16
+        assert rows["Grid"].max_b <= 6
         # RT's masking at n = 256 (h = 4) is (2^4 - 1)/2 = 7.
         assert rows["RT(4,3)"].max_b == 7
 
@@ -167,6 +169,25 @@ class TestAvailabilityTrends:
         assert threshold_trend[-1] < threshold_trend[0]
         rt_trend = availability_trend("RT(4,3)", [16, 64, 256], 0.15, rng=rng)
         assert rt_trend[-1] < rt_trend[0]
+
+    def test_asymptotic_fp_column(self):
+        """Grid-shaped systems degrade as n grows (Fp -> 1); the rest improve."""
+        rng = np.random.default_rng(20240614)
+        sizes = [25, 81, 169]
+        trends = {
+            "M-Grid": availability_trend("M-Grid", sizes, 0.2, rng=rng),
+            "Grid": availability_trend("Grid", sizes, 0.2, rng=rng),
+            "Threshold": availability_trend("Threshold", sizes, 0.2, rng=rng),
+            "RT(4,3)": availability_trend("RT(4,3)", [16, 64, 256], 0.15, rng=rng),
+            "boostFPP": availability_trend("boostFPP", sizes, 0.15, rng=rng),
+            "M-Path": availability_trend("M-Path", sizes, 0.3, rng=rng),
+        }
+        assert trends["M-Grid"][-1] > trends["M-Grid"][0]
+        assert trends["Grid"][-1] > trends["Grid"][0]
+        assert trends["Threshold"][-1] < trends["Threshold"][0]
+        assert trends["RT(4,3)"][-1] < trends["RT(4,3)"][0]
+        assert trends["boostFPP"][-1] < trends["boostFPP"][0]
+        assert trends["M-Path"][-1] <= trends["M-Path"][0] + 0.05  # Monte-Carlo noise
 
     def test_unknown_system_rejected(self, rng):
         with pytest.raises(ConstructionError):
@@ -258,6 +279,50 @@ class TestOneFamilyTable:
         assert profile.crash_probability_kind == (
             "upper-bound" if p < 1 / 3 else "monte-carlo"
         )
+
+
+class TestAsymptotics:
+    """The Section 4-5 comparison across decades, from closed forms up to n = 10^4."""
+
+    def test_load_exponents_and_availability_trends(self):
+        comparison = section45_comparison((64, 256, 1024, 4096, 10000), p=0.1, b=1)
+        # The paper's asymptotic load column, as fitted exponents.
+        expectations = {
+            "Threshold": (-0.05, 0.0),  # L -> 1/2: flat
+            "Grid": (-0.55, -0.42),  # Theta(1/sqrt(n))
+            "M-Grid": (-0.55, -0.42),
+            "M-Path": (-0.55, -0.42),
+            "RT(4,3)": (-0.25, -0.15),  # n^-(1 - log_4 3) = n^-0.2075
+        }
+        for name, (low, high) in expectations.items():
+            fit = comparison[name].load_fit
+            assert low <= fit.exponent <= high, (name, fit)
+            assert fit.r_squared > 0.7, (name, fit)
+        # RT's exponent is exactly 1 - log_4(3); the fit nails it.
+        rt_exponent = math.log(3, 4) - 1.0
+        assert abs(comparison["RT(4,3)"].load_fit.exponent - rt_exponent) < 0.01
+        # Table 2's asymptotic Fp column.
+        assert comparison["Threshold"].availability_trend == "decaying"
+        assert comparison["RT(4,3)"].availability_trend == "decaying"
+        assert comparison["Grid"].availability_trend == "degrading"
+        assert comparison["M-Grid"].availability_trend == "degrading"
+
+    def test_threshold_and_rt_availability_decay_exponentially(self):
+        # p near enough to 1/2 that Fp stays representable across the range.
+        points = sweep("Threshold", (64, 144, 256, 400), b=1, p=0.25)
+        threshold_fit = fit_exponential_decay(
+            [pt.n for pt in points], [pt.failure_probability for pt in points]
+        )
+        assert threshold_fit.rate > 0.0 and threshold_fit.r_squared > 0.99
+        # RT(4,3) decays like exp(-Omega(n^gamma)), gamma = log_4 2 = 1/2
+        # (Proposition 5.7: MT = 2^h = n^(1/2) for k=4, l=3).
+        points = sweep("RT(4,3)", (64, 256, 1024, 4096), b=1, p=0.2)
+        rt_fit = fit_exponential_decay(
+            [pt.n for pt in points],
+            [pt.failure_probability for pt in points],
+            size_exponent=0.5,
+        )
+        assert rt_fit.rate > 0.0 and rt_fit.r_squared > 0.95
 
 
 class TestTradeoff:

@@ -45,6 +45,7 @@ from repro.api import (
 )
 from repro.api.workloads import assemble_report
 from repro.core import ReboundQuorumSystem, Universe
+from repro.core.analytic import analytic_failure_probability
 from repro.core.quorum_system import ExplicitQuorumSystem, ImplicitQuorumSystem
 from repro.exceptions import (
     ComputationError,
@@ -227,6 +228,39 @@ class TestMeasureDispatch:
             == exact_failure_probability(system, 0.1).value
         )
 
+    #: Every registered masking construction at a size where the closed
+    #: form, the LP and (within its 2^n budget) enumeration all run.
+    LEGACY_MATRIX = [
+        ("threshold", {"n": 16, "b": 3}),
+        ("masking-grid", {"side": 4, "b": 1}),
+        ("mgrid", {"side": 4, "b": 1}),
+        ("rt", {"depth": 2}),
+        ("boostfpp", {"q": 2, "b": 1}),
+        ("grid", {"side": 4}),
+        ("fpp", {"q": 3}),
+        ("crumbling-wall", {"rows": [3, 4, 5]}),
+    ]
+
+    def test_auto_matches_legacy_paths_across_the_matrix(self):
+        """measure(..., "auto") equals the pre-facade entry points to 1e-9."""
+        for name, params in self.LEGACY_MATRIX:
+            system = build(name, **params)
+            auto_load = measure(system, "load").value
+            try:
+                assert auto_load == pytest.approx(analytic_load(system).load, abs=1e-12), name
+            except ComputationError:
+                pass  # no closed form: auto resolves to the LP
+            assert auto_load == pytest.approx(exact_load(system).load, abs=1e-9), name
+            auto_fp = measure(system, "fp", p=0.1).value
+            legacy_fp = analytic_failure_probability(system, 0.1).value
+            assert auto_fp == pytest.approx(legacy_fp, abs=1e-12), name
+            # The 2^n enumeration reference only exists within its budget
+            # (boostfpp sits at n=35); the analytic value is itself
+            # 1e-9-validated against it in tests/test_analytic.py.
+            if system.n <= 22:
+                exact_fp = exact_failure_probability(system, 0.1).value
+                assert auto_fp == pytest.approx(exact_fp, abs=1e-9), name
+
     def test_availability_is_complement_of_fp(self):
         fp = measure("rt", "fp", depth=2, p=0.15)
         availability = measure("rt", "availability", depth=2, p=0.15)
@@ -285,6 +319,20 @@ class TestMeasureDispatch:
         assert result.n == 10_000
         assert result.method_used == "analytic"
         assert result.error_bound == 0.0
+
+    def test_budget_moves_auto_between_lp_and_sampled(self):
+        # Tree has no closed form: a generous budget runs the LP, a tiny
+        # quorum budget forces the sampled fallback.
+        lp = measure("tree", "load", depth=2, budget=Budget(max_quorums=50))
+        sampled = measure(
+            "tree", "load", depth=2, budget=Budget(max_quorums=5, num_samples=64)
+        )
+        assert lp.method_used == "lp"
+        assert lp.error_bound == 0.0
+        assert sampled.method_used == "sampled-lp"
+        assert sampled.error_bound == float("inf")
+        # The sampled value is an upper bound on L(Q) over a sub-family.
+        assert sampled.value >= lp.value - 1e-9
 
     def test_combinatorial_measures(self):
         system = build("masking-grid", side=4, b=1)
@@ -456,6 +504,43 @@ class TestUnifiedWorkloads:
         assert report.n == 4096
         assert report.availability == 1.0
         assert report.spec == {"construction": "mgrid", "params": {"b": 1, "side": 64}}
+
+    def test_sampled_mode_scales_to_large_n(self):
+        report = run(
+            WorkloadSpec(
+                system="mgrid", params={"n": 4096}, operations=2_000, seed=1,
+                num_samples=256,
+            )
+        )
+        assert report.sampled
+        assert report.n == 4096
+        assert report.availability == 1.0
+        # Sampled-support load stays within 3x of L(Q) ~ 2/sqrt(n), doubled
+        # for the sample's imbalance.
+        assert report.empirical_load <= 3.0 * 2.0 / np.sqrt(4096) * 2.0
+
+    def test_vectorised_run_does_no_python_work_per_operation(self, python_calls):
+        """The facade adds spec resolution and report assembly per *run*, not per op.
+
+        Python calls through ``api.run`` on the vectorised engine do not grow
+        with the operation count (2 530 at both 20 000 and 40 000 operations
+        on CPython 3.11).
+        """
+
+        def spec(operations):
+            return WorkloadSpec(
+                system="mgrid", params={"side": 7, "b": 3}, operations=operations, seed=3
+            )
+
+        run(spec(100))  # imports and construction caches
+        calls_20k, report = python_calls(lambda: run(spec(20_000)))
+        assert report.operations == 20_000
+        assert report.availability == 1.0
+        assert report.consistent
+        calls_40k, report = python_calls(lambda: run(spec(40_000)))
+        assert report.operations == 40_000
+        assert abs(calls_40k - calls_20k) <= 64, (calls_20k, calls_40k)
+        assert calls_20k <= 3_200, calls_20k
 
     def test_small_systems_stay_exact(self):
         report = run(

@@ -8,7 +8,10 @@ import pytest
 from repro import (
     ComputationError,
     ExplicitQuorumSystem,
+    MGrid,
+    RecursiveThreshold,
     exact_failure_probability,
+    masking_threshold,
     monte_carlo_failure_probability,
 )
 from repro.api import build, measure
@@ -141,3 +144,23 @@ class TestMonotonicityAndCondorcet:
     def test_condorcet_needs_two_points(self):
         with pytest.raises(ComputationError):
             is_condorcet_sequence([0.5])
+
+    def test_masking_threshold_families_are_condorcet(self):
+        """Fp -> 0 for p < 1/2 and -> 1 for p > 1/2 as the universe grows."""
+        sizes = (9, 25, 49, 81, 121)
+        below = [masking_threshold(n, 1).crash_probability(0.35) for n in sizes]
+        above = [masking_threshold(n, 1).crash_probability(0.65) for n in sizes]
+        assert below == sorted(below, reverse=True)
+        assert below[-1] < 0.05
+        assert above == sorted(above)
+        assert above[-1] > 0.95
+
+
+def test_monte_carlo_agrees_with_exact_enumeration_on_small_systems():
+    """Ablation: the Monte-Carlo Fp brackets the exact value within 4 sigma."""
+    rng = np.random.default_rng(20240614)
+    systems = (masking_threshold(13, 3), RecursiveThreshold(4, 3, 2), MGrid(4, 1).to_explicit())
+    for system in systems:
+        estimate = monte_carlo_failure_probability(system, 0.2, trials=20_000, rng=rng)
+        low, high = estimate.confidence_interval(z=4.0)
+        assert low <= exact_failure_probability(system, 0.2).value <= high, system.name

@@ -354,3 +354,28 @@ class TestRandomSystems:
             exact_failure_probability(system, p).value
             == reference_exact_failure_probability(system, p)
         )
+
+
+class TestPaperScale:
+    """The engine on the largest instances the paper's tables exercise."""
+
+    def test_min_intersection_on_figure1_mgrid(self):
+        # M-Grid(7, b=3): 441 quorums, 97k pairs, one vectorised popcount sweep.
+        system = MGrid(7, 3)
+        value = system.bitset_engine().min_intersection_size()
+        reference = min(len(a & b) for a, b in itertools.combinations(system.quorums(), 2))
+        assert value == reference == 2 * system.k * system.k
+
+    def test_survival_table_gives_the_threshold_binomial_tail(self):
+        system = masking_threshold(17, 3)  # 2^17 alive-sets, C(17, 12) quorums
+        table = system.bitset_engine().subset_survival_table()
+        # The all-alive set always survives; the empty set never does.
+        assert bool(table[-1]) and not bool(table[0])
+        exact = exact_failure_probability(system, 0.2).value
+        assert abs(exact - system.crash_probability(0.2)) < 1e-12
+
+    def test_incidence_of_the_masking_grid_baseline(self):
+        system = MaskingGrid(9, 2)
+        matrix = bitset.BitsetEngine(system.universe, system.quorum_masks()).incidence_matrix()
+        assert matrix.shape == (system.num_quorums(), system.n)
+        assert int(matrix.sum()) == sum(len(q) for q in system.quorums())

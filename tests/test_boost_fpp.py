@@ -148,3 +148,44 @@ class TestGeneralBoosting:
         regular = majority(5)
         boosted = boost_masking(regular, 1)
         assert boosted.load() == pytest.approx(regular.load() * 4 / 5)
+
+
+class TestSection6Sweeps:
+    """Propositions 6.2 and 6.3 across (q, b), and the two scaling policies."""
+
+    @pytest.mark.parametrize("q,b", [(2, 2), (3, 2), (3, 19), (4, 5), (5, 10), (7, 8)])
+    def test_load_is_three_quarters_over_q_and_optimal(self, q, b):
+        system = BoostedFPP(q, b)
+        load = system.load()
+        bound = load_lower_bound(system.n, b)
+        assert load == pytest.approx(3 / (4 * q), rel=0.25)
+        assert bound - 1e-12 <= load <= 1.8 * bound
+
+    def test_scaling_policies(self):
+        # Policy 1, fix q = 3 and grow b: masking grows, load stays ~ 3/(4q).
+        fixed_q = [BoostedFPP(3, b) for b in (1, 4, 16, 64)]
+        masking = [system.masking_bound() for system in fixed_q]
+        loads_q = [system.load() for system in fixed_q]
+        assert masking == sorted(masking)
+        assert max(loads_q) - min(loads_q) < 0.03
+        # Policy 2, fix b = 4 and grow q: load shrinks like 1/q, masking stays b.
+        fixed_b = [BoostedFPP(q, 4) for q in (2, 3, 4, 5, 7, 8)]
+        loads_b = [system.load() for system in fixed_b]
+        assert loads_b == sorted(loads_b, reverse=True)
+        assert all(system.masking_bound() == 4 for system in fixed_b)
+
+    def test_availability_below_and_above_one_quarter(self):
+        """Fp <= (q+1) exp(-b(1-4p)^2/2) below p = 1/4; collapse above it."""
+        estimates = []
+        for b in (2, 5, 10, 20, 40):
+            system = BoostedFPP(3, b)
+            composed = system.crash_probability(0.125)
+            assert composed <= system.crash_probability_chernoff_bound(0.125) + 1e-12
+            estimates.append(composed)
+        # Availability improves exponentially with b below the threshold...
+        assert estimates == sorted(estimates, reverse=True)
+        assert estimates[-1] < 1e-4
+        # ...and collapses above p = 1/4 (the remark after Proposition 6.3).
+        above = [BoostedFPP(3, b).crash_probability(0.3) for b in (2, 10, 40)]
+        assert above == sorted(above)
+        assert above[-1] > 0.99

@@ -11,12 +11,17 @@ from repro import (
     ComputationError,
     MGrid,
     MPath,
+    RecursiveThreshold,
+    ThresholdQuorumSystem,
+    exact_failure_probability,
     exact_load,
     load_lower_bound,
     load_optimality_ratio,
     masking_threshold,
     resilience_upper_bound_from_load,
 )
+from repro.constructions.grid import MaskingGrid
+from repro.constructions.threshold import boosting_block
 from repro.core.bounds import (
     crash_probability_lower_bound,
     crash_probability_lower_bound_for_system,
@@ -135,3 +140,76 @@ class TestTradeoffBound:
         for system in (mgrid_7_3, rt_4_3_depth2, masking_threshold(17, 4), MPath(7, 3)):
             resilience = system.min_transversal_size() - 1
             assert resilience <= resilience_upper_bound_from_load(system.n, system.load()) + 1e-9
+
+
+class TestSection4Regenerations:
+    """Theorem 4.1 / Corollary 4.2 against every construction near n = 256,
+    and Propositions 4.3-4.5 against exactly computable crash probabilities."""
+
+    def test_load_against_corollary_4_2(self):
+        n_side, n = 16, 256
+        rt = RecursiveThreshold(4, 3, 4)
+        entries = [
+            ("Threshold", masking_threshold(n, (n - 1) // 4), (n - 1) // 4),
+            ("Threshold b=1", masking_threshold(n, 1), 1),
+            ("Grid", MaskingGrid(n_side, (n_side - 1) // 3), (n_side - 1) // 3),
+            ("M-Grid", MGrid(n_side, (n_side - 1) // 2), (n_side - 1) // 2),
+            ("RT(4,3)", rt, rt.masking_bound()),
+            ("boostFPP", BoostedFPP(3, (n // 13 - 1) // 4), (n // 13 - 1) // 4),
+            ("M-Path", MPath(n_side, 7), 7),
+        ]
+        ratios = {}
+        for name, system, b in entries:
+            bound = load_lower_bound(system.n, b)
+            assert system.load() >= bound - 1e-12, name
+            ratios[name] = system.load() / bound
+        # Load-optimal systems: within a small constant of the bound.
+        assert ratios["M-Grid"] <= 2.0
+        assert ratios["boostFPP"] <= 1.6
+        assert ratios["M-Path"] <= 2.0
+        # The remark after Corollary 4.2: Threshold is close to optimal when
+        # b = Omega(n), but far from optimal for small b (its load never drops
+        # below 1/2 while the bound shrinks like 1/sqrt(n)).
+        assert ratios["Threshold"] <= 1.2
+        assert ratios["Threshold b=1"] > 3.0
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            masking_threshold(13, 3),
+            MGrid(7, 3),
+            RecursiveThreshold(4, 3, 2),
+            BoostedFPP(2, 1).to_explicit(),
+            MaskingGrid(5, 1),
+        ],
+        ids=lambda system: system.name,
+    )
+    def test_exact_load_is_c_over_n_on_fair_systems(self, system):
+        """Ablation: the exact LP equals Proposition 3.9's c/n."""
+        closed_form = system.min_quorum_size() / system.n
+        assert exact_load(system).load == pytest.approx(closed_form, abs=1e-6)
+
+    @pytest.mark.parametrize("n,b", [(64, 1), (64, 15)])
+    def test_theorem_4_1_takes_the_larger_branch(self, n, b):
+        """(2b+1)/c binds for small quorums, c/n for large ones."""
+        system = masking_threshold(n, b)
+        c = system.min_quorum_size()
+        bound = load_lower_bound(system.n, b, quorum_size=c)
+        assert bound == pytest.approx(max((2 * b + 1) / c, c / system.n))
+        assert system.load() >= bound - 1e-12
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            masking_threshold(13, 3),
+            ThresholdQuorumSystem(9, 7),
+            boosting_block(2),
+            RecursiveThreshold(4, 3, 2),
+        ],
+        ids=lambda system: system.name,
+    )
+    @pytest.mark.parametrize("p", [0.1, 0.2, 0.35])
+    def test_exact_fp_dominates_propositions_4_3_to_4_5(self, system, p):
+        """Fp >= p^(f+1), p^(c-2b), p^(b+1) on exactly computable systems."""
+        exact = exact_failure_probability(system, p).value
+        assert exact >= crash_probability_lower_bound_for_system(system, p) - 1e-12

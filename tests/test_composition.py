@@ -7,6 +7,7 @@ import pytest
 from repro import (
     RegularGrid,
     ThresholdQuorumSystem,
+    boost_masking,
     compose,
     exact_failure_probability,
     exact_load,
@@ -150,3 +151,46 @@ class TestBestKnownLoadIntegration:
         result = measure(composed, "load")
         assert result.method_used == "analytic"
         assert result.value == pytest.approx(composed.load())
+
+
+class TestTheorem47Table:
+    """The full Theorem 4.7 table: closed-form algebra = brute force on S∘R."""
+
+    @pytest.mark.parametrize(
+        "outer,inner",
+        [
+            (majority(3), ThresholdQuorumSystem(4, 3)),
+            (ThresholdQuorumSystem(4, 3), majority(3)),
+            (majority(5), majority(3)),
+        ],
+        ids=["maj3-of-3of4", "3of4-of-maj3", "maj5-of-maj3"],
+    )
+    def test_algebra_matches_the_materialised_composition(self, outer, inner):
+        composed = compose(outer, inner)
+        explicit = composed.to_explicit()
+        assert composed.min_quorum_size() == explicit.min_quorum_size()
+        assert composed.min_intersection_size() == explicit.min_intersection_size()
+        assert composed.min_transversal_size() == explicit.min_transversal_size()
+        assert composed.load() == pytest.approx(exact_load(explicit).load, abs=1e-6)
+        assert composed.crash_probability(0.15) == pytest.approx(
+            exact_failure_probability(explicit, 0.15).value, abs=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "regular", [majority(5), RegularGrid(3), majority(7)], ids=lambda system: system.name
+    )
+    def test_boosting_makes_regular_systems_masking_at_four_fifths_the_load(self, regular):
+        """Section 6's boosting with 4-of-5 blocks: b = 1, load x 0.8."""
+        boosted = boost_masking(regular, 1)
+        assert boosted.is_b_masking(1)
+        assert boosted.n == regular.n * 5
+        assert boosted.load() == pytest.approx(regular.load() * 0.8, abs=1e-9)
+
+    def test_self_composition_doubles_intersection_and_transversal(self):
+        """Self-composing the 3-of-4 block drives IS and MT up exponentially (RT)."""
+        block = ThresholdQuorumSystem(4, 3)
+        for depth in (1, 2, 3, 4, 5):
+            composed = self_compose(block, depth)
+            assert composed.min_intersection_size() == 2**depth
+            assert composed.min_transversal_size() == 2**depth
+            assert composed.load() == pytest.approx(0.75**depth)

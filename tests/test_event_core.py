@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -279,21 +278,9 @@ def cost_spec(operations: int) -> api.WorkloadSpec:
     )
 
 
-def test_python_calls_per_event_operation_stay_within_budget():
+def test_python_calls_per_event_operation_stay_within_budget(python_calls):
     api.run(cost_spec(16), engine="event")  # imports and construction caches
-    calls = 0
-
-    def count(_frame, event, _arg) -> None:
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        report = api.run(cost_spec(320), engine="event")
-    finally:
-        sys.setprofile(previous)
+    calls, report = python_calls(lambda: api.run(cost_spec(320), engine="event"))
     per_operation = calls / report.operations
     assert report.operations == 320 and report.failed_operations == 0
     assert per_operation <= CALLS_PER_OP_BUDGET, f"{per_operation:.1f} Python calls per operation"

@@ -436,6 +436,74 @@ class TestEnginesAcceptImplicitSystems:
         assert result.check is not None and result.check.ok
 
 
+class TestLargeN:
+    """Deployments whose quorum families are never enumerated (n = 1024 to 10^4).
+
+    M-Grid at side = 64 has C(64, 1)^2 = 4096 quorums for b = 0 but more than
+    10^7 already at b = 3.
+    """
+
+    def test_closed_forms_and_a_vectorised_run_at_ten_thousand(self):
+        base = MGrid(100, 3)  # C(100, 2)^2 ~ 2.45e7 quorums: enumeration is out
+        implicit = ImplicitQuorumSystem(base, num_samples=512, seed=20)
+        load = analytic_load(implicit).load
+        availability = analytic_failure_probability(implicit, 0.001).value
+        result = run_workload(implicit, b=3, num_operations=2000, rng=np.random.default_rng(8))
+        assert implicit.n == 10_000
+        assert implicit.masking_bound() >= 3  # delegated closed forms, not the sample
+        assert abs(load - base.load()) < 1e-12
+        assert 0.0 <= availability <= 1.0
+        assert result.operations == 2000 and result.failed_operations == 0
+        assert result.is_consistent
+        # Fault-free measured load sits near the sampled strategy's induced
+        # load, within a small factor of L(Q) ~ 4/sqrt(n).
+        assert result.empirical_load <= 3.0 * load
+
+    def test_crash_run_at_4096_keeps_load_within_3x_of_one_over_sqrt_n(self):
+        """A crash scenario on an implicit M-Grid(b=0) driven by the sampled-LP strategy.
+
+        The LP over the frozen sample rebalances away the i.i.d. sampling
+        noise; the engine's failure-detector steering keeps every operation
+        succeeding while the busiest server stays within 3x of the
+        Corollary 4.2 scale 1/sqrt(n).
+        """
+        n, side = 4096, 64
+        base = MGrid(side, 0)
+        # Each crashed cell disables a whole row/column pair for the b = 0
+        # M-Grid, so the crash count scales with n.
+        crash_rng = np.random.default_rng(1)
+        crashed = frozenset(
+            (int(row), int(column))
+            for row, column in crash_rng.integers(side, size=(n // 1024, 2))
+        )
+        implicit = ImplicitQuorumSystem(base, num_samples=32 * side, seed=42)
+        strategy = implicit.sampled_optimal_strategy()
+        result = run_workload(
+            implicit,
+            b=0,
+            num_operations=8 * n,
+            scenario=FaultScenario(crashed=crashed),
+            strategy=strategy,
+            rng=np.random.default_rng(5),
+        )
+        assert result.operations == 8 * n
+        assert result.failed_operations == 0  # steering rides out the crashes
+        assert result.is_consistent
+        assert result.empirical_load <= 3.0 / np.sqrt(n), result.empirical_load
+        # And the sampled-LP strategy itself sits essentially at L(Q).
+        assert strategy.induced_system_load(implicit.universe) <= 1.5 * base.load()
+
+    def test_event_engine_at_n1024(self):
+        implicit = ImplicitQuorumSystem(MGrid(32, 1), num_samples=256, seed=11)
+        result = run_event_workload(
+            implicit, b=1, num_clients=8, operations_per_client=10,
+            rng=np.random.default_rng(2),
+        )
+        assert result.operations == 80
+        assert result.failed_operations == 0
+        assert result.check is not None and result.check.ok
+
+
 class TestStrategyFromMasks:
     def test_merges_duplicates_and_primes_mask_cache(self):
         universe = Universe.of_size(5)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import ConstructionError, MGrid, exact_load, load_lower_bound, verify_masking
@@ -111,3 +112,32 @@ class TestSampling:
     def test_sampled_quorum_has_expected_size(self, rng):
         system = MGrid(9, 3)
         assert len(system.sample_quorum(rng)) == system.min_quorum_size()
+
+
+class TestSection51Sweeps:
+    """Proposition 5.2 across grid sizes, and the Section 5.1 availability warning."""
+
+    @pytest.mark.parametrize("side,b", [(7, 3), (10, 3), (16, 7), (20, 9), (32, 15)])
+    def test_load_follows_proposition_5_2(self, side, b):
+        load = MGrid(side, b).load()
+        approximation = 2 * math.sqrt(b + 1) / side
+        # L ~ 2 sqrt(b+1)/sqrt(n); the exact value is the fair-system c/n,
+        # which deviates from the approximation only through the integrality
+        # of ceil(sqrt(b+1)) and the row/column overlap.
+        assert 0.6 * approximation <= load <= 1.35 * approximation
+        # Optimality: within sqrt(2) (plus integrality) of the lower bound.
+        assert load <= 2.0 * load_lower_bound(side * side, b)
+
+    def test_lower_bound_and_monte_carlo_climb_with_n(self):
+        rng = np.random.default_rng(20240614)
+        p = 0.15
+        bounds, estimates = [], []
+        for side in (6, 10, 16, 24):
+            system = MGrid(side, 1)
+            bounds.append(system.crash_probability_lower_bound(p))
+            estimates.append(system.crash_probability(p, trials=4000, rng=rng))
+        assert bounds == sorted(bounds)
+        assert estimates[-1] > estimates[0]
+        assert estimates[-1] > 0.9
+        for bound, estimate in zip(bounds, estimates):
+            assert estimate >= bound - 0.03

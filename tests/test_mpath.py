@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ComputationError, ConstructionError, MPath, load_lower_bound
+from repro import (
+    ComputationError,
+    ConstructionError,
+    MGrid,
+    MPath,
+    Strategy,
+    load_lower_bound,
+)
+from repro.percolation import estimate_critical_probability
 
 
 class TestConstruction:
@@ -158,3 +166,58 @@ class TestAvailability:
     def test_upper_bound_decreases_with_grid_size(self):
         values = [MPath(side, 2).crash_probability_upper_bound(0.05) for side in (8, 16, 24)]
         assert values == sorted(values, reverse=True)
+
+
+class TestSection7Sweeps:
+    """Propositions 7.2 and 7.3 across grid sizes, backed by the percolation substrate."""
+
+    @pytest.mark.parametrize("side,b", [(7, 3), (9, 4), (16, 7), (24, 11), (32, 7)])
+    def test_load_follows_proposition_7_2(self, side, b):
+        load = MPath(side, b).load()
+        bound = load_lower_bound(side * side, b)
+        assert load <= 1.15 * 2 * np.sqrt(2 * b + 1) / side
+        assert bound - 1e-12 <= load <= 2.1 * bound
+
+    def test_triangulated_percolation_threshold_is_near_one_half(self):
+        estimate = estimate_critical_probability(
+            side=12, trials_per_point=120, iterations=7, rng=np.random.default_rng(20240614)
+        )
+        assert 0.35 < estimate.critical_probability < 0.65
+
+    def test_fp_shrinks_with_n_while_mgrid_climbs(self):
+        """The paper's contrast at p = 0.3: same load, same masking family."""
+        rng = np.random.default_rng(20240614)
+        mpath_values, mgrid_values = [], []
+        for side in (5, 9, 13):
+            mpath_values.append(MPath(side, 1).crash_probability(0.3, trials=120, rng=rng))
+            mgrid_values.append(MGrid(side, 1).crash_probability(0.3, trials=4000, rng=rng))
+        assert mpath_values[-1] <= mpath_values[0]
+        assert mgrid_values[-1] >= mgrid_values[0]
+        assert mpath_values[-1] < mgrid_values[-1]
+
+    def test_analytic_bound_dominates_monte_carlo_for_small_p(self):
+        """The Theorem B.1/B.3 bound against the disjoint-crossing estimate."""
+        rng = np.random.default_rng(20240614)
+        for side, b, p in ((16, 2, 0.05), (24, 2, 0.05), (32, 7, 0.125)):
+            system = MPath(side, b)
+            estimate = system.crash_probability(p, trials=60, rng=rng)
+            assert estimate <= system.crash_probability_upper_bound(p) + 0.05
+
+    def test_straight_lines_carry_the_load_and_bent_paths_the_availability(self):
+        """Ablation: the straight-line strategy already achieves the optimal load;
+        bent paths only matter for availability."""
+        rng = np.random.default_rng(20240614)
+        system = MPath(9, 4)
+        subsystem = system.straight_line_subsystem()
+        induced = Strategy.uniform_over_system(subsystem).induced_system_load(system.universe)
+        assert induced == pytest.approx(system.load(), abs=1e-9)
+        # With 12 crashed vertices scattered on the grid, straight-line quorums
+        # frequently die while bent paths survive.
+        survived_bent = survived_straight = 0
+        for _ in range(40):
+            crashed = set()
+            while len(crashed) < 12:
+                crashed.add((int(rng.integers(1, 10)), int(rng.integers(1, 10))))
+            survived_bent += system.survives(crashed)
+            survived_straight += any(not q & crashed for q in subsystem.quorums())
+        assert survived_bent >= survived_straight

@@ -1,16 +1,21 @@
 """Integration tests pinning the paper's concrete numerical claims.
 
 Each test quotes a specific statement from the paper (a table entry, a
-worked example, or an in-text calculation) and checks the library reproduces
-it.  These are the fast counterparts of the benchmark harness in
-``benchmarks/``; the benchmarks re-derive the same rows with timings and the
-full parameter sweeps.
+worked example, a figure or an in-text calculation) and checks the library
+reproduces it: Figures 1-3, the Section 8 worked example and its
+``f <= n L(Q)`` trade-off.  Table 2 and the decade sweeps of Sections 4-5 are
+regenerated in ``test_analysis.py``; the per-construction sweeps behind
+Propositions 4.x-7.x sit beside each construction's own tests
+(``test_mgrid.py``, ``test_recursive_threshold.py``, ``test_boost_fpp.py``,
+``test_mpath.py``, ``test_composition.py``, ``test_bounds.py``).
+Monte-Carlo columns draw from ``np.random.default_rng(20240614)``.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -21,6 +26,51 @@ from repro import (
     load_lower_bound,
     masking_threshold,
 )
+from repro.analysis import section8_comparison, tradeoff_point, verify_tradeoff
+from repro.constructions.grid import MaskingGrid, render_grid_quorum
+
+SEED = 20240614
+
+
+class TestFigures:
+    """Figures 1-3: the construction instances the paper draws, one quorum shaded."""
+
+    def test_figure1_mgrid(self):
+        # M-Grid on a 7x7 grid with b = 3: one quorum = 2 rows + 2 columns.
+        system = MGrid(7, 3)
+        quorum = system.sample_quorum(np.random.default_rng(SEED))
+        assert system.n == 49
+        assert system.k == 2  # sqrt(b+1) rows and columns
+        assert system.masking_bound() == 3
+        assert len(quorum) == system.min_quorum_size() == 24
+        assert render_grid_quorum(7, frozenset(quorum)).count("#") == 24
+
+    def test_figure2_rt43(self):
+        # RT(4, 3) of depth 2: one quorum = 3-of-4 applied twice.
+        system = RecursiveThreshold(4, 3, 2)
+        quorum = system.sample_quorum(np.random.default_rng(SEED))
+        assert system.n == 16
+        assert system.min_quorum_size() == 9  # 3-of-4 recursively: 3^2 leaves
+        assert system.num_quorums() == 256
+        assert len(quorum) == 9
+        # 3 of the 4 groups of 4 leaves hold 3 chosen leaves each.
+        per_group = sorted(
+            sum(leaf in quorum for leaf in range(4 * group, 4 * group + 4))
+            for group in range(4)
+        )
+        assert per_group == [0, 3, 3, 3]
+
+    def test_figure3_mpath(self):
+        # M-Path on a 9x9 triangulated grid with b = 4: 3 LR + 3 TB paths.
+        system = MPath(9, 4)
+        quorum = system.sample_quorum(np.random.default_rng(SEED))
+        assert system.n == 81
+        assert system.k == 3  # sqrt(2b+1) paths per direction
+        assert system.masking_bound() == 4
+        assert system.min_intersection_size() >= 2 * 4 + 1
+        # Lattice coordinates (1-based (i, j)) onto the row-major picture.
+        zero_based = frozenset((j - 1, i - 1) for (i, j) in quorum)
+        assert render_grid_quorum(9, zero_based).count("#") == len(quorum)
 
 
 class TestSection5Claims:
@@ -158,6 +208,40 @@ class TestSection8WorkedExample:
             assert masking_threshold(1024, b).load() >= 0.5
 
 
+    def test_section8_comparison_regenerates_the_example(self):
+        """``section8_comparison`` rebuilds the four instances with their columns."""
+        profiles = section8_comparison(n=1024, p=self.P, rng=np.random.default_rng(SEED))
+        by_family = {profile.name.split("(")[0]: profile for profile in profiles}
+        mgrid, boost = by_family["M-Grid"], by_family["boostFPP"]
+        mpath, rt = by_family["M-Path"], by_family["RT"]
+        assert mgrid.b == 15 and mgrid.f == 28
+        assert boost.b == 19 and boost.f == 79 and boost.n == 1001
+        assert mpath.b == 7 and mpath.f in (28, 29)
+        assert rt.b == 15 and rt.f == 31
+        for profile in (mgrid, boost, mpath, rt):
+            assert profile.load == pytest.approx(0.25, abs=0.03)
+        assert mgrid.crash_probability == pytest.approx(0.638, abs=0.01)
+        assert boost.crash_probability == pytest.approx(0.372, abs=0.005)
+        assert mpath.crash_probability <= 0.001
+        assert rt.crash_probability <= 0.0001
+        assert (
+            rt.crash_probability
+            < mpath.crash_probability
+            < boost.crash_probability
+            < mgrid.crash_probability
+        )
+
+    def test_cheap_servers_above_one_quarter(self):
+        """At p = 0.3 boostFPP collapses and RT, above its 0.2324, degrades."""
+        profiles = section8_comparison(n=1024, p=0.3, rng=np.random.default_rng(SEED))
+        by_family = {profile.name.split("(")[0]: profile for profile in profiles}
+        # p > 1/4: boostFPP's Chernoff guarantee is void (the bound reports 1).
+        assert by_family["boostFPP"].crash_probability == pytest.approx(1.0)
+        assert by_family["RT"].crash_probability > 0.5
+        # M-Grid is, as always at this scale, effectively dead.
+        assert by_family["M-Grid"].crash_probability > 0.9
+
+
 class TestTradeoffClaim:
     def test_f_at_most_n_times_load(self):
         # "Since necessarily f <= c(Q), Theorem 4.1 implies that f <= n L(Q)".
@@ -171,3 +255,21 @@ class TestTradeoffClaim:
         for system in systems:
             resilience = system.min_transversal_size() - 1
             assert resilience <= system.n * system.load() + 1e-9
+
+    def test_no_system_sits_on_both_frontiers(self):
+        """Threshold sits at the resilience frontier, the load-optimal systems give it up."""
+        systems = [
+            masking_threshold(256, 63),
+            MaskingGrid(16, 5),
+            MGrid(16, 7),
+            RecursiveThreshold(4, 3, 4),
+            BoostedFPP(3, 4),
+            MPath(16, 7),
+        ]
+        points = [tradeoff_point(system) for system in systems]
+        for system, point in zip(systems, points):
+            assert verify_tradeoff(system)
+            assert point.slack >= -1e-9
+        threshold_point, mpath_point = points[0], points[-1]
+        assert threshold_point.resilience > 3 * mpath_point.resilience
+        assert mpath_point.load < 0.7 * threshold_point.load

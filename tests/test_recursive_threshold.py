@@ -130,3 +130,55 @@ class TestSampling:
     def test_sampled_quorum_size(self, rng):
         system = RecursiveThreshold(4, 3, 3)
         assert len(system.sample_quorum(rng)) == 27
+
+
+class TestSection52Sweeps:
+    """Propositions 5.3 and 5.5-5.7 across depths and (k, l) choices."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    def test_load_exponent_is_one_minus_log4_3(self, depth):
+        system = RecursiveThreshold(4, 3, depth)
+        exponent = -math.log(system.load()) / math.log(system.n)
+        optimal_exponent = -math.log(
+            math.sqrt((2 * system.masking_bound() + 1) / system.n)
+        ) / math.log(system.n)
+        assert system.load() == pytest.approx((3 / 4) ** depth)
+        assert exponent == pytest.approx(1 - math.log(3, 4), abs=1e-9)
+        # The remark after Proposition 5.5: the exponent is worse (smaller)
+        # than the optimal ~0.25 achievable at this masking level.
+        assert exponent < optimal_exponent
+
+    def test_critical_probability_is_sharp(self):
+        """Proposition 5.6: the RT(4,3) recurrence has its fixed point at 0.2324."""
+        critical = RecursiveThreshold(4, 3, 6).critical_probability()
+        assert critical == pytest.approx(0.2324, abs=5e-4)
+        depths = range(1, 7)
+        below = [RecursiveThreshold(4, 3, h).crash_probability(critical - 0.04) for h in depths]
+        above = [RecursiveThreshold(4, 3, h).crash_probability(critical + 0.04) for h in depths]
+        assert below == sorted(below, reverse=True)
+        assert below[-1] < 1e-2
+        assert above == sorted(above)
+        assert above[-1] > 0.6
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_decay_bound_of_proposition_5_7(self, depth):
+        """p^MT <= Fp(RT(4,3)) <= (6p)^sqrt(n) at p = 0.1 < 1/6."""
+        p = 0.1
+        system = RecursiveThreshold(4, 3, depth)
+        exact = system.crash_probability(p)
+        upper = system.crash_probability_upper_bound(p)
+        assert p ** system.min_transversal_size() - 1e-15 <= exact <= upper + 1e-15
+        assert upper == pytest.approx((6 * p) ** (2**depth))
+
+    def test_other_k_l_choices(self):
+        """RT(3,2) (HQS) and RT(5,4) follow the Proposition 5.3 closed forms."""
+        hqs = RecursiveThreshold(3, 2, 4)
+        assert (
+            hqs.min_quorum_size(), hqs.min_intersection_size(), hqs.min_transversal_size()
+        ) == (2**4, 1, 2**4)
+        assert hqs.masking_bound() == 0  # a regular (non-masking) family
+        rt54 = RecursiveThreshold(5, 4, 3)
+        assert (
+            rt54.min_quorum_size(), rt54.min_intersection_size(), rt54.min_transversal_size()
+        ) == (4**3, 3**3, 2**3)
+        assert rt54.masking_bound() == 7

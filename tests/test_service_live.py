@@ -409,6 +409,28 @@ def test_a_second_reply_indicts_the_replica_that_sent_it():
 
 
 # ----------------------------------------------------------------------
+# METRICS latency percentiles.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "samples,expected",
+    [
+        (range(1, 101), (50, 90, 99, 100)),
+        ([7.0], (7.0, 7.0, 7.0, 7.0)),
+        ([1.0, 2.0], (1.0, 2.0, 2.0, 2.0)),
+        (range(1, 71), (35, 63, 70, 70)),
+    ],
+    ids=["1..100", "one-sample", "two-samples", "1..70"],
+)
+def test_metrics_percentiles_are_nearest_rank(samples, expected):
+    """p-th percentile = the ceil(p N)-th smallest sample (it was one rank
+    high: p99 of 1..100 was the maximum and p50 of two samples the larger)."""
+    service = ReplicaService(ReplicaConfig(THRESHOLD_5, 0))
+    service._latencies.extend(samples)
+    latency = service.metrics_payload()["latency_seconds"]
+    assert (latency["p50"], latency["p90"], latency["p99"], latency["max"]) == expected
+
+
+# ----------------------------------------------------------------------
 # Control frames against a replica that dies mid-exchange.
 # ----------------------------------------------------------------------
 def test_call_endpoint_maps_a_connection_reset_to_service_error():
@@ -440,6 +462,58 @@ def test_call_endpoint_maps_a_connection_reset_to_service_error():
             await server.wait_closed()
 
     asyncio.run(scenario())
+
+
+def test_run_load_keeps_replica_status_and_metrics_aligned():
+    """A replica that answers ``STATUS`` but resets on ``METRICS`` gets one
+    placeholder in each list, so both stay index-aligned with
+    ``replica_endpoints`` (its ``STATUS`` reply used to be kept *and* the
+    placeholder appended, shifting every later replica's status by one)."""
+
+    async def status_then_reset(reader, writer):
+        frame = await wire.read_frame(reader)
+        if frame is not None and frame["type"] == "STATUS":
+            writer.write(wire.encode_frame({"type": "STATUS_REPLY", "index": 9, "ok": True}))
+            await writer.drain()
+            writer.close()
+            return
+        writer.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        writer.transport.abort()
+
+    async def scenario():
+        async with _replicas() as services:
+            fake = await asyncio.start_server(status_then_reset, "127.0.0.1", 0)
+            descriptors = [
+                {"index": service.config.index, "host": host, "port": port}
+                for service in services
+                for host, port in [service.address]
+            ]
+            fake_port = fake.sockets[0].getsockname()[1]
+            descriptors.insert(2, {"index": 9, "host": "127.0.0.1", "port": fake_port})
+            try:
+                return descriptors, await run_load(
+                    THRESHOLD_5.build(),
+                    {service.server_id: service.address for service in services},
+                    b=1,
+                    operations=8,
+                    clients=2,
+                    replica_endpoints=descriptors,
+                )
+            finally:
+                fake.close()
+                await fake.wait_closed()
+
+    descriptors, result = asyncio.run(scenario())
+    assert len(result.replica_status) == len(result.replica_metrics) == len(descriptors)
+    assert result.replica_status[2] == {"type": "STATUS_REPLY", "index": 9, "ok": False}
+    assert result.replica_metrics[2] is None
+    rows = zip(descriptors, result.replica_status, result.replica_metrics)
+    for descriptor, status, metrics in rows:
+        if descriptor["index"] != 9:
+            assert status["index"] == descriptor["index"]
+            assert metrics is not None
 
 
 # ----------------------------------------------------------------------

@@ -365,6 +365,59 @@ class TestScenarioSuite:
             run_workload(grid_system, b=1, num_operations=10, scenario=scenario)
 
 
+class TestFigure1Workloads:
+    """The engine on the Figure 1 system, M-Grid over a 7x7 grid masking b = 3."""
+
+    def test_100k_operations_match_the_sequential_reference(self, python_calls):
+        """Bit-for-bit mode agreement at 10^5 operations, with no per-op Python work.
+
+        The vectorised engine's Python calls do not grow with the batch
+        (1 943 at both 20 000 and 100 000 operations on CPython 3.11), where
+        the sequential reference pays per operation.
+        """
+        system = MGrid(7, 3)
+        # Warm the per-system caches (quorum list, incidence, strategy arrays).
+        run_workload(system, b=3, num_operations=100, rng=np.random.default_rng(0))
+
+        def vectorised(operations):
+            return run_workload(
+                system, b=3, num_operations=operations, rng=np.random.default_rng(20240614)
+            )
+
+        calls_20k, _ = python_calls(lambda: vectorised(20_000))
+        calls_100k, result = python_calls(lambda: vectorised(100_000))
+        assert abs(calls_100k - calls_20k) <= 64, (calls_20k, calls_100k)
+        assert calls_100k <= 2_500, calls_100k
+        assert result.operations == 100_000
+        assert result.availability == 1.0
+        assert result.consistency_violations == 0
+
+        sequential = run_workload(
+            system,
+            b=3,
+            num_operations=100_000,
+            rng=np.random.default_rng(20240614),
+            engine="sequential",
+        )
+        assert sequential == result
+
+    def test_scenario_suite_stays_within_the_bound(self):
+        system = MGrid(7, 3)
+        suite = scenario_suite(system.universe, b=3, rng=np.random.default_rng(20240614))
+        for scenario in suite:
+            for strategy in ("uniform", "optimal"):
+                result = run_workload(
+                    system,
+                    b=3,
+                    num_operations=20_000,
+                    scenario=scenario,
+                    strategy=strategy,
+                    rng=np.random.default_rng(7),
+                )
+                assert result.empirical_load <= 1.0
+                assert result.consistency_violations == 0, (scenario.name, strategy)
+
+
 class TestRunnerCompatibility:
     def test_unknown_byzantine_behaviour_rejected(self, grid_system):
         with pytest.raises(SimulationError):

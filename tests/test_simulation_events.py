@@ -45,6 +45,7 @@ from repro.simulation import (
     run_event_workload,
     run_scenario,
     slow_server_scenario,
+    timing_scenario_suite,
 )
 from repro.simulation.messages import ReadRequest, WriteRequest
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
@@ -600,6 +601,46 @@ class TestLoadAccountingAgreement:
 # Concurrent histories (satellite 4 + acceptance demo).
 # ----------------------------------------------------------------------
 class TestConcurrentHistories:
+    def test_every_timing_scenario_checks_clean(self):
+        """Eight interleaved clients on Threshold(9, 7) across the timing suite.
+
+        Fault-free, slow servers, flaky links, a crash/recover window and
+        slow-plus-Byzantine: every scenario stays within the masking bound,
+        so every history must check clean, with real concurrency.
+        """
+        system = ThresholdQuorumSystem(9, 7)
+        suite = timing_scenario_suite(
+            system.universe,
+            b=2,
+            rng=np.random.default_rng(20240614),
+            latency=LatencyModel.uniform(1.0, 0.5),
+        )
+        for scenario in suite:
+            result = run_event_workload(
+                system,
+                b=2,
+                num_clients=8,
+                operations_per_client=40,
+                scenario=scenario,
+                rng=np.random.default_rng(20240614),
+            )
+            assert result.check.ok, (scenario.name, result.check.violations)
+            assert result.check.concurrent_pairs > 0, f"{scenario.name}: no concurrency"
+            assert result.empirical_load <= 1.0
+
+    def test_fault_free_run_with_read_retries_is_fully_available(self):
+        result = run_event_workload(
+            ThresholdQuorumSystem(9, 7),
+            b=2,
+            num_clients=8,
+            operations_per_client=100,
+            latency=LatencyModel.uniform(1.0, 1.0),
+            retry_unvouched_reads=True,
+            rng=np.random.default_rng(99),
+        )
+        assert result.check.ok
+        assert result.availability == 1.0
+
     def test_interleaved_writers_produce_unique_increasing_timestamps(self, rng):
         system = ThresholdQuorumSystem(9, 7)
         result = run_event_workload(
