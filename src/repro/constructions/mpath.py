@@ -17,7 +17,8 @@ far too large to enumerate, so this class exposes
 * the straight-line sub-family of quorums (rows and columns only), which is
   what the load-optimal strategy of Proposition 7.2 uses, and
 * Monte-Carlo availability via the percolation substrate (a search for ``k``
-  disjoint open crossings per direction, linear in ``n`` for fixed ``k``).
+  disjoint open crossings per direction, linear in ``n`` for fixed ``k``,
+  run only on trials that contain no straight-line quorum).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.core.rng import ensure_rng
 from repro.core.universe import Universe
 from repro.exceptions import ComputationError, ConstructionError, InvalidParameterError
 from repro.percolation.lattice import TriangularGrid
-from repro.percolation.site import count_disjoint_crossings, sample_open_vertices
+from repro.percolation.site import count_disjoint_crossings, count_witnessed_trials
 
 __all__ = ["MPath"]
 
@@ -218,19 +219,25 @@ class MPath(QuorumSystem):
     ) -> float:
         """Estimate ``Fp`` by Monte-Carlo percolation sampling.
 
-        Each trial crashes every vertex independently with probability ``p``
-        and checks quorum survival with one bounded disjoint-crossing search
-        per direction (the second only when the first finds ``k``).
+        Each trial crashes every vertex independently with probability ``p``.
+        A trial with ``k`` fully open rows and ``k`` fully open columns holds
+        a straight-line quorum and survives without a search; any other trial
+        runs one bounded disjoint-crossing search per direction (the second
+        only when the first finds ``k``).
         """
         validate_probability(p)
         if trials <= 0:
             raise InvalidParameterError(f"trials must be positive, got {trials}")
-        rng = ensure_rng(rng)
-        failures = sum(
-            not self._has_open_quorum(sample_open_vertices(self.grid, p, rng))
-            for _ in range(trials)
+        survivals = count_witnessed_trials(
+            self.grid,
+            p,
+            trials,
+            ensure_rng(rng),
+            rows=self.k,
+            columns=self.k,
+            holds=self._has_open_quorum,
         )
-        return failures / trials
+        return (trials - survivals) / trials
 
     def crash_probability_upper_bound(self, p: float, p_prime: float | None = None) -> float:
         """Return the analytic bound of Proposition 7.3 (via Theorems B.1 and B.3).

@@ -23,8 +23,8 @@ Paper notation for the quantities computed here is catalogued in
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Hashable, Iterable, Iterator, Sequence
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def pack_masks(masks: Sequence[int], n: int) -> np.ndarray:
     num_words = max(1, -(-n // _WORD_BITS))
     width = num_words * (_WORD_BITS // 8)
     try:
-        blob = b"".join(mask.to_bytes(width, "little") for mask in masks)
+        blob = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
     except OverflowError:
         raise ComputationError(
             f"a bitmask is negative or has bits beyond the {n}-element universe"
@@ -99,9 +99,12 @@ def pack_mask(mask: int, n: int) -> np.ndarray:
 
 def incidence_from_masks(masks: Sequence[int], n: int) -> np.ndarray:
     """Return the boolean incidence matrix (rows: masks, columns: bit index)."""
-    packed = pack_masks(masks, n)
-    as_bytes = packed.view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
+    return _unpack(pack_masks(masks, n), n)
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """The boolean incidence matrix of a :func:`pack_masks` array."""
+    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
     return bits[:, :n].astype(bool)
 
 
@@ -117,7 +120,7 @@ def frozensets_of(masks: Sequence[int], universe: Universe) -> list[frozenset]:
     _, columns = np.nonzero(incidence)
     members = iter(map(universe.elements.__getitem__, columns.tolist()))
     sizes = np.count_nonzero(incidence, axis=1).tolist()
-    return [frozenset(itertools.islice(members, size)) for size in sizes]
+    return [frozenset(islice(members, size)) for size in sizes]
 
 
 class BitsetEngine:
@@ -185,7 +188,7 @@ class BitsetEngine:
         Rows are quorums in enumeration order, columns universe positions.
         """
         if self._incidence is None:
-            self._incidence = incidence_from_masks(self._masks, self.n)
+            self._incidence = _unpack(self.packed(), self.n)
             self._incidence.setflags(write=False)
         return self._incidence
 

@@ -625,8 +625,8 @@ class ImplicitQuorumSystem(QuorumSystemView):
         Each sampled mask is weighted by its multiplicity, so the strategy
         is the empirical (plug-in) estimate of the base construction's
         access strategy; its induced load converges to the construction's
-        ``L(Q)`` as ``num_samples`` grows.  The strategy's per-universe mask
-        cache is primed, so no frozenset round-trips happen on the hot path.
+        ``L(Q)`` as ``num_samples`` grows.  The strategy keeps the sampled
+        masks, so no frozenset is built on the hot path.
         """
         from repro.core.strategy import Strategy  # local: strategy imports this module
 

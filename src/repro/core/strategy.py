@@ -12,8 +12,9 @@ See ``docs/notation.md`` for the notation glossary (w, l_w(u), L(Q)).
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Hashable, ItemsView, Iterable, Mapping
+from collections.abc import Callable, Hashable, ItemsView, Iterable, Mapping
+from functools import cached_property
+from typing import TypeVar
 
 import numpy as np
 
@@ -26,6 +27,39 @@ __all__ = ["Strategy"]
 
 #: Probabilities are accepted as valid when they sum to one within this slack.
 _PROBABILITY_TOLERANCE = 1e-9
+
+_Key = TypeVar("_Key", frozenset, int)
+
+
+def _distribution(
+    pairs: Iterable[tuple[_Key, float]],
+    *,
+    normalise: bool,
+    members: Callable[[_Key], Iterable[Hashable]],
+) -> dict[_Key, float]:
+    """Merge ``(quorum, weight)`` pairs into a checked probability distribution.
+
+    Rejects a weight below ``-tolerance``, drops the other non-positive ones,
+    sums the weights of a repeated quorum (first-seen order), and rescales to
+    sum one (``normalise``) or requires that sum.  ``members(key)`` lists a
+    quorum's elements for the error message.
+    """
+    merged: dict[_Key, float] = {}
+    for key, weight in pairs:
+        weight = float(weight)
+        if weight < -_PROBABILITY_TOLERANCE:
+            raise StrategyError(f"negative probability {weight} for quorum {set(members(key))}")
+        if weight <= 0.0:
+            continue
+        merged[key] = merged.get(key, 0.0) + weight
+    if not merged:
+        raise StrategyError("a strategy must give positive probability to some quorum")
+    total = sum(merged.values())
+    if normalise:
+        return {key: weight / total for key, weight in merged.items()}
+    if abs(total - 1.0) > _PROBABILITY_TOLERANCE:
+        raise StrategyError(f"strategy probabilities sum to {total}, expected 1")
+    return merged
 
 
 class Strategy:
@@ -41,6 +75,12 @@ class Strategy:
         When ``True``, rescale the weights to sum to one instead of rejecting
         a distribution that does not.
 
+    A strategy built by :meth:`from_masks` keeps its quorums as bitmasks:
+    sampling, :attr:`probabilities` and the mask views never build a
+    frozenset, and the frozenset view (:attr:`support`, :meth:`items`,
+    :meth:`probability`, :meth:`induced_loads`, :meth:`restricted_to`,
+    :meth:`validate_against`, :meth:`sample`) is built once, on first read.
+
     Examples
     --------
     >>> w = Strategy({frozenset({0, 1}): 0.5, frozenset({1, 2}): 0.5})
@@ -54,29 +94,21 @@ class Strategy:
         *,
         normalise: bool = False,
     ):
-        cleaned: dict[frozenset, float] = {}
-        for quorum, weight in weights.items():
-            weight = float(weight)
-            if weight < -_PROBABILITY_TOLERANCE:
-                raise StrategyError(f"negative probability {weight} for quorum {set(quorum)}")
-            if weight <= 0.0:
-                continue
-            key = frozenset(quorum)
-            cleaned[key] = cleaned.get(key, 0.0) + weight
-        if not cleaned:
-            raise StrategyError("a strategy must give positive probability to some quorum")
-        total = sum(cleaned.values())
-        if normalise:
-            cleaned = {quorum: weight / total for quorum, weight in cleaned.items()}
-        elif abs(total - 1.0) > _PROBABILITY_TOLERANCE:
-            raise StrategyError(f"strategy probabilities sum to {total}, expected 1")
-        self._weights = cleaned
-        # Sampling arrays, built once: the support as a tuple, the probability
-        # vector over it, and its cumulative sums.  ``sample`` and
-        # ``sample_many`` draw uniforms and invert the cumulative distribution,
-        # so one scalar draw and one vectorised draw read the same stream.
-        self._support_tuple: tuple[frozenset, ...] = tuple(cleaned)
-        probabilities = np.fromiter(cleaned.values(), dtype=float, count=len(cleaned))
+        cleaned = _distribution(
+            ((frozenset(quorum), weight) for quorum, weight in weights.items()),
+            normalise=normalise,
+            members=frozenset,
+        )
+        self._adopt(cleaned.values())
+        self._quorum_weights = cleaned
+
+    def _adopt(self, weights: Iterable[float]) -> None:
+        """Build the sampling arrays over a checked distribution, and empty caches."""
+        # Sampling arrays, built once: the probability vector over the support
+        # and its cumulative sums.  ``sample_index`` and ``sample_many`` draw
+        # uniforms and invert the cumulative distribution, so one scalar draw
+        # and one vectorised draw read the same stream.
+        probabilities = np.fromiter(weights, dtype=float)
         probabilities /= probabilities.sum()
         probabilities.setflags(write=False)
         self._probabilities = probabilities
@@ -89,6 +121,16 @@ class Strategy:
         #: element order, which is what ``Universe`` equality compares.
         self._mask_cache: dict[Universe, tuple[int, ...]] = {}
         self._engine_cache: dict[Universe, bitset_mod.BitsetEngine] = {}
+
+    @cached_property
+    def _quorum_weights(self) -> dict[frozenset, float]:
+        """The frozenset view, quorum -> probability in support order.
+
+        ``__init__`` sets it; a :meth:`from_masks` strategy builds it here, on
+        first read, from its masks.
+        """
+        universe, weights = self._mask_weights
+        return dict(zip(bitset_mod.frozensets_of(list(weights), universe), weights.values()))
 
     # ------------------------------------------------------------------
     # Constructors.
@@ -156,9 +198,9 @@ class Strategy:
         goes through (:meth:`uniform_over_system`, :meth:`from_vector`,
         :meth:`repro.core.quorum_system.ImplicitQuorumSystem.support_strategy`):
         duplicated masks are merged by summing their weights, and the
-        per-universe mask cache is primed so the sampling hot paths
-        (:meth:`support_masks`, :meth:`support_engine`) never convert a
-        frozenset back into a mask.
+        strategy keeps the masks, so the sampling hot paths
+        (:meth:`support_masks`, :meth:`support_engine`) never build a
+        frozenset.
 
         Parameters
         ----------
@@ -175,53 +217,48 @@ class Strategy:
             require them to already be a distribution.
         """
         mask_list = list(masks)
-        merged: Mapping[int, float]
         if weights is None:
-            merged = Counter(mask_list)
+            weight_list = [1.0] * len(mask_list)
         else:
             weight_list = [float(weight) for weight in weights]
             if len(weight_list) != len(mask_list):
                 raise StrategyError(
                     f"{len(mask_list)} masks but {len(weight_list)} weights"
                 )
-            summed: dict[int, float] = {}
-            for mask, weight in zip(mask_list, weight_list):
-                summed[mask] = summed.get(mask, 0.0) + weight
-            merged = summed
-        if merged:
-            smallest, largest = min(merged), max(merged)
+        if mask_list:
+            smallest, largest = min(mask_list), max(mask_list)
             bad = smallest if smallest <= 0 else largest
             if bad <= 0 or bad.bit_length() > universe.size:
                 raise StrategyError(
                     f"mask {bad:#b} is not a non-empty subset of the "
                     f"{universe.size}-element universe"
                 )
-        quorum_weights = dict(
-            zip(bitset_mod.frozensets_of(list(merged), universe), merged.values())
+        cleaned = _distribution(
+            zip(mask_list, weight_list),
+            normalise=normalise,
+            members=lambda mask: bitset_mod.mask_to_frozenset(mask, universe),
         )
-        strategy = cls(quorum_weights, normalise=normalise)
-        # Prime the mask cache; the support keeps the merged dict's
-        # first-seen order minus the non-positive weights __init__ dropped.
-        strategy._mask_cache[universe] = tuple(
-            mask for mask, weight in merged.items() if weight > 0.0
-        )
+        strategy = cls.__new__(cls)
+        strategy._adopt(cleaned.values())
+        strategy._mask_weights = (universe, cleaned)
+        strategy._mask_cache[universe] = tuple(cleaned)
         return strategy
 
     # ------------------------------------------------------------------
     # Queries.
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def support(self) -> tuple[frozenset, ...]:
         """The quorums that receive positive probability."""
-        return self._support_tuple
+        return tuple(self._quorum_weights)
 
     def probability(self, quorum: Iterable[Hashable]) -> float:
         """Return the probability assigned to ``quorum`` (0 if unsupported)."""
-        return self._weights.get(frozenset(quorum), 0.0)
+        return self._quorum_weights.get(frozenset(quorum), 0.0)
 
     def items(self) -> ItemsView[frozenset, float]:
         """Iterate over ``(quorum, probability)`` pairs."""
-        return self._weights.items()
+        return self._quorum_weights.items()
 
     def validate_against(self, system: QuorumSystem) -> None:
         """Check that every supported set is a quorum of ``system``.
@@ -234,7 +271,7 @@ class Strategy:
         universe = system.universe
         members = universe.as_frozenset()
         quorum_masks = set(system.quorum_masks())
-        for quorum in self._support_tuple:
+        for quorum in self.support:
             if not quorum <= members or bitset_mod.mask_of(quorum, universe) not in quorum_masks:
                 raise StrategyError(
                     f"strategy assigns probability to {set(quorum)}, "
@@ -255,7 +292,7 @@ class Strategy:
             under-report the induced load.
         """
         loads = {element: 0.0 for element in universe}
-        for quorum, weight in self._weights.items():
+        for quorum, weight in self._quorum_weights.items():
             for element in quorum:
                 if element not in loads:
                     raise StrategyError(
@@ -283,11 +320,11 @@ class Strategy:
         index = np.searchsorted(
             self._cumulative, draw * self._cumulative[-1], side="right"
         )
-        return min(int(index), len(self._support_tuple) - 1)
+        return min(int(index), len(self._probabilities) - 1)
 
     def sample(self, rng: np.random.Generator) -> frozenset:
         """Draw one quorum according to the strategy."""
-        return self._support_tuple[self.sample_index(rng)]
+        return self.support[self.sample_index(rng)]
 
     def sample_many(
         self, rng: np.random.Generator, size: int | tuple[int, ...]
@@ -313,13 +350,13 @@ class Strategy:
         indices = np.searchsorted(
             self._cumulative, draws * self._cumulative[-1], side="right"
         ).astype(np.int64)
-        return np.minimum(indices, len(self._support_tuple) - 1)
+        return np.minimum(indices, len(self._probabilities) - 1)
 
     def support_masks(self, universe: Universe) -> tuple[int, ...]:
         """The support quorums as ``int`` bitmasks over ``universe`` (cached)."""
         cached = self._mask_cache.get(universe)
         if cached is None:
-            cached = bitset_mod.masks_of(self._support_tuple, universe)
+            cached = bitset_mod.masks_of(self.support, universe)
             self._mask_cache[universe] = cached
         return cached
 
@@ -349,7 +386,7 @@ class Strategy:
         member_set = frozenset(members)
         surviving = {
             quorum: weight
-            for quorum, weight in self._weights.items()
+            for quorum, weight in self._quorum_weights.items()
             if quorum <= member_set
         }
         if not surviving:
@@ -357,7 +394,7 @@ class Strategy:
         return Strategy(surviving, normalise=True)
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._probabilities)
 
     def __repr__(self) -> str:
-        return f"Strategy(support={len(self._weights)} quorums)"
+        return f"Strategy(support={len(self)} quorums)"

@@ -16,6 +16,7 @@ their coordinate vectors vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from repro.exceptions import ConstructionError, FieldError
 from repro.gf.extension_field import GaloisField
@@ -95,8 +96,12 @@ class ProjectivePlane:
                     )
 
 
+@cache
 def projective_plane(q: int) -> ProjectivePlane:
-    """Construct the algebraic projective plane PG(2, q).
+    """Construct the algebraic projective plane PG(2, q), once per ``q``.
+
+    The plane is a pure function of ``q`` and immutable, so every caller of
+    one order shares the first call's :class:`ProjectivePlane`.
 
     Parameters
     ----------

@@ -9,6 +9,7 @@ from repro.percolation.lattice import TriangularGrid
 from repro.percolation.site import (
     CrossingEstimate,
     count_disjoint_crossings,
+    count_witnessed_trials,
     estimate_crossing_probability,
     has_open_crossing,
     sample_open_vertices,
@@ -19,6 +20,7 @@ __all__ = [
     "CrossingEstimate",
     "TriangularGrid",
     "count_disjoint_crossings",
+    "count_witnessed_trials",
     "estimate_critical_probability",
     "estimate_crossing_probability",
     "fixed_point_of_reliability",

@@ -79,6 +79,16 @@ class TestProposition62Load:
         lp = exact_load(boost_fpp_small.to_explicit()).load
         assert lp == pytest.approx(boost_fpp_small.load(), abs=1e-6)
 
+    def test_exact_load_python_calls(self, python_calls):
+        # measure_sweep's boostFPP(3,1) call: 41 030 Python calls when the
+        # uniform certificate built its 8 125 quorums as frozensets; what is
+        # left is enumerating the masks.
+        system = BoostedFPP(3, 1)
+        calls, result = python_calls(lambda: exact_load(system))
+        assert (result.method, len(result.strategy)) == ("fair", 8125)
+        assert result.load == pytest.approx(16 / 65, abs=1e-12)
+        assert calls <= 10_000, calls
+
     def test_scaling_policies(self):
         # Policy 1: fix q, increase b -> more masking, same load scale.
         fixed_q = [BoostedFPP(3, b).load() for b in (1, 5, 20)]
@@ -160,6 +170,16 @@ class TestSection6Sweeps:
         bound = load_lower_bound(system.n, b)
         assert load == pytest.approx(3 / (4 * q), rel=0.25)
         assert bound - 1e-12 <= load <= 1.8 * bound
+
+    def test_exact_load_python_calls(self, python_calls):
+        # measure_sweep's boostFPP(3,1) call: 41 030 Python calls when the
+        # uniform certificate built its 8 125 quorums as frozensets; what is
+        # left is enumerating the masks.
+        system = BoostedFPP(3, 1)
+        calls, result = python_calls(lambda: exact_load(system))
+        assert (result.method, len(result.strategy)) == ("fair", 8125)
+        assert result.load == pytest.approx(16 / 65, abs=1e-12)
+        assert calls <= 10_000, calls
 
     def test_scaling_policies(self):
         # Policy 1, fix q = 3 and grow b: masking grows, load stays ~ 3/(4q).

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.percolation.site as site
 from repro import (
     ComputationError,
     ConstructionError,
@@ -13,7 +16,7 @@ from repro import (
     Strategy,
     load_lower_bound,
 )
-from repro.percolation import estimate_critical_probability
+from repro.percolation import estimate_critical_probability, sample_open_vertices
 
 
 class TestConstruction:
@@ -133,6 +136,66 @@ class TestAvailability:
                 for seed in (0, 7)
             )
             assert estimates == pinned
+
+    @pytest.mark.parametrize("side, b", [(4, 1), (7, 1), (10, 4)])
+    @pytest.mark.parametrize("p", [0.02, 0.1, 0.3, 0.5])
+    def test_estimates_equal_the_per_trial_search_loop(self, side, b, p):
+        # At p = 0.3 the straight-line witness settles only a few per cent of
+        # the trials, so most of them take the search fallback.
+        system = MPath(side, b)
+        vertices = set(system.universe.elements)
+        trials = 80
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            failures = sum(
+                not system.survives(vertices - sample_open_vertices(system.grid, p, rng))
+                for _ in range(trials)
+            )
+            estimate = system.crash_probability(p, trials=trials, rng=np.random.default_rng(seed))
+            assert estimate == failures / trials
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 0), (3, 1), (4, 1), (5, 2), (6, 3), (8, 4)]),
+        data=st.data(),
+    )
+    def test_a_straight_line_witness_is_a_surviving_trial(self, shape, data):
+        side, b = shape
+        system = MPath(side, b)
+        closed_rows = data.draw(st.sets(st.integers(1, side)))
+        closed_columns = data.draw(st.sets(st.integers(1, side)))
+        # Close one vertex of each chosen row and column, plus random extras.
+        crashed = {(data.draw(st.integers(1, side)), j) for j in closed_rows}
+        crashed |= {(i, data.draw(st.integers(1, side))) for i in closed_columns}
+        crashed |= data.draw(st.sets(st.tuples(st.integers(1, side), st.integers(1, side))))
+        open_rows = sum(all((i, j) not in crashed for i in range(1, side + 1))
+                        for j in range(1, side + 1))
+        open_columns = sum(all((i, j) not in crashed for j in range(1, side + 1))
+                           for i in range(1, side + 1))
+        if open_rows >= system.k and open_columns >= system.k:
+            assert system.survives(crashed)
+
+    def test_python_calls_and_searches_of_the_sweep_estimate(self, python_calls, monkeypatch):
+        # measure_sweep's M-Path call: every trial ran two disjoint-crossing
+        # searches (800) and the estimate cost 31 708 Python calls before the
+        # straight-line witness; 346 of the 400 trials now need no search.
+        searches = []
+        search = site.max_vertex_disjoint_paths
+
+        def counting(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(site, "max_vertex_disjoint_paths", counting)
+        system = MPath(7, 1)
+        calls, estimate = python_calls(
+            lambda: system.crash_probability(
+                0.1, trials=400, rng=np.random.default_rng(20240614)
+            )
+        )
+        assert estimate == 0.0
+        assert len(searches) == 108
+        assert calls <= 6_000, calls
 
     def test_crash_probability_extremes(self, mpath_5_2, rng):
         assert mpath_5_2.crash_probability(0.0, trials=5, rng=rng) == 0.0

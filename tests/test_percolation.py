@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.percolation.site as site
 from repro import ComputationError, ConstructionError
 from repro.percolation import (
     TriangularGrid,
     count_disjoint_crossings,
+    count_witnessed_trials,
     estimate_critical_probability,
     estimate_crossing_probability,
     fixed_point_of_reliability,
@@ -155,6 +159,96 @@ class TestSamplingAndEstimation:
     def test_invalid_trials_rejected(self, rng):
         with pytest.raises(ComputationError):
             estimate_crossing_probability(TriangularGrid(4), 0.2, trials=0, rng=rng)
+
+
+class _FixedDraws:
+    """A stand-in generator whose ``random`` returns one fixed batch of draws."""
+
+    def __init__(self, draws: np.ndarray):
+        self.draws = draws
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        return self.draws
+
+
+class TestWitnessedTrials:
+    #: ``estimate_crossing_probability`` when every sample ran a search:
+    #: (side, direction, min_disjoint) -> (p = 0.1, p = 0.4), 100 trials, seed 5.
+    PINNED = {
+        (6, "lr", 1): (1.0, 0.79),
+        (6, "lr", 3): (0.93, 0.09),
+        (6, "tb", 1): (1.0, 0.73),
+        (6, "tb", 3): (1.0, 0.04),
+        (9, "lr", 1): (1.0, 0.84),
+        (9, "lr", 3): (0.99, 0.08),
+        (9, "tb", 1): (1.0, 0.85),
+        (9, "tb", 3): (0.99, 0.11),
+    }
+
+    @pytest.mark.parametrize("side, direction, min_disjoint", PINNED)
+    def test_estimates_are_the_per_sample_searches(self, side, direction, min_disjoint):
+        grid = TriangularGrid(side)
+        estimates = tuple(
+            estimate_crossing_probability(
+                grid, p, trials=100, min_disjoint=min_disjoint, direction=direction,
+                rng=np.random.default_rng(5),
+            ).probability
+            for p in (0.1, 0.4)
+        )
+        assert estimates == self.PINNED[side, direction, min_disjoint]
+
+    @pytest.mark.parametrize("rows, columns", [(0, 0), (1, 0), (2, 2), (0, 3)])
+    def test_batches_read_the_per_trial_stream(self, monkeypatch, rows, columns):
+        # Three trials per batch, so ten trials cross three batch boundaries.
+        monkeypatch.setattr(site, "_BATCH_DRAWS", 50)
+        grid = TriangularGrid(4)
+
+        def holds(open_vertices):
+            return (
+                count_disjoint_crossings(grid, open_vertices, direction="lr", limit=rows) >= rows
+                and count_disjoint_crossings(grid, open_vertices, direction="tb", limit=columns)
+                >= columns
+            )
+
+        rng = np.random.default_rng(11)
+        expected = sum(holds(sample_open_vertices(grid, 0.2, rng)) for _ in range(10))
+        rng = np.random.default_rng(11)
+        assert count_witnessed_trials(
+            grid, 0.2, 10, rng, rows=rows, columns=columns, holds=holds
+        ) == expected
+        # The generator is left where the per-trial loop leaves it.
+        assert rng.random() == np.random.default_rng(11).random(161)[-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        side=st.integers(2, 7),
+        rows=st.integers(0, 4),
+        columns=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_a_witnessed_trial_has_the_crossings(self, side, rows, columns, data):
+        grid = TriangularGrid(side)
+        closed = data.draw(
+            st.lists(st.booleans(), min_size=side * side, max_size=side * side)
+        )
+        draws = np.where(closed, 0.1, 0.9).reshape(1, side, side)
+        searched = []
+        witnessed = count_witnessed_trials(
+            grid, 0.5, 1, _FixedDraws(draws), rows=rows, columns=columns,
+            holds=lambda open_vertices: searched.append(open_vertices) or False,
+        )
+        open_vertices = {(i, j) for i, j in grid.vertices() if draws[0, i - 1, j - 1] >= 0.5}
+        if witnessed:
+            assert searched == []
+            assert count_disjoint_crossings(grid, open_vertices, direction="lr") >= rows
+            assert count_disjoint_crossings(grid, open_vertices, direction="tb") >= columns
+        else:
+            assert searched == [open_vertices]
+
+    def test_unknown_direction_rejected_before_drawing(self):
+        with pytest.raises(ComputationError, match="unknown crossing direction 'diagonal'"):
+            estimate_crossing_probability(TriangularGrid(3), 0.2, direction="diagonal", rng=0)
 
 
 class TestCriticalPoint:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro import ConstructionError, exact_load
+from repro import ConstructionError, FiniteProjectivePlane, exact_load
 from repro.gf.projective_plane import projective_plane
 
 
@@ -33,6 +35,13 @@ class TestIncidenceStructure:
     def test_non_prime_power_order_rejected(self):
         with pytest.raises(ConstructionError):
             projective_plane(6)
+
+    def test_each_order_is_built_once_and_frozen(self):
+        first, second = FiniteProjectivePlane(3), FiniteProjectivePlane(3)
+        assert first.plane is second.plane is projective_plane(3)
+        assert projective_plane(2) is not first.plane
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.plane.lines = ()  # type: ignore[misc]
 
     def test_point_index_roundtrip(self):
         plane = projective_plane(2)

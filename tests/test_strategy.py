@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Strategy, StrategyError, Universe
+from repro import BoostedFPP, ExplicitQuorumSystem, Strategy, StrategyError, Universe, exact_load
+from repro.core import bitset
 from repro.core.bitset import mask_to_frozenset
 
 
@@ -194,3 +195,125 @@ class TestVectorisedSampling:
             tuple(mask_to_frozenset(mask, universe) for mask in engine.masks)
             == strategy.support
         )
+
+
+class TestMaskNativeStrategy:
+    """A ``from_masks`` strategy keeps its masks; the frozenset view is built on first read."""
+
+    UNIVERSE = Universe.of_size(6)
+    #: Duplicate masks (merged), a zero weight (dropped) and unequal weights.
+    MASKS = (0b000111, 0b011100, 0b000111, 0b110001, 0b101010)
+    WEIGHTS = (0.1, 0.3, 0.2, 0.0, 0.4)
+
+    @pytest.fixture
+    def frozenset_builds(self, monkeypatch):
+        """Count the calls of ``bitset.frozensets_of``, the one frozenset-view builder."""
+        calls = []
+        real = bitset.frozensets_of
+
+        def counting(masks, universe):
+            calls.append(len(masks))
+            return real(masks, universe)
+
+        monkeypatch.setattr(bitset, "frozensets_of", counting)
+        return calls
+
+    def build(self, normalise: bool) -> tuple[Strategy, Strategy]:
+        """The mask-built strategy and the same distribution built from frozensets."""
+        weights = self.WEIGHTS if not normalise else tuple(2.0 * w for w in self.WEIGHTS)
+        lazy = Strategy.from_masks(self.UNIVERSE, self.MASKS, weights, normalise=normalise)
+        eager = Strategy(
+            {
+                mask_to_frozenset(mask, self.UNIVERSE): weight
+                for mask, weight in merged_weights(self.MASKS, weights).items()
+            },
+            normalise=normalise,
+        )
+        return lazy, eager
+
+    def test_constructors_sampling_and_engine_views_build_no_frozenset(
+        self, frozenset_builds, simple_system
+    ):
+        strategies = [
+            (Strategy.from_masks(self.UNIVERSE, self.MASKS, self.WEIGHTS), self.UNIVERSE),
+            (Strategy.from_vector(simple_system, np.array([1.0, 0.0, 3.0])), simple_system.universe),
+            (Strategy.uniform_over_system(simple_system), simple_system.universe),
+        ]
+        for strategy, universe in strategies:
+            strategy.sample_index(np.random.default_rng(0))
+            strategy.sample_many(np.random.default_rng(0), (4, 3))
+            assert strategy.probabilities.sum() == pytest.approx(1.0)
+            assert strategy.support_engine(universe).masks == strategy.support_masks(universe)
+            assert len(strategy) == strategy.support_engine(universe).num_quorums
+            repr(strategy)
+        result = exact_load(BoostedFPP(3, 1))
+        assert result.method == "fair" and len(result.strategy) == 8125
+        assert frozenset_builds == []
+
+    @pytest.mark.parametrize("normalise", [True, False])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda s, system: s.support,
+            lambda s, system: list(s.items()),
+            lambda s, system: [s.probability(q) for q in system.quorums()],
+            lambda s, system: s.induced_loads(system.universe),
+            lambda s, system: (lambda r: (r.support, r.probabilities.tolist()))(
+                s.restricted_to(range(5))
+            ),
+            lambda s, system: [s.sample(np.random.default_rng(3)) for _ in range(4)],
+            lambda s, system: s.support_masks(Universe(range(5, -1, -1))),
+        ],
+        ids=["support", "items", "probability", "induced_loads", "restricted_to", "sample",
+             "foreign_universe_masks"],
+    )
+    def test_first_read_of_each_view_equals_the_eager_strategy(
+        self, frozenset_builds, read, normalise
+    ):
+        system = ExplicitQuorumSystem.from_masks(self.UNIVERSE, sorted(set(self.MASKS)))
+        lazy, eager = self.build(normalise)
+        assert frozenset_builds == []
+        first = read(lazy, system)
+        assert frozenset_builds == [3]  # one build over the merged, positive support
+        assert first == read(eager, system)
+        assert read(lazy, system) == first and frozenset_builds == [3]
+        assert lazy.probabilities.tolist() == eager.probabilities.tolist()
+        assert lazy.support == eager.support
+
+    def test_validate_against_reads_the_view(self, frozenset_builds, simple_system):
+        strategy = Strategy.uniform_over_system(simple_system)
+        strategy.validate_against(simple_system)
+        assert frozenset_builds == [simple_system.num_quorums()]
+        foreign = Strategy.from_masks(simple_system.universe, (0b10001,))
+        with pytest.raises(StrategyError, match=r"\{0, 4\}, which is not a quorum"):
+            foreign.validate_against(simple_system)
+
+    def test_error_messages(self):
+        universe = Universe.of_size(4)
+        with pytest.raises(
+            StrategyError, match=r"^negative probability -1\.0 for quorum \{0, 1, 2\}$"
+        ):
+            Strategy.from_masks(universe, (0b0111,), (-1.0,))
+        with pytest.raises(
+            StrategyError,
+            match=r"^mask 0b10011 is not a non-empty subset of the 4-element universe$",
+        ):
+            Strategy.from_masks(universe, (0b10011, 0b0011))
+        with pytest.raises(
+            StrategyError, match=r"^mask 0b0 is not a non-empty subset of the 4-element universe$"
+        ):
+            Strategy.from_masks(universe, (0, 0b0011), (0.0, 1.0))
+        with pytest.raises(StrategyError, match=r"^2 masks but 1 weights$"):
+            Strategy.from_masks(universe, (0b0111, 0b1110), (1.0,))
+        with pytest.raises(StrategyError, match=r"^strategy probabilities sum to 0\.6, expected 1$"):
+            Strategy.from_masks(universe, (0b0111, 0b1110), (0.3, 0.3), normalise=False)
+        with pytest.raises(StrategyError, match="positive probability to some quorum"):
+            Strategy.from_masks(universe, (0b0111,), (0.0,))
+
+
+def merged_weights(masks, weights) -> dict[int, float]:
+    """Sum the weights of repeated masks, first-seen order."""
+    merged: dict[int, float] = {}
+    for mask, weight in zip(masks, weights):
+        merged[mask] = merged.get(mask, 0.0) + weight
+    return merged
