@@ -31,7 +31,9 @@ from repro import ThresholdQuorumSystem
 from repro.simulation import (
     BYZANTINE_BEHAVIOURS,
     FaultInjector,
+    FaultScenario,
     LatencyModel,
+    TimingScenario,
     crash_recover_scenario,
     flaky_links_scenario,
     run_event_workload,
@@ -65,7 +67,8 @@ def main() -> None:
     print("\n--- fault-free, concurrent ---")
     result = run_event_workload(
         system, b=MASKING_B, num_clients=NUM_CLIENTS,
-        operations_per_client=OPS_PER_CLIENT, latency=latency,
+        operations_per_client=OPS_PER_CLIENT,
+        scenario=TimingScenario.static(FaultScenario.fault_free(), latency=latency),
         retry_unvouched_reads=True, rng=rng,
     )
     describe("fault-free", result)
@@ -76,8 +79,10 @@ def main() -> None:
     for behaviour in sorted(BYZANTINE_BEHAVIOURS):
         result = run_event_workload(
             system, b=MASKING_B, num_clients=NUM_CLIENTS,
-            operations_per_client=OPS_PER_CLIENT, scenario=byzantine,
-            byzantine_behaviour=behaviour, latency=latency,
+            operations_per_client=OPS_PER_CLIENT,
+            scenario=TimingScenario.static(
+                byzantine, latency=latency, byzantine_behaviour=behaviour
+            ),
             retry_unvouched_reads=True, rng=rng,
         )
         assert result.check.ok, (behaviour, result.check.violations)
@@ -120,8 +125,10 @@ def main() -> None:
     overload = injector.exact(num_byzantine=2 * MASKING_B + 1)
     result = run_event_workload(
         system, b=MASKING_B, num_clients=NUM_CLIENTS,
-        operations_per_client=OPS_PER_CLIENT, scenario=overload,
-        byzantine_behaviour="forge-on-read", latency=latency,
+        operations_per_client=OPS_PER_CLIENT,
+        scenario=TimingScenario.static(
+            overload, latency=latency, byzantine_behaviour="forge-on-read"
+        ),
         rng=rng, allow_overload=True,
     )
     describe("forge-on-read x5", result)

@@ -11,6 +11,14 @@ the read rule) plus a handful of crashed servers, and shows that
 * every read still returns the last written value (consistency), and
 * the busiest server's empirical access frequency matches the analytic load.
 
+The runs use the vectorised engine (``run_workload``), whose one input is a
+:class:`~repro.simulation.scenarios.WorkloadScenario`: the fault states plus
+the *vouching model* of the liars — ``"fabricate"`` (all colluders vouch for
+one forged pair, the strongest attack on the read rule) or ``"equivocate"``
+(two conflicting camps).  A bare ``FaultScenario`` is the one-phase
+``"fabricate"`` case.  Replica-level lies such as ``forge-on-read`` belong
+to the message-level event engine (see ``concurrent_register.py``).
+
 Run with::
 
     python examples/replicated_register.py
@@ -21,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import MGrid
-from repro.simulation import FaultInjector, run_workload
+from repro.simulation import FaultInjector, WorkloadScenario, run_workload
 
 
 def main() -> None:
@@ -44,12 +52,7 @@ def main() -> None:
     print(f"\n--- {b} colluding Byzantine servers (fabricated timestamps) ---")
     byzantine_only = injector.exact(num_byzantine=b, num_crashed=0)
     attacked = run_workload(
-        system,
-        b=b,
-        num_operations=300,
-        scenario=byzantine_only,
-        byzantine_behaviour="fabricate-timestamp",
-        rng=rng,
+        system, b=b, num_operations=300, scenario=byzantine_only, rng=rng
     )
     print(f"availability           : {attacked.availability:.3f}")
     print(f"consistency violations : {attacked.consistency_violations} "
@@ -57,28 +60,25 @@ def main() -> None:
 
     print(f"\n--- {b} Byzantine + 4 crashed servers (hybrid fault model) ---")
     hybrid = injector.exact(num_byzantine=b, num_crashed=4)
-    degraded = run_workload(
-        system,
-        b=b,
-        num_operations=300,
-        scenario=hybrid,
-        rng=rng,
-    )
+    degraded = run_workload(system, b=b, num_operations=300, scenario=hybrid, rng=rng)
     print(f"availability           : {degraded.availability:.3f} "
           "(reads/writes retry around hit quorums)")
     print(f"consistency violations : {degraded.consistency_violations}")
 
     print("\n--- what goes wrong beyond the masking bound ---")
-    # Many more colluders than the deployment masks, using the strongest
-    # attack (honest towards writers, forged read replies): forged pairs now
-    # reach the b+1 vouching threshold and reads get corrupted.
-    overload = injector.exact(num_byzantine=4 * b, num_crashed=0)
+    # Many more colluders than the deployment masks, all vouching for one
+    # forged pair: it now reaches the b+1 vouching threshold and reads get
+    # corrupted.
+    overload = WorkloadScenario.from_fault_scenario(
+        injector.exact(num_byzantine=4 * b, num_crashed=0),
+        name="overload",
+        byzantine_model="fabricate",
+    )
     broken = run_workload(
         system,
         b=b,
         num_operations=300,
         scenario=overload,
-        byzantine_behaviour="forge-on-read",
         rng=rng,
         allow_overload=True,
     )

@@ -59,7 +59,7 @@ from repro.simulation.adversary import (
     AdversaryPolicy,
     run_adversarial_workload,
 )
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
+from repro.simulation.engine import WorkloadResult, resolve_strategy, run_workload
 from repro.simulation.messages import Timestamp
 from repro.simulation.reconfig import ReconfigResult
 from repro.simulation.scenarios import percolation_scenario
@@ -778,7 +778,7 @@ def percolation_conformance(
     scenario = percolation_scenario(
         system.universe, p_closed=p, rng=rng, phases=phases
     )
-    result = run_scenario(
+    result = run_workload(
         system,
         b=masking,
         num_operations=phases * operations_per_phase,

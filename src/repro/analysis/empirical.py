@@ -54,7 +54,7 @@ from repro.simulation.client import (
     QuorumClient,
     RetryPolicy,
 )
-from repro.simulation.engine import resolve_strategy, run_scenario
+from repro.simulation.engine import resolve_strategy, run_workload
 from repro.simulation.events import EventNetwork, EventScheduler
 from repro.simulation.faults import FaultInjector, FaultScenario
 from repro.simulation.network import SynchronousNetwork
@@ -388,7 +388,7 @@ def empirical_load_comparison(
     resolved = resolve_strategy(system, strategy)
     analytic = measure(system, "load", method="exact").value
     expected = resolved.induced_system_load(system.universe)
-    result = run_scenario(
+    result = run_workload(
         system,
         b=b,
         num_operations=num_operations,
@@ -437,7 +437,7 @@ def empirical_availability_comparison(
     total = 0
     for _ in range(trials):
         configuration = injector.independent_crashes(p)
-        result = run_scenario(
+        result = run_workload(
             system,
             b=b,
             num_operations=operations_per_trial,

@@ -555,8 +555,6 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
             allow_overload=spec.allow_overload,
         )
     elif chosen == "vectorized":
-        if isinstance(scenario, FaultScenario):
-            scenario = WorkloadScenario.from_fault_scenario(scenario)
         result = run_workload(
             system,
             b=b,

@@ -33,7 +33,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Hashable
 
@@ -491,16 +491,7 @@ class ServiceRunResult:
         ).to_dict()
         report["service"] = {
             "clients": self.clients,
-            "check": {
-                "ok": self.check.ok,
-                "operations": self.check.operations,
-                "concurrent_pairs": self.check.concurrent_pairs,
-                "fabricated_reads": self.check.fabricated_reads,
-                "stale_reads": self.check.stale_reads,
-                "write_order_violations": self.check.write_order_violations,
-                "duplicate_write_timestamps": self.check.duplicate_write_timestamps,
-                "violations": list(self.check.violations),
-            },
+            "check": {"ok": self.check.ok, **asdict(self.check)},
             "replica_status": self.replica_status,
             "replica_metrics": self.replica_metrics,
             "initial_pair": None if self.initial_pair is None else self.initial_pair.to_json(),

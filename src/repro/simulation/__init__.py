@@ -9,8 +9,10 @@ Three layers are provided:
 
 * the **event-driven concurrent core** (:mod:`repro.simulation.events`,
   :class:`AsyncQuorumClient`, :mod:`repro.simulation.history`) — a
-  discrete-event scheduler with per-link latency, loss/duplication and
-  crash/recover timelines; clients resume the one protocol core of
+  discrete-event scheduler driven by one :class:`TimingScenario` (timed
+  crash/recover transitions, per-link latency, loss/duplication and the
+  Byzantine replicas' lie; a bare :class:`FaultScenario` is its static
+  zero-latency case); clients resume the one protocol core of
   :mod:`repro.simulation.client` as replies arrive, so many of them
   interleave within one run and the produced concurrent histories are
   checked with a linearizability-style register checker
@@ -21,8 +23,9 @@ Three layers are provided:
   delivery, used by the protocol-step tests and examples; and
 * the **vectorised scenario engine** (:mod:`repro.simulation.engine`,
   :mod:`repro.simulation.scenarios`) — batched array execution of whole
-  workloads over the bitmask incidence machinery, behind
-  :func:`run_workload`.  See ``docs/simulation.md``.
+  workloads over the bitmask incidence machinery, driven by one
+  :class:`WorkloadScenario` (operation-fraction phases plus the vouching
+  model), behind :func:`run_workload`.  See ``docs/simulation.md``.
 """
 
 from repro.simulation.adversary import (
@@ -40,13 +43,13 @@ from repro.simulation.client import (
     QuorumClient,
     RetryPolicy,
 )
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
+from repro.simulation.engine import WorkloadResult, resolve_strategy
 from repro.simulation.events import (
     EventNetwork,
     EventScheduler,
-    FaultTimeline,
     LatencyModel,
     LinkFaults,
+    TimingScenario,
 )
 from repro.simulation.faults import FaultInjector, FaultScenario
 from repro.simulation.history import (
@@ -77,7 +80,6 @@ from repro.simulation.runner import (
 )
 from repro.simulation.scenarios import (
     BYZANTINE_MODELS,
-    TimingScenario,
     WorkloadScenario,
     blast_radius_scenario,
     byzantine_scenario,
@@ -120,7 +122,6 @@ __all__ = [
     "EventWorkloadResult",
     "FaultInjector",
     "FaultScenario",
-    "FaultTimeline",
     "GreedyLoadAdversary",
     "HistoryCheck",
     "HistoryRecorder",
@@ -165,7 +166,6 @@ __all__ = [
     "run_event_workload",
     "run_reconfig_event_workload",
     "run_reconfig_workload",
-    "run_scenario",
     "run_trace_workload",
     "run_workload",
     "scenario_suite",

@@ -43,7 +43,7 @@ from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.core.universe import Universe
 from repro.exceptions import SimulationError
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
+from repro.simulation.engine import WorkloadResult, resolve_strategy, run_workload
 from repro.simulation.faults import FaultScenario
 from repro.simulation.scenarios import BYZANTINE_MODELS, WorkloadScenario
 
@@ -213,7 +213,7 @@ def run_adversarial_workload(
     The operation batch is split into ``rounds`` near-equal chunks.  Before
     each chunk the policy inspects the per-server successful-access counts
     accumulated so far and picks the fault set for the chunk; the chunk then
-    runs through :func:`~repro.simulation.engine.run_scenario` on the shared
+    runs through :func:`~repro.simulation.engine.run_workload` on the shared
     ``rng`` (sequential consumption — the run is a deterministic function of
     the seed, corruption trajectory included).
 
@@ -245,7 +245,7 @@ def run_adversarial_workload(
             name=f"adaptive-round-{index}",
             byzantine_model=byzantine_model,
         )
-        result = run_scenario(
+        result = run_workload(
             system,
             b=b,
             num_operations=chunk,

@@ -40,7 +40,7 @@ protocol-level simulator.
 
 Determinism
 -----------
-``run_scenario(..., mode="sequential")`` executes the identical semantics one
+``run_workload(..., mode="sequential")`` executes the identical semantics one
 operation at a time with Python integers and sets — the legacy-style
 per-operation path.  Both modes consume the same pre-drawn random schedule,
 so for any seed they produce **bit-for-bit identical**
@@ -70,7 +70,7 @@ from repro.simulation.client import vouch_threshold
 from repro.simulation.faults import FaultScenario
 from repro.simulation.scenarios import WorkloadScenario, fault_free_scenario
 
-__all__ = ["WorkloadResult", "resolve_strategy", "run_scenario"]
+__all__ = ["WorkloadResult", "resolve_strategy", "run_workload"]
 
 
 @dataclass
@@ -220,21 +220,14 @@ def resolve_strategy(system: QuorumSystem, strategy: Strategy | str | None) -> S
     )
 
 
-def _as_workload_scenario(scenario, byzantine_model: str | None) -> WorkloadScenario:
+def _as_workload_scenario(scenario) -> WorkloadScenario:
     if scenario is None:
-        scenario = fault_free_scenario()
-    elif isinstance(scenario, FaultScenario):
-        scenario = WorkloadScenario.from_fault_scenario(scenario)
-    elif not isinstance(scenario, WorkloadScenario):
+        return fault_free_scenario()
+    if isinstance(scenario, FaultScenario):
+        return WorkloadScenario.from_fault_scenario(scenario)
+    if not isinstance(scenario, WorkloadScenario):
         raise SimulationError(
             f"scenario must be a FaultScenario or WorkloadScenario, got {type(scenario).__name__}"
-        )
-    if byzantine_model is not None and byzantine_model != scenario.byzantine_model:
-        scenario = WorkloadScenario(
-            name=scenario.name,
-            phases=scenario.phases,
-            phase_fractions=scenario.phase_fractions,
-            byzantine_model=byzantine_model,
         )
     return scenario
 
@@ -368,7 +361,7 @@ def _steered_index(cumulative: np.ndarray, draw, last_alive: int):
     return np.minimum(index, last_alive)
 
 
-def run_scenario(
+def run_workload(
     system: QuorumSystem,
     *,
     b: int,
@@ -379,7 +372,6 @@ def run_scenario(
     write_fraction: float = 0.5,
     max_attempts: int = 10,
     allow_overload: bool = False,
-    byzantine_model: str | None = None,
     mode: str = "vectorised",
     register_installed: bool = False,
 ) -> WorkloadResult:
@@ -394,8 +386,10 @@ def run_scenario(
     num_operations:
         Total operations in the batch.
     scenario:
-        A static :class:`FaultScenario` or a phased
-        :class:`~repro.simulation.scenarios.WorkloadScenario`
+        A phased :class:`~repro.simulation.scenarios.WorkloadScenario`,
+        which also names the Byzantine servers' vouching model
+        (``"fabricate"`` / ``"equivocate"``), or a static
+        :class:`FaultScenario` — its one-phase ``"fabricate"`` special case
         (fault-free by default).
     strategy:
         Access strategy: ``None``/``"uniform"``, ``"optimal"`` (the
@@ -414,9 +408,6 @@ def run_scenario(
     allow_overload:
         Permit phases with more Byzantine servers than ``b`` (negative
         tests).
-    byzantine_model:
-        Override the scenario's vouching model (``"fabricate"`` /
-        ``"equivocate"``).
     mode:
         ``"vectorised"`` (array execution) or ``"sequential"`` (the
         per-operation reference path; same semantics, same schedule,
@@ -440,7 +431,7 @@ def run_scenario(
         raise SimulationError(f"mode must be 'vectorised' or 'sequential', got {mode!r}")
     rng = ensure_rng(rng)
 
-    scenario = _as_workload_scenario(scenario, byzantine_model)
+    scenario = _as_workload_scenario(scenario)
     scenario.validate_against(system.universe)
     if not allow_overload and scenario.max_byzantine > b:
         raise SimulationError(

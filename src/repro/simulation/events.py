@@ -15,9 +15,10 @@ discrete-event simulation:
   + exponential tail), with per-server multipliers for asymmetric links;
 * :class:`LinkFaults` — message loss and duplication probabilities
   (reordering falls out of random per-message latencies);
-* :class:`FaultTimeline` — a time-indexed schedule of
-  :class:`~repro.simulation.faults.FaultScenario` states, so servers can
-  crash and recover *mid-operation*;
+* :class:`TimingScenario` — the one timed fault schedule: a time-indexed
+  sequence of :class:`~repro.simulation.faults.FaultScenario` states (so
+  servers can crash and recover *mid-operation*), the link models and the
+  Byzantine replicas' lie;
 * :class:`EventNetwork` — the asynchronous message layer: ``send`` schedules
   a delivery and returns immediately; replies come back through callbacks at
   a later simulated time.
@@ -54,9 +55,10 @@ import heapq
 import itertools
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,15 +67,15 @@ from repro.core.rng import ensure_rng
 from repro.core.universe import Universe
 from repro.exceptions import SimulationError
 from repro.simulation.faults import FaultScenario
-from repro.simulation.server import ReplicaServer
+from repro.simulation.server import BYZANTINE_BEHAVIOURS, ReplicaServer
 
 __all__ = [
     "EventNetwork",
     "EventScheduler",
-    "FaultTimeline",
     "LatencyModel",
     "LinkFaults",
     "ScheduledEvent",
+    "TimingScenario",
 ]
 
 
@@ -328,65 +330,124 @@ class LinkFaults:
         return 1
 
 
-class FaultTimeline:
-    """A time-indexed schedule of fault states.
+@dataclass(frozen=True)
+class TimingScenario:
+    """A *timed* fault schedule: the event engine's one input.
 
-    ``transitions`` is a sequence of ``(time, FaultScenario)`` pairs: the
-    scenario at the largest time not exceeding the query time is active.  A
-    single static scenario is the one-entry special case.  This is what lets
-    servers crash and recover *mid-operation*: the network consults the
-    timeline at each delivery's simulated time, so a request sent before a
-    crash can find the server dead on arrival (and vice versa after a
-    recovery).
+    Where :class:`~repro.simulation.scenarios.WorkloadScenario` slices a
+    batch of operations into fractional phases (the vectorised engine has no
+    clock), a timing scenario speaks the event layer's language: fault
+    states anchored at simulated *times*, the link latency/reliability
+    models, and the lie Byzantine replicas tell.  A bare
+    :class:`~repro.simulation.faults.FaultScenario` is the always-active
+    special case (:meth:`static`, :meth:`of`).
+
+    Attributes
+    ----------
+    name:
+        Human-readable label used in tables and reports.
+    transitions:
+        ``(time, FaultScenario)`` pairs, stored in time order; the state
+        whose time is the largest not exceeding the current simulated time
+        is in force, so servers crash and recover *mid-operation* — the
+        network consults :meth:`active` at each delivery's time.  The first
+        state must start at time 0 and the times must be finite and
+        distinct; all of this is checked at construction.
+    latency:
+        The link latency model (constant + jitter + exponential tail, with
+        per-server slow factors coming from the fault states themselves).
+    link_faults:
+        Message loss / duplication probabilities.
+    byzantine_behaviour:
+        The lie Byzantine replicas tell
+        (:data:`~repro.simulation.server.BYZANTINE_BEHAVIOURS`).
     """
 
-    def __init__(self, transitions: Sequence[tuple[float, FaultScenario]]):
-        if not transitions:
-            raise SimulationError("a fault timeline needs at least one state")
-        ordered = sorted(transitions, key=lambda pair: pair[0])
-        for time, _ in ordered:
+    name: str
+    transitions: tuple[tuple[float, FaultScenario], ...]
+    latency: LatencyModel = LatencyModel()
+    link_faults: LinkFaults = LinkFaults()
+    byzantine_behaviour: str = "fabricate-timestamp"
+
+    def __post_init__(self):
+        if not self.transitions:
+            raise SimulationError("a timing scenario needs at least one fault state")
+        ordered = tuple(sorted(self.transitions, key=itemgetter(0)))
+        times, states = zip(*ordered)
+        for time in times:
             if not -math.inf < time < math.inf:
-                raise SimulationError(f"timeline transition times must be finite, got {time}")
-        if ordered[0][0] > 0.0:
+                raise SimulationError(f"transition times must be finite, got {time}")
+        if times[0] > 0.0:
             raise SimulationError(
-                f"the first timeline state must start at time 0, got {ordered[0][0]}"
+                f"the first fault state must start at time 0, got {times[0]}"
             )
-        times = [time for time, _ in ordered]
         if len(set(times)) != len(times):
-            raise SimulationError("timeline transition times must be distinct")
-        self._times = times
-        self._scenarios = [scenario for _, scenario in ordered]
+            raise SimulationError("transition times must be distinct")
+        if self.byzantine_behaviour not in BYZANTINE_BEHAVIOURS:
+            raise SimulationError(
+                f"unknown Byzantine behaviour {self.byzantine_behaviour!r}; "
+                f"choose one of {sorted(BYZANTINE_BEHAVIOURS)}"
+            )
+        object.__setattr__(self, "transitions", ordered)
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_states", states)
 
-    @staticmethod
-    def static(scenario: FaultScenario) -> "FaultTimeline":
-        """Wrap a single scenario as an always-active timeline."""
-        return FaultTimeline([(0.0, scenario)])
+    @classmethod
+    def static(
+        cls,
+        scenario: FaultScenario,
+        *,
+        name: str = "static",
+        latency: LatencyModel | None = None,
+        link_faults: LinkFaults | None = None,
+        byzantine_behaviour: str = "fabricate-timestamp",
+    ) -> "TimingScenario":
+        """Wrap a single fault state as an always-active timing scenario."""
+        return cls(
+            name=name,
+            transitions=((0.0, scenario),),
+            latency=latency if latency is not None else LatencyModel(),
+            link_faults=link_faults if link_faults is not None else LinkFaults(),
+            byzantine_behaviour=byzantine_behaviour,
+        )
 
-    @property
-    def scenarios(self) -> tuple[FaultScenario, ...]:
-        return tuple(self._scenarios)
+    @classmethod
+    def of(cls, scenario: "TimingScenario | FaultScenario | None") -> "TimingScenario":
+        """The event engine's input coercion, in one place.
+
+        A timing scenario passes through; a bare :class:`FaultScenario` is
+        wrapped by :meth:`static` (zero latency, clean links,
+        ``"fabricate-timestamp"``); ``None`` is the fault-free schedule.
+        """
+        if isinstance(scenario, cls):
+            return scenario
+        if scenario is None:
+            scenario = FaultScenario.fault_free()
+        if not isinstance(scenario, FaultScenario):
+            raise SimulationError(
+                "scenario must be a TimingScenario or FaultScenario, "
+                f"got {type(scenario).__name__}"
+            )
+        return cls.static(scenario)
 
     @property
     def byzantine(self) -> frozenset:
         """Servers Byzantine in *any* state (replica behaviour is fixed per run)."""
-        result: frozenset = frozenset()
-        for scenario in self._scenarios:
-            result |= scenario.byzantine
-        return result
+        return frozenset().union(*[state.byzantine for state in self._states])
 
     @property
     def max_byzantine(self) -> int:
         """The largest simultaneous Byzantine count over all states."""
-        return max(scenario.num_byzantine for scenario in self._scenarios)
+        return max(state.num_byzantine for state in self._states)
 
     def active(self, time: float) -> FaultScenario:
         """The fault state in force at simulated ``time``."""
-        return self._scenarios[bisect_right(self._times, time) - 1]
+        return self._states[bisect_right(self._times, time) - 1]
 
     def validate_against(self, universe: Universe) -> None:
         """Check that every state only mentions servers of ``universe``."""
         universe_set = universe.as_frozenset()
-        for time, state in zip(self._times, self._scenarios):
+        for time, state in self.transitions:
             unknown = (
                 state.byzantine
                 | state.crashed
@@ -397,12 +458,6 @@ class FaultTimeline:
                     f"fault state at time {time} mentions servers outside the "
                     f"universe: {sorted(unknown, key=repr)[:4]}"
                 )
-
-    def is_responsive(self, server_id: Hashable, time: float) -> bool:
-        return self.active(time).is_responsive(server_id)
-
-    def slow_factor(self, server_id: Hashable, time: float) -> float:
-        return self.active(time).slow_factor(server_id)
 
 
 # ----------------------------------------------------------------------
@@ -422,15 +477,14 @@ class EventNetwork:
     ----------
     servers:
         Replica objects keyed by server id.
-    timeline:
-        Fault states over time (a static :class:`FaultScenario` is wrapped
-        automatically).  Slow-server factors of the active state stretch the
-        server's service time.
+    scenario:
+        The timed fault schedule: fault states over time plus the link
+        latency and reliability models (see :meth:`TimingScenario.of` for
+        how a bare :class:`FaultScenario` is wrapped — zero latency, clean
+        links, under which no network randomness is drawn).  Slow-server
+        factors of the active state stretch the server's service time.
     scheduler:
         The event loop deliveries are scheduled on.
-    latency / faults:
-        Link timing and reliability knobs; both default to the clean
-        zero-latency model under which no network randomness is drawn.
     rng:
         Randomness source for latency samples and loss/duplication draws
         (unused — and never advanced — when both models are deterministic).
@@ -439,22 +493,18 @@ class EventNetwork:
     def __init__(
         self,
         servers: dict[Hashable, ReplicaServer],
-        timeline: FaultTimeline | FaultScenario,
+        scenario: TimingScenario | FaultScenario,
         *,
         scheduler: EventScheduler,
-        latency: LatencyModel | None = None,
-        faults: LinkFaults | None = None,
         rng: np.random.Generator | None = None,
     ):
         if not servers:
             raise SimulationError("a network needs at least one replica")
-        if isinstance(timeline, FaultScenario):
-            timeline = FaultTimeline.static(timeline)
         self._servers = dict(servers)
-        self.timeline = timeline
+        self.scenario = TimingScenario.of(scenario)
         self.scheduler = scheduler
-        self.latency = latency if latency is not None else LatencyModel.zero()
-        self.faults = faults if faults is not None else LinkFaults.none()
+        self._latency = self.scenario.latency
+        self._link_faults = self.scenario.link_faults
         self.rng = ensure_rng(rng)
         #: Requests sent to each server (crashed/lost ones included: the
         #: client pays the message either way).
@@ -512,9 +562,9 @@ class EventNetwork:
             if server is None:
                 raise SimulationError(f"no replica with id {server_id!r} on this network")
             self.attempted_counts[server_id] += 1
-            for _ in range(self.faults.copies(rng)):
+            for _ in range(self._link_faults.copies(rng)):
                 schedule(
-                    self.latency.sample(rng, server_id),
+                    self._latency.sample(rng, server_id),
                     self._deliver,
                     server_id,
                     server,
@@ -529,7 +579,7 @@ class EventNetwork:
         request: object,
         on_reply: Callable[[Hashable, object], None],
     ) -> None:
-        state = self.timeline.active(self.scheduler.now)
+        state = self.scenario.active(self.scheduler.now)
         if not state.is_responsive(server_id):
             return  # dead on arrival: the client's timeout is the only signal
         self.delivered_counts[server_id] += 1
@@ -538,13 +588,13 @@ class EventNetwork:
         # latencies; with a zero-latency model there is no timescale to
         # stretch, so slowness degenerates to zero delay (the synchronous
         # special case cannot express it).
-        latency = self.latency
+        latency = self._latency
         service_delay = 0.0
         slow = state.slow_factor(server_id)
         if slow > 1.0 and not latency.is_zero:
             mean_latency = latency.base + 0.5 * latency.jitter + latency.tail_mean
             service_delay = (slow - 1.0) * mean_latency
-        for _ in range(self.faults.copies(self.rng)):
+        for _ in range(self._link_faults.copies(self.rng)):
             self.scheduler.schedule(
                 service_delay + latency.sample(self.rng, server_id),
                 on_reply,

@@ -3,8 +3,8 @@
 A :class:`MembershipTimeline` pairs a :class:`~repro.core.membership.Membership`
 (the epoch sequence of join/sever events) with the fraction of the workload
 spent in each epoch — the membership analogue of
-:class:`~repro.simulation.events.FaultTimeline`, which only toggles
-responsiveness of a fixed universe.  :func:`run_reconfig_workload` drives the
+:class:`~repro.simulation.events.TimingScenario`, whose transitions only
+toggle responsiveness of a fixed universe.  :func:`run_reconfig_workload` drives the
 vectorised engine through the epochs and :func:`run_reconfig_event_workload`
 drives the event-driven protocol stack, stitching the per-epoch histories
 into one timeline checked as the history of **one** register
@@ -35,7 +35,7 @@ Semantics
   implicit systems), and ``"uniform"`` rebuilds the uniform strategy.
 * All epochs consume **one continuing rng stream**, so a run is a
   deterministic function of the seed and — because each epoch slice is a
-  plain :func:`~repro.simulation.engine.run_scenario` call — the vectorised
+  plain :func:`~repro.simulation.engine.run_workload` call — the vectorised
   and sequential modes stay bit-for-bit identical.
 
 ``docs/membership.md`` documents the epoch model and the checker's
@@ -56,7 +56,7 @@ from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
 from repro.simulation.client import vouch_threshold, vouched_pair
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
+from repro.simulation.engine import WorkloadResult, resolve_strategy, run_workload
 from repro.simulation.history import (
     EpochWindow,
     HistoryCheck,
@@ -377,7 +377,7 @@ def run_reconfig_workload(
         or a :class:`~repro.core.strategy.Strategy`).
     mode:
         ``"vectorised"`` or ``"sequential"`` — forwarded to
-        :func:`~repro.simulation.engine.run_scenario`; both modes consume
+        :func:`~repro.simulation.engine.run_workload`; both modes consume
         the same continuing rng stream and agree bit for bit.
     """
     rng = ensure_rng(rng)
@@ -390,7 +390,7 @@ def run_reconfig_workload(
         current: Strategy,
         previous: EpochOutcome | None,
     ) -> WorkloadResult:
-        return run_scenario(
+        return run_workload(
             rebound,
             b=epoch_b,
             num_operations=operations[epoch.index],

@@ -1,14 +1,16 @@
 """Workload runner: end-to-end experiments over the replicated register.
 
-This module is the stable entry point for workload experiments.
-:func:`run_workload` is a thin wrapper over
-:func:`repro.simulation.engine.run_scenario`: the engine executes batches of
-operations as array computations over the bitmask incidence machinery (see
+This module is the stable entry point for workload experiments, one per
+engine.  :func:`run_workload` (defined in :mod:`repro.simulation.engine`)
+executes batches of operations as array computations over the bitmask
+incidence machinery, driven by a
+:class:`~repro.simulation.scenarios.WorkloadScenario` (see
 :mod:`repro.simulation.engine` for the execution semantics and
 ``docs/simulation.md`` for the measurement model).  :func:`run_event_workload`
 drives the message-level protocol instead — the one protocol core of
 :mod:`repro.simulation.client` behind its event-driven driver — over the
-stack :class:`EventStack` wires up (and the trace runner shares); the
+stack :class:`EventStack` wires up (and the trace runner shares), driven by
+a :class:`~repro.simulation.events.TimingScenario`; the
 blocking :class:`~repro.simulation.client.QuorumClient` and
 :class:`~repro.simulation.register.ReplicatedRegister` remain available for
 protocol-step tests and examples.
@@ -37,27 +39,12 @@ from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
 from repro.simulation.client import AsyncQuorumClient, RetryPolicy, access_frequencies
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
-from repro.simulation.events import (
-    EventNetwork,
-    EventScheduler,
-    FaultTimeline,
-    LatencyModel,
-    LinkFaults,
-)
+from repro.simulation.engine import WorkloadResult, resolve_strategy, run_workload
+from repro.simulation.events import EventNetwork, EventScheduler, TimingScenario
 from repro.simulation.faults import FaultScenario
 from repro.simulation.history import HistoryCheck, HistoryRecorder
 from repro.simulation.messages import ValueTimestampPair
-from repro.simulation.scenarios import (
-    BYZANTINE_MODELS,
-    TimingScenario,
-    WorkloadScenario,
-)
-from repro.simulation.server import (
-    BYZANTINE_BEHAVIOURS,
-    ByzantineReplicaServer,
-    ReplicaServer,
-)
+from repro.simulation.server import ByzantineReplicaServer, ReplicaServer
 
 __all__ = [
     "EventWorkloadResult",
@@ -184,64 +171,29 @@ def latency_summary(samples: Sequence[float], empty: float | None) -> dict:
     return dict(zip(LATENCY_FIELDS, map(float, statistics)))
 
 
-def _resolve_timing(scenario, latency, link_faults, byzantine_behaviour):
-    """Normalise the scenario argument into (timeline, latency, faults, behaviour).
-
-    Explicit keyword arguments win over what a :class:`TimingScenario`
-    bundles; ``None`` means "use the scenario's choice, else the default".
-    """
-    if scenario is None:
-        scenario = FaultScenario.fault_free()
-    if isinstance(scenario, TimingScenario):
-        return (
-            scenario.timeline(),
-            latency if latency is not None else scenario.latency,
-            link_faults if link_faults is not None else scenario.link_faults,
-            byzantine_behaviour
-            if byzantine_behaviour is not None
-            else scenario.byzantine_behaviour,
-        )
-    if isinstance(scenario, FaultScenario):
-        timeline = FaultTimeline.static(scenario)
-    elif isinstance(scenario, FaultTimeline):
-        timeline = scenario
-    else:
-        raise SimulationError(
-            "scenario must be a FaultScenario, FaultTimeline or TimingScenario, "
-            f"got {type(scenario).__name__}"
-        )
-    return (
-        timeline,
-        latency if latency is not None else LatencyModel.zero(),
-        link_faults if link_faults is not None else LinkFaults.none(),
-        byzantine_behaviour,
-    )
-
-
 class EventStack:
     """The event-driven protocol stack of one run: build it, drive it, fold it.
 
     Construction wires scheduler, replicas, network, recorder and clients,
     drawing from ``rng`` in a fixed order — replicas, the network's
     generator, then one generator per client — so a run is a deterministic
-    function of the seed.  ``request_timeout=None`` derives a generous
-    multiple of the latency scale (or 1.0 when the latency model is zero).
-    ``initial_pair`` is register state the run inherits: every replica is
-    restored to it before serving and the recorder checks against it.
-    Once the caller has scheduled its operations and run the scheduler,
-    :meth:`result` assembles the :class:`EventWorkloadResult` (or a subclass).
+    function of the seed.  ``scenario`` is the run's one fault schedule
+    (see :meth:`TimingScenario.of` for a bare :class:`FaultScenario`).
+    ``request_timeout=None`` derives a generous multiple of the latency
+    scale (or 1.0 when the latency model is zero).  ``initial_pair`` is
+    register state the run inherits: every replica is restored to it before
+    serving and the recorder checks against it.  Once the caller has
+    scheduled its operations and run the scheduler, :meth:`result`
+    assembles the :class:`EventWorkloadResult` (or a subclass).
     """
 
     def __init__(
         self,
         system: QuorumSystem,
-        timeline: FaultTimeline,
+        scenario: TimingScenario | FaultScenario,
         *,
         b: int,
         num_clients: int,
-        byzantine_behaviour: str,
-        latency: LatencyModel,
-        link_faults: LinkFaults,
         max_attempts: int,
         request_timeout: float | None,
         retry_unvouched_reads: bool = False,
@@ -250,27 +202,31 @@ class EventStack:
         rng: np.random.Generator,
         allow_overload: bool,
     ) -> None:
+        scenario = TimingScenario.of(scenario)
         if num_clients < 1:
             raise SimulationError(f"num_clients must be >= 1, got {num_clients}")
-        if not allow_overload and timeline.max_byzantine > b:
+        if b < 0:
+            raise SimulationError(f"masking parameter must be >= 0, got {b}")
+        if not allow_overload and scenario.max_byzantine > b:
             raise SimulationError(
-                f"scenario has {timeline.max_byzantine} Byzantine servers but the "
+                f"scenario has {scenario.max_byzantine} Byzantine servers but the "
                 f"deployment only masks b={b}; pass allow_overload=True to force it"
             )
-        timeline.validate_against(system.universe)
+        scenario.validate_against(system.universe)
         if request_timeout is None:
+            latency = scenario.latency
             scale = latency.base + latency.jitter + 2.0 * latency.tail_mean
             slowest = max(
                 [1.0]
-                + [factor for state in timeline.scenarios for _, factor in state.slow]
+                + [factor for _, state in scenario.transitions for _, factor in state.slow]
             )
             request_timeout = 1.0 if is_zero(scale) else 8.0 * scale * slowest
         self.system = system
         self.scheduler = EventScheduler()
         servers = build_replicas(
             system,
-            timeline.byzantine,
-            byzantine_behaviour=byzantine_behaviour,
+            scenario.byzantine,
+            byzantine_behaviour=scenario.byzantine_behaviour,
             rng=rng,
         )
         if initial_pair is not None:
@@ -278,10 +234,8 @@ class EventStack:
                 server.restore(initial_pair)
         self.network = EventNetwork(
             servers,
-            timeline,
+            scenario,
             scheduler=self.scheduler,
-            latency=latency,
-            faults=link_faults,
             rng=np.random.default_rng(rng.integers(2**63)),
         )
         self.recorder = HistoryRecorder(initial_pair)
@@ -357,10 +311,7 @@ def run_event_workload(
     b: int,
     num_clients: int = 8,
     operations_per_client: int = 25,
-    scenario: FaultScenario | FaultTimeline | TimingScenario | None = None,
-    byzantine_behaviour: str | None = None,
-    latency: LatencyModel | None = None,
-    link_faults: LinkFaults | None = None,
+    scenario: TimingScenario | FaultScenario | None = None,
     write_fraction: float = 0.5,
     max_attempts: int = 10,
     request_timeout: float | None = None,
@@ -378,8 +329,10 @@ def run_event_workload(
     operations back to back (plus an optional exponential ``think_time``
     between them), interleaving through the shared
     :class:`~repro.simulation.events.EventScheduler`; latency, message loss,
-    duplication, slow servers and mid-run crash/recover transitions all come
-    from the scenario/knobs.  The completed history is checked with
+    duplication, slow servers, mid-run crash/recover transitions and the
+    Byzantine replicas' lie all come from the one ``scenario`` (a bare
+    :class:`~repro.simulation.faults.FaultScenario` runs at zero latency over
+    clean links, ``None`` fault-free).  The completed history is checked with
     :func:`~repro.simulation.history.check_register_history`.
 
     Each client draws quorums from its own generator spawned off ``rng``, so
@@ -409,25 +362,11 @@ def run_event_workload(
     if not 0.0 <= think_time < math.inf:
         raise SimulationError(f"think_time must be finite and non-negative, got {think_time}")
     rng = ensure_rng(rng)
-
-    timeline, latency, link_faults, byzantine_behaviour = _resolve_timing(
-        scenario, latency, link_faults, byzantine_behaviour
-    )
-    if byzantine_behaviour is None:
-        byzantine_behaviour = "fabricate-timestamp"
-    if byzantine_behaviour not in BYZANTINE_BEHAVIOURS:
-        raise SimulationError(
-            f"unknown Byzantine behaviour {byzantine_behaviour!r}; "
-            f"choose one of {sorted(BYZANTINE_BEHAVIOURS)}"
-        )
     stack = EventStack(
         system,
-        timeline,
+        scenario,
         b=b,
         num_clients=num_clients,
-        byzantine_behaviour=byzantine_behaviour,
-        latency=latency,
-        link_faults=link_faults,
         max_attempts=max_attempts,
         request_timeout=request_timeout,
         retry_unvouched_reads=retry_unvouched_reads,
@@ -468,89 +407,4 @@ def run_event_workload(
         [r.responded_at - r.invoked_at for r in records if r.success],
         started_at=min((r.invoked_at for r in records), default=0.0),
         keep_history=keep_history,
-    )
-
-
-def _byzantine_model_for(behaviour: str) -> str:
-    """Map a replica-level Byzantine behaviour onto the engine's vouch model.
-
-    All the message-level lies of
-    :class:`~repro.simulation.server.ByzantineReplicaServer` put the whole
-    Byzantine set behind a single forged candidate, so they map to the
-    ``"fabricate"`` camp model; ``"equivocate"`` (a scenario-engine model with
-    two conflicting camps) is also accepted directly.
-    """
-    if behaviour in BYZANTINE_MODELS:
-        return behaviour
-    if behaviour not in BYZANTINE_BEHAVIOURS:
-        raise SimulationError(
-            f"unknown Byzantine behaviour {behaviour!r}; choose one of "
-            f"{sorted(BYZANTINE_BEHAVIOURS | BYZANTINE_MODELS)}"
-        )
-    return "fabricate"
-
-
-def run_workload(
-    system: QuorumSystem,
-    *,
-    b: int,
-    num_operations: int = 200,
-    scenario: FaultScenario | WorkloadScenario | None = None,
-    byzantine_behaviour: str = "fabricate-timestamp",
-    rng: np.random.Generator | None = None,
-    write_fraction: float = 0.5,
-    allow_overload: bool = False,
-    strategy: Strategy | str | None = None,
-    max_attempts: int = 10,
-    engine: str = "vectorised",
-) -> WorkloadResult:
-    """Run a read/write workload and collect consistency and load statistics.
-
-    Parameters
-    ----------
-    system:
-        The quorum system to deploy over.
-    b:
-        Masking parameter used by the read protocol.
-    num_operations:
-        Total operations (the engine's accounting is client-count
-        independent, so there is no client knob).
-    scenario:
-        Fault scenario — static or phased (fault-free by default).
-    byzantine_behaviour:
-        Lie told by Byzantine replicas; mapped onto the engine's vouching
-        model (see :func:`_byzantine_model_for`).  When a phased
-        :class:`~repro.simulation.scenarios.WorkloadScenario` is passed, its
-        own ``byzantine_model`` wins and this argument is ignored.
-    write_fraction:
-        Probability that an operation is a write.
-    allow_overload:
-        Permit more Byzantine servers than ``b`` (negative tests only).
-    strategy:
-        Access strategy: ``None``/``"uniform"`` for the legacy uniform
-        behaviour, ``"optimal"`` for the load-optimal LP strategy of
-        :func:`~repro.core.load.exact_load`, or an explicit
-        :class:`~repro.core.strategy.Strategy`.
-    max_attempts:
-        Probe budget charged to unavailable operations.
-    engine:
-        ``"vectorised"`` (default) or ``"sequential"`` — the per-operation
-        reference path with identical semantics and, for a given rng state,
-        bit-for-bit identical results.
-    """
-    byzantine_model: str | None = None
-    if not isinstance(scenario, WorkloadScenario):
-        byzantine_model = _byzantine_model_for(byzantine_behaviour)
-    return run_scenario(
-        system,
-        b=b,
-        num_operations=num_operations,
-        scenario=scenario,
-        strategy=strategy,
-        rng=rng,
-        write_fraction=write_fraction,
-        max_attempts=max_attempts,
-        allow_overload=allow_overload,
-        byzantine_model=byzantine_model,
-        mode=engine,
     )

@@ -23,7 +23,12 @@ about:
 * :func:`scenario_suite` — one representative instance of each, used by the
   example and the scenario benchmarks.
 
-See ``docs/simulation.md`` for how the engine executes these schedules.
+The event engine's counterpart is the *timed*
+:class:`~repro.simulation.events.TimingScenario` (re-exported here); the
+factories :func:`slow_server_scenario`, :func:`flaky_links_scenario`,
+:func:`crash_recover_scenario` and :func:`timing_scenario_suite` build it.
+
+See ``docs/simulation.md`` for how the engines execute these schedules.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.core.universe import Universe
 from repro.exceptions import SimulationError
 from repro.percolation.lattice import TriangularGrid
 from repro.percolation.site import sample_open_vertices
-from repro.simulation.events import FaultTimeline, LatencyModel, LinkFaults
+from repro.simulation.events import LatencyModel, LinkFaults, TimingScenario
 from repro.simulation.faults import FaultInjector, FaultScenario
 
 __all__ = [
@@ -407,82 +412,6 @@ def blast_radius_scenario(
                 crashed.add(vertex_to_server[vertex])
         states.append(FaultScenario(crashed=frozenset(crashed)))
     return WorkloadScenario(name=name, phases=tuple(states))
-
-
-@dataclass(frozen=True)
-class TimingScenario:
-    """A *timed* fault schedule for the event-driven simulator.
-
-    Where :class:`WorkloadScenario` slices a batch of operations into
-    fractional phases (the vectorised engine has no clock), a timing scenario
-    speaks the event layer's language: fault states anchored at simulated
-    *times*, link latency/reliability models, and Byzantine replica
-    behaviour.  ``run_event_workload`` consumes these directly.
-
-    Attributes
-    ----------
-    name:
-        Human-readable label used in tables and reports.
-    transitions:
-        ``(time, FaultScenario)`` pairs; the scenario whose time is the
-        largest not exceeding the current simulated time is in force, so
-        servers crash and recover *mid-operation*.
-    latency:
-        The link latency model (constant + jitter + exponential tail, with
-        per-server slow factors coming from the fault states themselves).
-    link_faults:
-        Message loss / duplication probabilities.
-    byzantine_behaviour:
-        The lie Byzantine replicas tell
-        (:data:`~repro.simulation.server.BYZANTINE_BEHAVIOURS`).
-    """
-
-    name: str
-    transitions: tuple[tuple[float, FaultScenario], ...]
-    latency: LatencyModel = LatencyModel()
-    link_faults: LinkFaults = LinkFaults()
-    byzantine_behaviour: str = "fabricate-timestamp"
-
-    def __post_init__(self):
-        if not self.transitions:
-            raise SimulationError("a timing scenario needs at least one fault state")
-
-    @classmethod
-    def static(
-        cls,
-        scenario: FaultScenario,
-        *,
-        name: str = "static",
-        latency: LatencyModel | None = None,
-        link_faults: LinkFaults | None = None,
-        byzantine_behaviour: str = "fabricate-timestamp",
-    ) -> "TimingScenario":
-        """Wrap a single fault state as an always-active timing scenario."""
-        return cls(
-            name=name,
-            transitions=((0.0, scenario),),
-            latency=latency if latency is not None else LatencyModel(),
-            link_faults=link_faults if link_faults is not None else LinkFaults(),
-            byzantine_behaviour=byzantine_behaviour,
-        )
-
-    def timeline(self) -> FaultTimeline:
-        """The :class:`~repro.simulation.events.FaultTimeline` of this scenario."""
-        return FaultTimeline(self.transitions)
-
-    @property
-    def byzantine(self) -> frozenset:
-        """Servers Byzantine in any state."""
-        return self.timeline().byzantine
-
-    @property
-    def max_byzantine(self) -> int:
-        """The largest simultaneous Byzantine count over all states."""
-        return self.timeline().max_byzantine
-
-    def validate_against(self, universe: Universe) -> None:
-        """Check that every state only mentions servers of ``universe``."""
-        self.timeline().validate_against(universe)
 
 
 def slow_server_scenario(

@@ -43,7 +43,7 @@ from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
 from repro.simulation.engine import resolve_strategy
-from repro.simulation.events import FaultTimeline, LatencyModel, LinkFaults
+from repro.simulation.events import LatencyModel, LinkFaults, TimingScenario
 from repro.simulation.faults import FaultScenario
 from repro.simulation.runner import EventStack, EventWorkloadResult, latency_summary
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
@@ -270,12 +270,15 @@ def run_trace_workload(
 
     stack = EventStack(
         system,
-        FaultTimeline.static(trace.fault_state),
+        TimingScenario.static(
+            trace.fault_state,
+            name=trace.name,
+            latency=trace.latency,
+            link_faults=trace.link_faults,
+            byzantine_behaviour=trace.byzantine_behaviour,
+        ),
         b=b,
         num_clients=num_clients,
-        byzantine_behaviour=trace.byzantine_behaviour,
-        latency=trace.latency,
-        link_faults=trace.link_faults,
         max_attempts=max_attempts,
         request_timeout=request_timeout,
         strategy=resolved,

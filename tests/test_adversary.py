@@ -39,7 +39,7 @@ from repro.simulation import (
     WorkloadScenario,
     resolve_strategy,
     run_adversarial_workload,
-    run_scenario,
+    run_workload,
 )
 
 
@@ -141,7 +141,7 @@ class TestRoundLoop:
 
     def test_one_part_fold_is_the_identity(self, system):
         crashed = FaultInjector(system.universe, np.random.default_rng(2)).exact(0, 3)
-        part = run_scenario(
+        part = run_workload(
             system, b=1, num_operations=49, scenario=crashed,
             rng=np.random.default_rng(5),
         )
@@ -295,7 +295,7 @@ class TestPaperBounds:
         for index, draw in enumerate(within_budget[: len(adaptive_empirical) * 6]):
             scenario = WorkloadScenario.from_fault_scenario(draw, name="iid-baseline")
             iid_empirical.append(
-                run_scenario(
+                run_workload(
                     system,
                     b=1,
                     num_operations=50,

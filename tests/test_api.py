@@ -52,7 +52,12 @@ from repro.exceptions import (
     ConstructionError,
     InvalidParameterError,
 )
-from repro.simulation import run_event_workload
+from repro.simulation import (
+    FaultScenario,
+    TimingScenario,
+    WorkloadScenario,
+    run_event_workload,
+)
 
 #: One canonical small instance per registered construction.
 SMALL_INSTANCES = {
@@ -570,6 +575,30 @@ class TestUnifiedWorkloads:
         with pytest.raises(InvalidParameterError, match="vectorised engine"):
             run(spec, engine="event")
         assert run(spec).engine == "vectorized"
+
+    def test_event_engine_runs_one_fault_state_in_any_shape(self):
+        """A single-phase WorkloadScenario, its FaultScenario and its
+        TimingScenario.static twin are one run on the event engine; only
+        the scenario label, which echoes the input's name, may differ."""
+        system = build("mgrid", side=4, b=1)
+        elements = system.universe.elements
+        state = FaultScenario(
+            byzantine=frozenset(elements[:1]), crashed=frozenset(elements[5:6])
+        )
+        reports = []
+        for shape in (
+            WorkloadScenario.from_fault_scenario(state),
+            state,
+            TimingScenario.static(state),
+        ):
+            spec = WorkloadSpec(
+                system=system, b=1, scenario=shape, operations=80, clients=4, seed=7
+            )
+            report = run(spec, engine="event").to_dict()
+            report.pop("scenario")
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["consistent"] and reports[0]["operations"] == 80
 
     @pytest.mark.parametrize(
         "counter",

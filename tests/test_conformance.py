@@ -46,7 +46,7 @@ from repro.simulation import (
     HistoryCheck,
     ReconfigResult,
     run_adversarial_workload,
-    run_scenario,
+    run_workload,
 )
 from repro.simulation.engine import resolve_strategy
 
@@ -174,7 +174,7 @@ class TestAvailabilityAndMasking:
         assert report.check("failure-rate-upper") in report.failures
 
     def test_masking_on_a_clean_run(self, system):
-        result = run_scenario(
+        result = run_workload(
             system, b=1, num_operations=100, rng=np.random.default_rng(0)
         )
         report = masking_conformance(result, b=1)

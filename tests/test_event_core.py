@@ -32,10 +32,10 @@ from repro import MGrid, SimulationError, ThresholdQuorumSystem, api
 from repro.simulation import (
     EventScheduler,
     FaultScenario,
-    FaultTimeline,
     LatencyModel,
     LinkFaults,
     RetryPolicy,
+    TimingScenario,
     run_event_workload,
 )
 from repro.simulation.scenarios import timing_scenario_suite
@@ -94,7 +94,9 @@ def identity_rows() -> list:
             b=1,
             num_clients=8,
             operations_per_client=10,
-            latency=LatencyModel.uniform(0.1, 4.0),
+            scenario=TimingScenario.static(
+                FaultScenario.fault_free(), latency=LatencyModel.uniform(0.1, 4.0)
+            ),
             retry_unvouched_reads=retry,
             rng=np.random.default_rng(5),
             keep_history=True,
@@ -179,8 +181,8 @@ class TestSchedulerContract:
         lambda: LatencyModel(server_factors=(("s", math.nan),)),
         lambda: RetryPolicy(request_timeout=math.nan),
         lambda: FaultScenario(slow={0: math.nan}),
-        lambda: FaultTimeline(
-            [(0.0, FaultScenario.fault_free()), (math.nan, FaultScenario.fault_free())]
+        lambda: TimingScenario(
+            "x", ((0.0, FaultScenario.fault_free()), (math.nan, FaultScenario.fault_free()))
         ),
         lambda: run_event_workload(ThresholdQuorumSystem(5, 4), b=1, think_time=math.nan),
     ],

@@ -20,8 +20,10 @@ import pytest
 
 from repro import MGrid
 from repro.simulation import (
+    FaultScenario,
     LatencyModel,
     Timestamp,
+    TimingScenario,
     ValueTimestampPair,
     check_register_history,
     run_event_workload,
@@ -37,7 +39,9 @@ def _history(seed: int):
         b=0,
         num_clients=6,
         operations_per_client=10,
-        latency=LatencyModel.uniform(1.0, 0.5),
+        scenario=TimingScenario.static(
+            FaultScenario.fault_free(), latency=LatencyModel.uniform(1.0, 0.5)
+        ),
         rng=np.random.default_rng(seed),
         keep_history=True,
     )

@@ -41,7 +41,7 @@ from repro.api import Budget, available_constructions, build, measure
 from repro.core import ReboundQuorumSystem, bitset
 from repro.exceptions import ComputationError, StrategyError
 from repro.simulation import FaultScenario, run_event_workload, run_workload
-from repro.simulation.engine import resolve_strategy, run_scenario
+from repro.simulation.engine import resolve_strategy
 
 SAMPLED_CONSTRUCTIONS = [
     masking_threshold(13, 3),
@@ -388,14 +388,14 @@ class TestEnginesAcceptImplicitSystems:
     def test_vectorised_and_sequential_agree_on_implicit(self):
         implicit = ImplicitQuorumSystem(MGrid(16, 1), num_samples=128, seed=3)
         scenario = FaultScenario(crashed=frozenset({(0, 0), (3, 7)}))
-        vectorised = run_scenario(
+        vectorised = run_workload(
             implicit,
             b=1,
             num_operations=400,
             scenario=scenario,
             rng=np.random.default_rng(9),
         )
-        sequential = run_scenario(
+        sequential = run_workload(
             implicit,
             b=1,
             num_operations=400,

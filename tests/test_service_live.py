@@ -18,6 +18,7 @@ import contextlib
 import socket
 import struct
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from repro.service import (
 )
 from repro.exceptions import ServiceError
 from repro.simulation.client import RetryPolicy
-from repro.simulation.history import HistoryRecorder, check_register_history
+from repro.simulation.history import HistoryCheck, HistoryRecorder, check_register_history
 
 OPS = 160
 CLIENTS = 8
@@ -133,6 +134,7 @@ def test_live_report_shape_and_replica_metrics(cluster_factory):
     service = report["service"]
     assert service["clients"] == CLIENTS
     assert service["check"]["ok"] is True
+    assert set(service["check"]) == {f.name for f in fields(HistoryCheck)} | {"ok"}
     assert len(service["replica_status"]) == 5
     assert len(service["replica_metrics"]) == 5
     for status in service["replica_status"]:

@@ -33,7 +33,7 @@ from repro.simulation import (
     fault_free_scenario,
     partition_scenario,
     random_crash_scenario,
-    run_scenario,
+    run_event_workload,
     run_workload,
     scenario_suite,
 )
@@ -65,7 +65,7 @@ def _grid_scenarios(system, rng):
 class TestSeededDeterminism:
     def test_same_seed_same_result(self, grid_system):
         results = [
-            run_scenario(
+            run_workload(
                 grid_system,
                 b=1,
                 num_operations=250,
@@ -76,10 +76,10 @@ class TestSeededDeterminism:
         assert results[0] == results[1]
 
     def test_different_seeds_differ(self, grid_system):
-        first = run_scenario(
+        first = run_workload(
             grid_system, b=1, num_operations=250, rng=np.random.default_rng(1)
         )
-        second = run_scenario(
+        second = run_workload(
             grid_system, b=1, num_operations=250, rng=np.random.default_rng(2)
         )
         assert first != second
@@ -105,7 +105,7 @@ class TestEngineLegacyAgreement:
                 num_operations=300,
                 scenario=scenario,
                 rng=np.random.default_rng(seed),
-                engine="sequential",
+                mode="sequential",
             )
             assert vectorised == sequential, scenario.name
 
@@ -126,7 +126,7 @@ class TestEngineLegacyAgreement:
             scenario=scenario,
             strategy="optimal",
             rng=np.random.default_rng(21),
-            engine="sequential",
+            mode="sequential",
         )
         assert vectorised == sequential
 
@@ -143,7 +143,7 @@ class TestEngineLegacyAgreement:
             grid_system, rng=np.random.default_rng(31), **kwargs
         )
         sequential = run_workload(
-            grid_system, rng=np.random.default_rng(31), engine="sequential", **kwargs
+            grid_system, rng=np.random.default_rng(31), mode="sequential", **kwargs
         )
         assert vectorised == sequential
         assert vectorised.consistency_violations > 0
@@ -397,7 +397,7 @@ class TestFigure1Workloads:
             b=3,
             num_operations=100_000,
             rng=np.random.default_rng(20240614),
-            engine="sequential",
+            mode="sequential",
         )
         assert sequential == result
 
@@ -419,35 +419,13 @@ class TestFigure1Workloads:
 
 
 class TestRunnerCompatibility:
-    def test_unknown_byzantine_behaviour_rejected(self, grid_system):
-        with pytest.raises(SimulationError):
-            run_workload(
-                grid_system, b=1, num_operations=10, byzantine_behaviour="confuse"
-            )
-
-    def test_workload_scenario_model_wins_over_behaviour(self, grid_system):
-        """A phased scenario's own vouching model is not overridden."""
-        elements = grid_system.universe.elements
-        scenario = byzantine_scenario(
-            grid_system.universe, elements[:6], model="equivocate"
-        )
-        direct = run_scenario(
-            grid_system,
-            b=1,
-            num_operations=200,
-            scenario=scenario,
-            allow_overload=True,
-            rng=np.random.default_rng(18),
-        )
-        via_runner = run_workload(
-            grid_system,
-            b=1,
-            num_operations=200,
-            scenario=scenario,
-            allow_overload=True,
-            rng=np.random.default_rng(18),
-        )
-        assert direct == via_runner
+    def test_negative_b_gives_the_same_error_on_both_engines(self, grid_system):
+        messages = []
+        for run in (run_workload, run_event_workload):
+            with pytest.raises(SimulationError) as error:
+                run(grid_system, b=-1)
+            messages.append(str(error.value))
+        assert messages == ["masking parameter must be >= 0, got -1"] * 2
 
     def test_invalid_arguments_rejected(self, grid_system):
         with pytest.raises(SimulationError):
@@ -455,4 +433,4 @@ class TestRunnerCompatibility:
         with pytest.raises(SimulationError):
             run_workload(grid_system, b=1, num_operations=10, write_fraction=1.5)
         with pytest.raises(SimulationError):
-            run_scenario(grid_system, b=1, num_operations=10, mode="telepathic")
+            run_workload(grid_system, b=1, num_operations=10, mode="telepathic")

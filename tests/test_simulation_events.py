@@ -14,6 +14,8 @@ increasing unique timestamps, reads concurrent with writes return old-or-new
 from __future__ import annotations
 
 import asyncio
+import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -28,7 +30,6 @@ from repro.simulation import (
     EventScheduler,
     FaultInjector,
     FaultScenario,
-    FaultTimeline,
     HistoryRecorder,
     LatencyModel,
     LinkFaults,
@@ -37,13 +38,14 @@ from repro.simulation import (
     ReplicatedRegister,
     RetryPolicy,
     Timestamp,
+    TimingScenario,
     ValueTimestampPair,
     build_replicas,
     check_register_history,
     crash_recover_scenario,
     flaky_links_scenario,
     run_event_workload,
-    run_scenario,
+    run_workload,
     slow_server_scenario,
     timing_scenario_suite,
 )
@@ -156,29 +158,40 @@ class TestLatencyAndLinkModels:
         assert duplicating.copies(rng) == 2
 
 
-class TestFaultTimeline:
+class TestTimingScenarioSchedule:
     def test_static_and_transitions(self):
         healthy = FaultScenario.fault_free()
         degraded = FaultScenario(crashed=frozenset({0}))
-        timeline = FaultTimeline([(0.0, healthy), (5.0, degraded)])
-        assert timeline.is_responsive(0, 4.9)
-        assert not timeline.is_responsive(0, 5.0)
-        assert FaultTimeline.static(degraded).active(100.0) is degraded
+        # Given out of order, stored and answered in time order.
+        scenario = TimingScenario("x", ((5.0, degraded), (0.0, healthy)))
+        assert scenario.transitions == ((0.0, healthy), (5.0, degraded))
+        assert scenario.active(4.9).is_responsive(0)
+        assert not scenario.active(5.0).is_responsive(0)
+        assert TimingScenario.static(degraded).active(100.0) is degraded
 
-    def test_validation(self):
-        degraded = FaultScenario(crashed=frozenset({0}))
+    @pytest.mark.parametrize(
+        "transitions",
+        [
+            (),
+            ((1.0, FaultScenario.fault_free()),),  # nothing in force at time 0
+            ((0.0, FaultScenario.fault_free()), (0.0, FaultScenario.fault_free())),
+            ((0.0, FaultScenario.fault_free()), (math.inf, FaultScenario.fault_free())),
+        ],
+        ids=["empty", "no-state-at-zero", "duplicate-time", "non-finite-time"],
+    )
+    def test_invalid_transitions_are_rejected_at_construction(self, transitions):
         with pytest.raises(SimulationError):
-            FaultTimeline([])
-        with pytest.raises(SimulationError):
-            FaultTimeline([(1.0, degraded)])  # nothing in force at time 0
-        with pytest.raises(SimulationError):
-            FaultTimeline([(0.0, degraded), (0.0, degraded)])
+            TimingScenario(name="x", transitions=transitions)
+
+    def test_unknown_byzantine_behaviour_is_rejected_at_construction(self):
+        with pytest.raises(SimulationError, match="unknown Byzantine behaviour"):
+            TimingScenario.static(FaultScenario.fault_free(), byzantine_behaviour="confuse")
 
     def test_slow_factor_comes_from_active_state(self):
         slow = FaultScenario(slow={0: 4.0})
-        timeline = FaultTimeline([(0.0, FaultScenario.fault_free()), (2.0, slow)])
-        assert timeline.slow_factor(0, 1.0) == pytest.approx(1.0)
-        assert timeline.slow_factor(0, 3.0) == pytest.approx(4.0)
+        scenario = TimingScenario("x", ((0.0, FaultScenario.fault_free()), (2.0, slow)))
+        assert scenario.active(1.0).slow_factor(0) == pytest.approx(1.0)
+        assert scenario.active(3.0).slow_factor(0) == pytest.approx(4.0)
 
     def test_fault_scenario_slow_validation(self):
         with pytest.raises(SimulationError):
@@ -196,10 +209,12 @@ class TestEventNetwork:
         servers = {i: ReplicaServer(i) for i in range(3)}
         network = EventNetwork(
             servers,
-            FaultScenario(crashed=frozenset(crashed)),
+            TimingScenario.static(
+                FaultScenario(crashed=frozenset(crashed)),
+                latency=latency,
+                link_faults=faults,
+            ),
             scheduler=scheduler,
-            latency=latency,
-            faults=faults,
             rng=np.random.default_rng(seed),
         )
         return scheduler, network
@@ -229,13 +244,14 @@ class TestEventNetwork:
         # crash transition: dead on arrival.
         scheduler = EventScheduler()
         servers = {0: ReplicaServer(0)}
-        timeline = FaultTimeline(
-            [(0.0, FaultScenario.fault_free()),
-             (1.0, FaultScenario(crashed=frozenset({0})))]
+        scenario = TimingScenario(
+            "crash-at-1",
+            ((0.0, FaultScenario.fault_free()),
+             (1.0, FaultScenario(crashed=frozenset({0})))),
+            latency=LatencyModel(base=2.0),
         )
         network = EventNetwork(
-            servers, timeline, scheduler=scheduler,
-            latency=LatencyModel(base=2.0), rng=np.random.default_rng(0),
+            servers, scenario, scheduler=scheduler, rng=np.random.default_rng(0),
         )
         replies = []
         network.send(0, ReadRequest(client_id=0), lambda sid, reply: replies.append(sid))
@@ -526,13 +542,14 @@ class TestAttemptsAccounting:
         system = ThresholdQuorumSystem(5, 4)
         scheduler = EventScheduler()
         servers = build_replicas(system, frozenset(), rng=np.random.default_rng(0))
-        timeline = FaultTimeline(
-            [(0.0, FaultScenario.fault_free()),
-             (1.5, FaultScenario(crashed=frozenset({0})))]
+        scenario = TimingScenario(
+            "crash-at-1.5",
+            ((0.0, FaultScenario.fault_free()),
+             (1.5, FaultScenario(crashed=frozenset({0})))),
+            latency=LatencyModel(base=1.0),
         )
         network = EventNetwork(
-            servers, timeline, scheduler=scheduler,
-            latency=LatencyModel(base=1.0), rng=np.random.default_rng(1),
+            servers, scenario, scheduler=scheduler, rng=np.random.default_rng(1),
         )
         client = AsyncQuorumClient(
             0, system, network, b=0,
@@ -571,7 +588,7 @@ class TestLoadAccountingAgreement:
         # though crashes force extra probes (the pre-fix accounting divided
         # raw deliveries by operations and could exceed 1 here).
         assert max(message_loads.values()) <= 1.0
-        engine_result = run_scenario(
+        engine_result = run_workload(
             system, b=2, num_operations=operations, scenario=scenario,
             rng=np.random.default_rng(123),
         )
@@ -590,7 +607,10 @@ class TestLoadAccountingAgreement:
         scenario = FaultScenario(crashed=frozenset({0, 1}))
         result = run_event_workload(
             system, b=2, num_clients=6, operations_per_client=40,
-            scenario=scenario, latency=LatencyModel.uniform(1.0, 0.5), rng=rng,
+            scenario=TimingScenario.static(
+                scenario, latency=LatencyModel.uniform(1.0, 0.5)
+            ),
+            rng=rng,
         )
         assert result.availability == pytest.approx(1.0)
         assert max(result.per_server_load.values()) <= 1.0
@@ -634,7 +654,9 @@ class TestConcurrentHistories:
             b=2,
             num_clients=8,
             operations_per_client=100,
-            latency=LatencyModel.uniform(1.0, 1.0),
+            scenario=TimingScenario.static(
+                FaultScenario.fault_free(), latency=LatencyModel.uniform(1.0, 1.0)
+            ),
             retry_unvouched_reads=True,
             rng=np.random.default_rng(99),
         )
@@ -645,7 +667,10 @@ class TestConcurrentHistories:
         system = ThresholdQuorumSystem(9, 7)
         result = run_event_workload(
             system, b=2, num_clients=8, operations_per_client=15,
-            write_fraction=1.0, latency=LatencyModel.uniform(1.0, 1.0),
+            write_fraction=1.0,
+            scenario=TimingScenario.static(
+                FaultScenario.fault_free(), latency=LatencyModel.uniform(1.0, 1.0)
+            ),
             rng=rng, keep_history=True,
         )
         writes = [record for record in result.history if record.kind == "write"]
@@ -671,8 +696,12 @@ class TestConcurrentHistories:
         byzantine = FaultInjector(system.universe, rng).exact(num_byzantine=2)
         result = run_event_workload(
             system, b=2, num_clients=8, operations_per_client=12,
-            scenario=byzantine, byzantine_behaviour=behaviour,
-            latency=LatencyModel.uniform(1.0, 1.0), rng=rng, keep_history=True,
+            scenario=TimingScenario.static(
+                byzantine,
+                latency=LatencyModel.uniform(1.0, 1.0),
+                byzantine_behaviour=behaviour,
+            ),
+            rng=rng, keep_history=True,
         )
         assert result.check.concurrent_pairs > 0
         assert result.check.ok, result.check.violations
@@ -692,8 +721,12 @@ class TestConcurrentHistories:
         byzantine = FaultInjector(system.universe, rng).exact(num_byzantine=5)
         result = run_event_workload(
             system, b=2, num_clients=8, operations_per_client=10,
-            scenario=byzantine, byzantine_behaviour="forge-on-read",
-            latency=LatencyModel.uniform(1.0, 1.0), rng=rng,
+            scenario=TimingScenario.static(
+                byzantine,
+                latency=LatencyModel.uniform(1.0, 1.0),
+                byzantine_behaviour="forge-on-read",
+            ),
+            rng=rng,
             allow_overload=True,
         )
         assert not result.check.ok
@@ -751,7 +784,8 @@ class TestConcurrentHistories:
         tail_only = LatencyModel(tail_mean=1.0)
         fast = run_event_workload(
             system, b=0, num_clients=4, operations_per_client=20,
-            latency=tail_only, rng=np.random.default_rng(42),
+            scenario=TimingScenario.static(FaultScenario.fault_free(), latency=tail_only),
+            rng=np.random.default_rng(42),
         )
         slow = run_event_workload(
             system, b=0, num_clients=4, operations_per_client=20,
@@ -762,9 +796,8 @@ class TestConcurrentHistories:
         )
         assert slow.latency_mean > fast.latency_mean
 
-    def test_explicit_behaviour_overrides_timing_scenario_default(self, rng):
-        # An explicitly passed byzantine_behaviour must win over the
-        # TimingScenario's bundled default.
+    def test_timing_scenario_behaviour_reaches_the_replicas(self, rng):
+        # The Byzantine replicas tell the lie their TimingScenario names.
         system = ThresholdQuorumSystem(9, 7)
         byz = FaultInjector(system.universe, rng).exact(num_byzantine=2).byzantine
         scenario = slow_server_scenario(
@@ -774,7 +807,7 @@ class TestConcurrentHistories:
         assert scenario.byzantine_behaviour == "fabricate-timestamp"
         result = run_event_workload(
             system, b=2, num_clients=4, operations_per_client=6,
-            scenario=scenario, byzantine_behaviour="stale", rng=rng,
+            scenario=replace(scenario, byzantine_behaviour="stale"), rng=rng,
             keep_history=True,
         )
         assert result.check.ok
@@ -813,8 +846,10 @@ class TestConcurrentHistories:
         scheduler = EventScheduler()
         servers = build_replicas(small_system, frozenset(), rng=np.random.default_rng(0))
         network = EventNetwork(
-            servers, FaultScenario.fault_free(), scheduler=scheduler,
-            latency=LatencyModel(base=1.0), rng=np.random.default_rng(1),
+            servers,
+            TimingScenario.static(FaultScenario.fault_free(), latency=LatencyModel(base=1.0)),
+            scheduler=scheduler,
+            rng=np.random.default_rng(1),
         )
         client = AsyncQuorumClient(0, small_system, network, b=2,
                                    rng=np.random.default_rng(2))
