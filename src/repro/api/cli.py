@@ -1,7 +1,7 @@
 """``python -m repro`` — the facade from the shell.
 
-Four commands drive the facade so paper tables, measure trajectories and
-workload runs are reproducible without writing Python:
+Seven commands drive the facade so paper tables, measure trajectories,
+workload runs and the live service are reproducible without writing Python:
 
 * ``python -m repro list`` — the construction registry, the measures and
   the scenario catalogue;
@@ -23,59 +23,159 @@ workload runs are reproducible without writing Python:
   concurrent live clients against a running cluster, check the recorded
   history, and emit a ``WorkloadReport``-shaped JSON artefact.
 
+A flag that sets a field of a spec is declared once, on the field (see
+:func:`add_spec_flags`): ``run`` takes its flags from
+:class:`~repro.api.workloads.WorkloadSpec`, ``measure`` and ``compare`` from
+:class:`~repro.api.measures.Budget`, ``serve`` from
+:class:`~repro.service.replica.ReplicaConfig` and
+:class:`~repro.service.harness.ClusterSpec`.  :func:`argv_of` turns a spec
+back into flags; a supervisor spawns its replicas that way.
+
 ``--json`` switches every command to a machine-readable, schema-stable
-payload on stdout.  Argument errors exit with status 2 and a one-line
-message on stderr; infeasible computations (budget exhausted, no path
-applies) exit with status 3.
+payload on stdout.  Argument errors — a spec refusing what argv gave it
+included — exit with status 2 and a one-line message on stderr; infeasible
+computations (budget exhausted, no path applies) exit with status 3.  A
+reader that closes stdout early (``| head``) ends the command with status 1
+and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.api.measures import Budget, available_measures, measure
-from repro.api.registry import (
-    SystemSpec,
-    available_constructions,
-    build,
-    get_entry,
-    spec_of,
-)
+from repro.api.registry import SystemSpec, available_constructions, build, get_entry, spec_of
 from repro.api.scenarios import available_scenarios
-from repro.api.workloads import WorkloadSpec, run
+from repro.api.workloads import ENGINES, WorkloadSpec, run
 from repro.core.floats import is_zero
-from repro.exceptions import (
-    ComputationError,
-    ConstructionError,
-    InvalidParameterError,
-    ReproError,
-)
+from repro.exceptions import ConstructionError, InvalidParameterError, ReproError
 
 if TYPE_CHECKING:
     from repro.api.membership import MembershipSpec
     from repro.simulation.traces import TraceScenario
 
-__all__ = ["main"]
+__all__ = ["add_spec_flags", "argv_of", "main", "spec_from_args"]
+
+SpecT = TypeVar("SpecT")
 
 #: Construction parameters the CLI understands; forwarded to the registry,
 #: which rejects the ones a given construction does not take.
 _PARAM_FLAGS = ("n", "side", "b", "k", "l", "q", "depth")
 
+_METHODS = ("auto", "exact", "analytic", "sampled")
 
+
+# ----------------------------------------------------------------------
+# Flags derived from spec fields.
+# ----------------------------------------------------------------------
+def _system_spec(raw: str) -> SystemSpec:
+    try:
+        return SystemSpec.from_dict(json.loads(raw))
+    except (ValueError, TypeError, ReproError) as exc:
+        raise argparse.ArgumentTypeError(
+            f'expected JSON {{"construction": <name>, "params": {{...}}}}: {exc}'
+        ) from None
+
+
+#: A flag parses its value as the first member of its field's annotation
+#: listed here, and as ``str`` when none is.
+_ARG_TYPES: dict[str, Callable[[str], Any]] = {
+    "int": int, "float": float, "str": str, "SystemSpec": _system_spec
+}
+
+
+def _spec_flags(cls: type) -> list[tuple[dataclasses.Field[Any], str, str]]:
+    """``(field, option string, dest)`` for each field of ``cls`` that is a flag.
+
+    A field is a flag when its metadata carries ``"help"``; the option
+    string is ``metadata["flag"]``, or ``--`` plus the field name.
+    """
+    flags: list[tuple[dataclasses.Field[Any], str, str]] = []
+    for spec_field in dataclasses.fields(cls):
+        if "help" in spec_field.metadata:
+            flag = spec_field.metadata.get("flag", "--" + spec_field.name.replace("_", "-"))
+            flags.append((spec_field, flag, flag[2:].replace("-", "_")))
+    return flags
+
+
+def add_spec_flags(parser: argparse.ArgumentParser, cls: type) -> None:
+    """Declare one flag per field of the dataclass ``cls`` that is a flag.
+
+    The flag's type comes from the field's annotation (a ``bool`` field is a
+    switch), its help text and optional ``choices`` from the field's
+    metadata.  An absent flag leaves no attribute on the namespace, so
+    :func:`spec_from_args` applies the dataclass default.  A flag an earlier
+    spec already declared is shared; its help text gains this field's.
+    """
+    for spec_field, flag, _dest in _spec_flags(cls):
+        text = spec_field.metadata["help"]
+        if spec_field.type != "bool" and spec_field.default not in (None, dataclasses.MISSING):
+            text += f" (default: {spec_field.default})"
+        shared = parser._option_string_actions.get(flag)
+        if shared is not None:
+            if text not in str(shared.help):
+                shared.help = f"{shared.help}; {text}"
+        elif spec_field.type == "bool":
+            parser.add_argument(flag, action="store_true", default=argparse.SUPPRESS, help=text)
+        else:
+            members = str(spec_field.type).replace(" ", "").split("|")
+            parser.add_argument(
+                flag,
+                type=next((_ARG_TYPES[name] for name in members if name in _ARG_TYPES), str),
+                choices=spec_field.metadata.get("choices"),
+                default=argparse.SUPPRESS,
+                help=text,
+            )
+
+
+def spec_from_args(cls: type[SpecT], args: argparse.Namespace, **fields: Any) -> SpecT:
+    """Build ``cls`` from the flags :func:`add_spec_flags` declared on ``args``.
+
+    ``fields`` supplies (or overrides) fields the flags do not; a field with
+    neither takes its dataclass default.  Whatever the spec refuses raises
+    :class:`~repro.exceptions.InvalidParameterError` (exit status 2).
+    """
+    given = {field.name: getattr(args, dest) for field, _, dest in _spec_flags(cls) if dest in args}
+    try:
+        return cls(**{**given, **fields})
+    except ReproError as exc:
+        raise InvalidParameterError(str(exc)) from None
+
+
+def argv_of(spec: Any) -> list[str]:
+    """The flags that rebuild the dataclass ``spec`` through :func:`spec_from_args`.
+
+    Fields equal to their default are left out.
+    """
+    argv: list[str] = []
+    for spec_field, flag, _dest in _spec_flags(type(spec)):
+        value = getattr(spec, spec_field.name)
+        if value == spec_field.default:
+            continue
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, SystemSpec):
+            argv += [flag, json.dumps(value.to_dict())]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+# ----------------------------------------------------------------------
+# Hand-written arguments.
+# ----------------------------------------------------------------------
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("construction parameters")
     for flag in _PARAM_FLAGS:
-        group.add_argument(f"--{flag}", type=int, default=None)
-    group.add_argument(
-        "--rows",
-        type=str,
-        default=None,
-        help="crumbling-wall row widths, comma separated (e.g. 3,4,5)",
-    )
+        group.add_argument(f"--{flag}", type=int)
+    group.add_argument("--rows", help="crumbling-wall row widths, comma separated (e.g. 3,4,5)")
 
 
 def _collect_params(args: argparse.Namespace) -> dict:
@@ -94,22 +194,85 @@ def _collect_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _budget_from(args: argparse.Namespace) -> Budget:
-    kwargs = {}
-    if getattr(args, "trials", None) is not None:
-        kwargs["trials"] = args.trials
-    if getattr(args, "num_samples", None) is not None:
-        kwargs["num_samples"] = args.num_samples
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return Budget(**kwargs)
+def _read_json(path: str, what: str) -> Any:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read {what} {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"{what} {path!r} is not valid JSON: {exc}") from None
 
 
-def _emit(payload: Any, as_json: bool, human: Callable[[Any], None]) -> None:
+def _load_trace(path: str) -> "TraceScenario":
+    """Load a ``--trace`` JSON file into a TraceScenario."""
+    from repro.simulation.traces import TraceScenario
+
+    records = _read_json(path, "trace file")
+    try:
+        return TraceScenario.from_records(Path(path).stem, records)
+    except ReproError as exc:
+        raise InvalidParameterError(f"trace file {path!r}: {exc}") from None
+
+
+def _load_membership(raw: str) -> "MembershipSpec":
+    """Parse a ``--membership`` JSON payload (inline or ``@file``)."""
+    from repro.api.membership import MembershipSpec
+
+    if raw.startswith("@"):
+        return MembershipSpec.from_dict(_read_json(raw[1:], "membership file"))
+    try:
+        return MembershipSpec.from_dict(json.loads(raw))
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"--membership is not valid JSON: {exc}") from None
+
+
+def _emit(payload: Any, as_json: bool, human: Callable[[Any], None]) -> int:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=False))
     else:
         human(payload)
+    return 0
+
+
+def _print_report(data: Any) -> None:
+    """The human form of a ``WorkloadReport``-shaped payload (``run``, ``loadgen``)."""
+    live = data["engine"] == "service"
+    extra = "  [sampled quorums]" if data["sampled"] else ""
+    if live:
+        extra = f"  clients={data['service']['clients']}  duration={data['duration']:.2f}s"
+    print(
+        f"{data['system']}  (n={data['n']}, b={data['b']})\n"
+        f"  engine={data['engine']}  scenario={data['scenario']}  "
+        f"strategy={data['strategy']}  seed={data['seed']}{extra}\n"
+        f"  operations={data['operations']}  availability={data['availability']:.4f}  "
+        f"reads={data['successful_reads']}  writes={data['successful_writes']}  "
+        f"failed={data['failed_operations']}\n"
+        f"  consistent={data['consistent']}  violations={data['consistency_violations']}  "
+        f"stale={data['stale_reads']}\n"
+        f"  empirical load={data['empirical_load']:.4f}  busiest={data['busiest_server']}"
+    )
+    if data["latency_p50"] is not None:
+        # A live run's times are wall-clock seconds, a simulated run's are time units.
+        scale, unit = (1e3, "ms") if live else (1.0, "")
+        latency = "  ".join(
+            f"{key}={data['latency_' + key] * scale:.3f}{unit}"
+            for key in ("mean", "p50", "p90", "p99")
+        )
+        print(f"  latency {latency}  timeouts={data['timeouts']}")
+    for epoch in data["epochs"] or ():
+        print(
+            f"  epoch {epoch['epoch']}: {epoch['system']}  n={epoch['n']}  b={epoch['b']}  "
+            f"policy={epoch['policy']}  ops={epoch['operations']}  "
+            f"load={epoch['empirical_load']:.4f}"
+        )
+    if "conformance" in data:
+        print(f"  conformance: {'ok' if data['conformance']['ok'] else 'VIOLATED'}")
+        for check in data["conformance"]["checks"]:
+            print(
+                f"    {check['metric']:22s} observed={check['observed']:.6g} "
+                f"{check['direction']} {check['bound']:.6g} "
+                f"(slack {check['slack']:.3g}) {'ok' if check['ok'] else 'FAIL'}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -150,8 +313,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         for name, doc in data["scenarios"].items():
             print(f"  {name:15s} {doc}")
 
-    _emit(payload, args.json, human)
-    return 0
+    return _emit(payload, args.json, human)
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
@@ -160,10 +322,9 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         args.measure,
         method=args.method,
         p=args.p,
-        budget=_budget_from(args),
+        budget=spec_from_args(Budget, args),
         **_collect_params(args),
     )
-    payload = result.to_dict()
 
     def human(data: Any) -> None:
         if data["error_bound"] is None:
@@ -179,165 +340,43 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             f"  via {data['method_used']} (requested {data['method_requested']})"
         )
 
-    _emit(payload, args.json, human)
-    return 0
-
-
-def _load_trace(path: str) -> "TraceScenario":
-    """Load a ``--trace`` JSON file into a TraceScenario."""
-    from pathlib import Path
-
-    from repro.simulation.traces import TraceScenario
-
-    trace_path = Path(path)
-    try:
-        records = json.loads(trace_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidParameterError(f"cannot read trace file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"trace file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(records, list):
-        raise InvalidParameterError(
-            f"trace file {path!r} must hold a JSON array of "
-            '{"t": <time>, "op": "read"|"write"} records'
-        )
-    try:
-        return TraceScenario.from_records(trace_path.stem, records)
-    except ReproError as exc:
-        raise InvalidParameterError(f"trace file {path!r}: {exc}") from None
-
-
-def _load_membership(raw: str) -> "MembershipSpec":
-    """Parse a ``--membership`` JSON payload (inline or ``@file``)."""
-    from pathlib import Path
-
-    from repro.api.membership import MembershipSpec
-
-    text = raw
-    if raw.startswith("@"):
-        try:
-            text = Path(raw[1:]).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InvalidParameterError(
-                f"cannot read membership file {raw[1:]!r}: {exc}"
-            ) from None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(
-            f"--membership is not valid JSON: {exc}"
-        ) from None
-    return MembershipSpec.from_dict(payload)
+    return _emit(result.to_dict(), args.json, human)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = args.scenario
     if args.trace is not None:
-        if scenario is not None:
+        if "scenario" in args:
             raise InvalidParameterError("--trace and --scenario are mutually exclusive")
-        scenario = _load_trace(args.trace)
-    membership = None
-    if args.membership is not None:
-        membership = _load_membership(args.membership)
-    spec = WorkloadSpec(
+        args.scenario = _load_trace(args.trace)
+    spec = spec_from_args(
+        WorkloadSpec,
+        args,
         system=args.construction,
         params=_collect_params(args),
-        b=args.protocol_b,
-        scenario=scenario,
-        operations=args.ops,
-        clients=args.clients,
-        write_fraction=args.write_fraction,
-        strategy=args.strategy,
-        seed=args.seed,
-        max_attempts=args.max_attempts,
-        num_samples=args.num_samples if args.num_samples is not None else 256,
-        membership=membership,
+        membership=None if args.membership is None else _load_membership(args.membership),
     )
-    report = run(spec, engine=args.engine)
-    payload = report.to_dict()
-
-    def human(data: Any) -> None:
-        print(f"{data['system']}  (n={data['n']}, b={data['b']})")
-        print(
-            f"  engine={data['engine']}  scenario={data['scenario']}  "
-            f"strategy={data['strategy']}  seed={data['seed']}"
-            + ("  [sampled quorums]" if data["sampled"] else "")
-        )
-        print(
-            f"  operations={data['operations']}  availability={data['availability']:.4f}  "
-            f"reads={data['successful_reads']}  writes={data['successful_writes']}  "
-            f"failed={data['failed_operations']}"
-        )
-        print(
-            f"  consistent={data['consistent']}  violations={data['consistency_violations']}  "
-            f"stale={data['stale_reads']}"
-        )
-        print(
-            f"  empirical load={data['empirical_load']:.4f}  "
-            f"busiest={data['busiest_server']}"
-        )
-        if data["latency_p50"] is not None:
-            print(
-                f"  latency mean={data['latency_mean']:.3f}  p50={data['latency_p50']:.3f}  "
-                f"p90={data['latency_p90']:.3f}  p99={data['latency_p99']:.3f}  "
-                f"timeouts={data['timeouts']}"
-            )
-        if data["epochs"]:
-            print("  epochs:")
-            for epoch in data["epochs"]:
-                print(
-                    f"    e{epoch['epoch']}: {epoch['system']}  n={epoch['n']}  "
-                    f"b={epoch['b']}  policy={epoch['policy']}  "
-                    f"ops={epoch['operations']}  "
-                    f"load={epoch['empirical_load']:.4f}"
-                )
-
-    _emit(payload, args.json, human)
-    return 0
-
-
-def _service_spec(args: argparse.Namespace) -> SystemSpec:
-    """Resolve ``--spec`` JSON or ``--construction`` + params into a spec."""
-    raw = getattr(args, "spec", None)
-    if raw is not None:
-        if getattr(args, "construction", None) is not None:
-            raise InvalidParameterError("--spec and --construction are mutually exclusive")
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"--spec is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict) or "construction" not in payload:
-            raise InvalidParameterError(
-                '--spec must be {"construction": <name>, "params": {...}}'
-            )
-        return SystemSpec.from_dict(payload)
-    if getattr(args, "construction", None) is None:
-        raise InvalidParameterError("either --spec or --construction is required")
-    # Canonicalise through the registry so the spec round-trips JSON-stably.
-    return spec_of(build(args.construction, **_collect_params(args)))
+    return _emit(run(spec, engine=args.engine).to_dict(), args.json, _print_report)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import tempfile
 
-    spec = _service_spec(args)
-    if args.index is not None:
+    from repro.service.harness import ClusterSpec, ServiceCluster, run_supervisor
+    from repro.service.replica import ReplicaConfig, run_replica
+
+    if "spec" in args:
+        if args.construction is not None:
+            raise InvalidParameterError("--spec and --construction are mutually exclusive")
+    elif args.construction is None:
+        raise InvalidParameterError("either --spec or --construction is required")
+    else:
+        # Canonicalise through the registry so the spec round-trips JSON-stably.
+        args.spec = spec_of(build(args.construction, **_collect_params(args)))
+    if "index" in args:
         # Single-replica mode: the process the supervisor (or an operator)
         # spawns once per server.  Serves until terminated.
-        from repro.service.replica import ReplicaConfig, run_replica
-
-        config = ReplicaConfig(
-            spec=spec,
-            index=args.index,
-            host=args.host,
-            port=args.port,
-            byzantine_behaviour=args.byzantine_behaviour,
-            seed=args.seed,
-            ready_file=args.ready_file,
-            data_dir=args.data_dir,
-            fsync=args.fsync,
-            snapshot_every=args.snapshot_every,
-        )
+        config = spec_from_args(ReplicaConfig, args)
         try:
             asyncio.run(run_replica(config))
         except KeyboardInterrupt:  # pragma: no cover - interactive stop
@@ -346,24 +385,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Supervisor mode: one OS process per replica, addresses published
     # through the cluster file, runs until SIGTERM/SIGINT.
-    import tempfile
-
-    from repro.service.harness import ClusterSpec, ServiceCluster, run_supervisor
-
-    cluster_spec = ClusterSpec(
-        spec=spec,
-        b=args.protocol_b,
-        byzantine=args.byzantine,
-        byzantine_behaviour=args.byzantine_behaviour or "forge-on-read",
-        host=args.host,
-        seed=args.seed,
-        allow_overload=args.allow_overload,
-        data_root=args.data_dir,
-        fsync=args.fsync,
-        snapshot_every=args.snapshot_every,
-    )
+    cluster_spec = spec_from_args(ClusterSpec, args)
     run_dir = args.run_dir or tempfile.mkdtemp(prefix="repro-cluster-")
-    cluster = ServiceCluster(cluster_spec, run_dir)
+    try:
+        cluster = ServiceCluster(cluster_spec, run_dir)  # checks every replica's config
+    except ReproError as exc:  # ... before anything is spawned: an argument error
+        raise InvalidParameterError(str(exc)) from None
     cluster.start(timeout=args.ready_timeout)
     for handle in cluster.replicas:
         role = f"  [{handle.byzantine}]" if handle.byzantine else ""
@@ -383,7 +410,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
-    from pathlib import Path
 
     from repro.service.harness import discover_initial_pair, load_cluster_file, run_load
     from repro.simulation.client import RetryPolicy
@@ -437,46 +463,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         Path(args.output).write_text(
             json.dumps(payload, indent=2), encoding="utf-8"
         )
-
-    def human(data: Any) -> None:
-        print(f"{data['system']}  (n={data['n']}, b={data['b']})  engine=service")
-        print(
-            f"  operations={data['operations']}  clients={data['service']['clients']}  "
-            f"availability={data['availability']:.4f}  duration={data['duration']:.2f}s"
-        )
-        print(
-            f"  consistent={data['consistent']}  violations={data['consistency_violations']}  "
-            f"stale={data['stale_reads']}  timeouts={data['timeouts']}"
-        )
-        print(
-            f"  empirical load={data['empirical_load']:.4f}  "
-            f"busiest={data['busiest_server']}"
-        )
-        if data["latency_p50"] is not None:
-            print(
-                f"  latency mean={data['latency_mean'] * 1e3:.2f}ms  "
-                f"p50={data['latency_p50'] * 1e3:.2f}ms  "
-                f"p90={data['latency_p90'] * 1e3:.2f}ms  "
-                f"p99={data['latency_p99'] * 1e3:.2f}ms"
-            )
-        if "conformance" in data:
-            verdict = "ok" if data["conformance"]["ok"] else "VIOLATED"
-            print(f"  conformance: {verdict}")
-            for check in data["conformance"]["checks"]:
-                print(
-                    f"    {check['metric']:22s} observed={check['observed']:.6g} "
-                    f"{check['direction']} {check['bound']:.6g} "
-                    f"(slack {check['slack']:.3g}) {'ok' if check['ok'] else 'FAIL'}"
-                )
-
-    _emit(payload, args.json, human)
-    return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    return lint_main(list(args.lint_args))
+    return _emit(payload, args.json, _print_report)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -512,12 +499,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 f"{row['load']:8.4f} {row['fp']:12.6g}  {row['fp_kind']}"
             )
 
-    _emit(payload, args.json, human)
-    return 0
+    return _emit(payload, args.json, human)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    budget = _budget_from(args)
+    budget = spec_from_args(Budget, args)
     shared = _collect_params(args)
     rows = []
     for name in args.constructions:
@@ -559,14 +545,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 methods += "/" + row["fp"]["method_used"]
             print(line + f"  {methods}")
 
-    _emit(rows, args.json, human)
-    return 0
+    return _emit(rows, args.json, human)
 
 
 # ----------------------------------------------------------------------
 # Parser.
 # ----------------------------------------------------------------------
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(chosen: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser; ``chosen`` names the command about to run, if known.
+
+    ``serve``'s flags come from the service's specs, whose modules the other
+    commands never import: they are declared only when ``chosen`` may be
+    ``serve``.
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -576,307 +567,145 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    list_parser = commands.add_parser(
-        "list", help="show the construction registry, measures and scenarios"
-    )
-    list_parser.add_argument("--json", action="store_true")
-    list_parser.set_defaults(handler=_cmd_list)
+    def command(
+        name: str, handler: Callable[[argparse.Namespace], int], text: str, json: bool = True
+    ) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=text)
+        sub.set_defaults(handler=handler)
+        if json:
+            sub.add_argument("--json", action="store_true")
+        return sub
 
-    measure_parser = commands.add_parser(
-        "measure", help="compute one measure of one construction"
-    )
-    measure_parser.add_argument("construction", help="registry name (see 'list')")
-    measure_parser.add_argument(
+    command("list", _cmd_list, "show the construction registry, measures and scenarios")
+
+    sub = command("measure", _cmd_measure, "compute one measure of one construction")
+    sub.add_argument("construction", help="registry name (see 'list')")
+    sub.add_argument(
         "--measure",
         default="load",
         choices=sorted(available_measures()),
         help="which measure (default: load)",
     )
-    measure_parser.add_argument(
-        "--method",
-        default="auto",
-        choices=("auto", "exact", "analytic", "sampled"),
-        help="computation path (default: auto policy)",
+    sub.add_argument(
+        "--method", default="auto", choices=_METHODS, help="computation path (default: auto policy)"
     )
-    measure_parser.add_argument("--p", type=float, default=None, help="crash probability (fp/availability)")
-    measure_parser.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials budget")
-    measure_parser.add_argument("--num-samples", dest="num_samples", type=int, default=None)
-    measure_parser.add_argument("--seed", type=int, default=None)
-    measure_parser.add_argument("--json", action="store_true")
-    _add_param_flags(measure_parser)
-    measure_parser.set_defaults(handler=_cmd_measure)
+    sub.add_argument("--p", type=float, help="crash probability (fp/availability)")
+    add_spec_flags(sub, Budget)
+    _add_param_flags(sub)
 
-    run_parser = commands.add_parser(
-        "run", help="run a workload experiment and print its report"
-    )
-    run_parser.add_argument("--construction", "-c", required=True, help="registry name")
-    run_parser.add_argument(
-        "--scenario", default=None, help="catalogue scenario name (default: fault-free)"
-    )
-    run_parser.add_argument(
+    sub = command("run", _cmd_run, "run a workload experiment and print its report")
+    sub.add_argument("--construction", "-c", required=True, help="registry name")
+    sub.add_argument(
         "--trace",
-        default=None,
-        help=(
-            "JSON trace file of open-loop arrivals "
-            '([{"t": <time>, "op": "read"|"write"}, ...]); replayed on the '
-            "event engine (mutually exclusive with --scenario)"
-        ),
+        help='JSON trace file of open-loop arrivals ([{"t": <time>, "op": "read"|"write"}, '
+        "...]); replayed on the event engine (mutually exclusive with --scenario)",
     )
-    run_parser.add_argument(
+    sub.add_argument(
         "--membership",
-        default=None,
-        help=(
-            "membership reconfiguration spec as JSON (or @file): "
-            '{"events": [{"kind": "sever", "count": 9}, ...], '
-            '"fractions": null, "policy": "reweight"}; mutually exclusive '
-            "with --scenario (named reconfig-* scenarios carry their own)"
-        ),
+        help='membership reconfiguration spec as JSON (or @file): {"events": [{"kind": '
+        '"sever", "count": 9}, ...], "fractions": null, "policy": "reweight"}; mutually '
+        "exclusive with --scenario (named reconfig-* scenarios carry their own)",
     )
-    run_parser.add_argument(
-        "--engine", default="auto", choices=("auto", "vectorized", "event")
-    )
-    run_parser.add_argument("--ops", type=int, default=200, help="total operations")
-    run_parser.add_argument("--clients", type=int, default=4)
-    run_parser.add_argument(
-        "--write-fraction", dest="write_fraction", type=float, default=0.5
-    )
-    run_parser.add_argument(
-        "--strategy", default=None, choices=(None, "uniform", "optimal")
-    )
-    run_parser.add_argument(
-        "--protocol-b",
-        dest="protocol_b",
-        type=int,
-        default=None,
-        help="masking parameter for the protocol (default: the system's bound)",
-    )
-    run_parser.add_argument("--max-attempts", dest="max_attempts", type=int, default=10)
-    run_parser.add_argument("--num-samples", dest="num_samples", type=int, default=None)
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--json", action="store_true")
-    _add_param_flags(run_parser)
-    run_parser.set_defaults(handler=_cmd_run)
+    sub.add_argument("--engine", default="auto", choices=ENGINES)
+    add_spec_flags(sub, WorkloadSpec)
+    _add_param_flags(sub)
 
-    serve_parser = commands.add_parser(
+    sub = command(
         "serve",
-        help=(
-            "run the networked replica service: a whole cluster of replica "
-            "processes (supervisor mode) or one replica (--index)"
-        ),
+        _cmd_serve,
+        "run the networked replica service: a whole cluster of replica processes "
+        "(supervisor mode) or one replica (--index)",
+        json=False,
     )
-    serve_parser.add_argument(
-        "--construction", "-c", default=None, help="registry name"
-    )
-    serve_parser.add_argument(
-        "--spec",
-        default=None,
-        help='system spec as JSON: {"construction": <name>, "params": {...}}',
-    )
-    serve_parser.add_argument(
-        "--index",
-        type=int,
-        default=None,
-        help="serve exactly one replica, this universe index (single mode)",
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=0, help="listen port (single mode; 0 = ephemeral)"
-    )
-    serve_parser.add_argument(
-        "--ready-file",
-        dest="ready_file",
-        default=None,
-        help="publish the bound address here once listening (single mode)",
-    )
-    serve_parser.add_argument(
+    sub.add_argument("--construction", "-c", help="registry name (or give --spec)")
+    if chosen in (None, "serve"):
+        from repro.service.harness import ClusterSpec
+        from repro.service.replica import ReplicaConfig
+
+        add_spec_flags(sub, ReplicaConfig)
+        add_spec_flags(sub, ClusterSpec)
+    sub.add_argument(
         "--cluster-file",
-        dest="cluster_file",
-        default=None,
         help="write the cluster description loadgen consumes (supervisor mode)",
     )
-    serve_parser.add_argument(
-        "--run-dir",
-        dest="run_dir",
-        default=None,
-        help="directory for replica ready files (default: a temp dir)",
-    )
-    serve_parser.add_argument(
-        "--protocol-b",
-        dest="protocol_b",
-        type=int,
-        default=None,
-        help="masking parameter (default: the system's bound)",
-    )
-    serve_parser.add_argument(
-        "--byzantine",
-        type=int,
-        default=0,
-        help="how many replicas serve Byzantine behaviour (supervisor mode)",
-    )
-    serve_parser.add_argument(
-        "--byzantine-behaviour",
-        dest="byzantine_behaviour",
-        default=None,
-        help=(
-            "Byzantine behaviour: fabricate-timestamp, forge-on-read, stale, "
-            "random-value or drop-writes (single mode: make this replica lie)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--allow-overload",
-        dest="allow_overload",
-        action="store_true",
-        help="permit more Byzantine replicas than b (negative tests)",
-    )
-    serve_parser.add_argument(
-        "--data-dir",
-        dest="data_dir",
-        default=None,
-        help=(
-            "durable state directory: the replica's own (single mode) or the "
-            "root for per-replica replica-<i> subdirectories (supervisor "
-            "mode); omitted = memory-only replicas"
-        ),
-    )
-    serve_parser.add_argument(
-        "--fsync",
-        default="always",
-        help=(
-            "write-ahead-log fsync policy: always, interval[:N] or never "
-            "(requires --data-dir; default: always)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--snapshot-every",
-        dest="snapshot_every",
-        type=int,
-        default=1024,
-        help=(
-            "journalled writes between snapshot+log-compaction cycles "
-            "(0 disables compaction; requires --data-dir)"
-        ),
-    )
-    serve_parser.add_argument(
+    sub.add_argument("--run-dir", help="directory for replica ready files (default: a temp dir)")
+    sub.add_argument(
         "--ready-timeout",
-        dest="ready_timeout",
         type=float,
-        default=None,
         help=(
             "seconds to wait for every replica to bind (supervisor mode; "
             "default scales with the replica count)"
         ),
     )
-    serve_parser.add_argument("--seed", type=int, default=0)
-    _add_param_flags(serve_parser)
-    serve_parser.set_defaults(handler=_cmd_serve)
+    _add_param_flags(sub)
 
-    loadgen_parser = commands.add_parser(
-        "loadgen",
-        help="drive concurrent live clients against a running cluster",
+    sub = command(
+        "loadgen", _cmd_loadgen, "drive concurrent live clients against a running cluster"
     )
-    loadgen_parser.add_argument(
-        "--cluster",
-        required=True,
-        help="cluster file written by 'serve --cluster-file'",
+    sub.add_argument(
+        "--cluster", required=True, help="cluster file written by 'serve --cluster-file'"
     )
-    loadgen_parser.add_argument("--ops", type=int, default=1000, help="total operations")
-    loadgen_parser.add_argument(
-        "--clients", type=int, default=32, help="concurrent client coroutines"
-    )
-    loadgen_parser.add_argument(
-        "--write-fraction", dest="write_fraction", type=float, default=0.5
-    )
-    loadgen_parser.add_argument(
+    sub.add_argument("--ops", type=int, default=1000, help="total operations")
+    sub.add_argument("--clients", type=int, default=32, help="concurrent client coroutines")
+    sub.add_argument("--write-fraction", type=float, default=0.5)
+    sub.add_argument(
         "--mode",
         default="closed",
         choices=("closed", "open"),
         help="closed loop (back-to-back) or open loop (diurnal arrivals)",
     )
-    loadgen_parser.add_argument(
+    sub.add_argument(
         "--rate",
         type=float,
         default=0.0,
         help="open-loop target throughput in ops/second (0 = no pacing)",
     )
-    loadgen_parser.add_argument(
-        "--strategy", default=None, choices=(None, "uniform", "optimal")
-    )
-    loadgen_parser.add_argument(
-        "--protocol-b",
-        dest="protocol_b",
-        type=int,
-        default=None,
-        help="override the cluster file's masking parameter",
-    )
-    loadgen_parser.add_argument(
+    sub.add_argument("--strategy", choices=("uniform", "optimal"))
+    sub.add_argument("--protocol-b", type=int, help="override the cluster file's masking parameter")
+    sub.add_argument(
         "--timeout",
         type=float,
         default=2.0,
         help="per-request timeout in seconds (RetryPolicy.request_timeout)",
     )
-    loadgen_parser.add_argument("--max-attempts", dest="max_attempts", type=int, default=10)
-    loadgen_parser.add_argument(
+    sub.add_argument("--max-attempts", type=int, default=10)
+    sub.add_argument(
         "--initial-from-cluster",
-        dest="initial_from_cluster",
         action="store_true",
-        help=(
-            "discover the register state the cluster already holds (b+1-"
-            "vouched STATUS pairs) and hand it to the checker as the run's "
-            "initial pair — for runs against a recovered durable cluster"
-        ),
+        help="discover the register state the cluster already holds (b+1-vouched STATUS "
+        "pairs) and hand it to the checker as the run's initial pair — for runs against "
+        "a recovered durable cluster",
     )
-    loadgen_parser.add_argument(
+    sub.add_argument(
         "--conformance",
         action="store_true",
         help="run live-traffic conformance checks and embed the verdict",
     )
-    loadgen_parser.add_argument(
-        "--history",
-        default=None,
-        help="write the recorded history as JSON Lines (checker-replayable)",
+    sub.add_argument(
+        "--history", help="write the recorded history as JSON Lines (checker-replayable)"
     )
-    loadgen_parser.add_argument(
-        "--output", default=None, help="write the JSON report here as well"
-    )
-    loadgen_parser.add_argument("--seed", type=int, default=0)
-    loadgen_parser.add_argument("--json", action="store_true")
-    loadgen_parser.set_defaults(handler=_cmd_loadgen)
+    sub.add_argument("--output", help="write the JSON report here as well")
+    sub.add_argument("--seed", type=int, default=0)
 
-    lint_parser = commands.add_parser(
+    # ``main`` hands ``lint`` to the linter's own parser; this entry lists it.
+    commands.add_parser(
         "lint",
         help="run the AST invariant linter and strict typing gate (repro.lint)",
         add_help=False,
-    )
-    lint_parser.add_argument("lint_args", nargs=argparse.REMAINDER)
-    lint_parser.set_defaults(handler=_cmd_lint)
+    ).add_argument("lint_args", nargs=argparse.REMAINDER)
 
-    table_parser = commands.add_parser(
-        "table", help="the Section 8 comparison table at a given n and p"
-    )
-    table_parser.add_argument("--n", type=int, default=1024)
-    table_parser.add_argument("--p", type=float, default=0.125)
-    table_parser.add_argument("--include-baselines", action="store_true")
-    table_parser.add_argument("--seed", type=int, default=0)
-    table_parser.add_argument("--json", action="store_true")
-    table_parser.set_defaults(handler=_cmd_table)
+    sub = command("table", _cmd_table, "the Section 8 comparison table at a given n and p")
+    sub.add_argument("--n", type=int, default=1024)
+    sub.add_argument("--p", type=float, default=0.125)
+    sub.add_argument("--include-baselines", action="store_true")
+    sub.add_argument("--seed", type=int, default=0)
 
-    compare_parser = commands.add_parser(
-        "compare", help="compare several constructions at shared parameters"
-    )
-    compare_parser.add_argument(
-        "constructions", nargs="+", help="registry names (see 'list')"
-    )
-    compare_parser.add_argument("--p", type=float, default=None)
-    compare_parser.add_argument(
-        "--method", default="auto", choices=("auto", "exact", "analytic", "sampled")
-    )
-    compare_parser.add_argument("--trials", type=int, default=None)
-    compare_parser.add_argument("--num-samples", dest="num_samples", type=int, default=None)
-    compare_parser.add_argument("--seed", type=int, default=None)
-    compare_parser.add_argument("--json", action="store_true")
-    _add_param_flags(compare_parser)
-    compare_parser.set_defaults(handler=_cmd_compare)
-
+    sub = command("compare", _cmd_compare, "compare several constructions at shared parameters")
+    sub.add_argument("constructions", nargs="+", help="registry names (see 'list')")
+    sub.add_argument("--p", type=float)
+    sub.add_argument("--method", default="auto", choices=_METHODS)
+    add_spec_flags(sub, Budget)
+    _add_param_flags(sub)
     return parser
 
 
@@ -890,16 +719,20 @@ def main(argv: list[str] | None = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(arguments[1:])
-    parser = _build_parser()
-    args = parser.parse_args(arguments)
+    args = _build_parser(arguments[0] if arguments else None).parse_args(arguments)
     try:
         return args.handler(args)
-    except (InvalidParameterError, ConstructionError) as exc:
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull so
+        # the interpreter's final flush does not fail a second time.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # stdout is not a file descriptor
+            pass
+        return 1
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ComputationError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (InvalidParameterError, ConstructionError)) else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

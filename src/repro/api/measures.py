@@ -75,6 +75,9 @@ def available_measures() -> dict[str, str]:
 class Budget:
     """Resource limits the ``auto`` policy respects.
 
+    The fields that are also ``measure`` / ``compare`` flags carry their
+    help text as ``metadata["help"]``; the CLI derives those flags from them.
+
     Attributes
     ----------
     max_universe:
@@ -83,19 +86,20 @@ class Budget:
     max_quorums:
         Largest quorum family the load LP / combinatorial enumeration may
         materialise.
-    trials:
-        Monte-Carlo trial count for sampled ``Fp``.
-    num_samples:
-        Sample size when a sampled load estimate must stand in for the LP.
-    seed:
-        Seed for every sampled path, so results are reproducible.
     """
 
     max_universe: int = 22
     max_quorums: int = 50_000
-    trials: int = 20_000
-    num_samples: int = 256
-    seed: int = 0
+    trials: int = field(
+        default=20_000, metadata={"help": "Monte-Carlo trial count for sampled Fp"}
+    )
+    num_samples: int = field(
+        default=256,
+        metadata={"help": "sample size when a sampled load estimate must stand in for the LP"},
+    )
+    seed: int = field(
+        default=0, metadata={"help": "seed for every sampled path, so results are reproducible"}
+    )
 
     def __post_init__(self):
         for name in ("max_universe", "max_quorums", "trials", "num_samples"):

@@ -64,6 +64,9 @@ ENGINES = ("auto", "vectorized", "event")
 class WorkloadSpec:
     """A declarative description of one workload experiment.
 
+    The fields that are also ``python -m repro run`` flags carry their help
+    text as ``metadata["help"]``; the CLI derives those flags from them.
+
     Attributes
     ----------
     system:
@@ -71,38 +74,21 @@ class WorkloadSpec:
         already-built :class:`~repro.core.quorum_system.QuorumSystem`.
     params:
         Construction parameters, when ``system`` is a registry name.
-    b:
-        Masking parameter for the protocol; default is the system's own
-        masking bound.
     scenario:
-        A catalogue name (:func:`repro.api.scenarios.available_scenarios`),
-        a :class:`~repro.simulation.scenarios.WorkloadScenario`, a
-        :class:`~repro.simulation.scenarios.TimingScenario`, a static
-        :class:`~repro.simulation.faults.FaultScenario`, or ``None`` for
-        fault-free.
+        Besides a catalogue name, a
+        :class:`~repro.simulation.scenarios.WorkloadScenario`, a
+        :class:`~repro.simulation.scenarios.TimingScenario` or a static
+        :class:`~repro.simulation.faults.FaultScenario`.
     operations:
-        Total operations across all clients.  The event engine hands every
-        client the same share, so a count that is not a multiple of
-        ``clients`` is rounded **up** there (``report.operations`` records
-        what actually ran); the vectorised engine runs the count exactly.
-    clients:
-        Concurrent clients (event engine; the vectorised engine's
-        accounting is client-count independent).
-    write_fraction:
-        Probability that an operation is a write.
+        The event engine hands every client the same share, so a count that
+        is not a multiple of ``clients`` is rounded **up** there
+        (``report.operations`` records what actually ran); the vectorised
+        engine runs the count exactly.
     strategy:
-        ``None`` (the system's natural strategy), ``"uniform"``,
-        ``"optimal"`` (the load LP's strategy) or an explicit
-        :class:`~repro.core.strategy.Strategy`.
-    seed:
-        The single seed every random draw of the run derives from.
-    max_attempts:
-        Probe budget per operation.
+        Besides a name, an explicit :class:`~repro.core.strategy.Strategy`.
     allow_overload:
         Permit more Byzantine servers than ``b`` (negative tests; moot on
         reconfiguration runs, whose epochs are fault-free).
-    num_samples:
-        Sample size when the facade must switch to sampled-quorum mode.
     membership:
         Optional :class:`~repro.api.membership.MembershipSpec` turning the
         run into a membership-reconfiguration workload (mutually exclusive
@@ -112,16 +98,44 @@ class WorkloadSpec:
 
     system: SystemSpec | QuorumSystem | str
     params: dict = field(default_factory=dict)
-    b: int | None = None
-    scenario: object = None
-    operations: int = 200
-    clients: int = 4
-    write_fraction: float = 0.5
-    strategy: object = None
-    seed: int = 0
-    max_attempts: int = 10
+    b: int | None = field(
+        default=None,
+        metadata={
+            "flag": "--protocol-b",
+            "help": "masking parameter for the protocol (default: the system's bound)",
+        },
+    )
+    scenario: object = field(
+        default=None,
+        metadata={"help": "catalogue scenario name (default: fault-free)"},
+    )
+    operations: int = field(
+        default=200, metadata={"flag": "--ops", "help": "total operations across all clients"}
+    )
+    clients: int = field(
+        default=4,
+        metadata={"help": "concurrent clients (the vectorised engine's accounting ignores it)"},
+    )
+    write_fraction: float = field(
+        default=0.5, metadata={"help": "probability that an operation is a write"}
+    )
+    strategy: object = field(
+        default=None,
+        metadata={
+            "choices": ("uniform", "optimal"),
+            "help": "quorum access strategy (default: the system's natural one; "
+            "optimal = the load LP's)",
+        },
+    )
+    seed: int = field(
+        default=0, metadata={"help": "the single seed every random draw of the run derives from"}
+    )
+    max_attempts: int = field(default=10, metadata={"help": "probe budget per operation"})
     allow_overload: bool = False
-    num_samples: int = 256
+    num_samples: int = field(
+        default=256,
+        metadata={"help": "sample size when the facade must switch to sampled-quorum mode"},
+    )
     membership: MembershipSpec | None = None
 
     def __post_init__(self):

@@ -14,6 +14,7 @@ Rule      Name                 Invariant protected
 ``R4``    float-equality       no ``==``/``!=`` on floats; use the 1e-9 helpers
 ``R5``    registry-complete    every construction module is registered with
                                typed parameter specs
+``R6``    no-bare-print        only the two command-line front ends print
 ``T1``    typing-gate          ratcheted modules keep fully annotated public
                                surfaces (the AST half of ``mypy --strict``)
 ``R0``    pragma-discipline    every ``# repro-lint: disable=`` carries a

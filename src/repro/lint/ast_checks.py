@@ -5,7 +5,7 @@ under lint is ever imported, so the linter can flag a file whose import-time
 behaviour is exactly what is broken (R5 checks the construction registry
 this way on purpose).
 
-The per-file rules (R1-R4) run through :func:`lint_file` /
+The per-file rules (R1-R4, R6) run through :func:`lint_file` /
 :func:`lint_source`; the project rule (R5) through :func:`check_registry`;
 :func:`lint_tree` composes them with the typing gate over a package root the
 way ``python -m repro lint`` does.
@@ -24,6 +24,7 @@ from repro.lint.rules import RULES, Violation
 
 __all__ = [
     "HOT_MODULES",
+    "PRINT_MODULES",
     "STORAGE_MODULES",
     "check_registry",
     "lint_file",
@@ -46,6 +47,10 @@ HOT_MODULES: tuple[str, ...] = (
     "constructions/mpath.py",
     "simulation/engine.py",
 )
+
+#: The command-line front ends, the only modules allowed to print (rule R6),
+#: as path suffixes relative to the linted root.
+PRINT_MODULES: tuple[str, ...] = ("api/cli.py", "lint/cli.py")
 
 #: Frozenset-family traversal calls R2 flags inside the hot modules.
 _FROZENSET_TRAVERSALS = frozenset({"quorums", "iter_quorums"})
@@ -424,11 +429,36 @@ def _check_float_equality(path: str, tree: ast.Module) -> list[Violation]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# R6 — no bare print.
+# ----------------------------------------------------------------------
+def _check_bare_print(path: str, tree: ast.Module) -> list[Violation]:
+    if path.replace("\\", "/").endswith(PRINT_MODULES):
+        return []
+    return [
+        Violation(
+            rule="R6",
+            path=path,
+            line=node.lineno,
+            col=node.col_offset,
+            message=(
+                "print() inside the library; return the value, raise a "
+                "repro.exceptions type, or leave output to the command line"
+            ),
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    ]
+
+
 _FILE_CHECKS = (
     _check_determinism,
     _check_mask_native,
     _check_exception_taxonomy,
     _check_float_equality,
+    _check_bare_print,
 )
 
 

@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro lint",
         description=(
             "AST invariant linter for the paper-bound code contracts "
-            "(rules R0-R5 and the T1 strict-typing gate; see "
+            "(rules R0-R6 and the T1 strict-typing gate; see "
             "docs/static_analysis.md)."
         ),
     )

@@ -22,7 +22,7 @@ class Rule:
     Attributes
     ----------
     id:
-        Stable short identifier (``"R1"`` ... ``"R5"``, ``"T1"``, ``"R0"``)
+        Stable short identifier (``"R1"`` ... ``"R6"``, ``"T1"``, ``"R0"``)
         used in pragmas, ``--rule`` filters and the JSON report.
     name:
         Kebab-case human name.
@@ -168,6 +168,21 @@ RULES: dict[str, Rule] = {
                 "construction is invisible to measure()/run()/compare."
             ),
             scope="project",
+        ),
+        Rule(
+            id="R6",
+            name="no-bare-print",
+            summary=(
+                "no print() call inside src/repro outside the two command-line "
+                "front ends, api/cli.py and lint/cli.py"
+            ),
+            rationale=(
+                "Library code reports through return values, exceptions and "
+                "the CLI's --json payloads; a stray print corrupts a machine-"
+                "readable stdout and is invisible to every test that checks "
+                "results.  Observability belongs to structured logging, not "
+                "to ad-hoc prints."
+            ),
         ),
         Rule(
             id="T1",

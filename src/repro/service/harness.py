@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Hashable
 
+from repro.api.cli import argv_of
 from repro.api.registry import SystemSpec, build, spec_of
 from repro.api.workloads import assemble_report
 from repro.core.quorum_system import QuorumSystem
@@ -45,14 +46,13 @@ from repro.core.strategy import Strategy
 from repro.exceptions import InvalidParameterError, ServiceError
 from repro.service import wire
 from repro.service.client import ServiceQuorumClient, call_endpoint
+from repro.service.replica import ReplicaConfig
 from repro.simulation.client import RetryPolicy, access_frequencies, vouched_pair
 from repro.simulation.engine import WorkloadResult, resolve_strategy
 from repro.simulation.history import HistoryCheck, HistoryRecorder, OperationRecord
 from repro.simulation.messages import ValueTimestampPair
 from repro.simulation.runner import latency_summary
-from repro.simulation.server import BYZANTINE_BEHAVIOURS
 from repro.simulation.traces import TraceScenario
-from repro.storage import FsyncPolicy
 
 __all__ = [
     "ClusterSpec",
@@ -73,31 +73,59 @@ DEFAULT_READY_TIMEOUT = 30.0
 class ClusterSpec:
     """Declarative description of one replica cluster.
 
-    ``byzantine`` replicas (the *last* ``byzantine`` universe indices, a
-    deterministic choice so runs are reproducible) serve
-    ``byzantine_behaviour`` instead of the honest state machine.  ``b`` is
-    the protocol's masking parameter (defaults to the system's own masking
-    bound), and ``byzantine > b`` is rejected unless ``allow_overload`` —
-    exactly the simulator's guard.
-
-    ``data_root`` makes the cluster *durable*: replica ``i`` journals to
-    ``<data_root>/replica-<i>`` (see :mod:`repro.storage`) and a
-    :meth:`ServiceCluster.restart` recovers its pre-crash register from
-    there.  ``fsync`` / ``snapshot_every`` are forwarded to every replica's
-    store; without ``data_root`` the cluster is memory-only and a restarted
-    replica rejoins empty.
+    Each field is also a ``python -m repro serve`` flag (supervisor mode)
+    whose help text is its ``metadata["help"]``.  ``byzantine > b`` is
+    rejected unless ``allow_overload`` — exactly the simulator's guard.
+    The per-replica configs derive from it in one place,
+    :class:`ServiceCluster`: replica ``i`` gets seed ``seed + i`` and data
+    directory ``<data_root>/replica-<i>``, and the *last* ``byzantine``
+    indices lie (a deterministic choice, so runs are reproducible).  Without
+    ``data_root`` the cluster is memory-only and a restarted replica rejoins
+    empty.
     """
 
-    spec: SystemSpec
-    b: int | None = None
-    byzantine: int = 0
-    byzantine_behaviour: str = "forge-on-read"
-    host: str = "127.0.0.1"
-    seed: int = 0
-    allow_overload: bool = False
-    data_root: str | None = None
-    fsync: str = "always"
-    snapshot_every: int = 1024
+    spec: SystemSpec = field(
+        metadata={"help": 'system spec as JSON: {"construction": <name>, "params": {...}}'}
+    )
+    b: int | None = field(
+        default=None,
+        metadata={
+            "flag": "--protocol-b",
+            "help": "masking parameter (default: the system's bound)",
+        },
+    )
+    byzantine: int = field(
+        default=0, metadata={"help": "how many replicas serve Byzantine behaviour"}
+    )
+    byzantine_behaviour: str = field(
+        default="forge-on-read",
+        metadata={"help": "for a cluster, the lie its Byzantine replicas tell"},
+    )
+    host: str = field(default="127.0.0.1", metadata={"help": "listen host"})
+    seed: int = field(default=0, metadata={"help": "for a cluster, replica i's is seed + i"})
+    allow_overload: bool = field(
+        default=False,
+        metadata={"help": "permit more Byzantine replicas than b (negative tests)"},
+    )
+    data_root: str | None = field(
+        default=None,
+        metadata={
+            "flag": "--data-dir",
+            "help": "for a cluster, the root of the replicas' own directories "
+            "replica-<i>",
+        },
+    )
+    fsync: str = field(
+        default="always",
+        metadata={"help": "write-ahead-log fsync policy: always, interval[:N] or never"},
+    )
+    snapshot_every: int = field(
+        default=1024,
+        metadata={
+            "help": "journalled writes between snapshot+log-compaction cycles "
+            "(0 disables compaction)"
+        },
+    )
 
     def resolve(self) -> tuple[QuorumSystem, int]:
         """Build the system and resolve the masking parameter."""
@@ -114,13 +142,6 @@ class ClusterSpec:
                 f"{self.byzantine} Byzantine replicas exceed the masking "
                 f"parameter b={b}; pass allow_overload=True for negative tests"
             )
-        if self.byzantine and self.byzantine_behaviour not in BYZANTINE_BEHAVIOURS:
-            raise ServiceError(
-                f"unknown Byzantine behaviour {self.byzantine_behaviour!r}; "
-                f"choose one of {sorted(BYZANTINE_BEHAVIOURS)}"
-            )
-        if self.data_root is not None:
-            FsyncPolicy.parse(self.fsync)  # reject a bad policy before spawning
         return system, b
 
 
@@ -141,39 +162,6 @@ class ReplicaHandle:
         return self.process is not None and self.process.poll() is None
 
 
-def _replica_command(
-    cluster: ClusterSpec, index: int, ready_file: Path
-) -> list[str]:
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        "serve",
-        "--spec",
-        json.dumps(cluster.spec.to_dict()),
-        "--index",
-        str(index),
-        "--host",
-        cluster.host,
-        "--port",
-        "0",
-        "--ready-file",
-        str(ready_file),
-        "--seed",
-        str(cluster.seed + index),
-    ]
-    if cluster.data_root is not None:
-        command += [
-            "--data-dir",
-            str(Path(cluster.data_root) / f"replica-{index}"),
-            "--fsync",
-            cluster.fsync,
-            "--snapshot-every",
-            str(cluster.snapshot_every),
-        ]
-    return command
-
-
 class ServiceCluster:
     """Spawn, address and fault-inject one replica process per server.
 
@@ -187,16 +175,34 @@ class ServiceCluster:
         self.run_dir = Path(run_dir)
         self.system, self.b = cluster.resolve()
         n = len(self.system.universe)
-        byzantine_indices = set(range(n - cluster.byzantine, n))
-        self.replicas: list[ReplicaHandle] = [
-            ReplicaHandle(
+        # One config per replica, each validated before anything is spawned.
+        self._configs = [
+            ReplicaConfig(
+                spec=cluster.spec,
                 index=index,
-                server_id=self.system.universe.element_at(index),
-                byzantine=(
-                    cluster.byzantine_behaviour if index in byzantine_indices else None
+                host=cluster.host,
+                byzantine_behaviour=(
+                    cluster.byzantine_behaviour if index >= n - cluster.byzantine else None
                 ),
+                seed=cluster.seed + index,
+                ready_file=str(self.run_dir / f"replica-{index}.ready"),
+                data_dir=(
+                    None
+                    if cluster.data_root is None
+                    else str(Path(cluster.data_root) / f"replica-{index}")
+                ),
+                fsync=cluster.fsync,
+                snapshot_every=cluster.snapshot_every,
             )
             for index in range(n)
+        ]
+        self.replicas: list[ReplicaHandle] = [
+            ReplicaHandle(
+                index=config.index,
+                server_id=self.system.universe.element_at(config.index),
+                byzantine=config.byzantine_behaviour,
+            )
+            for config in self._configs
         ]
 
     # ------------------------------------------------------------------
@@ -227,11 +233,11 @@ class ServiceCluster:
             self._await_ready(handle, deadline)
 
     def _spawn(self, handle: ReplicaHandle) -> None:
-        ready_file = self.run_dir / f"replica-{handle.index}.ready"
+        config = self._configs[handle.index]
+        assert config.ready_file is not None  # every cluster config names one
+        ready_file = Path(config.ready_file)
         ready_file.unlink(missing_ok=True)
-        command = _replica_command(self.cluster, handle.index, ready_file)
-        if handle.byzantine is not None:
-            command += ["--byzantine-behaviour", handle.byzantine]
+        command = [sys.executable, "-m", "repro", "serve", *argv_of(config)]
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = src_root + (

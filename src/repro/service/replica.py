@@ -40,7 +40,7 @@ import json
 import math
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, cast
 
@@ -74,33 +74,55 @@ _FLUSH_BYTES = 64 * 1024
 class ReplicaConfig:
     """Everything one replica process needs to serve its share of the system.
 
-    ``index`` addresses the replica inside ``spec``'s universe order; the
-    universe element at that index becomes the replica's protocol identity.
-    ``byzantine_behaviour`` (one of
-    :data:`~repro.simulation.server.BYZANTINE_BEHAVIOURS`) turns the replica
-    into an adversary for fault-injection runs.  ``ready_file`` is written
-    once the listener is bound, carrying the actual host/port (ephemeral
-    ports included) as JSON.
-
-    ``data_dir`` makes the replica *durable*: accepted writes are
-    journalled to a :class:`~repro.storage.DurableStore` in that directory
-    before they are acked, and a restarted process recovers its register
-    from it.  ``fsync`` (``always`` / ``interval:N`` / ``never``) and
-    ``snapshot_every`` (journalled writes between log compactions) tune the
-    store; both are ignored without ``data_dir``.
+    Every field but ``initial_value`` is also a ``python -m repro serve``
+    flag: the help text is each field's ``metadata["help"]``, and a
+    supervisor spawns a replica from its config's argv
+    (:func:`repro.api.cli.argv_of`).  ``fsync`` and ``snapshot_every`` are
+    ignored without ``data_dir``.
     """
 
-    spec: SystemSpec
-    index: int
-    host: str = "127.0.0.1"
-    port: int = 0
-    byzantine_behaviour: str | None = None
+    spec: SystemSpec = field(
+        metadata={"help": 'system spec as JSON: {"construction": <name>, "params": {...}}'}
+    )
+    index: int = field(
+        metadata={
+            "help": "serve exactly one replica: the universe element at this index, "
+            "whose protocol identity it takes (single mode)"
+        }
+    )
+    host: str = field(default="127.0.0.1", metadata={"help": "listen host"})
+    port: int = field(default=0, metadata={"help": "listen port (0 = ephemeral)"})
+    byzantine_behaviour: str | None = field(
+        default=None,
+        metadata={
+            "help": "make the replica lie: fabricate-timestamp, forge-on-read, stale, "
+            "random-value or drop-writes"
+        },
+    )
     initial_value: object = None
-    seed: int | None = None
-    ready_file: str | None = None
-    data_dir: str | None = None
-    fsync: str = "always"
-    snapshot_every: int = 1024
+    seed: int = field(default=0, metadata={"help": "seed of the replica's random draws"})
+    ready_file: str | None = field(
+        default=None,
+        metadata={"help": "publish the bound host/port here as JSON once listening"},
+    )
+    data_dir: str | None = field(
+        default=None,
+        metadata={
+            "help": "durable state directory: writes are journalled there before they are "
+            "acked, and a restarted replica recovers from it (omitted = memory-only)"
+        },
+    )
+    fsync: str = field(
+        default="always",
+        metadata={"help": "write-ahead-log fsync policy: always, interval[:N] or never"},
+    )
+    snapshot_every: int = field(
+        default=1024,
+        metadata={
+            "help": "journalled writes between snapshot+log-compaction cycles "
+            "(0 disables compaction)"
+        },
+    )
 
     def __post_init__(self) -> None:
         if self.byzantine_behaviour is not None and (

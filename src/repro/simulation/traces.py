@@ -43,10 +43,9 @@ from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
 from repro.simulation.engine import resolve_strategy
-from repro.simulation.events import LatencyModel, LinkFaults, TimingScenario
+from repro.simulation.events import LatencyModel, TimingScenario
 from repro.simulation.faults import FaultScenario
 from repro.simulation.runner import EventStack, EventWorkloadResult, latency_summary
-from repro.simulation.server import BYZANTINE_BEHAVIOURS
 
 __all__ = [
     "TraceScenario",
@@ -80,11 +79,10 @@ class TraceScenario:
     skew:
         Zipf exponent for hot-quorum concentration; ``0`` leaves the access
         strategy untouched (see :func:`hot_quorum_strategy`).
-    fault_state:
-        The (static) fault environment during the replay.
-    latency / link_faults / byzantine_behaviour:
-        The event layer's timing environment, as for
-        :class:`~repro.simulation.scenarios.TimingScenario`.
+    timing:
+        The event layer's environment during the replay: fault states,
+        latency, link faults and the lie Byzantine replicas tell.  The
+        default is fault-free over ``LatencyModel.uniform(1.0, 0.5)``.
     """
 
     name: str
@@ -92,10 +90,11 @@ class TraceScenario:
     period: float = 120.0
     peak_ratio: float = 4.0
     skew: float = 0.0
-    fault_state: FaultScenario = field(default_factory=FaultScenario.fault_free)
-    latency: LatencyModel = field(default_factory=lambda: LatencyModel.uniform(1.0, 0.5))
-    link_faults: LinkFaults = field(default_factory=LinkFaults)
-    byzantine_behaviour: str = "fabricate-timestamp"
+    timing: TimingScenario = field(
+        default_factory=lambda: TimingScenario.static(
+            FaultScenario.fault_free(), latency=LatencyModel.uniform(1.0, 0.5)
+        )
+    )
 
     def __post_init__(self):
         if self.period <= 0.0:
@@ -106,11 +105,6 @@ class TraceScenario:
             )
         if self.skew < 0.0:
             raise SimulationError(f"skew must be >= 0, got {self.skew}")
-        if self.byzantine_behaviour not in BYZANTINE_BEHAVIOURS:
-            raise SimulationError(
-                f"unknown Byzantine behaviour {self.byzantine_behaviour!r}; "
-                f"choose one of {sorted(BYZANTINE_BEHAVIOURS)}"
-            )
         arrivals = tuple((float(time), kind) for time, kind in self.arrivals)
         object.__setattr__(self, "arrivals", arrivals)
         previous = 0.0
@@ -136,15 +130,15 @@ class TraceScenario:
         """
         try:
             arrivals = tuple((float(item["t"]), str(item["op"])) for item in records)
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise SimulationError(
-                "trace records must be objects with 't' and 'op' fields"
+                "trace records must be objects with a numeric 't' and an 'op' field"
             ) from exc
         return cls(name=name, arrivals=arrivals, **kwargs)
 
     @property
     def max_byzantine(self) -> int:
-        return self.fault_state.num_byzantine
+        return self.timing.max_byzantine
 
     def arrival_schedule(
         self,
@@ -270,13 +264,7 @@ def run_trace_workload(
 
     stack = EventStack(
         system,
-        TimingScenario.static(
-            trace.fault_state,
-            name=trace.name,
-            latency=trace.latency,
-            link_faults=trace.link_faults,
-            byzantine_behaviour=trace.byzantine_behaviour,
-        ),
+        trace.timing,
         b=b,
         num_clients=num_clients,
         max_attempts=max_attempts,

@@ -1,12 +1,14 @@
 """Pins of the ``python -m repro`` command line.
 
-Three things are held fixed here:
+Held fixed here:
 
 * every subcommand's option strings, as the parser declares them;
 * for a corpus of argv — every CLI command line of the CI workflow, plus the
   argv a supervisor spawns for a durable Byzantine replica — the spec that
   argv builds, compared with a spec written out by hand;
-* the exit status and output of the error paths.
+* spec -> argv -> spec round trips, and the argv the supervisor spawns each
+  replica with;
+* the exit status and output of the error paths, a closed stdout included.
 
 The specs are captured in-process: each command's effect (``run``,
 ``measure``, replica start-up, cluster spawn, load generation) is replaced
@@ -16,7 +18,10 @@ by a stub that raises :class:`Captured` carrying what it was handed.
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import json
+import sys
 
 import pytest
 
@@ -276,3 +281,172 @@ def test_argv_builds_the_expected_spec(captured, argv, expected):
     if isinstance(expected, dict):
         built = {key: built[key] for key in expected}
     assert built == expected
+
+
+# ----------------------------------------------------------------------
+# Spec -> argv -> spec.
+# ----------------------------------------------------------------------
+def parse(argv: list[str]) -> argparse.Namespace:
+    return cli._build_parser().parse_args(argv)
+
+
+def test_a_replica_config_round_trips_through_its_argv():
+    config = ReplicaConfig(
+        spec=THRESHOLD_5,
+        index=2,
+        host="10.0.0.7",
+        port=7001,
+        byzantine_behaviour="stale",
+        seed=11,
+        ready_file="ready/replica-2.json",
+        data_dir="state/replica-2",
+        fsync="interval:8",
+        snapshot_every=16,
+    )
+    assert cli.spec_from_args(ReplicaConfig, parse(["serve", *cli.argv_of(config)])) == config
+
+
+def test_a_cluster_spec_round_trips_through_its_argv():
+    cluster = ClusterSpec(
+        spec=THRESHOLD_5,
+        b=1,
+        byzantine=2,
+        byzantine_behaviour="random-value",
+        host="10.0.0.7",
+        seed=5,
+        allow_overload=True,
+        data_root="state",
+        fsync="never",
+        snapshot_every=0,
+    )
+    assert cli.spec_from_args(ClusterSpec, parse(["serve", *cli.argv_of(cluster)])) == cluster
+
+
+def test_a_workload_spec_round_trips_through_its_argv():
+    spec = WorkloadSpec(
+        system="mgrid", params={"side": 5, "b": 1}, b=1, scenario="crash", operations=64,
+        clients=2, write_fraction=0.25, strategy="optimal", seed=3, max_attempts=4,
+        num_samples=32,
+    )
+    args = parse(["run", "-c", "mgrid", "--side", "5", "--b", "1", *cli.argv_of(spec)])
+    assert cli.spec_from_args(WorkloadSpec, args, system="mgrid", params=spec.params) == spec
+
+
+def test_absent_flags_take_the_dataclass_defaults():
+    args = parse(["serve", "--spec", json.dumps(THRESHOLD_5.to_dict()), "--index", "0"])
+    assert cli.spec_from_args(ReplicaConfig, args) == ReplicaConfig(THRESHOLD_5, 0)
+    assert cli.spec_from_args(ClusterSpec, args) == ClusterSpec(THRESHOLD_5)
+    assert cli.argv_of(ClusterSpec(THRESHOLD_5)) == ["--spec", json.dumps(THRESHOLD_5.to_dict())]
+
+
+class FakeProcess:
+    pid = 4242
+
+    def poll(self):
+        return None
+
+    def terminate(self):
+        pass
+
+    def kill(self):
+        pass
+
+    def wait(self, timeout=None):
+        return 0
+
+
+def test_the_supervisor_spawns_each_replica_from_its_config(monkeypatch, tmp_path):
+    spawned: list[list[str]] = []
+
+    def popen(command, **_):
+        spawned.append(command)
+        ready_file = command[command.index("--ready-file") + 1]
+        with open(ready_file, "w", encoding="utf-8") as handle:
+            json.dump({"host": "127.0.0.1", "port": 9000 + len(spawned)}, handle)
+        return FakeProcess()
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness.subprocess, "Popen", popen)
+    cluster = harness.ServiceCluster(
+        ClusterSpec(
+            THRESHOLD_5, byzantine=1, seed=3, data_root="data", fsync="interval:8",
+            snapshot_every=32,
+        ),
+        "run",
+    )
+    cluster.start(timeout=5.0)
+    cluster.terminate()
+    assert len(spawned) == 5
+    assert all(command[1:4] == ["-m", "repro", "serve"] for command in spawned)
+    configs = [
+        cli.spec_from_args(ReplicaConfig, parse(command[3:])) for command in spawned
+    ]
+    assert configs[4] == REPLICA_CONFIG
+    assert [config.seed for config in configs] == [3, 4, 5, 6, 7]
+    assert [config.byzantine_behaviour for config in configs] == [None] * 4 + ["forge-on-read"]
+    assert [config.data_dir for config in configs] == [f"data/replica-{i}" for i in range(5)]
+
+
+# ----------------------------------------------------------------------
+# Exit statuses.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def no_effects(monkeypatch):
+    """Fail loudly if a command gets as far as serving or spawning."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the command ran instead of refusing its arguments")
+
+    monkeypatch.setattr(replica, "run_replica", refuse)
+    monkeypatch.setattr(harness.subprocess, "Popen", refuse)
+
+
+@pytest.mark.parametrize(
+    ("argv", "status", "message"),
+    [
+        (
+            "serve -c threshold --n 5 --b 1 --index 0 --byzantine-behaviour bogus",
+            2,
+            "unknown Byzantine behaviour 'bogus'",
+        ),
+        (
+            "serve -c threshold --n 5 --b 1 --byzantine 3 --run-dir RUN",
+            2,
+            "exceed the masking parameter b=1",
+        ),
+        (
+            "serve -c threshold --n 5 --b 1 --index 0 --data-dir RUN --fsync bogus",
+            2,
+            "unknown fsync mode 'bogus'",
+        ),
+        ("run -c mgrid --side 5 --b 1 --trace TRACE", 2, "numeric 't'"),
+        ("run -c mgrid --side 5 --b 1 --clients 0", 2, "clients must be >= 1"),
+        ("measure mgrid --n 24", 2, "perfect square"),
+        ("measure mpath --side 5 --b 1 --method exact", 3, "error: "),
+    ],
+)
+def test_exit_status(no_effects, tmp_path, capsys, argv, status, message):
+    trace = tmp_path / "trace.json"
+    trace.write_text('[{"t": "soon", "op": "read"}]', encoding="utf-8")
+    argv = [
+        {"RUN": str(tmp_path / "run"), "TRACE": str(trace)}.get(arg, arg)
+        for arg in argv.split()
+    ]
+    assert cli.main(argv) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["run", "-c", "mgrid", "--side", "5", "--b", "1", "--ops", "10", "--json"]) == 1
+    assert capsys.readouterr().err == ""

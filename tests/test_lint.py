@@ -45,7 +45,7 @@ def rules_fired(violations) -> set[str]:
 # ----------------------------------------------------------------------
 class TestRuleCatalogue:
     def test_all_rules_present(self):
-        assert set(RULES) == {"R0", "R1", "R2", "R3", "R4", "R5", "T1"}
+        assert set(RULES) == {"R0", "R1", "R2", "R3", "R4", "R5", "R6", "T1"}
 
     def test_rules_carry_documentation(self):
         for rule in RULES.values():
@@ -148,6 +148,31 @@ class TestR4FloatEquality:
 
     def test_float_ordering_comparisons_are_legal(self):
         assert lint_source("ok = x <= 1.0\n", "x.py") == []
+
+
+# ----------------------------------------------------------------------
+# R6 — no bare print.
+# ----------------------------------------------------------------------
+class TestR6NoBarePrint:
+    def test_library_prints_are_flagged(self):
+        violations = lint_file(FIXTURES / "r6_violation.py")
+        assert rules_fired(violations) == {"R6"}
+        assert len(violations) == 2
+
+    def test_returned_values_and_print_methods_pass(self):
+        assert lint_file(FIXTURES / "r6_clean.py") == []
+
+    @pytest.mark.parametrize(
+        ("path", "fires"),
+        [
+            ("src/repro/api/cli.py", False),
+            ("src/repro/lint/cli.py", False),
+            ("src/repro/service/harness.py", True),
+            ("src/repro/api/workloads.py", True),
+        ],
+    )
+    def test_only_the_command_line_front_ends_may_print(self, path, fires):
+        assert bool(lint_source("print('hello')\n", path)) is fires
 
 
 # ----------------------------------------------------------------------

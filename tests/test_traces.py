@@ -17,6 +17,7 @@ from repro import MGrid
 from repro.exceptions import SimulationError
 from repro.simulation import (
     FaultScenario,
+    TimingScenario,
     TraceScenario,
     TraceWorkloadResult,
     hot_quorum_strategy,
@@ -93,7 +94,12 @@ class TestArrivalSchedule:
         with pytest.raises(SimulationError):
             TraceScenario(name="x", arrivals=((-1.0, "read"),))
         with pytest.raises(SimulationError):
-            TraceScenario(name="x", byzantine_behaviour="nope")
+            TraceScenario(
+                name="x",
+                timing=TimingScenario.static(
+                    FaultScenario.fault_free(), byzantine_behaviour="nope"
+                ),
+            )
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +192,9 @@ class TestReplay:
 
     def test_byzantine_overload_is_refused_without_the_flag(self, system):
         byz = frozenset(system.universe.elements[:3])
-        trace = TraceScenario(name="x", fault_state=FaultScenario(byzantine=byz))
+        trace = TraceScenario(
+            name="x", timing=TimingScenario.static(FaultScenario(byzantine=byz))
+        )
         with pytest.raises(SimulationError):
             run_trace_workload(system, b=0, trace=trace, rng=np.random.default_rng(0))
 
