@@ -4,23 +4,26 @@
 ``PYTHONPATH=<tree>/src python scripts/run_digest.py`` prints the sha256 of
 every simulator report, result and conformance check the matrix below
 produces; two source trees whose digests agree produce bit-identical
-numbers (floats are hashed by ``float.hex``).  Run it under the parent
-commit's and the changed tree's ``PYTHONPATH`` to verify that a refactor of
-the run pipeline changed no result.  ``--dump`` prints the hashed lines
-instead, for diffing two trees.
+numbers (floats are hashed by ``float.hex``).  Run each tree's own copy of
+this script against its own ``src`` (``cd <tree> && PYTHONPATH=src python
+scripts/run_digest.py``) to verify that a refactor of the run pipeline
+changed no result: the rows are keyed by what they compute, not by the
+function that computes them, so a tree that renames an entry point keeps
+its keys.  ``--dump`` prints the hashed lines instead, for diffing two
+trees.
 
-The matrix uses only names that exist on both sides of the refactor that
-introduced it (PR 13), and treats any rejected facade call as ``rejected``
-whatever the exception class:
+The matrix treats any rejected facade call as ``rejected`` whatever the
+exception class:
 
 * ``api.run(...).to_dict()`` for every catalogue scenario x both engines x
   2 seeds on ``mgrid(side=5, b=1)``, plus the benchmark's two ``sim_*``
   specs on ``mgrid(49, 3)``;
 * the full ``AdversarialResult`` of both adaptive policies (one run with
   uneven round sizes, one with a single round);
-* ``run_reconfig_workload`` in both modes and ``run_reconfig_event_workload``
-  (epoch dicts, per-epoch per-server tallies, check counters, windows);
-* a diurnal ``run_trace_workload``;
+* a churn ``MembershipTimeline`` through ``run_workload`` in both modes and
+  through ``run_event_workload`` (epoch dicts, per-epoch per-server tallies,
+  check counters, windows);
+* a diurnal ``TraceScenario`` through ``run_event_workload``;
 * every check of ``adversarial_``, ``reconfig_``, ``percolation_``,
   ``service_`` and ``recovery_conformance`` — the last two on the offline
   replay of the pinned live history under ``tests/fixtures/``;
@@ -67,15 +70,14 @@ from repro.core import (
 )
 from repro.exceptions import ReproError
 from repro.simulation import (
+    AdaptiveScenario,
     GreedyLoadAdversary,
     MembershipTimeline,
     StaleReadAdversary,
     TraceScenario,
     resolve_strategy,
-    run_adversarial_workload,
-    run_reconfig_event_workload,
-    run_reconfig_workload,
-    run_trace_workload,
+    run_event_workload,
+    run_workload,
 )
 from repro.simulation.history import check_register_history, load_history_jsonl
 
@@ -153,9 +155,10 @@ def facade_rows():
 def adversarial_rows(system):
     for policy in (GreedyLoadAdversary(), StaleReadAdversary()):
         for operations, rounds in ((203, 8), (49, 1)):
-            result = run_adversarial_workload(
-                system, b=1, policy=policy, num_operations=operations,
-                rounds=rounds, rng=np.random.default_rng(SEEDS[0]),
+            result = run_workload(
+                system, b=1, num_operations=operations,
+                scenario=AdaptiveScenario("adaptive", policy=policy, rounds=rounds),
+                rng=np.random.default_rng(SEEDS[0]),
             )
             yield f"adversarial/{type(policy).__name__}/{operations}/{rounds}", {
                 **fields(result, RESULT_FIELDS),
@@ -174,10 +177,10 @@ def adversarial_rows(system):
         }
 
 
-def _churn(system) -> MembershipTimeline:
+def _churn(system, policy="reweight") -> MembershipTimeline:
     ring = system.n - 16
     events = plan_events(system.universe, [("sever", ring), ("join", ring)])
-    return MembershipTimeline(membership=Membership(system.universe, events))
+    return MembershipTimeline(membership=Membership(system.universe, events), policy=policy)
 
 
 def _epochs(result) -> list:
@@ -188,20 +191,20 @@ def _epochs(result) -> list:
 
 
 def reconfig_rows(system):
-    timeline = _churn(system)
     for mode in ("vectorised", "sequential"):
         for policy in ("reweight", "resolve", "uniform"):
-            result = run_reconfig_workload(
-                system, timeline=timeline, num_operations=150, policy=policy,
+            timeline = _churn(system, policy)
+            result = run_workload(
+                system, scenario=timeline, num_operations=150,
                 rng=np.random.default_rng(SEEDS[1]), mode=mode,
             )
             report = reconfig_conformance(result, system, timeline.membership)
             yield f"reconfig/{mode}/{policy}", {
                 "epochs": _epochs(result), "checks": checks(report),
             }
-    result = run_reconfig_event_workload(
-        system, timeline=timeline, num_clients=4, operations_per_client=18,
-        rng=np.random.default_rng(SEEDS[1]),
+    result = run_event_workload(
+        system, scenario=_churn(system), num_clients=4, operations_per_client=18,
+        rng=np.random.default_rng(SEEDS[1]), keep_history=True,
     )
     yield "reconfig/event", {
         "epochs": _epochs(result),
@@ -214,9 +217,9 @@ def reconfig_rows(system):
 
 def trace_rows(system):
     for seed in SEEDS:
-        result = run_trace_workload(
-            system, b=1, trace=TraceScenario(name="diurnal", skew=1.0),
-            num_operations=160, num_clients=4, rng=np.random.default_rng(seed),
+        result = run_event_workload(
+            system, b=1, scenario=TraceScenario(name="diurnal", skew=1.0),
+            num_clients=4, operations_per_client=40, rng=np.random.default_rng(seed),
         )
         yield f"trace/diurnal/{seed}", {
             **fields(result, RESULT_FIELDS + CLOCK_FIELDS),

@@ -54,14 +54,11 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.strategy import Strategy
 from repro.core.universe import Universe
 from repro.exceptions import ComputationError, ConformanceError, InvalidParameterError
-from repro.simulation.adversary import (
-    AdversarialResult,
-    AdversaryPolicy,
-    run_adversarial_workload,
-)
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_workload
+from repro.simulation.adversary import AdaptiveScenario, AdversarialResult, AdversaryPolicy
+from repro.simulation.engine import WorkloadResult, resolve_strategy
 from repro.simulation.messages import Timestamp
 from repro.simulation.reconfig import ReconfigResult
+from repro.simulation.runner import run_workload
 from repro.simulation.scenarios import percolation_scenario
 
 __all__ = [
@@ -375,7 +372,7 @@ def load_conformance(
     if result.strategy is None:
         raise InvalidParameterError(
             "the adversarial result carries no strategy; rerun through "
-            "run_adversarial_workload"
+            "run_workload with an AdaptiveScenario"
         )
     crash_sets = [round_.fault.crashed for round_ in result.rounds]
     budget = b if b is not None else max(
@@ -663,19 +660,20 @@ def adversarial_conformance(
     """Run an adaptive adversary and check every applicable bound.
 
     The backbone call of the adversarial test suite and the CI smoke job:
-    one seed-deterministic :func:`run_adversarial_workload` run, followed by
+    one seed-deterministic :func:`~repro.simulation.runner.run_workload` run
+    under an :class:`~repro.simulation.adversary.AdaptiveScenario`, followed by
     :func:`load_conformance` and :func:`masking_conformance` on its result.
     """
-    result = run_adversarial_workload(
+    result = run_workload(
         system,
         b=b,
-        policy=policy,
+        scenario=AdaptiveScenario(name="adaptive", policy=policy, rounds=rounds),
         num_operations=num_operations,
-        rounds=rounds,
         strategy=strategy,
         rng=np.random.default_rng(seed),
         write_fraction=write_fraction,
     )
+    assert isinstance(result, AdversarialResult)
     checks = (
         load_conformance(result, system, b=b, z=z).checks
         + masking_conformance(result, b=b).checks

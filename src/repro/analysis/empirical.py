@@ -54,11 +54,11 @@ from repro.simulation.client import (
     QuorumClient,
     RetryPolicy,
 )
-from repro.simulation.engine import resolve_strategy, run_workload
+from repro.simulation.engine import resolve_strategy
 from repro.simulation.events import EventNetwork, EventScheduler
 from repro.simulation.faults import FaultInjector, FaultScenario
 from repro.simulation.network import SynchronousNetwork
-from repro.simulation.runner import build_replicas
+from repro.simulation.runner import build_replicas, run_workload
 from repro.simulation.scenarios import WorkloadScenario
 
 if TYPE_CHECKING:  # circular at runtime: the facade imports this module

@@ -111,18 +111,18 @@ class MembershipSpec:
     def build(self, universe: Universe) -> MembershipTimeline:
         """Expand the spec over a concrete universe into a runnable timeline."""
         membership = Membership(universe, plan_events(universe, self.events))
-        return MembershipTimeline(membership=membership, fractions=self.fractions)
+        return MembershipTimeline(
+            membership=membership, fractions=self.fractions, policy=self.policy
+        )
 
 
 @dataclass(frozen=True)
 class ReconfigScenario:
     """A named reconfiguration scenario: a membership spec under a label.
 
-    The reconfiguration analogue of
-    :class:`~repro.simulation.adversary.AdaptiveScenario` — a marker object
-    the facade routes to :func:`~repro.simulation.reconfig.run_reconfig_workload`
-    (vectorised) or
-    :func:`~repro.simulation.reconfig.run_reconfig_event_workload` (event).
+    The facade builds the spec over the deployed universe into a
+    :class:`~repro.simulation.reconfig.MembershipTimeline`, the scenario both
+    engines' entry points accept.
     """
 
     name: str

@@ -38,18 +38,14 @@ from repro.api.scenarios import build_scenario
 from repro.core.quorum_system import ImplicitQuorumSystem, QuorumSystem
 from repro.core.strategy import Strategy
 from repro.exceptions import ComputationError, InvalidParameterError
-from repro.simulation.adversary import AdaptiveScenario, run_adversarial_workload
+from repro.simulation.adversary import AdaptiveScenario
 from repro.simulation.engine import WorkloadResult
 from repro.simulation.faults import FaultScenario
 from repro.simulation.history import HistoryCheck
-from repro.simulation.reconfig import (
-    ReconfigResult,
-    run_reconfig_event_workload,
-    run_reconfig_workload,
-)
+from repro.simulation.reconfig import MembershipTimeline, ReconfigResult
 from repro.simulation.runner import LATENCY_FIELDS, run_event_workload, run_workload
 from repro.simulation.scenarios import TimingScenario, WorkloadScenario
-from repro.simulation.traces import TraceScenario, run_trace_workload
+from repro.simulation.traces import TraceScenario
 
 __all__ = ["WorkloadReport", "WorkloadSpec", "run"]
 
@@ -249,7 +245,10 @@ class WorkloadReport:
         return {key: getattr(self, key) for key in self.SCHEMA}
 
 
-def _scenario_label(scenario: object) -> str:
+def _scenario_label(spec: WorkloadSpec) -> str:
+    scenario = spec.scenario
+    if spec.membership is not None:
+        return "reconfig-custom"
     if scenario is None:
         return "fault-free"
     if isinstance(scenario, str):
@@ -321,29 +320,26 @@ def _resolve_scenario(
     | FaultScenario
     | AdaptiveScenario
     | TraceScenario
-    | ReconfigScenario
+    | MembershipTimeline
 ):
+    """The scenario object an engine's entry point takes; a reconfiguration
+    scenario (or ``membership=``) is built over the deployed universe."""
+    scenario = spec.scenario
     if spec.membership is not None:
         # The __post_init__ guard guarantees scenario is None here.
-        return ReconfigScenario(name="reconfig-custom", membership=spec.membership)
-    scenario = spec.scenario
+        scenario = ReconfigScenario(name="reconfig-custom", membership=spec.membership)
     if scenario is None:
         scenario = "fault-free"
     if isinstance(scenario, str):
         # A stream separate from the workload's own rng, so scenario
         # placement never perturbs the operation draws.
         rng = np.random.default_rng([spec.seed, 0x5CE7A210])
-        return build_scenario(scenario, system.universe, b=b, rng=rng)
+        scenario = build_scenario(scenario, system.universe, b=b, rng=rng)
+    if isinstance(scenario, ReconfigScenario):
+        return scenario.membership.build(system.universe)
     if isinstance(
         scenario,
-        (
-            WorkloadScenario,
-            TimingScenario,
-            FaultScenario,
-            AdaptiveScenario,
-            TraceScenario,
-            ReconfigScenario,
-        ),
+        (WorkloadScenario, TimingScenario, FaultScenario, AdaptiveScenario, TraceScenario),
     ):
         return scenario
     raise InvalidParameterError(
@@ -366,25 +362,22 @@ def _pick_engine(engine: str, scenario: object) -> str:
             f"scenario {getattr(scenario, 'name', scenario)!r} carries timing "
             "(latency models, mid-run transitions); it needs engine='event'"
         )
-    if engine == "event" and isinstance(scenario, AdaptiveScenario):
-        raise InvalidParameterError(
-            f"scenario {scenario.name!r} adapts between operation rounds, which "
-            "only the vectorised engine's batch semantics express; use "
-            "engine='auto' or 'vectorized'"
-        )
     return engine
 
 
-def _event_scenario(scenario: object) -> TimingScenario | FaultScenario:
+def _event_scenario(
+    scenario: object,
+) -> TimingScenario | FaultScenario | TraceScenario | MembershipTimeline:
     """Translate an untimed scenario for the event engine.
 
     A single-phase :class:`WorkloadScenario` unwraps to its fault state.
     Multi-phase schedules are fractions of an *operation batch*, which a
     clock-driven engine cannot honour, and the two-camp ``"equivocate"``
     vouch model has no replica behaviour behind it; both are rejected
-    rather than silently misinterpreted.
+    rather than silently misinterpreted, and so is an adaptive scenario,
+    whose rounds are batch semantics.
     """
-    if isinstance(scenario, (TimingScenario, FaultScenario)):
+    if isinstance(scenario, (TimingScenario, FaultScenario, TraceScenario, MembershipTimeline)):
         return scenario
     if isinstance(scenario, WorkloadScenario):
         if scenario.num_phases != 1:
@@ -400,42 +393,10 @@ def _event_scenario(scenario: object) -> TimingScenario | FaultScenario:
                 "implements; use engine='auto' or 'vectorized'"
             )
         return scenario.phases[0]
-    raise InvalidParameterError(f"cannot run {type(scenario).__name__} on the event engine")
-
-
-def _run_reconfig(
-    spec: WorkloadSpec,
-    system: QuorumSystem,
-    scenario: ReconfigScenario,
-    chosen: str,
-    rng: np.random.Generator,
-) -> ReconfigResult:
-    """Route a reconfiguration scenario to the matching epoch driver.
-
-    The per-epoch masking parameter is the spec's ``b`` clamped to each
-    epoch's own bound (each epoch's bound directly when the spec left ``b``
-    unset); ``report.b`` records the fixed-membership resolution and the
-    ``epochs`` list carries the per-epoch values.
-    """
-    timeline = scenario.membership.build(system.universe)
-    shared = {
-        "timeline": timeline,
-        "b": spec.b,
-        "policy": scenario.membership.policy,
-        "strategy": spec.strategy,
-        "rng": rng,
-        "write_fraction": spec.write_fraction,
-        "max_attempts": spec.max_attempts,
-    }
-    if chosen == "vectorized":
-        return run_reconfig_workload(system, num_operations=spec.operations, **shared)
-    return run_reconfig_event_workload(
-        system,
-        num_clients=spec.clients,
-        operations_per_client=max(
-            timeline.num_epochs, math.ceil(spec.operations / spec.clients)
-        ),
-        **shared,
+    raise InvalidParameterError(
+        f"scenario {getattr(scenario, 'name', scenario)!r} adapts between operation "
+        "rounds, which only the vectorised engine's batch semantics express; use "
+        "engine='auto' or 'vectorized'"
     )
 
 
@@ -493,9 +454,14 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
     crash/recover) to the event-driven core and everything else to the
     vectorised engine; forcing ``"vectorized"`` on a timed scenario is an
     error, while forcing ``"event"`` on an untimed one runs it at zero
-    latency.  On the event engine each client runs
-    ``ceil(operations / clients)`` operations, so a non-divisible total is
-    rounded up — ``report.operations`` always records the executed count
+    latency.  The run is one call to the chosen engine's entry point
+    (:func:`~repro.simulation.runner.run_workload` or
+    :func:`~repro.simulation.runner.run_event_workload`) with the spec's
+    ``b``.  On the event engine each client runs
+    ``ceil(operations / clients)`` operations whatever the scenario kind (a
+    synthetic trace's arrivals and a membership timeline's epochs included),
+    so a non-divisible total is rounded up — ``report.operations`` always
+    records the executed count
     (:func:`repro.analysis.empirical.engine_agreement` pre-rounds specs so
     both engines execute identical totals).  Universes whose quorum family
     exceeds the enumeration ceiling
@@ -525,53 +491,17 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
         "system": system.name,
         "n": system.n,
         "b": b,
+        "scenario": _scenario_label(spec),
         "strategy": _strategy_label(spec.strategy),
         "seed": spec.seed,
         "sampled": sampled,
         "spec": registry_spec,
     }
-    if isinstance(scenario, ReconfigScenario):
-        reconfig = _run_reconfig(spec, system, scenario, chosen, rng)
-        return assemble_report(
-            reconfig.whole,
-            reconfig.check,
-            scenario=scenario.name,
-            empirical_load=max(o.result.empirical_load for o in reconfig.outcomes),
-            busiest_server="",
-            epochs=[outcome.to_dict() for outcome in reconfig.outcomes],
-            **coordinates,
-        )
-    if isinstance(scenario, AdaptiveScenario):
-        result = run_adversarial_workload(
-            system,
-            b=b,
-            policy=scenario.policy,
-            num_operations=spec.operations,
-            rounds=scenario.rounds,
-            strategy=spec.strategy,
-            rng=rng,
-            write_fraction=spec.write_fraction,
-            max_attempts=spec.max_attempts,
-            allow_overload=spec.allow_overload,
-            byzantine_model=scenario.byzantine_model,
-        )
-    elif isinstance(scenario, TraceScenario):
-        result = run_trace_workload(
-            system,
-            b=b,
-            trace=scenario,
-            num_operations=spec.operations,
-            num_clients=spec.clients,
-            write_fraction=spec.write_fraction,
-            strategy=spec.strategy,
-            rng=rng,
-            max_attempts=spec.max_attempts,
-            allow_overload=spec.allow_overload,
-        )
-    elif chosen == "vectorized":
+    result: WorkloadResult | ReconfigResult
+    if chosen == "vectorized":
         result = run_workload(
             system,
-            b=b,
+            b=spec.b,
             num_operations=spec.operations,
             scenario=scenario,
             strategy=spec.strategy,
@@ -583,9 +513,9 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
     else:
         result = run_event_workload(
             system,
-            b=b,
+            b=spec.b,
             num_clients=spec.clients,
-            operations_per_client=max(1, math.ceil(spec.operations / spec.clients)),
+            operations_per_client=math.ceil(spec.operations / spec.clients),
             scenario=_event_scenario(scenario),
             write_fraction=spec.write_fraction,
             max_attempts=spec.max_attempts,
@@ -593,9 +523,13 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
             rng=rng,
             allow_overload=spec.allow_overload,
         )
-    return assemble_report(
-        result,
-        getattr(result, "check", None),
-        scenario=_scenario_label(spec.scenario),
-        **coordinates,
-    )
+    if isinstance(result, ReconfigResult):
+        return assemble_report(
+            result.whole,
+            result.check,
+            empirical_load=max(o.result.empirical_load for o in result.outcomes),
+            busiest_server="",
+            epochs=[outcome.to_dict() for outcome in result.outcomes],
+            **coordinates,
+        )
+    return assemble_report(result, getattr(result, "check", None), **coordinates)

@@ -16,7 +16,9 @@ Three layers are provided:
   :mod:`repro.simulation.client` as replies arrive, so many of them
   interleave within one run and the produced concurrent histories are
   checked with a linearizability-style register checker
-  (:func:`check_register_history`), behind :func:`run_event_workload`;
+  (:func:`check_register_history`), behind :func:`run_event_workload`,
+  which also replays open-loop arrival traces (:class:`TraceScenario`) and
+  drives membership epochs (:class:`MembershipTimeline`);
 * the **message-level synchronous** simulator (:class:`ReplicatedRegister`,
   :class:`QuorumClient`, :class:`SynchronousNetwork`, the replica servers) —
   the zero-latency special case of the event core, one request object per
@@ -25,7 +27,12 @@ Three layers are provided:
   :mod:`repro.simulation.scenarios`) — batched array execution of whole
   workloads over the bitmask incidence machinery, driven by one
   :class:`WorkloadScenario` (operation-fraction phases plus the vouching
-  model), behind :func:`run_workload`.  See ``docs/simulation.md``.
+  model), behind :func:`run_workload`, which also runs adaptive adversaries
+  (:class:`AdaptiveScenario`) and membership epochs
+  (:class:`MembershipTimeline`).  See ``docs/simulation.md``.
+
+Each engine has one entry point; the scenario object carries the run's
+configuration and selects what the entry point does.
 """
 
 from repro.simulation.adversary import (
@@ -35,7 +42,6 @@ from repro.simulation.adversary import (
     AdversaryPolicy,
     GreedyLoadAdversary,
     StaleReadAdversary,
-    run_adversarial_workload,
 )
 from repro.simulation.client import (
     AsyncQuorumClient,
@@ -67,12 +73,11 @@ from repro.simulation.reconfig import (
     MembershipTimeline,
     ReconfigResult,
     reoptimise_strategy,
-    run_reconfig_event_workload,
-    run_reconfig_workload,
 )
 from repro.simulation.register import ReplicatedRegister
 from repro.simulation.runner import (
     EventWorkloadResult,
+    TraceWorkloadResult,
     build_replicas,
     latency_summary,
     run_event_workload,
@@ -98,12 +103,7 @@ from repro.simulation.scenarios import (
     timing_scenario_suite,
 )
 from repro.simulation.server import BYZANTINE_BEHAVIOURS, ByzantineReplicaServer, ReplicaServer
-from repro.simulation.traces import (
-    TraceScenario,
-    TraceWorkloadResult,
-    hot_quorum_strategy,
-    run_trace_workload,
-)
+from repro.simulation.traces import TraceScenario, hot_quorum_strategy
 
 __all__ = [
     "BYZANTINE_BEHAVIOURS",
@@ -162,11 +162,7 @@ __all__ = [
     "random_crash_scenario",
     "reoptimise_strategy",
     "resolve_strategy",
-    "run_adversarial_workload",
     "run_event_workload",
-    "run_reconfig_event_workload",
-    "run_reconfig_workload",
-    "run_trace_workload",
     "run_workload",
     "scenario_suite",
     "slow_server_scenario",

@@ -21,31 +21,25 @@ counts observed so far:
   zero fabricated or stale reads (Lemma 3.6); the conformance layer asserts
   exactly that.
 
-:func:`run_adversarial_workload` drives the round loop over the vectorised
-scenario engine; the whole run is a deterministic function of the ``rng``
-state (policies are deterministic given the observations, ties broken by
-universe order), so adversarial runs replay exactly under a fixed seed.
-:class:`AdaptiveScenario` is the declarative wrapper that lets a
-:class:`~repro.api.workloads.WorkloadSpec` name an adaptive run like any
-other scenario.
+An :class:`AdaptiveScenario` (policy, round count, vouching model) is one
+of the scenario kinds :func:`repro.simulation.runner.run_workload` accepts:
+it drives the round loop over the vectorised scenario engine, and the whole
+run is a deterministic function of the ``rng`` state (policies are
+deterministic given the observations, ties broken by universe order), so
+adversarial runs replay exactly under a fixed seed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Hashable
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.quorum_system import QuorumSystem
-from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.core.universe import Universe
 from repro.exceptions import SimulationError
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_workload
+from repro.simulation.engine import WorkloadResult
 from repro.simulation.faults import FaultScenario
-from repro.simulation.scenarios import BYZANTINE_MODELS, WorkloadScenario
+from repro.simulation.scenarios import BYZANTINE_MODELS
 
 __all__ = [
     "AdaptiveScenario",
@@ -54,7 +48,6 @@ __all__ = [
     "AdversaryPolicy",
     "GreedyLoadAdversary",
     "StaleReadAdversary",
-    "run_adversarial_workload",
 ]
 
 
@@ -135,10 +128,12 @@ class StaleReadAdversary(AdversaryPolicy):
 class AdaptiveScenario:
     """Declarative description of an adaptive-adversary run.
 
-    The facade's analogue of a :class:`~repro.simulation.scenarios.WorkloadScenario`
+    The analogue of a :class:`~repro.simulation.scenarios.WorkloadScenario`
     for adversarial workloads: a policy, a round count and the Byzantine
-    vouching model.  ``WorkloadSpec(scenario=AdaptiveScenario(...))`` routes
-    to :func:`run_adversarial_workload` on the vectorised engine.
+    vouching model.  :func:`repro.simulation.runner.run_workload` splits its
+    operations into :meth:`round_sizes`; before each round the policy
+    inspects the per-server successful-access counts accumulated so far and
+    picks the round's fault set.
     """
 
     name: str
@@ -147,6 +142,10 @@ class AdaptiveScenario:
     byzantine_model: str = "fabricate"
 
     def __post_init__(self):
+        if not isinstance(self.policy, AdversaryPolicy):
+            raise SimulationError(
+                f"policy must be an AdversaryPolicy, got {type(self.policy).__name__}"
+            )
         if self.rounds < 1:
             raise SimulationError(f"rounds must be >= 1, got {self.rounds}")
         if self.byzantine_model not in BYZANTINE_MODELS:
@@ -154,6 +153,20 @@ class AdaptiveScenario:
                 f"unknown Byzantine model {self.byzantine_model!r}; "
                 f"choose one of {sorted(BYZANTINE_MODELS)}"
             )
+
+    def round_sizes(self, num_operations: int) -> list[int]:
+        """Split ``num_operations`` into near-equal chunks, one per round.
+
+        Every round must observe something, so at least one operation per
+        round is required.
+        """
+        if num_operations < self.rounds:
+            raise SimulationError(
+                f"need at least one operation per round: {num_operations} operations "
+                f"over {self.rounds} rounds"
+            )
+        boundaries = [(i * num_operations) // self.rounds for i in range(self.rounds + 1)]
+        return [end - start for start, end in zip(boundaries, boundaries[1:])]
 
 
 @dataclass(frozen=True)
@@ -186,80 +199,3 @@ class AdversarialResult(WorkloadResult):
         return tuple(
             round_.fault.byzantine | round_.fault.crashed for round_ in self.rounds
         )
-
-
-def _round_sizes(num_operations: int, rounds: int) -> list[int]:
-    """Split ``num_operations`` into ``rounds`` near-equal positive chunks."""
-    boundaries = [(index * num_operations) // rounds for index in range(rounds + 1)]
-    return [b - a for a, b in zip(boundaries, boundaries[1:])]
-
-
-def run_adversarial_workload(
-    system: QuorumSystem,
-    *,
-    b: int,
-    policy: AdversaryPolicy,
-    num_operations: int = 200,
-    rounds: int = 8,
-    strategy: Strategy | str | None = None,
-    rng: np.random.Generator | None = None,
-    write_fraction: float = 0.5,
-    max_attempts: int = 10,
-    allow_overload: bool = False,
-    byzantine_model: str = "fabricate",
-) -> AdversarialResult:
-    """Run a workload against an adaptive adversary.
-
-    The operation batch is split into ``rounds`` near-equal chunks.  Before
-    each chunk the policy inspects the per-server successful-access counts
-    accumulated so far and picks the fault set for the chunk; the chunk then
-    runs through :func:`~repro.simulation.engine.run_workload` on the shared
-    ``rng`` (sequential consumption — the run is a deterministic function of
-    the seed, corruption trajectory included).
-
-    At least one operation per round is required, so every round observes
-    something.  Returns an :class:`AdversarialResult`
-    whose aggregate fields match the engine's accounting summed over rounds.
-    """
-    if rounds < 1:
-        raise SimulationError(f"rounds must be >= 1, got {rounds}")
-    if num_operations < rounds:
-        raise SimulationError(
-            f"need at least one operation per round: {num_operations} operations "
-            f"over {rounds} rounds"
-        )
-    if not isinstance(policy, AdversaryPolicy):
-        raise SimulationError(
-            f"policy must be an AdversaryPolicy, got {type(policy).__name__}"
-        )
-    rng = ensure_rng(rng)
-    universe = system.universe
-    resolved = resolve_strategy(system, strategy)
-
-    counts: Counter = Counter()
-    round_records: list[AdversarialRound] = []
-    for index, chunk in enumerate(_round_sizes(num_operations, rounds)):
-        fault = policy.choose(universe, b, counts)
-        scenario = WorkloadScenario.from_fault_scenario(
-            fault,
-            name=f"adaptive-round-{index}",
-            byzantine_model=byzantine_model,
-        )
-        result = run_workload(
-            system,
-            b=b,
-            num_operations=chunk,
-            scenario=scenario,
-            strategy=resolved,
-            rng=rng,
-            write_fraction=write_fraction,
-            max_attempts=max_attempts,
-            allow_overload=allow_overload,
-        )
-        round_records.append(AdversarialRound(index=index, fault=fault, result=result))
-        counts.update(result.tallies())
-    return AdversarialResult.fold(
-        [round_.result for round_ in round_records],
-        rounds=tuple(round_records),
-        strategy=resolved,
-    )

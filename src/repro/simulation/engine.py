@@ -40,7 +40,7 @@ protocol-level simulator.
 
 Determinism
 -----------
-``run_workload(..., mode="sequential")`` executes the identical semantics one
+``run_batch(..., mode="sequential")`` executes the identical semantics one
 operation at a time with Python integers and sets — the legacy-style
 per-operation path.  Both modes consume the same pre-drawn random schedule,
 so for any seed they produce **bit-for-bit identical**
@@ -63,14 +63,13 @@ import numpy as np
 from repro.core import bitset as bitset_mod
 from repro.core.load import exact_load
 from repro.core.quorum_system import QuorumSystem
-from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
 from repro.simulation.client import vouch_threshold
 from repro.simulation.faults import FaultScenario
 from repro.simulation.scenarios import WorkloadScenario, fault_free_scenario
 
-__all__ = ["WorkloadResult", "resolve_strategy", "run_workload"]
+__all__ = ["WorkloadResult", "resolve_strategy", "run_batch"]
 
 
 @dataclass
@@ -361,63 +360,29 @@ def _steered_index(cumulative: np.ndarray, draw, last_alive: int):
     return np.minimum(index, last_alive)
 
 
-def run_workload(
+def run_batch(
     system: QuorumSystem,
     *,
     b: int,
-    num_operations: int = 200,
-    scenario: FaultScenario | WorkloadScenario | None = None,
-    strategy: Strategy | str | None = None,
-    rng: np.random.Generator | None = None,
-    write_fraction: float = 0.5,
-    max_attempts: int = 10,
-    allow_overload: bool = False,
-    mode: str = "vectorised",
+    num_operations: int,
+    scenario: FaultScenario | WorkloadScenario | None,
+    strategy: Strategy | str | None,
+    rng: np.random.Generator,
+    write_fraction: float,
+    max_attempts: int,
+    allow_overload: bool,
+    mode: str,
     register_installed: bool = False,
 ) -> WorkloadResult:
-    """Run a batched read/write workload under a fault scenario.
+    """Run one batched read/write workload under a fault scenario.
 
-    Parameters
-    ----------
-    system:
-        The quorum system to deploy over.
-    b:
-        Masking parameter used by the read protocol's vouching rule.
-    num_operations:
-        Total operations in the batch.
-    scenario:
-        A phased :class:`~repro.simulation.scenarios.WorkloadScenario`,
-        which also names the Byzantine servers' vouching model
-        (``"fabricate"`` / ``"equivocate"``), or a static
-        :class:`FaultScenario` — its one-phase ``"fabricate"`` special case
-        (fault-free by default).
-    strategy:
-        Access strategy: ``None``/``"uniform"``, ``"optimal"`` (the
-        :func:`~repro.core.load.exact_load` LP strategy) or any
-        :class:`~repro.core.strategy.Strategy`.
-    rng:
-        Randomness source; the whole run is a deterministic function of its
-        state.
-    write_fraction:
-        Probability that an operation is a write (the first operation, and
-        every operation before the first success, is forced to be a write so
-        reads always have something to observe — unless
-        ``register_installed``).
-    max_attempts:
-        Probe budget charged to operations that find no responsive quorum.
-    allow_overload:
-        Permit phases with more Byzantine servers than ``b`` (negative
-        tests).
-    mode:
-        ``"vectorised"`` (array execution) or ``"sequential"`` (the
-        per-operation reference path; same semantics, same schedule,
-        identical result).
-    register_installed:
-        The run starts with the register already installed at every server
-        — an epoch after a reconfiguration's hand-over, passed by
-        :mod:`repro.simulation.reconfig` only.  No write is forced, and a
-        read before the run's first write is vouched by every correct
-        member of its quorum.
+    The core behind :func:`repro.simulation.runner.run_workload`, whose
+    docstring describes the parameters; it runs adaptive rounds and
+    membership epochs as a sequence of batches on one continuing ``rng``
+    stream.  ``register_installed`` (passed by the epoch loop only) starts
+    the batch with the register already installed at every server, as after
+    a reconfiguration's hand-over: no write is forced, and a read before the
+    batch's first write is vouched by every correct member of its quorum.
     """
     if num_operations <= 0:
         raise SimulationError(f"num_operations must be positive, got {num_operations}")
@@ -429,8 +394,6 @@ def run_workload(
         raise SimulationError(f"masking parameter must be >= 0, got {b}")
     if mode not in ("vectorised", "sequential"):
         raise SimulationError(f"mode must be 'vectorised' or 'sequential', got {mode!r}")
-    rng = ensure_rng(rng)
-
     scenario = _as_workload_scenario(scenario)
     scenario.validate_against(system.universe)
     if not allow_overload and scenario.max_byzantine > b:

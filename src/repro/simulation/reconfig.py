@@ -2,14 +2,16 @@
 
 A :class:`MembershipTimeline` pairs a :class:`~repro.core.membership.Membership`
 (the epoch sequence of join/sever events) with the fraction of the workload
-spent in each epoch — the membership analogue of
-:class:`~repro.simulation.events.TimingScenario`, whose transitions only
-toggle responsiveness of a fixed universe.  :func:`run_reconfig_workload` drives the
-vectorised engine through the epochs and :func:`run_reconfig_event_workload`
-drives the event-driven protocol stack, stitching the per-epoch histories
-into one timeline checked as the history of **one** register
-(:func:`~repro.simulation.history.check_register_history`; ``epochs=`` adds
-the membership rule).
+spent in each epoch and the strategy re-optimisation policy — the membership
+analogue of :class:`~repro.simulation.events.TimingScenario`, whose
+transitions only toggle responsiveness of a fixed universe.  Both entry
+points of :mod:`repro.simulation.runner` accept a timeline as their
+scenario and follow the one per-epoch plan of this module:
+``run_workload`` drives the vectorised engine through the epochs and
+``run_event_workload`` drives the event-driven protocol stack, stitching
+the per-epoch histories into one timeline checked as the history of
+**one** register (:func:`~repro.simulation.history.check_register_history`;
+``epochs=`` adds the membership rule).
 
 Semantics
 ---------
@@ -35,7 +37,7 @@ Semantics
   implicit systems), and ``"uniform"`` rebuilds the uniform strategy.
 * All epochs consume **one continuing rng stream**, so a run is a
   deterministic function of the seed and — because each epoch slice is a
-  plain :func:`~repro.simulation.engine.run_workload` call — the vectorised
+  plain :func:`~repro.simulation.engine.run_batch` call — the vectorised
   and sequential modes stay bit-for-bit identical.
 
 ``docs/membership.md`` documents the epoch model and the checker's
@@ -46,24 +48,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.membership import Epoch, Membership
 from repro.core.quorum_system import QuorumSystem
-from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.client import vouch_threshold, vouched_pair
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_workload
-from repro.simulation.history import (
-    EpochWindow,
-    HistoryCheck,
-    check_register_history,
-)
-from repro.simulation.messages import ValueTimestampPair
-from repro.simulation.runner import EventWorkloadResult, run_event_workload
+from repro.simulation.engine import WorkloadResult, resolve_strategy
+from repro.simulation.history import EpochWindow, HistoryCheck
 
 __all__ = [
     "REOPTIMISE_POLICIES",
@@ -71,12 +65,18 @@ __all__ = [
     "MembershipTimeline",
     "ReconfigResult",
     "reoptimise_strategy",
-    "run_reconfig_event_workload",
-    "run_reconfig_workload",
 ]
 
 #: Strategy re-optimisation policies applied on epoch change.
 REOPTIMISE_POLICIES = ("reweight", "resolve", "uniform")
+
+
+def _check_policy(policy: str) -> None:
+    if policy not in REOPTIMISE_POLICIES:
+        raise SimulationError(
+            f"unknown re-optimisation policy {policy!r}; "
+            f"choose one of {REOPTIMISE_POLICIES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,17 @@ class MembershipTimeline:
     fractions:
         Fraction of the workload's operations spent in each epoch; must be
         positive and sum to 1 (equal split when omitted).
+    policy:
+        Strategy re-optimisation policy applied on epoch change, one of
+        :data:`REOPTIMISE_POLICIES` (see :func:`reoptimise_strategy`).
     """
 
     membership: Membership
     fractions: tuple[float, ...] = ()
+    policy: str = "reweight"
 
     def __post_init__(self) -> None:
+        _check_policy(self.policy)
         fractions = self.fractions
         if not fractions:
             count = self.membership.num_epochs
@@ -242,11 +247,7 @@ def reoptimise_strategy(
     the unit the membership benchmark times (incremental re-weight vs. full
     LP re-solve).
     """
-    if policy not in REOPTIMISE_POLICIES:
-        raise SimulationError(
-            f"unknown re-optimisation policy {policy!r}; "
-            f"choose one of {REOPTIMISE_POLICIES}"
-        )
+    _check_policy(policy)
     rebound = membership.rebind(system, epoch_index)
     if policy == "uniform":
         return resolve_strategy(rebound, None), "uniform"
@@ -257,21 +258,11 @@ def reoptimise_strategy(
     return _full_resolve(rebound), "resolve"
 
 
-def _epoch_b(b: int | None, rebound: QuorumSystem) -> int:
-    """The epoch's own masking parameter: the requested ``b`` clamped to
-    what the epoch's rebound system can mask."""
-    bound = rebound.masking_bound()
-    if b is None:
-        return bound
-    return min(b, bound)
-
-
 def _run_epochs(
     system: QuorumSystem,
     timeline: MembershipTimeline,
     b: int | None,
     strategy: Strategy | str | None,
-    policy: str,
     run_epoch: Callable[
         [Epoch, QuorumSystem, int, Strategy, EpochOutcome | None], WorkloadResult
     ],
@@ -279,8 +270,8 @@ def _run_epochs(
     """The per-epoch plan both engines follow.
 
     Each epoch rebinds the system to its membership, takes the initial
-    strategy (epoch 0) or re-optimises the previous epoch's under
-    ``policy``, clamps ``b`` to what the rebound system can mask, and hands
+    strategy (epoch 0) or re-optimises the previous epoch's under the
+    timeline's policy, clamps ``b`` to what the rebound system can mask, and hands
     ``(epoch, rebound system, epoch b, strategy, previous outcome)`` to
     ``run_epoch`` — the only engine-specific step.  The previous outcome
     (``None`` in epoch 0) is the drained epoch whose register the new one
@@ -301,9 +292,10 @@ def _run_epochs(
             current, applied = resolve_strategy(rebound, strategy), "initial"
         else:
             current, applied = reoptimise_strategy(
-                system, membership, epoch.index, previous=current, policy=policy
+                system, membership, epoch.index, previous=current, policy=timeline.policy
             )
-        epoch_b = _epoch_b(b, rebound)
+        bound = rebound.masking_bound()
+        epoch_b = bound if b is None else min(b, bound)
         outcomes.append(
             EpochOutcome(
                 index=epoch.index,
@@ -319,170 +311,3 @@ def _run_epochs(
             )
         )
     return tuple(outcomes)
-
-
-def _handed_over_pair(
-    previous: EpochOutcome, b: int, rng: np.random.Generator
-) -> ValueTimestampPair:
-    """The register a drained event-engine epoch hands the next one (masking ``b``).
-
-    Reads the replicas of one quorum drawn from the old epoch's strategy and
-    keeps the highest pair ``min(b_old, b) + 1`` of them vouch for.
-    """
-    drained, strategy = previous.result, previous.strategy
-    assert isinstance(drained, EventWorkloadResult) and strategy is not None
-    quorum = strategy.sample(rng)
-    vouch_b = min(previous.b, b)
-    pair = vouched_pair((drained.replica_pairs[server] for server in quorum), vouch_b)
-    if pair is None:
-        raise SimulationError(
-            f"epoch {previous.index} cannot hand its register over: no pair is vouched "
-            f"by {vouch_threshold(vouch_b)} members of the quorum {sorted(quorum, key=repr)}"
-        )
-    return pair
-
-
-def run_reconfig_workload(
-    system: QuorumSystem,
-    *,
-    timeline: MembershipTimeline,
-    b: int | None = None,
-    num_operations: int = 300,
-    policy: str = "reweight",
-    strategy: Strategy | str | None = None,
-    rng: np.random.Generator | int | None = None,
-    write_fraction: float = 0.5,
-    max_attempts: int = 10,
-    mode: str = "vectorised",
-) -> ReconfigResult:
-    """Drive the vectorised engine through a membership timeline.
-
-    Parameters
-    ----------
-    system:
-        The quorum system deployed in epoch 0 (its universe must equal the
-        timeline's initial universe).
-    timeline:
-        Epoch sequence plus per-epoch operation fractions.
-    b:
-        Masking parameter; clamped per epoch to the rebound system's own
-        bound (``None`` uses each epoch's bound directly).
-    num_operations:
-        Total operations across all epochs (every epoch runs fault-free).
-    policy:
-        Strategy re-optimisation policy on epoch change (see
-        :func:`reoptimise_strategy`).
-    strategy:
-        Epoch-0 strategy specification (``None``/``"uniform"``/``"optimal"``
-        or a :class:`~repro.core.strategy.Strategy`).
-    mode:
-        ``"vectorised"`` or ``"sequential"`` — forwarded to
-        :func:`~repro.simulation.engine.run_workload`; both modes consume
-        the same continuing rng stream and agree bit for bit.
-    """
-    rng = ensure_rng(rng)
-    operations = timeline.operations_per_epoch(num_operations)
-
-    def run_epoch(
-        epoch: Epoch,
-        rebound: QuorumSystem,
-        epoch_b: int,
-        current: Strategy,
-        previous: EpochOutcome | None,
-    ) -> WorkloadResult:
-        return run_workload(
-            rebound,
-            b=epoch_b,
-            num_operations=operations[epoch.index],
-            strategy=current,
-            rng=rng,
-            write_fraction=write_fraction,
-            max_attempts=max_attempts,
-            mode=mode,
-            register_installed=previous is not None,
-        )
-
-    outcomes = _run_epochs(system, timeline, b, strategy, policy, run_epoch)
-    return ReconfigResult(
-        outcomes=outcomes,
-        whole=WorkloadResult.fold([outcome.result for outcome in outcomes]),
-    )
-
-
-def run_reconfig_event_workload(
-    system: QuorumSystem,
-    *,
-    timeline: MembershipTimeline,
-    b: int | None = None,
-    num_clients: int = 4,
-    operations_per_client: int = 20,
-    policy: str = "reweight",
-    strategy: Strategy | str | None = None,
-    rng: np.random.Generator | int | None = None,
-    write_fraction: float = 0.5,
-    max_attempts: int = 10,
-    keep_history: bool = True,
-) -> ReconfigResult:
-    """Drive the event-driven protocol stack through a membership timeline.
-
-    Each epoch runs its slice of every client's operation budget
-    (``operations_per_client`` split by the timeline's fractions) over the
-    epoch's rebound system, started from the pair the previous epoch hands
-    over; the per-epoch histories are stitched onto one time axis and
-    checked as one register's history — zero violations expected at ≤ b
-    faults per epoch.
-    """
-    rng = ensure_rng(rng)
-    per_client = timeline.operations_per_epoch(operations_per_client)
-    windows: list[EpochWindow] = []
-    combined: list = []
-
-    def run_epoch(
-        epoch: Epoch,
-        rebound: QuorumSystem,
-        epoch_b: int,
-        current: Strategy,
-        previous: EpochOutcome | None,
-    ) -> WorkloadResult:
-        result = run_event_workload(
-            rebound,
-            b=epoch_b,
-            num_clients=num_clients,
-            operations_per_client=per_client[epoch.index],
-            strategy=current,
-            initial_pair=(
-                None if previous is None else _handed_over_pair(previous, epoch_b, rng)
-            ),
-            rng=rng,
-            write_fraction=write_fraction,
-            max_attempts=max_attempts,
-            keep_history=True,
-        )
-        offset = windows[-1].end if windows else 0.0
-        combined.extend(
-            replace(
-                record,
-                invoked_at=record.invoked_at + offset,
-                responded_at=record.responded_at + offset,
-            )
-            for record in result.history
-        )
-        windows.append(
-            EpochWindow(
-                index=epoch.index,
-                start=offset,
-                end=offset + result.duration + 1.0,
-                members=epoch.member_set(),
-            )
-        )
-        return result
-
-    outcomes = _run_epochs(system, timeline, b, strategy, policy, run_epoch)
-    windows[-1] = replace(windows[-1], end=float("inf"))
-    return ReconfigResult(
-        outcomes=outcomes,
-        whole=EventWorkloadResult.fold([outcome.result for outcome in outcomes]),
-        windows=tuple(windows),
-        check=check_register_history(combined, epochs=windows),
-        history=tuple(combined) if keep_history else (),
-    )

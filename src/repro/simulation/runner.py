@@ -1,17 +1,23 @@
 """Workload runner: end-to-end experiments over the replicated register.
 
-This module is the stable entry point for workload experiments, one per
-engine.  :func:`run_workload` (defined in :mod:`repro.simulation.engine`)
-executes batches of operations as array computations over the bitmask
-incidence machinery, driven by a
-:class:`~repro.simulation.scenarios.WorkloadScenario` (see
-:mod:`repro.simulation.engine` for the execution semantics and
-``docs/simulation.md`` for the measurement model).  :func:`run_event_workload`
-drives the message-level protocol instead — the one protocol core of
+This module holds the one entry point of each engine; every scenario object
+carries its own configuration, so the entry point dispatches on the
+scenario's kind.  :func:`run_workload` executes batches of operations as
+array computations over the bitmask incidence machinery
+(:func:`repro.simulation.engine.run_batch`; see :mod:`repro.simulation.engine`
+for the execution semantics and ``docs/simulation.md`` for the measurement
+model) under a :class:`~repro.simulation.scenarios.WorkloadScenario`, a
+static :class:`~repro.simulation.faults.FaultScenario`, an
+:class:`~repro.simulation.adversary.AdaptiveScenario` (rounds re-chosen
+from observed load) or a :class:`~repro.simulation.reconfig.MembershipTimeline`
+(epochs of a changing universe).  :func:`run_event_workload` drives the
+message-level protocol instead — the one protocol core of
 :mod:`repro.simulation.client` behind its event-driven driver — over the
-stack :class:`EventStack` wires up (and the trace runner shares), driven by
-a :class:`~repro.simulation.events.TimingScenario`; the
-blocking :class:`~repro.simulation.client.QuorumClient` and
+stack :class:`EventStack` wires up, closed-loop under a
+:class:`~repro.simulation.events.TimingScenario` or static fault scenario,
+open-loop under a :class:`~repro.simulation.traces.TraceScenario`, or epoch
+by epoch under a membership timeline.  The blocking
+:class:`~repro.simulation.client.QuorumClient` and
 :class:`~repro.simulation.register.ReplicatedRegister` remain available for
 protocol-step tests and examples.
 
@@ -26,28 +32,52 @@ load, which could exceed 1 under heavy faults).
 
 from __future__ import annotations
 
-import math
-from collections.abc import Hashable, Sequence
-from dataclasses import dataclass, field
+import itertools
+from collections import Counter, deque
+from collections.abc import Callable, Hashable, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any
 
 import numpy as np
 
 from repro.core.floats import is_zero
+from repro.core.membership import Epoch
 from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.client import AsyncQuorumClient, RetryPolicy, access_frequencies
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_workload
+from repro.simulation.adversary import AdaptiveScenario, AdversarialResult, AdversarialRound
+from repro.simulation.client import (
+    AsyncQuorumClient,
+    RetryPolicy,
+    access_frequencies,
+    vouch_threshold,
+    vouched_pair,
+)
+from repro.simulation.engine import WorkloadResult, resolve_strategy, run_batch
 from repro.simulation.events import EventNetwork, EventScheduler, TimingScenario
 from repro.simulation.faults import FaultScenario
-from repro.simulation.history import HistoryCheck, HistoryRecorder
+from repro.simulation.history import (
+    EpochWindow,
+    HistoryCheck,
+    HistoryRecorder,
+    check_register_history,
+)
 from repro.simulation.messages import ValueTimestampPair
+from repro.simulation.reconfig import (
+    EpochOutcome,
+    MembershipTimeline,
+    ReconfigResult,
+    _run_epochs,
+)
+from repro.simulation.scenarios import WorkloadScenario
 from repro.simulation.server import ByzantineReplicaServer, ReplicaServer
+from repro.simulation.traces import TraceScenario, hot_quorum_strategy
 
 __all__ = [
     "EventWorkloadResult",
+    "TraceWorkloadResult",
     "WorkloadResult",
     "build_replicas",
     "latency_summary",
@@ -155,6 +185,20 @@ class EventWorkloadResult(WorkloadResult):
             **means,
             **extra,
         )
+
+
+@dataclass
+class TraceWorkloadResult(EventWorkloadResult):
+    """An :class:`EventWorkloadResult` for a trace replay.
+
+    The inherited latency statistics are **sojourn times** (arrival to
+    completion, queueing included); the queueing component and the offered
+    arrival rate are reported separately.
+    """
+
+    queue_delay_mean: float = 0.0
+    queue_delay_p99: float = 0.0
+    arrival_rate: float = 0.0
 
 
 def latency_summary(samples: Sequence[float], empty: float | None) -> dict:
@@ -305,91 +349,299 @@ class EventStack:
         )
 
 
+def run_workload(
+    system: QuorumSystem,
+    *,
+    b: int | None = None,
+    num_operations: int = 200,
+    scenario: (
+        WorkloadScenario | FaultScenario | AdaptiveScenario | MembershipTimeline | None
+    ) = None,
+    strategy: Strategy | str | None = None,
+    rng: np.random.Generator | int | None = None,
+    write_fraction: float = 0.5,
+    max_attempts: int = 10,
+    allow_overload: bool = False,
+    mode: str = "vectorised",
+) -> WorkloadResult | ReconfigResult:
+    """Run a batched read/write workload on the vectorised engine.
+
+    Parameters
+    ----------
+    system:
+        The quorum system to deploy over (for a membership timeline, the
+        system of epoch 0).
+    b:
+        Masking parameter used by the read protocol's vouching rule;
+        ``None`` means each segment's own masking bound.  On a membership
+        timeline every epoch clamps ``b`` to its rebound system's bound.
+    num_operations:
+        Total operations, split over the adaptive rounds or the epochs.
+    scenario:
+        A phased :class:`~repro.simulation.scenarios.WorkloadScenario`,
+        which also names the Byzantine servers' vouching model
+        (``"fabricate"`` / ``"equivocate"``); a static
+        :class:`FaultScenario` — its one-phase ``"fabricate"`` special case
+        (fault-free when ``None``); an
+        :class:`~repro.simulation.adversary.AdaptiveScenario`, whose policy
+        re-chooses the fault set before each round from the per-server
+        access counts observed so far (returns an
+        :class:`~repro.simulation.adversary.AdversarialResult`); or a
+        :class:`~repro.simulation.reconfig.MembershipTimeline`, whose epochs
+        run fault-free on their rebound systems (returns a
+        :class:`~repro.simulation.reconfig.ReconfigResult`).
+    strategy:
+        Access strategy: ``None``/``"uniform"``, ``"optimal"`` (the
+        :func:`~repro.core.load.exact_load` LP strategy) or any
+        :class:`~repro.core.strategy.Strategy`; on a timeline, epoch 0's.
+    rng:
+        Randomness source; rounds and epochs consume one continuing stream,
+        so the whole run is a deterministic function of its state.
+    write_fraction:
+        Probability that an operation is a write (the first operation, and
+        every operation before the first success, is forced to be a write so
+        reads always have something to observe — except in an epoch that
+        inherits the register).
+    max_attempts:
+        Probe budget charged to operations that find no responsive quorum.
+    allow_overload:
+        Permit phases with more Byzantine servers than ``b`` (negative
+        tests).
+    mode:
+        ``"vectorised"`` (array execution) or ``"sequential"`` (the
+        per-operation reference path; same semantics, same schedule,
+        identical result) for every batch of the run.
+    """
+    if isinstance(scenario, (TimingScenario, TraceScenario)):
+        raise SimulationError(
+            f"a {type(scenario).__name__} runs on the other engine; use run_event_workload"
+        )
+    rng = ensure_rng(rng)
+    batch = partial(
+        run_batch,
+        rng=rng,
+        write_fraction=write_fraction,
+        max_attempts=max_attempts,
+        allow_overload=allow_overload,
+        mode=mode,
+    )
+    if isinstance(scenario, MembershipTimeline):
+        return _run_vectorised_epochs(system, scenario, b, num_operations, strategy, batch)
+    b = system.masking_bound() if b is None else b
+    if isinstance(scenario, AdaptiveScenario):
+        return _run_rounds(system, scenario, b, num_operations, strategy, batch)
+    return batch(
+        system, b=b, num_operations=num_operations, scenario=scenario, strategy=strategy
+    )
+
+
+def _run_rounds(
+    system: QuorumSystem,
+    scenario: AdaptiveScenario,
+    b: int,
+    num_operations: int,
+    strategy: Strategy | str | None,
+    batch: Callable[..., WorkloadResult],
+) -> AdversarialResult:
+    """The adaptive round loop: before each round the policy picks the fault
+    set from the successful-access counts accumulated so far, and the round
+    runs as one batch (corruption trajectory included, the run is a
+    deterministic function of the seed)."""
+    sizes = scenario.round_sizes(num_operations)
+    resolved = resolve_strategy(system, strategy)
+    counts: Counter = Counter()
+    rounds: list[AdversarialRound] = []
+    for index, chunk in enumerate(sizes):
+        fault = scenario.policy.choose(system.universe, b, counts)
+        result = batch(
+            system,
+            b=b,
+            num_operations=chunk,
+            scenario=WorkloadScenario.from_fault_scenario(
+                fault,
+                name=f"adaptive-round-{index}",
+                byzantine_model=scenario.byzantine_model,
+            ),
+            strategy=resolved,
+        )
+        rounds.append(AdversarialRound(index=index, fault=fault, result=result))
+        counts.update(result.tallies())
+    return AdversarialResult.fold(
+        [round_.result for round_ in rounds], rounds=tuple(rounds), strategy=resolved
+    )
+
+
+def _run_vectorised_epochs(
+    system: QuorumSystem,
+    timeline: MembershipTimeline,
+    b: int | None,
+    num_operations: int,
+    strategy: Strategy | str | None,
+    batch: Callable[..., WorkloadResult],
+) -> ReconfigResult:
+    """The vectorised epoch loop: one batch per epoch on the shared stream,
+    each epoch after the first with the register installed."""
+    operations = timeline.operations_per_epoch(num_operations)
+
+    def run_epoch(
+        epoch: Epoch,
+        rebound: QuorumSystem,
+        epoch_b: int,
+        current: Strategy,
+        previous: EpochOutcome | None,
+    ) -> WorkloadResult:
+        return batch(
+            rebound,
+            b=epoch_b,
+            num_operations=operations[epoch.index],
+            scenario=None,
+            strategy=current,
+            register_installed=previous is not None,
+        )
+
+    outcomes = _run_epochs(system, timeline, b, strategy, run_epoch)
+    return ReconfigResult(
+        outcomes=outcomes,
+        whole=WorkloadResult.fold([outcome.result for outcome in outcomes]),
+    )
+
+
 def run_event_workload(
     system: QuorumSystem,
     *,
-    b: int,
+    b: int | None = None,
     num_clients: int = 8,
     operations_per_client: int = 25,
-    scenario: TimingScenario | FaultScenario | None = None,
+    scenario: (
+        TimingScenario | FaultScenario | TraceScenario | MembershipTimeline | None
+    ) = None,
     write_fraction: float = 0.5,
     max_attempts: int = 10,
     request_timeout: float | None = None,
     retry_unvouched_reads: bool = False,
-    think_time: float = 0.0,
     strategy: Strategy | str | None = None,
-    initial_pair: ValueTimestampPair | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | int | None = None,
     allow_overload: bool = False,
     keep_history: bool = False,
-) -> EventWorkloadResult:
+) -> EventWorkloadResult | ReconfigResult:
     """Run a *concurrent* workload over the event-driven protocol stack.
 
-    ``num_clients`` resumable clients each perform ``operations_per_client``
-    operations back to back (plus an optional exponential ``think_time``
-    between them), interleaving through the shared
+    ``num_clients`` resumable clients interleave through the shared
     :class:`~repro.simulation.events.EventScheduler`; latency, message loss,
     duplication, slow servers, mid-run crash/recover transitions and the
-    Byzantine replicas' lie all come from the one ``scenario`` (a bare
-    :class:`~repro.simulation.faults.FaultScenario` runs at zero latency over
-    clean links, ``None`` fault-free).  The completed history is checked with
+    Byzantine replicas' lie all come from the one ``scenario``:
+
+    * a :class:`~repro.simulation.events.TimingScenario` or a bare
+      :class:`~repro.simulation.faults.FaultScenario` (zero latency over
+      clean links; ``None`` is fault-free) runs **closed-loop** — each
+      client performs ``operations_per_client`` operations back to back;
+    * a :class:`~repro.simulation.traces.TraceScenario` runs **open-loop**
+      in its own timing environment: its arrivals (a synthetic trace
+      generates ``num_clients * operations_per_client`` of them) join a
+      FIFO queue served by the client pool, so the reported latencies are
+      sojourn times (returns a :class:`TraceWorkloadResult`);
+    * a :class:`~repro.simulation.reconfig.MembershipTimeline` runs each
+      epoch closed-loop and fault-free on its rebound system, from the
+      register the previous epoch hands over, with every client's
+      operations split by the timeline's fractions; the per-epoch histories
+      are stitched onto one time axis and checked as one register's
+      (returns a :class:`~repro.simulation.reconfig.ReconfigResult`).
+
+    ``b=None`` means each segment's own masking bound (per epoch on a
+    timeline, where a given ``b`` is clamped to each epoch's bound).  The
+    completed history is checked with
     :func:`~repro.simulation.history.check_register_history`.
 
     Each client draws quorums from its own generator spawned off ``rng``, so
     runs are deterministic functions of the seed.  An
     :class:`~repro.core.quorum_system.ImplicitQuorumSystem` deployment works
     unchanged at ``n = 10^3..10^4``: with the default strategy the clients
-    sample fresh quorums straight from the base construction
-    (``sample_quorum`` / ``sample_quorum_avoiding``), so no quorum family is
-    ever enumerated (see ``docs/analysis.md``).  ``request_timeout``
-    defaults to a generous multiple of the latency scale (or 1.0 when the
-    latency model is zero).  ``retry_unvouched_reads`` lets reads whose vote
-    was split below ``b + 1`` by an interleaved write retry at a fresh
-    quorum instead of aborting — the concurrency-liveness knob of
-    :class:`~repro.simulation.client.RetryPolicy`.  ``initial_pair`` is the
-    register state the run inherits (a reconfiguration's hand-over): every
-    replica starts from it, and so does the history check.
+    of a closed-loop run sample fresh quorums straight from the base
+    construction (``sample_quorum`` / ``sample_quorum_avoiding``), so no
+    quorum family is ever enumerated (see ``docs/analysis.md``).
+    ``request_timeout`` defaults to a generous multiple of the latency scale
+    (or 1.0 when the latency model is zero).  ``retry_unvouched_reads`` lets
+    reads whose vote was split below ``b + 1`` by an interleaved write retry
+    at a fresh quorum instead of aborting — the concurrency-liveness knob of
+    :class:`~repro.simulation.client.RetryPolicy`.
 
-    Returns an :class:`EventWorkloadResult`; the base-class fields follow the
-    engine's accounting so event runs drop into the same comparison tooling.
+    The base-class fields of the result follow the vectorised engine's
+    accounting so event runs drop into the same comparison tooling.
     """
+    if isinstance(scenario, (WorkloadScenario, AdaptiveScenario)):
+        raise SimulationError(
+            f"a {type(scenario).__name__} runs on the other engine; use run_workload"
+        )
     if operations_per_client < 1:
         raise SimulationError(
             f"operations_per_client must be >= 1, got {operations_per_client}"
         )
     if not 0.0 <= write_fraction <= 1.0:
         raise SimulationError(f"write_fraction must lie in [0, 1], got {write_fraction}")
-    if not 0.0 <= think_time < math.inf:
-        raise SimulationError(f"think_time must be finite and non-negative, got {think_time}")
     rng = ensure_rng(rng)
-    stack = EventStack(
-        system,
-        scenario,
-        b=b,
+    stack = partial(
+        EventStack,
         num_clients=num_clients,
         max_attempts=max_attempts,
         request_timeout=request_timeout,
         retry_unvouched_reads=retry_unvouched_reads,
-        strategy=resolve_strategy(system, strategy) if strategy is not None else None,
-        initial_pair=initial_pair,
         rng=rng,
         allow_overload=allow_overload,
     )
-    scheduler = stack.scheduler
-    pacing_rng = np.random.default_rng(rng.integers(2**63))
+    if isinstance(scenario, MembershipTimeline):
+        return _run_event_epochs(
+            system,
+            scenario,
+            b,
+            strategy,
+            stack,
+            operations_per_client=operations_per_client,
+            write_fraction=write_fraction,
+            rng=rng,
+            keep_history=keep_history,
+        )
+    b = system.masking_bound() if b is None else b
+    if isinstance(scenario, TraceScenario):
+        arrivals = scenario.arrival_schedule(
+            num_clients * operations_per_client, rng, write_fraction=write_fraction
+        )
+        resolved = hot_quorum_strategy(
+            system, skew=scenario.skew, base=resolve_strategy(system, strategy)
+        )
+        return _run_open_loop(
+            stack(system, scenario.timing, b=b, strategy=resolved), arrivals, keep_history
+        )
+    resolved = resolve_strategy(system, strategy) if strategy is not None else None
+    return _run_closed_loop(
+        stack(system, scenario, b=b, strategy=resolved),
+        operations_per_client,
+        write_fraction,
+        rng,
+        keep_history,
+    )
 
-    # Each client is a little generator process: finish an operation,
-    # optionally think, start the next.  Writers-first seeding is unnecessary
-    # (reads of the initial value are legitimate); interleaving comes from
-    # latency jitter and staggered starts.
+
+def _run_closed_loop(
+    stack: EventStack,
+    operations_per_client: int,
+    write_fraction: float,
+    rng: np.random.Generator,
+    keep_history: bool,
+) -> EventWorkloadResult:
+    """Each client performs its operations back to back; latencies are
+    protocol latencies since the first invocation."""
+    scheduler = stack.scheduler
+    rng.integers(2**63)  # reserved: a shared stream's later draws (the next epoch's) follow it
+
+    # Each client is a little generator process: finish an operation, start
+    # the next.  Writers-first seeding is unnecessary (reads of the initial
+    # value are legitimate); interleaving comes from latency jitter.
     def start_client(client: AsyncQuorumClient, remaining: int) -> None:
         if remaining <= 0:
             return
+
         def next_operation(_result) -> None:
-            delay = (
-                pacing_rng.exponential(think_time) if think_time > 0.0 else 0.0
-            )
-            scheduler.schedule(delay, start_client, client, remaining - 1)
+            scheduler.schedule(0.0, start_client, client, remaining - 1)
 
         if client.rng.random() < write_fraction:
             client.write((client.client_id, remaining), next_operation)
@@ -397,8 +649,7 @@ def run_event_workload(
             client.read(next_operation)
 
     for client in stack.clients:
-        offset = pacing_rng.exponential(think_time) if think_time > 0.0 else 0.0
-        scheduler.schedule(offset, start_client, client, operations_per_client)
+        scheduler.schedule(0.0, start_client, client, operations_per_client)
     scheduler.run()
 
     records = stack.recorder.records
@@ -407,4 +658,142 @@ def run_event_workload(
         [r.responded_at - r.invoked_at for r in records if r.success],
         started_at=min((r.invoked_at for r in records), default=0.0),
         keep_history=keep_history,
+    )
+
+
+def _run_open_loop(
+    stack: EventStack, arrivals: tuple, keep_history: bool
+) -> TraceWorkloadResult:
+    """Replay ``(time, kind)`` arrivals through a FIFO queue served by the
+    stack's clients; an arrival whose turn comes starts its protocol
+    operation immediately, so the sojourn time is queueing delay plus
+    protocol latency."""
+    scheduler = stack.scheduler
+    idle: deque = deque(stack.clients)
+    pending: deque = deque()
+    sojourns: list[float] = []
+    queue_delays: list[float] = []
+    sequence = itertools.count()
+
+    def try_dispatch() -> None:
+        while idle and pending:
+            arrived_at, kind = pending.popleft()
+            client = idle.popleft()
+            queue_delays.append(scheduler.now - arrived_at)
+            number = next(sequence)
+
+            def finish(_result, client=client, arrived_at=arrived_at) -> None:
+                sojourns.append(scheduler.now - arrived_at)
+                idle.append(client)
+                try_dispatch()
+
+            if kind == "write":
+                client.write((client.client_id, number), finish)
+            else:
+                client.read(finish)
+
+    def arrive(arrived_at: float, kind: str) -> None:
+        pending.append((arrived_at, kind))
+        try_dispatch()
+
+    for arrived_at, kind in arrivals:
+        scheduler.schedule(arrived_at, arrive, arrived_at, kind)
+    scheduler.run()
+
+    queueing = latency_summary(queue_delays, 0.0)
+    span = arrivals[-1][0] - arrivals[0][0] if len(arrivals) > 1 else 0.0
+    return stack.result(
+        TraceWorkloadResult,
+        sojourns,
+        started_at=arrivals[0][0],
+        keep_history=keep_history,
+        queue_delay_mean=queueing["latency_mean"],
+        queue_delay_p99=queueing["latency_p99"],
+        arrival_rate=len(arrivals) / span if span > 0.0 else 0.0,
+    )
+
+
+def _handed_over_pair(
+    previous: EpochOutcome, b: int, rng: np.random.Generator
+) -> ValueTimestampPair:
+    """The register a drained epoch hands the next one (masking ``b``).
+
+    Reads the replicas of one quorum drawn from the old epoch's strategy and
+    keeps the highest pair ``min(b_old, b) + 1`` of them vouch for.
+    """
+    drained, strategy = previous.result, previous.strategy
+    assert isinstance(drained, EventWorkloadResult) and strategy is not None
+    quorum = strategy.sample(rng)
+    vouch_b = min(previous.b, b)
+    pair = vouched_pair((drained.replica_pairs[server] for server in quorum), vouch_b)
+    if pair is None:
+        raise SimulationError(
+            f"epoch {previous.index} cannot hand its register over: no pair is vouched "
+            f"by {vouch_threshold(vouch_b)} members of the quorum {sorted(quorum, key=repr)}"
+        )
+    return pair
+
+
+def _run_event_epochs(
+    system: QuorumSystem,
+    timeline: MembershipTimeline,
+    b: int | None,
+    strategy: Strategy | str | None,
+    stack: Callable[..., EventStack],
+    *,
+    operations_per_client: int,
+    write_fraction: float,
+    rng: np.random.Generator,
+    keep_history: bool,
+) -> ReconfigResult:
+    """The event engine's epoch loop: each epoch runs its slice of every
+    client's operations closed-loop from the pair the previous epoch hands
+    over; the histories are stitched onto one time axis and checked as one
+    register's — zero violations expected at ≤ b faults per epoch."""
+    per_client = timeline.operations_per_epoch(operations_per_client)
+    windows: list[EpochWindow] = []
+    combined: list = []
+
+    def run_epoch(
+        epoch: Epoch,
+        rebound: QuorumSystem,
+        epoch_b: int,
+        current: Strategy,
+        previous: EpochOutcome | None,
+    ) -> WorkloadResult:
+        initial_pair = None if previous is None else _handed_over_pair(previous, epoch_b, rng)
+        result = _run_closed_loop(
+            stack(rebound, None, b=epoch_b, strategy=current, initial_pair=initial_pair),
+            per_client[epoch.index],
+            write_fraction,
+            rng,
+            keep_history=True,
+        )
+        offset = windows[-1].end if windows else 0.0
+        combined.extend(
+            replace(
+                record,
+                invoked_at=record.invoked_at + offset,
+                responded_at=record.responded_at + offset,
+            )
+            for record in result.history
+        )
+        windows.append(
+            EpochWindow(
+                index=epoch.index,
+                start=offset,
+                end=offset + result.duration + 1.0,
+                members=epoch.member_set(),
+            )
+        )
+        return result
+
+    outcomes = _run_epochs(system, timeline, b, strategy, run_epoch)
+    windows[-1] = replace(windows[-1], end=float("inf"))
+    return ReconfigResult(
+        outcomes=outcomes,
+        whole=EventWorkloadResult.fold([outcome.result for outcome in outcomes]),
+        windows=tuple(windows),
+        check=check_register_history(combined, epochs=windows),
+        history=tuple(combined) if keep_history else (),
     )

@@ -1,36 +1,37 @@
 """Trace-driven workloads: open-loop arrivals through the event core.
 
-The event runner (:func:`~repro.simulation.runner.run_event_workload`) is
-*closed-loop*: each client issues its next operation when the previous one
-completes, so the offered rate adapts to the service rate and queueing never
-builds up.  Real traffic is open-loop — operations arrive on a clock,
-whether or not the system has caught up — and that is where latency
-percentiles become interesting: under a diurnal peak the sojourn time
-(arrival to completion, queueing included) departs from the bare service
-time.
+The event runner's default workload is *closed-loop*: each client issues its
+next operation when the previous one completes, so the offered rate adapts
+to the service rate and queueing never builds up.  Real traffic is
+open-loop — operations arrive on a clock, whether or not the system has
+caught up — and that is where latency percentiles become interesting: under
+a diurnal peak the sojourn time (arrival to completion, queueing included)
+departs from the bare service time.
 
 A :class:`TraceScenario` describes the arrival process: either an explicit
 trace (``(time, "read"|"write")`` pairs, e.g. loaded from JSON via
 :meth:`TraceScenario.from_records`) or a synthetic *diurnal* process — a
 sinusoidal intensity with a configurable peak-to-trough ratio, sampled by
-inverse-transform so exactly ``operations`` arrivals land in one period.
+inverse-transform so exactly the requested number of arrivals land in one
+period.
 ``skew`` adds hot-key concentration: the access strategy is re-weighted by a
 Zipf law over its support, modelling clients that hammer a few popular
 quorums (the load the busiest server sees under skew is exactly what the
 paper's ``L(Q)`` optimisation is about).
 
-:func:`run_trace_workload` replays the arrivals over the event stack with a
-fixed pool of :class:`~repro.simulation.client.AsyncQuorumClient` workers
-and a FIFO queue (a register client is a single sequential process, so an
-arrival waits for a free client).  The reported latency statistics are
-**sojourn times** — queueing delay plus protocol latency — which is what an
-open-loop trace uniquely measures; the queueing delay is also reported
-separately.
+Given a :class:`TraceScenario`,
+:func:`repro.simulation.runner.run_event_workload` replays the arrivals over
+the event stack with a fixed pool of
+:class:`~repro.simulation.client.AsyncQuorumClient` workers and a FIFO
+queue (a register client is a single sequential process, so an arrival
+waits for a free client).  The reported latency statistics are **sojourn
+times** — queueing delay plus protocol latency — which is what an open-loop
+trace uniquely measures; the queueing delay is also reported separately
+(:class:`~repro.simulation.runner.TraceWorkloadResult`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -39,20 +40,13 @@ import numpy as np
 
 from repro.core.floats import is_zero
 from repro.core.quorum_system import QuorumSystem
-from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
 from repro.simulation.engine import resolve_strategy
 from repro.simulation.events import LatencyModel, TimingScenario
 from repro.simulation.faults import FaultScenario
-from repro.simulation.runner import EventStack, EventWorkloadResult, latency_summary
 
-__all__ = [
-    "TraceScenario",
-    "TraceWorkloadResult",
-    "hot_quorum_strategy",
-    "run_trace_workload",
-]
+__all__ = ["TraceScenario", "hot_quorum_strategy"]
 
 _OP_KINDS = frozenset({"read", "write"})
 
@@ -136,10 +130,6 @@ class TraceScenario:
             ) from exc
         return cls(name=name, arrivals=arrivals, **kwargs)
 
-    @property
-    def max_byzantine(self) -> int:
-        return self.timing.max_byzantine
-
     def arrival_schedule(
         self,
         num_operations: int,
@@ -178,20 +168,6 @@ class TraceScenario:
         )
 
 
-@dataclass
-class TraceWorkloadResult(EventWorkloadResult):
-    """An :class:`~repro.simulation.runner.EventWorkloadResult` for a trace replay.
-
-    The inherited latency statistics are **sojourn times** (arrival to
-    completion, queueing included); the queueing component and the offered
-    arrival rate are reported separately.
-    """
-
-    queue_delay_mean: float = 0.0
-    queue_delay_p99: float = 0.0
-    arrival_rate: float = 0.0
-
-
 def hot_quorum_strategy(
     system: QuorumSystem,
     *,
@@ -216,105 +192,4 @@ def hot_quorum_strategy(
     return Strategy(
         dict(zip(resolved.support, weights)),
         normalise=True,
-    )
-
-
-def run_trace_workload(
-    system: QuorumSystem,
-    *,
-    b: int,
-    trace: TraceScenario,
-    num_operations: int = 200,
-    num_clients: int = 8,
-    write_fraction: float = 0.5,
-    strategy: Strategy | str | None = None,
-    rng: np.random.Generator | None = None,
-    max_attempts: int = 10,
-    request_timeout: float | None = None,
-    allow_overload: bool = False,
-    keep_history: bool = False,
-) -> TraceWorkloadResult:
-    """Replay an open-loop arrival trace over the event-driven protocol stack.
-
-    Arrivals join a FIFO queue served by a pool of ``num_clients`` resumable
-    clients; an arrival whose turn comes starts its protocol operation
-    immediately, so the measured sojourn time is queueing delay plus
-    protocol latency.  Everything is a deterministic function of the ``rng``
-    state (arrival sampling first, then the event stack's draws).
-
-    Returns a :class:`TraceWorkloadResult`; the base-class accounting
-    matches :func:`~repro.simulation.runner.run_event_workload`, so trace
-    runs drop into the same report/comparison tooling.
-    """
-    if not 0.0 <= write_fraction <= 1.0:
-        raise SimulationError(
-            f"write_fraction must lie in [0, 1], got {write_fraction}"
-        )
-    if not isinstance(trace, TraceScenario):
-        raise SimulationError(
-            f"trace must be a TraceScenario, got {type(trace).__name__}"
-        )
-    rng = ensure_rng(rng)
-    arrivals = trace.arrival_schedule(
-        num_operations, rng, write_fraction=write_fraction
-    )
-    resolved = hot_quorum_strategy(
-        system, skew=trace.skew, base=resolve_strategy(system, strategy)
-    )
-
-    stack = EventStack(
-        system,
-        trace.timing,
-        b=b,
-        num_clients=num_clients,
-        max_attempts=max_attempts,
-        request_timeout=request_timeout,
-        strategy=resolved,
-        rng=rng,
-        allow_overload=allow_overload,
-    )
-    scheduler = stack.scheduler
-
-    idle: deque = deque(stack.clients)
-    pending: deque = deque()
-    sojourns: list[float] = []
-    queue_delays: list[float] = []
-    dispatched = {"count": 0}
-
-    def try_dispatch() -> None:
-        while idle and pending:
-            arrived_at, kind = pending.popleft()
-            client = idle.popleft()
-            queue_delays.append(scheduler.now - arrived_at)
-            sequence = dispatched["count"]
-            dispatched["count"] += 1
-
-            def finish(_result, client=client, arrived_at=arrived_at) -> None:
-                sojourns.append(scheduler.now - arrived_at)
-                idle.append(client)
-                try_dispatch()
-
-            if kind == "write":
-                client.write((client.client_id, sequence), finish)
-            else:
-                client.read(finish)
-
-    def arrive(arrived_at: float, kind: str) -> None:
-        pending.append((arrived_at, kind))
-        try_dispatch()
-
-    for arrived_at, kind in arrivals:
-        scheduler.schedule(arrived_at, arrive, arrived_at, kind)
-    scheduler.run()
-
-    queueing = latency_summary(queue_delays, 0.0)
-    span = arrivals[-1][0] - arrivals[0][0] if len(arrivals) > 1 else 0.0
-    return stack.result(
-        TraceWorkloadResult,
-        sojourns,
-        started_at=arrivals[0][0],
-        keep_history=keep_history,
-        queue_delay_mean=queueing["latency_mean"],
-        queue_delay_p99=queueing["latency_p99"],
-        arrival_rate=len(arrivals) / span if span > 0.0 else 0.0,
     )

@@ -38,7 +38,6 @@ from repro.simulation import (
     WorkloadResult,
     WorkloadScenario,
     resolve_strategy,
-    run_adversarial_workload,
     run_workload,
 )
 
@@ -98,12 +97,11 @@ class TestPolicies:
 # ----------------------------------------------------------------------
 class TestRoundLoop:
     def test_accounting_is_conserved(self, system):
-        result = run_adversarial_workload(
+        result = run_workload(
             system,
             b=1,
-            policy=GreedyLoadAdversary(),
+            scenario=AdaptiveScenario("adaptive", policy=GreedyLoadAdversary(), rounds=8),
             num_operations=200,
-            rounds=8,
             rng=np.random.default_rng(7),
         )
         assert len(result.rounds) == 8
@@ -119,8 +117,11 @@ class TestRoundLoop:
         """Folding the rounds reproduces every aggregate field exactly, and
         the per-server frequencies are integer tallies over the right
         denominator (203 operations over 8 rounds: uneven chunks)."""
-        result = run_adversarial_workload(
-            system, b=1, policy=policy, num_operations=203, rounds=8,
+        result = run_workload(
+            system,
+            b=1,
+            scenario=AdaptiveScenario("adaptive", policy=policy, rounds=8),
+            num_operations=203,
             rng=np.random.default_rng(7),
         )
         parts = [round_.result for round_ in result.rounds]
@@ -177,12 +178,11 @@ class TestRoundLoop:
         assert whole.empirical_load == 19 / 34
 
     def test_trajectory_reacts_to_observed_load(self, system):
-        result = run_adversarial_workload(
+        result = run_workload(
             system,
             b=1,
-            policy=GreedyLoadAdversary(),
+            scenario=AdaptiveScenario("adaptive", policy=GreedyLoadAdversary(), rounds=8),
             num_operations=400,
-            rounds=8,
             rng=np.random.default_rng(3),
         )
         trajectory = result.corruption_trajectory
@@ -193,12 +193,11 @@ class TestRoundLoop:
 
     def test_run_is_seed_deterministic(self, system):
         runs = [
-            run_adversarial_workload(
+            run_workload(
                 system,
                 b=1,
-                policy=GreedyLoadAdversary(),
+                scenario=AdaptiveScenario("adaptive", policy=GreedyLoadAdversary(), rounds=8),
                 num_operations=200,
-                rounds=8,
                 rng=np.random.default_rng(11),
             )
             for _ in range(2)
@@ -209,15 +208,16 @@ class TestRoundLoop:
 
     def test_rejects_degenerate_round_counts(self, system):
         with pytest.raises(SimulationError):
-            run_adversarial_workload(
-                system, b=1, policy=GreedyLoadAdversary(), num_operations=3, rounds=4
+            run_workload(
+                system,
+                b=1,
+                scenario=AdaptiveScenario("adaptive", policy=GreedyLoadAdversary(), rounds=4),
+                num_operations=3,
             )
         with pytest.raises(SimulationError):
-            run_adversarial_workload(
-                system, b=1, policy=GreedyLoadAdversary(), rounds=0
-            )
+            AdaptiveScenario("adaptive", policy=GreedyLoadAdversary(), rounds=0)
         with pytest.raises(SimulationError):
-            run_adversarial_workload(system, b=1, policy="greedy")  # type: ignore[arg-type]
+            AdaptiveScenario("adaptive", policy="greedy")  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------
@@ -242,12 +242,11 @@ class TestPaperBounds:
         report.require()
 
     def test_worst_case_bound_dominates_every_realised_round(self, system):
-        result = run_adversarial_workload(
+        result = run_workload(
             system,
             b=1,
-            policy=GreedyLoadAdversary(),
+            scenario=AdaptiveScenario("adaptive", policy=GreedyLoadAdversary(), rounds=6),
             num_operations=300,
-            rounds=6,
             rng=np.random.default_rng(5),
         )
         report = load_conformance(result, system, b=1)
@@ -268,12 +267,11 @@ class TestPaperBounds:
         measurements."""
         universe = system.universe
         strategy = resolve_strategy(system, None)
-        result = run_adversarial_workload(
+        result = run_workload(
             system,
             b=1,
-            policy=GreedyLoadAdversary(),
+            scenario=AdaptiveScenario("adaptive", policy=GreedyLoadAdversary(), rounds=8),
             num_operations=400,
-            rounds=8,
             strategy=strategy,
             rng=np.random.default_rng(0),
         )
@@ -310,12 +308,15 @@ class TestPaperBounds:
     def test_overloaded_adversary_breaks_masking(self, system):
         """Beyond the budget (2b+1 liars in the intersections) fabrication
         becomes possible — the negative control showing the checks have teeth."""
-        result = run_adversarial_workload(
+        result = run_workload(
             system,
             b=1,
-            policy=StaleReadAdversary(corruptions=system.universe.size // 2),
+            scenario=AdaptiveScenario(
+                "adaptive",
+                policy=StaleReadAdversary(corruptions=system.universe.size // 2),
+                rounds=6,
+            ),
             num_operations=300,
-            rounds=6,
             rng=np.random.default_rng(2),
             allow_overload=True,
         )

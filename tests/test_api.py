@@ -51,6 +51,7 @@ from repro.exceptions import (
     ComputationError,
     ConstructionError,
     InvalidParameterError,
+    SimulationError,
 )
 from repro.simulation import (
     FaultScenario,
@@ -459,6 +460,14 @@ class TestUnifiedWorkloads:
         with pytest.raises(InvalidParameterError, match="event"):
             run(spec, engine="vectorized")
 
+    def test_forcing_event_on_adaptive_scenario_fails(self):
+        spec = WorkloadSpec(
+            system="threshold", params={"n": 10, "b": 1},
+            scenario="adaptive-load", operations=40,
+        )
+        with pytest.raises(InvalidParameterError, match="vectorized"):
+            run(spec, engine="event")
+
     def test_reports_share_one_schema(self):
         spec = WorkloadSpec(
             system="mgrid", params={"side": 4, "b": 1}, operations=120,
@@ -628,6 +637,28 @@ class TestUnifiedWorkloads:
         # Without a recorded history the engine's own counters decide.
         plain = assemble_report(result, None, **coordinates)
         assert plain.consistent and plain.to_dict() == clean.to_dict()
+
+    @pytest.mark.parametrize("engine", ["vectorized", "event"])
+    def test_fewer_operations_than_epochs_are_refused_on_both_engines(self, engine):
+        """Two operations (one per client on the event engine) cannot cover
+        three epochs: both engines refuse rather than run a bumped count."""
+        spec = WorkloadSpec(
+            "mgrid", {"side": 5, "b": 1}, scenario="reconfig-churn", operations=2, clients=4
+        )
+        with pytest.raises(SimulationError, match="at least one operation per epoch"):
+            run(spec, engine=engine)
+
+    @pytest.mark.parametrize(
+        "scenario", ["fault-free", "slow-servers", "diurnal", "reconfig-churn"]
+    )
+    def test_event_runs_do_ceil_operations_per_client(self, scenario):
+        """One operation-count rule on the event engine, whatever the scenario
+        kind: 121 operations over 4 clients run 4 * 31 = 124, a trace
+        replay's arrivals included."""
+        spec = WorkloadSpec(
+            "mgrid", {"side": 5, "b": 1}, scenario=scenario, operations=121, clients=4, seed=3
+        )
+        assert run(spec, engine="event").operations == 124
 
     def test_scenario_catalogue_is_documented(self):
         catalogue = available_scenarios()

@@ -43,8 +43,8 @@ from repro.simulation import (
     StaleReadAdversary,
     TraceScenario,
     reoptimise_strategy,
-    run_reconfig_workload,
-    run_trace_workload,
+    run_event_workload,
+    run_workload,
 )
 from repro.simulation.engine import resolve_strategy
 from repro.simulation.messages import Timestamp, ValueTimestampPair
@@ -146,12 +146,12 @@ def _percolation_payload() -> dict:
 
 def _trace_payload() -> dict:
     trace = TraceScenario(name="diurnal", period=120.0, peak_ratio=4.0, skew=1.1)
-    result = run_trace_workload(
+    result = run_event_workload(
         MGrid(GRID_SIDE, MASKING_B),
         b=MASKING_B,
-        trace=trace,
-        num_operations=400,
+        scenario=trace,
         num_clients=8,
+        operations_per_client=50,
         rng=np.random.default_rng(SEED),
     )
     assert result.check is not None and result.check.ok
@@ -233,12 +233,11 @@ def _reconfig_churn_payload() -> dict:
         system.universe,
         plan_events(system.universe, [("sever", ring), ("join", ring)]),
     )
-    timeline = MembershipTimeline(membership=membership)
-    result = run_reconfig_workload(
+    timeline = MembershipTimeline(membership=membership, policy="reweight")
+    result = run_workload(
         system,
-        timeline=timeline,
+        scenario=timeline,
         num_operations=300,
-        policy="reweight",
         rng=np.random.default_rng(SEED),
     )
     report = reconfig_conformance(result, system, membership)

@@ -423,6 +423,11 @@ def no_effects(monkeypatch):
         ("run -c mgrid --side 5 --b 1 --clients 0", 2, "clients must be >= 1"),
         ("measure mgrid --n 24", 2, "perfect square"),
         ("measure mpath --side 5 --b 1 --method exact", 3, "error: "),
+        (
+            "run -c mgrid --side 5 --b 1 --scenario reconfig-churn --ops 2 --engine event",
+            3,
+            "at least one operation per epoch",
+        ),
     ],
 )
 def test_exit_status(no_effects, tmp_path, capsys, argv, status, message):

@@ -41,11 +41,11 @@ from repro.exceptions import (
     InvalidParameterError,
 )
 from repro.simulation import (
+    AdaptiveScenario,
     EpochOutcome,
     GreedyLoadAdversary,
     HistoryCheck,
     ReconfigResult,
-    run_adversarial_workload,
     run_workload,
 )
 from repro.simulation.engine import resolve_strategy
@@ -207,9 +207,14 @@ def one_run_many_views():
     """One fault-free adversarial run, also dressed as a one-epoch
     reconfiguration result and as a ServiceRunResult-shaped object."""
     system = MGrid(5, 1)
-    run = run_adversarial_workload(
-        system, b=1, policy=GreedyLoadAdversary(corruptions=0),
-        num_operations=240, rounds=4, rng=np.random.default_rng(17),
+    run = run_workload(
+        system,
+        b=1,
+        scenario=AdaptiveScenario(
+            "adaptive", policy=GreedyLoadAdversary(corruptions=0), rounds=4
+        ),
+        num_operations=240,
+        rng=np.random.default_rng(17),
     )
     epoch = EpochOutcome(
         index=0, n=system.n, b=1, system_name=system.name, policy="initial",

@@ -23,7 +23,7 @@ from repro.simulation import (
     Timestamp,
     ValueTimestampPair,
     check_register_history,
-    run_reconfig_event_workload,
+    run_event_workload,
 )
 from repro.simulation.history import EpochWindow, OperationRecord
 
@@ -194,14 +194,14 @@ def test_oracle_agrees_on_stitched_reconfig_histories(scenario, seed):
     spec = api.build_scenario(
         scenario, system.universe, b=1, rng=np.random.default_rng(seed)
     ).membership
-    result = run_reconfig_event_workload(
+    result = run_event_workload(
         system,
-        timeline=spec.build(system.universe),
+        scenario=spec.build(system.universe),
         b=1,
-        policy=spec.policy,
         num_clients=4,
         operations_per_client=12,
         rng=np.random.default_rng(seed),
+        keep_history=True,
     )
     assert verdict(result.check) == oracle(result.history, epochs=result.windows)
     assert result.check.ok

@@ -37,20 +37,22 @@ from repro.simulation import (
     Timestamp,
     check_register_history,
     reoptimise_strategy,
-    run_reconfig_event_workload,
-    run_reconfig_workload,
+    run_event_workload,
+    run_workload,
 )
 
 SEED = 11
 
 
-def _churn_timeline(side: int = 5) -> tuple[MGrid, MembershipTimeline]:
+def _churn_timeline(
+    side: int = 5, policy: str = "reweight"
+) -> tuple[MGrid, MembershipTimeline]:
     """MGrid(side, 1) severing its outer ring, then re-admitting it."""
     system = MGrid(side, 1)
     ring = side * side - (side - 1) ** 2
     events = plan_events(system.universe, [("sever", ring), ("join", ring)])
     membership = Membership(system.universe, events)
-    return system, MembershipTimeline(membership=membership)
+    return system, MembershipTimeline(membership=membership, policy=policy)
 
 
 class TestTimeline:
@@ -92,9 +94,9 @@ class TestTimeline:
 class TestVectorisedDriver:
     def test_three_epoch_run_is_clean(self):
         system, timeline = _churn_timeline()
-        result = run_reconfig_workload(
+        result = run_workload(
             system,
-            timeline=timeline,
+            scenario=timeline,
             num_operations=120,
             rng=np.random.default_rng(SEED),
         )
@@ -112,12 +114,11 @@ class TestVectorisedDriver:
     @pytest.mark.parametrize("policy", REOPTIMISE_POLICIES)
     def test_per_epoch_conformance(self, policy):
         """Acceptance: >= 3 epochs, per-epoch L(Q) bound and envelope hold."""
-        system, timeline = _churn_timeline()
-        result = run_reconfig_workload(
+        system, timeline = _churn_timeline(policy=policy)
+        result = run_workload(
             system,
-            timeline=timeline,
+            scenario=timeline,
             num_operations=150,
-            policy=policy,
             rng=np.random.default_rng(SEED),
         )
         report = reconfig_conformance(result, system, timeline.membership)
@@ -138,9 +139,9 @@ class TestVectorisedDriver:
         system, timeline = _churn_timeline()
         results = {}
         for mode in ("vectorised", "sequential"):
-            results[mode] = run_reconfig_workload(
+            results[mode] = run_workload(
                 system,
-                timeline=timeline,
+                scenario=timeline,
                 num_operations=120,
                 rng=np.random.default_rng(SEED),
                 mode=mode,
@@ -156,9 +157,9 @@ class TestVectorisedDriver:
         reads, none of them stale, and the two modes still agree bit for bit."""
         system, timeline = _churn_timeline()
         results = [
-            run_reconfig_workload(
+            run_workload(
                 system,
-                timeline=timeline,
+                scenario=timeline,
                 num_operations=60,
                 write_fraction=0.0,
                 rng=np.random.default_rng(SEED),
@@ -174,12 +175,11 @@ class TestVectorisedDriver:
         assert [o.result for o in results[0].outcomes] == [o.result for o in results[1].outcomes]
 
     def test_reweight_falls_back_to_resolve_when_support_empties(self):
-        system, timeline = _churn_timeline()
-        result = run_reconfig_workload(
+        system, timeline = _churn_timeline(policy="reweight")
+        result = run_workload(
             system,
-            timeline=timeline,
+            scenario=timeline,
             num_operations=90,
-            policy="reweight",
             strategy="uniform",
             rng=np.random.default_rng(SEED),
         )
@@ -199,9 +199,9 @@ class TestVectorisedDriver:
 class TestEventDriver:
     def _run(self, seed: int = SEED):
         system, timeline = _churn_timeline()
-        return run_reconfig_event_workload(
+        return run_event_workload(
             system,
-            timeline=timeline,
+            scenario=timeline,
             num_clients=4,
             operations_per_client=18,
             rng=np.random.default_rng(seed),
@@ -252,9 +252,9 @@ class TestEventDriver:
 
     def test_unvouched_hand_over_is_an_error(self, monkeypatch):
         """Never a silent fall-back to the zero pair."""
-        from repro.simulation import reconfig
+        from repro.simulation import runner
 
-        monkeypatch.setattr(reconfig, "vouched_pair", lambda pairs, b: None)
+        monkeypatch.setattr(runner, "vouched_pair", lambda pairs, b: None)
         with pytest.raises(SimulationError, match="cannot hand its register over"):
             self._run()
 
@@ -284,8 +284,11 @@ class TestEventDriver:
 
     def test_vectorised_result_has_no_history_side(self):
         system, timeline = _churn_timeline()
-        result = run_reconfig_workload(
-            system, timeline=timeline, num_operations=90, rng=np.random.default_rng(SEED)
+        result = run_workload(
+            system,
+            scenario=timeline,
+            num_operations=90,
+            rng=np.random.default_rng(SEED),
         )
         assert (result.windows, result.check, result.history) == ((), None, ())
         assert result.whole == type(result.whole).fold([o.result for o in result.outcomes])
@@ -305,9 +308,9 @@ class TestEpochBoundaryFuzz:
 
     def _mutable_run(self, seed: int):
         system, timeline = _churn_timeline()
-        result = run_reconfig_event_workload(
+        result = run_event_workload(
             system,
-            timeline=timeline,
+            scenario=timeline,
             num_clients=4,
             operations_per_client=18,
             rng=np.random.default_rng(seed),

@@ -23,8 +23,14 @@ from repro import (
     ThresholdQuorumSystem,
     exact_load,
 )
+from repro.core import Membership, plan_events
 from repro.simulation import (
+    AdaptiveScenario,
     FaultScenario,
+    MembershipTimeline,
+    StaleReadAdversary,
+    TimingScenario,
+    TraceScenario,
     WorkloadScenario,
     byzantine_scenario,
     churn_scenario,
@@ -147,6 +153,37 @@ class TestEngineLegacyAgreement:
         )
         assert vectorised == sequential
         assert vectorised.consistency_violations > 0
+
+
+    @pytest.mark.parametrize("kind", ["adaptive", "membership"])
+    def test_rounds_and_epochs_agree_across_modes(self, kind):
+        """Adaptive rounds and membership epochs are batches on one rng
+        stream, and ``mode`` selects the path of every batch: the two modes
+        agree batch for batch."""
+        system = MGrid(5, 1)
+        if kind == "adaptive":
+            scenario = AdaptiveScenario("adaptive", policy=StaleReadAdversary(), rounds=5)
+        else:
+            events = plan_events(system.universe, [("sever", 9), ("join", 9)])
+            scenario = MembershipTimeline(Membership(system.universe, events), policy="resolve")
+        vectorised, sequential = (
+            run_workload(
+                system,
+                b=1,
+                num_operations=300,
+                scenario=scenario,
+                rng=np.random.default_rng(13),
+                mode=mode,
+            )
+            for mode in ("vectorised", "sequential")
+        )
+        if kind == "adaptive":
+            assert vectorised.rounds == sequential.rounds
+            assert vectorised.tallies() == sequential.tallies()
+        else:
+            parts = [[o.result for o in run.outcomes] for run in (vectorised, sequential)]
+            assert parts[0] == parts[1]
+            assert vectorised.whole == sequential.whole
 
 
 class TestEmpiricalLoadAccounting:
@@ -426,6 +463,24 @@ class TestRunnerCompatibility:
                 run(grid_system, b=-1)
             messages.append(str(error.value))
         assert messages == ["masking parameter must be >= 0, got -1"] * 2
+
+    @pytest.mark.parametrize(
+        ("run", "scenario"),
+        [
+            (run_workload, TraceScenario(name="diurnal")),
+            (run_workload, TimingScenario.static(FaultScenario.fault_free())),
+            (run_event_workload, AdaptiveScenario("adaptive", policy=StaleReadAdversary())),
+            (run_event_workload, fault_free_scenario()),
+        ],
+        ids=["trace-vectorised", "timing-vectorised", "adaptive-event", "phased-event"],
+    )
+    def test_each_engine_refuses_the_other_engines_scenarios(self, grid_system, run, scenario):
+        """Refused before the run draws anything from its generator."""
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(SimulationError, match="runs on the other engine"):
+            run(grid_system, b=1, scenario=scenario, rng=rng)
+        assert rng.bit_generator.state == state
 
     def test_invalid_arguments_rejected(self, grid_system):
         with pytest.raises(SimulationError):

@@ -21,7 +21,7 @@ from repro.simulation import (
     TraceScenario,
     TraceWorkloadResult,
     hot_quorum_strategy,
-    run_trace_workload,
+    run_event_workload,
 )
 from repro.simulation.engine import resolve_strategy
 
@@ -129,12 +129,12 @@ class TestHotQuorumStrategy:
 class TestReplay:
     def test_diurnal_replay_accounting(self, system):
         trace = TraceScenario(name="diurnal", period=120.0, peak_ratio=4.0, skew=1.1)
-        result = run_trace_workload(
+        result = run_event_workload(
             system,
             b=0,
-            trace=trace,
-            num_operations=150,
+            scenario=trace,
             num_clients=6,
+            operations_per_client=25,
             rng=np.random.default_rng(3),
         )
         assert isinstance(result, TraceWorkloadResult)
@@ -151,11 +151,12 @@ class TestReplay:
     def test_replay_is_seed_deterministic(self, system):
         trace = TraceScenario(name="diurnal")
         runs = [
-            run_trace_workload(
+            run_event_workload(
                 system,
                 b=0,
-                trace=trace,
-                num_operations=100,
+                scenario=trace,
+                num_clients=4,
+                operations_per_client=25,
                 rng=np.random.default_rng(8),
             )
             for _ in range(2)
@@ -169,11 +170,19 @@ class TestReplay:
         queueing delay; a pool as large as the burst must not."""
         burst = tuple((0.0, "read") for _ in range(20))
         trace = TraceScenario(name="burst", arrivals=burst)
-        starved = run_trace_workload(
-            system, b=0, trace=trace, num_clients=1, rng=np.random.default_rng(0)
+        starved = run_event_workload(
+            system,
+            b=0,
+            scenario=trace,
+            num_clients=1,
+            rng=np.random.default_rng(0),
         )
-        roomy = run_trace_workload(
-            system, b=0, trace=trace, num_clients=20, rng=np.random.default_rng(0)
+        roomy = run_event_workload(
+            system,
+            b=0,
+            scenario=trace,
+            num_clients=20,
+            rng=np.random.default_rng(0),
         )
         assert starved.queue_delay_p99 > 0.0
         assert roomy.queue_delay_mean == pytest.approx(0.0)
@@ -184,8 +193,12 @@ class TestReplay:
         trace = TraceScenario(
             name="x", arrivals=((0.0, "write"), (1.0, "read"), (2.0, "read"))
         )
-        result = run_trace_workload(
-            system, b=0, trace=trace, num_operations=999, rng=np.random.default_rng(0)
+        result = run_event_workload(
+            system,
+            b=0,
+            scenario=trace,
+            operations_per_client=999,
+            rng=np.random.default_rng(0),
         )
         assert result.operations == 3
         assert result.successful_writes <= 1
@@ -196,13 +209,13 @@ class TestReplay:
             name="x", timing=TimingScenario.static(FaultScenario(byzantine=byz))
         )
         with pytest.raises(SimulationError):
-            run_trace_workload(system, b=0, trace=trace, rng=np.random.default_rng(0))
+            run_event_workload(system, b=0, scenario=trace, rng=np.random.default_rng(0))
 
     def test_replay_validates_inputs(self, system):
         trace = TraceScenario(name="x")
         with pytest.raises(SimulationError):
-            run_trace_workload(system, b=0, trace=trace, num_clients=0)
+            run_event_workload(system, b=0, scenario=trace, num_clients=0)
         with pytest.raises(SimulationError):
-            run_trace_workload(system, b=0, trace=trace, write_fraction=1.5)
+            run_event_workload(system, b=0, scenario=trace, write_fraction=1.5)
         with pytest.raises(SimulationError):
-            run_trace_workload(system, b=0, trace="diurnal")  # type: ignore[arg-type]
+            run_event_workload(system, b=0, scenario="diurnal")  # type: ignore[arg-type]
