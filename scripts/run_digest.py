@@ -170,7 +170,11 @@ def adversarial_rows(system):
                 "strategy": result.strategy.probabilities.tolist(),
             }
         result, report = adversarial_conformance(
-            system, b=1, policy=policy, num_operations=300, seed=SEEDS[1]
+            system,
+            b=1,
+            scenario=AdaptiveScenario(name="adaptive", policy=policy, rounds=8),
+            num_operations=300,
+            seed=SEEDS[1],
         )
         yield f"adversarial_conformance/{type(policy).__name__}", {
             **fields(result, RESULT_FIELDS), "checks": checks(report),

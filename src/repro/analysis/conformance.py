@@ -54,7 +54,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.strategy import Strategy
 from repro.core.universe import Universe
 from repro.exceptions import ComputationError, ConformanceError, InvalidParameterError
-from repro.simulation.adversary import AdaptiveScenario, AdversarialResult, AdversaryPolicy
+from repro.simulation.adversary import AdaptiveScenario, AdversarialResult
 from repro.simulation.engine import WorkloadResult, resolve_strategy
 from repro.simulation.messages import Timestamp
 from repro.simulation.reconfig import ReconfigResult
@@ -649,9 +649,8 @@ def adversarial_conformance(
     system: QuorumSystem,
     *,
     b: int,
-    policy: AdversaryPolicy,
+    scenario: AdaptiveScenario,
     num_operations: int = 400,
-    rounds: int = 8,
     strategy: Strategy | str | None = None,
     seed: int = 0,
     write_fraction: float = 0.5,
@@ -661,13 +660,13 @@ def adversarial_conformance(
 
     The backbone call of the adversarial test suite and the CI smoke job:
     one seed-deterministic :func:`~repro.simulation.runner.run_workload` run
-    under an :class:`~repro.simulation.adversary.AdaptiveScenario`, followed by
-    :func:`load_conformance` and :func:`masking_conformance` on its result.
+    under ``scenario``, followed by :func:`load_conformance` and
+    :func:`masking_conformance` on its result.
     """
     result = run_workload(
         system,
         b=b,
-        scenario=AdaptiveScenario(name="adaptive", policy=policy, rounds=rounds),
+        scenario=scenario,
         num_operations=num_operations,
         strategy=strategy,
         rng=np.random.default_rng(seed),

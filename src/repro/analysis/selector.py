@@ -20,6 +20,7 @@ import numpy as np
 from repro.analysis.comparison import SystemProfile, profile_system
 from repro.analysis.tables import PAPER_FAMILIES
 from repro.api.registry import build, shape_at
+from repro.constructions.threshold import boosting_block
 from repro.core.rng import ensure_rng
 from repro.exceptions import ConstructionError, FieldError
 from repro.gf.prime_field import factor_prime_power
@@ -100,7 +101,7 @@ def candidate_constructions(n: int, required_b: int) -> list:
 
     # boostFPP: pick the plane order so that (4b+1)(q^2+q+1) lands near n —
     # the largest prime power whose plane fits n // (4b+1) points.
-    q_limit = shape_at("fpp", {}, max(3, n // (4 * required_b + 1)))["q"]
+    q_limit = shape_at("fpp", {}, max(3, n // boosting_block(required_b).n))["q"]
     if q_limit >= 2:
         offer(build, "boostfpp", q=_largest_prime_power_at_most(q_limit), b=required_b)
 

@@ -410,17 +410,13 @@ def _wall_shape(params: dict, n: int) -> dict:
 # the [MR98a] masking form and to a raw ``k`` otherwise.
 # ----------------------------------------------------------------------
 def _threshold_params(system: ThresholdQuorumSystem) -> dict:
-    n, k = system.n, system.k
-    b_guess = (2 * k - n - 1) // 2
-    # Only report the [MR98a] masking form when it would actually rebuild:
-    # masking_threshold additionally requires 4b < n, so a raw high
-    # threshold (e.g. 8-of-9) must round-trip through "k" instead.
-    if (
-        b_guess >= 0
-        and 4 * b_guess < n
-        and math.ceil((n + 2 * b_guess + 1) / 2) == k
-    ):
-        return {"n": n, "b": b_guess}
+    # Report the [MR98a] masking form only when it rebuilds this very
+    # threshold; a raw high threshold (e.g. 8-of-9) round-trips through "k".
+    # Corollary 3.7's b meets 4b <= (2k - n - 1) + 2(n - k) = n - 1, so
+    # masking_threshold accepts it.
+    n, k, b = system.n, system.k, system.masking_bound()
+    if masking_threshold(n, b).k == k:
+        return {"n": n, "b": b}
     return {"n": n, "k": k}
 
 

@@ -33,6 +33,7 @@ from repro.constructions.fpp import FiniteProjectivePlane
 from repro.constructions.threshold import ThresholdQuorumSystem, boosting_block
 from repro.core.availability import validate_probability
 from repro.core.composition import ComposedQuorumSystem
+from repro.core.masking import intersection_count
 from repro.core.quorum_system import QuorumSystem
 from repro.exceptions import ConstructionError
 
@@ -80,13 +81,10 @@ class BoostedFPP(ComposedQuorumSystem):
         return (3 * self.b + 1) * (self.q + 1)
 
     def min_intersection_size(self) -> int:
-        return 2 * self.b + 1
+        return intersection_count(self.b)
 
     def min_transversal_size(self) -> int:
         return (self.b + 1) * (self.q + 1)
-
-    def masking_bound(self) -> int:
-        return min(self.min_transversal_size() - 1, (self.min_intersection_size() - 1) // 2)
 
     def load(self) -> float:
         """Return ``c/n = (3b+1)(q+1) / ((4b+1)(q^2+q+1)) ≈ 3/(4q)`` (Proposition 6.2)."""

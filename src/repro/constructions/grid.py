@@ -23,6 +23,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.core.analytic import rowcol_survival_estimate
+from repro.core.masking import can_mask, intersection_count
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
 from repro.exceptions import ConstructionError
@@ -146,20 +147,22 @@ class MaskingGrid(QuorumSystem):
             raise ConstructionError(f"grid side must be at least 2, got {side}")
         if b < 0:
             raise ConstructionError(f"masking parameter must be >= 0, got {b}")
-        if 2 * b + 1 > side:
+        self.side = side
+        self.b = b
+        #: Full rows per quorum, ``2b + 1``.
+        self.num_rows = intersection_count(b)
+        if self.num_rows > side:
             raise ConstructionError(
                 f"MaskingGrid needs 2b+1 <= side; got b={b}, side={side}"
             )
-        if side - 2 * b - 1 < b:
+        if not can_mask(self.min_intersection_size(), self.min_transversal_size(), b):
             raise ConstructionError(
                 f"MaskingGrid with side={side} can mask at most b={(side - 1) // 3} "
                 f"failures (resilience side-2b-1 must be >= b); got b={b}"
             )
-        self.side = side
-        self.b = b
         #: Fully-alive ``(rows, columns)`` an untouched quorum needs: ``2b + 1``
         #: rows and some column.
-        self.alive_lines = (2 * b + 1, 1)
+        self.alive_lines = (self.num_rows, 1)
         self._universe = Universe(
             (row, column) for row in range(side) for column in range(side)
         )
@@ -172,47 +175,46 @@ class MaskingGrid(QuorumSystem):
     def iter_quorum_masks(self) -> Iterator[int]:
         for column in range(self.side):
             column_mask = _column_mask(self.side, column)
-            for rows in itertools.combinations(range(self.side), 2 * self.b + 1):
+            for rows in itertools.combinations(range(self.side), self.num_rows):
                 mask = column_mask
                 for row in rows:
                     mask |= _row_mask(self.side, row)
                 yield mask
 
     def num_quorums(self) -> int:
-        return self.side * math.comb(self.side, 2 * self.b + 1)
+        return self.side * math.comb(self.side, self.num_rows)
 
     def sample_quorum_mask(self, rng: np.random.Generator) -> int:
         """One uniform column plus ``2b + 1`` uniform rows, as a bitmask."""
         column = int(rng.integers(self.side))
-        rows = rng.choice(self.side, size=2 * self.b + 1, replace=False)
+        rows = rng.choice(self.side, size=self.num_rows, replace=False)
         mask = _column_mask(self.side, column)
         for row in rows:
             mask |= _row_mask(self.side, int(row))
         return mask
 
     def min_quorum_size(self) -> int:
-        rows_part = (2 * self.b + 1) * self.side
-        column_part = self.side - (2 * self.b + 1)
+        rows_part = self.num_rows * self.side
+        column_part = self.side - self.num_rows
         return rows_part + column_part
 
     def max_quorum_size(self) -> int:
         return self.min_quorum_size()
 
     def min_intersection_size(self) -> int:
-        # Disjoint row sets and distinct columns: the column of each quorum
-        # crosses the rows of the other, giving 2(2b+1) cells; sharing rows or
-        # the column only increases the intersection.  When the row sets are
-        # forced to overlap (2(2b+1) > side) the minimum pair is less regular,
-        # so fall back to exhaustive enumeration in that case.
-        if 2 * (2 * self.b + 1) <= self.side:
-            return 2 * (2 * self.b + 1)
-        return super().min_intersection_size()
+        # Distinct columns and row sets sharing as few rows as possible: a
+        # shared row counts in full, every other row of one quorum meets the
+        # other quorum's column once.  The row sets must share
+        # max(0, 2(2b+1) - side) rows; sharing more (side >= 2 cells each) or
+        # the column never shrinks the intersection.
+        shared = max(0, 2 * self.num_rows - self.side)
+        return shared * self.side + 2 * (self.num_rows - shared)
 
     def min_transversal_size(self) -> int:
         # A set fails to be a transversal when some column and 2b+1 rows are
         # all untouched; hitting all but 2b rows (side - 2b servers) is the
         # cheapest way to rule that out (hitting every column costs side).
-        return self.side - 2 * self.b
+        return self.side - self.num_rows + 1
 
     def load(self) -> float:
         """Return ``c/n ~ (2b+2)/sqrt(n)`` (the system is fair by symmetry)."""

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core import bitset
 from repro.core.availability import validate_probability
+from repro.core.masking import can_mask, intersection_count
 from repro.core.quorum_system import ExplicitQuorumSystem, QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.universe import Universe
@@ -64,22 +65,19 @@ class MPath(QuorumSystem):
             raise ConstructionError(f"grid side must be at least 2, got {side}")
         if b < 0:
             raise ConstructionError(f"masking parameter must be >= 0, got {b}")
-        k = math.isqrt(2 * b + 1)
-        if k * k < 2 * b + 1:
-            k += 1
-        if k > side:
-            raise ConstructionError(
-                f"M-Path needs ceil(sqrt(2b+1)) <= side; got b={b}, side={side}"
-            )
-        if side - k + 1 < b + 1:
-            raise ConstructionError(
-                f"M-Path over a {side}x{side} grid is not {b}-masking: "
-                f"resilience {side - k} < b = {b}"
-            )
         self.side = side
         self.b = b
         #: Number of LR (and of TB) paths per quorum, ``ceil(sqrt(2b+1))``.
-        self.k = k
+        self.k = math.isqrt(intersection_count(b) - 1) + 1
+        if self.k > side:
+            raise ConstructionError(
+                f"M-Path needs ceil(sqrt(2b+1)) <= side; got b={b}, side={side}"
+            )
+        if not can_mask(self.min_intersection_size(), self.min_transversal_size(), b):
+            raise ConstructionError(
+                f"M-Path over a {side}x{side} grid is not {b}-masking: "
+                f"resilience {side - self.k} < b = {b}"
+            )
         self.grid = TriangularGrid(side)
         self._universe = Universe(self.grid.vertices())
         self.name = f"M-Path({side}x{side}, b={b})"

@@ -134,16 +134,6 @@ class RecursiveThreshold(QuorumSystem):
         """Return ``(l/k)^h = n^-(1 - log_k l)`` (Proposition 5.5)."""
         return (self.l / self.k) ** self.depth
 
-    def masking_bound(self) -> int:
-        """Return Corollary 5.4's ``b = min{(IS - 1)/2, MT - 1}``."""
-        return max(
-            0,
-            min(
-                (self.min_intersection_size() - 1) // 2,
-                self.min_transversal_size() - 1,
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Availability (Propositions 5.6 and 5.7).
     # ------------------------------------------------------------------

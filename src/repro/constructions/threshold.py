@@ -24,6 +24,7 @@ import numpy as np
 from scipy import stats
 
 from repro.core.availability import validate_probability
+from repro.core.masking import can_mask, intersection_count
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
 from repro.exceptions import ConstructionError
@@ -155,11 +156,11 @@ def masking_threshold(n: int, b: int) -> ThresholdQuorumSystem:
     """
     if b < 0:
         raise ConstructionError(f"masking parameter must be >= 0, got {b}")
-    if 4 * b >= n:
+    k = math.ceil((n + intersection_count(b)) / 2)
+    if not can_mask(2 * k - n, n - k + 1, b):
         raise ConstructionError(
             f"a {b}-masking system over {n} servers cannot exist (requires 4b < n)"
         )
-    k = math.ceil((n + 2 * b + 1) / 2)
     system = ThresholdQuorumSystem(n, k)
     system.name = f"MR98-Threshold(n={n}, b={b})"
     return system

@@ -26,6 +26,7 @@ import math
 
 from repro.core.availability import validate_probability
 from repro.core.floats import is_zero
+from repro.core.masking import intersection_count
 from repro.core.quorum_system import QuorumSystem
 from repro.exceptions import ComputationError, InvalidParameterError
 
@@ -59,10 +60,10 @@ def load_lower_bound(n: int, b: int, quorum_size: int | None = None) -> float:
     if b < 0:
         raise ComputationError(f"masking parameter must be >= 0, got {b}")
     if quorum_size is None:
-        return math.sqrt((2 * b + 1) / n)
+        return math.sqrt(intersection_count(b) / n)
     if quorum_size <= 0 or quorum_size > n:
         raise ComputationError(f"quorum size {quorum_size} is not in [1, {n}]")
-    return max((2 * b + 1) / quorum_size, quorum_size / n)
+    return max(intersection_count(b) / quorum_size, quorum_size / n)
 
 
 def load_lower_bound_for_system(system: QuorumSystem, b: int | None = None) -> float:
@@ -80,7 +81,7 @@ def optimal_quorum_size(n: int, b: int) -> float:
     """Return the quorum size ``sqrt((2b+1) n)`` at which Corollary 4.2 is tight."""
     if n <= 0 or b < 0:
         raise ComputationError(f"invalid parameters n={n}, b={b}")
-    return math.sqrt((2 * b + 1) * n)
+    return math.sqrt(intersection_count(b) * n)
 
 
 def crash_probability_lower_bound(

@@ -7,12 +7,13 @@ A quorum system is *b-masking* when
 2. every two quorums intersect in at least ``2b + 1`` servers
    (the consistency requirement (1) in Definition 3.5).
 
-The fast way to establish the property is through ``MT`` and ``IS``
-(Lemma 3.6 and Corollary 3.7), which :class:`~repro.core.quorum_system.QuorumSystem`
-already exposes.  This module provides the *literal* checks, used by the
-test-suite to validate the fast path and by users who want an explicit
-certificate or counterexample.  The pairwise-intersection sweep runs on the
-bit-packed quorum list of :mod:`repro.core.bitset` rather than on frozensets.
+This module is the one home of the counts derived from ``b`` (the vouch
+count ``b + 1``, the intersection count ``2b + 1``), of Lemma 3.6 on a pair
+``(IS, MT)`` (:func:`can_mask`) and of Corollary 3.7 (:func:`largest_b`).
+It also provides the *literal* checks, used by the test-suite to validate
+that fast path and by users who want an explicit certificate or
+counterexample.  The pairwise-intersection sweep runs on the bit-packed
+quorum list of :mod:`repro.core.bitset` rather than on frozensets.
 
 See ``docs/notation.md`` for the notation glossary (b-masking, IS, MT, ...).
 """
@@ -20,18 +21,49 @@ See ``docs/notation.md`` for the notation glossary (b-masking, IS, MT, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.bitset import mask_to_frozenset
-from repro.core.quorum_system import QuorumSystem
 from repro.exceptions import MaskingViolationError
+
+if TYPE_CHECKING:  # circular at runtime: quorum_system imports this module
+    from repro.core.quorum_system import QuorumSystem
 
 __all__ = [
     "MaskingReport",
+    "can_mask",
+    "intersection_count",
+    "largest_b",
+    "vouch_threshold",
     "check_consistency",
     "check_resilience",
     "verify_masking",
     "masking_report",
 ]
+
+
+def vouch_threshold(b: int) -> int:
+    """Lemma 3.6's vouch count: ``b + 1`` identical reports include an honest
+    one, while a forged pair gathers at most ``b``.  Every path that judges a
+    read uses it."""
+    return b + 1
+
+
+def intersection_count(b: int) -> int:
+    """``2b + 1``: the least ``|Q1 ∩ Q2|`` of a ``b``-masking system (Definition 3.5)."""
+    return 2 * b + 1
+
+
+def can_mask(intersection: int, transversal: int, b: int) -> bool:
+    """Lemma 3.6: ``IS >= 2b + 1`` and ``MT > b`` (no ``b`` servers hit every
+    quorum) make a system ``b``-masking."""
+    return transversal > b and intersection >= intersection_count(b)
+
+
+def largest_b(intersection: int, transversal: int) -> int:
+    """Corollary 3.7: the largest ``b`` with :func:`can_mask`,
+    ``min{MT - 1, (IS - 1) // 2}`` and at least ``0``."""
+    return max(0, min(transversal - 1, (intersection - 1) // 2))
 
 
 @dataclass(frozen=True)
@@ -72,7 +104,7 @@ def check_consistency(system: QuorumSystem, b: int) -> tuple[frozenset, frozense
     bit-packed quorum list; only the witness pair (in enumeration order) is
     mapped back to frozensets.
     """
-    required = 2 * b + 1
+    required = intersection_count(b)
     engine = system.bitset_engine()
     if engine.num_quorums == 1:
         pair = (0, 0) if engine.min_quorum_size() < required else None
@@ -132,7 +164,7 @@ def verify_masking(system: QuorumSystem, b: int) -> None:
         first, second = report.violating_pair
         raise MaskingViolationError(
             f"{system.name} is not {b}-masking: quorums intersect in "
-            f"{len(first & second)} < {2 * b + 1} servers"
+            f"{len(first & second)} < {intersection_count(b)} servers"
         )
     raise MaskingViolationError(
         f"{system.name} is not {b}-masking: the {len(report.blocking_set)} servers "

@@ -52,6 +52,7 @@ import numpy as np
 from repro.core import bitset as bitset_mod
 from repro.core import transversal as transversal_mod
 from repro.core.bitset import BitsetEngine
+from repro.core.masking import intersection_count, largest_b
 from repro.core.universe import Universe
 from repro.exceptions import ComputationError, InvalidQuorumSystemError
 
@@ -302,27 +303,26 @@ class QuorumSystem(ABC):
     def masking_bound(self) -> int:
         """Return the largest ``b`` for which the system is ``b``-masking.
 
-        This is Corollary 3.7: ``b = min{MT(Q) - 1, (IS(Q) - 1) // 2}``.  A
+        This is Corollary 3.7 (:func:`~repro.core.masking.largest_b`).  A
         value of ``0`` means the system is an ordinary (regular) quorum
         system that cannot mask any Byzantine failure.
         """
-        by_resilience = self.min_transversal_size() - 1
-        by_intersection = (self.min_intersection_size() - 1) // 2
-        return max(0, min(by_resilience, by_intersection))
+        return largest_b(self.min_intersection_size(), self.min_transversal_size())
 
     def is_b_masking(self, b: int) -> bool:
         """Return ``True`` when the system is a ``b``-masking quorum system.
 
-        Checks the two sufficient conditions of Lemma 3.6:
-        ``MT(Q) >= b + 1`` and ``IS(Q) >= 2b + 1``.
+        Checks the two sufficient conditions of Lemma 3.6, ``MT(Q) > b``
+        first: it settles a too-large ``b`` without computing ``IS``, which
+        may need enumeration.
         """
         if b < 0:
             raise InvalidQuorumSystemError(f"masking parameter must be >= 0, got {b}")
         if b == 0:
             return True
         return (
-            self.min_transversal_size() >= b + 1
-            and self.min_intersection_size() >= 2 * b + 1
+            self.min_transversal_size() > b
+            and self.min_intersection_size() >= intersection_count(b)
         )
 
     # ------------------------------------------------------------------
@@ -509,9 +509,6 @@ class QuorumSystemView(QuorumSystem):
 
     def fairness(self) -> tuple[int, int] | None:
         return self.base.fairness()
-
-    def masking_bound(self) -> int:
-        return self.base.masking_bound()
 
 
 def unwrap(system: QuorumSystem) -> QuorumSystem:

@@ -59,6 +59,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.masking import vouch_threshold
 from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
@@ -85,7 +86,6 @@ __all__ = [
     "RetryPolicy",
     "access_frequencies",
     "advance",
-    "vouch_threshold",
     "vouched_pair",
 ]
 
@@ -169,22 +169,11 @@ Operation = Generator[Broadcast, Replies, OperationResult]
 _Body = Generator[Broadcast, Replies, tuple[ValueTimestampPair | None, OperationResult]]
 
 
-def vouch_threshold(b: int) -> int:
-    """Lemma 3.6's vouch count: how many reporters make a pair trustworthy.
-
-    At most ``b`` reporters are Byzantine, so ``b + 1`` identical reports
-    include an honest one, while a forged pair gathers at most ``b``.  The
-    one definition every path that judges a read uses: :func:`vouched_pair`
-    (every client driver and the epoch hand-over) and the vectorised and
-    sequential engines' fabricated/stale counts.
-    """
-    return b + 1
-
-
 def vouched_pair(
     pairs: Iterable[ValueTimestampPair], b: int
 ) -> ValueTimestampPair | None:
-    """The highest-timestamp pair reported at least :func:`vouch_threshold` times.
+    """The highest-timestamp pair reported at least
+    :func:`~repro.core.masking.vouch_threshold` times.
 
     The masking rule of the read protocol: a forged pair never reaches the
     threshold and is discarded.  ``None`` when no pair reaches it.

@@ -62,11 +62,11 @@ import numpy as np
 
 from repro.core import bitset as bitset_mod
 from repro.core.load import exact_load
+from repro.core.masking import vouch_threshold
 from repro.core.quorum_system import QuorumSystem
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.client import vouch_threshold
-from repro.simulation.faults import FaultScenario
+from repro.simulation.faults import FaultScenario, check_byzantine_budget
 from repro.simulation.scenarios import WorkloadScenario, fault_free_scenario
 
 __all__ = ["WorkloadResult", "resolve_strategy", "run_batch"]
@@ -390,17 +390,11 @@ def run_batch(
         raise SimulationError(f"write_fraction must lie in [0, 1], got {write_fraction}")
     if max_attempts < 1:
         raise SimulationError(f"max_attempts must be >= 1, got {max_attempts}")
-    if b < 0:
-        raise SimulationError(f"masking parameter must be >= 0, got {b}")
+    scenario = _as_workload_scenario(scenario)
+    check_byzantine_budget(scenario.max_byzantine, b, allow_overload=allow_overload)
     if mode not in ("vectorised", "sequential"):
         raise SimulationError(f"mode must be 'vectorised' or 'sequential', got {mode!r}")
-    scenario = _as_workload_scenario(scenario)
     scenario.validate_against(system.universe)
-    if not allow_overload and scenario.max_byzantine > b:
-        raise SimulationError(
-            f"scenario has {scenario.max_byzantine} Byzantine servers but the "
-            f"deployment only masks b={b}; pass allow_overload=True to force it"
-        )
     strategy = resolve_strategy(system, strategy)
     tables = _build_phase_tables(system, strategy, scenario)
     phase_of_op = scenario.phase_of_operations(num_operations)

@@ -22,7 +22,7 @@ from repro.core.rng import ensure_rng
 from repro.core.universe import Universe
 from repro.exceptions import SimulationError
 
-__all__ = ["FaultScenario", "FaultInjector"]
+__all__ = ["FaultScenario", "FaultInjector", "check_byzantine_budget"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,18 @@ class FaultScenario:
     def fault_free() -> "FaultScenario":
         """The scenario with no faults at all."""
         return FaultScenario()
+
+
+def check_byzantine_budget(num_byzantine: int, b: int, *, allow_overload: bool) -> None:
+    """Refuse a negative ``b``, and more than ``b`` Byzantine servers unless
+    ``allow_overload`` (negative tests run beyond the masking bound)."""
+    if b < 0:
+        raise SimulationError(f"masking parameter must be >= 0, got {b}")
+    if not allow_overload and num_byzantine > b:
+        raise SimulationError(
+            f"scenario has {num_byzantine} Byzantine servers but the "
+            f"deployment only masks b={b}; pass allow_overload=True to force it"
+        )
 
 
 class FaultInjector:

@@ -18,7 +18,7 @@ from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
 from repro.simulation.client import QuorumClient, access_frequencies
-from repro.simulation.faults import FaultScenario
+from repro.simulation.faults import FaultScenario, check_byzantine_budget
 from repro.simulation.network import SynchronousNetwork
 from repro.simulation.server import ByzantineReplicaServer, ReplicaServer
 
@@ -67,13 +67,7 @@ class ReplicatedRegister:
         strategy: Strategy | None = None,
     ):
         scenario = scenario if scenario is not None else FaultScenario.fault_free()
-        if b < 0:
-            raise SimulationError(f"masking parameter must be >= 0, got {b}")
-        if not allow_overload and scenario.num_byzantine > b:
-            raise SimulationError(
-                f"scenario has {scenario.num_byzantine} Byzantine servers but the "
-                f"deployment only masks b={b}; pass allow_overload=True to force it"
-            )
+        check_byzantine_budget(scenario.num_byzantine, b, allow_overload=allow_overload)
         unknown = (scenario.byzantine | scenario.crashed) - system.universe.as_frozenset()
         if unknown:
             raise SimulationError(

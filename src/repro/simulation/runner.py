@@ -42,6 +42,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.floats import is_zero
+from repro.core.masking import vouch_threshold
 from repro.core.membership import Epoch
 from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
@@ -52,12 +53,11 @@ from repro.simulation.client import (
     AsyncQuorumClient,
     RetryPolicy,
     access_frequencies,
-    vouch_threshold,
     vouched_pair,
 )
 from repro.simulation.engine import WorkloadResult, resolve_strategy, run_batch
 from repro.simulation.events import EventNetwork, EventScheduler, TimingScenario
-from repro.simulation.faults import FaultScenario
+from repro.simulation.faults import FaultScenario, check_byzantine_budget
 from repro.simulation.history import (
     EpochWindow,
     HistoryCheck,
@@ -249,13 +249,7 @@ class EventStack:
         scenario = TimingScenario.of(scenario)
         if num_clients < 1:
             raise SimulationError(f"num_clients must be >= 1, got {num_clients}")
-        if b < 0:
-            raise SimulationError(f"masking parameter must be >= 0, got {b}")
-        if not allow_overload and scenario.max_byzantine > b:
-            raise SimulationError(
-                f"scenario has {scenario.max_byzantine} Byzantine servers but the "
-                f"deployment only masks b={b}; pass allow_overload=True to force it"
-            )
+        check_byzantine_budget(scenario.max_byzantine, b, allow_overload=allow_overload)
         scenario.validate_against(system.universe)
         if request_timeout is None:
             latency = scenario.latency

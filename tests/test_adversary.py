@@ -228,7 +228,11 @@ class TestPaperBounds:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_adaptive_runs_stay_inside_every_bound(self, system, policy, seed):
         result, report = adversarial_conformance(
-            system, b=1, policy=policy, num_operations=400, rounds=8, seed=seed
+            system,
+            b=1,
+            scenario=AdaptiveScenario("adaptive", policy=policy, rounds=8),
+            num_operations=400,
+            seed=seed,
         )
         report.require()  # raises ConformanceError on any violation
         assert report.check("fabricated-reads").observed == 0
@@ -237,7 +241,10 @@ class TestPaperBounds:
     def test_conformance_holds_on_the_masking_grid_too(self):
         system = MaskingGrid(9, 2)
         result, report = adversarial_conformance(
-            system, b=2, policy=StaleReadAdversary(), num_operations=300, rounds=6
+            system,
+            b=2,
+            scenario=AdaptiveScenario("adaptive", policy=StaleReadAdversary(), rounds=6),
+            num_operations=300,
         )
         report.require()
 

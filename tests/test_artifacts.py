@@ -38,6 +38,7 @@ from repro.analysis import (
 )
 from repro.core import Membership, plan_events
 from repro.simulation import (
+    AdaptiveScenario,
     GreedyLoadAdversary,
     MembershipTimeline,
     StaleReadAdversary,
@@ -106,9 +107,8 @@ def _adversarial_payload() -> dict:
         result, report = adversarial_conformance(
             MGrid(GRID_SIDE, MASKING_B),
             b=MASKING_B,
-            policy=policy,
+            scenario=AdaptiveScenario("adaptive", policy=policy, rounds=8),
             num_operations=800,
-            rounds=8,
             seed=SEED,
         )
         report.require()

@@ -6,6 +6,7 @@ import pytest
 
 from repro import ConstructionError, MaskingGrid, RegularGrid, exact_load, verify_masking
 from repro.constructions.grid import grid_side_for, render_grid_quorum
+from repro.core.quorum_system import QuorumSystem
 
 
 class TestGridSideHelper:
@@ -67,6 +68,22 @@ class TestMaskingGrid:
         assert explicit.min_quorum_size() == system.min_quorum_size() == 3 * 5 + 2
         assert explicit.min_transversal_size() == system.min_transversal_size() == 3
         assert explicit.min_intersection_size() == system.min_intersection_size()
+
+    @pytest.mark.parametrize(
+        "side, b",
+        [(side, b) for side in range(2, 12) for b in range(side) if 3 * b + 1 <= side],
+    )
+    def test_intersection_closed_form_matches_enumeration(self, side, b):
+        # Includes the sides where two quorums' 2b+1 rows must overlap.
+        system = MaskingGrid(side, b)
+        assert system.min_intersection_size() == QuorumSystem.min_intersection_size(system)
+
+    def test_overlapping_rows_have_a_masking_bound(self):
+        # 2(2b+1) = 42 > 31: every two quorums share 11 rows.  The
+        # enumerating fallback refused this system (C(31, 21) * 31 quorums).
+        system = MaskingGrid(31, 10)
+        assert system.min_intersection_size() == 11 * 31 + 2 * 10 == 361
+        assert system.masking_bound() == 10
 
     def test_infeasible_parameters_rejected(self):
         with pytest.raises(ConstructionError):

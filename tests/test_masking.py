@@ -6,10 +6,12 @@ import pytest
 
 from repro import (
     ExplicitQuorumSystem,
+    MaskingGrid,
     MaskingViolationError,
     masking_report,
     verify_masking,
 )
+from repro.api.registry import build
 from repro.core.masking import check_consistency, check_resilience
 
 
@@ -89,3 +91,39 @@ class TestReportsAndVerification:
             bound = system.masking_bound()
             for b in range(bound + 2):
                 assert masking_report(system, b).is_masking == system.is_b_masking(b)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("threshold", {"n": 9, "b": 2}),
+            ("threshold", {"n": 13, "b": 3}),
+            ("masking-grid", {"side": 5, "b": 1}),
+            ("masking-grid", {"side": 7, "b": 2}),
+            ("mgrid", {"side": 5, "b": 1}),
+            ("mgrid", {"side": 6, "b": 2}),
+            ("mpath", {"side": 5, "b": 1}),
+            ("mpath", {"side": 7, "b": 3}),
+            ("boostfpp", {"q": 2, "b": 1}),
+            ("rt", {"k": 4, "l": 3, "depth": 2}),
+        ],
+    )
+    def test_every_masking_construction_makes_one_decision(self, name, params):
+        # Constructor acceptance, Corollary 3.7, Lemma 3.6 and (where the
+        # quorums can be listed) the literal check all agree.
+        system = build(name, **params)
+        bound = system.masking_bound()
+        b = params.get("b", bound)
+        assert bound >= b
+        if system.enumerates_all_quorums:
+            assert masking_report(system, b).is_masking
+        for candidate in range(bound + 3):
+            assert system.is_b_masking(candidate) == (candidate <= bound)
+
+    def test_is_b_masking_settles_a_large_b_on_mt_alone(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("IS must not be computed when MT already decides")
+
+        system = MaskingGrid(31, 10)
+        monkeypatch.setattr(MaskingGrid, "iter_quorum_masks", refuse)
+        monkeypatch.setattr(MaskingGrid, "min_intersection_size", refuse)
+        assert not system.is_b_masking(11)
