@@ -392,18 +392,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ReproError as exc:  # ... before anything is spawned: an argument error
         raise InvalidParameterError(str(exc)) from None
     cluster.start(timeout=args.ready_timeout)
-    for handle in cluster.replicas:
-        role = f"  [{handle.byzantine}]" if handle.byzantine else ""
-        print(
-            f"replica {handle.index}: {handle.host}:{handle.port}"
-            f"  server={handle.server_id!r}{role}",
-            flush=True,
-        )
-    if args.cluster_file:
-        print(f"cluster file: {args.cluster_file}", flush=True)
+    # The replicas run in their own sessions: whatever ends this command
+    # (a closed stdout included) must stop them.
     try:
+        for handle in cluster.replicas:
+            role = f"  [{handle.byzantine}]" if handle.byzantine else ""
+            print(
+                f"replica {handle.index}: {handle.host}:{handle.port}"
+                f"  server={handle.server_id!r}{role}",
+                flush=True,
+            )
+        if args.cluster_file:
+            print(f"cluster file: {args.cluster_file}", flush=True)
         asyncio.run(run_supervisor(cluster, cluster_file=args.cluster_file))
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
+        pass
+    finally:
         cluster.terminate()
     return 0
 

@@ -24,7 +24,6 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
-from scipy import stats
 
 from repro.core.availability import validate_probability
 from repro.core.quorum_system import QuorumSystem
@@ -143,6 +142,8 @@ class RecursiveThreshold(QuorumSystem):
         ``g(p) = P(Binomial(k, p) >= k - l + 1)``; for RT(4, 3) this is the
         polynomial ``6p^2 - 8p^3 + 3p^4`` quoted in the paper.
         """
+        from scipy import stats
+
         validate_probability(p)
         return float(stats.binom.sf(self.k - self.l, self.k, p))
 

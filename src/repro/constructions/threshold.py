@@ -21,7 +21,6 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
-from scipy import stats
 
 from repro.core.availability import validate_probability
 from repro.core.masking import can_mask, intersection_count
@@ -130,6 +129,8 @@ class ThresholdQuorumSystem(QuorumSystem):
 
     def crash_probability(self, p: float) -> float:
         """Return the exact ``Fp``: the binomial tail ``P(#crashed >= n - k + 1)``."""
+        from scipy import stats
+
         validate_probability(p)
         threshold_crashes = self._n - self.k + 1
         return float(stats.binom.sf(threshold_crashes - 1, self._n, p))

@@ -55,7 +55,6 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats
 
 from repro.core.availability import (
     AvailabilityResult,
@@ -154,6 +153,8 @@ def rowcol_survival_probability(
     ``alive_lines`` — and of M-Path's straight-line family (``k`` and ``k``
     over the triangular lattice, Section 7).
     """
+    from scipy import stats
+
     if side < 1:
         raise ComputationError(f"grid side must be >= 1, got {side}")
     validate_probability(p)

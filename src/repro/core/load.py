@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.quorum_system import QuorumSystem
 from repro.core.strategy import Strategy
@@ -134,6 +133,8 @@ def fair_load(system: QuorumSystem) -> LoadResult:
 
 def _solve_lp(system: QuorumSystem) -> LoadResult:
     """Solve the load LP with HiGHS and check the optimum against its dual."""
+    from scipy import optimize
+
     incidence = system.bitset_engine().incidence_matrix().astype(float)  # shape (m, n)
     num_quorums, num_elements = incidence.shape
 

@@ -31,7 +31,6 @@ from collections import Counter
 from collections.abc import Collection, Hashable, Iterable
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.core import bitset as bitset_mod
 from repro.exceptions import ComputationError
@@ -75,6 +74,8 @@ def _greedy_mask(masks: Iterable[int]) -> int:
 
 def _minimal_transversal_milp(reduced: list[int]) -> int:
     """Solve the minimum hitting set as a binary integer program (HiGHS)."""
+    from scipy import optimize, sparse
+
     num_bits = max(mask.bit_length() for mask in reduced)
     # One column per bit position, in bit order; a position no mask uses is
     # an unconstrained unit-cost variable and stays 0 at the optimum.

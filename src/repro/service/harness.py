@@ -218,19 +218,31 @@ class ServiceCluster:
     def start(self, *, timeout: float | None = None) -> None:
         """Spawn every replica and wait until all published their ports.
 
-        The default deadline scales with the replica count: interpreter
-        start-up is effectively serial on small machines, so a 16-replica
-        cluster legitimately needs several times a 5-replica cluster's
-        budget.
+        If a replica cannot be spawned, exits early or misses the deadline,
+        every replica spawned so far is terminated before the error
+        propagates: they run in their own sessions, so nothing else would
+        reap them.
+
+        The default deadline scales with the replica count.  A replica
+        loads only the service path, not scipy, and is ready in about
+        0.45 s on a 2-core machine (see ``docs/service.md``, "Cold
+        start").  Start-up is still effectively serial on small machines,
+        so a 16-replica cluster legitimately needs several times a
+        5-replica cluster's budget; ``5.0 * n`` keeps a wide margin for
+        loaded CI hosts.
         """
         if timeout is None:
             timeout = max(DEFAULT_READY_TIMEOUT, 5.0 * len(self.replicas))
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        for handle in self.replicas:
-            self._spawn(handle)
-        deadline = time.monotonic() + timeout
-        for handle in self.replicas:
-            self._await_ready(handle, deadline)
+        try:
+            for handle in self.replicas:
+                self._spawn(handle)
+            deadline = time.monotonic() + timeout
+            for handle in self.replicas:
+                self._await_ready(handle, deadline)
+        except BaseException:
+            self.terminate()
+            raise
 
     def _spawn(self, handle: ReplicaHandle) -> None:
         config = self._configs[handle.index]
@@ -331,13 +343,18 @@ class ServiceCluster:
         (write-ahead log + snapshot) and rejoins with its pre-crash state;
         without it, the replica rejoins with a fresh (initial) state and
         only the ``b+1`` vouch threshold protects readers from its stale
-        answers.
+        answers.  A new process that does not become ready is killed
+        before the error propagates.
         """
         handle = self.replicas[index]
         if handle.alive:
             raise ServiceError(f"replica {index} is still running")
-        self._spawn(handle)
-        self._await_ready(handle, time.monotonic() + timeout)
+        try:
+            self._spawn(handle)
+            self._await_ready(handle, time.monotonic() + timeout)
+        except BaseException:
+            self.kill(index)
+            raise
 
     async def stall(self, index: int) -> None:
         """Freeze a replica's protocol replies (the *slow server* fault)."""
