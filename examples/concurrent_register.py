@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Concurrent clients on the replicated register, over the event-driven core.
 
-The synchronous simulator can only run one client at a time, so nothing
+A blocking register runs one operation at a time, so nothing
 timing-dependent is observable.  This example runs the [MR98a] masking-quorum
-protocol on the event-driven core instead: eight resumable clients interleave
-reads and writes through a discrete-event scheduler with per-link latency,
-and the completed history — with genuinely overlapping operation intervals —
-is checked against the register semantics the ``2b + 1`` intersection
-guarantees:
+protocol on the event-driven core with real concurrency: eight resumable
+clients interleave reads and writes through a discrete-event scheduler with
+per-link latency, and the completed history — with genuinely overlapping
+operation intervals — is checked against the register semantics the
+``2b + 1`` intersection guarantees:
 
 * interleaved writers always produce strictly increasing, unique timestamps;
 * a read concurrent with a write returns the old or the new value — never a

@@ -18,13 +18,13 @@ expected value of the estimator, the measurement and the gaps, so tests and
 benchmarks can assert tolerances and tables can print them.
 
 A third cross-check closes the loop between the *drivers* of the one
-protocol core: :func:`synchronous_event_agreement` drives the same operation
-script through the blocking synchronous client and through the event-driven
-client at zero latency (and through any further driver the caller plugs in —
-the tests add the asyncio service client over an in-process wire loopback),
-and verifies they agree **operation for operation** (success, value,
-timestamp, quorum and the real probe count) — how broadcasts travel and how
-silence is detected must not be observable in the outcome.
+protocol core: :func:`driver_agreement` drives the same operation script
+through the event-driven client at zero latency and through the driver the
+caller plugs in (the tests plug in the asyncio service client over an
+in-process wire loopback), and verifies they agree **operation for
+operation** (success, value, timestamp, quorum and the real probe count) —
+how broadcasts travel and how silence is detected must not be observable in
+the outcome.
 
 Since the facade landed, the *engine*-level cross-check is a result-vs-result
 comparison: :func:`engine_agreement` runs one
@@ -37,7 +37,7 @@ analytic reference values above come from the facade's measure dispatcher
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -51,13 +51,11 @@ from repro.simulation.client import (
     AsyncQuorumClient,
     OperationResult,
     ProtocolCore,
-    QuorumClient,
     RetryPolicy,
 )
 from repro.simulation.engine import resolve_strategy
 from repro.simulation.events import EventNetwork, EventScheduler
 from repro.simulation.faults import FaultInjector, FaultScenario
-from repro.simulation.network import SynchronousNetwork
 from repro.simulation.runner import build_replicas, run_workload
 from repro.simulation.scenarios import WorkloadScenario
 
@@ -71,8 +69,8 @@ __all__ = [
     "ProtocolAgreement",
     "empirical_availability_comparison",
     "empirical_load_comparison",
+    "driver_agreement",
     "engine_agreement",
-    "synchronous_event_agreement",
 ]
 
 
@@ -140,17 +138,19 @@ class EmpiricalAvailabilityComparison:
 
 @dataclass(frozen=True)
 class ProtocolAgreement:
-    """Operation-for-operation comparison of the protocol drivers.
+    """Operation-for-operation comparison of a protocol driver with the
+    zero-latency event driver.
 
     Attributes
     ----------
     operations:
-        Length of the operation script every driver executed.
+        Length of the operation script both drivers executed.
     mismatches:
-        ``(driver, index, field, synchronous_value, driver_value)`` tuples
-        for every per-operation divergence of a driver from the synchronous
-        one, plus an ``(driver, -1, "accounting", ...)`` entry when the
-        per-server successful-access tallies differ.
+        ``(index, field, event_value, driver_value)`` tuples for every
+        per-operation divergence of the driver from the event driver, plus
+        an ``(-1, "operations", ...)`` entry when the result counts differ
+        and an ``(-1, "accounting", ...)`` entry when the per-server
+        successful-access tallies differ.
     """
 
     operations: int
@@ -158,7 +158,7 @@ class ProtocolAgreement:
 
     @property
     def ok(self) -> bool:
-        """Whether every driver reproduced the synchronous one exactly."""
+        """Whether the driver reproduced the event driver exactly."""
         return not self.mismatches
 
 
@@ -167,25 +167,6 @@ class ProtocolAgreement:
 #: ``policy``, ``rng``, ``strategy``), runs the ``("read" | "write", value)``
 #: script and returns ``(results, client)``.
 ProtocolDriver = Callable[..., tuple[list[OperationResult], ProtocolCore]]
-
-
-def _drive_synchronous(
-    servers: dict,
-    scenario: FaultScenario,
-    script: list,
-    *,
-    policy: RetryPolicy,
-    **client_kwargs: Any,
-) -> tuple[list[OperationResult], ProtocolCore]:
-    client = QuorumClient(
-        network=SynchronousNetwork(servers, scenario),
-        max_attempts=policy.max_attempts,
-        **client_kwargs,
-    )
-    return [
-        client.write(value) if kind == "write" else client.read()
-        for kind, value in script
-    ], client
 
 
 def _drive_events(
@@ -205,8 +186,9 @@ def _drive_events(
     return results, client
 
 
-def synchronous_event_agreement(
+def driver_agreement(
     system: QuorumSystem,
+    driver: ProtocolDriver,
     *,
     b: int,
     num_operations: int = 60,
@@ -217,24 +199,18 @@ def synchronous_event_agreement(
     strategy: Strategy | str | None = None,
     seed: int = 0,
     allow_overload: bool = False,
-    extra_drivers: Mapping[str, ProtocolDriver] | None = None,
 ) -> ProtocolAgreement:
-    """Drive one operation script through every protocol driver and compare.
+    """Drive one operation script through ``driver`` and the event driver.
 
-    The synchronous driver (blocking :class:`QuorumClient` over
-    :class:`SynchronousNetwork`), the event-driven driver
-    (:class:`AsyncQuorumClient` over a **zero-latency**
-    :class:`EventNetwork`) and any ``extra_drivers`` (name ->
-    :data:`ProtocolDriver`) are given identical replicas, identical client
-    rng streams and the same read/write script; all run the one protocol
-    core, and a zero-latency model draws no network randomness, so every
-    operation must agree on ``(success, value, timestamp, quorum,
-    attempts)`` — silence detection by immediate ``None``, by timeout or by
-    transport failure are observationally identical.  (``latency`` is
-    excluded: timeouts advance the event clock.)
-
-    Returns a :class:`ProtocolAgreement`; ``ok`` is the acceptance gate of
-    the event-core PR and is asserted by ``tests/test_simulation_events.py``.
+    The reference is the event-driven driver (:class:`AsyncQuorumClient`
+    over a **zero-latency** :class:`EventNetwork`); ``driver`` is any
+    :data:`ProtocolDriver`.  Both are given identical replicas, identical
+    client rng streams and the same read/write script; both run the one
+    protocol core, and a zero-latency model draws no network randomness, so
+    every operation must agree on ``(success, value, timestamp, quorum,
+    attempts)`` — silence detection by timeout or by transport failure are
+    observationally identical.  (``latency`` is excluded: the two clocks
+    differ.)
     """
     scenario = scenario if scenario is not None else FaultScenario.fault_free()
     resolved = resolve_strategy(system, strategy) if strategy is not None else None
@@ -270,22 +246,21 @@ def synchronous_event_agreement(
             strategy=resolved,
         )
 
-    sync_results, sync_client = drive(_drive_synchronous)
+    reference, reference_client = drive(_drive_events)
+    results, client = drive(driver)
     mismatches = []
-    for name, driver in {"event": _drive_events, **(extra_drivers or {})}.items():
-        results, client = drive(driver)
-        if len(results) != len(sync_results):
-            mismatches.append((name, -1, "operations", len(sync_results), len(results)))
-        for index, (sync_result, result) in enumerate(zip(sync_results, results)):
-            for field_name in ("success", "value", "timestamp", "quorum", "attempts"):
-                sync_value = getattr(sync_result, field_name)
-                value = getattr(result, field_name)
-                if sync_value != value:
-                    mismatches.append((name, index, field_name, sync_value, value))
-        sync_tally = dict(sync_client.successful_access_counts)
-        tally = dict(client.successful_access_counts)
-        if sync_tally != tally:
-            mismatches.append((name, -1, "accounting", sync_tally, tally))
+    if len(results) != len(reference):
+        mismatches.append((-1, "operations", len(reference), len(results)))
+    for index, (expected, result) in enumerate(zip(reference, results)):
+        for field_name in ("success", "value", "timestamp", "quorum", "attempts"):
+            expected_value = getattr(expected, field_name)
+            value = getattr(result, field_name)
+            if expected_value != value:
+                mismatches.append((index, field_name, expected_value, value))
+    expected_tally = dict(reference_client.successful_access_counts)
+    tally = dict(client.successful_access_counts)
+    if expected_tally != tally:
+        mismatches.append((-1, "accounting", expected_tally, tally))
     return ProtocolAgreement(operations=num_operations, mismatches=tuple(mismatches))
 
 

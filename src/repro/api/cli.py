@@ -422,10 +422,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     spec, b, replicas = load_cluster_file(args.cluster)
     system = build(spec)
     endpoints = {
-        system.universe.element_at(int(descriptor["index"])): (
-            str(descriptor["host"]),
-            int(descriptor["port"]),
-        )
+        system.universe.element_at(descriptor["index"]): (descriptor["host"], descriptor["port"])
         for descriptor in replicas
     }
     policy = RetryPolicy(

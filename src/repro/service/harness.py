@@ -387,16 +387,34 @@ class ServiceCluster:
 
 
 def load_cluster_file(path: str | Path) -> tuple[SystemSpec, int, list[dict]]:
-    """Parse a cluster file into ``(spec, b, replica descriptors)``."""
+    """Parse a cluster file into ``(spec, b, replica descriptors)``.
+
+    Every descriptor is checked: an integer ``index`` inside the spec's
+    universe, a string ``host`` and an integer ``port``.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ServiceError(f"cannot read cluster file {path}: {exc}") from None
     try:
         spec = SystemSpec.from_dict(payload["spec"])
-        return spec, int(payload["b"]), list(payload["replicas"])
+        b, replicas = int(payload["b"]), list(payload["replicas"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"malformed cluster file {path}: {exc}") from None
+    size = len(build(spec).universe)
+    for descriptor in replicas:
+        if not (
+            isinstance(descriptor, dict)
+            and type(descriptor.get("index")) is int
+            and 0 <= descriptor["index"] < size
+            and isinstance(descriptor.get("host"), str)
+            and type(descriptor.get("port")) is int
+        ):
+            raise ServiceError(
+                f"malformed cluster file {path}: replica {descriptor!r} needs an "
+                f"integer index below {size}, a string host and an integer port"
+            )
+    return spec, b, replicas
 
 
 async def discover_initial_pair(

@@ -48,7 +48,7 @@ from repro.api.registry import SystemSpec, build
 from repro.core.rng import ensure_rng
 from repro.exceptions import ServiceError, StorageError, WireProtocolError
 from repro.service import wire
-from repro.simulation.messages import Timestamp, WriteAck, WriteRequest
+from repro.simulation.messages import Timestamp, WriteRequest
 from repro.simulation.server import (
     BYZANTINE_BEHAVIOURS,
     ByzantineReplicaServer,
@@ -315,10 +315,14 @@ class ReplicaService:
             request = wire.frame_to_request(payload)
             started = time.monotonic()
             answer = self.replica.handle(request)
-            # Durability contract: the accepted pair hits the journal *before*
-            # the ack frame is even encoded.
-            accepted = isinstance(answer, WriteAck) and answer.accepted
-            if accepted and self._store is not None and isinstance(request, WriteRequest):
+            # Durability contract: the pair the state machine installed hits
+            # the journal *before* the ack frame is even encoded.  The ack is
+            # no evidence of that: a ``drop-writes`` liar acks what it drops.
+            if (
+                self._store is not None
+                and isinstance(request, WriteRequest)
+                and self.replica.current_pair is request.pair
+            ):
                 self._store.journal(request.pair)
             self._op_counts[kind] += 1
             self._latencies.append(time.monotonic() - started)

@@ -2,10 +2,10 @@
 
 This subpackage implements the protocol the paper's quorum systems exist to
 serve: the masking-quorum read/write register of [MR98a], with Byzantine and
-crash fault injection, a synchronous network, and a workload runner that
+crash fault injection, an event-driven network, and a workload runner that
 measures empirical load and availability.
 
-Three layers are provided:
+Two engines are provided:
 
 * the **event-driven concurrent core** (:mod:`repro.simulation.events`,
   :class:`AsyncQuorumClient`, :mod:`repro.simulation.history`) — a
@@ -18,11 +18,9 @@ Three layers are provided:
   checked with a linearizability-style register checker
   (:func:`check_register_history`), behind :func:`run_event_workload`,
   which also replays open-loop arrival traces (:class:`TraceScenario`) and
-  drives membership epochs (:class:`MembershipTimeline`);
-* the **message-level synchronous** simulator (:class:`ReplicatedRegister`,
-  :class:`QuorumClient`, :class:`SynchronousNetwork`, the replica servers) —
-  the zero-latency special case of the event core, one request object per
-  delivery, used by the protocol-step tests and examples; and
+  drives membership epochs (:class:`MembershipTimeline`); at zero latency
+  with the scheduler run after each operation it is the one-client-at-a-time
+  register the protocol-step tests drive; and
 * the **vectorised scenario engine** (:mod:`repro.simulation.engine`,
   :mod:`repro.simulation.scenarios`) — batched array execution of whole
   workloads over the bitmask incidence machinery, driven by one
@@ -46,7 +44,6 @@ from repro.simulation.adversary import (
 from repro.simulation.client import (
     AsyncQuorumClient,
     OperationResult,
-    QuorumClient,
     RetryPolicy,
 )
 from repro.simulation.engine import WorkloadResult, resolve_strategy
@@ -66,7 +63,6 @@ from repro.simulation.history import (
     check_register_history,
 )
 from repro.simulation.messages import Timestamp, ValueTimestampPair
-from repro.simulation.network import SynchronousNetwork
 from repro.simulation.reconfig import (
     REOPTIMISE_POLICIES,
     EpochOutcome,
@@ -74,7 +70,6 @@ from repro.simulation.reconfig import (
     ReconfigResult,
     reoptimise_strategy,
 )
-from repro.simulation.register import ReplicatedRegister
 from repro.simulation.runner import (
     EventWorkloadResult,
     TraceWorkloadResult,
@@ -130,13 +125,10 @@ __all__ = [
     "MembershipTimeline",
     "OperationRecord",
     "OperationResult",
-    "QuorumClient",
     "ReconfigResult",
     "ReplicaServer",
-    "ReplicatedRegister",
     "RetryPolicy",
     "StaleReadAdversary",
-    "SynchronousNetwork",
     "Timestamp",
     "TimingScenario",
     "TraceScenario",

@@ -1,4 +1,4 @@
-"""The masking-quorum client protocol of [MR98a]: one core, three drivers.
+"""The masking-quorum client protocol of [MR98a]: one core, two drivers.
 
 A client performs each operation at a single quorum of replicas:
 
@@ -32,13 +32,11 @@ vectorised engine's ``per_server_load`` / ``per_server_attempted`` split, so
 every path measures the same Definition 3.8 quantity
 (:func:`access_frequencies` normalises them over a pool of clients).
 
-**Three drivers** only move broadcasts (:func:`advance` steps the generator)
-and supply a clock.  They consume the client rng identically for identical
-answers, which :func:`repro.analysis.empirical.synchronous_event_agreement`
+**Two drivers**, one per clock, only move broadcasts (:func:`advance` steps
+the generator) and supply the time.  They consume the client rng identically
+for identical answers, which :func:`repro.analysis.empirical.driver_agreement`
 checks operation for operation:
 
-* :class:`QuorumClient` — blocking, over the synchronous network; a crashed
-  replica's ``None`` is its silence and the clock stands still at ``0.0``.
 * :class:`AsyncQuorumClient` — over the event-driven network: replies resume
   the operation through callbacks, silence is one scheduler timeout per
   broadcast, the clock is ``scheduler.now``.  Many such clients interleave
@@ -72,7 +70,6 @@ from repro.simulation.messages import (
     ValueTimestampPair,
     WriteRequest,
 )
-from repro.simulation.network import SynchronousNetwork
 
 if TYPE_CHECKING:  # circular at runtime: history records client results
     from repro.simulation.history import HistoryRecorder
@@ -82,7 +79,6 @@ __all__ = [
     "Operation",
     "OperationResult",
     "ProtocolCore",
-    "QuorumClient",
     "RetryPolicy",
     "access_frequencies",
     "advance",
@@ -118,8 +114,7 @@ class OperationResult:
         the first write broadcast lost a quorum member.
     latency:
         Time from invocation to completion on the driver's clock: simulated
-        time for event-driven clients, real seconds for the service client,
-        ``0.0`` under the synchronous layer (operations are instantaneous).
+        time for event-driven clients, real seconds for the service client.
     """
 
     success: bool
@@ -138,7 +133,8 @@ class RetryPolicy:
     ----------
     max_attempts:
         Quorum probes per probing phase before the operation is declared
-        failed (unavailability), matching the synchronous client's knob.
+        failed (unavailability); the vectorised engine charges the same
+        budget to an operation that finds no responsive quorum.
     request_timeout:
         Simulated time a probe waits for the slowest quorum member before
         declaring the silent members suspected and moving to another quorum.
@@ -146,8 +142,8 @@ class RetryPolicy:
         When a read finds no pair vouched by ``b + 1`` replicas (possible
         under concurrency with an interleaved write), retry the read phase
         at a fresh quorum instead of reporting an unsuccessful read.  Off by
-        default — the synchronous client reports the failure, and the
-        zero-latency agreement guarantee relies on matching it.
+        default: an unvouched read is then reported as an unsuccessful
+        operation (never with an unvouched value).
     """
 
     max_attempts: int = 10
@@ -470,61 +466,6 @@ def access_frequencies(
     )
 
 
-class QuorumClient(ProtocolCore):
-    """The blocking driver: each call runs one operation to completion.
-
-    Parameters
-    ----------
-    client_id / system / b / rng / strategy:
-        As for :class:`ProtocolCore`.
-    network:
-        The synchronous message layer connecting to the replicas.
-    max_attempts:
-        How many quorums to try before declaring an operation failed
-        (unavailability).
-    """
-
-    def __init__(
-        self,
-        client_id: int,
-        system: QuorumSystem,
-        network: SynchronousNetwork,
-        *,
-        b: int,
-        max_attempts: int = 10,
-        rng: np.random.Generator | None = None,
-        strategy: Strategy | None = None,
-    ) -> None:
-        super().__init__(
-            client_id,
-            system,
-            b=b,
-            policy=RetryPolicy(max_attempts=max_attempts),
-            rng=rng,
-            strategy=strategy,
-            clock=lambda: 0.0,
-        )
-        self.network = network
-
-    def _run(self, operation: Operation) -> OperationResult:
-        step = advance(operation)
-        while not isinstance(step, OperationResult):
-            replies = self.network.broadcast(*step)
-            step = advance(
-                operation,
-                {sid: reply for sid, reply in replies.items() if reply is not None},
-            )
-        return step
-
-    def write(self, value: object) -> OperationResult:
-        """Write ``value`` to the register (query timestamps, then install)."""
-        return self._run(self.write_operation(value))
-
-    def read(self) -> OperationResult:
-        """Read the register, masking up to ``b`` Byzantine replies."""
-        return self._run(self.read_operation())
-
-
 class AsyncQuorumClient(ProtocolCore):
     """The event-driven driver: operations resume as scheduler events fire.
 
@@ -532,7 +473,7 @@ class AsyncQuorumClient(ProtocolCore):
     operation advances as replies arrive through the scheduler and completes
     by calling ``on_complete(OperationResult)``.  Because nothing blocks,
     any number of clients interleave their operations within one scheduler
-    run — the concurrency the synchronous layer structurally cannot express.
+    run.
 
     Parameters
     ----------

@@ -1,8 +1,8 @@
 """Vectorised scenario engine for replicated-register workloads.
 
 The legacy runner simulated workloads one message at a time: every operation
-built request objects, broadcast them over a synchronous network and folded
-replies in Python loops.  This engine runs the same *accounting model* as
+built request objects, broadcast them to the replicas and folded replies in
+Python loops.  This engine runs the same *accounting model* as
 batched array computations over the bitmask machinery of
 :mod:`repro.core.bitset`:
 
@@ -19,7 +19,7 @@ Operation semantics (one operation = one row of the batch)
 Each operation samples a quorum from the access strategy.  If every member is
 responsive in the operation's phase, the operation succeeds there.  Otherwise
 the client has observed silent servers; the engine models the failure
-detector of :class:`~repro.simulation.client.QuorumClient` in its idealised
+detector of :class:`~repro.simulation.client.ProtocolCore` in its idealised
 limit — the retry samples from the strategy *restricted to fully-responsive
 quorums* (renormalised), so an operation fails only when **no** supported
 quorum is alive in its phase.  This preserves the resilience property the

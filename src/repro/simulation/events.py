@@ -23,14 +23,13 @@ discrete-event simulation:
   a delivery and returns immediately; replies come back through callbacks at
   a later simulated time.
 
-The old synchronous layer survives as the **zero-latency special case**:
-:class:`~repro.simulation.network.SynchronousNetwork` wraps an
-:class:`EventNetwork` with ``LatencyModel.zero()`` and pumps the scheduler to
-quiescence inside each ``send`` — one code path for delivery and accounting
-across both layers (and the agreement test in
-``tests/test_simulation_events.py`` holds the two to operation-for-operation
-equality).  Which handler answers a request is not the network's business: a
-delivered request goes to :meth:`ReplicaServer.handle
+A blocking, one-client-at-a-time register is the **zero-latency special
+case**: with ``LatencyModel.zero()`` and clean links no network randomness is
+drawn, and running the scheduler to quiescence after each operation makes
+every operation complete before the next starts
+(:func:`repro.analysis.empirical.driver_agreement` holds the asyncio service
+driver to that reference operation for operation).  Which handler answers a
+request is not the network's business: a delivered request goes to :meth:`ReplicaServer.handle
 <repro.simulation.server.ReplicaServer.handle>`, the same entry point the TCP
 service calls.
 
@@ -206,8 +205,8 @@ class LatencyModel:
     A delay sample is ``(base + U[0, jitter) + Exp(tail_mean)) * factor``,
     where ``factor`` is the per-server multiplier (defaults to 1).  With all
     three parameters zero the model draws **no randomness at all**, which is
-    what makes the zero-latency event network reproduce the synchronous
-    layer's rng stream exactly.
+    what makes a zero-latency client consume the same rng stream as any other
+    driver of the protocol core given the same answers.
 
     Parameters
     ----------
@@ -586,8 +585,7 @@ class EventNetwork:
         reply = server.handle(request)
         # A slow server stretches its service time by (factor - 1) mean link
         # latencies; with a zero-latency model there is no timescale to
-        # stretch, so slowness degenerates to zero delay (the synchronous
-        # special case cannot express it).
+        # stretch, so slowness degenerates to zero delay.
         latency = self._latency
         service_delay = 0.0
         slow = state.slow_factor(server_id)

@@ -40,8 +40,8 @@ class FaultScenario:
         *Timing* faults: ``(server_id, factor)`` pairs for servers that are
         correct but slow — their service time is stretched by ``factor`` > 1.
         Only the event-driven layer (:mod:`repro.simulation.events`) gives
-        slowness meaning; the synchronous and vectorised layers, which have
-        no notion of time, ignore it.  A crashed server cannot also be slow.
+        slowness meaning; the vectorised engine, which has no notion of
+        time, ignores it.  A crashed server cannot also be slow.
     """
 
     byzantine: frozenset = field(default_factory=frozenset)

@@ -16,10 +16,7 @@ message-level protocol instead — the one protocol core of
 stack :class:`EventStack` wires up, closed-loop under a
 :class:`~repro.simulation.events.TimingScenario` or static fault scenario,
 open-loop under a :class:`~repro.simulation.traces.TraceScenario`, or epoch
-by epoch under a membership timeline.  The blocking
-:class:`~repro.simulation.client.QuorumClient` and
-:class:`~repro.simulation.register.ReplicatedRegister` remain available for
-protocol-step tests and examples.
+by epoch under a membership timeline.
 
 Accounting note (the Definition 3.8 fix): ``empirical_load`` and
 ``per_server_load`` count quorum accesses of *successful* operations only and
@@ -91,15 +88,13 @@ def build_replicas(
     byzantine: frozenset,
     *,
     byzantine_behaviour: str = "fabricate-timestamp",
-    initial_value: object = None,
     rng: np.random.Generator | None = None,
 ) -> dict[Hashable, ReplicaServer]:
     """One replica per universe element, Byzantine where ``byzantine`` says so.
 
-    Shared by :class:`~repro.simulation.register.ReplicatedRegister` setups
-    and the event-driven drivers; Byzantine replicas get independent
-    generators spawned from ``rng`` so replica randomness never perturbs the
-    clients' draw streams (the zero-latency agreement relies on that).
+    Byzantine replicas get independent generators spawned from ``rng`` so
+    replica randomness never perturbs the clients' draw streams (the
+    zero-latency driver agreement relies on that).
     """
     rng = ensure_rng(rng)
     seeds = iter(rng.integers(2**63, size=max(1, len(byzantine))))
@@ -110,10 +105,9 @@ def build_replicas(
                 server_id,
                 behaviour=byzantine_behaviour,
                 rng=np.random.default_rng(int(next(seeds))),
-                initial_value=initial_value,
             )
         else:
-            servers[server_id] = ReplicaServer(server_id, initial_value=initial_value)
+            servers[server_id] = ReplicaServer(server_id)
     return servers
 
 

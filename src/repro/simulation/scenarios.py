@@ -262,7 +262,7 @@ def partition_scenario(
     """Clients can only reach one side of a network partition.
 
     Servers outside ``reachable`` are unreachable from the clients'
-    partition, which the synchronous model cannot distinguish from a crash;
+    partition, which the untimed engine cannot distinguish from a crash;
     quorums fully inside the reachable block keep the service alive.
     """
     reachable_set = universe.subset(reachable)

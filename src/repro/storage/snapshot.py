@@ -29,7 +29,7 @@ import os
 from pathlib import Path
 
 from repro.exceptions import StorageError
-from repro.storage.wal import WalRecord, decode_record, encode_record
+from repro.storage.wal import WalRecord, decode_record, encode_record, sync_directory
 
 __all__ = ["SNAPSHOT_MAGIC", "read_snapshot", "write_snapshot"]
 
@@ -54,11 +54,7 @@ def write_snapshot(path: str | Path, snapshot: WalRecord) -> None:
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(target)
-        directory = os.open(target.parent, os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        sync_directory(target.parent)
     except OSError as exc:
         raise StorageError(f"cannot write snapshot {target}: {exc}") from None
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from repro.exceptions import StorageError
 from repro.simulation.messages import Timestamp, ValueTimestampPair
 from repro.storage.snapshot import read_snapshot, write_snapshot
-from repro.storage.wal import FsyncPolicy, WalRecord, WriteAheadLog
+from repro.storage.wal import FsyncPolicy, WalRecord, WriteAheadLog, sync_directory
 
 __all__ = ["DurableStore", "RecoveryResult"]
 
@@ -88,7 +88,16 @@ class DurableStore:
         self.data_dir = Path(data_dir)
         self.snapshot_every = snapshot_every
         try:
+            # Each directory this creates is an entry in its parent that must
+            # be synced, or a power cut can lose the whole data dir.
+            created = []
+            directory = self.data_dir
+            while not directory.exists():
+                created.append(directory)
+                directory = directory.parent
             self.data_dir.mkdir(parents=True, exist_ok=True)
+            for directory in created:
+                sync_directory(directory.parent)
         except OSError as exc:
             raise StorageError(
                 f"cannot create data directory {self.data_dir}: {exc}"

@@ -69,6 +69,7 @@ __all__ = [
     "decode_record",
     "encode_record",
     "scan_wal",
+    "sync_directory",
 ]
 
 #: File preamble; a file not starting with this is not (no longer) a log.
@@ -254,6 +255,20 @@ def scan_wal(path: str | Path) -> WalScan:
     )
 
 
+def sync_directory(path: str | Path) -> None:
+    """Force a directory's entries onto the disk.
+
+    A new or renamed file is only a directory entry until its directory is
+    fsynced: without this, a power cut can lose a file whose *contents*
+    were fsynced.  Raises :class:`OSError`; callers wrap it.
+    """
+    directory = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
 class WriteAheadLog:
     """An open, append-only log handle over one file.
 
@@ -279,10 +294,12 @@ class WriteAheadLog:
         self._unsynced = 0
         try:
             if self.scan.valid_bytes < len(MAGIC):
-                # New, empty or magic-less file: start a fresh log.
+                # New, empty or magic-less file: start a fresh log, and make
+                # its directory entry as durable as its first record.
                 self._handle: BinaryIO = open(self.path, "wb")
                 self._handle.write(MAGIC)
                 self._flush(force=True)
+                sync_directory(self.path.parent)
                 self._byte_size = len(MAGIC)
             else:
                 if self.scan.dropped_bytes:

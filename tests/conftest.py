@@ -25,6 +25,8 @@ from repro import (
     majority,
     masking_threshold,
 )
+from repro.simulation import FaultScenario, TimingScenario
+from repro.simulation.runner import EventStack
 
 
 @pytest.fixture
@@ -57,6 +59,62 @@ def python_calls():
         finally:
             sys.setprofile(previous)
         return calls, result
+
+    return run
+
+
+@pytest.fixture
+def event_register():
+    """``event_register(system, scenario, b=..., rng=..., **options)`` builds
+    the zero-latency event stack (replicas, network, ``num_clients`` clients)
+    the protocol-step tests drive; ``behaviour`` names the Byzantine lie."""
+
+    def build(
+        system,
+        scenario=None,
+        *,
+        b,
+        rng,
+        behaviour="fabricate-timestamp",
+        num_clients=1,
+        max_attempts=10,
+        initial_pair=None,
+        allow_overload=False,
+    ):
+        return EventStack(
+            system,
+            TimingScenario.static(
+                scenario if scenario is not None else FaultScenario.fault_free(),
+                byzantine_behaviour=behaviour,
+            ),
+            b=b,
+            num_clients=num_clients,
+            max_attempts=max_attempts,
+            request_timeout=None,
+            strategy=None,
+            initial_pair=initial_pair,
+            rng=rng,
+            allow_overload=allow_overload,
+        )
+
+    return build
+
+
+@pytest.fixture
+def complete():
+    """``complete(client.write, value)`` / ``complete(client.read)`` runs one
+    operation of an event-driven client to its result.
+
+    The client's scheduler is run to quiescence, so at zero latency each
+    operation finishes before the next one starts: a blocking register.
+    """
+
+    def run(start, *args):
+        results = []
+        start(*args, results.append)
+        start.__self__.network.scheduler.run()
+        (result,) = results
+        return result
 
     return run
 

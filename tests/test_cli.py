@@ -22,6 +22,7 @@ import errno
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -428,15 +429,22 @@ def no_effects(monkeypatch):
             3,
             "at least one operation per epoch",
         ),
+        ("loadgen --cluster NO_HOST", 3, "a string host"),
+        ("loadgen --cluster INDEX_9", 3, "integer index below 5"),
     ],
 )
 def test_exit_status(no_effects, tmp_path, capsys, argv, status, message):
     trace = tmp_path / "trace.json"
     trace.write_text('[{"t": "soon", "op": "read"}]', encoding="utf-8")
-    argv = [
-        {"RUN": str(tmp_path / "run"), "TRACE": str(trace)}.get(arg, arg)
-        for arg in argv.split()
-    ]
+    files = {"RUN": str(tmp_path / "run"), "TRACE": str(trace)}
+    for name, replica in [
+        ("NO_HOST", {"index": 0, "port": 9}),
+        ("INDEX_9", {"index": 9, "host": "127.0.0.1", "port": 9}),
+    ]:
+        cluster = {"spec": THRESHOLD_5.to_dict(), "b": 1, "replicas": [replica]}
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(cluster), encoding="utf-8")
+    argv = [files.get(arg, arg) for arg in argv.split()]
     assert cli.main(argv) == status
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

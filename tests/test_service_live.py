@@ -39,6 +39,7 @@ from repro.service import (
 from repro.exceptions import ServiceError
 from repro.simulation.client import RetryPolicy
 from repro.simulation.history import HistoryCheck, HistoryRecorder, check_register_history
+from repro.simulation.messages import Timestamp, ValueTimestampPair, WriteRequest
 
 OPS = 160
 CLIENTS = 8
@@ -430,6 +431,30 @@ def test_metrics_percentiles_are_nearest_rank(samples, expected):
     service._latencies.extend(samples)
     latency = service.metrics_payload()["latency_seconds"]
     assert (latency["p50"], latency["p90"], latency["p99"], latency["max"]) == expected
+
+
+@pytest.mark.parametrize("behaviour", [None, "drop-writes"])
+def test_a_durable_replica_journals_only_the_pairs_it_installed(tmp_path, behaviour):
+    """A ``drop-writes`` liar acks the writes it drops; journalling on the
+    ack alone brought them back after a restart.  In-process, no socket."""
+    config = ReplicaConfig(
+        THRESHOLD_5, 0, byzantine_behaviour=behaviour, data_dir=str(tmp_path / "d")
+    )
+    written = ValueTimestampPair(value="v", timestamp=Timestamp(3, 1))
+    service = ReplicaService(config)
+    frame = service._handle_frame(
+        wire.request_to_frame(WriteRequest(client_id=1, pair=written))
+    )
+    reply, _rest = wire.decode_frame(frame)
+    assert wire.frame_to_reply(reply, server_id=service.server_id).accepted
+    asyncio.run(service.stop())
+
+    reopened = ReplicaService(config)
+    honest = behaviour is None
+    initial = ValueTimestampPair(value=None, timestamp=Timestamp.zero())
+    assert reopened.replica.current_pair == (written if honest else initial)
+    assert reopened.status_payload()["storage"]["wal_records"] == (1 if honest else 0)
+    asyncio.run(reopened.stop())
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Covers the discrete-event machinery itself (ordering, cancellation, latency
 and link-fault knobs, crash/recover timelines), the zero-latency agreement
-between the synchronous, event-driven and (over an in-process wire loopback)
-asyncio service drivers of the protocol core, the real-attempts accounting,
+between the event-driven and (over an in-process wire loopback) asyncio
+service drivers of the protocol core, the real-attempts accounting,
 the aligned load accounting across protocol paths, and the
 concurrent-history properties: interleaved writers produce strictly
 increasing unique timestamps, reads concurrent with writes return old-or-new
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import SimulationError, ThresholdQuorumSystem
-from repro.analysis.empirical import synchronous_event_agreement
+from repro.analysis.empirical import driver_agreement
 from repro.service import ServiceQuorumClient, wire
 from repro.simulation import (
     AsyncQuorumClient,
@@ -35,7 +35,6 @@ from repro.simulation import (
     LinkFaults,
     OperationRecord,
     ReplicaServer,
-    ReplicatedRegister,
     RetryPolicy,
     Timestamp,
     TimingScenario,
@@ -49,6 +48,7 @@ from repro.simulation import (
     slow_server_scenario,
     timing_scenario_suite,
 )
+from repro.simulation.client import access_frequencies
 from repro.simulation.messages import ReadRequest, WriteRequest
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
 
@@ -283,10 +283,44 @@ class TestEventNetwork:
             network.send(99, ReadRequest(client_id=0), lambda sid, reply: None)
         with pytest.raises(SimulationError):
             network.send(0, None, lambda sid, reply: None)
+        with pytest.raises(SimulationError):
+            EventNetwork({}, FaultScenario.fault_free(), scheduler=EventScheduler())
+
+    def test_unknown_request_type_raises_at_delivery(self):
+        scheduler, network = self.make()
+        network.send(0, "not-a-request", lambda sid, reply: None)
+        with pytest.raises(SimulationError, match="unsupported request type"):
+            scheduler.run()
+
+    def send_reads(self, crashed, destinations):
+        scheduler, network = self.make(crashed=crashed)
+        for server_id in destinations:
+            network.send(server_id, ReadRequest(client_id=0), lambda sid, reply: None)
+        scheduler.run()
+        return network
+
+    def test_attempted_vs_delivered_counters(self):
+        # The accounting split: a probe of a crashed server is attempted but
+        # never delivered, so the two counters diverge exactly there.
+        network = self.send_reads({1}, [0, 1, 1])
+        assert network.attempted_counts == {0: 1, 1: 2, 2: 0}
+        assert network.delivered_counts == {0: 1, 1: 0, 2: 0}
+
+    def test_empirical_message_rates(self):
+        network = self.send_reads({1}, [0, 0, 1])
+        attempted = network.empirical_message_rates(2)
+        delivered = network.empirical_message_rates(2, which="delivered")
+        assert attempted[0] == pytest.approx(1.0)
+        assert attempted[1] == pytest.approx(0.5)
+        assert delivered[1] == pytest.approx(0.0)
+        with pytest.raises(SimulationError):
+            network.empirical_message_rates(0)
+        with pytest.raises(SimulationError):
+            network.empirical_message_rates(2, which="bogus")
 
 
 # ----------------------------------------------------------------------
-# Zero-latency agreement: the synchronous layer is the special case.
+# Zero-latency agreement: the service driver against the event driver.
 # ----------------------------------------------------------------------
 class LoopbackServiceClient(ServiceQuorumClient):
     """The asyncio driver with the sockets cut out.
@@ -337,11 +371,9 @@ def drive_service_loopback(
     return results, client
 
 
-def three_way_agreement(system, **kwargs):
-    """Synchronous vs event vs service driver; needs no socket, never skips."""
-    return synchronous_event_agreement(
-        system, extra_drivers={"service": drive_service_loopback}, **kwargs
-    )
+def service_agreement(system, **kwargs):
+    """Event vs service driver; needs no socket, never skips."""
+    return driver_agreement(system, drive_service_loopback, **kwargs)
 
 
 def test_cancelled_service_operation_frees_the_client(small_system):
@@ -444,19 +476,19 @@ def test_cancelled_service_operation_abandons_its_connections(small_system, monk
 
 class TestZeroLatencyAgreement:
     def test_fault_free(self, small_system):
-        report = three_way_agreement(small_system, b=2, num_operations=80, seed=11)
+        report = service_agreement(small_system, b=2, num_operations=80, seed=11)
         assert report.ok, report.mismatches
 
     def test_with_crashes_and_retries(self, small_system):
         scenario = FaultScenario(crashed=frozenset({0, 1}))
-        report = three_way_agreement(
+        report = service_agreement(
             small_system, b=2, scenario=scenario, num_operations=60, seed=3
         )
         assert report.ok, report.mismatches
 
     def test_under_the_optimal_strategy(self, small_system):
         scenario = FaultScenario(crashed=frozenset({4}))
-        report = three_way_agreement(
+        report = service_agreement(
             small_system, b=2, scenario=scenario, strategy="optimal",
             num_operations=60, seed=5,
         )
@@ -471,22 +503,17 @@ class TestZeroLatencyAgreement:
                     return None
                 return await super()._exchange(server_id, request)
 
-        report = synchronous_event_agreement(
-            small_system,
-            b=2,
-            num_operations=30,
-            seed=11,
-            extra_drivers={"lossy": partial(drive_service_loopback, client_type=Lossy)},
-        )
+        lossy = partial(drive_service_loopback, client_type=Lossy)
+        report = driver_agreement(small_system, lossy, b=2, num_operations=30, seed=11)
         assert not report.ok
-        assert {mismatch[0] for mismatch in report.mismatches} == {"lossy"}
+        assert service_agreement(small_system, b=2, num_operations=30, seed=11).ok
 
     @pytest.mark.parametrize("behaviour", sorted(BYZANTINE_BEHAVIOURS))
     def test_under_every_byzantine_behaviour(self, small_system, rng, behaviour):
         scenario = FaultInjector(small_system.universe, rng).exact(
             num_byzantine=2, num_crashed=1
         )
-        report = three_way_agreement(
+        report = service_agreement(
             small_system,
             b=2,
             scenario=scenario,
@@ -498,7 +525,7 @@ class TestZeroLatencyAgreement:
 
     def test_unavailable_operations_agree_too(self, small_system):
         scenario = FaultScenario(crashed=frozenset({0, 1, 2}))  # a transversal
-        report = three_way_agreement(
+        report = service_agreement(
             small_system, b=2, scenario=scenario, num_operations=20, seed=9
         )
         assert report.ok, report.mismatches
@@ -508,12 +535,11 @@ class TestZeroLatencyAgreement:
 # Real attempts accounting (the hardcoded attempts=1 regression).
 # ----------------------------------------------------------------------
 class TestAttemptsAccounting:
-    def test_attempts_accumulate_across_probes(self, rng):
+    def test_attempts_accumulate_across_probes(self, event_register, rng, complete):
         system = ThresholdQuorumSystem(5, 4)
         scenario = FaultScenario(crashed=frozenset({0}))
-        register = ReplicatedRegister(system, b=0, scenario=scenario, rng=rng)
-        client = register.client()
-        results = [client.write(f"v{i}") for i in range(20)]
+        (client,) = event_register(system, scenario, b=0, rng=rng).clients
+        results = [complete(client.write, f"v{i}") for i in range(20)]
         assert all(result.success for result in results)
         total_attempts = sum(result.attempts for result in results)
         # Every probe touches exactly one 4-member quorum.
@@ -523,15 +549,14 @@ class TestAttemptsAccounting:
         # hardcoded attempts=1 would under-report this total.
         assert total_attempts > len(results)
 
-    def test_failed_operations_charge_the_full_budget(self, rng):
+    def test_failed_operations_charge_the_full_budget(self, event_register, rng, complete):
         system = ThresholdQuorumSystem(9, 7)
         scenario = FaultScenario(crashed=frozenset({0, 1, 2}))
-        register = ReplicatedRegister(system, b=2, scenario=scenario, rng=rng)
-        client = register.client(max_attempts=5)
-        result = client.write("doomed")
+        (client,) = event_register(system, scenario, b=2, rng=rng, max_attempts=5).clients
+        result = complete(client.write, "doomed")
         assert not result.success
         assert result.attempts == 5
-        read_result = client.read()
+        read_result = complete(client.read)
         assert not read_result.success
         assert read_result.attempts == 5
 
@@ -572,18 +597,19 @@ class TestAttemptsAccounting:
 # Load-definition agreement across the protocol paths (satellite 3).
 # ----------------------------------------------------------------------
 class TestLoadAccountingAgreement:
-    def test_message_level_and_vectorised_loads_agree_under_crashes(self, rng):
+    def test_message_level_and_vectorised_loads_agree_under_crashes(
+        self, event_register, rng, complete
+    ):
         system = ThresholdQuorumSystem(9, 7)
         scenario = FaultScenario(crashed=frozenset({0, 1}))
-        register = ReplicatedRegister(system, b=2, scenario=scenario, rng=rng)
-        client = register.client()
+        (client,) = event_register(system, scenario, b=2, rng=rng).clients
         operations = 400
         for index in range(operations):
             if index % 2 == 0:
-                assert client.write(index).success
+                assert complete(client.write, index).success
             else:
-                assert client.read().success
-        message_loads = register.empirical_loads()
+                assert complete(client.read).success
+        message_loads, attempted_loads = access_frequencies([client], system.universe)
         # Load values are genuine access frequencies: never above 1, even
         # though crashes force extra probes (the pre-fix accounting divided
         # raw deliveries by operations and could exceed 1 here).
@@ -600,7 +626,7 @@ class TestLoadAccountingAgreement:
         )
         # Crashed servers take probes (attempted) but serve no load.
         assert message_loads[0] == 0.0
-        assert register.attempted_loads()[0] > 0.0
+        assert attempted_loads[0] > 0.0
 
     def test_event_layer_uses_the_same_definition(self, rng):
         system = ThresholdQuorumSystem(9, 7)

@@ -1,4 +1,9 @@
-"""Integration tests for the masking-quorum register protocol (client + register + runner)."""
+"""Integration tests for the masking-quorum register protocol (client + replicas + runner).
+
+The protocol steps run on the event-driven stack at zero latency, each
+operation run to completion before the next starts (the ``complete``
+fixture): a blocking register, one request object per delivery.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,8 @@ from repro import MGrid, SimulationError, ThresholdQuorumSystem
 from repro.simulation import (
     FaultInjector,
     FaultScenario,
-    ReplicatedRegister,
+    Timestamp,
+    ValueTimestampPair,
     run_workload,
 )
 
@@ -20,98 +26,104 @@ def small_system():
 
 
 class TestRegisterDeployment:
-    def test_rejects_too_many_byzantine_servers(self, small_system, rng):
+    def test_rejects_too_many_byzantine_servers(self, event_register, small_system, rng):
         scenario = FaultScenario(byzantine=frozenset({0, 1, 2}))
         with pytest.raises(SimulationError):
-            ReplicatedRegister(small_system, b=2, scenario=scenario, rng=rng)
+            event_register(small_system, scenario, b=2, rng=rng)
 
-    def test_overload_flag_allows_it(self, small_system, rng):
+    def test_overload_flag_allows_it(self, event_register, small_system, rng):
         scenario = FaultScenario(byzantine=frozenset({0, 1, 2}))
-        register = ReplicatedRegister(
-            small_system, b=2, scenario=scenario, rng=rng, allow_overload=True
-        )
-        assert register.scenario.num_byzantine == 3
+        stack = event_register(small_system, scenario, b=2, rng=rng, allow_overload=True)
+        assert stack.network.scenario.max_byzantine == 3
 
-    def test_rejects_unknown_servers_in_scenario(self, small_system, rng):
+    def test_rejects_unknown_servers_in_scenario(self, event_register, small_system, rng):
         scenario = FaultScenario(crashed=frozenset({99}))
         with pytest.raises(SimulationError):
-            ReplicatedRegister(small_system, b=2, scenario=scenario, rng=rng)
+            event_register(small_system, scenario, b=2, rng=rng)
 
-    def test_clients_get_unique_ids(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        assert register.client().client_id != register.client().client_id
+    def test_clients_get_unique_ids(self, event_register, small_system, rng):
+        first, second = event_register(small_system, b=2, rng=rng, num_clients=2).clients
+        assert first.client_id != second.client_id
 
 
 class TestFaultFreeProtocol:
-    def test_read_your_write(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        client = register.client()
-        assert client.write("hello").success
-        result = client.read()
+    def test_read_your_write(self, event_register, small_system, rng, complete):
+        (client,) = event_register(small_system, b=2, rng=rng).clients
+        assert complete(client.write, "hello").success
+        result = complete(client.read)
         assert result.success
         assert result.value == "hello"
 
-    def test_reads_see_other_clients_writes(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        writer, reader = register.client(), register.client()
-        writer.write("from-writer")
-        assert reader.read().value == "from-writer"
+    def test_reads_see_other_clients_writes(self, event_register, small_system, rng, complete):
+        writer, reader = event_register(small_system, b=2, rng=rng, num_clients=2).clients
+        complete(writer.write, "from-writer")
+        assert complete(reader.read).value == "from-writer"
 
-    def test_successive_writes_increase_timestamps(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        client = register.client()
-        first = client.write("a")
-        second = client.write("b")
+    def test_successive_writes_increase_timestamps(
+        self, event_register, small_system, rng, complete
+    ):
+        (client,) = event_register(small_system, b=2, rng=rng).clients
+        first = complete(client.write, "a")
+        second = complete(client.write, "b")
         assert second.timestamp > first.timestamp
 
-    def test_correct_replicas_converge_on_written_quorum(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        client = register.client()
-        result = client.write("x")
-        pairs = register.correct_replica_pairs()
-        holders = [sid for sid, pair in pairs.items() if pair.value == "x"]
+    def test_correct_replicas_converge_on_written_quorum(
+        self, event_register, small_system, rng, complete
+    ):
+        stack = event_register(small_system, b=2, rng=rng)
+        result = complete(stack.clients[0].write, "x")
+        holders = [
+            sid for sid in small_system.universe
+            if stack.network.server(sid).current_pair.value == "x"
+        ]
         assert set(result.quorum) <= set(holders)
 
-    def test_initial_read_returns_initial_value(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, initial_value="empty", rng=rng)
-        assert register.client().read().value == "empty"
+    def test_initial_read_returns_the_inherited_pair(
+        self, event_register, small_system, rng, complete
+    ):
+        # Replicas restore only a pair newer than the zero pair.
+        initial = ValueTimestampPair(value="empty", timestamp=Timestamp(1, 0))
+        (client,) = event_register(small_system, b=2, rng=rng, initial_pair=initial).clients
+        assert complete(client.read).value == "empty"
 
 
 class TestByzantineMasking:
     @pytest.mark.parametrize(
         "behaviour", ["fabricate-timestamp", "forge-on-read", "stale", "random-value"]
     )
-    def test_b_byzantine_servers_cannot_corrupt_reads(self, small_system, rng, behaviour):
+    def test_b_byzantine_servers_cannot_corrupt_reads(
+        self, event_register, small_system, rng, complete, behaviour
+    ):
         injector = FaultInjector(small_system.universe, rng)
         scenario = injector.exact(num_byzantine=2)
-        register = ReplicatedRegister(
-            small_system, b=2, scenario=scenario, byzantine_behaviour=behaviour, rng=rng
-        )
-        client = register.client()
+        (client,) = event_register(
+            small_system, scenario, b=2, rng=rng, behaviour=behaviour
+        ).clients
         for round_index in range(5):
             value = ("v", round_index)
-            client.write(value)
-            result = client.read()
+            complete(client.write, value)
+            result = complete(client.read)
             assert result.success
             assert result.value == value
 
-    def test_beyond_the_bound_the_adversary_can_win(self, small_system, rng):
+    def test_beyond_the_bound_the_adversary_can_win(
+        self, event_register, small_system, rng, complete
+    ):
         # With 2b+1 = 5 colluding forgers, forged pairs reach the b+1
         # vouching threshold with a timestamp the writer never saw, and reads
         # return the forged value.
         injector = FaultInjector(small_system.universe, rng)
         scenario = injector.exact(num_byzantine=5)
-        register = ReplicatedRegister(
+        (client,) = event_register(
             small_system,
+            scenario,
             b=2,
-            scenario=scenario,
-            byzantine_behaviour="forge-on-read",
             rng=rng,
+            behaviour="forge-on-read",
             allow_overload=True,
-        )
-        client = register.client()
-        client.write("honest")
-        corrupted = any(client.read().value != "honest" for _ in range(10))
+        ).clients
+        complete(client.write, "honest")
+        corrupted = any(complete(client.read).value != "honest" for _ in range(10))
         assert corrupted
 
     def test_workload_runner_reports_no_violations_at_the_bound(self, small_system, rng):
@@ -135,14 +147,15 @@ class TestCrashAvailability:
         )
         assert result.availability == pytest.approx(1.0)
 
-    def test_crashing_a_transversal_makes_operations_fail(self, small_system, rng):
+    def test_crashing_a_transversal_makes_operations_fail(
+        self, event_register, small_system, rng, complete
+    ):
         # Crashing n - k + 1 = 3 specific servers can hit every quorum; with
         # a threshold system ANY 3 crashes do.
         scenario = FaultScenario(crashed=frozenset({0, 1, 2}))
-        register = ReplicatedRegister(small_system, b=2, scenario=scenario, rng=rng)
-        client = register.client(max_attempts=5)
-        assert not client.write("doomed").success
-        assert not client.read().success
+        (client,) = event_register(small_system, scenario, b=2, rng=rng, max_attempts=5).clients
+        assert not complete(client.write, "doomed").success
+        assert not complete(client.read).success
 
     def test_workload_under_heavy_crashes_reports_failures(self, small_system, rng):
         scenario = FaultScenario(crashed=frozenset({0, 1, 2, 3}))

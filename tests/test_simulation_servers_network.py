@@ -1,4 +1,4 @@
-"""Unit tests for replicas (correct and Byzantine) and the synchronous network."""
+"""Unit tests for replicas (correct and Byzantine)."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from repro import SimulationError
 from repro.simulation import (
     BYZANTINE_BEHAVIOURS,
     ByzantineReplicaServer,
-    FaultScenario,
     ReplicaServer,
-    SynchronousNetwork,
     Timestamp,
     ValueTimestampPair,
 )
@@ -107,71 +105,6 @@ class TestByzantineReplica:
         ack = server.handle_write(write_request("v", 1))
         assert ack.accepted
         assert server.current_pair.value == "init"
-
-
-class TestNetwork:
-    def make_network(self, crashed=frozenset()):
-        servers = {i: ReplicaServer(i) for i in range(3)}
-        scenario = FaultScenario(crashed=frozenset(crashed))
-        return SynchronousNetwork(servers, scenario), servers
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(SimulationError):
-            SynchronousNetwork({}, FaultScenario.fault_free())
-
-    def test_send_and_reply(self):
-        network, _ = self.make_network()
-        reply = network.send(0, ReadRequest(client_id=0))
-        assert reply.server_id == 0
-
-    def test_crashed_server_is_silent(self):
-        network, servers = self.make_network(crashed={1})
-        assert network.send(1, ReadRequest(client_id=0)) is None
-        # The request is still counted as attempted (the client sent it).
-        assert network.attempted_counts[1] == 1
-        # And the replica never processed it.
-        assert servers[1].access_count == 0
-
-    def test_unknown_server_rejected(self):
-        network, _ = self.make_network()
-        with pytest.raises(SimulationError):
-            network.send(99, ReadRequest(client_id=0))
-
-    def test_unknown_request_type_rejected(self):
-        network, _ = self.make_network()
-        with pytest.raises(SimulationError):
-            network.send(0, "not-a-request")
-
-    def test_broadcast_collects_all_replies(self):
-        network, _ = self.make_network(crashed={2})
-        replies = network.broadcast([0, 1, 2], ReadRequest(client_id=0))
-        assert replies[0] is not None and replies[1] is not None
-        assert replies[2] is None
-
-    def test_attempted_vs_delivered_counters(self):
-        # The accounting split: a probe of a crashed server is attempted but
-        # never delivered, so the two counters diverge exactly there.
-        network, _ = self.make_network(crashed={1})
-        network.send(0, ReadRequest(client_id=0))
-        network.send(1, ReadRequest(client_id=0))
-        network.send(1, ReadRequest(client_id=0))
-        assert network.attempted_counts == {0: 1, 1: 2, 2: 0}
-        assert network.delivered_counts == {0: 1, 1: 0, 2: 0}
-
-    def test_empirical_message_rates(self):
-        network, _ = self.make_network(crashed={1})
-        network.send(0, ReadRequest(client_id=0))
-        network.send(0, ReadRequest(client_id=0))
-        network.send(1, ReadRequest(client_id=0))
-        attempted = network.empirical_message_rates(2)
-        delivered = network.empirical_message_rates(2, which="delivered")
-        assert attempted[0] == pytest.approx(1.0)
-        assert attempted[1] == pytest.approx(0.5)
-        assert delivered[1] == pytest.approx(0.0)
-        with pytest.raises(SimulationError):
-            network.empirical_message_rates(0)
-        with pytest.raises(SimulationError):
-            network.empirical_message_rates(2, which="bogus")
 
 
 class TestAccessCountParity:

@@ -468,6 +468,36 @@ class TestDurableStore:
             snapshot = store.compact()
         assert events == [("fsync-dir", data_dir, snapshot), ("reset",)]
 
+    def test_a_fresh_store_syncs_its_directory_entries_before_the_first_ack(
+        self, tmp_path, monkeypatch
+    ):
+        # A fresh data dir and a fresh log are only directory entries until
+        # their parents are fsynced; an acked write inside them must survive
+        # a power cut, so both are synced before the first journal returns.
+        data_dir = tmp_path / "d"
+        synced: list[Path] = []
+        directories: dict[int, Path] = {}
+        real_open, real_fsync = os.open, os.fsync
+
+        def spy_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            if Path(path).is_dir():
+                directories[fd] = Path(path)
+            return fd
+
+        def spy_fsync(fd):
+            directory = directories.pop(fd, None)
+            if directory is not None:
+                synced.append(directory)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        with DurableStore(data_dir, snapshot_every=0) as store:
+            store.journal(_pair(1))
+            assert synced == [tmp_path, data_dir]
+            assert store.status()["wal_records"] == 1
+
     def test_corrupt_snapshot_falls_back_to_the_log(self, tmp_path):
         data_dir = tmp_path / "d"
         with DurableStore(data_dir) as store:
