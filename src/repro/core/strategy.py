@@ -28,6 +28,10 @@ __all__ = ["Strategy"]
 #: Probabilities are accepted as valid when they sum to one within this slack.
 _PROBABILITY_TOLERANCE = 1e-9
 
+#: ``sample_many`` inverts its draws this many at a time, into one output
+#: array, so its temporaries stay a few MB whatever the batch size.
+_SAMPLE_CHUNK = 1 << 18
+
 _Key = TypeVar("_Key", frozenset, int)
 
 
@@ -115,6 +119,7 @@ class Strategy:
         cumulative = np.cumsum(probabilities)
         cumulative.setflags(write=False)
         self._cumulative = cumulative
+        self._guide: tuple[np.ndarray, np.ndarray] | None = None
         #: Caches of the mask-native views of the support (bitmask tuples and
         #: :class:`~repro.core.bitset.BitsetEngine`), keyed by universe: the
         #: masks are a pure function of the support and the universe's
@@ -345,12 +350,59 @@ class Strategy:
             Integer indices into :attr:`support`, of the requested shape.
             Combine with :meth:`support_engine` to resolve them into bitmasks
             or incidence rows without building any frozensets.
+
+        Each draw is inverted through the guide table of
+        :meth:`_guide_table` instead of a binary search over the whole
+        cumulative vector; the result is the same index, draw for draw.
+
+        Examples
+        --------
+        >>> w = Strategy({frozenset({0}): 0.2, frozenset({1}): 0.5, frozenset({2}): 0.3})
+        >>> w.sample_many(np.random.default_rng(7), 8).tolist()
+        [1, 2, 2, 1, 1, 2, 0, 2]
+        >>> rng = np.random.default_rng(7)
+        >>> [w.sample_index(rng) for _ in range(8)]
+        [1, 2, 2, 1, 1, 2, 0, 2]
         """
-        draws = rng.random(size)
-        indices = np.searchsorted(
-            self._cumulative, draws * self._cumulative[-1], side="right"
-        ).astype(np.int64)
-        return np.minimum(indices, len(self._probabilities) - 1)
+        indices = np.empty(size, dtype=np.int64)
+        flat = indices.reshape(-1)
+        guide, bounds = self._guide_table()
+        total = self._cumulative[-1]
+        for start in range(0, flat.size, _SAMPLE_CHUNK):
+            chunk = flat[start : start + _SAMPLE_CHUNK]
+            draws = rng.random(chunk.size)
+            # The bucket's entry, then one step forward: enough for every
+            # draw whose bucket holds at most one cumulative boundary.
+            guide.take((draws * len(guide)).astype(np.intp), out=chunk)
+            targets = np.multiply(draws, total, out=draws)
+            chunk += bounds[chunk] <= targets
+            (late,) = (bounds[chunk] <= targets).nonzero()
+            if late.size:
+                chunk[late] = bounds.searchsorted(targets[late], side="right")
+        return indices
+
+    def _guide_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The guide table ``(guide, bounds)`` that :meth:`sample_many` reads.
+
+        ``bounds`` is the cumulative vector with its last entry raised to
+        ``inf``, so the count of ``bounds`` entries ``<= t`` is
+        ``min(searchsorted(cumulative, t, "right"), m - 1)``: the index
+        :meth:`sample_index` returns for ``t = draw * total``.  ``guide`` has
+        ``K`` buckets, ``K`` the least power of two ``>= 2m``, and bucket
+        ``k`` holds that count at the edge ``fl((k / K) * total)``.  A draw
+        ``d`` falls in bucket ``floor(d * K)``, exactly since ``K`` is a power
+        of two, so ``d >= k / K`` and, rounding being monotone,
+        ``fl(d * total)`` is at least the edge: a draw never starts past its
+        index, and advancing while ``bounds[index] <= t`` stops on it.
+        Built on first use (Chen and Asau's indexed search).
+        """
+        if self._guide is None:
+            bounds = self._cumulative.copy()
+            bounds[-1] = np.inf
+            buckets = 1 << (2 * len(bounds) - 1).bit_length()
+            edges = np.arange(buckets) / buckets * self._cumulative[-1]
+            self._guide = (bounds.searchsorted(edges, side="right"), bounds)
+        return self._guide
 
     def support_masks(self, universe: Universe) -> tuple[int, ...]:
         """The support quorums as ``int`` bitmasks over ``universe`` (cached)."""

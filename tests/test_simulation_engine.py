@@ -409,8 +409,10 @@ class TestFigure1Workloads:
         """Bit-for-bit mode agreement at 10^5 operations, with no per-op Python work.
 
         The vectorised engine's Python calls do not grow with the batch
-        (1 943 at both 20 000 and 100 000 operations on CPython 3.11), where
-        the sequential reference pays per operation.
+        (154 at both 20 000 and 100 000 operations on CPython 3.11), where
+        the sequential reference pays per operation.  The ceiling is that
+        figure plus the 64 calls of slack the size check allows, for drift
+        across CPython and numpy versions.
         """
         system = MGrid(7, 3)
         # Warm the per-system caches (quorum list, incidence, strategy arrays).
@@ -424,7 +426,7 @@ class TestFigure1Workloads:
         calls_20k, _ = python_calls(lambda: vectorised(20_000))
         calls_100k, result = python_calls(lambda: vectorised(100_000))
         assert abs(calls_100k - calls_20k) <= 64, (calls_20k, calls_100k)
-        assert calls_100k <= 2_500, calls_100k
+        assert calls_100k <= 154 + 64, calls_100k
         assert result.operations == 100_000
         assert result.availability == 1.0
         assert result.consistency_violations == 0

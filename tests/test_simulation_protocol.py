@@ -7,9 +7,12 @@ fixture): a blocking register, one request object per delivery.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from repro import MGrid, SimulationError, ThresholdQuorumSystem
+from repro import MGrid, SimulationError, ThresholdQuorumSystem, masking_threshold
 from repro.simulation import (
     FaultInjector,
     FaultScenario,
@@ -85,6 +88,49 @@ class TestFaultFreeProtocol:
         initial = ValueTimestampPair(value="empty", timestamp=Timestamp(1, 0))
         (client,) = event_register(small_system, b=2, rng=rng, initial_pair=initial).clients
         assert complete(client.read).value == "empty"
+
+    @pytest.mark.parametrize(
+        "timestamp", [Timestamp.zero(), Timestamp(0, -2)], ids=["zero", "below-zero"]
+    )
+    def test_inherited_pair_no_replica_would_hold_is_refused(
+        self, event_register, rng, timestamp
+    ):
+        """No replica installs it, so an honest read of ``None`` would look fabricated."""
+        initial = ValueTimestampPair(value="empty", timestamp=timestamp)
+        with pytest.raises(SimulationError, match="not newer than the replicas' zero pair"):
+            event_register(masking_threshold(5, 1), b=1, rng=rng, initial_pair=initial)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        value=st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=4)),
+        counter=st.integers(-1, 3),
+        client_id=st.integers(-3, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @example(value=None, counter=0, client_id=-1, seed=0)
+    @example(value="empty", counter=1, client_id=0, seed=0)
+    def test_every_accepted_inherited_pair_is_read_back(
+        self, event_register, complete, value, counter, client_id, seed
+    ):
+        """Fault-free and at zero latency, a read returns the inherited pair."""
+        initial = ValueTimestampPair(value=value, timestamp=Timestamp(counter, client_id))
+        try:
+            stack = event_register(
+                masking_threshold(5, 1),
+                b=1,
+                rng=np.random.default_rng(seed),
+                initial_pair=initial,
+            )
+        except SimulationError:
+            return
+        result = complete(stack.clients[0].read)
+        assert result.success
+        assert (result.value, result.timestamp) == (value, initial.timestamp)
+        assert stack.recorder.check().ok
 
 
 class TestByzantineMasking:

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import BoostedFPP, ExplicitQuorumSystem, Strategy, StrategyError, Universe, exact_load
+from repro import (
+    BoostedFPP,
+    ExplicitQuorumSystem,
+    MGrid,
+    Strategy,
+    StrategyError,
+    Universe,
+    exact_load,
+)
 from repro.core import bitset
 from repro.core.bitset import mask_to_frozenset
 
@@ -163,13 +175,97 @@ class TestFromVectorNormalisation:
             Strategy.from_vector(simple_system, np.array([2.0, 1.0, -1.0]))
 
 
+def singletons(weights) -> Strategy:
+    """A strategy over the quorums ``{0}, {1}, ...`` with these (rescaled) weights."""
+    return Strategy({frozenset({i}): weight for i, weight in enumerate(weights)}, normalise=True)
+
+
+@cache
+def sampling_strategies() -> dict[str, Strategy]:
+    """The strategies the guide-table inversion is held to the binary search on."""
+    mgrid = MGrid(7, 3)
+    return {
+        "three-equal": singletons([1.0, 1.0, 1.0]),
+        # Weights spanning twelve decades: buckets holding many boundaries.
+        "random-weights": singletons(10.0 ** np.random.default_rng(3).uniform(-12, 0, 700)),
+        "single-quorum": singletons([1.0]),
+        # Every boundary but one inside the last bucket: the fallback search.
+        "one-heavy-many-tiny": singletons([1 - 1e-9] + [1e-9 / 300] * 300),
+        "mgrid-uniform": Strategy.uniform_over_system(mgrid),
+        "mgrid-lp": exact_load(mgrid).strategy,
+    }
+
+
+def reference_indices(strategy: Strategy, draws: np.ndarray) -> np.ndarray:
+    """The binary-search inversion of ``draws`` (what ``sample_index`` computes)."""
+    cumulative = np.cumsum(strategy.probabilities)
+    indices = np.searchsorted(cumulative, draws * cumulative[-1], side="right")
+    return np.minimum(indices, len(cumulative) - 1)
+
+
+class ScriptedDraws:
+    """A generator stand-in whose ``random(size)`` hands out given draws in order."""
+
+    def __init__(self, draws: np.ndarray):
+        self._draws = np.asarray(draws, dtype=float)
+        self._used = 0
+
+    def random(self, size: int) -> np.ndarray:
+        taken = self._draws[self._used : self._used + size].copy()
+        self._used += size
+        return taken
+
+
+def crafted_draws(strategy: Strategy) -> np.ndarray:
+    """Draws on every boundary the inversion can get wrong, with their 1-ulp neighbours.
+
+    ``0``, the largest draw below ``1``, every ``cumulative[j] / total`` and
+    every bucket edge ``k / K`` of every power-of-two table up to ``4m``.
+    """
+    cumulative = np.cumsum(strategy.probabilities)
+    tables = [1 << power for power in range((4 * len(strategy)).bit_length() + 1)]
+    centres = np.concatenate(
+        [cumulative / cumulative[-1]] + [np.arange(size) / size for size in tables]
+    )
+    neighbours = [np.nextafter(centres, 0.0), np.nextafter(centres, 1.0)]
+    draws = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], centres, *neighbours])
+    return draws[(draws >= 0.0) & (draws < 1.0)]
+
+
 class TestVectorisedSampling:
-    def test_sample_many_matches_sequential_sample_stream(self, simple_system):
-        strategy = Strategy.uniform_over_system(simple_system)
-        batched = strategy.sample_many(np.random.default_rng(42), 50)
+    @pytest.mark.parametrize("name", sorted(sampling_strategies()))
+    def test_sample_many_matches_sequential_sample_stream(self, name):
+        strategy = sampling_strategies()[name]
+        batched = strategy.sample_many(np.random.default_rng(42), 3000)
         rng = np.random.default_rng(42)
-        sequential = np.array([strategy.sample_index(rng) for _ in range(50)])
+        sequential = np.array([strategy.sample_index(rng) for _ in range(3000)])
         assert np.array_equal(batched, sequential)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(sampling_strategies())),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.one_of(
+            st.sampled_from([2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5]),
+            st.integers(0, 3 * 2**18 + 5),
+            st.tuples(st.integers(1, 2**17), st.integers(1, 6)),
+        ),
+    )
+    def test_sample_many_equals_the_binary_search(self, name, seed, size):
+        """Draw for draw, over batches spanning several chunks of the inversion."""
+        strategy = sampling_strategies()[name]
+        indices = strategy.sample_many(np.random.default_rng(seed), size)
+        draws = np.random.default_rng(seed).random(size)
+        assert indices.dtype == np.int64
+        assert np.array_equal(indices, reference_indices(strategy, draws))
+
+    @pytest.mark.parametrize("name", sorted(sampling_strategies()))
+    def test_sample_many_is_exact_on_crafted_draws(self, name):
+        """Boundaries and bucket edges, repeated past two chunks of the inversion."""
+        strategy = sampling_strategies()[name]
+        draws = np.resize(crafted_draws(strategy), 2 * 2**18 + 11)
+        indices = strategy.sample_many(ScriptedDraws(draws), draws.size)
+        assert np.array_equal(indices, reference_indices(strategy, draws))
 
     def test_sample_many_shape_and_range(self, simple_system):
         strategy = Strategy.uniform_over_system(simple_system)
