@@ -28,8 +28,8 @@ __all__ = ["Strategy"]
 #: Probabilities are accepted as valid when they sum to one within this slack.
 _PROBABILITY_TOLERANCE = 1e-9
 
-#: ``sample_many`` inverts its draws this many at a time, into one output
-#: array, so its temporaries stay a few MB whatever the batch size.
+#: ``sample_many`` draws and inverts about this many uniforms at a time, in
+#: whole rows, so its buffers stay a few MB whatever the batch size.
 _SAMPLE_CHUNK = 1 << 18
 
 _Key = TypeVar("_Key", frozenset, int)
@@ -332,8 +332,12 @@ class Strategy:
         return self.support[self.sample_index(rng)]
 
     def sample_many(
-        self, rng: np.random.Generator, size: int | tuple[int, ...]
-    ) -> np.ndarray:
+        self,
+        rng: np.random.Generator,
+        size: int | tuple[int, ...],
+        *,
+        full_rows: np.ndarray | None = None,
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Draw a batch of support indices according to the strategy.
 
         Parameters
@@ -343,13 +347,22 @@ class Strategy:
             same stream a loop of :meth:`sample_index` calls would consume.
         size:
             Output shape (an int or a shape tuple).
+        full_rows:
+            With a 2-D ``size`` ``(T, A)``: the sorted indices of the rows
+            whose every draw is wanted.  All ``T * A`` draws are still
+            consumed in row-major order, but the draws of the other rows past
+            column 0 are skipped, not inverted.
 
         Returns
         -------
-        numpy.ndarray
+        numpy.ndarray or tuple
             Integer indices into :attr:`support`, of the requested shape.
-            Combine with :meth:`support_engine` to resolve them into bitmasks
-            or incidence rows without building any frozensets.
+            With ``full_rows``, the pair ``(first, rest)`` instead: column 0
+            of every row, shape ``(T,)``, and columns ``1..`` of the full
+            rows, shape ``(len(full_rows), A - 1)``; each entry equals the
+            one the plain call returns from the same stream.  Combine with
+            :meth:`support_engine` to resolve indices into bitmasks or
+            incidence rows without building any frozensets.
 
         Each draw is inverted through the guide table of
         :meth:`_guide_table` instead of a binary search over the whole
@@ -364,22 +377,51 @@ class Strategy:
         >>> [w.sample_index(rng) for _ in range(8)]
         [1, 2, 2, 1, 1, 2, 0, 2]
         """
-        indices = np.empty(size, dtype=np.int64)
-        flat = indices.reshape(-1)
+        plain = full_rows is None
+        if full_rows is None:
+            # Every draw is read: one column, and no row past it.
+            first = np.empty(size, dtype=np.int64)
+            rows, columns, full_rows = first.size, 1, np.empty(0, dtype=np.intp)
+        else:
+            rows, columns = size  # type: ignore[misc]
+            first = np.empty(rows, dtype=np.int64)
+        rest = np.empty((len(full_rows), columns - 1), dtype=np.int64)
+        first_flat = first.reshape(-1)
         guide, bounds = self._guide_table()
         total = self._cumulative[-1]
-        for start in range(0, flat.size, _SAMPLE_CHUNK):
-            chunk = flat[start : start + _SAMPLE_CHUNK]
-            draws = rng.random(chunk.size)
+        # Whole rows of about _SAMPLE_CHUNK draws at a time, into reused
+        # buffers; the full rows of the chunk starting at ``span * c`` are
+        # ``full_rows[edges[c]:edges[c + 1]]``.
+        span = max(1, _SAMPLE_CHUNK // columns)
+        block = np.empty(span * columns)
+        wanted = np.empty(span * columns)
+        found = np.empty(span * columns, dtype=np.int64)
+        edges = full_rows.searchsorted(np.arange(0, rows + span, span))
+        for chunk, start in enumerate(range(0, rows, span)):
+            width = min(span, rows - start)
+            draws = block[: width * columns].reshape(width, columns)
+            rng.random(out=draws)
+            # Gather the draws that are read: column 0, then the full rows'
+            # columns 1.. in row-major order.
+            low, high = edges[chunk], edges[chunk + 1]
+            count = width + (high - low) * (columns - 1)
+            targets = wanted[:count]
+            targets[:width] = draws[:, 0]
+            targets[width:].reshape(high - low, columns - 1)[...] = draws[
+                full_rows[low:high] - start, 1:
+            ]
             # The bucket's entry, then one step forward: enough for every
             # draw whose bucket holds at most one cumulative boundary.
-            guide.take((draws * len(guide)).astype(np.intp), out=chunk)
-            targets = np.multiply(draws, total, out=draws)
-            chunk += bounds[chunk] <= targets
-            (late,) = (bounds[chunk] <= targets).nonzero()
+            indices = found[:count]
+            guide.take((targets * len(guide)).astype(np.intp), out=indices)
+            np.multiply(targets, total, out=targets)
+            indices += bounds[indices] <= targets
+            (late,) = (bounds[indices] <= targets).nonzero()
             if late.size:
-                chunk[late] = bounds.searchsorted(targets[late], side="right")
-        return indices
+                indices[late] = bounds.searchsorted(targets[late], side="right")
+            first_flat[start : start + width] = indices[:width]
+            rest[low:high] = indices[width:].reshape(high - low, columns - 1)
+        return first if plain else (first, rest)
 
     def _guide_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The guide table ``(guide, bounds)`` that :meth:`sample_many` reads.

@@ -52,6 +52,7 @@ from repro.simulation.engine import WorkloadResult, resolve_strategy
 from repro.simulation.history import HistoryCheck, HistoryRecorder, OperationRecord
 from repro.simulation.messages import ValueTimestampPair
 from repro.simulation.runner import latency_summary
+from repro.simulation.server import check_inherited_pair
 from repro.simulation.traces import TraceScenario
 
 __all__ = [
@@ -574,10 +575,11 @@ async def run_load(
         raise ServiceError(f"clients must be >= 1, got {clients}")
     if mode not in ("closed", "open"):
         raise ServiceError(f"mode must be 'closed' or 'open', got {mode!r}")
-    rng = ensure_rng(seed)
     # initial_pair: what the register already holds (e.g. the final_pair of
     # a previous run against the same cluster); the checker treats it as
     # legitimately readable pre-existing state.
+    check_inherited_pair(initial_pair, ServiceError)
+    rng = ensure_rng(seed)
     history = HistoryRecorder(initial_pair)
     policy = policy if policy is not None else RetryPolicy(request_timeout=2.0)
     # Resolve the strategy up front (None -> uniform over the family) so the

@@ -235,25 +235,38 @@ def _as_workload_scenario(scenario) -> WorkloadScenario:
 class _Schedule:
     """The pre-drawn randomness both execution modes consume.
 
-    Draw order is fixed (operation-type uniforms, then attempt indices, then
-    steering uniforms) so a seed determines the schedule regardless of mode.
+    Draw order is fixed (operation-type uniforms, then ``max_attempts``
+    attempt uniforms per operation, row-major, then steering uniforms) so a
+    seed determines the schedule regardless of mode.  Only the attempts that
+    are read are inverted into support indices: every operation's first
+    probe, and the further probes of the retry rows, the operations whose
+    phase has no live quorum.  Every other operation succeeds on its first
+    probe or its steered retry, so its later attempts are never read.
     """
 
     op_draws: np.ndarray  # (T,) uniforms deciding read vs write
-    attempt_indices: np.ndarray  # (T, max_attempts) strategy support indices
+    first_attempt: np.ndarray  # (T,) support index of every first probe
+    retry_attempts: np.ndarray  # (R, max_attempts - 1) later probes, retry rows in order
     steer_draws: np.ndarray  # (T,) uniforms for the responsive-restricted retry
 
 
 def _sample_schedule(
     strategy: Strategy,
     rng: np.random.Generator,
-    num_operations: int,
     max_attempts: int,
+    tables: _PhaseTables,
+    phase_of_op: np.ndarray,
 ) -> _Schedule:
+    op_draws = rng.random(len(phase_of_op))
+    (retry_rows,) = (~tables.any_alive[phase_of_op]).nonzero()
+    first_attempt, retry_attempts = strategy.sample_many(
+        rng, (len(phase_of_op), max_attempts), full_rows=retry_rows
+    )
     return _Schedule(
-        op_draws=rng.random(num_operations),
-        attempt_indices=strategy.sample_many(rng, (num_operations, max_attempts)),
-        steer_draws=rng.random(num_operations),
+        op_draws=op_draws,
+        first_attempt=first_attempt,
+        retry_attempts=retry_attempts,
+        steer_draws=rng.random(len(phase_of_op)),
     )
 
 
@@ -398,7 +411,7 @@ def run_batch(
     strategy = resolve_strategy(system, strategy)
     tables = _build_phase_tables(system, strategy, scenario)
     phase_of_op = scenario.phase_of_operations(num_operations)
-    schedule = _sample_schedule(strategy, rng, num_operations, max_attempts)
+    schedule = _sample_schedule(strategy, rng, max_attempts, tables, phase_of_op)
 
     run = _run_sequential if mode == "sequential" else _run_vectorised
     return run(
@@ -472,9 +485,8 @@ def _run_vectorised(
     packed = engine.packed()
     num_support = engine.num_quorums
     num_operations = len(phase_of_op)
-    max_attempts = schedule.attempt_indices.shape[1]
 
-    first_attempt = schedule.attempt_indices[:, 0]
+    first_attempt = schedule.first_attempt
     first_alive = tables.alive[phase_of_op, first_attempt]
     success = tables.any_alive[phase_of_op]
     needs_steer = success & ~first_alive
@@ -515,9 +527,9 @@ def _run_vectorised(
     attempted_quorum_counts += np.bincount(
         accessed[needs_steer], minlength=num_support
     )
-    if failed and max_attempts > 1:
+    if schedule.retry_attempts.size:
         attempted_quorum_counts += np.bincount(
-            schedule.attempt_indices[~success, 1:].ravel(), minlength=num_support
+            schedule.retry_attempts.ravel(), minlength=num_support
         )
     attempted_counts = attempted_quorum_counts @ incidence
 
@@ -603,7 +615,6 @@ def _run_sequential(
     support_masks = strategy.support_masks(universe)
     num_support = len(support_masks)
     num_operations = len(phase_of_op)
-    max_attempts = schedule.attempt_indices.shape[1]
 
     # Lazily-computed per-phase facts, from the int masks alone.
     phase_alive_any: dict[int, bool] = {}
@@ -633,10 +644,11 @@ def _run_sequential(
     successful_quorum_counts = [0] * num_support
     attempted_quorum_counts = [0] * num_support
     write_quorum_counts = [0] * num_support
+    retry_attempts = iter(schedule.retry_attempts.tolist())
 
     for operation in range(num_operations):
         phase_index = int(phase_of_op[operation])
-        first = int(schedule.attempt_indices[operation, 0])
+        first = int(schedule.first_attempt[operation])
         attempted_quorum_counts[first] += 1
 
         if quorum_alive(phase_index, first):
@@ -653,10 +665,8 @@ def _run_sequential(
             succeeded = True
         else:
             succeeded, accessed = False, -1
-            for attempt in range(1, max_attempts):
-                attempted_quorum_counts[
-                    int(schedule.attempt_indices[operation, attempt])
-                ] += 1
+            for attempt in next(retry_attempts):
+                attempted_quorum_counts[attempt] += 1
 
         is_write = bool(schedule.op_draws[operation] < write_fraction) or not written
         if not succeeded:

@@ -61,7 +61,7 @@ from repro.simulation.history import (
     HistoryRecorder,
     check_register_history,
 )
-from repro.simulation.messages import Timestamp, ValueTimestampPair
+from repro.simulation.messages import ValueTimestampPair
 from repro.simulation.reconfig import (
     EpochOutcome,
     MembershipTimeline,
@@ -69,7 +69,11 @@ from repro.simulation.reconfig import (
     _run_epochs,
 )
 from repro.simulation.scenarios import WorkloadScenario
-from repro.simulation.server import ByzantineReplicaServer, ReplicaServer
+from repro.simulation.server import (
+    ByzantineReplicaServer,
+    ReplicaServer,
+    check_inherited_pair,
+)
 from repro.simulation.traces import TraceScenario, hot_quorum_strategy
 
 __all__ = [
@@ -243,19 +247,7 @@ class EventStack:
         scenario = TimingScenario.of(scenario)
         if num_clients < 1:
             raise SimulationError(f"num_clients must be >= 1, got {num_clients}")
-        # A replica restores only a pair newer than its zero pair
-        # (``ReplicaServer.restore``), while the recorder checks the run
-        # against the inherited pair as given: one at or below the zero
-        # timestamp must be the zero pair itself, or honest reads of the
-        # zero pair would count as fabricated.
-        zero = ValueTimestampPair(None, Timestamp.zero())
-        if initial_pair is not None and not (
-            initial_pair.timestamp > zero.timestamp or initial_pair == zero
-        ):
-            raise SimulationError(
-                f"inherited pair {initial_pair} is not newer than the replicas' zero "
-                f"pair {zero}, so no replica would hold it"
-            )
+        check_inherited_pair(initial_pair)
         check_byzantine_budget(scenario.max_byzantine, b, allow_overload=allow_overload)
         scenario.validate_against(system.universe)
         if request_timeout is None:

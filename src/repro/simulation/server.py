@@ -16,7 +16,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.core.rng import ensure_rng
-from repro.exceptions import SimulationError
+from repro.exceptions import ReproError, SimulationError
 from repro.simulation.messages import (
     ReadReply,
     ReadRequest,
@@ -28,7 +28,32 @@ from repro.simulation.messages import (
     WriteRequest,
 )
 
-__all__ = ["ReplicaServer", "ByzantineReplicaServer", "BYZANTINE_BEHAVIOURS"]
+__all__ = [
+    "ReplicaServer",
+    "ByzantineReplicaServer",
+    "BYZANTINE_BEHAVIOURS",
+    "check_inherited_pair",
+]
+
+
+def check_inherited_pair(
+    pair: ValueTimestampPair | None, error: type[ReproError] = SimulationError
+) -> None:
+    """Raise ``error`` unless a fresh replica would hold the inherited ``pair``.
+
+    A fresh replica starts at the zero pair ``(None, Timestamp.zero())`` and
+    :meth:`ReplicaServer.restore` installs only a newer pair, while a
+    :class:`~repro.simulation.history.HistoryRecorder` checks the run against
+    the inherited pair as given.  So a pair at or below the zero timestamp
+    must be the zero pair itself, or honest reads of the zero pair would
+    count as fabricated.  ``None`` (nothing inherited) always passes.
+    """
+    zero = ValueTimestampPair(None, Timestamp.zero())
+    if pair is not None and not (pair.timestamp > zero.timestamp or pair == zero):
+        raise error(
+            f"inherited pair {pair} is not newer than the replicas' zero "
+            f"pair {zero}, so no replica would hold it"
+        )
 
 
 class ReplicaServer:

@@ -13,6 +13,7 @@ sockets, pinning the service stack's output format and its guarantees.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +23,8 @@ import pytest
 
 from repro.analysis import service_conformance
 from repro.api.registry import SystemSpec, build
-from repro.exceptions import SimulationError
-from repro.service import ServiceRunResult
+from repro.exceptions import ServiceError, SimulationError
+from repro.service import ServiceRunResult, run_load
 from repro.simulation import latency_summary
 from repro.simulation.engine import resolve_strategy
 from repro.simulation.history import (
@@ -262,3 +263,33 @@ def test_service_report_and_event_result_share_the_latency_estimator():
     assert set(latency_summary([], 0.0).values()) == {0.0}
     empty = ServiceRunResult(**{**vars(result), "records": [], "operations": 0})
     assert empty.report()["latency_p50"] is None
+
+
+# ----------------------------------------------------------------------
+# One install rule for inherited register state.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "timestamp", [Timestamp.zero(), Timestamp(0, -2)], ids=["zero", "below-zero"]
+)
+def test_run_load_refuses_an_inherited_pair_no_replica_would_hold(monkeypatch, timestamp):
+    """No replica installs it, so an honest read of ``None`` would look fabricated.
+
+    ``run_load`` must refuse it, as ``EventStack`` does, before any client
+    connects: a connection attempt here fails the test instead of reaching
+    a socket.
+    """
+    connections = []
+
+    async def no_connection(*endpoint):
+        connections.append(endpoint)
+        raise AssertionError(f"run_load connected to {endpoint}")
+
+    monkeypatch.setattr(asyncio, "open_connection", no_connection)
+    system = build(SystemSpec(construction="threshold", params={"n": 5, "b": 1}))
+    endpoints = {server: ("127.0.0.1", 9) for server in system.universe}
+    initial = ValueTimestampPair(value="empty", timestamp=timestamp)
+    with pytest.raises(ServiceError, match="not newer than the replicas' zero pair"):
+        asyncio.run(
+            run_load(system, endpoints, b=1, operations=1, clients=1, initial_pair=initial)
+        )
+    assert connections == []

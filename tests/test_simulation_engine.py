@@ -24,6 +24,7 @@ from repro import (
     exact_load,
 )
 from repro.core import Membership, plan_events
+from repro.core.strategy import _SAMPLE_CHUNK
 from repro.simulation import (
     AdaptiveScenario,
     FaultScenario,
@@ -43,6 +44,7 @@ from repro.simulation import (
     run_workload,
     scenario_suite,
 )
+from repro.simulation.engine import _build_phase_tables, _sample_schedule, resolve_strategy
 
 
 @pytest.fixture
@@ -409,10 +411,12 @@ class TestFigure1Workloads:
         """Bit-for-bit mode agreement at 10^5 operations, with no per-op Python work.
 
         The vectorised engine's Python calls do not grow with the batch
-        (154 at both 20 000 and 100 000 operations on CPython 3.11), where
-        the sequential reference pays per operation.  The ceiling is that
-        figure plus the 64 calls of slack the size check allows, for drift
-        across CPython and numpy versions.
+        (154 at 20 000, 100 000 and 1 000 000 operations on CPython 3.11,
+        numpy 2.4), where the sequential reference pays per operation; the
+        schedule's chunk loop, which runs about 40 times at 10^6
+        operations, calls only ndarray methods and ufuncs.  The ceiling is
+        that figure plus the 64 calls of slack the size check allows, for
+        drift across CPython and numpy versions.
         """
         system = MGrid(7, 3)
         # Warm the per-system caches (quorum list, incidence, strategy arrays).
@@ -425,8 +429,10 @@ class TestFigure1Workloads:
 
         calls_20k, _ = python_calls(lambda: vectorised(20_000))
         calls_100k, result = python_calls(lambda: vectorised(100_000))
-        assert abs(calls_100k - calls_20k) <= 64, (calls_20k, calls_100k)
-        assert calls_100k <= 154 + 64, calls_100k
+        calls_1m, _ = python_calls(lambda: vectorised(1_000_000))
+        for calls in (calls_100k, calls_1m):
+            assert abs(calls - calls_20k) <= 64, (calls_20k, calls_100k, calls_1m)
+            assert calls <= 154 + 64, calls
         assert result.operations == 100_000
         assert result.availability == 1.0
         assert result.consistency_violations == 0
@@ -455,6 +461,78 @@ class TestFigure1Workloads:
                 )
                 assert result.empirical_load <= 1.0
                 assert result.consistency_violations == 0, (scenario.name, strategy)
+
+
+class TestLazySchedule:
+    """The schedule inverts only the attempts the engine reads, and exactly.
+
+    The middle phase crashes a column of ``mgrid(7, 3)``, a transversal, so
+    its operations are the retry rows whose every attempt is read.  Sizes
+    span more than three chunks of the inversion, with chunk edges inside
+    the run of retry rows.
+    """
+
+    SEED = 20240614
+
+    @staticmethod
+    def dead_middle(max_attempts):
+        system = MGrid(7, 3)
+        column = [element for element in system.universe if element[1] == 0]
+        scenario = churn_scenario(
+            system.universe,
+            [(), column, ()],
+            phase_fractions=(0.2, 0.6, 0.2),
+            name="dead-middle",
+        )
+        span = _SAMPLE_CHUNK // max_attempts  # rows per chunk of the inversion
+        return system, scenario, 3 * span + span // 2 + 7, span
+
+    @pytest.mark.parametrize("max_attempts", [1, 3, 10])
+    def test_schedule_equals_the_full_inversion_of_the_same_draws(self, max_attempts):
+        system, scenario, num_operations, span = self.dead_middle(max_attempts)
+        strategy = resolve_strategy(system, None)
+        tables = _build_phase_tables(system, strategy, scenario)
+        phase_of_op = scenario.phase_of_operations(num_operations)
+        retry_rows = np.flatnonzero(~tables.any_alive[phase_of_op])
+        assert tables.any_alive.tolist() == [True, False, True]
+        edges = np.arange(span, num_operations, span)
+        assert np.isin(edges - 1, retry_rows).sum() >= 2
+        assert np.isin(edges, retry_rows).sum() >= 2
+
+        rng = np.random.default_rng(self.SEED)
+        schedule = _sample_schedule(strategy, rng, max_attempts, tables, phase_of_op)
+
+        # Every attempt drawn in row-major order and inverted by binary search.
+        reference = np.random.default_rng(self.SEED)
+        op_draws = reference.random(num_operations)
+        cumulative = np.cumsum(strategy.probabilities)
+        draws = reference.random((num_operations, max_attempts))
+        attempts = np.minimum(
+            np.searchsorted(cumulative, draws * cumulative[-1], "right"), len(cumulative) - 1
+        )
+        assert np.array_equal(schedule.op_draws, op_draws)
+        assert np.array_equal(schedule.first_attempt, attempts[:, 0])
+        assert schedule.retry_attempts.shape == (len(retry_rows), max_attempts - 1)
+        assert np.array_equal(schedule.retry_attempts, attempts[retry_rows, 1:])
+        assert np.array_equal(schedule.steer_draws, reference.random(num_operations))
+        assert rng.random() == reference.random()
+
+    def test_modes_agree_across_the_dead_phase(self):
+        system, scenario, num_operations, _ = self.dead_middle(10)
+        vectorised, sequential = (
+            run_workload(
+                system,
+                b=3,
+                num_operations=num_operations,
+                scenario=scenario,
+                max_attempts=10,
+                rng=np.random.default_rng(self.SEED),
+                mode=mode,
+            )
+            for mode in ("vectorised", "sequential")
+        )
+        assert vectorised.failed_operations > num_operations // 2
+        assert vectorised == sequential
 
 
 class TestRunnerCompatibility:

@@ -204,16 +204,18 @@ def reference_indices(strategy: Strategy, draws: np.ndarray) -> np.ndarray:
 
 
 class ScriptedDraws:
-    """A generator stand-in whose ``random(size)`` hands out given draws in order."""
+    """A generator stand-in whose ``random(size, out=)`` hands out given draws in order."""
 
     def __init__(self, draws: np.ndarray):
         self._draws = np.asarray(draws, dtype=float)
         self._used = 0
 
-    def random(self, size: int) -> np.ndarray:
-        taken = self._draws[self._used : self._used + size].copy()
-        self._used += size
-        return taken
+    def random(self, size: int | tuple[int, ...] | None = None, out=None) -> np.ndarray:
+        if out is None:
+            out = np.empty(size)
+        out.reshape(-1)[...] = self._draws[self._used : self._used + out.size]
+        self._used += out.size
+        return out
 
 
 def crafted_draws(strategy: Strategy) -> np.ndarray:
@@ -258,6 +260,26 @@ class TestVectorisedSampling:
         draws = np.random.default_rng(seed).random(size)
         assert indices.dtype == np.int64
         assert np.array_equal(indices, reference_indices(strategy, draws))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(sampling_strategies())),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 3 * 2**16),
+        columns=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+    )
+    def test_full_rows_match_the_plain_call(self, name, seed, rows, columns, density):
+        """Column 0 of every row and the rest of the full rows, on the same stream."""
+        strategy = sampling_strategies()[name]
+        (full_rows,) = (np.random.default_rng(seed + 1).random(rows) < density).nonzero()
+        rng = np.random.default_rng(seed)
+        first, rest = strategy.sample_many(rng, (rows, columns), full_rows=full_rows)
+        reference = np.random.default_rng(seed)
+        indices = strategy.sample_many(reference, (rows, columns))
+        assert np.array_equal(first, indices[:, 0])
+        assert np.array_equal(rest, indices[full_rows, 1:])
+        assert rng.random() == reference.random()
 
     @pytest.mark.parametrize("name", sorted(sampling_strategies()))
     def test_sample_many_is_exact_on_crafted_draws(self, name):
