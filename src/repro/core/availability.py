@@ -48,9 +48,10 @@ __all__ = [
     "validate_probability",
 ]
 
-#: Most entries one Monte-Carlo batch may hold in its ``(batch, num_quorums)``
-#: hit-count block or its ``(batch, n)`` draw: 16 MB of float32 / 32 MB of
-#: float64, however many quorums the system has.
+#: Most entries one Monte-Carlo batch may span: its ``(batch, n)`` float64
+#: draw (32 MB) and the ``batch × num_quorums`` survival bits, which the
+#: bit-sliced check keeps as ``(num_quorums, ceil(batch/64))`` uint64 words.
+#: The size fixes how the draw stream splits into batches, not the estimate.
 _BATCH_ELEMENTS = 1 << 22
 
 
@@ -191,8 +192,9 @@ def monte_carlo_failure_probability(
     """Estimate ``Fp(Q)`` by sampling crash configurations.
 
     Each trial crashes every server independently with probability ``p`` and
-    checks whether any quorum is left untouched.  The check is vectorised
-    through the quorum/element incidence matrix, in batches sized to
+    checks whether any quorum is left untouched.  The check is bit-sliced
+    over the trials (:meth:`~repro.core.bitset.BitsetEngine.alive_quorum_exists`:
+    integer word ORs, one bit per trial), in batches sized to
     ``_BATCH_ELEMENTS``; the draw fills row-major, so the estimate does not
     depend on how the trials are split.
     """

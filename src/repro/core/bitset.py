@@ -8,14 +8,21 @@ of them), and a whole quorum list becomes either
 
 * a tuple of ``int`` bitmasks (arbitrary ``n``, exact arithmetic), or
 * a bit-packed ``numpy`` array of ``uint64`` words, ``shape (m, ceil(n/64))``,
-  on which pairwise intersections, popcounts and survival checks vectorise.
+  on which pairwise intersections and popcounts vectorise.
+
+Survival checks over a batch of ``T`` crash configurations are bit-sliced the
+other way round: one ``uint64`` bit row per *server* over the trials, ORed
+across each quorum's members, so a quorum of ``k`` members costs
+``k·ceil(T/64)`` word operations whatever ``n`` is — integer arithmetic only,
+with no float product and no BLAS.
 
 :class:`BitsetEngine` bundles both encodings with the quorum/element incidence
-matrix, built **once per system** and cached; all the measure computations in
-:mod:`repro.core` (load LP assembly, exact and Monte-Carlo availability,
-masking verification, transversal search) go through it.  The frozenset API
-of :class:`~repro.core.quorum_system.QuorumSystem` remains the public surface
-— the engine is the representation underneath it.
+matrix and the survival kernel's member-index table, each built on first use
+and cached **per engine** (one per system object); all the measure
+computations in :mod:`repro.core` (load LP assembly, exact and Monte-Carlo
+availability, masking verification, transversal search) go through it.  The
+frozenset API of :class:`~repro.core.quorum_system.QuorumSystem` remains the
+public surface — the engine is the representation underneath it.
 
 Paper notation for the quantities computed here is catalogued in
 ``docs/notation.md``.
@@ -126,6 +133,11 @@ def frozensets_of(masks: Sequence[int], universe: Universe) -> list[frozenset]:
 class BitsetEngine:
     """Cached bitmask/incidence views of one quorum list over one universe.
 
+    The packed words, the incidence matrix, the quorum sizes and the
+    ``(k_max, m)`` member-index table of :meth:`quorums_alive` /
+    :meth:`alive_quorum_exists` are each built on first use and kept for the
+    engine's lifetime; the survival checks allocate only per-batch words.
+
     Parameters
     ----------
     universe:
@@ -136,7 +148,7 @@ class BitsetEngine:
         system's ``quorums()`` tuple by position.
     """
 
-    __slots__ = ("_universe", "_masks", "_packed", "_incidence", "_membership", "_sizes")
+    __slots__ = ("_universe", "_masks", "_packed", "_incidence", "_members", "_sizes")
 
     def __init__(self, universe: Universe, masks: Sequence[int]):
         limit = 1 << universe.size
@@ -149,7 +161,7 @@ class BitsetEngine:
         self._masks = tuple(masks)
         self._packed: np.ndarray | None = None
         self._incidence: np.ndarray | None = None
-        self._membership: np.ndarray | None = None
+        self._members: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -279,20 +291,54 @@ class BitsetEngine:
             view[:, 1, :] |= view[:, 0, :]
         return table
 
-    def _membership_matrix(self) -> np.ndarray:
-        """The contiguous ``(n, m)`` float32 transpose of the incidence matrix (built once).
+    def _member_table(self) -> np.ndarray:
+        """The ``(k_max, m)`` member-index table of the survival kernel (built once).
 
-        float32 so that the survival checks' matmul goes to BLAS (numpy has no
-        BLAS path for integers).  The entries are 0/1 and every dot product is
-        at most ``n < 2**24``, so each hit count is an exactly representable
-        integer — and only ``== 0`` is read, which a sum of non-negative terms
-        satisfies exactly when every term does.
+        Column ``q`` lists the universe positions of quorum ``q``'s members in
+        increasing order; a quorum smaller than the largest one is padded with
+        the sentinel index ``n``, which :meth:`_alive_words` points at an
+        all-zero row, so padding never marks a quorum dead.
         """
-        if self._membership is None:
-            membership = np.ascontiguousarray(self.incidence_matrix().T, dtype=np.float32)
-            membership.setflags(write=False)
-            self._membership = membership
-        return self._membership
+        if self._members is None:
+            sizes = self.quorum_sizes()
+            k_max = int(sizes.max(initial=0))
+            # Append k_max - |Q| sentinel slots to each incidence row, so that
+            # every row holds exactly k_max set entries in increasing order.
+            slots = np.concatenate(
+                [self.incidence_matrix(), np.arange(k_max) < (k_max - sizes)[:, None]], axis=1
+            )
+            columns = np.flatnonzero(slots) % slots.shape[1]
+            np.minimum(columns, self.n, out=columns)
+            table = np.ascontiguousarray(columns.reshape(self.num_quorums, k_max).T)
+            table.setflags(write=False)
+            self._members = table
+        return self._members
+
+    def _alive_words(self, crashed: np.ndarray) -> np.ndarray:
+        """Bit-sliced survival: ``(m, ceil(T/64))`` ``uint64`` words, one bit per trial.
+
+        ``crashed`` is a ``(T, n)`` boolean batch.  Its transpose is packed into
+        one bit row per server over the trials (bit ``t`` of row ``i`` set when
+        server ``i`` crashed in trial ``t``), with the last word zero-padded and
+        an all-zero sentinel row at index ``n``.  OR-ing each quorum's member
+        rows — one :meth:`_member_table` row at a time — marks the trials in
+        which the quorum lost a member; the inverse marks those in which it is
+        alive.  Bits past ``T`` in the last word are set and must not be read.
+        Integer word operations only: ``m·k·ceil(T/64)`` ORs for quorums of at
+        most ``k`` members, exact for any ``n``.
+        """
+        n = self.n
+        table = self._member_table()
+        num_words = -(-crashed.shape[0] // _WORD_BITS)
+        bits = np.zeros((n + 1, num_words), dtype=np.uint64)
+        packed = np.packbits(crashed.T, axis=1, bitorder="little")
+        bits.view(np.uint8)[:n, : packed.shape[1]] = packed
+        dead = np.zeros((table.shape[1], num_words), dtype=np.uint64)
+        gathered = np.empty(dead.shape, dtype=np.uint64)
+        for members in table:
+            bits.take(members, axis=0, out=gathered, mode="clip")
+            dead |= gathered
+        return np.invert(dead, out=dead)
 
     def quorums_alive(self, crashed: np.ndarray) -> np.ndarray:
         """Per-quorum survival over a batch of crash configurations.
@@ -300,19 +346,31 @@ class BitsetEngine:
         Parameters
         ----------
         crashed:
-            Boolean array of shape ``(batch, n)``; entry ``(t, i)`` says the
-            server at universe position ``i`` crashed in configuration ``t``.
+            Boolean array of shape ``(batch, n)`` (or ``(n,)`` for a single
+            configuration); entry ``(t, i)`` says the server at universe
+            position ``i`` crashed in configuration ``t``.
 
         Returns
         -------
         numpy.ndarray
-            Boolean array of shape ``(batch, num_quorums)``: entry ``(t, q)``
-            is ``True`` when quorum ``q`` contains no crashed member of
-            configuration ``t``.  This is the per-phase quorum-responsiveness
-            matrix the workload scenario engine runs on.
+            C-contiguous boolean array of shape ``(batch, num_quorums)``:
+            entry ``(t, q)`` is ``True`` when quorum ``q`` contains no crashed
+            member of configuration ``t``.  This is the per-phase
+            quorum-responsiveness matrix the workload scenario engine runs on.
         """
-        hit_counts = np.atleast_2d(crashed).astype(np.float32) @ self._membership_matrix()
-        return hit_counts == 0
+        crashed = np.atleast_2d(crashed)
+        words = self._alive_words(crashed)
+        num_quorums, num_words = words.shape
+        # Byte planes (word, byte, quorum): trial 64·w + 8·j + i is bit i of
+        # plane (w, j), so one broadcast shift unpacks every trial row at once
+        # into a C-ordered (trial, quorum) block, without a strided transpose
+        # of the T×m result.
+        planes = np.ascontiguousarray(
+            words.view(np.uint8).reshape(num_quorums, num_words, 8).transpose(1, 2, 0)
+        )
+        flags = planes[:, :, None, :] >> np.arange(8, dtype=np.uint8)[:, None]
+        flags &= 1
+        return flags.reshape(-1, num_quorums)[: crashed.shape[0]].view(bool)
 
     def alive_quorum_exists(self, crashed: np.ndarray) -> np.ndarray:
         """Vectorised survival check over a batch of crash configurations.
@@ -329,8 +387,10 @@ class BitsetEngine:
             Boolean vector of length ``batch``: some quorum has no crashed
             member.
         """
-        hit_counts = crashed.astype(np.float32) @ self._membership_matrix()
-        return (hit_counts == 0).any(axis=1)
+        some_alive = np.bitwise_or.reduce(self._alive_words(crashed), axis=0)
+        return np.unpackbits(
+            some_alive.view(np.uint8), count=crashed.shape[0], bitorder="little"
+        ).view(bool)
 
     def intersection_counts(
         self,

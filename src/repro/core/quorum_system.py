@@ -145,9 +145,12 @@ class QuorumSystem(ABC):
     def bitset_engine(self) -> BitsetEngine:
         """Return the system's :class:`~repro.core.bitset.BitsetEngine` (built once).
 
-        The engine caches the bitmask list, the bit-packed ``uint64`` array
-        and the incidence matrix, so every measure that goes through it pays
-        the enumeration cost a single time per system.
+        The engine caches the bitmask list, the bit-packed ``uint64`` array,
+        the incidence matrix and the survival kernel's member table on this
+        system object, so every measure that reuses the *object* pays the
+        enumeration cost once.  A spec or registry name passed to
+        :func:`repro.api.measure` builds a fresh system, and so a fresh
+        engine, on each call; pass the built system to share the caches.
         """
         cached = getattr(self, "_bitset_engine_cache", None)
         if cached is None:

@@ -9,7 +9,8 @@ batched array computations over the bitmask machinery of
 * the access strategy is sampled as **index vectors**
   (:meth:`~repro.core.strategy.Strategy.sample_many`), never as frozensets;
 * per-phase server responsiveness is a **boolean matrix**, and per-quorum
-  survival is one matrix product against the strategy's incidence matrix;
+  survival is one bit-sliced pass over the support's member rows
+  (:meth:`~repro.core.bitset.BitsetEngine.quorums_alive`);
 * quorum success, per-server access tallies and the consistency check are
   computed with ``bincount`` / fancy-indexing / packed-``uint64`` popcounts
   instead of per-message Python loops.

@@ -36,6 +36,7 @@ from repro import (
     masking_threshold,
 )
 from repro.core import bitset
+from repro.core.availability import _BATCH_ELEMENTS
 from repro.core.transversal import (
     is_transversal,
     minimal_transversal,
@@ -295,13 +296,32 @@ class TestLoadAndAvailability:
         assert is_transversal(bitset.mask_to_frozenset(mask, system.universe), quorums)
 
 
+@st.composite
+def survival_cases(draw):
+    """An explicit system with quorums of unequal sizes, and a crash batch."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    trials = draw(st.sampled_from([0, 1, 7, 8, 63, 64, 65, 400]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    core = draw(st.integers(0, n - 1))
+    sizes = draw(st.lists(st.integers(min(2, n), n), min_size=1, max_size=5))
+    # The singleton core quorum is the shortest column of the member table.
+    quorums = [frozenset({core})] + [
+        frozenset(rng.choice(n, size, replace=False).tolist()) | {core} for size in sizes
+    ]
+    # Per-trial crash rates skewed towards zero, so big quorums survive too.
+    crashed = rng.random((trials, n)) < rng.random((trials, 1)) ** 4
+    return ExplicitQuorumSystem(range(n), quorums, name="survival"), crashed
+
+
 class TestSurvivalChecks:
     @pytest.mark.parametrize(
         "system", [BoostedFPP(3, 1), RegularGrid(17)], ids=["boostfpp-n65-m8125", "grid-n289"]
     )
     def test_quorums_alive_is_the_mask_subset_test(self, system):
-        # The float32 matmul must answer exactly what the integer masks do,
-        # below and above the 256 a uint8 hit count would wrap at.
+        # The bit-sliced kernel must answer exactly what the integer masks do
+        # with n above one 64-bit word: it counts nothing, so no hit count
+        # can wrap (a uint8 one would at 256) or round (a float32 one past
+        # 2**24); each trial's survival is one bit ORed over member rows.
         engine = system.bitset_engine()
         rng = np.random.default_rng(5)
         crashed = rng.random((24, system.n)) < rng.random((24, 1)) * 0.2
@@ -315,6 +335,46 @@ class TestSurvivalChecks:
         assert 0 < alive[2:].sum() < alive[2:].size
         assert engine.alive_quorum_exists(crashed).tolist() == alive.any(axis=1).tolist()
         assert engine.quorums_alive(crashed[3]).tolist() == alive[3:4].tolist()
+
+    @given(survival_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_sliced_kernel_is_the_mask_subset_test(self, case):
+        # Quorums of unequal sizes pad the member table with the sentinel
+        # row; trial counts off a multiple of 64 pad the last trial word.
+        system, crashed = case
+        engine = system.bitset_engine()
+        alive = engine.quorums_alive(crashed)
+        assert alive.dtype == bool and alive.flags.c_contiguous
+        assert alive.shape == (len(crashed), engine.num_quorums)
+        for row, flags in zip(crashed, alive):
+            crashed_mask = sum(1 << int(index) for index in np.flatnonzero(row))
+            assert flags.tolist() == [not mask & crashed_mask for mask in engine.masks]
+        exists = engine.alive_quorum_exists(crashed)
+        assert exists.dtype == bool and exists.tolist() == alive.any(axis=1).tolist()
+        if len(crashed):
+            single = engine.quorums_alive(crashed[-1])
+            assert single.dtype == bool and single.flags.c_contiguous
+            assert single.tolist() == alive[-1:].tolist()
+
+    def test_survival_check_python_calls_do_not_grow_with_the_batch(self, python_calls):
+        """No Python call per member-table row or per trial word.
+
+        7 calls on CPython 3.11 / numpy 2.4 at every size below: one trial,
+        the 400 of a ``measure_sweep`` call, and one full Monte-Carlo batch
+        (9 510 trials on M-Grid(7, 3)'s 441 quorums of 24, 516 on
+        boostFPP(3, 1)'s 8 125 quorums of 16).
+        """
+        rng = np.random.default_rng(11)
+        counts = []
+        for system in (MGrid(7, 3), BoostedFPP(3, 1)):
+            engine = system.bitset_engine()
+            engine.alive_quorum_exists(np.zeros((1, system.n), dtype=bool))  # member table
+            batch = _BATCH_ELEMENTS // max(engine.num_quorums, system.n)
+            for trials in (1, 400, batch):
+                crashed = rng.random((trials, system.n)) < 0.2
+                calls, _ = python_calls(lambda: engine.alive_quorum_exists(crashed))
+                counts.append(calls)
+        assert len(set(counts)) == 1 and counts[0] <= 7 + 4, counts
 
 
 # ----------------------------------------------------------------------------

@@ -8,8 +8,9 @@ Three layers:
   out-of-order records, empty file, foreign file, snapshot/WAL mismatch,
   corrupt snapshot) must be survived by dropping only the corrupt suffix —
   and nothing may ever raise past :class:`~repro.exceptions.StorageError`;
-* a hypothesis property test: journal → recover round-trips arbitrary
-  frozen JSON values under random fsync policies and compaction points.
+* hypothesis property tests: journal → recover round-trips arbitrary
+  frozen JSON values under random fsync policies and compaction points, and
+  every inherited pair a replica would hold is read back after a reopen.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import StorageError
+from repro import masking_threshold
+from repro.exceptions import SimulationError, StorageError
 from repro.simulation.history import freeze_value
 from repro.simulation.messages import Timestamp, ValueTimestampPair
+from repro.simulation.server import check_inherited_pair
 from repro.storage import (
     DurableStore,
     FsyncPolicy,
@@ -582,6 +586,51 @@ class TestRoundTripProperty:
                 store.journal(expected)
         with DurableStore(data_dir, fsync=fsync, snapshot_every=snapshot_every) as store:
             assert store.pair == expected
+
+    @given(
+        value=json_values,
+        counter=st.integers(-1, 3),
+        client_id=st.integers(-3, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @example(value=None, counter=0, client_id=-1, seed=0)
+    @example(value="empty", counter=1, client_id=0, seed=0)
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_every_accepted_pair_is_read_back_after_a_reopen(
+        self, tmp_path_factory, event_register, complete, value, counter, client_id, seed
+    ):
+        """An inherited pair survives the WAL and a restart, then a read.
+
+        The store recovers with the replicas' own install rule, so the pair
+        a reopened store hands a replica is the one journalled, and a
+        fault-free read of the restored replicas returns it on a clean
+        history — the zero pair included.
+        """
+        pair = ValueTimestampPair(freeze_value(value), Timestamp(counter, client_id))
+        try:
+            check_inherited_pair(pair)
+        except SimulationError:
+            return
+        data_dir = tmp_path_factory.mktemp("store")
+        with DurableStore(data_dir) as store:
+            store.journal(pair)
+        with DurableStore(data_dir) as store:
+            recovered = store.recovery.pair
+        assert recovered == pair
+        stack = event_register(
+            masking_threshold(5, 1),
+            b=1,
+            rng=np.random.default_rng(seed),
+            initial_pair=recovered,
+        )
+        result = complete(stack.clients[0].read)
+        assert result.success
+        assert (result.value, result.timestamp) == (pair.value, pair.timestamp)
+        assert stack.recorder.check().ok
 
     @given(value=json_values, counter=st.integers(0, 2**40), client_id=st.integers(-1, 2**20))
     @settings(max_examples=60, deadline=None)
