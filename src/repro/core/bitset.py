@@ -360,17 +360,10 @@ class BitsetEngine:
         """
         crashed = np.atleast_2d(crashed)
         words = self._alive_words(crashed)
-        num_quorums, num_words = words.shape
-        # Byte planes (word, byte, quorum): trial 64·w + 8·j + i is bit i of
-        # plane (w, j), so one broadcast shift unpacks every trial row at once
-        # into a C-ordered (trial, quorum) block, without a strided transpose
-        # of the T×m result.
-        planes = np.ascontiguousarray(
-            words.view(np.uint8).reshape(num_quorums, num_words, 8).transpose(1, 2, 0)
+        flags = np.unpackbits(
+            words.view(np.uint8), axis=1, count=crashed.shape[0], bitorder="little"
         )
-        flags = planes[:, :, None, :] >> np.arange(8, dtype=np.uint8)[:, None]
-        flags &= 1
-        return flags.reshape(-1, num_quorums)[: crashed.shape[0]].view(bool)
+        return np.ascontiguousarray(flags.T).view(bool)
 
     def alive_quorum_exists(self, crashed: np.ndarray) -> np.ndarray:
         """Vectorised survival check over a batch of crash configurations.

@@ -411,13 +411,13 @@ class TestFigure1Workloads:
         """Bit-for-bit mode agreement at 10^5 operations, with no per-op Python work.
 
         The vectorised engine's Python calls do not grow with the batch
-        (173 at 20 000, 100 000 and 1 000 000 operations on CPython 3.11,
+        (174 at 20 000, 100 000 and 1 000 000 operations on CPython 3.11,
         numpy 2.4), where the sequential reference pays per operation; the
         schedule's chunk loop, which runs about 40 times at 10^6
         operations, and the survival check's member-row loop call only
         ndarray methods and ufuncs.  The ceiling is 154, the count before
-        the survival check built a member table once per run (19 calls),
-        plus the 64 calls of slack the size check allows, for drift across
+        the bit-sliced survival check (which builds a member table once per
+        run and adds 20 calls), plus the 64 calls of slack the size check allows, for drift across
         CPython and numpy versions.
         """
         system = MGrid(7, 3)
