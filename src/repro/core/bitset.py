@@ -31,7 +31,7 @@ Paper notation for the quantities computed here is catalogued in
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -75,9 +75,21 @@ def iter_bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+#: Maps the ASCII digits of a binary numeral to the bytes 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def mask_to_frozenset(mask: int, universe: Universe) -> frozenset:
     """Return the universe elements whose bits are set in ``mask``."""
-    return frozenset(universe.element_at(index) for index in iter_bit_indices(mask))
+    elements = universe.elements
+    if mask < 0 or mask >> len(elements):
+        raise ComputationError(
+            f"mask {mask:#b} is negative or has bits beyond the "
+            f"{len(elements)}-element universe"
+        )
+    # Byte i is bit i of the mask: its binary numeral, reversed, as 0/1 bytes.
+    bits = format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
+    return frozenset(compress(elements, bits))
 
 
 def pack_masks(masks: Sequence[int], n: int) -> np.ndarray:

@@ -98,6 +98,11 @@ class QuorumSystem(ABC):
     #: treating the sample as the truth.
     is_implicit: bool = False
 
+    #: The uniform strategy over the quorums, built on first use by
+    #: :meth:`Strategy.uniform_over_system <repro.core.strategy.Strategy.uniform_over_system>`
+    #: and kept on the object beside the :meth:`bitset_engine` cache.
+    _uniform_strategy_cache: Strategy | None = None
+
     # ------------------------------------------------------------------
     # Abstract surface.
     # ------------------------------------------------------------------

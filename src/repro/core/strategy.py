@@ -151,8 +151,18 @@ class Strategy:
 
     @classmethod
     def uniform_over_system(cls, system: QuorumSystem) -> "Strategy":
-        """Return the uniform strategy over all quorums of ``system``."""
-        return cls.from_masks(system.universe, system.quorum_masks())
+        """Return the uniform strategy over all quorums of ``system``.
+
+        Built once per system object and cached on it, beside
+        :meth:`~repro.core.quorum_system.QuorumSystem.bitset_engine`, so the
+        strategy's sampling arrays and support engine are shared by every
+        workload run on that object.
+        """
+        cached = system._uniform_strategy_cache
+        if cached is None:
+            cached = cls.from_masks(system.universe, system.quorum_masks())
+            system._uniform_strategy_cache = cached
+        return cached
 
     @classmethod
     def from_vector(

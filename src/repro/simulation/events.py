@@ -37,9 +37,14 @@ The message is the unit of cost.  Each one is a heap entry — a plain
 ``(time, sequence, handle)`` tuple, compared in C — whose handle holds a
 bound method and its arguments, not a closure; the timing and fault models
 are frozen, so their zero/clean flags and per-server factor maps are
-computed once, and a delivery resolves the fault state in force once.  None
-of this changes which events fire, in which order, or which random numbers
-are drawn.
+computed once.  Every jitter, loss, duplication and tail uniform a network
+uses comes from one stream, refilled from its generator 64 draws at a time
+and only when the last draw is used: the same values, in the same order, as
+one scalar ``rng.random()`` per draw, at C cost per message.  A delivery
+looks up the fault state in force and, only when that is a different state
+object, rebuilds its crashed set and service-delay table.  None of this
+changes which events fire, in which order, or which random numbers are
+drawn.
 
 Accounting (aligned with the vectorised engine's Definition 3.8 fix): the
 network keeps **attempted** deliveries (every send, crashed/lost included)
@@ -54,7 +59,7 @@ import heapq
 import itertools
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -203,10 +208,13 @@ class LatencyModel:
     """Per-link one-way message delay.
 
     A delay sample is ``(base + U[0, jitter) + Exp(tail_mean)) * factor``,
-    where ``factor`` is the per-server multiplier (defaults to 1).  With all
-    three parameters zero the model draws **no randomness at all**, which is
-    what makes a zero-latency client consume the same rng stream as any other
-    driver of the protocol core given the same answers.
+    where ``factor`` is the per-server multiplier (defaults to 1).  Its
+    randomness is read from an iterator of ``U[0, 1)`` floats (an
+    :class:`EventNetwork`'s stream): one uniform scaled by ``jitter``, then
+    one for the tail, which is drawn by inversion, ``-tail_mean * log(1 -
+    U)``.  With all three parameters zero the model draws **no randomness at
+    all**, which is what makes a zero-latency client consume the same rng
+    stream as any other driver of the protocol core given the same answers.
 
     Parameters
     ----------
@@ -273,15 +281,16 @@ class LatencyModel:
         """The link multiplier of ``server_id`` (1.0 unless listed)."""
         return self._factors.get(server_id, 1.0)
 
-    def sample(self, rng: np.random.Generator, server_id: Hashable) -> float:
-        """Draw one one-way delay for a message to/from ``server_id``."""
+    def sample(self, uniforms: Iterator[float], server_id: Hashable) -> float:
+        """Draw one one-way delay for a message to/from ``server_id``,
+        taking its jitter and tail uniforms from ``uniforms`` in that order."""
         if self.is_zero:
             return 0.0
         delay = self.base
         if self.jitter > 0.0:
-            delay += self.jitter * rng.random()
+            delay += self.jitter * next(uniforms)
         if self.tail_mean > 0.0:
-            delay += rng.exponential(self.tail_mean)
+            delay -= self.tail_mean * math.log1p(-next(uniforms))
         return delay * self._factors.get(server_id, 1.0)
 
 
@@ -318,13 +327,14 @@ class LinkFaults:
         """Whether no message is ever lost or duplicated (computed once)."""
         return floats.is_zero(self.loss) and floats.is_zero(self.duplication)
 
-    def copies(self, rng: np.random.Generator) -> int:
-        """How many copies of a message actually travel (0 = lost)."""
+    def copies(self, uniforms: Iterator[float]) -> int:
+        """How many copies of a message actually travel (0 = lost), taking
+        the loss and then the duplication uniform from ``uniforms``."""
         if self.is_clean:
             return 1
-        if self.loss > 0.0 and rng.random() < self.loss:
+        if self.loss > 0.0 and next(uniforms) < self.loss:
             return 0
-        if self.duplication > 0.0 and rng.random() < self.duplication:
+        if self.duplication > 0.0 and next(uniforms) < self.duplication:
             return 2
         return 1
 
@@ -462,6 +472,10 @@ class TimingScenario:
 # ----------------------------------------------------------------------
 # The asynchronous message layer.
 # ----------------------------------------------------------------------
+#: Uniforms an :class:`EventNetwork` draws from its generator per refill.
+_UNIFORM_BLOCK = 64
+
+
 class EventNetwork:
     """Connects replicas through the event scheduler.
 
@@ -485,8 +499,12 @@ class EventNetwork:
     scheduler:
         The event loop deliveries are scheduled on.
     rng:
-        Randomness source for latency samples and loss/duplication draws
-        (unused — and never advanced — when both models are deterministic).
+        Randomness source for latency samples and loss/duplication draws.
+        The network reads it through one stream of uniforms, drawn
+        ``rng.random(64)`` at a time when the previous block is used up, so
+        a run consumes the values a scalar ``rng.random()`` per draw would,
+        in the same order; the generator is never advanced when both models
+        are deterministic.
     """
 
     def __init__(
@@ -504,7 +522,16 @@ class EventNetwork:
         self.scheduler = scheduler
         self._latency = self.scenario.latency
         self._link_faults = self.scenario.link_faults
-        self.rng = ensure_rng(rng)
+        self.rng = generator = ensure_rng(rng)
+        # ``iter(f, None)`` calls ``f`` only when the chain needs its next
+        # block (a list is never ``None``), so nothing is drawn ahead of use.
+        self._uniforms: Iterator[float] = itertools.chain.from_iterable(
+            iter(lambda: generator.random(_UNIFORM_BLOCK).tolist(), None)
+        )
+        # The fault state in force at the last delivery, and its views.
+        self._state: FaultScenario | None = None
+        self._crashed: frozenset = frozenset()
+        self._service_delays: dict[Hashable, float] = {}
         #: Requests sent to each server (crashed/lost ones included: the
         #: client pays the message either way).
         self.attempted_counts: dict[Hashable, int] = {sid: 0 for sid in self._servers}
@@ -554,22 +581,20 @@ class EventNetwork:
         """
         if request is None:
             raise SimulationError("cannot deliver an empty request")
-        rng = self.rng
+        uniforms = self._uniforms
         schedule = self.scheduler.schedule
+        sample = self._latency.sample
+        deliver = self._deliver
+        attempted = self.attempted_counts
+        link_faults = self._link_faults
+        clean = link_faults.is_clean
         for server_id in server_ids:
             server = self._servers.get(server_id)
             if server is None:
                 raise SimulationError(f"no replica with id {server_id!r} on this network")
-            self.attempted_counts[server_id] += 1
-            for _ in range(self._link_faults.copies(rng)):
-                schedule(
-                    self._latency.sample(rng, server_id),
-                    self._deliver,
-                    server_id,
-                    server,
-                    request,
-                    on_reply,
-                )
+            attempted[server_id] += 1
+            for _ in range(1 if clean else link_faults.copies(uniforms)):
+                schedule(sample(uniforms, server_id), deliver, server_id, server, request, on_reply)
 
     def _deliver(
         self,
@@ -579,26 +604,41 @@ class EventNetwork:
         on_reply: Callable[[Hashable, object], None],
     ) -> None:
         state = self.scenario.active(self.scheduler.now)
-        if not state.is_responsive(server_id):
+        # A timeline holds each fault state as one frozen object, so identity
+        # says whether the views still hold; comparing states by value would
+        # cost more than it saves.
+        if state is not self._state:
+            self._enter(state)
+        if server_id in self._crashed:
             return  # dead on arrival: the client's timeout is the only signal
         self.delivered_counts[server_id] += 1
         reply = server.handle(request)
-        # A slow server stretches its service time by (factor - 1) mean link
-        # latencies; with a zero-latency model there is no timescale to
-        # stretch, so slowness degenerates to zero delay.
-        latency = self._latency
-        service_delay = 0.0
-        slow = state.slow_factor(server_id)
-        if slow > 1.0 and not latency.is_zero:
-            mean_latency = latency.base + 0.5 * latency.jitter + latency.tail_mean
-            service_delay = (slow - 1.0) * mean_latency
-        for _ in range(self._link_faults.copies(self.rng)):
+        service_delay = self._service_delays.get(server_id, 0.0)
+        uniforms = self._uniforms
+        link_faults = self._link_faults
+        for _ in range(1 if link_faults.is_clean else link_faults.copies(uniforms)):
             self.scheduler.schedule(
-                service_delay + latency.sample(self.rng, server_id),
+                service_delay + self._latency.sample(uniforms, server_id),
                 on_reply,
                 server_id,
                 reply,
             )
+
+    def _enter(self, state: FaultScenario) -> None:
+        """Make ``state`` the fault state in force: its crashed set and the
+        service delay of each of its slow servers."""
+        self._state = state
+        self._crashed = state.crashed
+        # A slow server stretches its service time by (factor - 1) mean link
+        # latencies; with a zero-latency model there is no timescale to
+        # stretch, so slowness degenerates to zero delay.
+        latency = self._latency
+        mean_latency = latency.base + 0.5 * latency.jitter + latency.tail_mean
+        self._service_delays = {}
+        for server_id, _ in state.slow:
+            slow = state.slow_factor(server_id)
+            if slow > 1.0 and not latency.is_zero:
+                self._service_delays[server_id] = (slow - 1.0) * mean_latency
 
     def empirical_message_rates(
         self, total_operations: int, *, which: str = "attempted"

@@ -21,7 +21,6 @@ records and snapshots all decode a pair through the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Hashable
 
 __all__ = [
@@ -54,23 +53,18 @@ def freeze_value(value: object) -> object:
     return value
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Timestamp:
     """A logical timestamp ``(counter, client_id)``.
 
-    Ordered first by counter, then by client identifier, so that concurrent
-    writers choosing the same counter are still totally ordered and a writer
-    can always generate a timestamp strictly larger than any it has seen.
+    Ordered first by counter, then by client identifier (the field order),
+    so that concurrent writers choosing the same counter are still totally
+    ordered and a writer can always generate a timestamp strictly larger
+    than any it has seen.
     """
 
     counter: int
     client_id: int
-
-    def __lt__(self, other: "Timestamp") -> bool:
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return (self.counter, self.client_id) < (other.counter, other.client_id)
 
     def next_for(self, client_id: int) -> "Timestamp":
         """Return a timestamp strictly greater than this one, owned by ``client_id``."""

@@ -70,9 +70,22 @@ class ReplicaServer:
 
     def __init__(self, server_id: Hashable, initial_value: object = None):
         self.server_id = server_id
-        self._pair = ValueTimestampPair(value=initial_value, timestamp=Timestamp.zero())
+        self._install(ValueTimestampPair(value=initial_value, timestamp=Timestamp.zero()))
         #: Number of requests served, used for empirical load measurements.
         self.access_count = 0
+        # Replies are frozen, so one write acknowledgement of each kind
+        # serves every write.
+        self._acks = (
+            WriteAck(server_id=server_id, accepted=False),
+            WriteAck(server_id=server_id, accepted=True),
+        )
+
+    def _install(self, pair: ValueTimestampPair) -> None:
+        """Hold ``pair``; the read and timestamp replies that carry it are
+        built on first use and reused until the pair changes."""
+        self._pair = pair
+        self._read_reply: ReadReply | None = None
+        self._timestamp_reply: TimestampReply | None = None
 
     @property
     def current_pair(self) -> ValueTimestampPair:
@@ -90,7 +103,7 @@ class ReplicaServer:
         preserved.
         """
         if pair.timestamp > self._pair.timestamp:
-            self._pair = pair
+            self._install(pair)
 
     # ------------------------------------------------------------------
     # Request handlers.
@@ -114,20 +127,28 @@ class ReplicaServer:
     def handle_timestamp(self, request: TimestampRequest) -> TimestampReply:
         """Return the timestamp of the currently stored value."""
         self.access_count += 1
-        return TimestampReply(server_id=self.server_id, timestamp=self._pair.timestamp)
+        reply = self._timestamp_reply
+        if reply is None:
+            reply = TimestampReply(server_id=self.server_id, timestamp=self._pair.timestamp)
+            self._timestamp_reply = reply
+        return reply
 
     def handle_read(self, request: ReadRequest) -> ReadReply:
         """Return the currently stored ``(value, timestamp)`` pair."""
         self.access_count += 1
-        return ReadReply(server_id=self.server_id, pair=self._pair)
+        reply = self._read_reply
+        if reply is None:
+            reply = ReadReply(server_id=self.server_id, pair=self._pair)
+            self._read_reply = reply
+        return reply
 
     def handle_write(self, request: WriteRequest) -> WriteAck:
         """Install the written pair if it is newer than the stored one."""
         self.access_count += 1
-        if request.pair.timestamp > self._pair.timestamp:
-            self._pair = request.pair
-            return WriteAck(server_id=self.server_id, accepted=True)
-        return WriteAck(server_id=self.server_id, accepted=False)
+        accepted = request.pair.timestamp > self._pair.timestamp
+        if accepted:
+            self._install(request.pair)
+        return self._acks[accepted]
 
 
 class ByzantineReplicaServer(ReplicaServer):

@@ -43,6 +43,7 @@ from repro.core.transversal import (
     minimal_transversal_mask,
 )
 from repro.core.universe import Universe
+from repro.exceptions import ComputationError
 
 
 def _small_systems():
@@ -154,6 +155,11 @@ class TestMaskGeneration:
         for mask, quorum in zip(masks, quorums):
             assert bitset.mask_to_frozenset(mask, universe) == quorum
             assert bitset.mask_of(quorum, universe) == mask
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 5, (1 << 6) - 1])
+    def test_a_mask_off_the_universe_is_refused(self, mask):
+        with pytest.raises(ComputationError, match="5-element universe"):
+            bitset.mask_to_frozenset(mask, Universe.of_size(5))
 
     def test_mpath_raw_masks_align(self):
         # The raw M-Path object cannot materialise quorums(), but its mask

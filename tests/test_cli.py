@@ -208,6 +208,17 @@ CORPUS = [
         "--trials 400 --seed 7 --json",
         Budget(trials=400, seed=7),
     ),
+    *[
+        (
+            "run -c mgrid --n 49 --b 3 --engine event --clients 8 --ops 640 --seed 7 "
+            f"--json --scenario {scenario}",
+            WorkloadSpec(
+                system="mgrid", params={"n": 49, "b": 3}, scenario=scenario,
+                clients=8, operations=640, seed=7,
+            ),
+        )
+        for scenario in ("slow-servers", "flaky-links")
+    ],
     # Adversarial & conformance smoke.
     ("run -c mgrid --side 5 --b 1 --scenario adaptive-load --ops 200 --json",
      _mgrid("adaptive-load")),

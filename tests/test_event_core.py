@@ -13,6 +13,11 @@
 * **Cached invariants.**  ``LatencyModel``/``LinkFaults``/``FaultScenario``
   compute their flags and factor maps once; the cached views must agree with
   the declared fields.
+* **The uniform stream.**  A network's delays and copy counts, drawn from
+  blocks of 64 uniforms, equal a replay that draws one scalar
+  ``rng.random()`` per uniform; the generator is advanced one block at a
+  time, only when the last draw is used, and never by a zero-latency clean
+  network; a delivery recognises the fault state in force by identity.
 * **Cost.**  A Python-call budget per operation of the ``sim_events``
   benchmark's run, counted with ``sys.setprofile`` — an integer that does
   not depend on how busy the machine is.
@@ -30,14 +35,17 @@ import pytest
 
 from repro import MGrid, SimulationError, ThresholdQuorumSystem, api
 from repro.simulation import (
+    EventNetwork,
     EventScheduler,
     FaultScenario,
     LatencyModel,
     LinkFaults,
+    ReplicaServer,
     RetryPolicy,
     TimingScenario,
     run_event_workload,
 )
+from repro.simulation.messages import ReadRequest
 from repro.simulation.scenarios import timing_scenario_suite
 
 
@@ -229,14 +237,14 @@ class TestCachedInvariants:
         )
         for server_id in ("a", "b", "c"):
             assert model.factor_for(server_id) == first_factor(model.server_factors, server_id)
-        rng = np.random.default_rng(0)
+        uniforms = iter(np.random.default_rng(0).random, None)
         if not model.is_zero:
-            assert model.sample(rng, "a") > 0.0
+            assert model.sample(uniforms, "a") > 0.0
 
     def test_duplicate_factor_ids_keep_the_first_entry(self):
         model = LatencyModel(base=1.0, server_factors=(("a", 3.0), ("a", 5.0)))
         assert model.factor_for("a") == 3.0
-        assert model.sample(np.random.default_rng(0), "a") == 3.0
+        assert model.sample(iter(np.random.default_rng(0).random, None), "a") == 3.0
         scenario = FaultScenario(slow=(("a", 2.0), ("a", 4.0)))
         assert scenario.slow_factor("a") == 2.0
         assert scenario.slow_factor("b") == 1.0
@@ -259,12 +267,187 @@ class TestCachedInvariants:
 
 
 # ----------------------------------------------------------------------
+# The uniform stream: block draws that replay scalar draws.
+# ----------------------------------------------------------------------
+class RecordingScheduler(EventScheduler):
+    """An event loop that records ``(callback name, server id, delay)`` of
+    every scheduled message leg, in scheduling order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.legs: list[tuple[str, object, float]] = []
+
+    def schedule(self, delay, callback, *args):
+        self.legs.append((callback.__name__, args[0], delay))
+        return super().schedule(delay, callback, *args)
+
+
+def ignore_reply(server_id, reply) -> None:
+    """The reply callback of the stream tests: replies are only counted."""
+
+
+def stream_network(latency, faults, *, servers=7, scenario=None):
+    """A recording network of ``servers`` replicas seeded 17, on fault-free
+    ``latency``/``faults`` links unless a ``scenario`` is given."""
+    if scenario is None:
+        scenario = TimingScenario.static(
+            FaultScenario.fault_free(), latency=latency, link_faults=faults
+        )
+    scheduler = RecordingScheduler()
+    network = EventNetwork(
+        {server_id: ReplicaServer(server_id) for server_id in range(servers)},
+        scenario,
+        scheduler=scheduler,
+        rng=np.random.default_rng(17),
+    )
+    return scheduler, network
+
+
+def scalar_legs(latency, faults, rng, server_ids) -> list[tuple[object, float]]:
+    """``(server id, delay)`` of every leg sent to ``server_ids`` in order,
+    each uniform one scalar ``rng.random()``: the loss draw, the
+    duplication draw, then one jitter draw per surviving copy."""
+    legs = []
+    for server_id in server_ids:
+        copies = 1
+        if faults.loss > 0.0 and rng.random() < faults.loss:
+            copies = 0
+        elif faults.duplication > 0.0 and rng.random() < faults.duplication:
+            copies = 2
+        for _ in range(copies):
+            delay = (latency.base + latency.jitter * rng.random()) * latency.factor_for(
+                server_id
+            )
+            legs.append((server_id, delay))
+    return legs
+
+
+def draws_since(start: np.random.Generator, state: dict) -> int:
+    """How many scalar draws take a generator from ``start`` to ``state``."""
+    for count in range(10_000):
+        if start.bit_generator.state == state:
+            return count
+        start.random()
+    raise AssertionError("the generator state is not reachable by scalar draws")
+
+
+LINKS = {
+    "clean": (LatencyModel.uniform(1.0, 0.5), LinkFaults()),
+    "lossy": (LatencyModel.uniform(1.0, 0.5), LinkFaults(loss=0.3)),
+    "duplicating": (LatencyModel.uniform(1.0, 0.5), LinkFaults(duplication=0.4)),
+    "lossy-duplicating": (LatencyModel.uniform(0.5, 2.0), LinkFaults(loss=0.2, duplication=0.3)),
+    "server-factors": (
+        LatencyModel(base=1.0, jitter=1.0, server_factors=((0, 3.0), (5, 0.5), (0, 9.0))),
+        LinkFaults(loss=0.1),
+    ),
+}
+
+
+class TestUniformStream:
+    @pytest.mark.parametrize("link", sorted(LINKS))
+    def test_legs_replay_scalar_draws_across_refills(self, link):
+        latency, faults = LINKS[link]
+        scheduler, network = stream_network(latency, faults)
+        server_ids = list(range(7)) * 20
+        for start in range(0, len(server_ids), 7):
+            network.broadcast(server_ids[start : start + 7], ReadRequest(0), ignore_reply)
+        scheduler.run()
+        replay = np.random.default_rng(17)
+        requests = scalar_legs(latency, faults, replay, server_ids)
+        # Every request was sent at time 0, so they are delivered in order
+        # of their delays, ties in sending order; each delivery sends a reply.
+        delivered = [server_id for server_id, _ in sorted(requests, key=lambda leg: leg[1])]
+        replies = scalar_legs(latency, faults, replay, delivered)
+        legs = scheduler.legs
+        assert [leg[1:] for leg in legs if leg[0] == "_deliver"] == requests
+        assert [leg[1:] for leg in legs if leg[0] == "ignore_reply"] == replies
+        # Two or more refills, and a draw count off the block edge.
+        drawn = draws_since(np.random.default_rng(17), replay.bit_generator.state)
+        assert drawn > 128
+        # The generator is one whole block ahead of the draws used, at most.
+        blocks = draws_since(np.random.default_rng(17), network.rng.bit_generator.state)
+        assert blocks == -(-drawn // 64) * 64
+
+    def test_a_run_ending_on_a_block_edge_draws_no_further_block(self):
+        latency = LatencyModel.uniform(1.0, 0.5)
+        scheduler, network = stream_network(latency, LinkFaults(), servers=8)
+        for _ in range(8):
+            network.broadcast(range(8), ReadRequest(0), ignore_reply)
+        replay = np.random.default_rng(17)
+        assert [leg[1:] for leg in scheduler.legs] == scalar_legs(
+            latency, LinkFaults(), replay, list(range(8)) * 8
+        )
+        assert network.rng.bit_generator.state == replay.bit_generator.state
+        # The 65th uniform opens the next block.
+        network.send(3, ReadRequest(0), ignore_reply)
+        assert scheduler.legs[-1][1:] == scalar_legs(latency, LinkFaults(), replay, [3])[0]
+        for _ in range(63):
+            replay.random()
+        assert network.rng.bit_generator.state == replay.bit_generator.state
+
+    def test_a_zero_latency_clean_network_never_advances_its_generator(self):
+        scheduler, network = stream_network(LatencyModel.zero(), LinkFaults())
+        state = network.rng.bit_generator.state
+        for _ in range(100):
+            network.broadcast(range(7), ReadRequest(0), ignore_reply)
+        scheduler.run()
+        assert network.delivered_counts == {server_id: 100 for server_id in range(7)}
+        assert network.rng.bit_generator.state == state
+
+    def test_an_exponential_tail_is_drawn_by_inversion_from_the_stream(self):
+        latency = LatencyModel(base=0.5, jitter=1.0, tail_mean=2.0)
+        scheduler, network = stream_network(latency, LinkFaults())
+        network.broadcast(range(7), ReadRequest(0), ignore_reply)
+        replay = np.random.default_rng(17)
+        expected = []
+        for _ in range(7):
+            jitter = replay.random()
+            expected.append(0.5 + 1.0 * jitter - 2.0 * math.log1p(-replay.random()))
+        assert [leg[2] for leg in scheduler.legs] == expected
+
+    def test_deliveries_recognise_the_fault_state_by_identity(self, monkeypatch):
+        healthy = FaultScenario.fault_free()
+        scenario = TimingScenario(
+            "crash-and-recover",
+            (
+                (0.0, healthy),
+                (5.0, FaultScenario(crashed=frozenset({0}), slow=((1, 3.0),))),
+                (10.0, FaultScenario.fault_free()),
+            ),
+            latency=LatencyModel(base=1.0),
+        )
+        scheduler, network = stream_network(None, None, scenario=scenario)
+        compared = []
+
+        def counted_eq(state, other):
+            compared.append("eq")
+            return state is other
+
+        def counted_hash(state):
+            compared.append("hash")
+            return id(state)
+
+        monkeypatch.setattr(FaultScenario, "__eq__", counted_eq)
+        monkeypatch.setattr(FaultScenario, "__hash__", counted_hash)
+        for time in (0.0, 4.5, 6.0, 9.5, 12.0):
+            scheduler.schedule(time, network.broadcast, range(3), ReadRequest(0), ignore_reply)
+        scheduler.run()
+        assert compared == []
+        # Requests land at 1, 5.5, 7, 10.5 and 13: server 0 is crashed for
+        # two of them, and server 1's replies are stretched by (3 - 1) * 1.0.
+        assert network.delivered_counts == {0: 3, 1: 5, 2: 5, 3: 0, 4: 0, 5: 0, 6: 0}
+        replies = [delay for name, server_id, delay in scheduler.legs if name == "ignore_reply"]
+        assert replies.count(3.0) == 2 and replies.count(1.0) == 11
+
+
+# ----------------------------------------------------------------------
 # Cost: Python-level calls per operation of the sim_events run.
 # ----------------------------------------------------------------------
-#: Calls per operation of ``cost_spec(320)``: 837 on CPython 3.11 after the
-#: per-message rewrite (2 231 before it).  The budget leaves ~20 % for
+#: Calls per operation of ``cost_spec(320)``: 564 on CPython 3.11 since the
+#: uniform stream and the per-state delivery views (837 after the
+#: per-message rewrite, 2 231 before it).  The budget leaves ~20 % for
 #: interpreter differences across the supported versions.
-CALLS_PER_OP_BUDGET = 1000
+CALLS_PER_OP_BUDGET = 675
 
 
 def cost_spec(operations: int) -> api.WorkloadSpec:

@@ -23,7 +23,7 @@ from repro import (
     ThresholdQuorumSystem,
     exact_load,
 )
-from repro.core import Membership, plan_events
+from repro.core import BitsetEngine, Membership, plan_events
 from repro.core.strategy import _SAMPLE_CHUNK
 from repro.simulation import (
     AdaptiveScenario,
@@ -411,14 +411,16 @@ class TestFigure1Workloads:
         """Bit-for-bit mode agreement at 10^5 operations, with no per-op Python work.
 
         The vectorised engine's Python calls do not grow with the batch
-        (174 at 20 000, 100 000 and 1 000 000 operations on CPython 3.11,
+        (132 at 20 000, 100 000 and 1 000 000 operations on CPython 3.11,
         numpy 2.4), where the sequential reference pays per operation; the
         schedule's chunk loop, which runs about 40 times at 10^6
         operations, and the survival check's member-row loop call only
-        ndarray methods and ufuncs.  The ceiling is 154, the count before
-        the bit-sliced survival check (which builds a member table once per
-        run and adds 20 calls), plus the 64 calls of slack the size check allows, for drift across
-        CPython and numpy versions.
+        ndarray methods and ufuncs.  The uniform strategy, its sampling
+        arrays and its support engine are cached on the system, so a run
+        on a warm system builds none of them.  The ceiling is 154, the
+        count before the bit-sliced survival check, plus the 64 calls of
+        slack the size check allows, for drift across CPython and numpy
+        versions.
         """
         system = MGrid(7, 3)
         # Warm the per-system caches (quorum list, incidence, strategy arrays).
@@ -447,6 +449,24 @@ class TestFigure1Workloads:
             mode="sequential",
         )
         assert sequential == result
+
+    def test_the_uniform_strategy_is_built_once_per_system(self, monkeypatch):
+        """Runs on one system share its uniform strategy and support engine."""
+        builds = []
+        build = BitsetEngine.__init__
+
+        def counting(engine, *args, **kwargs):
+            builds.append(engine)
+            build(engine, *args, **kwargs)
+
+        monkeypatch.setattr(BitsetEngine, "__init__", counting)
+        system = MGrid(7, 3)
+        strategies = set()
+        for seed in range(5):
+            run_workload(system, b=3, num_operations=1_000, rng=np.random.default_rng(seed))
+            strategies.add(id(resolve_strategy(system, None)))
+        assert len(builds) == 1
+        assert len(strategies) == 1
 
     def test_scenario_suite_stays_within_the_bound(self):
         system = MGrid(7, 3)

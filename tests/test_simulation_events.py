@@ -127,17 +127,19 @@ class TestLatencyAndLinkModels:
     def test_zero_model_draws_no_randomness(self, rng):
         model = LatencyModel.zero()
         state = rng.bit_generator.state
-        assert model.sample(rng, "s0") == 0.0
+        assert model.sample(iter(rng.random, None), "s0") == 0.0
         assert rng.bit_generator.state == state
 
     def test_sample_respects_slow_factor(self, rng):
         model = LatencyModel(base=1.0, server_factors=(("slow", 3.0),))
-        assert model.sample(rng, "slow") == pytest.approx(3.0)
-        assert model.sample(rng, "fast") == pytest.approx(1.0)
+        uniforms = iter(rng.random, None)
+        assert model.sample(uniforms, "slow") == pytest.approx(3.0)
+        assert model.sample(uniforms, "fast") == pytest.approx(1.0)
 
     def test_jitter_reorders_messages(self, rng):
         model = LatencyModel.uniform(0.0, 1.0)
-        draws = [model.sample(rng, "s") for _ in range(64)]
+        uniforms = iter(rng.random, None)
+        draws = [model.sample(uniforms, "s") for _ in range(64)]
         assert any(late < early for early, late in zip(draws, draws[1:]))
 
     def test_validation(self):
@@ -152,10 +154,11 @@ class TestLatencyAndLinkModels:
 
     def test_loss_and_duplication_counts(self, rng):
         lossy = LinkFaults(loss=0.5)
-        copies = [lossy.copies(rng) for _ in range(200)]
+        uniforms = iter(rng.random, None)
+        copies = [lossy.copies(uniforms) for _ in range(200)]
         assert 0 in copies and 1 in copies and 2 not in copies
         duplicating = LinkFaults(duplication=1.0)
-        assert duplicating.copies(rng) == 2
+        assert duplicating.copies(uniforms) == 2
 
 
 class TestTimingScenarioSchedule:
